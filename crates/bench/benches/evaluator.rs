@@ -169,13 +169,9 @@ fn bench_bounded_moves(c: &mut Criterion) {
 }
 
 /// Short bounded scans — the post-pruning production shape where
-/// executor overhead used to dominate: a 24-candidate grid driven
-/// through `best_move` on the resident pool (`pool-N`) versus the
-/// retired per-call `std::thread::scope` crew (`spawn-N`, preserved in
-/// `probes::spawn_crew_chunks` with the old re-prime-per-chunk arena
-/// checkout). Identical argmin out of both; the gap is pure submit
-/// latency — the `pool_reuse_speedup` series in `BENCH_eval.json`
-/// archives the same comparison per commit.
+/// executor overhead weighs against the scoring work: a 24-candidate
+/// grid driven through `best_move` on the resident pool, at one and four
+/// workers.
 fn bench_short_scan(c: &mut Criterion) {
     let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
     let inst = spec.generate();
@@ -192,34 +188,6 @@ fn bench_short_scan(c: &mut Criterion) {
         let mut batch = BatchEvaluator::new(&snapshot);
         group.bench_function(BenchmarkId::new(format!("pool-{threads}"), moves.len()), |b| {
             pool.install(|| b.iter(|| black_box(batch.best_move(g, &base, t, &moves, &obj))))
-        });
-    }
-    for threads in [1usize, 4] {
-        let arenas: std::sync::Mutex<Vec<IncrementalEvaluator>> = std::sync::Mutex::new(Vec::new());
-        group.bench_function(BenchmarkId::new(format!("spawn-{threads}"), moves.len()), |b| {
-            b.iter(|| {
-                let chunk_best =
-                    mshc_bench::probes::spawn_crew_chunks(threads, moves.len(), |range| {
-                        let mut inc = arenas
-                            .lock()
-                            .expect("arenas")
-                            .pop()
-                            .unwrap_or_else(|| IncrementalEvaluator::with_snapshot(&snapshot));
-                        inc.prime(&base);
-                        let mut best = f64::INFINITY;
-                        for i in range {
-                            let (pos, m) = moves[i];
-                            if let Some(s) = inc.score_move_bounded(t, pos, m, best, &obj).exact() {
-                                if s < best {
-                                    best = s;
-                                }
-                            }
-                        }
-                        arenas.lock().expect("arenas").push(inc);
-                        best
-                    });
-                black_box(chunk_best.into_iter().fold(f64::INFINITY, f64::min))
-            })
         });
     }
     group.finish();

@@ -22,12 +22,9 @@
 //!    available parallelism, or `--threads N`) — thread parallelism
 //!    compounding on top of the incremental scoring inside.
 //!
-//! Two executor-level series ride along since the persistent pool
+//! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
-//! pool sizes on the wide grid) and `pool_reuse_speedup` — the resident
-//! pool versus the old per-call `std::thread::scope` crew (preserved in
-//! [`mshc_bench::probes::spawn_crew_chunks`]) on the **short bounded
-//! scan** preset, where spawn latency used to dominate the scoring work.
+//! pool sizes on the wide grid).
 //!
 //! Since the GA moved onto tier 3, a **GA generation probe** races the
 //! whole scheduler on the same preset with offspring fitness via
@@ -62,11 +59,14 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// `BENCH_eval.json` schema version — bumped whenever series are added
+/// or removed, so downstream tooling can gate on it.
+const SCHEMA_VERSION: u32 = 3;
+
 /// The JSON payload CI archives.
 #[derive(Debug, Serialize)]
 struct BenchReport {
-    /// Report schema version — bumped with `mshc_obs::SCHEMA_VERSION`
-    /// whenever series are added, so downstream tooling can gate on it.
+    /// Report schema version ([`SCHEMA_VERSION`]).
     schema_version: u32,
     tasks: usize,
     machines: usize,
@@ -112,16 +112,6 @@ struct BenchReport {
     /// scaling curve (the `thread_scaling` ratio is batch ×N over the
     /// first point).
     thread_scaling_evals_per_sec: Vec<ThreadScalingPoint>,
-    /// Short bounded scan (24 candidates, 4-thread pool) on the
-    /// resident work-stealing pool — the post-pruning production shape.
-    short_scan_pool_evals_per_sec: f64,
-    /// The same short scan on the retired per-call scoped-crew
-    /// executor, re-priming per chunk the way the old arena checkout
-    /// did.
-    short_scan_spawn_evals_per_sec: f64,
-    /// Resident pool over per-call spawn on the short-scan preset — the
-    /// executor-rewrite headline (acceptance bar: ≥ 1.3x).
-    pool_reuse_speedup: f64,
     /// Tournament-engine throughput: completed cells per second on the
     /// tiny scenario suite (6 algorithms × 2 scenarios × 2 seeds), races
     /// fanned out over the same pool as batch ×N.
@@ -359,66 +349,6 @@ fn main() {
     let batch1_eps = curve_point(1).expect("curve has the 1-thread point");
     let batchn_eps = curve_point(threads).unwrap_or_else(|| batch_eps(threads));
 
-    // Pool-reuse duel on the short bounded scan: the resident pool vs a
-    // per-call scoped crew (the retired executor, preserved in
-    // `probes::spawn_crew_chunks`), both running the identical bounded
-    // argmin at the same crew size. Short scans are the post-pruning
-    // common case, so this isolates submit latency: pool wake vs thread
-    // spawn/join.
-    let crew = 4usize;
-    let (t_short, short_moves) = mshc_bench::probes::short_move_grid(&inst, &base, 24);
-    let short_reps = rounds * 40;
-    let short_pool_eps = {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(crew).build().expect("pool");
-        pool.install(|| {
-            let mut batch = BatchEvaluator::new(&snapshot);
-            // Warm-up spawns the resident workers and fills the arenas.
-            black_box(batch.best_move(g, &base, t_short, &short_moves, &obj));
-            let start = Instant::now();
-            for _ in 0..short_reps {
-                black_box(batch.best_move(g, &base, t_short, &short_moves, &obj));
-            }
-            (short_reps * short_moves.len()) as f64 / start.elapsed().as_secs_f64()
-        })
-    };
-    let short_spawn_eps = {
-        use std::sync::Mutex;
-        let arenas: Mutex<Vec<IncrementalEvaluator>> = Mutex::new(Vec::new());
-        let scan = || {
-            let chunk_best =
-                mshc_bench::probes::spawn_crew_chunks(crew, short_moves.len(), |range| {
-                    // The old arena checkout: pop from a shared mutex
-                    // pool and re-prime on every chunk.
-                    let mut inc = arenas
-                        .lock()
-                        .expect("spawn-side arenas")
-                        .pop()
-                        .unwrap_or_else(|| IncrementalEvaluator::with_snapshot(&snapshot));
-                    inc.prime(&base);
-                    let mut best = f64::INFINITY;
-                    for i in range {
-                        let (pos, m) = short_moves[i];
-                        if let MoveScore::Exact(s) =
-                            inc.score_move_bounded(t_short, pos, m, best, &obj)
-                        {
-                            if s < best {
-                                best = s;
-                            }
-                        }
-                    }
-                    arenas.lock().expect("spawn-side arenas").push(inc);
-                    best
-                });
-            chunk_best.into_iter().fold(f64::INFINITY, f64::min)
-        };
-        black_box(scan());
-        let start = Instant::now();
-        for _ in 0..short_reps {
-            black_box(scan());
-        }
-        (short_reps * short_moves.len()) as f64 / start.elapsed().as_secs_f64()
-    };
-
     // Tournament-engine probe: a fixed tiny grid raced end to end; the
     // cells/sec series tracks whole-subsystem throughput (workload
     // generation + all three evaluator tiers + aggregation) per commit.
@@ -519,6 +449,7 @@ fn main() {
             ..TournamentSpec::new("chaos", tiny_suite())
         };
         let tags: Vec<String> = tiny_suite().iter().map(|sc| sc.tag()).collect();
+        mshc_schedule::faults::quiet_injected_panics();
         mshc_schedule::faults::arm(&mshc_schedule::FaultPlan {
             cell_panics: vec![
                 mshc_schedule::CellFault {
@@ -643,7 +574,7 @@ fn main() {
     let obs_timing = mshc_obs::snapshot().timing;
 
     let report = BenchReport {
-        schema_version: mshc_obs::SCHEMA_VERSION,
+        schema_version: SCHEMA_VERSION,
         tasks: inst.task_count(),
         machines: inst.machine_count(),
         candidates: moves.len(),
@@ -662,9 +593,6 @@ fn main() {
         speedup_vs_scalar: batchn_eps / scalar_eps,
         thread_scaling: batchn_eps / batch1_eps,
         thread_scaling_evals_per_sec: scaling,
-        short_scan_pool_evals_per_sec: short_pool_eps,
-        short_scan_spawn_evals_per_sec: short_spawn_eps,
-        pool_reuse_speedup: short_pool_eps / short_spawn_eps,
         tournament_cells_per_sec: tournament_cps,
         lower_bound_us_per_instance: lower_bound_us,
         mean_gap,
@@ -707,14 +635,6 @@ fn main() {
         ga_eps,
         100.0 * ga_reuse,
         ga_run_speedup
-    );
-    println!(
-        "short scan ({} candidates, {} crew): pool {:.0}/s vs spawn {:.0}/s ({:.2}x pool reuse)",
-        short_moves.len(),
-        crew,
-        short_pool_eps,
-        short_spawn_eps,
-        report.pool_reuse_speedup
     );
     println!("tournament: {:.2} cells/sec (tiny suite, {} threads)", tournament_cps, threads);
     println!(

@@ -3,17 +3,12 @@
 //! The criterion `batch_candidates`/`short_scan` groups and the
 //! `bench_eval` binary (the `BENCH_eval.json` emitter) must measure the
 //! *same* candidate grids so their numbers stay comparable; both build
-//! them here — along with [`spawn_crew_chunks`], the per-call
-//! scoped-crew executor the persistent pool replaced, kept as the
-//! baseline side of the `pool_reuse_speedup` series.
+//! them here.
 
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{Descent, Solution};
 use mshc_taskgraph::TaskId;
 use rand::Rng;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The SE allocation-scan shape at its widest: picks the task of `base`
 /// with the widest valid range (ties to the lowest id) and returns its
@@ -39,9 +34,9 @@ pub fn widest_move_grid(inst: &HcInstance, base: &Solution) -> (TaskId, Vec<(usi
 
 /// The first `limit` candidates of [`widest_move_grid`] — the
 /// "short bounded scan" preset. After bound pruning cut 99%+ of the
-/// candidates (PR 5), the scans the searches actually submit are this
-/// size, where executor overhead (thread spawn vs pool wake) dominates
-/// the scoring work; the `pool_reuse_speedup` series is measured on it.
+/// candidates, the scans the searches actually submit are this size,
+/// where executor overhead (a pool wake per scan) weighs against the
+/// scoring work; the criterion `short_scan` group is measured on it.
 pub fn short_move_grid(
     inst: &HcInstance,
     base: &Solution,
@@ -168,50 +163,6 @@ pub fn ga_offspring_cohort(
     (children, descents)
 }
 
-/// The pre-persistent-pool executor, preserved as a benchmark baseline:
-/// spawns a fresh `std::thread::scope` crew **per call**, splits
-/// `0..len` into the same chunk grid the vendored rayon uses
-/// (`len.div_ceil(threads * 2)`), self-schedules chunks off an atomic
-/// claim counter and merges results in chunk order. Bit-compatible with
-/// the resident executor on the same fold — the only difference is
-/// paying thread spawn/join latency on every invocation, which is
-/// exactly what `pool_reuse_speedup` quantifies.
-pub fn spawn_crew_chunks<T, F>(threads: usize, len: usize, fold_chunk: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 {
-        return vec![fold_chunk(0..len)];
-    }
-    let chunk_size = len.div_ceil(threads * 2).max(1);
-    let num_chunks = len.div_ceil(chunk_size);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(num_chunks));
-    std::thread::scope(|scope| {
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= num_chunks {
-                return;
-            }
-            let lo = i * chunk_size;
-            let hi = (lo + chunk_size).min(len);
-            let out = fold_chunk(lo..hi);
-            results.lock().expect("crew results").push((i, out));
-        };
-        for _ in 1..threads.min(num_chunks) {
-            scope.spawn(worker);
-        }
-        worker();
-    });
-    let mut chunks = results.into_inner().expect("crew results");
-    chunks.sort_unstable_by_key(|&(i, _)| i);
-    chunks.into_iter().map(|(_, out)| out).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,17 +179,6 @@ mod tests {
         assert_eq!(t_full, t_short);
         assert_eq!(short.len(), 24.min(full.len()));
         assert_eq!(&full[..short.len()], &short[..]);
-    }
-
-    #[test]
-    fn spawn_crew_merges_in_chunk_order() {
-        for threads in [1usize, 2, 4, 8] {
-            for len in [0usize, 1, 7, 100] {
-                let chunks = spawn_crew_chunks(threads, len, |r| r.collect::<Vec<usize>>());
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(flat, (0..len).collect::<Vec<usize>>(), "{threads}t len {len}");
-            }
-        }
     }
 
     /// The splice grid must actually splice: scoring it with the fast

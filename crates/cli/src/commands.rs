@@ -175,6 +175,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
                 std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
             let plan = mshc_schedule::FaultPlan::from_json(&text)
                 .map_err(|e| format!("--faults {path}: invalid fault plan: {e}"))?;
+            mshc_schedule::faults::quiet_injected_panics();
             mshc_schedule::faults::arm(&plan);
             Some(plan)
         }

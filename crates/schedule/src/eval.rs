@@ -180,6 +180,8 @@ pub struct Evaluator<'a> {
     finish: Vec<f64>,
     start: Vec<f64>,
     machine_avail: Vec<f64>,
+    /// Machine of each task already walked by the current pass.
+    machine: Vec<u32>,
     /// Objective accumulators folded during the pass, in string order
     /// (also carries the per-machine busy times the view exposes).
     state: ObjectiveState,
@@ -209,6 +211,7 @@ impl<'a> Evaluator<'a> {
             finish: vec![0.0; k],
             start: vec![0.0; k],
             machine_avail: vec![0.0; l],
+            machine: vec![0; k],
             state: ObjectiveState::new(l),
             evaluations: 0,
         }
@@ -307,6 +310,11 @@ impl<'a> Evaluator<'a> {
     /// The single left-to-right pass computing start/finish times into the
     /// scratch buffers and folding the objective accumulators in string
     /// order.
+    ///
+    /// Each task's machine is recorded in a task-indexed array as the
+    /// walk places it, and producers' machines are read back from there:
+    /// the string is a linear extension, so every producer has been
+    /// placed before any consumer reads it.
     fn pass(&mut self, solution: &Solution) {
         let snap = self.snap.as_ref();
         debug_assert_eq!(solution.len(), snap.task_count(), "solution/instance mismatch");
@@ -324,16 +332,18 @@ impl<'a> Evaluator<'a> {
             let t = seg.task;
             let m = seg.machine;
             let exec = snap.exec_time(m, t);
+            let rows = snap.pair_rows(m);
             let (start, finish) = snap.schedule_step(
                 t,
                 m,
                 exec,
-                |src| solution.machine_of(src),
+                |e, src| snap.edge_transfer(e, rows[self.machine[src] as usize]),
                 &self.finish,
                 &self.machine_avail,
             );
             self.start[t.index()] = start;
             self.finish[t.index()] = finish;
+            self.machine[t.index()] = m.raw();
             self.machine_avail[m.index()] = finish;
             self.state.fold(m, finish, exec);
         }

@@ -34,8 +34,9 @@
 
 use crate::replan::Disturbance;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Prefix every injected panic message carries, so harnesses (and
 /// humans reading leaderboards) can tell injected faults from real
@@ -147,6 +148,33 @@ fn eval_tick_armed() {
     }
 }
 
+/// Whether a panic payload is an injected fault: a `&str` or `String`
+/// message starting with [`FAULT_PANIC_PREFIX`].
+pub fn is_injected_panic(payload: &(dyn Any + Send)) -> bool {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    message.is_some_and(|m| m.starts_with(FAULT_PANIC_PREFIX))
+}
+
+/// Installs, once per process, a panic hook that drops the messages of
+/// injected faults ([`is_injected_panic`]) and forwards every other
+/// panic to the hook it replaced, so real panics stand out in the output
+/// of a chaos run. Injected panics are still raised and caught exactly
+/// as before; only their stderr report is suppressed.
+pub fn quiet_injected_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !is_injected_panic(info.payload()) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// Consumes (and reports) a pending cell fault for the cell identified
 /// by `(algorithm, scenario, seed)`. Returns `true` exactly once per
 /// matching fault — the caller is expected to panic its attempt; the
@@ -219,9 +247,25 @@ mod tests {
         let err = std::panic::catch_unwind(eval_tick).expect_err("third tick panics");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.starts_with(FAULT_PANIC_PREFIX), "panic is identifiable: {msg}");
+        assert!(is_injected_panic(&*err));
         // Ticks past the target are inert again.
         eval_tick();
         disarm();
+    }
+
+    #[test]
+    fn injected_panics_are_recognised_by_payload() {
+        let payloads: [(Box<dyn Any + Send>, bool); 6] = [
+            (Box::new("fault injection: cell"), true),
+            (Box::new(format!("{FAULT_PANIC_PREFIX} evaluation 3")), true),
+            (Box::new("index out of bounds"), false),
+            (Box::new(String::from("real bug: fault injection: quoted later")), false),
+            (Box::new(String::new()), false),
+            (Box::new(7u32), false),
+        ];
+        for (payload, injected) in payloads {
+            assert_eq!(is_injected_panic(&*payload), injected, "{payload:?}");
+        }
     }
 
     #[test]

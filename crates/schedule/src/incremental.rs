@@ -27,6 +27,17 @@
 //! remapping of the base, so scoring performs no `Solution` clones or
 //! `move_task` calls at all.
 //!
+//! Priming also caches every edge's **resolved transfer cost** under the
+//! base assignment, in predecessor-CSR order, as the walk reads it. A
+//! single-task move changes the machine pair of only the moved task's
+//! own edges, so a machine-changing scoring overwrites just those
+//! entries, replays with one contiguous `finish[src] + edge_cost[e]` read
+//! per predecessor edge, and writes the base costs back before it
+//! returns — whichever way it returns. The cache holds the exact `f64`
+//! the snapshot's pair-table lookup yields, and the replay's add/max
+//! sequence and order are those of [`EvalSnapshot`]'s single scheduling
+//! kernel, so the cache cannot change a score bit.
+//!
 //! On top of the suffix replay sits the **bounded + reconvergent fast
 //! path** ([`score_move_bounded`]): the caller's best-so-far score rides
 //! along and the replay is abandoned once a monotone
@@ -174,6 +185,14 @@ impl ScanStats {
 /// Scores single-task moves against a primed base solution by suffix
 /// replay from strided checkpoints.
 ///
+/// Besides the checkpoints, a priming keeps the base's per-task machines
+/// and a per-edge cost cache: the transfer cost of every DAG edge under
+/// the base assignment, indexed by the edge's predecessor-CSR position.
+/// [`score_move_bounded`](Self::score_move_bounded) re-prices only the
+/// moved task's incoming and outgoing edges when its machine changes,
+/// and restores them on every exit, so between calls the cache always
+/// describes the primed base.
+///
 /// ```
 /// use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 /// use mshc_schedule::{Evaluator, IncrementalEvaluator, ObjectiveKind, Solution};
@@ -218,6 +237,14 @@ pub struct IncrementalEvaluator<'a> {
     base: Option<Solution>,
     /// Pristine per-task finish times of the base walk.
     base_finish: Vec<f64>,
+    /// Machine of each task in the base.
+    base_machine: Vec<u32>,
+    /// Transfer cost of every edge (indexed by predecessor-CSR position)
+    /// under the base assignment, stored by the priming walk as it reads
+    /// each one. A move re-prices only the moved task's edges and puts
+    /// the base values back before returning, so between calls this
+    /// always holds the base's costs.
+    edge_cost: Vec<f64>,
     // Checkpoints: entry `j` captures the frontier state *before*
     // processing string position `j * stride`.
     ckpt_avail: Vec<f64>,
@@ -341,6 +368,7 @@ impl<'a> IncrementalEvaluator<'a> {
     fn from_snap(snap: Cow<'a, EvalSnapshot>) -> IncrementalEvaluator<'a> {
         let k = snap.task_count();
         let l = snap.machine_count();
+        let edges = snap.edge_count();
         let min_exec: Vec<f64> = (0..k)
             .map(|t| {
                 let cheapest = (0..l)
@@ -361,6 +389,8 @@ impl<'a> IncrementalEvaluator<'a> {
             stride: 1,
             base: None,
             base_finish: vec![0.0; k],
+            base_machine: vec![0; k],
+            edge_cost: vec![0.0; edges],
             ckpt_avail: Vec::new(),
             ckpt_busy: Vec::new(),
             ckpt_max: Vec::new(),
@@ -474,12 +504,12 @@ impl<'a> IncrementalEvaluator<'a> {
         self.scan_floor = floor;
     }
 
-    /// Walks `base` once, storing its finish times, a checkpoint of the
-    /// frontier state (machine-ready vector + objective accumulators)
-    /// every [`stride`](Self::stride) positions, and — for the
-    /// reconvergence splice — per-checkpoint suffix aggregates plus the
-    /// latest-consumer position of every task. O(k + p) plus
-    /// O(k/stride × l) checkpoint/suffix writes.
+    /// Walks `base` once, storing its finish times, every edge's resolved
+    /// transfer cost, a checkpoint of the frontier state (machine-ready
+    /// vector + objective accumulators) every [`stride`](Self::stride)
+    /// positions, and — for the reconvergence splice — per-checkpoint
+    /// suffix aggregates plus the latest-consumer position of every task.
+    /// O(k + p) plus O(k/stride × l) checkpoint/suffix writes.
     pub fn prime(&mut self, base: &Solution) {
         let snap = self.snap.as_ref();
         let k = snap.task_count();
@@ -537,15 +567,21 @@ impl<'a> IncrementalEvaluator<'a> {
             }
             let (t, m) = (seg.task, seg.machine);
             let exec = snap.exec_time(m, t);
+            let rows = snap.pair_rows(m);
             let (_, finish) = snap.schedule_step(
                 t,
                 m,
                 exec,
-                |src| base.machine_of(src),
+                |e, src| {
+                    let cost = snap.edge_transfer(e, rows[self.base_machine[src] as usize]);
+                    self.edge_cost[e] = cost;
+                    cost
+                },
                 &self.finish,
                 &self.machine_avail,
             );
             self.finish[t.index()] = finish;
+            self.base_machine[t.index()] = m.raw();
             self.machine_avail[m.index()] = finish;
             self.state.fold(m, finish, exec);
             if self.pruning {
@@ -742,6 +778,8 @@ impl<'a> IncrementalEvaluator<'a> {
             stride,
             base,
             base_finish,
+            base_machine,
+            edge_cost,
             ckpt_avail,
             ckpt_busy,
             ckpt_max,
@@ -879,7 +917,14 @@ impl<'a> IncrementalEvaluator<'a> {
         // consumer reading a perturbed timing; splicing must wait until
         // the replay has passed it. A machine change perturbs every
         // transfer out of `t` whatever its finish time does.
-        let mut horizon = if new_m == old_m { 0 } else { last_consumer[t.index()] as usize };
+        let moved = new_m != old_m;
+        let mut horizon = if moved { last_consumer[t.index()] as usize } else { 0 };
+        // A machine change re-prices exactly `t`'s incoming and outgoing
+        // edges; every other edge keeps both endpoints' base machines,
+        // so its cached base cost is already the candidate's.
+        if moved {
+            snap.resolve_task_edges(t, new_m, base_machine, edge_cost);
+        }
 
         // Replay the disturbed suffix of the *mutated* string, read
         // through an index remapping of the base (no clone, no
@@ -895,93 +940,90 @@ impl<'a> IncrementalEvaluator<'a> {
                 base.segment_at(i)
             }
         };
-        for i in first..k {
-            // Reconvergence check, only at checkpoint boundaries past
-            // both the disturbed window and every perturbed consumer.
-            // The frontier must match the base walk's, but only on
-            // machines that still host work at or after the boundary —
-            // an entry nothing will read cannot influence the tail.
-            if i > ceiling && i % *stride == 0 {
-                let c = i / *stride;
-                let frontier_ok = *splicing
-                    && *splice_ready
-                    && horizon < i
-                    && machine_avail
-                        .iter()
-                        .zip(&ckpt_avail[c * l..(c + 1) * l])
-                        .zip(last_use.iter())
-                        .all(|((now, then), &used)| used <= i as u32 || now == then);
-                if frontier_ok {
-                    let suffix = SuffixView {
-                        max_finish: sfx_max[c],
-                        finish_sum: sfx_sum[c],
-                        machine_busy: &sfx_busy[c * l..(c + 1) * l],
-                        tasks: k - i,
-                    };
-                    let score = obj.splice(state, &suffix).or_else(|| {
-                        // Identity splice: the whole accumulator state
-                        // matches the base walk's, so the finished fold
-                        // is the base walk's finished fold.
-                        state
-                            .matches(ckpt_max[c], ckpt_sum[c], i, &ckpt_busy[c * l..(c + 1) * l])
-                            .then(|| obj.finalize(end_state))
-                    });
-                    if let Some(score) = score {
-                        *spliced += 1;
-                        obs::add(obs::Counter::ScanSpliced, 1);
-                        for &u in dirty.iter() {
-                            finish[u as usize] = base_finish[u as usize];
+        let outcome = 'replay: {
+            for i in first..k {
+                // Reconvergence check, only at checkpoint boundaries past
+                // both the disturbed window and every perturbed consumer.
+                // The frontier must match the base walk's, but only on
+                // machines that still host work at or after the boundary
+                // — an entry nothing will read cannot influence the tail.
+                if i > ceiling && i % *stride == 0 {
+                    let c = i / *stride;
+                    let frontier_ok = *splicing
+                        && *splice_ready
+                        && horizon < i
+                        && machine_avail
+                            .iter()
+                            .zip(&ckpt_avail[c * l..(c + 1) * l])
+                            .zip(last_use.iter())
+                            .all(|((now, then), &used)| used <= i as u32 || now == then);
+                    if frontier_ok {
+                        let suffix = SuffixView {
+                            max_finish: sfx_max[c],
+                            finish_sum: sfx_sum[c],
+                            machine_busy: &sfx_busy[c * l..(c + 1) * l],
+                            tasks: k - i,
+                        };
+                        let score = obj.splice(state, &suffix).or_else(|| {
+                            // Identity splice: the whole accumulator state
+                            // matches the base walk's, so the finished fold
+                            // is the base walk's finished fold.
+                            state
+                                .matches(
+                                    ckpt_max[c],
+                                    ckpt_sum[c],
+                                    i,
+                                    &ckpt_busy[c * l..(c + 1) * l],
+                                )
+                                .then(|| obj.finalize(end_state))
+                        });
+                        if let Some(score) = score {
+                            *spliced += 1;
+                            obs::add(obs::Counter::ScanSpliced, 1);
+                            break 'replay MoveScore::Exact(score);
                         }
-                        dirty.clear();
-                        return MoveScore::Exact(score);
+                    }
+                }
+                let seg = seg_at(i);
+                let (u, mu) = (seg.task, seg.machine);
+                let exec = snap.exec_time(mu, u);
+                let (_, f) =
+                    snap.schedule_step(u, mu, exec, |e, _| edge_cost[e], finish, machine_avail);
+                finish[u.index()] = f;
+                dirty.push(u.raw());
+                machine_avail[mu.index()] = f;
+                state.fold(mu, f, exec);
+                if f != base_finish[u.index()] {
+                    horizon = horizon.max(last_consumer[u.index()] as usize);
+                }
+                if do_prune {
+                    // Chain floor (this task's finish plus its remaining
+                    // critical path) and machine-load floor (this
+                    // machine's frontier plus the work it still owes) —
+                    // both monotone along the fold, both O(1).
+                    state.note_pending((f + tail[u.index()]) * *deflate);
+                    let rem = remaining_busy[mu.index()] - exec;
+                    remaining_busy[mu.index()] = rem;
+                    state.note_pending((f + rem) * *deflate);
+                    if obj.lower_bound(state, &hints) >= bound {
+                        *pruned += 1;
+                        obs::add(obs::Counter::ScanPruned, 1);
+                        break 'replay MoveScore::Pruned;
                     }
                 }
             }
-            let seg = seg_at(i);
-            let (u, mu) = (seg.task, seg.machine);
-            let exec = snap.exec_time(mu, u);
-            let (_, f) = snap.schedule_step(
-                u,
-                mu,
-                exec,
-                |src| if src == t { new_m } else { base.machine_of(src) },
-                finish,
-                machine_avail,
-            );
-            finish[u.index()] = f;
-            dirty.push(u.raw());
-            machine_avail[mu.index()] = f;
-            state.fold(mu, f, exec);
-            if f != base_finish[u.index()] {
-                horizon = horizon.max(last_consumer[u.index()] as usize);
-            }
-            if do_prune {
-                // Chain floor (this task's finish plus its remaining
-                // critical path) and machine-load floor (this machine's
-                // frontier plus the work it still owes) — both monotone
-                // along the fold, both O(1).
-                state.note_pending((f + tail[u.index()]) * *deflate);
-                let rem = remaining_busy[mu.index()] - exec;
-                remaining_busy[mu.index()] = rem;
-                state.note_pending((f + rem) * *deflate);
-                if obj.lower_bound(state, &hints) >= bound {
-                    *pruned += 1;
-                    obs::add(obs::Counter::ScanPruned, 1);
-                    for &u in dirty.iter() {
-                        finish[u as usize] = base_finish[u as usize];
-                    }
-                    dirty.clear();
-                    return MoveScore::Pruned;
-                }
-            }
+            MoveScore::Exact(obj.finalize(state))
+        };
+        // Restore the base: `t`'s edge costs and the pristine finish
+        // times (dirty entries only).
+        if moved {
+            snap.resolve_task_edges(t, old_m, base_machine, edge_cost);
         }
-        let score = obj.finalize(state);
-        // Restore the pristine base finish times (dirty entries only).
         for &u in dirty.iter() {
             finish[u as usize] = base_finish[u as usize];
         }
         dirty.clear();
-        MoveScore::Exact(score)
+        outcome
     }
 
     /// Scores an **arbitrary candidate sharing a string prefix with the
@@ -1118,8 +1160,17 @@ impl<'a> IncrementalEvaluator<'a> {
             let seg = child.segment_at(i);
             let (u, mu) = (seg.task, seg.machine);
             let exec = snap.exec_time(mu, u);
-            let (_, f) =
-                snap.schedule_step(u, mu, exec, |src| child.machine_of(src), finish, machine_avail);
+            let rows = snap.pair_rows(mu);
+            let (_, f) = snap.schedule_step(
+                u,
+                mu,
+                exec,
+                |e, src| {
+                    snap.edge_transfer(e, rows[child.machine_of(TaskId::from_usize(src)).index()])
+                },
+                finish,
+                machine_avail,
+            );
             finish[u.index()] = f;
             dirty.push(u.raw());
             machine_avail[mu.index()] = f;

@@ -9,13 +9,14 @@
 //!
 //! All evaluation rests on two shared pieces: [`EvalSnapshot`] — a
 //! flattened, `Sync` copy of one instance (predecessor CSR + dense
-//! `E`/`Tr` slabs) that evaluators walk instead of the pointer-rich
-//! [`mshc_platform::HcInstance`] — and [`Objective`] — pluggable
-//! lower-is-better scoring (makespan, total/mean flowtime, load balance,
-//! weighted blends), selected at run time through the [`ObjectiveKind`]
-//! carried by [`RunBudget`], with an incremental-accumulator interface
-//! ([`ObjectiveState`]: fold one completed task, finalize) on top of the
-//! array-based one.
+//! `E`/`Tr` slabs, with a flat machine-pair table whose diagonal points
+//! at an all-zero `Tr` row) that evaluators walk instead of the
+//! pointer-rich [`mshc_platform::HcInstance`] — and [`Objective`] —
+//! pluggable lower-is-better scoring (makespan, total/mean flowtime,
+//! load balance, weighted blends), selected at run time through the
+//! [`ObjectiveKind`] carried by [`RunBudget`], with an
+//! incremental-accumulator interface ([`ObjectiveState`]: fold one
+//! completed task, finalize) on top of the array-based one.
 //!
 //! On that base sits a **three-tier evaluation stack**; pick the lowest
 //! tier whose shape matches the work:

@@ -12,9 +12,16 @@
 //!
 //! * predecessor CSR — `(src task, data item)` pairs per task, in the
 //!   exact order `TaskGraph::in_edges` yields them (the evaluator's f64
-//!   reduction order, and therefore its bit-exact results, depend on it);
+//!   reduction order, and therefore its bit-exact results, depend on it).
+//!   An edge's position in this CSR is its identity on the hot path;
+//! * successor index — each task's outgoing edges as `(CSR position,
+//!   consumer)` pairs, so a tier-3 move can find every edge it re-prices;
 //! * the execution matrix `E` as one `l × k` row-major slab;
-//! * the transfer matrix `Tr` as one `l(l-1)/2 × p` row-major slab.
+//! * the transfer matrix `Tr` as one `(l(l-1)/2 + 1) × p` row-major slab
+//!   whose extra last row is all zeros, plus a flat `l × l` pair table
+//!   holding each ordered machine pair's slab offset. The table's
+//!   diagonal points at the zero row, so a co-located transfer is an
+//!   ordinary lookup that reads `0.0` — no branch, no pair arithmetic.
 //!
 //! A snapshot is plain owned data (`Send + Sync`), so one snapshot can be
 //! shared by any number of worker-thread evaluators — this is what
@@ -25,8 +32,16 @@
 
 use mshc_platform::{pair_count, pair_index, HcInstance, MachineId};
 use mshc_taskgraph::{DataId, TaskId};
+use std::ops::Range;
 
 /// Dense, immutable copy of everything the evaluator reads per pass.
+///
+/// Transfer costs are resolved through a flat `l × l` pair table whose
+/// diagonal points at an all-zero `Tr` row, so every tier looks a cost
+/// up the same way whether or not the endpoints share a machine. The
+/// value read is the very `f64` stored in the instance's `Tr` matrix
+/// (or `0.0` for a co-located pair, exactly what the model charges), so
+/// the flat lookup cannot change any result bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalSnapshot {
     k: usize,
@@ -38,10 +53,21 @@ pub struct EvalSnapshot {
     pred_src: Vec<u32>,
     /// Data item per incoming edge, grouped by consumer.
     pred_data: Vec<u32>,
+    /// Offsets into `succ_edge`/`succ_dst`, indexed by task (`k + 1`).
+    succ_offsets: Vec<u32>,
+    /// Predecessor-CSR position of each outgoing edge, grouped by producer.
+    succ_edge: Vec<u32>,
+    /// Consuming task of each outgoing edge, grouped by producer.
+    succ_dst: Vec<u32>,
     /// `E` as a row-major `l × k` slab: `exec[m * k + t]`.
     exec: Vec<f64>,
-    /// `Tr` as a row-major `l(l-1)/2 × p` slab: `transfer[pair * p + d]`.
+    /// `Tr` as a row-major `(l(l-1)/2 + 1) × p` slab:
+    /// `transfer[pair * p + d]`, with an all-zero last row.
     transfer: Vec<f64>,
+    /// `l × l`: slab offset of each ordered machine pair's `Tr` row,
+    /// `pair_row[a * l + b] == pair_index(l, a, b) * p` off the diagonal
+    /// and the zero row's offset on it.
+    pair_row: Vec<usize>,
 }
 
 impl EvalSnapshot {
@@ -63,6 +89,28 @@ impl EvalSnapshot {
             pred_offsets.push(pred_src.len() as u32);
         }
 
+        // Successor index: counting sort of the predecessor CSR by
+        // producer, so each task's outgoing edges sit contiguously.
+        let mut succ_offsets = vec![0u32; k + 1];
+        for &src in &pred_src {
+            succ_offsets[src as usize + 1] += 1;
+        }
+        for t in 0..k {
+            succ_offsets[t + 1] += succ_offsets[t];
+        }
+        let mut cursor = succ_offsets[..k].to_vec();
+        let mut succ_edge = vec![0u32; pred_src.len()];
+        let mut succ_dst = vec![0u32; pred_src.len()];
+        for dst in 0..k {
+            for e in pred_offsets[dst]..pred_offsets[dst + 1] {
+                let src = pred_src[e as usize] as usize;
+                let slot = cursor[src] as usize;
+                succ_edge[slot] = e;
+                succ_dst[slot] = dst as u32;
+                cursor[src] += 1;
+            }
+        }
+
         let mut exec = Vec::with_capacity(l * k);
         for m in 0..l {
             for t in 0..k {
@@ -70,14 +118,37 @@ impl EvalSnapshot {
             }
         }
         let pairs = pair_count(l);
-        let mut transfer = Vec::with_capacity(pairs * p);
+        let mut transfer = Vec::with_capacity((pairs + 1) * p);
         for pair in 0..pairs {
             for d in 0..p {
                 transfer.push(sys.transfer_matrix().get(pair, d));
             }
         }
+        // The co-located row: the model charges nothing for data that
+        // stays on its machine.
+        transfer.resize((pairs + 1) * p, 0.0);
+        let mut pair_row = vec![pairs * p; l * l];
+        for a in 0..l {
+            for b in (0..l).filter(|&b| b != a) {
+                let row = pair_index(l, MachineId::from_usize(a), MachineId::from_usize(b));
+                pair_row[a * l + b] = row * p;
+            }
+        }
 
-        EvalSnapshot { k, l, p, pred_offsets, pred_src, pred_data, exec, transfer }
+        EvalSnapshot {
+            k,
+            l,
+            p,
+            pred_offsets,
+            pred_src,
+            pred_data,
+            succ_offsets,
+            succ_edge,
+            succ_dst,
+            exec,
+            transfer,
+            pair_row,
+        }
     }
 
     /// Number of subtasks `k`.
@@ -98,6 +169,13 @@ impl EvalSnapshot {
         self.p
     }
 
+    /// Number of DAG edges — the length of the predecessor CSR, whose
+    /// positions identify edges on the hot path.
+    #[inline]
+    pub(crate) fn edge_count(&self) -> usize {
+        self.pred_src.len()
+    }
+
     /// `E[m][t]`: execution time of task `t` on machine `m`.
     #[inline]
     pub fn exec_time(&self, m: MachineId, t: TaskId) -> f64 {
@@ -107,47 +185,89 @@ impl EvalSnapshot {
     /// Time to move data item `d` between machines; zero when co-located.
     #[inline]
     pub fn transfer_time(&self, d: DataId, from: MachineId, to: MachineId) -> f64 {
-        if from == to {
-            0.0
-        } else {
-            self.transfer[pair_index(self.l, from, to) * self.p + d.index()]
-        }
+        self.transfer[self.pair_row[from.index() * self.l + to.index()] + d.index()]
+    }
+
+    /// Slab offsets of the `Tr` rows of every pair `(x, to)`, indexed by
+    /// `x` (the table is symmetric, so this is also every `(to, x)`).
+    #[inline]
+    pub(crate) fn pair_rows(&self, to: MachineId) -> &[usize] {
+        &self.pair_row[to.index() * self.l..(to.index() + 1) * self.l]
+    }
+
+    /// Transfer cost of the edge at predecessor-CSR position `e` over
+    /// the pair whose slab offset is `row` (one of [`Self::pair_rows`]).
+    #[inline]
+    pub(crate) fn edge_transfer(&self, e: usize, row: usize) -> f64 {
+        self.transfer[row + self.pred_data[e] as usize]
+    }
+
+    /// Predecessor-CSR positions of `t`'s incoming edges.
+    #[inline]
+    fn pred_edges(&self, t: TaskId) -> Range<usize> {
+        self.pred_offsets[t.index()] as usize..self.pred_offsets[t.index() + 1] as usize
     }
 
     /// Incoming `(producer, data item)` pairs of `t`, in the same order
     /// `TaskGraph::in_edges` yields them.
     #[inline]
     pub fn preds(&self, t: TaskId) -> impl ExactSizeIterator<Item = (TaskId, DataId)> + Clone + '_ {
-        let lo = self.pred_offsets[t.index()] as usize;
-        let hi = self.pred_offsets[t.index() + 1] as usize;
-        (lo..hi).map(move |i| (TaskId::new(self.pred_src[i]), DataId::new(self.pred_data[i])))
+        self.pred_edges(t)
+            .map(move |i| (TaskId::new(self.pred_src[i]), DataId::new(self.pred_data[i])))
+    }
+
+    /// Writes into `edge_cost` (indexed by predecessor-CSR position) the
+    /// transfer cost of every edge into and out of `t`, with `t` on
+    /// machine `m` and every other task on `machine[task]`. Edges not
+    /// incident to `t` are untouched.
+    pub(crate) fn resolve_task_edges(
+        &self,
+        t: TaskId,
+        m: MachineId,
+        machine: &[u32],
+        edge_cost: &mut [f64],
+    ) {
+        let rows = self.pair_rows(m);
+        for e in self.pred_edges(t) {
+            edge_cost[e] = self.edge_transfer(e, rows[machine[self.pred_src[e] as usize] as usize]);
+        }
+        let succ = self.succ_offsets[t.index()] as usize..self.succ_offsets[t.index() + 1] as usize;
+        for (&e, &dst) in self.succ_edge[succ.clone()].iter().zip(&self.succ_dst[succ]) {
+            let e = e as usize;
+            edge_cost[e] = self.edge_transfer(e, rows[machine[dst as usize] as usize]);
+        }
     }
 
     /// One step of the left-to-right scheduling kernel: the
     /// `(start, finish)` times of task `t` placed on machine `m` with
-    /// execution time `exec`, given the predecessor finish times, a
-    /// machine lookup for producers, and the machine-availability
-    /// frontier.
+    /// execution time `exec`, given the predecessor finish times, the
+    /// machine-availability frontier, and `edge_cost(e, src)` — the
+    /// transfer cost of the incoming edge at predecessor-CSR position `e`
+    /// from producer `src` to `m`.
     ///
     /// Every evaluation tier — the scalar full pass, the incremental
     /// evaluator's priming walk, and its checkpoint-resumed suffix
-    /// replay — goes through this single definition. The bit-identity
-    /// guarantee across tiers rests on these float operations happening
-    /// in exactly this order; do not duplicate or reorder them.
+    /// replay — goes through this single definition; they differ only in
+    /// where the edge cost comes from (a pair-table lookup, or tier 3's
+    /// per-edge cache of those same lookups). The bit-identity guarantee
+    /// across tiers rests on these float operations happening in exactly
+    /// this order; do not duplicate or reorder them.
     #[inline]
     pub(crate) fn schedule_step(
         &self,
         t: TaskId,
         m: MachineId,
         exec: f64,
-        machine_of: impl Fn(TaskId) -> MachineId,
+        mut edge_cost: impl FnMut(usize, usize) -> f64,
         finish: &[f64],
         machine_avail: &[f64],
     ) -> (f64, f64) {
         // Data-arrival constraint: every input item must have arrived.
+        let edges = self.pred_edges(t);
         let mut ready = 0.0f64;
-        for (src, d) in self.preds(t) {
-            let arrival = finish[src.index()] + self.transfer_time(d, machine_of(src), m);
+        for (e, &src) in edges.clone().zip(&self.pred_src[edges]) {
+            let src = src as usize;
+            let arrival = finish[src] + edge_cost(e, src);
             ready = ready.max(arrival);
         }
         // Machine-order constraint: the machine must be free.
@@ -163,14 +283,19 @@ mod tests {
     use mshc_taskgraph::TaskGraphBuilder;
 
     fn instance() -> HcInstance {
+        instance_on(3)
+    }
+
+    fn instance_on(machines: usize) -> HcInstance {
         let mut b = TaskGraphBuilder::new(4);
         for (s, d) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
             b.add_edge(s, d).unwrap();
         }
         let g = b.build().unwrap();
-        let exec = Matrix::from_fn(3, 4, |m, t| (m * 10 + t + 1) as f64);
-        let transfer = Matrix::from_fn(3, 4, |pair, d| (pair * 100 + d) as f64);
-        let sys = HcSystem::with_anonymous_machines(3, exec, transfer).unwrap();
+        let exec = Matrix::from_fn(machines, 4, |m, t| (m * 10 + t + 1) as f64);
+        let transfer =
+            Matrix::from_fn(pair_count(machines), 4, |pair, d| (pair * 100 + d + 1) as f64);
+        let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
         HcInstance::new(g, sys).unwrap()
     }
 
@@ -187,11 +312,71 @@ mod tests {
                 assert_eq!(snap.exec_time(m, t), sys.exec_time(m, t));
             }
         }
-        for d in inst.graph().edges().iter().map(|e| e.id) {
-            for a in sys.machine_ids() {
-                for b in sys.machine_ids() {
-                    assert_eq!(snap.transfer_time(d, a, b), sys.transfer_time(d, a, b));
+    }
+
+    /// The flat pair table reproduces the instance's transfer lookup for
+    /// every `(d, a, b)` — co-located pairs included, which read the zero
+    /// row — from a single machine (no `Tr` rows at all) upward.
+    #[test]
+    fn pair_table_lookups_match_instance() {
+        for machines in [1, 2, 5] {
+            let inst = instance_on(machines);
+            let snap = EvalSnapshot::new(&inst);
+            let sys = inst.system();
+            for d in inst.graph().edges().iter().map(|e| e.id) {
+                for a in sys.machine_ids() {
+                    for b in sys.machine_ids() {
+                        let want = sys.transfer_time(d, a, b);
+                        assert_eq!(snap.transfer_time(d, a, b).to_bits(), want.to_bits());
+                        assert_eq!(want == 0.0, a == b, "{machines} machines: ({d}, {a}, {b})");
+                    }
                 }
+            }
+        }
+    }
+
+    /// Every edge appears exactly once in the successor index, under its
+    /// producer, pointing at its own predecessor-CSR position.
+    #[test]
+    fn successor_index_inverts_the_predecessor_csr() {
+        let inst = instance();
+        let snap = EvalSnapshot::new(&inst);
+        let mut seen = vec![false; snap.edge_count()];
+        for src in 0..snap.task_count() {
+            let succ = snap.succ_offsets[src] as usize..snap.succ_offsets[src + 1] as usize;
+            for (&e, &dst) in snap.succ_edge[succ.clone()].iter().zip(&snap.succ_dst[succ]) {
+                let e = e as usize;
+                assert!(!seen[e], "edge {e} indexed twice");
+                seen[e] = true;
+                assert_eq!(snap.pred_src[e] as usize, src);
+                assert!(snap.pred_edges(TaskId::new(dst)).contains(&e));
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every edge is indexed");
+    }
+
+    /// Resolving one task's edges writes exactly its incident edges, each
+    /// with the instance's cost for the given placement.
+    #[test]
+    fn resolve_task_edges_touches_only_incident_edges() {
+        let inst = instance();
+        let snap = EvalSnapshot::new(&inst);
+        let machine = [0u32, 1, 2, 0];
+        let t = TaskId::new(1); // edges 0 -> 1 and 1 -> 3
+        let m = MachineId::new(2);
+        let mut cost = vec![-1.0; snap.edge_count()];
+        snap.resolve_task_edges(t, m, &machine, &mut cost);
+        let on = |u: TaskId| if u == t { m } else { MachineId::new(machine[u.index()]) };
+        let mut e = 0;
+        for dst in inst.graph().tasks() {
+            for edge in inst.graph().in_edges(dst) {
+                if edge.src == t || edge.dst == t {
+                    let want = inst.system().transfer_time(edge.id, on(edge.src), on(edge.dst));
+                    assert_eq!(cost[e], want, "{edge:?}");
+                } else {
+                    assert_eq!(cost[e], -1.0, "{edge:?} is not incident to {t}");
+                }
+                e += 1;
             }
         }
     }
@@ -206,14 +391,5 @@ mod tests {
             let got: Vec<(TaskId, DataId)> = snap.preds(t).collect();
             assert_eq!(got, want, "{t}");
         }
-    }
-
-    #[test]
-    fn colocated_transfer_is_zero() {
-        let inst = instance();
-        let snap = EvalSnapshot::new(&inst);
-        let d = DataId::new(0);
-        let m = MachineId::new(1);
-        assert_eq!(snap.transfer_time(d, m, m), 0.0);
     }
 }

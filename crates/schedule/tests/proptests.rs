@@ -54,32 +54,42 @@ fn reference_choice(
     chosen
 }
 
+/// A random instance: `k` tasks on `l` machines, over a layered or
+/// Erdős–Rényi DAG with edge probability `p`.
+fn build_instance(k: usize, l: usize, p: f64, seed: u64, use_layered: bool) -> HcInstance {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let graph = if use_layered {
+        layered(
+            &LayeredConfig { tasks: k, mean_width: (k / 3).max(1), edge_prob: p, skip_prob: 0.0 },
+            &mut rng,
+        )
+        .unwrap()
+    } else {
+        erdos_dag(k, p, &mut rng).unwrap()
+    };
+    let exec = Matrix::from_fn(l, k, |_, _| rng.gen_range(1.0..50.0));
+    let pairs = l * (l - 1) / 2;
+    let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(0.0..20.0));
+    let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
+    HcInstance::new(graph, sys).unwrap()
+}
+
 fn instance_strategy() -> impl Strategy<Value = HcInstance> {
-    (1usize..25, 1usize..6, 0.0f64..0.9, any::<u64>(), prop::bool::ANY).prop_map(
-        |(k, l, p, seed, use_layered)| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let graph = if use_layered {
-                layered(
-                    &LayeredConfig {
-                        tasks: k,
-                        mean_width: (k / 3).max(1),
-                        edge_prob: p,
-                        skip_prob: 0.0,
-                    },
-                    &mut rng,
-                )
-                .unwrap()
-            } else {
-                erdos_dag(k, p, &mut rng).unwrap()
-            };
-            let exec = Matrix::from_fn(l, k, |_, _| rng.gen_range(1.0..50.0));
-            let pairs = l * (l - 1) / 2;
-            let transfer =
-                Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(0.0..20.0));
-            let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
-            HcInstance::new(graph, sys).unwrap()
-        },
-    )
+    (1usize..25, 1usize..6, 0.0f64..0.9, any::<u64>(), prop::bool::ANY)
+        .prop_map(|(k, l, p, seed, use_layered)| build_instance(k, l, p, seed, use_layered))
+}
+
+/// Full-pass score of `base` with `t` moved to `(pos, m)`.
+fn moved_score(
+    scalar: &mut Evaluator,
+    inst: &HcInstance,
+    base: &Solution,
+    (t, pos, m): (TaskId, usize, MachineId),
+    kind: &ObjectiveKind,
+) -> f64 {
+    let mut cand = base.clone();
+    cand.move_task(inst.graph(), t, pos, m).unwrap();
+    scalar.objective_value(&cand, kind)
 }
 
 proptest! {
@@ -527,6 +537,83 @@ proptest! {
                         inc.score_suffix(&child, d, &kind), slow,
                         "{} stride {:?} diverge {} (true {})", kind.name(), stride, d, diverge
                     );
+                }
+            }
+        }
+    }
+
+    /// A machine-changing move re-prices the moved task's edges in the
+    /// evaluator's per-edge cost cache; every exit of
+    /// `score_move_bounded` must put the base costs (and finish times)
+    /// back. The bounds pick each exit in turn — the scan-floor cut, the
+    /// zero-replay cut (`f64::MIN` sits below every finite floor), a
+    /// prune mid-replay (the candidate's own score is reached at the
+    /// latest by its final step) and an exact or spliced finish — on
+    /// same-machine, machine-changing and identity moves. After every
+    /// call a fresh candidate and the base itself must still score
+    /// bit-identically to full passes. Instances include a single
+    /// machine (no `Tr` rows, only the zero row) and edgeless DAGs.
+    #[test]
+    fn bounded_scoring_restores_the_base_on_every_exit(
+        k in 1usize..25,
+        l in 1usize..6,
+        p in 0.0f64..0.9,
+        inst_seed in any::<u64>(),
+        use_layered in prop::bool::ANY,
+        shape in 0usize..3,
+        seed in any::<u64>(),
+        stride_sel in 0usize..4,
+        kind_sel in 0usize..5,
+    ) {
+        let inst = match shape {
+            0 => build_instance(k, l, p, inst_seed, use_layered),
+            1 => build_instance(k, 1, p, inst_seed, use_layered),
+            _ => build_instance(k, l, 0.0, inst_seed, false),
+        };
+        let l = inst.machine_count();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let base = random_solution(&inst, &mut rng);
+        let stride = [Some(1), Some(2), Some((k / 2).max(1)), None][stride_sel];
+        let kind = [
+            ObjectiveKind::Makespan,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::MeanFlowtime,
+            ObjectiveKind::LoadBalance,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 },
+        ][kind_sel];
+        let snap = EvalSnapshot::new(&inst);
+        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+        inc.set_stride(stride);
+        inc.prime(&base);
+        let mut scalar = Evaluator::new(&inst);
+        let base_truth = scalar.objective_value(&base, &kind);
+        for (t, pos, m) in sample_moves(&inst, &base, 8, &mut rng) {
+            let home = base.machine_of(t);
+            let away = MachineId::from_usize((home.index() + 1) % l);
+            for mv in [(t, pos, home), (t, pos, away), (t, pos, m), (t, base.position_of(t), home)] {
+                let truth = moved_score(&mut scalar, &inst, &base, mv, &kind);
+                let exits = [
+                    (truth, truth),
+                    (f64::NEG_INFINITY, f64::MIN),
+                    (f64::NEG_INFINITY, truth),
+                    (f64::NEG_INFINITY, f64::INFINITY),
+                ];
+                for (floor, bound) in exits {
+                    inc.set_scan_floor(floor);
+                    let out = inc.score_move_bounded(mv.0, mv.1, mv.2, bound, &kind);
+                    inc.set_scan_floor(f64::NEG_INFINITY);
+                    match out {
+                        MoveScore::Exact(s) => prop_assert_eq!(s.to_bits(), truth.to_bits()),
+                        MoveScore::Pruned => prop_assert!(bound < f64::INFINITY),
+                    }
+                    let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
+                    let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
+                    let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
+                    prop_assert_eq!(
+                        got.to_bits(), want.to_bits(),
+                        "{} after {:?} at bound {}: fresh move {:?}", kind.name(), mv, bound, fresh
+                    );
+                    prop_assert_eq!(inc.base_score(&kind).to_bits(), base_truth.to_bits());
                 }
             }
         }
