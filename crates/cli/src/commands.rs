@@ -128,7 +128,7 @@ global options:
              recording is write-only and cannot change any result bit —
              run/compare/tournament artifacts are byte-identical with or
              without this flag, and the snapshot's deterministic plane
-             is itself bit-stable at a fixed thread count (the timing
+             is itself bit-stable at any thread count (the timing
              plane — durations, steal counts, queue depths — is not).
   --obs-events FILE
              stream observability events to FILE as JSON lines (cell
@@ -238,12 +238,26 @@ fn workload_spec(p: &Parsed) -> Result<WorkloadSpec, String> {
         "high" => Heterogeneity::High,
         other => return Err(format!("--heterogeneity: unknown class {other:?}")),
     };
+    // The generator asserts on degenerate parameters; reject them here
+    // with the flag's name instead of panicking.
+    let tasks = p.get_parse("tasks", 50usize)?;
+    if tasks == 0 {
+        return Err("--tasks: must be at least 1".to_string());
+    }
+    let machines = p.get_parse("machines", 8usize)?;
+    if machines == 0 {
+        return Err("--machines: must be at least 1".to_string());
+    }
+    let ccr = p.get_parse("ccr", 0.5f64)?;
+    if !ccr.is_finite() || ccr < 0.0 {
+        return Err(format!("--ccr: must be finite and at least 0, got {ccr}"));
+    }
     Ok(WorkloadSpec {
-        tasks: p.get_parse("tasks", 50usize)?,
-        machines: p.get_parse("machines", 8usize)?,
+        tasks,
+        machines,
         connectivity,
         heterogeneity,
-        ccr: p.get_parse("ccr", 0.5f64)?,
+        ccr,
         seed: p.get_parse("seed", 2001u64)?,
     })
 }
@@ -1247,6 +1261,25 @@ mod tests {
         std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
         dispatch(&argv(&["tournament", "--spec", path.to_str().unwrap(), "--report"])).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn degenerate_workload_flags_are_errors_not_panics() {
+        // Each would trip an assertion in the workload generator; every
+        // subcommand that generates an instance must name the flag.
+        for cmd in ["run", "generate", "compare", "info"] {
+            for (flag, value, want) in [
+                ("--tasks", "0", "--tasks: must be at least 1"),
+                ("--machines", "0", "--machines: must be at least 1"),
+                ("--ccr", "-0.5", "--ccr: must be finite and at least 0"),
+                ("--ccr", "NaN", "--ccr: must be finite and at least 0"),
+                ("--ccr", "inf", "--ccr: must be finite and at least 0"),
+            ] {
+                let e = dispatch(&argv(&[cmd, "--algo", "heft", "--iters", "1", flag, value]))
+                    .unwrap_err();
+                assert!(e.contains(want), "{cmd} {flag} {value}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,9 @@ use crate::goodness::{goodness, optimal_costs};
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, next_up, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator,
-    IncrementalEvaluator, Incumbent, InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget,
-    RunResult, ScanStats, ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict,
-    SteppableSearch,
+    certified_gap, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator,
+    Incumbent, InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget, RunResult, ScanStats,
+    ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::{Levels, TaskId};
 use mshc_trace::{Trace, TraceRecord};
@@ -92,9 +91,8 @@ impl SteppableSearch for SeScheduler {
         let snapshot = EvalSnapshot::new(inst);
 
         // Certified instance floor (makespan only): drives the scan-
-        // global cutoff, the bound-aware allocation order and early
-        // termination. Computed once; consumes no RNG, counts no
-        // evaluations.
+        // global cutoff and early termination. Computed once; consumes
+        // no RNG, counts no evaluations.
         let bound = objective.is_makespan().then(|| InstanceBound::compute(inst));
 
         // ---- initial solution (§4.2) ----
@@ -251,7 +249,6 @@ impl SearchStep for SeState<'_> {
                     &self.allowed[t.index()],
                     &self.cfg,
                     self.objective,
-                    self.bound.as_ref(),
                 );
             }
 
@@ -414,33 +411,24 @@ impl SteppableSearch for SePendingBias {
 /// alternative placement (valid range of one position and a single
 /// allowed machine), which stays put.
 ///
-/// Three evaluation routes, all committing the same argmin (ties break
+/// Two evaluation routes, both committing the same argmin (ties break
 /// to the earliest candidate in `(position, machine)` grid order, so the
 /// routes are bit-identical for every built-in objective):
 ///
-/// * `parallel_allocation` (best-fit only) — the whole grid is scored in
-///   one [`BatchEvaluator::score_moves`] call across worker threads
-///   (which itself routes through per-thread incremental evaluators);
-/// * `incremental_eval` — the serial incremental scan: the base is
-///   primed once and every candidate is scored by checkpoint-resumed
-///   suffix replay, without mutating the solution. Works for every
-///   [`ObjectiveKind`] through the accumulator-finalize interface;
+/// * `incremental_eval` — the grid is handed to
+///   [`BatchEvaluator::best_move`], the bounded argmin: the base is
+///   primed once per worker and every candidate is scored by
+///   checkpoint-resumed suffix replay, without mutating the solution.
+///   Grids above one scan chunk fan out over the worker pool; smaller
+///   ones run inline. Works for every [`ObjectiveKind`] through the
+///   accumulator-finalize interface;
 /// * otherwise — serial full objective passes (the ablation baseline,
 ///   and the only route for custom non-incremental objectives).
 ///
 /// [`AllocationStrategy::FirstImprovement`] is inherently sequential
 /// (the commit depends on scan order cutting the scan short), so it
-/// always takes the serial route even when `parallel_allocation` is set.
-///
-/// Under the makespan objective the serial incremental best-fit scan is
-/// additionally *bound-aware*: machines are visited in ascending order
-/// of the candidate's certified placement floor (the tightest lower
-/// bound [`InstanceBound`] can state for "`t` runs on `m`"), so the
-/// running best drops fast and later candidates are pruned earlier.
-/// The committed argmin is the original pos-major earliest-index
-/// minimum regardless of visit order: the scan tracks each candidate's
-/// original grid index, breaks score ties toward the smaller index, and
-/// widens the pruning bound by one ULP while a tie could still win.
+/// scans serially on either route, with the running best as the
+/// pruning bound on the incremental one.
 #[allow(clippy::too_many_arguments)]
 fn allocate(
     sol: &mut Solution,
@@ -453,7 +441,6 @@ fn allocate(
     machines: &[MachineId],
     cfg: &SeConfig,
     objective: ObjectiveKind,
-    bound: Option<&InstanceBound>,
 ) {
     let g = inst.graph();
     let (lo, hi) = sol.valid_range(g, t);
@@ -464,34 +451,30 @@ fn allocate(
         return; // nowhere else to go
     }
 
-    if cfg.parallel_allocation && cfg.allocation == AllocationStrategy::BestFit {
+    let use_incremental = cfg.incremental_eval && objective.supports_incremental();
+    // The incremental route is charged 2 evaluations per scan on top of
+    // one per candidate — one for the current-cost read, one for the
+    // priming pass — exactly what it has always charged, so evaluation
+    // budgets and reported counts are stable across releases (the
+    // per-worker primes themselves are uncounted). The full-pass
+    // ablation route charges 1 (no prime), as it always has: decisions
+    // are bit-identical between the routes, evaluation *counts* are
+    // not — don't compare the flag settings under a max_evaluations
+    // budget.
+    if use_incremental && cfg.allocation == AllocationStrategy::BestFit {
         moves.clear();
         moves.extend(
             (lo..=hi)
                 .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
                 .filter(|&(pos, m)| pos != orig_pos || m != orig_m),
         );
-        // The bounded scan commits the identical earliest-index argmin
-        // the historic score-everything + min_by fold committed, and
-        // charges the identical evaluation count — pruned candidates
-        // count too.
         let best = batch.best_move(g, sol, t, moves, &objective).expect("non-empty candidate grid");
-        eval.bump_evaluations(moves.len() as u64);
+        eval.bump_evaluations(2 + moves.len() as u64);
         let (pos, m) = moves[best.index];
         sol.move_task(g, t, pos, m).expect("committing the best candidate");
         return;
     }
 
-    let use_incremental = cfg.incremental_eval && objective.supports_incremental();
-    // The incremental route primes once (a full pass) and reads the
-    // current cost off the fold for free. It is charged 2 evaluations —
-    // one for the current-cost read, one for the priming pass — exactly
-    // what this route has always charged (a counted current-cost pass
-    // plus a counted prime), so evaluation budgets and reported counts
-    // are stable across releases. The full-pass ablation route charges
-    // 1 (no prime), as it always has: decisions are bit-identical
-    // between the routes, evaluation *counts* are not — don't compare
-    // the flag settings under a max_evaluations budget.
     let current_cost = if use_incremental {
         inc.prime(sol);
         eval.bump_evaluations(2);
@@ -502,54 +485,6 @@ fn allocate(
     let mut best_pos = orig_pos;
     let mut best_m = orig_m;
     let mut best_cost = f64::INFINITY;
-
-    if use_incremental && cfg.allocation == AllocationStrategy::BestFit {
-        // Bound-aware serial scan. Machine-major, machines ordered by
-        // ascending certified placement floor (original rank breaks
-        // floor ties, and is the order outright when no bound exists —
-        // non-makespan objectives). The argmin is forced back onto the
-        // original pos-major axis through the grid index: a later-
-        // visited candidate replaces the best only on a strictly better
-        // score or an equal score at a smaller grid index, and while a
-        // tie could still win the pruning bound is one ULP above the
-        // best so the tie is never pruned away. Bit-identical
-        // selections and evaluation counts to the natural-order scan.
-        let width = machines.len();
-        let mut order: Vec<usize> = (0..width).collect();
-        if let Some(b) = bound {
-            let sys = inst.system();
-            order.sort_by(|&i, &j| {
-                let fi = b.placement_floor(t, sys.exec_time(machines[i], t));
-                let fj = b.placement_floor(t, sys.exec_time(machines[j], t));
-                fi.total_cmp(&fj).then(i.cmp(&j))
-            });
-        }
-        let mut best_grid = usize::MAX;
-        for &rank in &order {
-            let m = machines[rank];
-            for pos in lo..=hi {
-                if pos == orig_pos && m == orig_m {
-                    continue; // relocation is mandatory
-                }
-                let grid = (pos - lo) * width + rank;
-                eval.bump_evaluations(1);
-                let cut = if grid < best_grid { next_up(best_cost) } else { best_cost };
-                match inc.score_move_bounded(t, pos, m, cut, &objective) {
-                    MoveScore::Exact(cost) => {
-                        if cost < best_cost || (cost == best_cost && grid < best_grid) {
-                            best_cost = cost;
-                            best_grid = grid;
-                            best_pos = pos;
-                            best_m = m;
-                        }
-                    }
-                    MoveScore::Pruned => {}
-                }
-            }
-        }
-        sol.move_task(g, t, best_pos, best_m).expect("committing the best candidate");
-        return;
-    }
 
     'search: for pos in lo..=hi {
         for &m in machines {
@@ -650,55 +585,50 @@ mod tests {
     }
 
     #[test]
-    fn parallel_allocation_matches_serial_at_every_thread_count() {
-        // The determinism guard: the batch path must commit bit-identical
-        // decisions to the serial scan with 1, 2 and N worker threads.
-        let inst = random_instance(18, 4, 6);
-        let serial = SeScheduler::new(SeConfig { seed: 21, ..Default::default() }).run(
-            &inst,
-            &RunBudget::iterations(15),
-            None,
-        );
-        for threads in [1usize, 2, 8] {
+    fn fanned_out_allocation_is_thread_count_invariant() {
+        // The determinism guard for the fanned-out allocation scan: on a
+        // sparse DAG over many machines most grids span more than one
+        // scan chunk, so scans really run across the pool — and the whole
+        // run (solution, makespan, evaluation count and every fast-path
+        // counter) must be bit-identical at 1, 2 and 8 worker threads.
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let (tasks, machines) = (48, 12);
+        let cfg = LayeredConfig { tasks, mean_width: 16, edge_prob: 0.1, skip_prob: 0.0 };
+        let graph = layered(&cfg, &mut rng).unwrap();
+        let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(10.0..100.0));
+        let pairs = machines * (machines - 1) / 2;
+        let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
+        let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
+        let inst = HcInstance::new(graph, sys).unwrap();
+        let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let parallel = pool.install(|| {
-                SeScheduler::new(SeConfig {
-                    seed: 21,
-                    parallel_allocation: true,
-                    ..Default::default()
-                })
-                .run(&inst, &RunBudget::iterations(15), None)
-            });
-            assert_eq!(
-                serial.solution, parallel.solution,
-                "deterministic argmin must agree ({threads} threads)"
-            );
-            assert_eq!(serial.makespan, parallel.makespan, "{threads} threads");
+            pool.install(|| {
+                SeScheduler::new(SeConfig { seed: 21, selection_bias: -0.1, ..Default::default() })
+                    .run(&inst, &RunBudget::iterations(15), None)
+            })
+        };
+        let baseline = run(1);
+        // A scan chunk holds ⌈6144 / k⌉ = 128 candidates here; more
+        // than half the grids of the final solution must exceed it.
+        let g = inst.graph();
+        let mut grids: Vec<usize> = g
+            .tasks()
+            .map(|t| {
+                let (lo, hi) = baseline.solution.valid_range(g, t);
+                (hi - lo + 1) * machines - 1
+            })
+            .collect();
+        grids.sort_unstable();
+        let median = grids[tasks / 2];
+        assert!(median > 6144usize.div_ceil(tasks), "median grid {median}");
+        assert!(baseline.scan.pruned > 0, "the bounded scans must prune");
+        for threads in [2usize, 8] {
+            let r = run(threads);
+            assert_eq!(r.solution, baseline.solution, "{threads} threads");
+            assert_eq!(r.makespan.to_bits(), baseline.makespan.to_bits(), "{threads} threads");
+            assert_eq!(r.evaluations, baseline.evaluations, "{threads} threads");
+            assert_eq!(r.scan, baseline.scan, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn first_improvement_ignores_parallel_allocation_flag() {
-        // FirstImprovement is order-dependent, so the batch route must
-        // not serve it: with both flags set, runs match the serial
-        // first-improvement scan exactly.
-        let inst = random_instance(16, 3, 41);
-        let budget = RunBudget::iterations(12);
-        let serial = SeScheduler::new(SeConfig {
-            seed: 8,
-            allocation: AllocationStrategy::FirstImprovement,
-            ..Default::default()
-        })
-        .run(&inst, &budget, None);
-        let flagged = SeScheduler::new(SeConfig {
-            seed: 8,
-            allocation: AllocationStrategy::FirstImprovement,
-            parallel_allocation: true,
-            ..Default::default()
-        })
-        .run(&inst, &budget, None);
-        assert_eq!(serial.solution, flagged.solution);
-        assert_eq!(serial.evaluations, flagged.evaluations);
     }
 
     #[test]
@@ -788,26 +718,20 @@ mod tests {
     #[test]
     fn no_prune_runs_are_bit_identical() {
         // The bounded/spliced fast path is a pure cost knob: whole SE
-        // runs (serial and batch allocation routes) match with it off,
-        // solutions and evaluation counts included.
-        for parallel in [false, true] {
-            let inst = random_instance(24, 4, 51);
-            let cfg = SeConfig { seed: 9, parallel_allocation: parallel, ..Default::default() };
-            let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
-            let off = SeScheduler::new(cfg).run(
-                &inst,
-                &RunBudget::iterations(15).with_prune(false),
-                None,
-            );
-            assert_eq!(on.solution, off.solution, "parallel={parallel}");
-            assert_eq!(on.makespan, off.makespan);
-            assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
-            assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
-            assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
-            if parallel {
-                assert!(on.scan.scored > 0, "batch route scans incrementally");
-            }
-        }
+        // runs match with it off, solutions and evaluation counts
+        // included.
+        let inst = random_instance(24, 4, 51);
+        let cfg = SeConfig { seed: 9, ..Default::default() };
+        let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
+        let off =
+            SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15).with_prune(false), None);
+        assert_eq!(on.solution, off.solution);
+        assert_eq!(on.makespan, off.makespan);
+        assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
+        assert!(on.scan.scored > 0, "best-fit scans incrementally");
+        assert_eq!(on.scan.scored, off.scan.scored);
+        assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
+        assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
     }
 
     #[test]

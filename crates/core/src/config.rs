@@ -64,20 +64,20 @@ pub struct SeConfig {
     pub init_perturbations: Option<usize>,
     /// Allocation commit policy (paper: best-fit).
     pub allocation: AllocationStrategy,
-    /// Evaluate allocation candidates in parallel with Rayon. Results are
-    /// bit-identical to the serial path (deterministic argmin); worthwhile
-    /// only when `k × Y` is large enough to amortize fork/join overhead.
-    pub parallel_allocation: bool,
     /// Use incremental (prefix-cached) evaluation during allocation: the
-    /// base schedule is primed once per allocation scan and every
-    /// candidate move is scored by checkpoint-resumed suffix replay,
-    /// for any built-in objective. Every candidate *score* and therefore
-    /// every decision is bit-identical to the full-pass route (covered
-    /// by tests); only the reported evaluation counts differ (the
-    /// priming pass is charged, so this route counts one more evaluation
-    /// per scan — under a `max_evaluations` budget the two flag settings
-    /// stop at different points). Disable only for the ablation
-    /// benchmarks.
+    /// base schedule is primed once per allocation scan (once per worker
+    /// when the scan fans out) and every candidate move is scored by
+    /// checkpoint-resumed suffix replay, for any built-in objective.
+    /// Best-fit scans run as the batch evaluator's bounded argmin, which
+    /// spreads grids larger than one scan chunk over the worker pool;
+    /// the chunk grid depends on the grid alone, so results and every
+    /// counter are identical at any thread count. Every candidate
+    /// *score* and therefore every decision is bit-identical to the
+    /// full-pass route (covered by tests); only the reported evaluation
+    /// counts differ (the priming pass is charged, so this route counts
+    /// one more evaluation per scan — under a `max_evaluations` budget
+    /// the two flag settings stop at different points). Disable only for
+    /// the ablation benchmarks.
     pub incremental_eval: bool,
     /// Optional ESP-style closed-loop bias adaptation (extension; the
     /// paper uses the fixed `selection_bias` only). When set,
@@ -93,7 +93,6 @@ impl Default for SeConfig {
             seed: 2001, // the paper's year; any fixed default works
             init_perturbations: None,
             allocation: AllocationStrategy::BestFit,
-            parallel_allocation: false,
             incremental_eval: true,
             adaptive_bias: None,
         }
@@ -152,7 +151,6 @@ mod tests {
         let c = SeConfig::default();
         assert_eq!(c.allocation, AllocationStrategy::BestFit);
         assert_eq!(c.y_limit, None);
-        assert!(!c.parallel_allocation);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * the **deterministic plane** ([`DeterministicPlane`]) holds
 //!   algorithmic counters — evaluations, prunes, splices, prefix
 //!   reuses, early stops, iterations, cell completions — that are
-//!   reproducible run-to-run at a fixed thread count (and for
-//!   evaluation counts, invariant across thread counts: the house
-//!   invariant);
+//!   reproducible run-to-run and invariant across thread counts (the
+//!   house invariant), every counter alike;
 //! * the **timing plane** ([`TimingPlane`]) holds pool scheduling
 //!   telemetry (steals, queue depths, wake epochs, per-worker chunk
 //!   counts) and duration histograms, all of which vary with OS

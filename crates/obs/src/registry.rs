@@ -23,9 +23,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 /// from the house invariant (bit-identical results at any thread
 /// count):
 ///
-/// * [`Plane::Deterministic`] metrics are reproducible run-to-run at a
-///   fixed thread count (evaluation counts are even thread-count
-///   *invariant*). They may appear in artifacts that CI byte-compares.
+/// * [`Plane::Deterministic`] metrics are reproducible run-to-run and
+///   thread-count *invariant* — every counter, not just evaluations.
+///   They may appear in artifacts that CI byte-compares.
 /// * [`Plane::Timing`] metrics depend on wall clocks or OS scheduling
 ///   (steal totals, queue depths, span durations) and are **always
 ///   excluded** from deterministic artifacts — they live only in
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 ///   byte-compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plane {
-    /// Bit-stable at a fixed thread count; safe for compared artifacts.
+    /// Bit-stable at any thread count; safe for compared artifacts.
     Deterministic,
     /// Wall-clock / scheduling dependent; never byte-compared.
     Timing,
@@ -42,8 +42,8 @@ pub enum Plane {
 /// Monotonic counters of the deterministic plane.
 ///
 /// Every variant counts *algorithmic events* — candidates scored, prunes
-/// taken, cells finished — whose totals are reproducible at a fixed
-/// thread count. The scan axes mirror
+/// taken, cells finished — whose totals are reproducible at any thread
+/// count. The scan axes mirror
 /// [`ScanStats`](../../mshc_schedule/struct.ScanStats.html): the same
 /// evaluator bump sites drive both the per-run struct and this registry,
 /// so the two views cannot drift.

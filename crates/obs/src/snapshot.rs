@@ -63,8 +63,8 @@ impl Histogram {
 }
 
 /// The deterministic plane: counters that are reproducible run-to-run
-/// at a fixed thread count (evaluation counts are thread-count
-/// *invariant* — the house invariant). Field names match
+/// and thread-count *invariant* — every one of them, not just the
+/// evaluation counts (the house invariant). Field names match
 /// [`Counter::name`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeterministicPlane {
@@ -261,7 +261,7 @@ pub struct Snapshot {
     /// Wire-format version ([`SCHEMA_VERSION`]).
     #[serde(default)]
     pub schema_version: u32,
-    /// Counters reproducible at fixed thread count.
+    /// Counters reproducible at any thread count.
     #[serde(default)]
     pub deterministic: DeterministicPlane,
     /// Scheduling/wall-clock telemetry, never byte-compared.

@@ -81,9 +81,10 @@ pub struct CellOutcome {
 
 /// Per-cell diagnostics sidecar, kept out of the serialized outcome:
 /// wall-clock cost plus the run's scan-efficiency counters. The scan
-/// axes ride here rather than in [`CellOutcome`] because pruned/spliced
-/// counts legitimately vary with the chunk grid (thread count), and the
-/// serialized outcome must stay bit-identical across thread counts.
+/// counters are thread-count invariant like every other deterministic
+/// counter; they ride here rather than in [`CellOutcome`] so the
+/// serialized outcome — and with it the leaderboard bytes — keeps its
+/// layout.
 #[derive(Debug, Clone, Copy)]
 pub struct CellTiming {
     /// Seconds spent executing the cell (in portfolio mode: this

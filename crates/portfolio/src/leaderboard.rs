@@ -207,8 +207,8 @@ pub fn aggregate(run: &TournamentRun) -> (Leaderboard, Timing) {
 /// ([`TournamentRun::timing`], same order as `board.results`): it feeds
 /// the scan-efficiency fraction columns. Pass `&[]` when re-exporting a
 /// deserialized leaderboard with no live run — the fractions render as
-/// zeros. The CSV carries diagnostic (thread-count-dependent) columns by
-/// design and is never byte-compared by CI, unlike the leaderboard JSON.
+/// zeros. The CSV carries the wall-clock `secs` column by design and is
+/// never byte-compared by CI, unlike the leaderboard JSON.
 pub fn cells_csv(board: &Leaderboard, timing: &[CellTiming]) -> CsvTable {
     let sanitize = |s: &str| s.replace([',', '"', '\n'], ";");
     let mut table = CsvTable::new([

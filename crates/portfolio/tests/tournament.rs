@@ -11,6 +11,12 @@ use mshc_heuristics::{
 use mshc_portfolio::{aggregate, cells_csv, render_report, run_tournament, TournamentSpec};
 use mshc_schedule::{ObjectiveKind, RunBudget, Scheduler};
 use mshc_workloads::{tiny_suite, Connectivity, Heterogeneity, Scenario};
+use std::sync::Mutex;
+
+/// Serializes the tests that arm the process-global fault plan: `arm`
+/// replaces the armed faults and `disarm` clears them, so two such
+/// tests running side by side would consume or erase each other's.
+static FAULTS: Mutex<()> = Mutex::new(());
 
 fn tiny_spec() -> TournamentSpec {
     TournamentSpec {
@@ -281,6 +287,7 @@ fn injected_cell_fault_is_retried_and_marked_degraded() {
     // bounded same-seed retry finds the fault consumed and completes.
     // The cell lands on the board flagged degraded, byte-identical in
     // every payload field to a fault-free run of the same spec.
+    let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = tiny_suite()[0];
     let spec = TournamentSpec {
         algorithms: vec!["se".into(), "heft".into()],
@@ -334,6 +341,7 @@ fn exhausted_retry_budget_surfaces_the_failure() {
     // Two faults against one cell with the default single retry: both
     // attempts panic and the cell fails with the injected message, but
     // the tournament itself survives.
+    let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = tiny_suite()[0];
     let spec = TournamentSpec {
         algorithms: vec!["sa".into(), "heft".into()],

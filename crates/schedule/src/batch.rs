@@ -34,13 +34,23 @@
 //!
 //! Determinism: scores are returned **in candidate order** and every
 //! candidate's score depends only on that candidate, so results are
-//! bit-identical at any thread count — the serial-vs-parallel SE guard
-//! tests pin this down. Per-chunk primes are deliberately *not* counted
-//! into [`evaluations`](BatchEvaluator::evaluations): the chunk grid
-//! varies with the thread count, and the evaluation axis must not.
+//! bit-identical at any thread count. The bounded argmin scans
+//! ([`best_move`], [`best_task_move`]) split their candidates on a chunk
+//! grid that is a pure function of the grid itself — its length and the
+//! instance's task count, never the thread count — and every chunk
+//! starts its own running bound, so which candidates get pruned or
+//! spliced is fixed too: every [`ScanStats`] counter, not just the
+//! scored axis, reads the same at any thread count. Small grids form a
+//! single chunk and run inline on the calling thread. Per-worker primes
+//! are deliberately *not* counted into
+//! [`evaluations`](BatchEvaluator::evaluations): how many workers join
+//! a scan varies with the thread count, and the evaluation axis must
+//! not.
 //!
 //! [`score_moves`]: BatchEvaluator::score_moves
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
+//! [`best_move`]: BatchEvaluator::best_move
+//! [`best_task_move`]: BatchEvaluator::best_task_move
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
@@ -53,6 +63,22 @@ use mshc_taskgraph::{TaskGraph, TaskId};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Work one bounded-scan chunk is sized to, in task-replays: a chunk
+/// holds `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates of a `k`-task instance
+/// (62 at the paper's 100 tasks, 205 at 30, 308 at 20).
+///
+/// Derived from the traced per-layer costs on `se-100x20` (2 vCPUs): a
+/// bounded tier-3 scoring replays about 10 ns per task (~1.0 µs per
+/// candidate at `k = 100`), a prime costs ~5 µs, and handing an
+/// operation to a parked worker costs ~6–12 µs. A chunk of 6144
+/// task-replays is ~60 µs of scoring, so a second chunk runs in
+/// parallel for about a quarter of its own cost in dispatch plus the
+/// extra worker's prime — while a grid below one chunk stays inline
+/// and pays neither. The grid depends on `k` and the grid length
+/// alone, which is what keeps every scan counter thread-count
+/// invariant.
+const SCAN_CHUNK_REPLAYS: usize = 6144;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
 /// always structurally valid (a suspect arena is discarded by the guard
@@ -329,8 +355,7 @@ pub struct BatchEvaluator<'a> {
     /// evaluators as a scan-global cutoff (default `-inf` = inert).
     scan_floor: f64,
     evaluations: u64,
-    /// Aggregated fast-path counters across all calls (pruned/spliced
-    /// parts are diagnostics: they vary with the chunk grid).
+    /// Aggregated fast-path counters across all calls.
     scan: ScanStats,
 }
 
@@ -391,22 +416,23 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluations
     }
 
-    /// Counters of the bounded/spliced fast path across all calls. The
-    /// `scored` axis is deterministic; pruned/spliced fractions vary
-    /// with the chunk grid (thread count) and are diagnostics only.
+    /// Counters of the bounded/spliced fast path across all calls. Every
+    /// axis is deterministic at any thread count: the bounded scans'
+    /// chunk grid depends on the grid alone (see `scan_chunks`).
     #[inline]
     pub fn scan_stats(&self) -> ScanStats {
         self.scan
     }
 
-    /// Contiguous index chunks for a bounded scan: one chunk on a
-    /// single-thread pool (maximal bound reuse), a few per worker
-    /// otherwise. The grid never affects the scan's outcome — only
-    /// which candidates get pruned versus scored to completion.
+    /// Contiguous index chunks for a bounded scan of `len` candidates:
+    /// `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates each, a single chunk for a
+    /// grid below that. A pure function of `len` and the task count, so
+    /// the chunk grid — and with it which candidates get pruned versus
+    /// scored to completion — is the same at any thread count. The grid
+    /// never affects the scan's winner.
     fn scan_chunks(&self, len: usize) -> Vec<Range<usize>> {
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = if threads == 1 { len } else { len.div_ceil(threads * 2).max(1) };
-        (0..len).step_by(chunk.max(1)).map(|lo| lo..(lo + chunk).min(len)).collect()
+        let chunk = SCAN_CHUNK_REPLAYS.div_ceil(self.snap.task_count().max(1));
+        (0..len).step_by(chunk).map(|lo| lo..(lo + chunk).min(len)).collect()
     }
 
     /// Scores every candidate solution under `obj`; `out[i]` is the score
@@ -734,14 +760,17 @@ impl<'a> BatchEvaluator<'a> {
     /// ripple scan. Returns the earliest-index minimum with its exact
     /// score (`None` only for an empty grid).
     ///
-    /// Each worker chunk threads its running best into
-    /// [`IncrementalEvaluator::score_move_bounded`], so provably losing
-    /// candidates are abandoned mid-replay. The winner is invariant
-    /// under the chunk grid: a pruned candidate's score is `>` some
-    /// already-seen exact score, so no minimum (first minimum included)
-    /// is ever pruned — the scan commits **exactly** the argmin an
-    /// unbounded [`score_moves`](Self::score_moves) + fold would, with
-    /// the same evaluation count (`moves.len()`), at any thread count.
+    /// The grid is cut into fixed-size chunks (see `scan_chunks`); a
+    /// grid larger than one chunk fans out over the pool, a smaller one
+    /// runs inline. Each chunk threads its own running best (starting at
+    /// `+∞`) into [`IncrementalEvaluator::score_move_bounded`], so
+    /// provably losing candidates are abandoned mid-replay. The winner
+    /// is invariant under the chunk grid: a pruned candidate's score is
+    /// `>` some already-seen exact score, so no minimum (first minimum
+    /// included) is ever pruned — the scan commits **exactly** the
+    /// argmin an unbounded [`score_moves`](Self::score_moves) + fold
+    /// would, with the same evaluation count (`moves.len()`) and the
+    /// same pruned/spliced counts, at any thread count.
     pub fn best_move(
         &mut self,
         graph: &TaskGraph,
@@ -819,8 +848,9 @@ impl<'a> BatchEvaluator<'a> {
         let before = self.arena_totals();
         let chunks = self.scan_chunks(len);
         // One chunk = one item: the per-chunk running bound lives inside
-        // the item computation, so per-item results stay deterministic
-        // (the merged winner is chunk-grid invariant besides).
+        // the item computation and is never carried across chunks, so
+        // each item's result and counters depend only on its range —
+        // not on which worker ran it or what that worker ran before.
         let chunk_best: Vec<Option<BestMove>> = chunks
             .par_iter()
             .map_init(
@@ -943,6 +973,43 @@ mod tests {
         let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
         let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
         HcInstance::new(graph, sys).unwrap()
+    }
+
+    #[test]
+    fn scan_chunk_grid_depends_on_the_grid_alone() {
+        // The bounded scans' chunk grid is a function of the candidate
+        // count and the task count only: the same ranges on 1, 2 and 8
+        // threads, one range while `len × k` stays below a chunk's
+        // worth of task-replays and several above.
+        let inst = random_instance(30, 4, 70);
+        let k = inst.task_count();
+        let snap = EvalSnapshot::new(&inst);
+        let chunk = SCAN_CHUNK_REPLAYS.div_ceil(k);
+        for len in [0, 1, chunk - 1, chunk, chunk + 1, 5 * chunk + 3] {
+            let grids: Vec<Vec<Range<usize>>> = [1usize, 2, 8]
+                .into_iter()
+                .map(|threads| {
+                    let pool =
+                        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                    pool.install(|| BatchEvaluator::new(&snap).scan_chunks(len))
+                })
+                .collect();
+            assert_eq!(grids[1], grids[0], "len {len}, 2 threads");
+            assert_eq!(grids[2], grids[0], "len {len}, 8 threads");
+            let ranges = &grids[0];
+            if len * k < SCAN_CHUNK_REPLAYS {
+                assert!(ranges.len() <= 1, "len {len}: {ranges:?}");
+            }
+            assert_eq!(ranges.len(), len.div_ceil(chunk), "len {len}");
+            // Contiguous, in order, covering exactly 0..len.
+            let mut next = 0;
+            for r in ranges {
+                assert_eq!(r.start, next);
+                assert!(!r.is_empty() && r.len() <= chunk);
+                next = r.end;
+            }
+            assert_eq!(next, len);
+        }
     }
 
     #[test]

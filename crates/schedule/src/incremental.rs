@@ -105,11 +105,14 @@ impl MoveScore {
     }
 }
 
-/// Counters of the bounded/spliced move-scan fast path. Scored counts
-/// are deterministic (one per scored candidate, pruned or not — the
-/// evaluation-count contract); pruned/spliced counts are diagnostics
-/// that legitimately vary with chunking and bounds, so they must never
-/// flow into deterministic artifacts (leaderboards, traces).
+/// Counters of the bounded/spliced move-scan fast path. Every axis is
+/// deterministic at any thread count: scored counts are one per scored
+/// candidate, pruned or not (the evaluation-count contract), and the
+/// pruned/spliced counts depend only on each scan's candidates, because
+/// the batch scans' chunk grid is set by the grid alone and each chunk
+/// starts its own running bound. They vary with cost knobs (pruning,
+/// checkpoint stride), so they stay out of the artifacts those knobs
+/// are byte-compared on (leaderboards, traces).
 ///
 /// The exact bump sites that feed these per-run counters also mirror
 /// into the process-wide [`mshc_obs`] registry (`ScanScored`,
@@ -126,10 +129,9 @@ pub struct ScanStats {
     /// Scorings completed early by a reconvergence splice.
     pub spliced: u64,
     /// Population children scored through the parent-primed path (exact
-    /// clones and suffix replays; the GA axis). Unlike pruned/spliced
-    /// diagnostics from bounded scans, the population counters are
-    /// deterministic: routing is a pure function of the chromosomes, so
-    /// they are bit-identical at any thread count.
+    /// clones and suffix replays; the GA axis). Routing is a pure
+    /// function of the chromosomes, so the population counters are
+    /// bit-identical at any thread count.
     pub suffixed: u64,
     /// String positions *not* replayed across population scorings: the
     /// shared parent prefix of each suffix replay, the whole string of

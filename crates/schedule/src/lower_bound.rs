@@ -51,9 +51,7 @@
 //! earliest/latest start times ([`mshc_taskgraph::SlackAnalysis`]),
 //! exposed here both directly and as [`placement_floor`] — a certified
 //! floor on any schedule that places task `t` on a machine with a given
-//! execution time. The SE allocator sorts candidate machines by this
-//! floor so bounded scans meet their best candidates first and prune
-//! the rest.
+//! execution time.
 //!
 //! [`placement_floor`]: InstanceBound::placement_floor
 
@@ -200,10 +198,8 @@ impl InstanceBound {
     /// chain (cheapest machines, free transfers) still runs after it.
     /// Never below [`floor`](Self::floor).
     ///
-    /// This is the key the SE allocator orders candidate machines by —
-    /// ascending `placement_floor` visits the most promising placements
-    /// first, so the bounded scan's running best drops fast and later
-    /// candidates prune early.
+    /// The search algorithms do not read it; `perfbench`'s allocation-
+    /// grid probe orders machines by it.
     pub fn placement_floor(&self, t: TaskId, exec: f64) -> f64 {
         let i = t.index();
         let tail = self.slack.length - self.slack.latest[i] - self.min_exec[i];
@@ -243,10 +239,8 @@ fn deflate(k: usize) -> f64 {
 }
 
 /// The next `f64` strictly above `x` (one ulp up) for positive finite
-/// `x`; returns `x` unchanged otherwise. Used by bound-aware scan
-/// ordering to pass a tie-*inclusive* pruning bound when the candidate
-/// being scored sits earlier in committed grid order than the running
-/// best (an equal score must then *win*, so it may not be pruned).
+/// `x`; returns `x` unchanged otherwise. Disturbance traces use it to
+/// separate equal event times.
 #[inline]
 pub fn next_up(x: f64) -> f64 {
     if x.is_finite() && x > 0.0 {

@@ -407,9 +407,10 @@ pub struct RunResult {
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Move-scan fast-path counters (all zero for schedulers that never
-    /// scan moves incrementally). Like `elapsed`, a diagnostic: the
-    /// pruned/spliced parts vary with the chunk grid and must not flow
-    /// into deterministic artifacts.
+    /// scan moves incrementally). Every axis, pruned and spliced
+    /// included, is identical at any thread count; the counters are
+    /// still kept out of the serialized tournament outcome, whose
+    /// layout they would change.
     pub scan: ScanStats,
     /// The instance's certified makespan floor ([`crate::InstanceBound`]),
     /// `Some` only when the run optimized plain makespan (other

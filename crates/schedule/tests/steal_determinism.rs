@@ -204,10 +204,13 @@ proptest! {
 
     /// Incremental-path scans (the bounded argmin fast path) are
     /// thread-invariant on the stealing executor: same index, same
-    /// score bits, same evaluation count as the 1-thread scan.
+    /// score bits, same evaluation count and the same scored, pruned
+    /// and spliced counts as the 1-thread scan. A scan chunk holds
+    /// `⌈6144 / k⌉` candidates (at most 205 at these task counts), so
+    /// the sample spans several chunks and really fans out.
     #[test]
     fn incremental_bounded_scan_is_thread_invariant_under_stealing(
-        tasks in 6usize..20,
+        tasks in 30usize..70,
         machines in 2usize..5,
         seed in any::<u64>(),
         stride_sel in 0usize..3,
@@ -218,7 +221,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5851f42d4c957f2d);
         let base = random_solution(&inst, &mut rng);
         let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
-        let moves: Vec<(TaskId, usize, MachineId)> = (0..32)
+        let moves: Vec<(TaskId, usize, MachineId)> = (0..640)
             .map(|_| {
                 let t = TaskId::new(rng.gen_range(0..tasks as u32));
                 let (lo, hi) = base.valid_range(g, t);
@@ -231,7 +234,12 @@ proptest! {
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
                 let best = batch.best_task_move(g, &base, &moves, None, 0.0, &obj);
-                (best.map(|b| (b.index, b.score.to_bits())), batch.evaluations())
+                let stats = batch.scan_stats();
+                (
+                    best.map(|b| (b.index, b.score.to_bits())),
+                    batch.evaluations(),
+                    (stats.scored, stats.pruned, stats.spliced),
+                )
             })
         };
         let baseline = run(1);
