@@ -10,6 +10,7 @@
 //! comparison per commit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mshc_platform::MachineId;
 use mshc_schedule::{
     auto_stride, random_solution, replay, BatchEvaluator, EvalSnapshot, Evaluator,
     IncrementalEvaluator, ObjectiveKind,
@@ -168,27 +169,43 @@ fn bench_bounded_moves(c: &mut Criterion) {
     group.finish();
 }
 
-/// Short bounded scans — the post-pruning production shape where
-/// executor overhead weighs against the scoring work: a 24-candidate
-/// grid driven through `best_move` on the resident pool, at one and four
-/// workers.
-fn bench_short_scan(c: &mut Criterion) {
+/// SE's relocation scan through `best_relocation` on the resident pool,
+/// at one and four workers: the widest task's full position × machine
+/// grid (large enough to fan out) and its first two positions (small
+/// enough to run inline on the calling thread).
+fn bench_relocation_scan(c: &mut Criterion) {
     let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
     let inst = spec.generate();
     let g = inst.graph();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let base = random_solution(&inst, &mut rng);
-    let (t, moves) = mshc_bench::probes::short_move_grid(&inst, &base, 24);
+    let (t, _) = mshc_bench::probes::widest_move_grid(&inst, &base);
+    let (lo, hi) = base.valid_range(g, t);
+    let machines: Vec<MachineId> = (0..inst.machine_count()).map(MachineId::from_usize).collect();
     let obj = ObjectiveKind::Makespan;
     let snapshot = EvalSnapshot::new(&inst);
 
-    let mut group = c.benchmark_group("short_scan");
-    for threads in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        let mut batch = BatchEvaluator::new(&snapshot);
-        group.bench_function(BenchmarkId::new(format!("pool-{threads}"), moves.len()), |b| {
-            pool.install(|| b.iter(|| black_box(batch.best_move(g, &base, t, &moves, &obj))))
-        });
+    let mut group = c.benchmark_group("relocation_scan");
+    for (name, positions) in [("widest", lo..=hi), ("short", lo..=(lo + 1).min(hi))] {
+        for threads in [1usize, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let mut batch = BatchEvaluator::new(&snapshot);
+            let id = BenchmarkId::new(format!("{name}/pool-{threads}"), positions.clone().count());
+            group.bench_function(id, |b| {
+                pool.install(|| {
+                    b.iter(|| {
+                        black_box(batch.best_relocation(
+                            g,
+                            &base,
+                            t,
+                            positions.clone(),
+                            &machines,
+                            &obj,
+                        ))
+                    })
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -212,6 +229,6 @@ fn bench_solution_moves(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_evaluator, bench_batch_candidates, bench_incremental_moves, bench_bounded_moves, bench_short_scan, bench_solution_moves
+    targets = bench_evaluator, bench_batch_candidates, bench_incremental_moves, bench_bounded_moves, bench_relocation_scan, bench_solution_moves
 }
 criterion_main!(benches);

@@ -22,6 +22,13 @@
 //!    available parallelism, or `--threads N`) — thread parallelism
 //!    compounding on top of the incremental scoring inside.
 //!
+//! SE's own allocation scan gets a probe on its real grids: every
+//! position × machine of every task of a partly converged incumbent,
+//! scanned single-threaded through the machine-lane argmin
+//! (`lane_scan_evals_per_sec`) and through the bounded + reconvergent
+//! argmin it replaced; `lane_speedup_vs_bounded` is their same-process
+//! ratio, with the winners asserted identical.
+//!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
 //! pool sizes on the wide grid).
@@ -45,23 +52,24 @@
 //! ```
 
 use mshc_ga::GaScheduler;
-use mshc_platform::{HcInstance, HcSystem, Matrix};
+use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_portfolio::{TournamentSpec, ALGORITHMS};
 use mshc_schedule::{
     BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator, InstanceBound, MoveScore,
     ObjectiveKind, Replanner, RunBudget, Scheduler, Solution,
 };
-use mshc_taskgraph::TaskGraphBuilder;
+use mshc_taskgraph::{TaskGraphBuilder, TaskId};
 use mshc_workloads::{tiny_suite, DisturbanceTrace, DisturbanceTraceSpec, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::hint::black_box;
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 /// `BENCH_eval.json` schema version — bumped whenever series are added
 /// or removed, so downstream tooling can gate on it.
-const SCHEMA_VERSION: u32 = 3;
+const SCHEMA_VERSION: u32 = 4;
 
 /// The JSON payload CI archives.
 #[derive(Debug, Serialize)]
@@ -94,6 +102,14 @@ struct BenchReport {
     bounded_speedup_vs_incremental: f64,
     /// Fraction of bounded-scan candidates abandoned by the bound cut.
     pruned_fraction: f64,
+    /// SE's allocation scan on machine lanes: candidates per second over
+    /// every task's full position × machine grid of a partly converged
+    /// incumbent, one thread (`BatchEvaluator::best_relocation`).
+    lane_scan_evals_per_sec: f64,
+    /// Lane scan over the chunked bounded + reconvergent argmin
+    /// (`BatchEvaluator::best_task_move`) on the same grids, one thread
+    /// — a same-process, hardware-stable ratio.
+    lane_speedup_vs_bounded: f64,
     /// Fraction of reconvergence-splice-probe candidates finished by a
     /// tail splice. Measured on `probes::splice_move_grid` (the
     /// schedule-neutral transposition grid): the widest single-task
@@ -311,6 +327,80 @@ fn main() {
         bounded_stats.pruned_fraction(),
         "registry-sourced pruned fraction must match the evaluator's own stats"
     );
+
+    // SE's allocation grids: every task of an incumbent after a few SE
+    // iterations, each over its full valid range × all machines, scanned
+    // on one thread through the lane argmin and through the bounded
+    // argmin. Both must pick the same cell with the same score bits.
+    let (lane_eps, lane_speedup) = {
+        let incumbent = mshc_core::SeScheduler::with_seed(2001)
+            .run(&inst, &RunBudget::iterations(4), None)
+            .solution;
+        let machines: Vec<MachineId> =
+            (0..inst.machine_count()).map(MachineId::from_usize).collect();
+        let ranges: Vec<(TaskId, RangeInclusive<usize>)> = g
+            .tasks()
+            .map(|t| {
+                let (lo, hi) = incumbent.valid_range(g, t);
+                (t, lo..=hi)
+            })
+            .collect();
+        let grids: Vec<Vec<(TaskId, usize, MachineId)>> = ranges
+            .iter()
+            .map(|(t, positions)| {
+                let own = (incumbent.position_of(*t), incumbent.machine_of(*t));
+                positions
+                    .clone()
+                    .flat_map(|pos| machines.iter().map(move |&m| (*t, pos, m)))
+                    .filter(|&(_, pos, m)| (pos, m) != own)
+                    .collect()
+            })
+            .collect();
+        let cells: usize = grids.iter().map(Vec::len).sum();
+        // The winning cell and its score bits, per task.
+        type Winners = Vec<(usize, MachineId, u64)>;
+        let reps = (rounds / 2).max(2);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+        pool.install(|| {
+            let mut batch = BatchEvaluator::new(&snapshot);
+            let lane_scan = |batch: &mut BatchEvaluator<'_>| -> Winners {
+                ranges
+                    .iter()
+                    .map(|(t, positions)| {
+                        let best = batch
+                            .best_relocation(g, &incumbent, *t, positions.clone(), &machines, &obj)
+                            .expect("non-empty grid");
+                        (best.pos, best.machine, best.score.to_bits())
+                    })
+                    .collect()
+            };
+            let bounded_scan = |batch: &mut BatchEvaluator<'_>| -> Winners {
+                grids
+                    .iter()
+                    .map(|cells| {
+                        let best = batch
+                            .best_task_move(g, &incumbent, cells, None, 0.0, &obj)
+                            .expect("non-empty grid");
+                        let (_, pos, m) = cells[best.index];
+                        (pos, m, best.score.to_bits())
+                    })
+                    .collect()
+            };
+            let timed = |scan: &dyn Fn(&mut BatchEvaluator<'_>) -> Winners,
+                         batch: &mut BatchEvaluator<'_>| {
+                let winners = scan(batch); // warm the arena
+                let start = Instant::now();
+                for _ in 0..reps {
+                    black_box(scan(batch));
+                }
+                ((reps * cells) as f64 / start.elapsed().as_secs_f64(), winners)
+            };
+            let (lane, lane_winners) = timed(&lane_scan, &mut batch);
+            let (bounded, bounded_winners) = timed(&bounded_scan, &mut batch);
+            assert_eq!(lane_winners, bounded_winners, "lane and bounded scans must agree");
+            (lane, lane / bounded)
+        })
+    };
 
     // Reconvergence-splice scan: the schedule-neutral transposition
     // grid with the fast path on and pruning off, so every candidate
@@ -587,6 +677,8 @@ fn main() {
         bounded_scan_evals_per_sec: bounded_eps,
         bounded_speedup_vs_incremental: bounded_eps / incremental_eps,
         pruned_fraction: bounded_det.pruned_fraction(),
+        lane_scan_evals_per_sec: lane_eps,
+        lane_speedup_vs_bounded: lane_speedup,
         spliced_fraction: splice_det.spliced_fraction(),
         batch_1thread_evals_per_sec: batch1_eps,
         batch_evals_per_sec: batchn_eps,
@@ -627,6 +719,10 @@ fn main() {
         report.bounded_speedup_vs_incremental,
         100.0 * report.pruned_fraction,
         100.0 * report.spliced_fraction
+    );
+    println!(
+        "se allocation grids: lane scan {:.0}/s ({:.2}x vs bounded argmin, one thread)",
+        lane_eps, lane_speedup
     );
     println!(
         "ga: cohort splice {:.2}x vs full | run {:.0} evals/s, {:.1}% prefix reused, {:.2}x \

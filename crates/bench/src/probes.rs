@@ -1,6 +1,6 @@
 //! Shared workload shapes for the evaluation-throughput probes.
 //!
-//! The criterion `batch_candidates`/`short_scan` groups and the
+//! The criterion `batch_candidates`/`relocation_scan` groups and the
 //! `bench_eval` binary (the `BENCH_eval.json` emitter) must measure the
 //! *same* candidate grids so their numbers stay comparable; both build
 //! them here.
@@ -29,21 +29,6 @@ pub fn widest_move_grid(inst: &HcInstance, base: &Solution) -> (TaskId, Vec<(usi
         .flat_map(|pos| (0..inst.machine_count()).map(move |m| (pos, MachineId::from_usize(m))))
         .filter(|&(pos, m)| pos != base.position_of(t) || m != base.machine_of(t))
         .collect();
-    (t, moves)
-}
-
-/// The first `limit` candidates of [`widest_move_grid`] — the
-/// "short bounded scan" preset. After bound pruning cut 99%+ of the
-/// candidates, the scans the searches actually submit are this size,
-/// where executor overhead (a pool wake per scan) weighs against the
-/// scoring work; the criterion `short_scan` group is measured on it.
-pub fn short_move_grid(
-    inst: &HcInstance,
-    base: &Solution,
-    limit: usize,
-) -> (TaskId, Vec<(usize, MachineId)>) {
-    let (t, mut moves) = widest_move_grid(inst, base);
-    moves.truncate(limit);
     (t, moves)
 }
 
@@ -168,18 +153,6 @@ mod tests {
     use super::*;
     use mshc_workloads::WorkloadSpec;
     use rand::SeedableRng;
-
-    #[test]
-    fn short_grid_is_a_prefix_of_the_widest_grid() {
-        let inst = WorkloadSpec::small(3).generate();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let base = mshc_schedule::random_solution(&inst, &mut rng);
-        let (t_full, full) = widest_move_grid(&inst, &base);
-        let (t_short, short) = short_move_grid(&inst, &base, 24);
-        assert_eq!(t_full, t_short);
-        assert_eq!(short.len(), 24.min(full.len()));
-        assert_eq!(&full[..short.len()], &short[..]);
-    }
 
     /// The splice grid must actually splice: scoring it with the fast
     /// path on finishes a healthy share of the candidates via

@@ -272,15 +272,30 @@ fn load_instance(p: &Parsed) -> Result<HcInstance, String> {
     }
 }
 
+/// `secs` as a duration, or `None` unless it is positive, finite and
+/// small enough for [`Duration`].
+fn positive_duration(secs: f64) -> Option<Duration> {
+    if secs > 0.0 {
+        Duration::try_from_secs_f64(secs).ok()
+    } else {
+        None
+    }
+}
+
 fn budget(p: &Parsed) -> Result<RunBudget, String> {
     let mut b = RunBudget::default();
     let iters: u64 = p.get_parse("iters", 0)?;
     if iters > 0 {
         b.max_iterations = Some(iters);
     }
-    let wall: f64 = p.get_parse("wall", 0.0)?;
-    if wall > 0.0 {
-        b.max_wall = Some(Duration::from_secs_f64(wall));
+    if let Some(raw) = p.get("wall") {
+        let secs: f64 = p.get_parse("wall", 0.0)?;
+        b.max_wall = Some(positive_duration(secs).ok_or_else(|| {
+            format!(
+                "--wall: must be a positive, finite number of seconds (at most about 1.8e19), \
+                 got {raw:?}"
+            )
+        })?);
     }
     if p.get("deadline-evals").is_some() {
         let n: u64 = p.get_parse("deadline-evals", 0)?;
@@ -301,7 +316,10 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
                  reproducible one)"
             ));
         }
-        b.deadline_wall = Some(Duration::from_secs_f64(ms / 1000.0));
+        b.deadline_wall = Some(
+            positive_duration(ms / 1000.0)
+                .ok_or_else(|| format!("--deadline-ms: {raw:?} is too long for a deadline"))?,
+        );
     }
     if b.validate().is_err() {
         // An all-`None` budget would make the iterative schedulers run
@@ -448,7 +466,7 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
             );
         } else if det.scan_scored > 0 {
             println!(
-                "move scan: {} bounded scorings | {:.1}% pruned | {:.1}% spliced",
+                "move scan: {} move scorings | {:.1}% pruned | {:.1}% spliced",
                 det.scan_scored,
                 100.0 * det.pruned_fraction(),
                 100.0 * det.spliced_fraction()
@@ -1306,6 +1324,8 @@ mod tests {
         assert!(e.contains("positive and finite"), "{e}");
         let e = dispatch(&argv(&["run", "--algo", "se", "--deadline-ms", "abc"])).unwrap_err();
         assert!(e.contains("not a number"), "{e}");
+        let e = dispatch(&argv(&["run", "--algo", "se", "--deadline-ms", "1e30"])).unwrap_err();
+        assert!(e.contains("--deadline-ms") && e.contains("too long"), "{e}");
         // End to end: a tight deterministic deadline still yields a
         // schedule.
         dispatch(&argv(&[
@@ -1324,6 +1344,32 @@ mod tests {
         .unwrap();
         assert!(USAGE.contains("--deadline-evals"));
         assert!(USAGE.contains("--deadline-ms"));
+    }
+
+    /// `--wall` values that are not a positive, finite, representable
+    /// number of seconds are named errors (exit 2), never a panic or a
+    /// silently ignored limit.
+    #[test]
+    fn out_of_range_wall_values_are_errors_not_panics() {
+        for bad in ["inf", "1e30", "nan", "-1", "0"] {
+            let e = dispatch(&argv(&[
+                "run",
+                "--algo",
+                "se",
+                "--tasks",
+                "10",
+                "--machines",
+                "2",
+                "--wall",
+                bad,
+            ]))
+            .unwrap_err();
+            assert!(e.contains("--wall") && e.contains("positive, finite"), "{bad}: {e}");
+        }
+        let e = dispatch(&argv(&["run", "--algo", "se", "--wall", "abc"])).unwrap_err();
+        assert!(e.contains("--wall"), "{e}");
+        let b = budget(&parse(&argv(&["--wall", "2.5"]))).unwrap();
+        assert_eq!(b.max_wall, Some(Duration::from_millis(2500)));
     }
 
     #[test]

@@ -190,11 +190,10 @@ impl SearchStep for SeState<'_> {
         inc.set_pruning(self.budget.prune);
         inc.set_splicing(self.budget.prune);
         inc.set_scan_floor(floor.unwrap_or(f64::NEG_INFINITY));
-        let mut batch = BatchEvaluator::new(&self.snapshot)
-            .with_stride(self.budget.checkpoint_stride)
-            .with_pruning(self.budget.prune)
-            .with_scan_floor(floor.unwrap_or(f64::NEG_INFINITY));
-        let mut moves = Vec::new();
+        // The best-fit scans run on machine lanes, which use neither the
+        // pruning flags nor the floor; only the stride reaches them.
+        let mut batch =
+            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
         let mut stepped = 0u64;
 
         // The initial solution (or an injected migrant) may already sit
@@ -244,7 +243,6 @@ impl SearchStep for SeState<'_> {
                     &mut eval,
                     &mut inc,
                     &mut batch,
-                    &mut moves,
                     t,
                     &self.allowed[t.index()],
                     &self.cfg,
@@ -416,11 +414,12 @@ impl SteppableSearch for SePendingBias {
 /// routes are bit-identical for every built-in objective):
 ///
 /// * `incremental_eval` — the grid is handed to
-///   [`BatchEvaluator::best_move`], the bounded argmin: the base is
-///   primed once per worker and every candidate is scored by
-///   checkpoint-resumed suffix replay, without mutating the solution.
-///   Grids above one scan chunk fan out over the worker pool; smaller
-///   ones run inline. Works for every [`ObjectiveKind`] through the
+///   [`BatchEvaluator::best_relocation`]: the base is primed once per
+///   worker, and each position's candidates are scored together in one
+///   lockstep replay with a lane per allowed machine, exact and without
+///   bounds, never mutating the solution. Grids large enough to pay for
+///   it fan their positions out over the worker pool; smaller ones run
+///   inline. Works for every [`ObjectiveKind`] through the
 ///   accumulator-finalize interface;
 /// * otherwise — serial full objective passes (the ablation baseline,
 ///   and the only route for custom non-incremental objectives).
@@ -428,7 +427,8 @@ impl SteppableSearch for SePendingBias {
 /// [`AllocationStrategy::FirstImprovement`] is inherently sequential
 /// (the commit depends on scan order cutting the scan short), so it
 /// scans serially on either route, with the running best as the
-/// pruning bound on the incremental one.
+/// pruning bound of [`IncrementalEvaluator::score_move_bounded`] on the
+/// incremental one.
 #[allow(clippy::too_many_arguments)]
 fn allocate(
     sol: &mut Solution,
@@ -436,7 +436,6 @@ fn allocate(
     eval: &mut Evaluator<'_>,
     inc: &mut IncrementalEvaluator<'_>,
     batch: &mut BatchEvaluator<'_>,
-    moves: &mut Vec<(usize, MachineId)>,
     t: TaskId,
     machines: &[MachineId],
     cfg: &SeConfig,
@@ -462,16 +461,12 @@ fn allocate(
     // not — don't compare the flag settings under a max_evaluations
     // budget.
     if use_incremental && cfg.allocation == AllocationStrategy::BestFit {
-        moves.clear();
-        moves.extend(
-            (lo..=hi)
-                .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
-                .filter(|&(pos, m)| pos != orig_pos || m != orig_m),
-        );
-        let best = batch.best_move(g, sol, t, moves, &objective).expect("non-empty candidate grid");
-        eval.bump_evaluations(2 + moves.len() as u64);
-        let (pos, m) = moves[best.index];
-        sol.move_task(g, t, pos, m).expect("committing the best candidate");
+        let before = batch.evaluations();
+        let best = batch
+            .best_relocation(g, sol, t, lo..=hi, machines, &objective)
+            .expect("non-empty candidate grid");
+        eval.bump_evaluations(2 + batch.evaluations() - before);
+        sol.move_task(g, t, best.pos, best.machine).expect("committing the best candidate");
         return;
     }
 
@@ -587,13 +582,15 @@ mod tests {
     #[test]
     fn fanned_out_allocation_is_thread_count_invariant() {
         // The determinism guard for the fanned-out allocation scan: on a
-        // sparse DAG over many machines most grids span more than one
-        // scan chunk, so scans really run across the pool — and the whole
-        // run (solution, makespan, evaluation count and every fast-path
-        // counter) must be bit-identical at 1, 2 and 8 worker threads.
+        // sparse DAG over many machines most relocation grids reach the
+        // lane scan's fan-out threshold (16,384 lane-replays, positions
+        // × machines × k), so their positions really spread across the
+        // pool — and the whole run (solution, makespan, evaluation count
+        // and every scan counter) must be bit-identical at 1, 2 and 8
+        // worker threads.
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let (tasks, machines) = (48, 12);
-        let cfg = LayeredConfig { tasks, mean_width: 16, edge_prob: 0.1, skip_prob: 0.0 };
+        let (tasks, machines) = (64, 16);
+        let cfg = LayeredConfig { tasks, mean_width: 32, edge_prob: 0.1, skip_prob: 0.0 };
         let graph = layered(&cfg, &mut rng).unwrap();
         let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(10.0..100.0));
         let pairs = machines * (machines - 1) / 2;
@@ -608,20 +605,24 @@ mod tests {
             })
         };
         let baseline = run(1);
-        // A scan chunk holds ⌈6144 / k⌉ = 128 candidates here; more
-        // than half the grids of the final solution must exceed it.
+        // More than half the grids of the final solution fan out.
         let g = inst.graph();
-        let mut grids: Vec<usize> = g
+        let mut positions: Vec<usize> = g
             .tasks()
             .map(|t| {
                 let (lo, hi) = baseline.solution.valid_range(g, t);
-                (hi - lo + 1) * machines - 1
+                hi - lo + 1
             })
             .collect();
-        grids.sort_unstable();
-        let median = grids[tasks / 2];
-        assert!(median > 6144usize.div_ceil(tasks), "median grid {median}");
-        assert!(baseline.scan.pruned > 0, "the bounded scans must prune");
+        positions.sort_unstable();
+        let median = positions[tasks / 2];
+        assert!(median * machines * tasks >= 16_384, "median grid of {median} positions");
+        assert!(baseline.scan.scored > 0, "the scans must score");
+        assert_eq!(
+            (baseline.scan.pruned, baseline.scan.spliced),
+            (0, 0),
+            "best-fit scans run on lanes, without bounds or splices"
+        );
         for threads in [2usize, 8] {
             let r = run(threads);
             assert_eq!(r.solution, baseline.solution, "{threads} threads");

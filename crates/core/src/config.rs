@@ -68,10 +68,10 @@ pub struct SeConfig {
     /// base schedule is primed once per allocation scan (once per worker
     /// when the scan fans out) and every candidate move is scored by
     /// checkpoint-resumed suffix replay, for any built-in objective.
-    /// Best-fit scans run as the batch evaluator's bounded argmin, which
-    /// spreads grids larger than one scan chunk over the worker pool;
-    /// the chunk grid depends on the grid alone, so results and every
-    /// counter are identical at any thread count. Every candidate
+    /// Best-fit scans run as the batch evaluator's relocation argmin,
+    /// which replays each position once with a lane per allowed machine
+    /// and spreads large grids' positions over the worker pool; results
+    /// and every counter are identical at any thread count. Every candidate
     /// *score* and therefore every decision is bit-identical to the
     /// full-pass route (covered by tests); only the reported evaluation
     /// counts differ (the priming pass is charged, so this route counts

@@ -32,24 +32,34 @@
 //! cell can never cascade `"arena pool poisoned"` panics into healthy
 //! scans that share the evaluator.
 //!
+//! SE's allocation scan has its own argmin, [`best_relocation`]: the
+//! candidates of one string position differ only in the relocated
+//! task's machine, so each position is scored in one lockstep replay
+//! with a lane per machine
+//! ([`IncrementalEvaluator::score_position`]) — exact, without bounds
+//! or splices. The bounded + reconvergent fast path
+//! ([`IncrementalEvaluator::score_move_bounded`]) serves the mixed-task
+//! argmin, [`best_task_move`] (tabu's sampled neighborhood).
+//!
 //! Determinism: scores are returned **in candidate order** and every
 //! candidate's score depends only on that candidate, so results are
-//! bit-identical at any thread count. The bounded argmin scans
-//! ([`best_move`], [`best_task_move`]) split their candidates on a chunk
-//! grid that is a pure function of the grid itself — its length and the
-//! instance's task count, never the thread count — and every chunk
-//! starts its own running bound, so which candidates get pruned or
-//! spliced is fixed too: every [`ScanStats`] counter, not just the
-//! scored axis, reads the same at any thread count. Small grids form a
-//! single chunk and run inline on the calling thread. Per-worker primes
-//! are deliberately *not* counted into
+//! bit-identical at any thread count. [`best_relocation`] scores each
+//! position as one work item, exactly, and fans the positions out only
+//! when the grid's size (positions × machines × tasks) calls for it.
+//! [`best_task_move`] splits its candidates on a chunk grid that is a
+//! pure function of the grid itself — its length and the instance's
+//! task count, never the thread count — and every chunk starts its own
+//! running bound, so which candidates get pruned or spliced is fixed
+//! too. Every [`ScanStats`] counter, not just the scored axis, reads
+//! the same at any thread count. Small grids run inline on the calling
+//! thread. Per-worker primes are deliberately *not* counted into
 //! [`evaluations`](BatchEvaluator::evaluations): how many workers join
 //! a scan varies with the thread count, and the evaluation axis must
 //! not.
 //!
 //! [`score_moves`]: BatchEvaluator::score_moves
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
-//! [`best_move`]: BatchEvaluator::best_move
+//! [`best_relocation`]: BatchEvaluator::best_relocation
 //! [`best_task_move`]: BatchEvaluator::best_task_move
 
 use crate::encoding::Solution;
@@ -61,12 +71,15 @@ use mshc_obs as obs;
 use mshc_platform::MachineId;
 use mshc_taskgraph::{TaskGraph, TaskId};
 use rayon::prelude::*;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Work one bounded-scan chunk is sized to, in task-replays: a chunk
+/// Work one bounded-scan chunk of [`BatchEvaluator::best_task_move`]
+/// (tabu's sampled neighborhood) is sized to, in task-replays: a chunk
 /// holds `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates of a `k`-task instance
-/// (62 at the paper's 100 tasks, 205 at 30, 308 at 20).
+/// (62 at the paper's 100 tasks, 205 at 30, 308 at 20). SE's
+/// allocation scan runs on machine lanes instead (see
+/// `LANE_FANOUT_REPLAYS`).
 ///
 /// Derived from the traced per-layer costs on `se-100x20` (2 vCPUs): a
 /// bounded tier-3 scoring replays about 10 ns per task (~1.0 µs per
@@ -79,6 +92,28 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// alone, which is what keeps every scan counter thread-count
 /// invariant.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
+
+/// Lane-replays (`positions × machines × k`) at which
+/// [`BatchEvaluator::best_relocation`] fans its position grid out over
+/// the pool; smaller grids run inline on the calling thread.
+///
+/// Derived from the measured layer costs on SE's real 100 × 20 grids
+/// (2 vCPUs, 2.1 GHz Xeon): the lane kernel scores a candidate in about
+/// 0.5–0.65 µs, i.e. 5–6.5 ns per lane-replay unit, so 16,384 units are
+/// roughly 80–110 µs of lane work. Fanning out costs one pool dispatch
+/// (~6–12 µs to wake a parked worker) plus the joining worker's prime
+/// with pruning and splicing off (~4–7 µs): about 15 % of such a grid.
+/// That is what a fanned-out scan loses when no worker is free — in a
+/// tournament, whose cells already occupy the pool — while a free
+/// worker takes half the grid. A sweep agreed: SE at 100 × 20 (seeds
+/// 7–9, 60 iterations, 2 threads) took 0.41–0.43 s at 2,048–16,384,
+/// 0.46 s at 32,768, 0.52 s at 65,536 and 0.61 s all inline, and a
+/// small-suite tournament took 0.23 s at 1,024, 0.22 s at 4,096 and
+/// 0.20–0.21 s at 16,384 (where its grids, at most 30 positions × 8
+/// machines × 30 tasks, all run inline). The decision reads the grid
+/// alone, and scores are exact per position, so neither the threshold
+/// nor the thread count can move a result or a counter.
+const LANE_FANOUT_REPLAYS: usize = 16_384;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
 /// always structurally valid (a suspect arena is discarded by the guard
@@ -94,6 +129,18 @@ pub struct BestMove {
     /// Index into the caller's move slice.
     pub index: usize,
     /// The candidate's exact objective value (never a pruned bound).
+    pub score: f64,
+}
+
+/// Winner of a relocation scan ([`BatchEvaluator::best_relocation`]):
+/// the earliest minimum-score cell of the position × machine grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Relocation {
+    /// The task's new string position.
+    pub pos: usize,
+    /// Its new machine.
+    pub machine: MachineId,
+    /// The candidate's exact objective value.
     pub score: f64,
 }
 
@@ -147,6 +194,8 @@ struct Arena<'a> {
     eval: Evaluator<'a>,
     inc: IncrementalEvaluator<'a>,
     scratch: Option<Solution>,
+    /// One score slot per machine lane of a relocation scan.
+    lane_scores: Vec<f64>,
     /// Scan epoch `inc` was last primed for (0 = never). Within one scan
     /// the prime inputs are constant, so a matching stamp lets a worker
     /// reuse its prime across every chunk it claims in that scan.
@@ -170,6 +219,7 @@ impl<'a> Arena<'a> {
             eval: Evaluator::with_snapshot(snap),
             inc: IncrementalEvaluator::with_snapshot(snap),
             scratch: None,
+            lane_scores: Vec::new(),
             primed_epoch: 0,
             pop_primed: false,
             pop_stride: None,
@@ -311,6 +361,14 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
     fn inc(&mut self) -> &mut IncrementalEvaluator<'a> {
         &mut self.arena.as_mut().expect("arena present until drop").inc
     }
+
+    /// The incremental evaluator plus a score slot for each of `lanes`
+    /// machine lanes.
+    fn lanes(&mut self, lanes: usize) -> (&mut IncrementalEvaluator<'a>, &mut [f64]) {
+        let arena = self.arena.as_mut().expect("arena present until drop");
+        arena.lane_scores.resize(lanes, 0.0);
+        (&mut arena.inc, &mut arena.lane_scores)
+    }
 }
 
 impl Drop for ArenaGuard<'_, '_> {
@@ -382,15 +440,18 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Enables/disables bound pruning and reconvergence splicing in the
-    /// incremental move scans (default: on). A pure cost knob — argmin
-    /// results, scores and evaluation counts are identical either way.
+    /// bounded argmin [`best_task_move`](Self::best_task_move) and the
+    /// incremental move scorings (default: on). A pure cost knob —
+    /// argmin results, scores and evaluation counts are identical either
+    /// way. [`best_relocation`](Self::best_relocation) never prunes or
+    /// splices, whatever this says.
     pub fn with_pruning(mut self, prune: bool) -> BatchEvaluator<'a> {
         self.prune = prune;
         self
     }
 
     /// Installs a certified instance floor as the scan-global cutoff for
-    /// the bounded argmin scans (see
+    /// the bounded argmin [`best_task_move`](Self::best_task_move) (see
     /// [`IncrementalEvaluator::set_scan_floor`]). Callers must only pass
     /// a floor that provably lower-bounds every candidate's exact score
     /// under the scan's objective — [`crate::InstanceBound::floor`] under
@@ -417,8 +478,9 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Counters of the bounded/spliced fast path across all calls. Every
-    /// axis is deterministic at any thread count: the bounded scans'
-    /// chunk grid depends on the grid alone (see `scan_chunks`).
+    /// axis is deterministic at any thread count: relocation scans are
+    /// exact per position, and the bounded scans' chunk grid depends on
+    /// the grid alone (see `scan_chunks`).
     #[inline]
     pub fn scan_stats(&self) -> ScanStats {
         self.scan
@@ -635,10 +697,12 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Scores the candidate set "`base` with task `t` moved to
-    /// `(position, machine)`" for every entry of `moves` — the SE
-    /// allocation ripple scan's shape. Incremental-capable objectives are
-    /// scored by suffix replay against a once-per-chunk primed base;
-    /// others fall back to a scratch clone re-moved per candidate.
+    /// `(position, machine)`" for every entry of `moves`, one exact
+    /// score per candidate — SE's allocation grid cell by cell, where
+    /// [`best_relocation`](Self::best_relocation) returns only its
+    /// argmin. Incremental-capable objectives are scored by suffix
+    /// replay against a once-per-chunk primed base; others fall back to
+    /// a scratch clone re-moved per candidate.
     pub fn score_moves(
         &mut self,
         graph: &TaskGraph,
@@ -755,32 +819,98 @@ impl<'a> BatchEvaluator<'a> {
         out
     }
 
-    /// Bounded argmin over the single-task candidate grid "`base` with
-    /// task `t` moved to `(position, machine)`" — the SE allocation
-    /// ripple scan. Returns the earliest-index minimum with its exact
-    /// score (`None` only for an empty grid).
+    /// Argmin over SE's allocation grid: `base` with task `t` relocated
+    /// to every position of `positions` (inside `t`'s valid range) on
+    /// every machine of `machines`, minus the base's own placement.
+    /// Candidates are ordered pos-major — position by position, machines
+    /// in the given order within a position — and the winner is the
+    /// earliest-index minimum under `total_cmp`, with its exact score
+    /// (`None` only for an empty grid). Every candidate counts as one
+    /// evaluation.
     ///
-    /// The grid is cut into fixed-size chunks (see `scan_chunks`); a
-    /// grid larger than one chunk fans out over the pool, a smaller one
-    /// runs inline. Each chunk threads its own running best (starting at
-    /// `+∞`) into [`IncrementalEvaluator::score_move_bounded`], so
-    /// provably losing candidates are abandoned mid-replay. The winner
-    /// is invariant under the chunk grid: a pruned candidate's score is
-    /// `>` some already-seen exact score, so no minimum (first minimum
-    /// included) is ever pruned — the scan commits **exactly** the
-    /// argmin an unbounded [`score_moves`](Self::score_moves) + fold
-    /// would, with the same evaluation count (`moves.len()`) and the
-    /// same pruned/spliced counts, at any thread count.
-    pub fn best_move(
+    /// Each position is one work item, scored through
+    /// [`IncrementalEvaluator::score_position`]: one lockstep replay
+    /// with a lane per machine, exact and without bounds, so the winner
+    /// and every counter are those of scoring each candidate through
+    /// [`score_moves`](Self::score_moves) and folding, at any thread
+    /// count. The grid fans out over the pool when its lane-replays
+    /// (`positions × machines × k`) reach `LANE_FANOUT_REPLAYS` and runs
+    /// inline on the calling thread, with no pool operation, below it.
+    /// Arenas are primed with pruning and splicing off (the lanes use
+    /// neither). Objectives without incremental support fall back to
+    /// full passes.
+    pub fn best_relocation(
         &mut self,
         graph: &TaskGraph,
         base: &Solution,
         t: TaskId,
-        moves: &[(usize, MachineId)],
+        positions: RangeInclusive<usize>,
+        machines: &[MachineId],
         obj: &dyn Objective,
-    ) -> Option<BestMove> {
-        let move_at = |i: usize| (t, moves[i].0, moves[i].1);
-        self.bounded_argmin(graph, base, moves.len(), move_at, None, f64::INFINITY, obj)
+    ) -> Option<Relocation> {
+        let (old_pos, old_m) = (base.position_of(t), base.machine_of(t));
+        let own = move |pos: usize, m: MachineId| pos == old_pos && m == old_m;
+        if !obj.supports_incremental() {
+            let moves: Vec<(TaskId, usize, MachineId)> = positions
+                .flat_map(|pos| machines.iter().map(move |&m| (t, pos, m)))
+                .filter(|&(_, pos, m)| !own(pos, m))
+                .collect();
+            let scores = self.score_task_moves(graph, base, &moves, obj);
+            let scored = scores.iter().enumerate().map(|(i, &s)| (i, MoveScore::Exact(s)));
+            return fold_eligible(None, scored, None, f64::INFINITY).map(|b| Relocation {
+                pos: moves[b.index].1,
+                machine: moves[b.index].2,
+                score: b.score,
+            });
+        }
+        let positions = *positions.start()..positions.end() + 1;
+        let own_cells = if positions.contains(&old_pos) {
+            machines.iter().filter(|&&m| m == old_m).count()
+        } else {
+            0
+        };
+        let len = positions.len() * machines.len() - own_cells;
+        if len == 0 {
+            return None;
+        }
+        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
+        self.scan_epoch += 1;
+        let epoch = self.scan_epoch;
+        let snap = self.snap;
+        let pool = &self.arenas;
+        let stride = self.stride;
+        let before = self.arena_totals();
+        let checkout = || {
+            ArenaGuard::checkout_primed(pool, snap, base, stride, false, f64::NEG_INFINITY, epoch)
+        };
+        // Strict improvement under total_cmp keeps the earliest cell on
+        // ties, within a position and across positions alike.
+        let first_min = |best: Option<Relocation>, cell: Relocation| match best {
+            Some(b) if b.score.total_cmp(&cell.score).is_le() => Some(b),
+            _ => Some(cell),
+        };
+        // One position = one item: its lanes' scores depend on the
+        // position alone.
+        let score_position = |guard: &mut ArenaGuard<'_, 'a>, pos: usize| {
+            let (inc, scores) = guard.lanes(machines.len());
+            inc.score_position(t, pos, machines, obj, scores);
+            machines
+                .iter()
+                .zip(scores.iter())
+                .filter(|&(&m, _)| !own(pos, m))
+                .map(|(&machine, &score)| Relocation { pos, machine, score })
+                .fold(None, first_min)
+        };
+        let work = positions.len() * machines.len() * snap.task_count();
+        let per_position: Vec<Option<Relocation>> = if work >= LANE_FANOUT_REPLAYS {
+            positions.into_par_iter().map_init(checkout, score_position).collect()
+        } else {
+            let mut guard = checkout();
+            positions.map(|pos| score_position(&mut guard, pos)).collect()
+        };
+        self.evaluations += len as u64;
+        self.absorb_arena_stats(before);
+        per_position.into_iter().flatten().fold(None, first_min)
     }
 
     /// Bounded argmin over a mixed-task move sample (tabu's shape).
@@ -973,6 +1103,35 @@ mod tests {
         let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
         let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
         HcInstance::new(graph, sys).unwrap()
+    }
+
+    /// SE's relocation grid in pos-major order, the base's own cell
+    /// excluded — the candidate order `best_relocation` ranks.
+    fn relocation_grid(
+        base: &Solution,
+        t: TaskId,
+        positions: RangeInclusive<usize>,
+        machines: &[MachineId],
+    ) -> Vec<(usize, MachineId)> {
+        let own = (base.position_of(t), base.machine_of(t));
+        positions
+            .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
+            .filter(|&cell| cell != own)
+            .collect()
+    }
+
+    /// The earliest minimum of `scores` under `total_cmp`, as the cell
+    /// of `grid` it scores.
+    fn first_min(grid: &[(usize, MachineId)], scores: &[f64]) -> Option<(usize, MachineId, u64)> {
+        scores
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()))
+    }
+
+    fn cell(r: Relocation) -> (usize, MachineId, u64) {
+        (r.pos, r.machine, r.score.to_bits())
     }
 
     #[test]
@@ -1380,7 +1539,13 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let base = random_solution(&inst, &mut rng);
         assert_eq!(batch.best_task_move(g, &base, &[], None, 0.0, &ObjectiveKind::Makespan), None);
-        assert_eq!(batch.best_move(g, &base, TaskId::new(0), &[], &ObjectiveKind::Makespan), None);
+        // No machines, no positions, or nothing but the base's own cell.
+        let t = TaskId::new(0);
+        let (pos, m) = (base.position_of(t), base.machine_of(t));
+        let obj = ObjectiveKind::Makespan;
+        assert_eq!(batch.best_relocation(g, &base, t, pos..=pos, &[], &obj), None);
+        assert_eq!(batch.best_relocation(g, &base, t, pos + 1..=pos, &[m], &obj), None);
+        assert_eq!(batch.best_relocation(g, &base, t, pos..=pos, &[m], &obj), None);
         assert_eq!(batch.evaluations(), 0);
         assert_eq!(batch.scan_stats(), crate::incremental::ScanStats::default());
     }
@@ -1440,17 +1605,15 @@ mod tests {
         let base = random_solution(&inst, &mut rng);
         let t = TaskId::new(4);
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let machines: Vec<MachineId> = (0..3).map(MachineId::new).collect();
+        let moves = relocation_grid(&base, t, lo..=hi, &machines);
         let mut batch = BatchEvaluator::new(&snap);
         let scores = batch.score_moves(g, &base, t, &moves, &StartSum);
-        let want = scores
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (i, s));
-        let got = batch.best_move(g, &base, t, &moves, &StartSum);
-        assert_eq!(got.map(|b| (b.index, b.score)), want);
+        let want = first_min(&moves, &scores);
+        let before = batch.evaluations();
+        let got = batch.best_relocation(g, &base, t, lo..=hi, &machines, &StartSum);
+        assert_eq!(got.map(cell), want);
+        assert_eq!(batch.evaluations() - before, moves.len() as u64);
     }
 
     #[test]
@@ -1484,24 +1647,22 @@ mod tests {
         let cut = inc.score_move_bounded(t, pos, m, bound.floor(), &obj);
         assert_eq!(cut, MoveScore::Pruned, "floor == bound prunes instantly");
 
-        // Batch-level identity: the argmin winner, its score bits and
-        // the evaluation count are unchanged by the floor, at any
+        // Batch-level identity: the relocation winner, its score bits
+        // and the evaluation count are unchanged by the floor, at any
         // thread count.
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..2).map(move |m| (p, MachineId::new(m)))).collect();
+        let machines = [MachineId::new(0), MachineId::new(1)];
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let (plain, floored) = pool.install(|| {
                 let mut b0 = BatchEvaluator::new(&snap);
-                let r0 = b0.best_move(g, &base, t, &moves, &obj).unwrap();
+                let r0 = b0.best_relocation(g, &base, t, lo..=hi, &machines, &obj).unwrap();
                 let mut b1 = BatchEvaluator::new(&snap).with_scan_floor(bound.floor());
-                let r1 = b1.best_move(g, &base, t, &moves, &obj).unwrap();
+                let r1 = b1.best_relocation(g, &base, t, lo..=hi, &machines, &obj).unwrap();
                 assert_eq!(b0.evaluations(), b1.evaluations());
                 (r0, r1)
             });
-            assert_eq!(plain.index, floored.index, "{threads} threads");
-            assert_eq!(plain.score.to_bits(), floored.score.to_bits(), "{threads} threads");
+            assert_eq!(cell(plain), cell(floored), "{threads} threads");
         }
     }
 
@@ -1551,7 +1712,18 @@ mod tests {
                 // same bits as before the panic.
                 let got = batch.score_moves(g, &base, t, &moves, &obj);
                 assert_eq!(got, want, "{threads} threads");
-                assert!(batch.best_move(g, &base, t, &moves, &obj).is_some());
+                let machines: Vec<MachineId> = (0..3).map(MachineId::new).collect();
+                let best = batch.best_relocation(g, &base, t, lo..=hi, &machines, &obj);
+                assert!(best.is_some(), "{threads} threads");
+                let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    batch.best_relocation(g, &base, t, lo..=hi, &machines, &Grenade)
+                }));
+                assert!(blast.is_err(), "objective must panic");
+                assert_eq!(
+                    batch.best_relocation(g, &base, t, lo..=hi, &machines, &obj),
+                    best,
+                    "{threads} threads"
+                );
             });
         }
     }
@@ -1610,8 +1782,8 @@ mod tests {
         let base = random_solution(&inst, &mut rng);
         let t = TaskId::new(6);
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let machines: Vec<MachineId> = (0..3).map(MachineId::new).collect();
+        let moves = relocation_grid(&base, t, lo..=hi, &machines);
         let mut batch = BatchEvaluator::new(&snap);
         // Threshold at the median candidate makespan, so roughly half
         // the candidates go NaN.
@@ -1621,18 +1793,22 @@ mod tests {
         let scores = batch.score_moves(g, &base, t, &moves, &objective);
         assert!(scores.iter().any(|s| s.is_nan()), "test needs NaN candidates");
         assert!(scores.iter().any(|s| !s.is_nan()), "test needs finite candidates");
-        let want = scores
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (i, s.to_bits()))
-            .expect("non-empty grid");
+        let want = first_min(&moves, &scores).expect("non-empty grid");
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let got = pool
-                .install(|| BatchEvaluator::new(&snap).best_move(g, &base, t, &moves, &objective))
+                .install(|| {
+                    BatchEvaluator::new(&snap).best_relocation(
+                        g,
+                        &base,
+                        t,
+                        lo..=hi,
+                        &machines,
+                        &objective,
+                    )
+                })
                 .expect("non-empty grid");
-            assert_eq!((got.index, got.score.to_bits()), want, "{threads} threads");
+            assert_eq!(cell(got), want, "{threads} threads");
         }
     }
 }

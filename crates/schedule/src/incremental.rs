@@ -1,7 +1,7 @@
 //! Incremental prefix-cached move scoring — the third tier of the
 //! evaluation stack.
 //!
-//! Every move-scan hot path in the suite (SE's §4.5 allocation ripple,
+//! Every move-scan hot path in the suite (SE's §4.5 allocation scan,
 //! tabu's sampled neighborhood, SA's proposal loop) scores thousands of
 //! candidates of the same shape: *the base solution with one task moved*.
 //! A full pass costs O(k + p) per candidate, yet everything before the
@@ -38,9 +38,22 @@
 //! sequence and order are those of [`EvalSnapshot`]'s single scheduling
 //! kernel, so the cache cannot change a score bit.
 //!
+//! **Machine lanes** ([`score_position`]) serve SE's best-fit allocation
+//! scan, which tries every allowed machine at every valid position. The
+//! candidates of one position share their string and differ only in the
+//! moved task's machine, so they replay together in one lockstep pass
+//! with a lane per machine: the shared prefix and any left-shifted tasks
+//! once, then the suffix with per-lane finish times, frontiers and
+//! accumulators laid out lane-minor. Each lane performs exactly the
+//! add/max sequence of its own candidate's replay — the lane shape of
+//! the one scheduling kernel — so every lane score is bit-identical to
+//! [`score_move`]. Lanes score every candidate to completion, without
+//! bounds or splices.
+//!
 //! On top of the suffix replay sits the **bounded + reconvergent fast
-//! path** ([`score_move_bounded`]): the caller's best-so-far score rides
-//! along and the replay is abandoned once a monotone
+//! path** ([`score_move_bounded`]), which serves tabu's neighborhood
+//! scan and SE's first-improvement allocation: the caller's best-so-far
+//! score rides along and the replay is abandoned once a monotone
 //! [`lower bound`](crate::Objective::lower_bound) — fed by the running
 //! accumulators, the critical-task influence cone, per-task
 //! remaining-critical-path tails and per-machine load floors — reaches
@@ -54,12 +67,14 @@
 //! whether or not it was cut.
 //!
 //! [`prime`]: IncrementalEvaluator::prime
+//! [`score_move`]: IncrementalEvaluator::score_move
+//! [`score_position`]: IncrementalEvaluator::score_position
 //! [`score_move_bounded`]: IncrementalEvaluator::score_move_bounded
 //! [`Evaluator::objective_value`]: crate::Evaluator::objective_value
 
 use crate::encoding::{Segment, Solution};
 use crate::objective::{BoundHints, Objective, ObjectiveState, SuffixView};
-use crate::snapshot::EvalSnapshot;
+use crate::snapshot::{EvalSnapshot, LaneArrival};
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::TaskId;
@@ -352,6 +367,51 @@ pub struct IncrementalEvaluator<'a> {
     /// Whether the current priming built the splice structures (suffix
     /// aggregates, consumer/machine-use tables).
     splice_ready: bool,
+    /// Scratch of [`Self::score_position`]'s machine lanes.
+    lanes: LaneScratch,
+}
+
+/// Per-lane replay state of [`IncrementalEvaluator::score_position`],
+/// lane-minor so every per-lane loop runs over one contiguous row. Grown
+/// on first use to the lane count in play and reused afterwards.
+#[derive(Debug, Default)]
+struct LaneScratch {
+    /// `[task][lane]`: finish times of the relocated task and of every
+    /// task replayed in lanes.
+    finish: Vec<f64>,
+    /// `[machine][lane]`: machine frontiers.
+    avail: Vec<f64>,
+    /// `[machine][lane]`: busy-time accumulators.
+    busy: Vec<f64>,
+    /// `[lane]`: running finish-time maximum.
+    max: Vec<f64>,
+    /// `[lane]`: running finish-time sum.
+    sum: Vec<f64>,
+    /// `[lane]`: the task being stepped.
+    step: Vec<f64>,
+    /// `[machine]`: one lane's busy vector, gathered for finalize.
+    column: Vec<f64>,
+}
+
+impl LaneScratch {
+    /// Grows every buffer to hold `lanes` lanes of a `k`-task,
+    /// `l`-machine instance (never shrinks, so steady state allocates
+    /// nothing).
+    fn reserve(&mut self, k: usize, l: usize, lanes: usize) {
+        for (v, n) in [
+            (&mut self.finish, k * lanes),
+            (&mut self.avail, l * lanes),
+            (&mut self.busy, l * lanes),
+            (&mut self.max, lanes),
+            (&mut self.sum, lanes),
+            (&mut self.step, lanes),
+            (&mut self.column, l),
+        ] {
+            if v.len() < n {
+                v.resize(n, 0.0);
+            }
+        }
+    }
 }
 
 impl<'a> IncrementalEvaluator<'a> {
@@ -424,6 +484,7 @@ impl<'a> IncrementalEvaluator<'a> {
             splicing: true,
             prune_ready: false,
             splice_ready: false,
+            lanes: LaneScratch::default(),
         }
     }
 
@@ -1026,6 +1087,201 @@ impl<'a> IncrementalEvaluator<'a> {
         }
         dirty.clear();
         outcome
+    }
+
+    /// Scores *base with task `t` moved to string position `pos`* on
+    /// every machine of `machines` at once: `out[j]` receives the score
+    /// of the move onto `machines[j]`, bit-identical to
+    /// [`score_move`](Self::score_move)`(t, pos, machines[j], obj)` and
+    /// so to a full pass over the materialized candidate.
+    ///
+    /// The candidates of one position share their string, and differ
+    /// only in `t`'s machine, so they are replayed in one lockstep pass
+    /// with one *lane* per machine. The replay resumes from the
+    /// checkpoint at or before `min(old_pos, pos)` and fast-forwards
+    /// from the stored finish times. A rightward move first replays the
+    /// left-shifted tasks `[old_pos, pos)` once, scalar: none of them
+    /// reads `t`, so every lane agrees on them. `t` is then placed on
+    /// each lane's machine through the scheduling kernel's scalar step,
+    /// and the suffix is replayed through its lane step with per-lane
+    /// finish times, frontiers and accumulators. Each lane
+    /// folds exactly what [`ObjectiveState::fold`] folds and is
+    /// finalized through [`Objective::finalize`]. There is no pruning
+    /// and no splice: every lane is scored to completion.
+    ///
+    /// Every lane counts as one scoring (and one fault-plan tick) —
+    /// except a lane that would re-score the base's own placement
+    /// (`pos` is `t`'s position and `machines[j]` its machine), whose
+    /// slot still receives the base score. The base stays primed, and
+    /// the lane scratch is reused, so steady-state calls allocate
+    /// nothing.
+    ///
+    /// # Panics
+    /// As [`score_move`](Self::score_move), or if `out` is not one slot
+    /// per machine.
+    pub fn score_position(
+        &mut self,
+        t: TaskId,
+        pos: usize,
+        machines: &[MachineId],
+        obj: &dyn Objective,
+        out: &mut [f64],
+    ) {
+        let IncrementalEvaluator {
+            snap,
+            stride,
+            base,
+            base_finish,
+            base_machine,
+            edge_cost,
+            ckpt_avail,
+            ckpt_busy,
+            ckpt_max,
+            ckpt_sum,
+            machine_avail,
+            state,
+            finish,
+            dirty,
+            evaluations,
+            lanes,
+            ..
+        } = self;
+        let snap = snap.as_ref();
+        let base = base.as_ref().expect("prime() the evaluator first");
+        let k = base.len();
+        let l = snap.machine_count();
+        let y = machines.len();
+        assert!(pos < k, "move position out of range");
+        assert_eq!(out.len(), y, "one score slot per lane");
+        debug_assert!(machines.iter().all(|m| m.index() < l), "machine out of range");
+
+        let old_pos = base.position_of(t);
+        let old_m = base.machine_of(t);
+        let own = if pos == old_pos { machines.iter().filter(|&&m| m == old_m).count() } else { 0 };
+        let scored = (y - own) as u64;
+        *evaluations += scored;
+        obs::add(obs::Counter::ScanScored, scored);
+        for _ in 0..scored {
+            crate::faults::eval_tick();
+        }
+
+        // Resume from the nearest checkpoint at or before the first
+        // disturbed position and fast-forward the unchanged prefix.
+        let first = old_pos.min(pos);
+        let ci = first / *stride;
+        machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
+        state.load(ckpt_max[ci], ckpt_sum[ci], ci * *stride, &ckpt_busy[ci * l..(ci + 1) * l]);
+        for seg in &base.segments()[ci * *stride..first] {
+            let (u, mu) = (seg.task, seg.machine);
+            let f = base_finish[u.index()];
+            machine_avail[mu.index()] = f;
+            state.fold(mu, f, snap.exec_time(mu, u));
+        }
+
+        // A rightward move shifts base positions (old_pos, pos] one to
+        // the left. None of them consumes `t` (it lands after them), and
+        // none of their edges touches `t`, so they replay once, scalar,
+        // on the cached base edge costs.
+        if pos > old_pos {
+            for seg in &base.segments()[old_pos + 1..=pos] {
+                let (u, mu) = (seg.task, seg.machine);
+                let exec = snap.exec_time(mu, u);
+                let (_, f) =
+                    snap.schedule_step(u, mu, exec, |e, _| edge_cost[e], finish, machine_avail);
+                finish[u.index()] = f;
+                dirty.push(u.raw());
+                machine_avail[mu.index()] = f;
+                state.fold(mu, f, exec);
+            }
+        }
+
+        lanes.reserve(k, l, y);
+        let LaneScratch { finish: lane_finish, avail, busy, max, sum, step, column } = lanes;
+        // `t` itself, once per lane: every producer is shared, and the
+        // in-edges are priced for the lane's machine.
+        let t_row = t.index() * y..(t.index() + 1) * y;
+        for (f_t, &m) in lane_finish[t_row.clone()].iter_mut().zip(machines) {
+            let rows = snap.pair_rows(m);
+            let exec = snap.exec_time(m, t);
+            let (_, f) = snap.schedule_step(
+                t,
+                m,
+                exec,
+                |e, src| snap.edge_transfer(e, rows[base_machine[src] as usize]),
+                finish,
+                machine_avail,
+            );
+            *f_t = f;
+        }
+        // Lane state: the shared frontier and fold, each lane then
+        // folding its own placement of `t` (`ObjectiveState::fold`).
+        for x in 0..l {
+            avail[x * y..(x + 1) * y].fill(machine_avail[x]);
+            busy[x * y..(x + 1) * y].fill(state.machine_busy()[x]);
+        }
+        for (j, (&m, &f)) in machines.iter().zip(&lane_finish[t_row.clone()]).enumerate() {
+            avail[m.index() * y + j] = f;
+            max[j] = state.max_finish().max(f);
+            sum[j] = state.finish_sum() + f;
+            busy[m.index() * y + j] += snap.exec_time(m, t);
+        }
+        let mut tasks = state.tasks() + 1;
+
+        // The suffix in lanes: every base task from `from` on except `t`
+        // (a leftward move shifts base positions [pos, old_pos) right).
+        let from = if pos < old_pos { pos } else { pos + 1 };
+        for seg in &base.segments()[from..] {
+            let (u, mu) = (seg.task, seg.machine);
+            if u == t {
+                continue;
+            }
+            let exec = snap.exec_time(mu, u);
+            let row = mu.index() * y..(mu.index() + 1) * y;
+            snap.lane_step(
+                u,
+                mu,
+                exec,
+                machines,
+                |e, src| {
+                    if src == t.index() {
+                        LaneArrival::Moved(&lane_finish[t_row.clone()])
+                    } else if base.position_of(TaskId::from_usize(src)) >= from {
+                        LaneArrival::Lanes(&lane_finish[src * y..(src + 1) * y], edge_cost[e])
+                    } else {
+                        LaneArrival::Shared(finish[src] + edge_cost[e])
+                    }
+                },
+                &avail[row.clone()],
+                step,
+            );
+            let lanes = lane_finish[u.index() * y..(u.index() + 1) * y]
+                .iter_mut()
+                .zip(&mut avail[row.clone()])
+                .zip(&mut busy[row])
+                .zip(max.iter_mut().zip(sum.iter_mut()))
+                .zip(&step[..y]);
+            for ((((f_u, a), b), (mx, sm)), &f) in lanes {
+                *f_u = f;
+                *a = f;
+                *mx = mx.max(f);
+                *sm += f;
+                *b += exec;
+            }
+            tasks += 1;
+        }
+
+        let column = &mut column[..l];
+        for (j, score) in out.iter_mut().enumerate() {
+            for (x, c) in column.iter_mut().enumerate() {
+                *c = busy[x * y + j];
+            }
+            state.load(max[j], sum[j], tasks, column);
+            *score = obj.finalize(state);
+        }
+        for &u in dirty.iter() {
+            finish[u as usize] = base_finish[u as usize];
+        }
+        dirty.clear();
     }
 
     /// Scores an **arbitrary candidate sharing a string prefix with the

@@ -36,8 +36,11 @@
 //!    asymptotically cheaper than tier 1 per candidate. Two entry
 //!    shapes: *single-task moves*
 //!    ([`score_move`](IncrementalEvaluator::score_move)) for move scans
-//!    against a fixed base — SE's allocation ripple, tabu's sampled
-//!    neighborhood, SA's proposal loop — and *arbitrary
+//!    against a fixed base — tabu's sampled neighborhood, SA's proposal
+//!    loop, and SE's allocation scan, which scores all allowed machines
+//!    of one position in a single lockstep replay with a lane per
+//!    machine ([`score_position`](IncrementalEvaluator::score_position))
+//!    — and *arbitrary
 //!    prefix-sharing candidates*
 //!    ([`score_suffix`](IncrementalEvaluator::score_suffix)) for GA
 //!    crossover offspring, which share a literal prefix with a parent
@@ -60,7 +63,10 @@
 //! population path never engages bound pruning: every child gets its
 //! exact score.
 //!
-//! Tier 3's **fast path** cuts the replay itself two ways, both exact:
+//! Tier 3's **fast path** cuts the replay itself two ways, both exact.
+//! It serves tabu's neighborhood argmin and SE's first-improvement
+//! allocation; SE's best-fit scan runs on machine lanes, which score
+//! every candidate to completion:
 //!
 //! * **Bound pruning**
 //!   ([`score_move_bounded`](IncrementalEvaluator::score_move_bounded)):
@@ -133,7 +139,7 @@ pub mod sim;
 pub mod snapshot;
 pub mod steppable;
 
-pub use batch::{BatchEvaluator, BestMove, Descent};
+pub use batch::{BatchEvaluator, BestMove, Descent, Relocation};
 pub use encoding::{Segment, Solution};
 pub use error::ScheduleError;
 pub use eval::{Evaluator, ScheduleReport};

@@ -136,7 +136,10 @@ pub struct RunBudget {
     pub checkpoint_stride: Option<usize>,
     /// Whether the move-scan fast path may bound-prune and splice
     /// (default `true`; the CLI's `--no-prune` escape hatch turns it
-    /// off). Another pure cost knob: solutions, objective values and
+    /// off). It governs tabu's bounded neighborhood argmin, SA's
+    /// incremental scorings and SE's first-improvement allocation; SE's
+    /// best-fit allocation scans on machine lanes, which never prune or
+    /// splice. Another pure cost knob: solutions, objective values and
     /// evaluation counts are bit-identical either way.
     pub prune: bool,
     /// Whether iterative searches may terminate as soon as the incumbent

@@ -249,9 +249,11 @@ impl EvalSnapshot {
     /// evaluator's priming walk, and its checkpoint-resumed suffix
     /// replay — goes through this single definition; they differ only in
     /// where the edge cost comes from (a pair-table lookup, or tier 3's
-    /// per-edge cache of those same lookups). The bit-identity guarantee
-    /// across tiers rests on these float operations happening in exactly
-    /// this order; do not duplicate or reorder them.
+    /// per-edge cache of those same lookups). The one other shape of the
+    /// kernel is [`Self::lane_step`], which performs this same sequence
+    /// once per machine lane. The bit-identity guarantee across tiers
+    /// rests on these float operations happening in exactly this order;
+    /// do not duplicate or reorder them.
     #[inline]
     pub(crate) fn schedule_step(
         &self,
@@ -274,6 +276,81 @@ impl EvalSnapshot {
         let start = ready.max(machine_avail[m.index()]);
         (start, start + exec)
     }
+
+    /// The lane shape of [`Self::schedule_step`] — the second shape of
+    /// the one scheduling kernel. Steps task `t` on machine `m` with
+    /// execution time `exec` once per *lane*, where the lanes are copies
+    /// of one candidate string that differ only in the machine
+    /// `lanes[j]` of a single relocated task. `arrival(e, src)` says
+    /// where the incoming edge at predecessor-CSR position `e` arrives
+    /// from (see [`LaneArrival`]), `avail[j]` is `m`'s frontier in lane
+    /// `j`, and `finish[j]` receives `t`'s finish time in lane `j`.
+    ///
+    /// Same op-order contract as [`Self::schedule_step`]: in every lane,
+    /// `ready` starts at `0.0` and folds `ready.max(finish + cost)` edge
+    /// by edge in CSR order, then `start = ready.max(avail)` and
+    /// `finish = start + exec`. A [`LaneArrival::Shared`] sum is the very
+    /// `finish + cost` the scalar step adds, so each lane reproduces the
+    /// scalar step of its own candidate bit for bit. The per-lane loops
+    /// run over contiguous rows, which the compiler vectorizes.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn lane_step<'a>(
+        &self,
+        t: TaskId,
+        m: MachineId,
+        exec: f64,
+        lanes: &[MachineId],
+        mut arrival: impl FnMut(usize, usize) -> LaneArrival<'a>,
+        avail: &[f64],
+        finish: &mut [f64],
+    ) {
+        let n = lanes.len();
+        let (avail, ready) = (&avail[..n], &mut finish[..n]);
+        ready.fill(0.0);
+        let edges = self.pred_edges(t);
+        for (e, &src) in edges.clone().zip(&self.pred_src[edges]) {
+            match arrival(e, src as usize) {
+                LaneArrival::Shared(arrival) => {
+                    for r in ready.iter_mut() {
+                        *r = r.max(arrival);
+                    }
+                }
+                LaneArrival::Lanes(src_finish, cost) => {
+                    for (r, &f) in ready.iter_mut().zip(&src_finish[..n]) {
+                        *r = r.max(f + cost);
+                    }
+                }
+                LaneArrival::Moved(src_finish) => {
+                    // The pair table is symmetric: row `x` of `m`'s rows
+                    // is the `(x, m)` transfer row.
+                    let rows = self.pair_rows(m);
+                    for ((r, &f), &x) in ready.iter_mut().zip(&src_finish[..n]).zip(lanes) {
+                        *r = r.max(f + self.edge_transfer(e, rows[x.index()]));
+                    }
+                }
+            }
+        }
+        for (r, &a) in ready.iter_mut().zip(avail) {
+            *r = r.max(a) + exec;
+        }
+    }
+}
+
+/// Where one incoming edge of a [`EvalSnapshot::lane_step`] arrives
+/// from: the three cases a single-task relocation leaves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LaneArrival<'a> {
+    /// A producer every lane shares (scheduled before the relocated
+    /// task): one `finish + edge cost`, broadcast to every lane.
+    Shared(f64),
+    /// A producer replayed in lanes over an edge not touching the
+    /// relocated task: its per-lane finish times plus the edge's cached
+    /// base cost.
+    Lanes(&'a [f64], f64),
+    /// The relocated task itself: its per-lane finish times, each over
+    /// the transfer from that lane's machine to the consumer's.
+    Moved(&'a [f64]),
 }
 
 #[cfg(test)]

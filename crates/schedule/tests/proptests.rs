@@ -374,23 +374,30 @@ proptest! {
             "aspiration {aspiration}, {threads} threads, stride {:?}", stride
         );
 
-        // The single-task grid scan (SE's shape) agrees with min_by over
-        // exact scores, index tie-break included.
+        // The relocation grid scan (SE's shape: positions × machines in
+        // pos-major order, the base's own cell excluded) agrees with
+        // exact scores plus a first-minimum fold, and counts one
+        // evaluation per cell.
         let t = moves[0].0;
         let (lo, hi) = base.valid_range(g, t);
+        let machines: Vec<MachineId> =
+            (0..inst.machine_count()).map(MachineId::from_usize).collect();
+        let own = (base.position_of(t), base.machine_of(t));
         let grid: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| (0..inst.machine_count() as u32).map(move |m| (p, MachineId::new(m))))
+            .flat_map(|p| machines.iter().map(move |&m| (p, m)))
+            .filter(|&cell| cell != own)
             .collect();
         let grid_scores = BatchEvaluator::new(&snap).score_moves(g, &base, t, &grid, &kind);
         let want = grid_scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (i, s));
-        let got = pool.install(|| {
-            BatchEvaluator::new(&snap).with_stride(stride).best_move(g, &base, t, &grid, &kind)
-        });
-        prop_assert_eq!(got.map(|b| (b.index, b.score)), want, "grid scan");
+            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()));
+        let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+        let got = pool.install(|| batch.best_relocation(g, &base, t, lo..=hi, &machines, &kind));
+        prop_assert_eq!(got.map(|r| (r.pos, r.machine, r.score.to_bits())), want, "grid scan");
+        prop_assert_eq!(batch.evaluations(), grid.len() as u64);
+        prop_assert_eq!(batch.scan_stats().scored, grid.len() as u64);
     }
 
     /// Contention can only delay: the per-pair-link network dominates the
@@ -617,5 +624,95 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The machine-lane kernel: every lane of `score_position` equals
+    /// `score_move` of the same candidate bit for bit — under every
+    /// objective, at every stride, for positions left of, right of and
+    /// at the task's own, over all machines, a Y-limited ranking prefix
+    /// and a single machine. Afterwards a fresh `score_move` and
+    /// `base_score` still read the base, so the lane replay restored
+    /// the shared scratch. Instances include a single machine and
+    /// edgeless DAGs.
+    #[test]
+    fn lane_scores_equal_score_move_bit_for_bit(
+        k in 1usize..25,
+        l in 1usize..6,
+        p in 0.0f64..0.9,
+        inst_seed in any::<u64>(),
+        use_layered in prop::bool::ANY,
+        shape in 0usize..3,
+        seed in any::<u64>(),
+        stride_sel in 0usize..4,
+    ) {
+        let inst = match shape {
+            0 => build_instance(k, l, p, inst_seed, use_layered),
+            1 => build_instance(k, 1, p, inst_seed, use_layered),
+            _ => build_instance(k, l, 0.0, inst_seed, false),
+        };
+        let l = inst.machine_count();
+        let g = inst.graph();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let base = random_solution(&inst, &mut rng);
+        let stride = [Some(1), None, Some(k), Some(k + 17)][stride_sel];
+        let snap = EvalSnapshot::new(&inst);
+        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+        inc.set_stride(stride);
+        inc.set_pruning(false);
+        inc.set_splicing(false);
+        inc.prime(&base);
+        let mut oracle = IncrementalEvaluator::with_snapshot(&snap);
+        oracle.set_stride(stride);
+        oracle.prime(&base);
+        let mut scalar = Evaluator::new(&inst);
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
+        for _ in 0..4 {
+            let t = TaskId::new(rng.gen_range(0..k as u32));
+            let (lo, hi) = base.valid_range(g, t);
+            let own = base.position_of(t);
+            let mut positions = vec![lo, own, hi, rng.gen_range(lo..=hi)];
+            positions.dedup();
+            let ranking = inst.system().machine_ranking(t);
+            let all: Vec<MachineId> = (0..l).map(MachineId::from_usize).collect();
+            let lane_sets = [
+                all,
+                ranking[..rng.gen_range(1..=l)].to_vec(),
+                vec![MachineId::from_usize(rng.gen_range(0..l))],
+            ];
+            for machines in &lane_sets {
+                for &pos in &positions {
+                    for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
+                        let before = inc.evaluations();
+                        let mut out = vec![f64::NAN; machines.len()];
+                        inc.score_position(t, pos, machines, &kind, &mut out);
+                        for (&m, &got) in machines.iter().zip(&out) {
+                            let want = oracle.score_move(t, pos, m, &kind);
+                            prop_assert_eq!(
+                                got.to_bits(), want.to_bits(),
+                                "{} stride {:?}: {} -> ({}, {})", kind.name(), stride, t, pos, m
+                            );
+                        }
+                        let own_cells = machines
+                            .iter()
+                            .filter(|&&m| pos == own && m == base.machine_of(t))
+                            .count();
+                        prop_assert_eq!(
+                            inc.evaluations() - before,
+                            (machines.len() - own_cells) as u64,
+                            "one scoring per lane, the base's own cell excluded"
+                        );
+                        let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
+                        let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
+                        let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "fresh move {:?}", fresh);
+                        prop_assert_eq!(
+                            inc.base_score(&kind).to_bits(),
+                            scalar.objective_value(&base, &kind).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(inc.stats().pruned + inc.stats().spliced, 0, "lanes neither prune nor splice");
     }
 }

@@ -169,9 +169,9 @@ proptest! {
         let base = random_solution(&inst, &mut rng);
         let t = TaskId::new(rng.gen_range(0..tasks as u32));
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| (0..machines as u32).map(move |m| (p, MachineId::new(m))))
-            .collect();
+        let lanes: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
+        let moves: Vec<(usize, MachineId)> =
+            (lo..=hi).flat_map(|p| lanes.iter().map(move |&m| (p, m))).collect();
         let obj = JitteredMakespan { salt };
 
         let run = |threads: usize| {
@@ -183,8 +183,8 @@ proptest! {
                     .into_iter()
                     .map(f64::to_bits)
                     .collect();
-                let best = batch.best_move(g, &base, t, &moves, &obj);
-                (scores, best.map(|b| (b.index, b.score.to_bits())), batch.evaluations())
+                let best = batch.best_relocation(g, &base, t, lo..=hi, &lanes, &obj);
+                (scores, best.map(|b| (b.pos, b.machine, b.score.to_bits())), batch.evaluations())
             })
         };
         let baseline = run(1);
@@ -200,6 +200,86 @@ proptest! {
         let (pos, m) = moves[0];
         cand.move_task(g, t, pos, m).unwrap();
         prop_assert_eq!(scalar.makespan(&cand).to_bits(), baseline.0[0]);
+    }
+
+    /// SE's relocation scan on machine lanes fans its positions out over
+    /// the stealing executor once a grid reaches 16,384 lane-replays
+    /// (`positions × machines × k`); every grid here is above that. The
+    /// winner (cell and score bits), the evaluation count and the scan
+    /// counters match the 1-thread scan at 2 and 8 threads, and the
+    /// winner is the first minimum of the exact scores.
+    #[test]
+    fn lane_relocation_scan_is_thread_invariant_under_stealing(
+        tasks in 64usize..96,
+        machines in 10usize..14,
+        seed in any::<u64>(),
+        stride_sel in 0usize..3,
+        kind_sel in 0usize..3,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let cfg = LayeredConfig {
+            tasks,
+            mean_width: tasks / 2,
+            edge_prob: 0.1,
+            skip_prob: 0.0,
+        };
+        let graph = layered(&cfg, &mut rng).unwrap();
+        let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(5.0..80.0));
+        let pairs = machines * (machines - 1) / 2;
+        let transfer =
+            Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..25.0));
+        let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
+        let inst = HcInstance::new(graph, sys).unwrap();
+        let g = inst.graph();
+        let snap = EvalSnapshot::new(&inst);
+        let base = random_solution(&inst, &mut rng);
+        let width = |t: TaskId| {
+            let (lo, hi) = base.valid_range(g, t);
+            hi - lo
+        };
+        let t = g.tasks().max_by_key(|&t| width(t)).unwrap();
+        let (lo, hi) = base.valid_range(g, t);
+        let lanes: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
+        prop_assert!(
+            (hi - lo + 1) * machines * tasks >= 16_384,
+            "grid below the fan-out threshold: {} positions", hi - lo + 1
+        );
+        let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
+        let obj = [
+            ObjectiveKind::Makespan,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 },
+        ][kind_sel];
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+                let best = batch.best_relocation(g, &base, t, lo..=hi, &lanes, &obj);
+                (
+                    best.map(|b| (b.pos, b.machine, b.score.to_bits())),
+                    batch.evaluations(),
+                    batch.scan_stats(),
+                )
+            })
+        };
+        let baseline = run(1);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
+        }
+        let own = (base.position_of(t), base.machine_of(t));
+        let grid: Vec<(usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| lanes.iter().map(move |&m| (p, m)))
+            .filter(|&cell| cell != own)
+            .collect();
+        let scores = BatchEvaluator::new(&snap).score_moves(g, &base, t, &grid, &obj);
+        let want = scores
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()));
+        prop_assert_eq!(baseline.0, want, "first minimum of the exact scores");
+        prop_assert_eq!(baseline.1, grid.len() as u64);
+        prop_assert_eq!(baseline.2.scored, grid.len() as u64);
     }
 
     /// Incremental-path scans (the bounded argmin fast path) are
