@@ -111,10 +111,6 @@ fn bench_incremental_moves(c: &mut Criterion) {
     for stride in [1usize, auto_stride(k), k] {
         let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
         inc.set_stride(Some(stride));
-        // Fast path off: this group isolates pure checkpoint-resume
-        // cost per stride; `bounded_moves` measures the cuts.
-        inc.set_pruning(false);
-        inc.set_splicing(false);
         inc.prime(&base);
         group.bench_function(BenchmarkId::new(format!("stride-{stride}"), moves.len()), |b| {
             b.iter(|| {
@@ -123,46 +119,6 @@ fn bench_incremental_moves(c: &mut Criterion) {
                     acc += inc.score_move(t, pos, m, &obj);
                 }
                 black_box(acc)
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Bounded vs unbounded move scanning, single thread, same grid as
-/// `incremental_moves`: the `unbounded` baseline replays every candidate
-/// to completion; `bounded` threads the running argmin in as a pruning
-/// bound (splicing off); `bounded_splice` adds reconvergence splicing —
-/// the production configuration of the SE/tabu scans. All three commit
-/// the identical argmin; only the work per candidate differs.
-fn bench_bounded_moves(c: &mut Criterion) {
-    let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
-    let inst = spec.generate();
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let base = random_solution(&inst, &mut rng);
-    let (t, moves) = mshc_bench::probes::widest_move_grid(&inst, &base);
-    let obj = ObjectiveKind::Makespan;
-    let snapshot = EvalSnapshot::new(&inst);
-
-    let mut group = c.benchmark_group("bounded_moves");
-    let configs: [(&str, bool, bool); 3] =
-        [("unbounded", false, false), ("bounded", true, false), ("bounded_splice", true, true)];
-    for (name, prune, splice) in configs {
-        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-        inc.set_pruning(prune);
-        inc.set_splicing(splice);
-        inc.prime(&base);
-        group.bench_function(BenchmarkId::new(name, moves.len()), |b| {
-            b.iter(|| {
-                let mut best = f64::INFINITY;
-                for &(pos, m) in &moves {
-                    if let Some(score) = inc.score_move_bounded(t, pos, m, best, &obj).exact() {
-                        if score < best {
-                            best = score;
-                        }
-                    }
-                }
-                black_box(best)
             })
         });
     }
@@ -229,6 +185,6 @@ fn bench_solution_moves(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_evaluator, bench_batch_candidates, bench_incremental_moves, bench_bounded_moves, bench_relocation_scan, bench_solution_moves
+    targets = bench_evaluator, bench_batch_candidates, bench_incremental_moves, bench_relocation_scan, bench_solution_moves
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! `bench_eval` — evaluation-throughput probe and `BENCH_eval.json`
 //! emitter.
 //!
-//! Measures candidate-evaluation throughput five ways on one paper-scale
+//! Measures candidate-evaluation throughput four ways on one paper-scale
 //! workload (SE allocation-scan shape: "base with task `t` moved"):
 //!
 //! 1. **scalar / full** — one [`Evaluator`], move + full O(k + p) pass
@@ -11,36 +11,26 @@
 //!    the base is primed once, every candidate is a checkpoint-resumed
 //!    suffix replay. `incremental_speedup_vs_full` is the algorithmic
 //!    win (same thread count, same candidates, same bits out);
-//! 3. **bounded scan** — the same incremental evaluator driven the way
-//!    the searches drive it: the running best rides along as a pruning
-//!    bound and replays may splice on reconvergence.
-//!    `bounded_speedup_vs_incremental` is the fast-path win, with the
-//!    realized `pruned_fraction`/`spliced_fraction` alongside;
-//! 4. **batch ×1** — [`BatchEvaluator`] pinned to a single worker thread
+//! 3. **batch ×1** — [`BatchEvaluator`] pinned to a single worker thread
 //!    (isolates batch-machinery overhead);
-//! 5. **batch ×N** — [`BatchEvaluator`] on the requested pool (default:
+//! 4. **batch ×N** — [`BatchEvaluator`] on the requested pool (default:
 //!    available parallelism, or `--threads N`) — thread parallelism
 //!    compounding on top of the incremental scoring inside.
 //!
 //! SE's own allocation scan gets a probe on its real grids: every
 //! position × machine of every task of a partly converged incumbent,
 //! scanned single-threaded through the machine-lane argmin
-//! (`lane_scan_evals_per_sec`) and through the bounded + reconvergent
-//! argmin it replaced; `lane_speedup_vs_bounded` is their same-process
-//! ratio, with the winners asserted identical.
+//! (`lane_scan_evals_per_sec`) and through the argmin that scores each
+//! candidate with one `score_move`; `lane_speedup_vs_exact` is their
+//! same-process ratio, with the winners asserted identical.
 //!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
 //! pool sizes on the wide grid).
 //!
-//! Since the GA moved onto tier 3, a **GA generation probe** races the
-//! whole scheduler on the same preset with offspring fitness via
-//! parent-primed prefix splicing (the default) against the
-//! `--ga-full-eval` tier-1 escape hatch — same seed, identical bits
-//! out, so `ga_prefix_speedup_vs_full` is pure evaluation-cost savings.
-//! The `spliced_fraction` series is measured on its own
-//! reconvergence-friendly grid ([`mshc_bench::probes::splice_move_grid`]);
-//! the widest single-task grid prunes too early to ever reconverge.
+//! A **GA generation probe** runs the whole scheduler on the same
+//! preset: offspring evaluations per second, and the share of string
+//! positions served by exact clones instead of a full pass.
 //!
 //! Writes the numbers as JSON (default `BENCH_eval.json`, `--out FILE`)
 //! so CI can archive the perf trajectory per commit; the CI smoke step
@@ -55,12 +45,12 @@ use mshc_ga::GaScheduler;
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_portfolio::{TournamentSpec, ALGORITHMS};
 use mshc_schedule::{
-    BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator, InstanceBound, MoveScore,
-    ObjectiveKind, Replanner, RunBudget, Scheduler, Solution,
+    BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator, InstanceBound, ObjectiveKind,
+    Replanner, RunBudget, Scheduler, Solution, Termination,
 };
 use mshc_taskgraph::{TaskGraphBuilder, TaskId};
 use mshc_workloads::{tiny_suite, DisturbanceTrace, DisturbanceTraceSpec, WorkloadSpec};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::hint::black_box;
@@ -69,7 +59,7 @@ use std::time::Instant;
 
 /// `BENCH_eval.json` schema version — bumped whenever series are added
 /// or removed, so downstream tooling can gate on it.
-const SCHEMA_VERSION: u32 = 4;
+const SCHEMA_VERSION: u32 = 5;
 
 /// The JSON payload CI archives.
 #[derive(Debug, Serialize)]
@@ -93,30 +83,15 @@ struct BenchReport {
     /// incremental over full, single-threaded — the algorithmic win
     /// (≥ 2x expected on the 100-task preset).
     incremental_speedup_vs_full: f64,
-    /// Bounded argmin scan: the same grid with the running best threaded
-    /// in as a pruning bound, splicing on — the SE/tabu production
-    /// shape. Same bits out, pruned candidates still count.
-    bounded_scan_evals_per_sec: f64,
-    /// bounded over plain incremental (≥ 1.5x expected on the 100-task
-    /// preset).
-    bounded_speedup_vs_incremental: f64,
-    /// Fraction of bounded-scan candidates abandoned by the bound cut.
-    pruned_fraction: f64,
     /// SE's allocation scan on machine lanes: candidates per second over
     /// every task's full position × machine grid of a partly converged
     /// incumbent, one thread (`BatchEvaluator::best_relocation`).
     lane_scan_evals_per_sec: f64,
-    /// Lane scan over the chunked bounded + reconvergent argmin
-    /// (`BatchEvaluator::best_task_move`) on the same grids, one thread
-    /// — a same-process, hardware-stable ratio.
-    lane_speedup_vs_bounded: f64,
-    /// Fraction of reconvergence-splice-probe candidates finished by a
-    /// tail splice. Measured on `probes::splice_move_grid` (the
-    /// schedule-neutral transposition grid): the widest single-task
-    /// grid the bounded scan runs prunes 99%+ of its candidates before
-    /// any tail could reconverge, so this series read 0.0 until it got
-    /// its own probe.
-    spliced_fraction: f64,
+    /// Lane scan over the argmin that scores each candidate with one
+    /// `IncrementalEvaluator::score_move` (`BatchEvaluator::best_task_move`)
+    /// on the same grids, one thread — a same-process, hardware-stable
+    /// ratio.
+    lane_speedup_vs_exact: f64,
     batch_1thread_evals_per_sec: f64,
     batch_evals_per_sec: f64,
     /// batch ×N over scalar — the headline number (≥ 2x expected with
@@ -156,30 +131,12 @@ struct BenchReport {
     /// injected fraction; more means real panics, fewer means faults
     /// stopped firing).
     degraded_cell_fraction: f64,
-    /// GA offspring-fitness throughput with parent-primed prefix
-    /// splicing on (the production configuration): evaluations per
-    /// second across whole generations on the paper-scale preset.
+    /// GA offspring-fitness throughput: evaluations per second across
+    /// whole generations on the paper-scale preset.
     ga_generation_evals_per_sec: f64,
     /// Fraction of offspring string positions the GA's population pass
-    /// never replayed — clone shortcuts contribute whole strings,
-    /// primed checkpoints contribute shared prefixes.
-    ga_prefix_reuse_fraction: f64,
-    /// The prefix-splicing mechanism on its canonical shape (like
-    /// `incremental_speedup_vs_full` and
-    /// `bounded_speedup_vs_incremental` above): a converged-regime
-    /// offspring cohort (`probes::ga_offspring_cohort` — crossover of
-    /// near-identical parents degenerates to clones, mutations to
-    /// single-task moves) scored by `score_population` vs per-child
-    /// full passes, bit-identical either way (≥ 2x expected on the
-    /// 100-task preset).
-    ga_prefix_speedup_vs_full: f64,
-    /// Whole-run GA wall-clock ratio, `--ga-full-eval` over default,
-    /// same seed, from a *random* start — early generations are
-    /// dominated by deep-divergence crossover offspring (the matching
-    /// crossover redistributes machine genes by task id, which can
-    /// surface at any string position), so this realizes far less than
-    /// the cohort number above.
-    ga_run_speedup_vs_full: f64,
+    /// served by exact clones instead of a full pass.
+    ga_clone_fraction: f64,
     /// Work-stealing pool: chunks claimed from a foreign worker's queue
     /// over the GA probe window (timing plane of the obs registry —
     /// varies run to run, archived as an executor-health series).
@@ -222,9 +179,9 @@ fn main() {
     let available_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = if threads > 0 { threads } else { available_parallelism };
 
-    // The scan-efficiency series come from the obs registry — the same
-    // counters `mshc --metrics` exports — reset before each probe and
-    // snapshotted after, with the per-evaluator `ScanStats` kept as a
+    // The GA prefix-reuse series comes from the obs registry — the same
+    // counters `mshc --metrics` exports — reset before its probe and
+    // snapshotted after, with the run's own `ScanStats` kept as a
     // cross-check. Recording is write-only, so leaving it enabled for
     // the whole run cannot change any measured bits (it does add a few
     // nanoseconds per counter bump, identically across compared series).
@@ -276,13 +233,9 @@ fn main() {
     };
     // Incremental move scan: prime once, suffix-replay per candidate —
     // same single thread, same candidates, bit-identical scores; the
-    // throughput difference is purely algorithmic. The fast path is
-    // explicitly off: this series is the plain (PR 3) suffix replay the
-    // bounded series is judged against.
+    // throughput difference is purely algorithmic.
     let incremental_eps = {
         let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-        inc.set_pruning(false);
-        inc.set_splicing(false);
         inc.prime(&base);
         let start = Instant::now();
         let mut evals = 0u64;
@@ -295,43 +248,11 @@ fn main() {
         evals as f64 / start.elapsed().as_secs_f64()
     };
 
-    // Bounded argmin scan: identical candidates, but the running best
-    // rides along as a pruning bound (and replays may splice on
-    // reconvergence) — the shape SE's allocation scan and tabu's
-    // neighborhood resolution actually run in production.
-    mshc_obs::reset();
-    let (bounded_eps, bounded_stats) = {
-        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-        inc.prime(&base);
-        let start = Instant::now();
-        let mut evals = 0u64;
-        for _ in 0..rounds {
-            let mut best = f64::INFINITY;
-            for &(pos, m) in &moves {
-                if let MoveScore::Exact(score) = inc.score_move_bounded(t, pos, m, best, &obj) {
-                    if score < best {
-                        best = score;
-                    }
-                }
-                evals += 1;
-            }
-            black_box(best);
-        }
-        (evals as f64 / start.elapsed().as_secs_f64(), inc.stats())
-    };
-    // The registry saw exactly this probe since the reset, so the two
-    // views must agree bit for bit (same integer counters, same ratio).
-    let bounded_det = mshc_obs::snapshot().deterministic;
-    assert_eq!(
-        bounded_det.pruned_fraction(),
-        bounded_stats.pruned_fraction(),
-        "registry-sourced pruned fraction must match the evaluator's own stats"
-    );
-
     // SE's allocation grids: every task of an incumbent after a few SE
     // iterations, each over its full valid range × all machines, scanned
-    // on one thread through the lane argmin and through the bounded
-    // argmin. Both must pick the same cell with the same score bits.
+    // on one thread through the lane argmin and through the argmin that
+    // scores each candidate with one `score_move`. Both must pick the
+    // same cell with the same score bits.
     let (lane_eps, lane_speedup) = {
         let incumbent = mshc_core::SeScheduler::with_seed(2001)
             .run(&inst, &RunBudget::iterations(4), None)
@@ -374,7 +295,7 @@ fn main() {
                     })
                     .collect()
             };
-            let bounded_scan = |batch: &mut BatchEvaluator<'_>| -> Winners {
+            let exact_scan = |batch: &mut BatchEvaluator<'_>| -> Winners {
                 grids
                     .iter()
                     .map(|cells| {
@@ -396,38 +317,11 @@ fn main() {
                 ((reps * cells) as f64 / start.elapsed().as_secs_f64(), winners)
             };
             let (lane, lane_winners) = timed(&lane_scan, &mut batch);
-            let (bounded, bounded_winners) = timed(&bounded_scan, &mut batch);
-            assert_eq!(lane_winners, bounded_winners, "lane and bounded scans must agree");
-            (lane, lane / bounded)
+            let (exact, exact_winners) = timed(&exact_scan, &mut batch);
+            assert_eq!(lane_winners, exact_winners, "lane and per-candidate scans must agree");
+            (lane, lane / exact)
         })
     };
-
-    // Reconvergence-splice scan: the schedule-neutral transposition
-    // grid with the fast path on and pruning off, so every candidate
-    // replays to a checkpoint boundary where the splice can fire. The
-    // bounded scan above cannot exercise this path — its grid prunes
-    // 99%+ of the candidates before any tail reconverges — so the
-    // spliced_fraction series is measured here.
-    mshc_obs::reset();
-    let splice_stats = {
-        let splice_moves = mshc_bench::probes::splice_move_grid(&inst, &base);
-        assert!(!splice_moves.is_empty(), "paper-scale base has cross-machine adjacencies");
-        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-        inc.set_pruning(false);
-        inc.prime(&base);
-        for _ in 0..rounds {
-            for &(st, pos, m) in &splice_moves {
-                black_box(inc.score_move(st, pos, m, &obj));
-            }
-        }
-        inc.stats()
-    };
-    let splice_det = mshc_obs::snapshot().deterministic;
-    assert_eq!(
-        splice_det.spliced_fraction(),
-        splice_stats.spliced_fraction(),
-        "registry-sourced spliced fraction must match the evaluator's own stats"
-    );
 
     // The scaling curve at the canonical pool sizes; `batch ×1` and
     // `batch ×N` reuse curve points when the size matches.
@@ -492,7 +386,7 @@ fn main() {
             .iter()
             .filter(|name| {
                 let mut s = mshc_portfolio::build_contestant(name, 2001).expect("known algorithm");
-                s.run(&balanced, &budget).early_stopped
+                s.run(&balanced, &budget).termination == Termination::Floor
             })
             .count();
         stops as f64 / ALGORITHMS.len() as f64
@@ -563,104 +457,40 @@ fn main() {
         board.degraded as f64 / board.cells as f64
     };
 
-    // GA generation probe: the whole scheduler raced end to end on the
-    // paper-scale preset, same seed, offspring fitness via
-    // parent-primed prefix splicing (the default tier-3 path) vs the
-    // --ga-full-eval tier-1 escape hatch. The runs are bit-identical —
-    // asserted below — so the ratio is pure evaluation-cost savings.
-    let (ga_eps, ga_reuse, ga_run_speedup, ga_best) = {
+    // GA generation probe: the whole scheduler run end to end on the
+    // paper-scale preset, timed over a few repetitions after a warm-up.
+    let (ga_eps, ga_clones) = {
         let gens = if rounds <= 6 { 15 } else { 60 };
         let reps = (rounds / 3).max(2);
         let budget = RunBudget::iterations(gens);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         pool.install(|| {
-            let timed = |b: &RunBudget| {
-                // Warm-up run spawns the pool workers and fills arenas.
-                let mut result = GaScheduler::with_seed(2001).run(&inst, b, None);
-                let start = Instant::now();
-                for _ in 0..reps {
-                    result = GaScheduler::with_seed(2001).run(&inst, b, None);
-                }
-                (start.elapsed().as_secs_f64() / reps as f64, result)
-            };
-            let (t_full, full) = timed(&budget.clone().with_ga_full_eval(true));
-            // Reset so the registry window covers only the spliced-path
-            // repetitions: its prefix-reuse fraction is then the same
+            // Warm-up run spawns the pool workers and fills arenas.
+            black_box(GaScheduler::with_seed(2001).run(&inst, &budget, None));
+            // Reset so the registry window covers only the timed
+            // repetitions: its clone fraction is then the same
             // ratio as a single run's (identical runs sum to identical
             // ratios, up to one f64 rounding in the division).
             mshc_obs::reset();
-            let (t_spliced, spliced) = timed(&budget);
-            assert_eq!(spliced.solution, full.solution, "splicing must not change the GA's bits");
-            assert_eq!(spliced.objective_value, full.objective_value);
-            assert_eq!(spliced.evaluations, full.evaluations);
-            let ga_det = mshc_obs::snapshot().deterministic;
-            let reuse = ga_det.prefix_reuse_fraction();
+            let start = Instant::now();
+            let mut run = GaScheduler::with_seed(2001).run(&inst, &budget, None);
+            for _ in 1..reps {
+                run = GaScheduler::with_seed(2001).run(&inst, &budget, None);
+            }
+            let secs = start.elapsed().as_secs_f64() / reps as f64;
+            let clones = mshc_obs::snapshot().deterministic.clone_fraction();
             assert!(
-                (reuse - spliced.scan.prefix_reuse_fraction()).abs() < 1e-9,
-                "registry-sourced prefix reuse ({reuse}) must match the run's own stats ({})",
-                spliced.scan.prefix_reuse_fraction()
+                (clones - run.scan.prefix_reuse_fraction()).abs() < 1e-9,
+                "registry-sourced clone fraction ({clones}) must match the run's own stats ({})",
+                run.scan.prefix_reuse_fraction()
             );
-            (spliced.evaluations as f64 / t_spliced, reuse, t_full / t_spliced, spliced.solution)
-        })
-    };
-
-    // GA cohort probe: the prefix-splicing mechanism on its canonical
-    // shape, mirroring how the incremental and bounded series isolate
-    // theirs on the widest-grid scan. Parents are a tight cluster
-    // around the GA's own incumbent (a converged population); offspring
-    // carry the default operator mix at the selection fixpoint, where
-    // crossover degenerates to clones. Scores are asserted bit-equal
-    // between the two paths, so the ratio is pure evaluation cost.
-    let ga_speedup = {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut parents = vec![ga_best];
-        for _ in 0..3 {
-            let mut p = parents[0].clone();
-            let t = mshc_taskgraph::TaskId::from_usize(rng.gen_range(0..inst.task_count()));
-            let (lo, hi) = p.valid_range(g, t);
-            p.move_task(g, t, rng.gen_range(lo..=hi), p.machine_of(t)).expect("in-range");
-            parents.push(p);
-        }
-        // Two generations' worth of offspring against one parent
-        // cluster — converged populations move slowly, so consecutive
-        // generations share their parent set and the per-parent prime
-        // amortizes the way it does in a real converged run.
-        let (children, descents) =
-            mshc_bench::probes::ga_offspring_cohort(&inst, &parents, 200, &mut rng);
-        let mut eval = Evaluator::with_snapshot(&snapshot);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|p| eval.objective_value(p, &obj)).collect();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        pool.install(|| {
-            let mut batch = BatchEvaluator::new(&snapshot);
-            let spliced =
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
-            let start = Instant::now();
-            for _ in 0..rounds {
-                black_box(batch.score_population(
-                    &parents,
-                    &parent_costs,
-                    &children,
-                    &descents,
-                    &obj,
-                ));
-            }
-            let t_spliced = start.elapsed().as_secs_f64();
-            let full = batch.scores(&children, &obj);
-            let start = Instant::now();
-            for _ in 0..rounds {
-                black_box(batch.scores(&children, &obj));
-            }
-            let t_full = start.elapsed().as_secs_f64();
-            assert_eq!(spliced, full, "cohort scores must be bit-identical on both paths");
-            t_full / t_spliced
+            (run.evaluations as f64 / secs, clones)
         })
     };
 
     // Executor-health series: the timing plane accumulated since the GA
-    // probe's reset (GA generations + the cohort probe — the heaviest
-    // pool traffic in the run). Bridged from the pool's own counters at
-    // snapshot time.
+    // probe's reset (the GA generations — the heaviest pool traffic in
+    // the run). Bridged from the pool's own counters at snapshot time.
     let obs_timing = mshc_obs::snapshot().timing;
 
     let report = BenchReport {
@@ -674,12 +504,8 @@ fn main() {
         scalar_evals_per_sec: scalar_eps,
         incremental_evals_per_sec: incremental_eps,
         incremental_speedup_vs_full: incremental_eps / scalar_eps,
-        bounded_scan_evals_per_sec: bounded_eps,
-        bounded_speedup_vs_incremental: bounded_eps / incremental_eps,
-        pruned_fraction: bounded_det.pruned_fraction(),
         lane_scan_evals_per_sec: lane_eps,
-        lane_speedup_vs_bounded: lane_speedup,
-        spliced_fraction: splice_det.spliced_fraction(),
+        lane_speedup_vs_exact: lane_speedup,
         batch_1thread_evals_per_sec: batch1_eps,
         batch_evals_per_sec: batchn_eps,
         speedup_vs_scalar: batchn_eps / scalar_eps,
@@ -692,9 +518,7 @@ fn main() {
         replan_us_per_disturbance: replan_us,
         degraded_cell_fraction,
         ga_generation_evals_per_sec: ga_eps,
-        ga_prefix_reuse_fraction: ga_reuse,
-        ga_prefix_speedup_vs_full: ga_speedup,
-        ga_run_speedup_vs_full: ga_run_speedup,
+        ga_clone_fraction: ga_clones,
         steal_count: obs_timing.steal_count,
         queue_depth_hwm: obs_timing.queue_depth_hwm,
     };
@@ -713,24 +537,14 @@ fn main() {
         report.speedup_vs_scalar
     );
     println!(
-        "bounded scan {:.0}/s ({:.2}x vs incremental) | {:.1}% pruned | splice probe {:.1}% \
-         spliced",
-        bounded_eps,
-        report.bounded_speedup_vs_incremental,
-        100.0 * report.pruned_fraction,
-        100.0 * report.spliced_fraction
-    );
-    println!(
-        "se allocation grids: lane scan {:.0}/s ({:.2}x vs bounded argmin, one thread)",
+        "se allocation grids: lane scan {:.0}/s ({:.2}x vs one score_move per candidate, one \
+         thread)",
         lane_eps, lane_speedup
     );
     println!(
-        "ga: cohort splice {:.2}x vs full | run {:.0} evals/s, {:.1}% prefix reused, {:.2}x \
-         whole-run",
-        ga_speedup,
+        "ga: {:.0} evals/s, {:.1}% of string positions served by clones",
         ga_eps,
-        100.0 * ga_reuse,
-        ga_run_speedup
+        100.0 * ga_clones
     );
     println!("tournament: {:.2} cells/sec (tiny suite, {} threads)", tournament_cps, threads);
     println!(

@@ -11,6 +11,7 @@ use mshc_platform::{HcInstance, InstanceMetrics};
 use mshc_portfolio::{aggregate, cells_csv, render_report, replicate_seeds, TournamentSpec};
 use mshc_schedule::{
     Disturbance, Evaluator, Gantt, ObjectiveKind, Replanner, RunBudget, Scheduler, SteppableSearch,
+    Termination,
 };
 use mshc_trace::Trace;
 use mshc_workloads::{
@@ -38,7 +39,11 @@ commands:
              [--portfolio] [--rounds N] [--out FILE] [--csv FILE]
              [--report]
              the leaderboard JSON (--out) is bit-identical at any
-             --threads / RAYON_NUM_THREADS setting, portfolio on or off
+             --threads / RAYON_NUM_THREADS setting, portfolio on or off.
+             --portfolio, --rounds and --no-early-stop compose with
+             --spec; --wall, --deadline-evals, --deadline-ms and
+             --checkpoint-stride do not apply to tournaments (a spec
+             file sets a per-cell deadline_evals)
   replan     disturb a running schedule and re-search the residue:
              machine dropout, machine slowdown, task-duration inflation
              --algo se|ga|random|sa|tabu (iterative searches only; the
@@ -55,6 +60,11 @@ commands:
   info       print instance metrics
              --instance FILE | workload options
 
+every command rejects an option it does not read (exit status 2),
+including workload options next to --instance FILE (the file fixes
+the workload; --seed still seeds run/compare/replan's schedulers) and
+event options next to --disturb FILE or a fault plan's dropouts.
+
 global options:
   --objective makespan|total-flowtime|mean-flowtime|load-balance|weighted:MK,FT,LB
              objective iterative schedulers minimize (default: makespan)
@@ -70,22 +80,6 @@ global options:
              se/sa/tabu (default: auto = ceil(sqrt(tasks)); results are
              identical at every stride, only speed/memory change; N must
              be at least 1 — 0 is rejected, omit the flag for auto)
-  --no-prune disable bound pruning and reconvergence splicing in the
-             se/sa/tabu move scans (the ablation escape hatch; default is
-             on). Solutions, objective values and evaluation counts are
-             bit-identical either way — only speed changes. Interacts
-             with --checkpoint-stride: splices can only fire at
-             checkpoint boundaries, so larger strides mean fewer splice
-             opportunities; with --no-prune the stride reverts to a pure
-             resume-cost knob. --report prints the realized pruned and
-             spliced fractions.
-  --ga-full-eval
-             disable parent-primed prefix splicing in the GA's population
-             fitness pass, forcing full per-chromosome evaluation (the
-             ablation escape hatch; splicing is the default). Solutions,
-             fitness values and evaluation counts are bit-identical
-             either way — only speed changes. --report prints the
-             realized prefix-reuse fraction.
   --no-early-stop
              disable early termination at the certified instance lower
              bound (default is on). When the incumbent's makespan reaches
@@ -144,6 +138,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let parsed = parse(argv);
+    if let Some(command) = parsed.positional.first() {
+        if let Some(flag) = parsed.options.keys().find(|flag| !reads(command, flag)) {
+            return Err(format!("{command}: --{flag} is not an option of this command"));
+        }
+    }
     let threads: usize = parsed.get_parse("threads", 0)?;
     if parsed.get("threads").is_some() && threads == 0 {
         return Err("--threads: must be at least 1 (omit the flag to use RAYON_NUM_THREADS or \
@@ -225,6 +224,66 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     outcome
 }
 
+/// Flags `dispatch` itself reads, for every command.
+const DISPATCH_FLAGS: &[&str] = &["threads", "faults", "metrics", "obs-events"];
+/// Flags [`workload_spec`] reads besides `--seed`, which also seeds
+/// the schedulers.
+const WORKLOAD_FLAGS: &[&str] = &["tasks", "machines", "connectivity", "heterogeneity", "ccr"];
+/// Flags only seeded disturbance generation in [`disturbances`] reads.
+const EVENT_FLAGS: &[&str] = &["events", "disturb-seed", "dropout"];
+/// Flags [`budget`] reads.
+const BUDGET_FLAGS: &[&str] = &[
+    "iters",
+    "wall",
+    "deadline-evals",
+    "deadline-ms",
+    "objective",
+    "checkpoint-stride",
+    "no-early-stop",
+];
+/// Flags [`make_scheduler`] and [`make_steppable`] read.
+const SCHEDULER_FLAGS: &[&str] = &["seed", "bias", "y"];
+
+/// Whether `command` reads `--flag`. Unknown commands read nothing;
+/// dispatch reports them by name instead.
+fn reads(command: &str, flag: &str) -> bool {
+    let groups: &[&[&str]] = match command {
+        "generate" => &[WORKLOAD_FLAGS, &["seed", "out"]],
+        "info" => &[WORKLOAD_FLAGS, &["seed", "instance"]],
+        "run" => &[
+            WORKLOAD_FLAGS,
+            BUDGET_FLAGS,
+            SCHEDULER_FLAGS,
+            &["algo", "instance", "gantt", "report", "trace"],
+        ],
+        "compare" => &[WORKLOAD_FLAGS, BUDGET_FLAGS, SCHEDULER_FLAGS, &["instance"]],
+        "tournament" => &[&[
+            "spec",
+            "suite",
+            "algos",
+            "seeds",
+            "seed",
+            "iters",
+            "objective",
+            "portfolio",
+            "rounds",
+            "no-early-stop",
+            "out",
+            "csv",
+            "report",
+        ]],
+        "replan" => &[
+            WORKLOAD_FLAGS,
+            BUDGET_FLAGS,
+            SCHEDULER_FLAGS,
+            EVENT_FLAGS,
+            &["algo", "instance", "disturb", "out", "report"],
+        ],
+        _ => &[],
+    };
+    DISPATCH_FLAGS.contains(&flag) || groups.iter().any(|group| group.contains(&flag))
+}
+
 fn workload_spec(p: &Parsed) -> Result<WorkloadSpec, String> {
     let connectivity = match p.get("connectivity").unwrap_or("medium") {
         "low" => Connectivity::Low,
@@ -262,9 +321,19 @@ fn workload_spec(p: &Parsed) -> Result<WorkloadSpec, String> {
     })
 }
 
+/// Errors when one of `flags` sits next to `source`, which fixes what
+/// they would generate and so would leave them unread.
+fn reject_beside(p: &Parsed, source: &str, flags: &[&str], fixes: &str) -> Result<(), String> {
+    match flags.iter().find(|flag| p.flag(flag)) {
+        Some(flag) => Err(format!("{source} and --{flag} are mutually exclusive ({fixes})")),
+        None => Ok(()),
+    }
+}
+
 fn load_instance(p: &Parsed) -> Result<HcInstance, String> {
     match p.get("instance") {
         Some(path) => {
+            reject_beside(p, "--instance", WORKLOAD_FLAGS, "the file fixes the workload")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             serde_json::from_str(&text).map_err(|e| format!("{path}: invalid instance: {e}"))
         }
@@ -335,15 +404,13 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
         if stride == 0 {
             return Err(
                 "--checkpoint-stride: must be at least 1 (omit the flag for the auto stride \
-                 ceil(sqrt(tasks)); use --no-prune to disable the bounded fast path instead)"
+                 ceil(sqrt(tasks)))"
                     .to_string(),
             );
         }
         b.checkpoint_stride = Some(stride);
     }
-    b.prune = !p.flag("no-prune");
     b.early_stop = !p.flag("no-early-stop");
-    b.ga_full_eval = p.flag("ga-full-eval");
     debug_assert!(b.validate().is_ok());
     Ok(b)
 }
@@ -439,7 +506,11 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
                 "certificate: lower bound {:.2} | gap {:.4}x{}",
                 lb,
                 gap,
-                if result.early_stopped { " | stopped early at the floor" } else { "" }
+                if result.termination == Termination::Floor {
+                    " | stopped early at the floor"
+                } else {
+                    ""
+                }
             ),
             (Some(lb), None) => println!("certificate: lower bound {lb:.2}"),
             _ => println!("certificate: none (objective is not makespan)"),
@@ -457,20 +528,14 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
         // draws on the deterministic plane only and is byte-identical
         // at any thread count.
         let det = mshc_obs::snapshot().deterministic;
-        if det.scan_suffix_total > 0 {
+        if det.scan_population_positions > 0 {
             println!(
-                "population: {:.1}% prefix reused | {} suffix scorings | {:.1}% spliced",
-                100.0 * det.prefix_reuse_fraction(),
-                det.scan_scored,
-                100.0 * det.spliced_fraction()
+                "population: {} clones | {:.1}% of string positions served without a pass",
+                det.scan_clones,
+                100.0 * det.clone_fraction()
             );
         } else if det.scan_scored > 0 {
-            println!(
-                "move scan: {} move scorings | {:.1}% pruned | {:.1}% spliced",
-                det.scan_scored,
-                100.0 * det.pruned_fraction(),
-                100.0 * det.spliced_fraction()
-            );
+            println!("move scan: {} move scorings", det.scan_scored);
         }
         // Incumbent-vs-iteration sparkline from the run trace (the
         // deterministic x axis; running minimum of the current cost).
@@ -601,16 +666,6 @@ fn tournament_spec(p: &Parsed) -> Result<TournamentSpec, String> {
     if p.get("rounds").is_some() {
         spec.rounds = p.get_parse("rounds", 8u64)?;
     }
-    // Like --portfolio/--rounds, an execution-mode override that
-    // composes with --spec: it cannot change any leaderboard bit.
-    if p.flag("no-prune") {
-        spec.prune = false;
-    }
-    // Like --no-prune, a pure execution-mode override: full GA
-    // evaluation cannot change any leaderboard bit.
-    if p.flag("ga-full-eval") {
-        spec.ga_full_eval = true;
-    }
     // Early stopping can change iteration/evaluation counts (never
     // solutions), so it composes with --spec the same way.
     if p.flag("no-early-stop") {
@@ -696,13 +751,15 @@ fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, St
 
 /// Resolves the disturbance sequence for `replan`: an explicit trace
 /// file beats the armed fault plan's dropouts, which beat seeded
-/// generation from the event flags.
+/// generation from the event flags. The event flags are errors next
+/// to either of the first two.
 fn disturbances(
     p: &Parsed,
     baseline_makespan: f64,
     machines: u32,
 ) -> Result<Vec<Disturbance>, String> {
     if let Some(path) = p.get("disturb") {
+        reject_beside(p, "--disturb", EVENT_FLAGS, "the file fixes the disturbances")?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         // Accept either a full trace ({seed, events: [...]}) or a bare
         // event array.
@@ -716,6 +773,7 @@ fn disturbances(
             .map_err(|e| e.to_string())?;
         let plan = mshc_schedule::FaultPlan::from_json(&text).map_err(|e| e.to_string())?;
         if !plan.dropouts.is_empty() {
+            reject_beside(p, "--faults", EVENT_FLAGS, "the plan's dropouts fix the disturbances")?;
             return Ok(plan.dropouts);
         }
     }
@@ -787,6 +845,10 @@ fn cmd_replan(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_info(p: &Parsed) -> Result<(), String> {
+    // No scheduler runs here: only generation would read --seed.
+    if p.flag("instance") {
+        reject_beside(p, "--instance", &["seed"], "the file fixes the workload")?;
+    }
     let inst = load_instance(p)?;
     let m = InstanceMetrics::compute(&inst);
     println!("tasks:         {}", m.tasks);
@@ -805,6 +867,10 @@ mod tests {
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
     }
+
+    /// One machine failure, as a disturbance-trace or fault-plan event.
+    const DROPOUT: &str =
+        "{\"kind\": \"MachineFailure\", \"time\": 10.0, \"machine\": 1, \"factor\": 1.0}";
 
     #[test]
     fn unknown_command_errors() {
@@ -958,91 +1024,96 @@ mod tests {
         let b = budget(&p).unwrap();
         assert_eq!(b.max_iterations, Some(7));
         assert_eq!(b.checkpoint_stride, Some(9));
-        assert!(b.prune, "fast path on by default");
         assert!(b.validate().is_ok());
         // No limits given: the loud default keeps the budget bounded.
         let b = budget(&parse(&argv(&[]))).unwrap();
         assert_eq!(b.max_iterations, Some(200));
         assert_eq!(b.checkpoint_stride, None);
-        // The escape hatches.
-        let b = budget(&parse(&argv(&["--iters", "7", "--no-prune"]))).unwrap();
-        assert!(!b.prune);
+        // The escape hatch.
         assert!(b.early_stop, "early stop on by default");
         let b = budget(&parse(&argv(&["--iters", "7", "--no-early-stop"]))).unwrap();
         assert!(!b.early_stop);
-        assert!(!b.ga_full_eval, "GA prefix splicing on by default");
-        let b = budget(&parse(&argv(&["--iters", "7", "--ga-full-eval"]))).unwrap();
-        assert!(b.ga_full_eval);
     }
 
+    /// Every command rejects an option it does not read, naming the
+    /// option and the command, before doing any work.
     #[test]
-    fn ga_full_eval_flag_runs_everywhere() {
-        // run + tournament accept the escape hatch; tournament composes
-        // it with --spec like the other execution-mode overrides.
+    fn unread_flags_are_errors_not_silently_ignored() {
+        let err = |args: &[&str]| dispatch(&argv(args)).unwrap_err();
+        // A misspelled budget flag no longer falls back to the default.
+        let e = err(&["run", "--algo", "se", "--tasks", "10", "--machines", "2", "--itres", "5"]);
+        assert!(e.contains("run") && e.contains("--itres"), "{e}");
+        // `tournament` races every algorithm of the spec; it has no --algo.
+        let e =
+            err(&["tournament", "--suite", "tiny", "--seeds", "1", "--iters", "5", "--algo", "se"]);
+        assert!(e.contains("tournament") && e.contains("--algo"), "{e}");
+        // The retired cost knobs.
+        for knob in ["--no-prune", "--ga-full-eval"] {
+            for cmd in ["run", "compare", "tournament", "replan"] {
+                let e = err(&[cmd, "--iters", "2", knob]);
+                assert!(e.contains(knob), "{cmd} {knob}: {e}");
+            }
+        }
+        // Global options a tournament cannot honour; a spec file sets a
+        // per-cell deadline_evals.
+        for (flag, value) in [
+            ("--wall", "1"),
+            ("--deadline-evals", "10"),
+            ("--deadline-ms", "50"),
+            ("--checkpoint-stride", "2"),
+        ] {
+            let e = err(&["tournament", "--suite", "tiny", "--seeds", "1", flag, value]);
+            assert!(e.contains("tournament") && e.contains(flag), "{flag}: {e}");
+        }
+        // Commands without a scheduler or a budget.
+        let e = err(&["info", "--tasks", "5", "--algo", "heft"]);
+        assert!(e.contains("info") && e.contains("--algo"), "{e}");
+        let e = err(&["generate", "--tasks", "5", "--iters", "3"]);
+        assert!(e.contains("generate") && e.contains("--iters"), "{e}");
+        let e = err(&["compare", "--tasks", "5", "--report"]);
+        assert!(e.contains("compare") && e.contains("--report"), "{e}");
+        // Options dispatch reads are accepted everywhere.
+        dispatch(&argv(&["info", "--tasks", "5", "--machines", "2", "--threads", "1"])).unwrap();
+        // A file fixes what the generation options would build, so they
+        // go unread next to it; --seed still seeds the schedulers.
+        let dir = std::env::temp_dir().join("mshc_cli_unread_flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (inst, trace) = (dir.join("wl.json"), dir.join("trace.json"));
+        let (inst, trace) = (inst.to_str().unwrap(), trace.to_str().unwrap());
+        dispatch(&argv(&["generate", "--tasks", "12", "--machines", "3", "--out", inst])).unwrap();
+        for cmd in [&["run", "--algo", "heft"][..], &["compare", "--iters", "2"], &["info"]] {
+            for (flag, value) in [("--tasks", "100"), ("--ccr", "2"), ("--connectivity", "high")] {
+                let args = [cmd, &["--instance", inst, flag, value]].concat();
+                let e = err(&args);
+                assert!(e.contains("--instance") && e.contains(flag), "{args:?}: {e}");
+            }
+        }
+        let e = err(&["info", "--instance", inst, "--seed", "3"]);
+        assert!(e.contains("--instance") && e.contains("--seed"), "{e}");
         dispatch(&argv(&[
             "run",
             "--algo",
-            "ga",
-            "--tasks",
-            "12",
-            "--machines",
+            "sa",
+            "--instance",
+            inst,
+            "--iters",
+            "5",
+            "--seed",
             "3",
-            "--iters",
-            "10",
-            "--ga-full-eval",
-            "--report",
         ]))
         .unwrap();
-        dispatch(&argv(&[
-            "tournament",
-            "--suite",
-            "tiny",
-            "--algos",
-            "ga,mct",
-            "--seeds",
-            "1",
-            "--iters",
-            "4",
-            "--ga-full-eval",
-        ]))
-        .unwrap();
-        assert!(USAGE.contains("--ga-full-eval"));
-    }
-
-    #[test]
-    fn no_prune_flag_runs_everywhere() {
-        // run + compare accept the escape hatch; tournament composes it
-        // with --spec like the other execution-mode overrides.
-        dispatch(&argv(&[
-            "run",
-            "--algo",
-            "tabu",
-            "--tasks",
-            "12",
-            "--machines",
-            "3",
-            "--iters",
-            "20",
-            "--no-prune",
-            "--report",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "tournament",
-            "--suite",
-            "tiny",
-            "--algos",
-            "sa,mct",
-            "--seeds",
-            "1",
-            "--iters",
-            "4",
-            "--no-prune",
-        ]))
-        .unwrap();
-        // --help documents the interaction.
-        assert!(USAGE.contains("--no-prune"));
+        std::fs::write(trace, format!("[{DROPOUT}]")).unwrap();
+        let replan =
+            ["replan", "--algo", "sa", "--instance", inst, "--iters", "5", "--disturb", trace];
+        for extra in [&["--events", "2"][..], &["--disturb-seed", "4"], &["--dropout"]] {
+            let args = [&replan[..], extra].concat();
+            let e = err(&args);
+            assert!(e.contains("--disturb") && e.contains(extra[0]), "{args:?}: {e}");
+        }
+        dispatch(&argv(&replan)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(USAGE.contains("--checkpoint-stride"));
+        assert!(!USAGE.contains("--no-prune") && !USAGE.contains("--ga-full-eval"));
     }
 
     #[test]
@@ -1285,7 +1356,12 @@ mod tests {
     fn degenerate_workload_flags_are_errors_not_panics() {
         // Each would trip an assertion in the workload generator; every
         // subcommand that generates an instance must name the flag.
-        for cmd in ["run", "generate", "compare", "info"] {
+        for (cmd, extra) in [
+            ("run", &["--algo", "heft"][..]),
+            ("generate", &[]),
+            ("compare", &["--iters", "1"]),
+            ("info", &[]),
+        ] {
             for (flag, value, want) in [
                 ("--tasks", "0", "--tasks: must be at least 1"),
                 ("--machines", "0", "--machines: must be at least 1"),
@@ -1293,8 +1369,9 @@ mod tests {
                 ("--ccr", "NaN", "--ccr: must be finite and at least 0"),
                 ("--ccr", "inf", "--ccr: must be finite and at least 0"),
             ] {
-                let e = dispatch(&argv(&[cmd, "--algo", "heft", "--iters", "1", flag, value]))
-                    .unwrap_err();
+                let mut args = vec![cmd, flag, value];
+                args.extend(extra);
+                let e = dispatch(&argv(&args)).unwrap_err();
                 assert!(e.contains(want), "{cmd} {flag} {value}: {e}");
             }
         }
@@ -1392,6 +1469,19 @@ mod tests {
             plan.to_str().unwrap(),
         ]))
         .unwrap();
+        assert!(!mshc_schedule::faults::armed(), "--faults must disarm on exit");
+        // A plan's dropouts fix replan's disturbances, so the event
+        // options are errors next to them. (Arming is process-global;
+        // this is the one test of the crate that arms a plan.)
+        std::fs::write(&plan, format!("{{\"dropouts\": [{DROPOUT}]}}")).unwrap();
+        let replan = ["replan", "--algo", "sa", "--tasks", "12", "--machines", "3", "--iters", "5"];
+        let replan = [&replan[..], &["--faults", plan.to_str().unwrap()]].concat();
+        for extra in [&["--events", "2"][..], &["--disturb-seed", "4"], &["--dropout"]] {
+            let args = [&replan[..], extra].concat();
+            let e = dispatch(&argv(&args)).unwrap_err();
+            assert!(e.contains("--faults") && e.contains(extra[0]), "{args:?}: {e}");
+        }
+        dispatch(&argv(&replan)).unwrap();
         assert!(!mshc_schedule::faults::armed(), "--faults must disarm on exit");
         // Unreadable and malformed plans explain themselves.
         let e = dispatch(&argv(&["run", "--algo", "heft", "--faults", "nope.json"])).unwrap_err();

@@ -1,13 +1,13 @@
 //! The SE main loop: evaluation → selection → allocation (§3–4).
 
-use crate::config::{AllocationStrategy, SeConfig};
+use crate::config::SeConfig;
 use crate::goodness::{goodness, optimal_costs};
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator,
-    Incumbent, InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget, RunResult, ScanStats,
-    ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
+    certified_gap, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent, InstanceBound,
+    Objective, ObjectiveKind, RunBudget, RunResult, ScanStats, ScheduleReport, Scheduler,
+    SearchStep, Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::{Levels, TaskId};
 use mshc_trace::{Trace, TraceRecord};
@@ -84,15 +84,15 @@ impl SteppableSearch for SeScheduler {
             })
             .collect();
 
-        // One flattened snapshot serves the scalar evaluator, the
-        // incremental move evaluator and the batch workers for the
-        // whole run (the per-slice evaluator views in `step` all borrow
-        // it, so rebuilding them never changes a score).
+        // One flattened snapshot serves the scalar evaluator and the
+        // batch workers for the whole run (the per-slice evaluator views
+        // in `step` all borrow it, so rebuilding them never changes a
+        // score).
         let snapshot = EvalSnapshot::new(inst);
 
-        // Certified instance floor (makespan only): drives the scan-
-        // global cutoff and early termination. Computed once; consumes
-        // no RNG, counts no evaluations.
+        // Certified instance floor (makespan only): drives early
+        // termination and the reported gap. Computed once; consumes no
+        // RNG, counts no evaluations.
         let bound = objective.is_makespan().then(|| InstanceBound::compute(inst));
 
         // ---- initial solution (§4.2) ----
@@ -159,7 +159,7 @@ struct SeState<'a> {
     /// per-slice evaluators contribute their counts when the slice
     /// ends, so totals are independent of how the run is sliced).
     evaluations: u64,
-    /// Fast-path counters accumulated across completed slices.
+    /// Allocation-scan counters accumulated across completed slices.
     scan: ScanStats,
     selected: Vec<TaskId>,
     bias: f64,
@@ -185,13 +185,6 @@ impl SearchStep for SeState<'_> {
         let g = self.inst.graph();
         let floor = self.bound.as_ref().map(|b| b.floor());
         let mut eval = Evaluator::with_snapshot(&self.snapshot);
-        let mut inc = IncrementalEvaluator::with_snapshot(&self.snapshot);
-        inc.set_stride(self.budget.checkpoint_stride);
-        inc.set_pruning(self.budget.prune);
-        inc.set_splicing(self.budget.prune);
-        inc.set_scan_floor(floor.unwrap_or(f64::NEG_INFINITY));
-        // The best-fit scans run on machine lanes, which use neither the
-        // pruning flags nor the floor; only the stride reaches them.
         let mut batch =
             BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
         let mut stepped = 0u64;
@@ -241,7 +234,6 @@ impl SearchStep for SeState<'_> {
                     &mut self.current,
                     self.inst,
                     &mut eval,
-                    &mut inc,
                     &mut batch,
                     t,
                     &self.allowed[t.index()],
@@ -280,7 +272,6 @@ impl SearchStep for SeState<'_> {
         }
 
         self.evaluations += eval.evaluations();
-        self.scan.merge(inc.stats());
         self.scan.merge(batch.scan_stats());
         if self.early_stopped
             || self.cancelled
@@ -337,7 +328,6 @@ impl SearchStep for SeState<'_> {
             scan: self.scan,
             lower_bound,
             gap: certified_gap(lower_bound, self.best_score),
-            early_stopped: self.early_stopped,
             termination: self.budget.termination(
                 self.iterations,
                 self.evaluations,
@@ -396,8 +386,8 @@ impl SteppableSearch for SePendingBias {
 }
 
 /// Constructively re-places `t`: try every valid string position × every
-/// allowed machine; commit per the configured strategy. The solution is
-/// left at the committed placement.
+/// allowed machine and commit the best (§4.5: "it always chooses the
+/// best location"). The solution is left at the committed placement.
 ///
 /// The allocation step *relocates* selected individuals (§4.5): the
 /// task's exact current `(position, machine)` pair is excluded from the
@@ -416,25 +406,17 @@ impl SteppableSearch for SePendingBias {
 /// * `incremental_eval` — the grid is handed to
 ///   [`BatchEvaluator::best_relocation`]: the base is primed once per
 ///   worker, and each position's candidates are scored together in one
-///   lockstep replay with a lane per allowed machine, exact and without
-///   bounds, never mutating the solution. Grids large enough to pay for
-///   it fan their positions out over the worker pool; smaller ones run
-///   inline. Works for every [`ObjectiveKind`] through the
-///   accumulator-finalize interface;
-/// * otherwise — serial full objective passes (the ablation baseline,
-///   and the only route for custom non-incremental objectives).
-///
-/// [`AllocationStrategy::FirstImprovement`] is inherently sequential
-/// (the commit depends on scan order cutting the scan short), so it
-/// scans serially on either route, with the running best as the
-/// pruning bound of [`IncrementalEvaluator::score_move_bounded`] on the
-/// incremental one.
+///   lockstep replay with a lane per allowed machine, exact, never
+///   mutating the solution. Grids large enough to pay for it fan their
+///   positions out over the worker pool; smaller ones run inline. Works
+///   for every [`ObjectiveKind`] through the accumulator-finalize
+///   interface;
+/// * otherwise — serial full objective passes (the ablation baseline).
 #[allow(clippy::too_many_arguments)]
 fn allocate(
     sol: &mut Solution,
     inst: &HcInstance,
     eval: &mut Evaluator<'_>,
-    inc: &mut IncrementalEvaluator<'_>,
     batch: &mut BatchEvaluator<'_>,
     t: TaskId,
     machines: &[MachineId],
@@ -450,17 +432,16 @@ fn allocate(
         return; // nowhere else to go
     }
 
-    let use_incremental = cfg.incremental_eval && objective.supports_incremental();
     // The incremental route is charged 2 evaluations per scan on top of
     // one per candidate — one for the current-cost read, one for the
     // priming pass — exactly what it has always charged, so evaluation
     // budgets and reported counts are stable across releases (the
     // per-worker primes themselves are uncounted). The full-pass
-    // ablation route charges 1 (no prime), as it always has: decisions
-    // are bit-identical between the routes, evaluation *counts* are
-    // not — don't compare the flag settings under a max_evaluations
-    // budget.
-    if use_incremental && cfg.allocation == AllocationStrategy::BestFit {
+    // ablation route charges 1 for the current-cost read, as it always
+    // has: decisions are bit-identical between the routes, evaluation
+    // *counts* are not — don't compare the flag settings under a
+    // max_evaluations budget.
+    if cfg.incremental_eval && objective.supports_incremental() {
         let before = batch.evaluations();
         let best = batch
             .best_relocation(g, sol, t, lo..=hi, machines, &objective)
@@ -470,44 +451,21 @@ fn allocate(
         return;
     }
 
-    let current_cost = if use_incremental {
-        inc.prime(sol);
-        eval.bump_evaluations(2);
-        inc.base_score(&objective)
-    } else {
-        eval.objective_value(sol, &objective)
-    };
+    eval.bump_evaluations(1);
     let mut best_pos = orig_pos;
     let mut best_m = orig_m;
     let mut best_cost = f64::INFINITY;
-
-    'search: for pos in lo..=hi {
+    for pos in lo..=hi {
         for &m in machines {
             if pos == orig_pos && m == orig_m {
                 continue; // relocation is mandatory
             }
-            let cost = if use_incremental {
-                eval.bump_evaluations(1);
-                // The running best rides along as the pruning bound: a
-                // pruned candidate is provably above `best_cost`, so the
-                // sequential scan would have rejected it (and, being no
-                // new best, never first-improvement-breaks on it) —
-                // skipping is behavior-identical.
-                match inc.score_move_bounded(t, pos, m, best_cost, &objective) {
-                    MoveScore::Exact(cost) => cost,
-                    MoveScore::Pruned => continue,
-                }
-            } else {
-                sol.move_task(g, t, pos, m).expect("candidate within valid range");
-                eval.objective_value(sol, &objective)
-            };
+            sol.move_task(g, t, pos, m).expect("candidate within valid range");
+            let cost = eval.objective_value(sol, &objective);
             if cost < best_cost {
                 best_cost = cost;
                 best_pos = pos;
                 best_m = m;
-                if cfg.allocation == AllocationStrategy::FirstImprovement && cost < current_cost {
-                    break 'search;
-                }
             }
         }
     }
@@ -518,7 +476,7 @@ fn allocate(
 mod tests {
     use super::*;
     use mshc_platform::{HcSystem, Matrix};
-    use mshc_schedule::replay;
+    use mshc_schedule::{replay, Termination};
     use mshc_taskgraph::gen::{layered, LayeredConfig};
     use mshc_taskgraph::TaskGraphBuilder;
 
@@ -618,11 +576,6 @@ mod tests {
         let median = positions[tasks / 2];
         assert!(median * machines * tasks >= 16_384, "median grid of {median} positions");
         assert!(baseline.scan.scored > 0, "the scans must score");
-        assert_eq!(
-            (baseline.scan.pruned, baseline.scan.spliced),
-            (0, 0),
-            "best-fit scans run on lanes, without bounds or splices"
-        );
         for threads in [2usize, 8] {
             let r = run(threads);
             assert_eq!(r.solution, baseline.solution, "{threads} threads");
@@ -717,28 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn no_prune_runs_are_bit_identical() {
-        // The bounded/spliced fast path is a pure cost knob: whole SE
-        // runs match with it off, solutions and evaluation counts
-        // included.
-        let inst = random_instance(24, 4, 51);
-        let cfg = SeConfig { seed: 9, ..Default::default() };
-        let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
-        let off =
-            SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15).with_prune(false), None);
-        assert_eq!(on.solution, off.solution);
-        assert_eq!(on.makespan, off.makespan);
-        assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
-        assert!(on.scan.scored > 0, "best-fit scans incrementally");
-        assert_eq!(on.scan.scored, off.scan.scored);
-        assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
-        assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
-    }
-
-    #[test]
     fn incremental_eval_matches_full_eval_runs() {
-        // The suffix-checkpoint fast path must not change a single
-        // decision: whole runs are bit-identical with the flag on/off.
+        // The lane route must not change a single decision: whole runs
+        // are bit-identical to the full-pass route.
         for seed in [3u64, 17, 91] {
             let inst = random_instance(22, 4, seed);
             let fast =
@@ -846,27 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn first_improvement_strategy_runs_and_is_valid() {
-        let inst = random_instance(20, 3, 14);
-        let best_fit = SeScheduler::new(SeConfig { seed: 5, ..Default::default() }).run(
-            &inst,
-            &RunBudget::iterations(20),
-            None,
-        );
-        let first = SeScheduler::new(SeConfig {
-            seed: 5,
-            allocation: AllocationStrategy::FirstImprovement,
-            ..Default::default()
-        })
-        .run(&inst, &RunBudget::iterations(20), None);
-        first.solution.check(inst.graph()).unwrap();
-        assert!(
-            first.evaluations <= best_fit.evaluations,
-            "first-improvement must not evaluate more than best-fit"
-        );
-    }
-
-    #[test]
     fn early_termination_at_the_certified_floor() {
         // Balanced integer instance: 4 independent tasks on 2 machines,
         // every execution 6.0 → certified floor 12.0 (work 24 over
@@ -884,8 +797,8 @@ mod tests {
         assert_eq!(stopped.lower_bound, Some(12.0));
         assert_eq!(stopped.makespan, 12.0);
         assert_eq!(stopped.gap, Some(1.0));
-        assert!(stopped.early_stopped, "floor hit must flag the stop");
-        assert!(!full.early_stopped, "disabled early stop never flags");
+        assert_eq!(stopped.termination, Termination::Floor, "floor hit must flag the stop");
+        assert_eq!(full.termination, Termination::Budget, "disabled early stop never flags");
         assert_eq!(stopped.solution, full.solution, "early stop never changes the answer");
         assert_eq!(stopped.objective_value, full.objective_value);
         assert!(stopped.iterations < full.iterations, "the stop must actually save work");
@@ -901,7 +814,7 @@ mod tests {
         let r = SeScheduler::with_seed(5).run(&inst, &budget, None);
         assert_eq!(r.lower_bound, None);
         assert_eq!(r.gap, None);
-        assert!(!r.early_stopped);
+        assert_eq!(r.termination, Termination::Budget);
     }
 
     #[test]

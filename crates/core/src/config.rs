@@ -2,24 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How the allocation step commits a placement.
-///
-/// The paper's strategy is [`AllocationStrategy::BestFit`] ("it always
-/// chooses the best location", §4.5). [`AllocationStrategy::FirstImprovement`]
-/// is an ablation knob exercised by the benchmark harness: commit the
-/// first candidate that improves on the current placement, trading
-/// solution quality for fewer evaluations per iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AllocationStrategy {
-    /// Exhaustively try every valid (position, machine) combination and
-    /// commit the best — the paper's constructive allocation.
-    #[default]
-    BestFit,
-    /// Commit the first combination that strictly improves the schedule
-    /// length; fall back to the best seen if none improves.
-    FirstImprovement,
-}
-
 /// Closed-loop adaptation of the selection bias, in the spirit of Kling &
 /// Banerjee's ESP (the paper's reference \[9\]), where selection pressure
 /// is tuned dynamically rather than fixed.
@@ -62,8 +44,6 @@ pub struct SeConfig {
     /// applied to the initial topological string (§4.2). `None` selects
     /// the default `2k`.
     pub init_perturbations: Option<usize>,
-    /// Allocation commit policy (paper: best-fit).
-    pub allocation: AllocationStrategy,
     /// Use incremental (prefix-cached) evaluation during allocation: the
     /// base schedule is primed once per allocation scan (once per worker
     /// when the scan fans out) and every candidate move is scored by
@@ -92,7 +72,6 @@ impl Default for SeConfig {
             y_limit: None,
             seed: 2001, // the paper's year; any fixed default works
             init_perturbations: None,
-            allocation: AllocationStrategy::BestFit,
             incremental_eval: true,
             adaptive_bias: None,
         }
@@ -149,8 +128,8 @@ mod tests {
     #[test]
     fn default_is_paper_faithful() {
         let c = SeConfig::default();
-        assert_eq!(c.allocation, AllocationStrategy::BestFit);
         assert_eq!(c.y_limit, None);
+        assert_eq!(c.adaptive_bias, None, "the paper's bias is fixed");
     }
 
     #[test]

@@ -59,69 +59,6 @@ fn roulette<R: Rng + ?Sized>(costs: &[f64], rng: &mut R) -> usize {
     costs.len() - 1
 }
 
-/// First string position where `a` and `b` differ (`a.len()` if equal).
-/// Segment-level comparison is the only sound way to find a child's
-/// divergence from its parent: the matching crossover is task-id-indexed,
-/// so a machine difference can surface at *any* string position
-/// regardless of the cut points.
-fn first_divergence(a: &Solution, b: &Solution) -> usize {
-    a.segments().iter().zip(b.segments()).position(|(x, y)| x != y).unwrap_or(a.len())
-}
-
-/// How one offspring was constructed, recorded during breeding so the
-/// fitness pass can classify its [`Descent`] from a parent without
-/// reverse-engineering the operators.
-struct Lineage {
-    /// Index of parent A (the prefix donor) in the previous generation.
-    parent: usize,
-    /// Whether crossover ran (divergence must then be measured, not
-    /// derived from cut points — see [`first_divergence`]).
-    crossed: bool,
-    /// Scheduling mutation that actually changed the order: the task and
-    /// its new position.
-    sched: Option<(TaskId, usize)>,
-    /// Matching mutation that actually changed a machine: the task.
-    matched: Option<TaskId>,
-}
-
-impl Lineage {
-    /// Classifies the child against its parent's solution string.
-    fn descent(&self, parent: &Solution, child: &Solution) -> Descent {
-        if !self.crossed {
-            match (self.sched, self.matched) {
-                (None, None) => return Descent::Clone { parent: self.parent },
-                // A single disturbed task — including the
-                // order-and-machine hit on the same task — is exactly
-                // the incremental evaluator's native move shape.
-                (Some((t, _)), m) if m.is_none() || m == Some(t) => {
-                    return Descent::Move {
-                        parent: self.parent,
-                        task: t,
-                        pos: child.position_of(t),
-                        machine: child.machine_of(t),
-                    };
-                }
-                (None, Some(t)) => {
-                    return Descent::Move {
-                        parent: self.parent,
-                        task: t,
-                        pos: child.position_of(t),
-                        machine: child.machine_of(t),
-                    };
-                }
-                // Two different tasks disturbed: fall through to the
-                // measured-divergence route.
-                _ => {}
-            }
-        }
-        match first_divergence(parent, child) {
-            d if d == child.len() => Descent::Clone { parent: self.parent },
-            0 => Descent::Fresh,
-            d => Descent::Suffix { parent: self.parent, diverge: d },
-        }
-    }
-}
-
 impl Scheduler for GaScheduler {
     fn name(&self) -> &str {
         "ga"
@@ -148,15 +85,12 @@ impl SteppableSearch for GaScheduler {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         // Whole-population fitness goes through the batch evaluator: one
         // call per generation, fanned out over worker threads. From
-        // generation 1 on, offspring carry lineage metadata and ride the
-        // parent-primed prefix-splicing path (`score_population`): a
-        // crossover child shares a literal prefix with parent A up to
-        // its first divergence, mutation-only children are native
-        // single-task moves, and exact clones reuse the parent's score
-        // outright — all bit-identical to a full pass, so roulette
-        // pressure and evaluation counts are unchanged (the
-        // `--ga-full-eval` escape hatch routes back through full
-        // passes). Generation 0 has no parents and full-evaluates.
+        // generation 1 on, each child records its prefix donor, and a
+        // child identical to its donor (an elite, or crossover and
+        // mutation that reproduced parent A) reuses the donor's score
+        // outright (`score_population`) — bit-identical to a full pass,
+        // so roulette pressure and evaluation counts are unchanged.
+        // Generation 0 has no parents and full-evaluates.
         let snapshot = EvalSnapshot::new(inst);
         let mut sols: Vec<Solution> = Vec::with_capacity(cfg.population);
 
@@ -229,8 +163,8 @@ struct GaState<'a> {
     generations: u64,
     stall: u64,
     evaluations: u64,
-    /// Population-scoring counters accumulated across steps (suffixed /
-    /// prefix-reused / splice diagnostics; all deterministic).
+    /// Population-scoring counters accumulated across steps (clones and
+    /// their string positions; all deterministic).
     scan: ScanStats,
     /// The certified instance floor (`Some` iff makespan objective).
     lower_bound: Option<f64>,
@@ -272,19 +206,20 @@ impl SearchStep for GaState<'_> {
         {
             // ---- next generation ----
             let mut next = Vec::with_capacity(self.cfg.population);
-            let mut lineage = Vec::with_capacity(self.cfg.population);
+            // Each child's prefix donor: the elite itself, or parent A.
+            let mut donors = Vec::with_capacity(self.cfg.population);
             // Elitism: carry the best chromosomes over unchanged.
             let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
             ranked.sort_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)));
             for &i in ranked.iter().take(self.cfg.elites) {
                 next.push(self.pop[i].clone());
-                lineage.push(Lineage { parent: i, crossed: false, sched: None, matched: None });
+                donors.push(i);
             }
             while next.len() < self.cfg.population {
                 // RNG consumption order is the fitness-bit contract:
                 // roulette(pa), roulette(pb), crossover draw (+cuts),
                 // sched-mutation draw (+task,pos), match-mutation draw
-                // (+task,machine). Lineage recording must not add draws.
+                // (+task,machine).
                 let ia = roulette(&self.costs, &mut self.rng);
                 let ib = roulette(&self.costs, &mut self.rng);
                 let pa = &self.pop[ia];
@@ -300,54 +235,47 @@ impl SearchStep for GaState<'_> {
                 } else {
                     pa.clone()
                 };
-                let mut sched = None;
                 if self.rng.gen::<f64>() < self.cfg.sched_mutation_prob {
                     let t = TaskId::from_usize(self.rng.gen_range(0..k));
                     let (lo, hi) = order_valid_range(g, &child.order, t);
                     let pos = self.rng.gen_range(lo..=hi);
-                    let old = child.order.iter().position(|&x| x == t).expect("task present");
                     let moved = child.mutate_order(g, t, pos);
                     debug_assert!(moved);
-                    if pos != old {
-                        sched = Some((t, pos));
-                    }
                 }
-                let mut matched = None;
                 if self.rng.gen::<f64>() < self.cfg.match_mutation_prob {
                     let t = TaskId::from_usize(self.rng.gen_range(0..k));
                     let m = MachineId::from_usize(self.rng.gen_range(0..l));
-                    if child.matching[t.index()] != m {
-                        matched = Some(t);
-                    }
                     child.mutate_matching(t, m);
                 }
                 next.push(child);
-                lineage.push(Lineage { parent: ia, crossed, sched, matched });
+                donors.push(ia);
             }
-            // The outgoing generation becomes the parent pool: its
-            // solutions are the primable bases, its costs serve clones.
+            // The outgoing generation becomes the parent pool: its costs
+            // serve the children that reproduce their donor exactly.
             let parent_sols = std::mem::take(&mut self.sols);
             let parent_costs = std::mem::take(&mut self.costs);
             self.pop = next;
             let inst = self.inst;
             self.sols.extend(self.pop.iter().map(|c| c.to_solution(inst)));
-            self.costs = if self.budget.ga_full_eval {
-                batch.scores(&self.sols, &self.objective)
-            } else {
-                let descents: Vec<Descent> = self
-                    .sols
-                    .iter()
-                    .zip(&lineage)
-                    .map(|(child, li)| li.descent(&parent_sols[li.parent], child))
-                    .collect();
-                batch.score_population(
-                    &parent_sols,
-                    &parent_costs,
-                    &self.sols,
-                    &descents,
-                    &self.objective,
-                )
-            };
+            let descents: Vec<Descent> = self
+                .sols
+                .iter()
+                .zip(&donors)
+                .map(|(child, &parent)| {
+                    if *child == parent_sols[parent] {
+                        Descent::Clone { parent }
+                    } else {
+                        Descent::Fresh
+                    }
+                })
+                .collect();
+            self.costs = batch.score_population(
+                &parent_sols,
+                &parent_costs,
+                &self.sols,
+                &descents,
+                &self.objective,
+            );
 
             let best_idx = argmin(&self.costs);
             if self.costs[best_idx] < self.best_cost {
@@ -414,8 +342,8 @@ impl SearchStep for GaState<'_> {
         if cost < self.costs[worst] {
             self.pop[worst] = Chromosome::from_solution(migrant);
             self.costs[worst] = cost;
-            // Keep the cached solution in sync: next generation's
-            // lineage classification uses `sols` as the primable bases
+            // Keep the cached solution in sync: next generation's clone
+            // detection compares children against `sols`
             // (`from_solution` → `to_solution` round-trips exactly).
             self.sols[worst] = migrant.clone();
             if cost < self.best_cost {
@@ -445,7 +373,6 @@ impl SearchStep for GaState<'_> {
             scan: self.scan,
             lower_bound: self.lower_bound,
             gap: certified_gap(self.lower_bound, self.best_cost),
-            early_stopped: self.early_stopped,
             termination: self.budget.termination(
                 self.generations,
                 self.evaluations,
@@ -565,60 +492,40 @@ mod tests {
     }
 
     #[test]
-    fn spliced_fitness_is_bit_identical_to_full_eval() {
-        // The tentpole contract: parent-primed prefix splicing must not
-        // move a single fitness bit — same solutions, same objective
-        // values, same evaluation counts, same per-generation trace —
-        // across seeds, objectives and checkpoint strides.
+    fn clone_shortcut_serves_exactly_the_clones() {
+        // Every generation scores `population` children; the ones equal
+        // to their prefix donor (at least the elite) take the donor's
+        // cost, the rest one full pass each, and nothing is scored on
+        // tier 3. The population axes count exactly those clones.
         let inst = random_instance(24, 4, 61);
-        let k = inst.task_count();
+        let k = inst.task_count() as u64;
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for seed in [3u64, 19] {
-            for kind in [ObjectiveKind::Makespan, ObjectiveKind::TotalFlowtime, weighted] {
-                for stride in [None, Some(1), Some(k + 3)] {
-                    let budget = RunBudget::iterations(12)
-                        .with_objective(kind)
-                        .with_checkpoint_stride(stride);
-                    let mut full_trace = Trace::new();
-                    let full = GaScheduler::with_seed(seed).run(
-                        &inst,
-                        &budget.clone().with_ga_full_eval(true),
-                        Some(&mut full_trace),
-                    );
-                    let mut spliced_trace = Trace::new();
-                    let spliced =
-                        GaScheduler::with_seed(seed).run(&inst, &budget, Some(&mut spliced_trace));
-                    let tag = format!("seed {seed}, {}, stride {stride:?}", kind.label());
-                    assert_eq!(spliced.solution, full.solution, "{tag}");
-                    assert_eq!(spliced.objective_value, full.objective_value, "{tag}");
-                    assert_eq!(spliced.evaluations, full.evaluations, "{tag}");
-                    assert_eq!(spliced.iterations, full.iterations, "{tag}");
-                    // Traces match record-for-record on every
-                    // deterministic field (elapsed wall time obviously
-                    // differs between the two runs).
-                    assert_eq!(spliced_trace.records().len(), full_trace.records().len(), "{tag}");
-                    for (s, f) in spliced_trace.records().iter().zip(full_trace.records()) {
-                        assert_eq!(s.iteration, f.iteration, "{tag}");
-                        assert_eq!(s.evaluations, f.evaluations, "{tag}");
-                        assert_eq!(s.current_cost, f.current_cost, "{tag}");
-                        assert_eq!(s.best_cost, f.best_cost, "{tag}");
-                        assert_eq!(s.population_mean, f.population_mean, "{tag}");
-                    }
-                    // The spliced run actually rode the fast path...
-                    assert!(spliced.scan.suffixed > 0, "{tag}");
-                    assert!(spliced.scan.prefix_reused > 0, "{tag}");
-                    // ...and the escape hatch really is full evaluation.
-                    assert_eq!(full.scan.suffix_total, 0, "{tag}");
-                }
-            }
+        for kind in [ObjectiveKind::Makespan, ObjectiveKind::TotalFlowtime, weighted] {
+            let budget = RunBudget::iterations(12).with_objective(kind);
+            let r = GaScheduler::with_seed(3).run(&inst, &budget, None);
+            let cfg = GaConfig::default();
+            let children = r.iterations * cfg.population as u64;
+            assert_eq!(r.evaluations, cfg.population as u64 + children, "{}", kind.label());
+            assert_eq!(r.scan.scored, 0, "{}", kind.label());
+            assert_eq!(r.scan.population_positions, children * k, "{}", kind.label());
+            assert!(r.scan.clones >= r.iterations * cfg.elites as u64, "{}", kind.label());
+            assert_eq!(r.scan.clone_positions, r.scan.clones * k, "{}", kind.label());
+            // The checkpoint stride does not reach population scoring.
+            let strided = GaScheduler::with_seed(3).run(
+                &inst,
+                &budget.clone().with_checkpoint_stride(Some(1)),
+                None,
+            );
+            assert_eq!(strided.solution, r.solution, "{}", kind.label());
+            assert_eq!(strided.scan, r.scan, "{}", kind.label());
         }
     }
 
     #[test]
     fn ga_scan_stats_are_thread_invariant() {
         // The population counters are a pure function of the
-        // chromosomes (no bound, no pruning), so `run --report` output
-        // is byte-identical at any worker-thread count.
+        // chromosomes, so `run --report` output is byte-identical at any
+        // worker-thread count.
         let inst = random_instance(22, 3, 62);
         let budget = RunBudget::iterations(10);
         let baseline = rayon::ThreadPoolBuilder::new()
@@ -626,7 +533,7 @@ mod tests {
             .build()
             .unwrap()
             .install(|| GaScheduler::with_seed(6).run(&inst, &budget, None));
-        assert!(baseline.scan.suffix_total > 0);
+        assert!(baseline.scan.population_positions > 0);
         for threads in [2usize, 8] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let r = pool.install(|| GaScheduler::with_seed(6).run(&inst, &budget, None));

@@ -204,7 +204,6 @@ impl Scheduler for HeftScheduler {
             scan: Default::default(),
             lower_bound: None,
             gap: None,
-            early_stopped: false,
             termination: Termination::Completed,
         }
         .with_certificate(inst, budget.objective)
@@ -296,7 +295,6 @@ impl Scheduler for CpopScheduler {
             scan: Default::default(),
             lower_bound: None,
             gap: None,
-            early_stopped: false,
             termination: Termination::Completed,
         }
         .with_certificate(inst, budget.objective)

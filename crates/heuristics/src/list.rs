@@ -151,7 +151,6 @@ impl Scheduler for ListScheduler {
             scan: Default::default(),
             lower_bound: None,
             gap: None,
-            early_stopped: false,
             termination: Termination::Completed,
         }
         .with_certificate(inst, budget.objective)

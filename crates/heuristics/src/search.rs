@@ -246,7 +246,6 @@ impl SearchStep for RandomState<'_> {
             scan: ScanStats::default(),
             lower_bound: self.lower_bound,
             gap: certified_gap(self.lower_bound, self.best_cost),
-            early_stopped: self.early_stopped,
             termination: self.budget.termination(
                 self.iterations,
                 self.evaluations,
@@ -326,8 +325,6 @@ impl SteppableSearch for SimulatedAnnealing {
         let current_cost = {
             let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
             inc.set_stride(budget.checkpoint_stride);
-            inc.set_pruning(false);
-            inc.set_splicing(false);
             inc.prime(&current);
             inc.base_score(&objective)
         };
@@ -378,9 +375,7 @@ struct SaState<'a> {
     /// uncounted cache rebuilds, keeping the axis identical to the
     /// historic full-pass loop however the run is sliced.
     proposals: u64,
-    /// Fast-path counters accumulated across completed slices. SA never
-    /// bound-prunes (the Metropolis rule needs every proposal's exact
-    /// score), but its proposals splice on reconvergence.
+    /// Proposal scorings accumulated across completed slices.
     scan: ScanStats,
     /// The certified instance floor (`Some` iff makespan objective).
     lower_bound: Option<f64>,
@@ -401,11 +396,6 @@ impl SearchStep for SaState<'_> {
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let mut inc = IncrementalEvaluator::with_snapshot(&self.snapshot);
         inc.set_stride(self.budget.checkpoint_stride);
-        // SA scores every proposal exactly (the Metropolis rule needs
-        // the true delta), so pruning is off and its per-acceptance
-        // re-primes skip the bound structures entirely.
-        inc.set_pruning(false);
-        inc.set_splicing(self.budget.prune);
         inc.prime(&self.current);
         let mut stepped = 0u64;
         self.early_stopped =
@@ -506,7 +496,6 @@ impl SearchStep for SaState<'_> {
             scan: self.scan,
             lower_bound: self.lower_bound,
             gap: certified_gap(self.lower_bound, self.best_cost),
-            early_stopped: self.early_stopped,
             termination: self.budget.termination(
                 self.iterations,
                 1 + self.proposals,
@@ -537,12 +526,12 @@ impl Default for TabuConfig {
 }
 
 /// Sampled-neighborhood tabu search: each iteration samples `samples`
-/// moves, resolves the whole sample in one bounded
+/// moves, resolves the whole sample in one
 /// [`BatchEvaluator::best_task_move`] scan (tabu moves contend only
 /// through the aspiration criterion: beating the global best), applies
 /// the winner and marks the moved task tabu for `tenure` iterations.
-/// Moves are drawn *before* any is scored, and the bounded scan selects
-/// exactly what the historic score-everything-then-pick loop selected —
+/// Moves are drawn *before* any is scored, and the scan selects exactly
+/// what the historic score-everything-then-pick loop selected —
 /// bit-identical at any thread count, with the same evaluation count.
 #[derive(Debug, Clone)]
 pub struct TabuSearch {
@@ -628,13 +617,13 @@ struct TabuState<'a> {
     best_cost: f64,
     tabu_until: Vec<u64>,
     sampled: Vec<(TaskId, usize, MachineId)>,
-    /// Per-sample non-tabu mask for the bounded scan, rebuilt each
+    /// Per-sample non-tabu mask for the argmin scan, rebuilt each
     /// iteration.
     admissible: Vec<bool>,
     iterations: u64,
     stall: u64,
     evaluations: u64,
-    /// Fast-path counters accumulated across completed slices.
+    /// Neighborhood scorings accumulated across completed slices.
     scan: ScanStats,
     /// The certified instance floor (`Some` iff makespan objective).
     lower_bound: Option<f64>,
@@ -654,12 +643,8 @@ impl SearchStep for TabuState<'_> {
 
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let g = self.inst.graph();
-        let mut batch = BatchEvaluator::new(&self.snapshot)
-            .with_stride(self.budget.checkpoint_stride)
-            .with_pruning(self.budget.prune)
-            // The certified floor is only Some under makespan, where it
-            // lower-bounds every neighbor — the scan-global cutoff.
-            .with_scan_floor(self.lower_bound.unwrap_or(f64::NEG_INFINITY));
+        let mut batch =
+            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
         let mut stepped = 0u64;
         self.early_stopped =
             self.early_stopped || self.budget.floor_reached(self.lower_bound, self.best_cost);
@@ -683,9 +668,8 @@ impl SearchStep for TabuState<'_> {
                 self.sampled.push((t, pos, m));
             }
             // Tabu status is a pure function of the tenure table, so it
-            // is known before scoring — the bounded scan can cut a tabu
-            // candidate as soon as it provably misses the aspiration
-            // line, and any candidate once it provably loses the argmin.
+            // is known before scoring; the scan applies the aspiration
+            // rule to the exact scores.
             self.admissible.clear();
             self.admissible.extend(
                 self.sampled.iter().map(|&(t, _, _)| self.tabu_until[t.index()] <= self.iterations),
@@ -778,7 +762,6 @@ impl SearchStep for TabuState<'_> {
             scan: self.scan,
             lower_bound: self.lower_bound,
             gap: certified_gap(self.lower_bound, self.best_cost),
-            early_stopped: self.early_stopped,
             termination: self.budget.termination(
                 self.iterations,
                 self.evaluations,
@@ -874,38 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn no_prune_runs_are_bit_identical_for_sa_and_tabu() {
-        // Bounded selection (tabu) and spliced proposals (SA) are pure
-        // cost knobs: runs match bit for bit with the fast path off,
-        // evaluation counts included.
-        let inst = random_instance(22, 4, 39);
-        let on_budget = RunBudget::iterations(200);
-        let off_budget = RunBudget::iterations(200).with_prune(false);
-        let sa_on = SimulatedAnnealing::new(SaConfig { seed: 5, ..Default::default() })
-            .run(&inst, &on_budget, None);
-        let sa_off = SimulatedAnnealing::new(SaConfig { seed: 5, ..Default::default() }).run(
-            &inst,
-            &off_budget,
-            None,
-        );
-        assert_eq!(sa_on.solution, sa_off.solution);
-        assert_eq!(sa_on.evaluations, sa_off.evaluations);
-        assert_eq!(sa_off.scan.spliced, 0);
-        let tabu_on = TabuSearch::new(TabuConfig { seed: 5, ..Default::default() })
-            .run(&inst, &on_budget, None);
-        let tabu_off = TabuSearch::new(TabuConfig { seed: 5, ..Default::default() }).run(
-            &inst,
-            &off_budget,
-            None,
-        );
-        assert_eq!(tabu_on.solution, tabu_off.solution);
-        assert_eq!(tabu_on.makespan, tabu_off.makespan);
-        assert_eq!(tabu_on.evaluations, tabu_off.evaluations);
-        assert_eq!(tabu_off.scan.pruned, 0);
-        assert!(tabu_on.scan.scored > 0, "tabu scans through the bounded path");
-    }
-
-    #[test]
     fn tabu_is_bit_identical_across_thread_counts() {
         // Batch-scored neighborhoods must reproduce the historic
         // move-eval-undo loop exactly, at any worker-thread count.
@@ -925,7 +876,9 @@ mod tests {
             assert_eq!(r.solution, baseline.solution, "{threads} threads");
             assert_eq!(r.makespan, baseline.makespan, "{threads} threads");
             assert_eq!(r.evaluations, baseline.evaluations, "{threads} threads");
+            assert_eq!(r.scan, baseline.scan, "{threads} threads");
         }
+        assert_eq!(baseline.scan.scored, baseline.iterations * 24, "one scoring per sampled move");
     }
 
     #[test]

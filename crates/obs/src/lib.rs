@@ -11,8 +11,8 @@
 //! Every metric belongs to exactly one plane (see [`Plane`]):
 //!
 //! * the **deterministic plane** ([`DeterministicPlane`]) holds
-//!   algorithmic counters — evaluations, prunes, splices, prefix
-//!   reuses, early stops, iterations, cell completions — that are
+//!   algorithmic counters — evaluations, move scorings, GA clones,
+//!   early stops, iterations, cell completions — that are
 //!   reproducible run-to-run and invariant across thread counts (the
 //!   house invariant), every counter alike;
 //! * the **timing plane** ([`TimingPlane`]) holds pool scheduling
@@ -62,7 +62,7 @@
 //! assert_eq!(snap.deterministic.evaluations, 1);
 //! obs::enable(false);
 //! let json = snap.to_json(); // the `--metrics` wire format
-//! assert!(json.contains("\"schema_version\":2"));
+//! assert!(json.contains("\"schema_version\":3"));
 //! ```
 
 mod events;

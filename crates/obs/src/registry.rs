@@ -41,8 +41,8 @@ pub enum Plane {
 
 /// Monotonic counters of the deterministic plane.
 ///
-/// Every variant counts *algorithmic events* — candidates scored, prunes
-/// taken, cells finished — whose totals are reproducible at any thread
+/// Every variant counts *algorithmic events* — candidates scored, clones
+/// served, cells finished — whose totals are reproducible at any thread
 /// count. The scan axes mirror
 /// [`ScanStats`](../../mshc_schedule/struct.ScanStats.html): the same
 /// evaluator bump sites drive both the per-run struct and this registry,
@@ -54,19 +54,14 @@ pub enum Counter {
     ///
     /// [`Evaluator`]: ../../mshc_schedule/struct.Evaluator.html
     Evaluations,
-    /// Tier-3 move/suffix scorings (pruned candidates included — the
-    /// evaluation-count contract).
+    /// Tier-3 move scorings (one per candidate, machine lanes included).
     ScanScored,
-    /// Scorings abandoned by the bound cut.
-    ScanPruned,
-    /// Scorings completed early by a reconvergence splice.
-    ScanSpliced,
-    /// Population children scored through the parent-primed path.
-    ScanSuffixed,
-    /// String positions served from primed prefixes instead of replay.
-    ScanPrefixReused,
+    /// Population children served by their parent's cost (exact clones).
+    ScanClones,
+    /// String positions of those clones, served without a pass.
+    ScanClonePositions,
     /// Total string positions across population children scored.
-    ScanSuffixTotal,
+    ScanPopulationPositions,
     /// Scheduler iterations (SE) / generations (GA) executed.
     Iterations,
     /// Runs that terminated early at a certified floor.
@@ -96,11 +91,9 @@ impl Counter {
     pub const ALL: [Counter; COUNTERS] = [
         Counter::Evaluations,
         Counter::ScanScored,
-        Counter::ScanPruned,
-        Counter::ScanSpliced,
-        Counter::ScanSuffixed,
-        Counter::ScanPrefixReused,
-        Counter::ScanSuffixTotal,
+        Counter::ScanClones,
+        Counter::ScanClonePositions,
+        Counter::ScanPopulationPositions,
         Counter::Iterations,
         Counter::EarlyStops,
         Counter::CellsCompleted,
@@ -116,11 +109,9 @@ impl Counter {
         match self {
             Counter::Evaluations => "evaluations",
             Counter::ScanScored => "scan_scored",
-            Counter::ScanPruned => "scan_pruned",
-            Counter::ScanSpliced => "scan_spliced",
-            Counter::ScanSuffixed => "scan_suffixed",
-            Counter::ScanPrefixReused => "scan_prefix_reused",
-            Counter::ScanSuffixTotal => "scan_suffix_total",
+            Counter::ScanClones => "scan_clones",
+            Counter::ScanClonePositions => "scan_clone_positions",
+            Counter::ScanPopulationPositions => "scan_population_positions",
             Counter::Iterations => "iterations",
             Counter::EarlyStops => "early_stops",
             Counter::CellsCompleted => "cells_completed",

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `BENCH_eval.json`). Bump on any wire-incompatible change to
 /// [`Snapshot`]; additive fields with `#[serde(default)]` do not
 /// require a bump.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Number of log₂ histogram buckets: bucket `b` (for `b ≥ 1`) counts
 /// samples `v` with `2^(b-1) ≤ v < 2^b`; bucket 0 counts `v == 0`,
@@ -71,24 +71,18 @@ pub struct DeterministicPlane {
     /// Tier-1 full evaluation passes.
     #[serde(default)]
     pub evaluations: u64,
-    /// Tier-3 move/suffix scorings (mirrors `ScanStats::scored`).
+    /// Tier-3 move scorings (mirrors `ScanStats::scored`).
     #[serde(default)]
     pub scan_scored: u64,
-    /// Scorings abandoned by the bound cut.
+    /// Population children served by their parent's cost (exact clones).
     #[serde(default)]
-    pub scan_pruned: u64,
-    /// Scorings completed early by a reconvergence splice.
+    pub scan_clones: u64,
+    /// String positions of those clones, served without a pass.
     #[serde(default)]
-    pub scan_spliced: u64,
-    /// Population children scored through the parent-primed path.
-    #[serde(default)]
-    pub scan_suffixed: u64,
-    /// String positions served from primed prefixes instead of replay.
-    #[serde(default)]
-    pub scan_prefix_reused: u64,
+    pub scan_clone_positions: u64,
     /// Total string positions across population children scored.
     #[serde(default)]
-    pub scan_suffix_total: u64,
+    pub scan_population_positions: u64,
     /// Scheduler iterations / GA generations executed.
     #[serde(default)]
     pub iterations: u64,
@@ -122,11 +116,9 @@ impl DeterministicPlane {
         match c {
             Counter::Evaluations => &mut self.evaluations,
             Counter::ScanScored => &mut self.scan_scored,
-            Counter::ScanPruned => &mut self.scan_pruned,
-            Counter::ScanSpliced => &mut self.scan_spliced,
-            Counter::ScanSuffixed => &mut self.scan_suffixed,
-            Counter::ScanPrefixReused => &mut self.scan_prefix_reused,
-            Counter::ScanSuffixTotal => &mut self.scan_suffix_total,
+            Counter::ScanClones => &mut self.scan_clones,
+            Counter::ScanClonePositions => &mut self.scan_clone_positions,
+            Counter::ScanPopulationPositions => &mut self.scan_population_positions,
             Counter::Iterations => &mut self.iterations,
             Counter::EarlyStops => &mut self.early_stops,
             Counter::CellsCompleted => &mut self.cells_completed,
@@ -138,33 +130,19 @@ impl DeterministicPlane {
         }
     }
 
-    /// Fraction of scan candidates abandoned by the bound cut
-    /// (same definition as `ScanStats::pruned_fraction`).
-    pub fn pruned_fraction(&self) -> f64 {
-        fraction(self.scan_pruned, self.scan_scored)
-    }
-
-    /// Fraction of scan candidates finished by a reconvergence splice
-    /// (same definition as `ScanStats::spliced_fraction`).
-    pub fn spliced_fraction(&self) -> f64 {
-        fraction(self.scan_spliced, self.scan_scored)
-    }
-
-    /// Fraction of population string positions served from primed
-    /// prefixes (same definition as `ScanStats::prefix_reuse_fraction`).
-    pub fn prefix_reuse_fraction(&self) -> f64 {
-        fraction(self.scan_prefix_reused, self.scan_suffix_total)
+    /// Fraction of population string positions served by exact clones
+    /// (same definition as `ScanStats::prefix_reuse_fraction`).
+    pub fn clone_fraction(&self) -> f64 {
+        fraction(self.scan_clone_positions, self.scan_population_positions)
     }
 
     /// Sum merge: every deterministic counter is additive.
     pub fn merge(&mut self, other: &DeterministicPlane) {
         self.evaluations += other.evaluations;
         self.scan_scored += other.scan_scored;
-        self.scan_pruned += other.scan_pruned;
-        self.scan_spliced += other.scan_spliced;
-        self.scan_suffixed += other.scan_suffixed;
-        self.scan_prefix_reused += other.scan_prefix_reused;
-        self.scan_suffix_total += other.scan_suffix_total;
+        self.scan_clones += other.scan_clones;
+        self.scan_clone_positions += other.scan_clone_positions;
+        self.scan_population_positions += other.scan_population_positions;
         self.iterations += other.iterations;
         self.early_stops += other.early_stops;
         self.cells_completed += other.cells_completed;
@@ -357,11 +335,9 @@ mod tests {
         let det = DeterministicPlane {
             evaluations: 10 * k,
             scan_scored: 8 * k,
-            scan_pruned: 3 * k,
-            scan_spliced: k,
-            scan_suffixed: 2 * k,
-            scan_prefix_reused: 5 * k,
-            scan_suffix_total: 9 * k,
+            scan_clones: 2 * k,
+            scan_clone_positions: 5 * k,
+            scan_population_positions: 9 * k,
             iterations: k,
             early_stops: k % 2,
             cells_completed: k,
@@ -407,12 +383,9 @@ mod tests {
     #[test]
     fn fractions_match_scan_stats_definitions() {
         let det = sample_snapshot(2).deterministic;
-        assert!((det.pruned_fraction() - 6.0 / 16.0).abs() < 1e-12);
-        assert!((det.spliced_fraction() - 2.0 / 16.0).abs() < 1e-12);
-        assert!((det.prefix_reuse_fraction() - 10.0 / 18.0).abs() < 1e-12);
+        assert!((det.clone_fraction() - 10.0 / 18.0).abs() < 1e-12);
         let zero = DeterministicPlane::default();
-        assert_eq!(zero.pruned_fraction(), 0.0);
-        assert_eq!(zero.prefix_reuse_fraction(), 0.0);
+        assert_eq!(zero.clone_fraction(), 0.0);
     }
 
     #[test]
@@ -428,9 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_migrates_forward() {
+    fn older_snapshots_migrate_forward() {
         // A schema-1 document (pre fault-tolerance counters) parses into
-        // the v2 struct: missing counters default to zero, the replan
+        // the current struct: missing counters default to zero, the replan
         // histogram defaults to empty, and the old stamp is preserved so
         // callers can detect the migration.
         let v1 = concat!(
@@ -449,10 +422,21 @@ mod tests {
         assert_eq!(snap.deterministic.cancellations, 0);
         assert_eq!(snap.deterministic.replans, 0);
         assert_eq!(snap.timing.replan_us, Histogram::default());
-        // Merging a v1 snapshot into a v2 one keeps the newer stamp.
+        // Merging a v1 snapshot into a current one keeps the newer stamp.
         let mut merged = Snapshot::assemble(DeterministicPlane::default(), TimingPlane::default());
         merged.merge(&snap);
         assert_eq!(merged.schema_version, SCHEMA_VERSION);
         assert_eq!(merged.deterministic.evaluations, 42);
+        // A schema-2 document still carrying the retired scan_pruned,
+        // scan_spliced and scan_suffixed counters parses too; the retired
+        // keys are ignored.
+        let v2 = concat!(
+            "{\"schema_version\":2,",
+            "\"deterministic\":{\"scan_scored\":9,\"scan_pruned\":5,\"scan_spliced\":2,",
+            "\"scan_suffixed\":4}}"
+        );
+        let snap = Snapshot::from_json(v2).expect("v2 parses");
+        assert_eq!(snap.schema_version, 2);
+        assert_eq!(snap.deterministic, DeterministicPlane { scan_scored: 9, ..Default::default() });
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::spec::{build_contestant, Race, TournamentSpec};
 use mshc_obs as obs;
-use mshc_schedule::{RunResult, ScanStats, SearchStep, Solution};
+use mshc_schedule::{RunResult, ScanStats, SearchStep, Solution, Termination};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,7 +59,8 @@ pub struct CellOutcome {
     #[serde(default)]
     pub gap: Option<f64>,
     /// Whether the run terminated early because its incumbent reached
-    /// the certified floor.
+    /// the certified floor: `termination == "floor"`, kept as its own
+    /// field so the leaderboard layout is unchanged.
     #[serde(default)]
     pub early_stopped: bool,
     /// Same-seed attempts beyond the first this cell needed (injected
@@ -80,7 +81,7 @@ pub struct CellOutcome {
 }
 
 /// Per-cell diagnostics sidecar, kept out of the serialized outcome:
-/// wall-clock cost plus the run's scan-efficiency counters. The scan
+/// wall-clock cost plus the run's scoring counters. The scan
 /// counters are thread-count invariant like every other deterministic
 /// counter; they ride here rather than in [`CellOutcome`] so the
 /// serialized outcome — and with it the leaderboard bytes — keeps its
@@ -195,7 +196,7 @@ fn finished_cell(race: &Race, algorithm: &str, result: &RunResult, retries: u64)
             ("makespan", obs::EventValue::F64(result.makespan)),
             ("iterations", obs::EventValue::U64(result.iterations)),
             ("evaluations", obs::EventValue::U64(result.evaluations)),
-            ("early_stopped", obs::EventValue::Bool(result.early_stopped)),
+            ("early_stopped", obs::EventValue::Bool(result.termination == Termination::Floor)),
             ("termination", obs::EventValue::Str(result.termination.as_str())),
         ],
     );
@@ -211,7 +212,7 @@ fn finished_cell(race: &Race, algorithm: &str, result: &RunResult, retries: u64)
         evaluations: result.evaluations,
         lower_bound: result.lower_bound,
         gap: result.gap,
-        early_stopped: result.early_stopped,
+        early_stopped: result.termination == Termination::Floor,
         retries,
         degraded: retries > 0,
         termination: result.termination.as_str().to_string(),

@@ -205,10 +205,11 @@ pub fn aggregate(run: &TournamentRun) -> (Leaderboard, Timing) {
 ///
 /// `timing` is the run's per-cell diagnostics sidecar
 /// ([`TournamentRun::timing`], same order as `board.results`): it feeds
-/// the scan-efficiency fraction columns. Pass `&[]` when re-exporting a
-/// deserialized leaderboard with no live run — the fractions render as
-/// zeros. The CSV carries the wall-clock `secs` column by design and is
-/// never byte-compared by CI, unlike the leaderboard JSON.
+/// the `clone_fraction` column (GA's share of string positions
+/// served by exact clones). Pass `&[]` when re-exporting a deserialized
+/// leaderboard with no live run — the fraction renders as zero. The
+/// CSV carries the wall-clock `secs` column by design and is never
+/// byte-compared by CI, unlike the leaderboard JSON.
 pub fn cells_csv(board: &Leaderboard, timing: &[CellTiming]) -> CsvTable {
     let sanitize = |s: &str| s.replace([',', '"', '\n'], ";");
     let mut table = CsvTable::new([
@@ -225,16 +226,14 @@ pub fn cells_csv(board: &Leaderboard, timing: &[CellTiming]) -> CsvTable {
         "lower_bound",
         "gap",
         "early_stopped",
-        "pruned_fraction",
-        "spliced_fraction",
-        "prefix_reuse_fraction",
+        "clone_fraction",
         "retries",
         "degraded",
         "termination",
     ]);
-    // New columns (certificates, then scan-efficiency fractions) append
-    // after the historic ones, so column indices of pre-existing
-    // consumers stay valid; `None` serializes as the empty cell.
+    // New columns (certificates, then the population-reuse fraction)
+    // append after the historic ones; `None` serializes as the empty
+    // cell.
     let opt = |v: Option<f64>| v.map_or_else(String::new, |x| format!("{x}"));
     for (i, c) in board.results.iter().enumerate() {
         let scan = timing.get(i).map(|t| t.scan).unwrap_or_default();
@@ -252,8 +251,6 @@ pub fn cells_csv(board: &Leaderboard, timing: &[CellTiming]) -> CsvTable {
             opt(c.lower_bound),
             opt(c.gap),
             c.early_stopped.to_string(),
-            format!("{:.6}", scan.pruned_fraction()),
-            format!("{:.6}", scan.spliced_fraction()),
             format!("{:.6}", scan.prefix_reuse_fraction()),
             c.retries.to_string(),
             c.degraded.to_string(),

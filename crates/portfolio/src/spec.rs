@@ -63,12 +63,6 @@ pub struct TournamentSpec {
     /// Migration rounds in portfolio mode (the iteration budget is
     /// split into this many synchronized slices).
     pub rounds: u64,
-    /// Whether the move-scan fast path may bound-prune and splice
-    /// (default `true`; `mshc tournament --no-prune` turns it off). A
-    /// pure cost knob — the leaderboard, evaluation counts included, is
-    /// bit-identical either way, which CI `cmp`s.
-    #[serde(default = "default_prune")]
-    pub prune: bool,
     /// Whether iterative searches may terminate as soon as their
     /// incumbent reaches the certified instance lower bound (default
     /// `true`; `mshc tournament --no-early-stop` turns it off).
@@ -77,12 +71,6 @@ pub struct TournamentSpec {
     /// and evaluation counts can shrink.
     #[serde(default = "default_early_stop")]
     pub early_stop: bool,
-    /// Forces the GA back onto full tier-1 population evaluation
-    /// (default `false`; `mshc tournament --ga-full-eval` turns it on).
-    /// Like `prune`, a pure cost knob — the leaderboard, evaluation
-    /// counts included, is bit-identical either way, which CI `cmp`s.
-    #[serde(default)]
-    pub ga_full_eval: bool,
     /// Bounded deterministic same-seed retries for panicked cells
     /// (default 1): a panicking attempt is re-run with identical inputs
     /// up to this many extra times; a retry that completes marks the
@@ -97,10 +85,6 @@ pub struct TournamentSpec {
     /// thread count.
     #[serde(default)]
     pub deadline_evals: Option<u64>,
-}
-
-fn default_prune() -> bool {
-    true
 }
 
 fn default_early_stop() -> bool {
@@ -125,9 +109,7 @@ impl TournamentSpec {
             iterations: 60,
             portfolio: false,
             rounds: 8,
-            prune: true,
             early_stop: true,
-            ga_full_eval: false,
             cell_retries: 1,
             deadline_evals: None,
         }
@@ -234,9 +216,7 @@ impl TournamentSpec {
     pub fn budget(&self, objective: ObjectiveKind) -> RunBudget {
         let budget = RunBudget::iterations(self.iterations)
             .with_objective(objective)
-            .with_prune(self.prune)
-            .with_early_stop(self.early_stop)
-            .with_ga_full_eval(self.ga_full_eval);
+            .with_early_stop(self.early_stop);
         match self.deadline_evals {
             Some(deadline) => budget.with_deadline_evals(deadline),
             None => budget,
@@ -338,26 +318,6 @@ mod tests {
     use mshc_workloads::tiny_suite;
 
     #[test]
-    fn spec_json_without_prune_defaults_to_on() {
-        // Pre-existing spec files (written before the bounded fast path)
-        // must keep parsing; the missing field defaults to pruning on,
-        // and the budget carries it.
-        let spec = TournamentSpec::new("tiny", tiny_suite());
-        let mut json = serde_json::to_string(&spec).unwrap();
-        assert!(json.contains("\"prune\":true"));
-        json = json.replace(",\"prune\":true", "").replace("\"prune\":true,", "");
-        assert!(!json.contains("prune"));
-        let parsed: TournamentSpec = serde_json::from_str(&json).unwrap();
-        assert!(parsed.prune, "missing field defaults to on");
-        assert!(parsed.budget(ObjectiveKind::Makespan).prune);
-        let off = TournamentSpec { prune: false, ..spec };
-        let round: TournamentSpec =
-            serde_json::from_str(&serde_json::to_string(&off).unwrap()).unwrap();
-        assert!(!round.prune, "explicit false round-trips");
-        assert!(!round.budget(ObjectiveKind::Makespan).prune);
-    }
-
-    #[test]
     fn spec_json_without_early_stop_defaults_to_on() {
         // Spec files written before certified lower bounds existed must
         // keep parsing; the missing field defaults to early stop on.
@@ -374,26 +334,6 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&off).unwrap()).unwrap();
         assert!(!round.early_stop, "explicit false round-trips");
         assert!(!round.budget(ObjectiveKind::Makespan).early_stop);
-    }
-
-    #[test]
-    fn spec_json_without_ga_full_eval_defaults_to_splicing() {
-        // Spec files written before GA prefix splicing existed must keep
-        // parsing; the missing field defaults to splicing on (full eval
-        // off), and the budget carries it.
-        let spec = TournamentSpec::new("tiny", tiny_suite());
-        let mut json = serde_json::to_string(&spec).unwrap();
-        assert!(json.contains("\"ga_full_eval\":false"));
-        json = json.replace(",\"ga_full_eval\":false", "").replace("\"ga_full_eval\":false,", "");
-        assert!(!json.contains("ga_full_eval"));
-        let parsed: TournamentSpec = serde_json::from_str(&json).unwrap();
-        assert!(!parsed.ga_full_eval, "missing field defaults to splicing");
-        assert!(!parsed.budget(ObjectiveKind::Makespan).ga_full_eval);
-        let on = TournamentSpec { ga_full_eval: true, ..spec };
-        let round: TournamentSpec =
-            serde_json::from_str(&serde_json::to_string(&on).unwrap()).unwrap();
-        assert!(round.ga_full_eval, "explicit true round-trips");
-        assert!(round.budget(ObjectiveKind::Makespan).ga_full_eval);
     }
 
     #[test]

@@ -113,6 +113,22 @@ fn leaderboard_json_is_bit_identical_across_thread_counts_and_repeats() {
 }
 
 #[test]
+fn spec_file_with_retired_cost_knobs_yields_the_same_leaderboard() {
+    // A spec written while `prune` and `ga_full_eval` existed, with both
+    // escape hatches set, still loads (the keys are ignored) and races
+    // to the same leaderboard bytes as the spec without them.
+    let spec = tiny_spec();
+    let json = serde_json::to_string(&spec).unwrap();
+    let old = json.replacen('{', "{\"prune\":false,\"ga_full_eval\":true,", 1);
+    let loaded: TournamentSpec = serde_json::from_str(&old).unwrap();
+    assert_eq!(loaded, spec);
+    let board = |spec: &TournamentSpec| {
+        serde_json::to_string(&aggregate(&run_tournament(spec).unwrap()).0).unwrap()
+    };
+    assert_eq!(board(&loaded), board(&spec));
+}
+
+#[test]
 fn panicking_cells_are_reported_not_fatal() {
     // machines = 0 makes workload generation panic; the race's cells
     // must all carry the error while the healthy scenario completes.
@@ -230,21 +246,19 @@ fn aggregation_wins_and_ranks_are_consistent() {
     let csv = cells_csv(&board, &run.timing).to_string_csv();
     assert_eq!(csv.lines().count(), 1 + board.cells);
     assert!(csv.starts_with("algorithm,scenario,seed,objective,ok,"));
-    // The scan-efficiency fraction columns append after the historic
-    // ones and parse as in-range fractions on every row.
+    // The clone fraction column follows `early_stopped` and
+    // parses as an in-range fraction on every row.
     let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
-    let pruned_col = header.iter().position(|&h| h == "pruned_fraction").unwrap();
-    assert_eq!(header[pruned_col + 1], "spliced_fraction");
-    assert_eq!(header[pruned_col + 2], "prefix_reuse_fraction");
+    let reuse_col = header.iter().position(|&h| h == "clone_fraction").unwrap();
+    assert_eq!(header[reuse_col - 1], "early_stopped");
+    assert!(!header.contains(&"pruned_fraction") && !header.contains(&"spliced_fraction"));
     for line in csv.lines().skip(1) {
         let cols: Vec<&str> = line.split(',').collect();
         assert_eq!(cols.len(), header.len());
-        for &c in &cols[pruned_col..pruned_col + 3] {
-            let f: f64 = c.parse().expect("fraction parses");
-            assert!((0.0..=1.0).contains(&f), "{line}");
-        }
+        let f: f64 = cols[reuse_col].parse().expect("fraction parses");
+        assert!((0.0..=1.0).contains(&f), "{line}");
     }
-    // An empty sidecar (re-exported leaderboard) renders zero fractions
+    // An empty sidecar (re-exported leaderboard) renders a zero fraction
     // with identical shape.
     let bare = cells_csv(&board, &[]).to_string_csv();
     assert_eq!(bare.lines().count(), csv.lines().count());

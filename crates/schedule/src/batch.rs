@@ -14,17 +14,17 @@
 //! `Mutex<Vec>` scramble, and steady-state batch scoring performs no
 //! allocations beyond the output vector.
 //!
-//! The move-oriented entry points ([`score_moves`], [`score_task_moves`])
-//! route through the per-thread incremental evaluators whenever the
-//! objective supports accumulator finalization (every
-//! [`crate::ObjectiveKind`] does): workers prime their evaluator on the
-//! shared base and score candidates by suffix replay — no per-candidate
-//! `Solution` mutation at all. Because a worker's slot survives across
-//! chunks, the prime is stamped with a per-scan epoch and **reused** by
-//! every later chunk the same worker claims within the scan (the base,
-//! stride, pruning flags and floor are scan-constant), eliminating the
-//! old re-prime-per-chunk cost. Objectives without incremental support
-//! fall back to clone-and-move full passes.
+//! The move-oriented entry points ([`score_moves`], [`score_task_moves`],
+//! [`best_task_move`], [`best_relocation`]) route through the per-thread
+//! incremental evaluators whenever the objective supports accumulator
+//! finalization (every [`crate::ObjectiveKind`] does): workers prime
+//! their evaluator on the shared base and score candidates by exact
+//! suffix replay — no per-candidate `Solution` mutation at all. Because a
+//! worker's slot survives across chunks, the prime is stamped with a
+//! per-scan epoch and **reused** by every later chunk the same worker
+//! claims within the scan (the base and stride are scan-constant).
+//! Objectives without incremental support fall back to clone-and-move
+//! full passes.
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -36,23 +36,23 @@
 //! candidates of one string position differ only in the relocated
 //! task's machine, so each position is scored in one lockstep replay
 //! with a lane per machine
-//! ([`IncrementalEvaluator::score_position`]) — exact, without bounds
-//! or splices. The bounded + reconvergent fast path
-//! ([`IncrementalEvaluator::score_move_bounded`]) serves the mixed-task
-//! argmin, [`best_task_move`] (tabu's sampled neighborhood).
+//! ([`IncrementalEvaluator::score_position`]). Tabu's sampled
+//! neighborhood goes through the mixed-task argmin, [`best_task_move`],
+//! one [`IncrementalEvaluator::score_move`] per candidate. Both score
+//! every candidate exactly. GA generations go through
+//! [`score_population`]: exact clones take their parent's cost, every
+//! other child one full pass.
 //!
 //! Determinism: scores are returned **in candidate order** and every
 //! candidate's score depends only on that candidate, so results are
-//! bit-identical at any thread count. [`best_relocation`] scores each
-//! position as one work item, exactly, and fans the positions out only
-//! when the grid's size (positions × machines × tasks) calls for it.
-//! [`best_task_move`] splits its candidates on a chunk grid that is a
+//! bit-identical at any thread count. [`best_relocation`] fans its
+//! positions out only when the grid's size (positions × machines ×
+//! tasks) calls for it; [`score_task_moves`] (and so
+//! [`best_task_move`]) splits its candidates on a chunk grid that is a
 //! pure function of the grid itself — its length and the instance's
-//! task count, never the thread count — and every chunk starts its own
-//! running bound, so which candidates get pruned or spliced is fixed
-//! too. Every [`ScanStats`] counter, not just the scored axis, reads
-//! the same at any thread count. Small grids run inline on the calling
-//! thread. Per-worker primes are deliberately *not* counted into
+//! task count, never the thread count. Small grids run inline on the
+//! calling thread. Every [`ScanStats`] counter reads the same at any
+//! thread count. Per-worker primes are deliberately *not* counted into
 //! [`evaluations`](BatchEvaluator::evaluations): how many workers join
 //! a scan varies with the thread count, and the evaluation axis must
 //! not.
@@ -61,10 +61,11 @@
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
 //! [`best_relocation`]: BatchEvaluator::best_relocation
 //! [`best_task_move`]: BatchEvaluator::best_task_move
+//! [`score_population`]: BatchEvaluator::score_population
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
-use crate::incremental::{IncrementalEvaluator, MoveScore, ScanStats};
+use crate::incremental::{IncrementalEvaluator, ScanStats};
 use crate::objective::Objective;
 use crate::snapshot::EvalSnapshot;
 use mshc_obs as obs;
@@ -74,23 +75,23 @@ use rayon::prelude::*;
 use std::ops::{Range, RangeInclusive};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Work one bounded-scan chunk of [`BatchEvaluator::best_task_move`]
-/// (tabu's sampled neighborhood) is sized to, in task-replays: a chunk
+/// Work one chunk of [`BatchEvaluator::score_task_moves`] (tabu's
+/// sampled neighborhood) is sized to, in task-replays: a chunk
 /// holds `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates of a `k`-task instance
 /// (62 at the paper's 100 tasks, 205 at 30, 308 at 20). SE's
 /// allocation scan runs on machine lanes instead (see
 /// `LANE_FANOUT_REPLAYS`).
 ///
 /// Derived from the traced per-layer costs on `se-100x20` (2 vCPUs): a
-/// bounded tier-3 scoring replays about 10 ns per task (~1.0 µs per
-/// candidate at `k = 100`), a prime costs ~5 µs, and handing an
+/// tier-3 scoring replays about 10 ns per task (~1.0 µs per candidate
+/// at `k = 100`), a prime costs ~5 µs, and handing an
 /// operation to a parked worker costs ~6–12 µs. A chunk of 6144
 /// task-replays is ~60 µs of scoring, so a second chunk runs in
 /// parallel for about a quarter of its own cost in dispatch plus the
 /// extra worker's prime — while a grid below one chunk stays inline
-/// and pays neither. The grid depends on `k` and the grid length
-/// alone, which is what keeps every scan counter thread-count
-/// invariant.
+/// and pays neither: tabu's 24-move samples stay inline at every size
+/// up to 256 tasks. The grid depends on `k` and the grid length alone,
+/// never on the thread count.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
 
 /// Lane-replays (`positions × machines × k`) at which
@@ -102,7 +103,7 @@ const SCAN_CHUNK_REPLAYS: usize = 6144;
 /// 0.5–0.65 µs, i.e. 5–6.5 ns per lane-replay unit, so 16,384 units are
 /// roughly 80–110 µs of lane work. Fanning out costs one pool dispatch
 /// (~6–12 µs to wake a parked worker) plus the joining worker's prime
-/// with pruning and splicing off (~4–7 µs): about 15 % of such a grid.
+/// (~4–7 µs): about 15 % of such a grid.
 /// That is what a fanned-out scan loses when no worker is free — in a
 /// tournament, whose cells already occupy the pool — while a free
 /// worker takes half the grid. A sweep agreed: SE at 100 × 20 (seeds
@@ -122,13 +123,13 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Winner of a bounded argmin scan: the earliest-index minimum-score
-/// candidate, with its exact score.
+/// Winner of [`BatchEvaluator::best_task_move`]: the earliest-index
+/// minimum-score eligible candidate, with its exact score.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestMove {
     /// Index into the caller's move slice.
     pub index: usize,
-    /// The candidate's exact objective value (never a pruned bound).
+    /// The candidate's exact objective value.
     pub score: f64,
 }
 
@@ -151,39 +152,26 @@ pub struct Relocation {
 /// so the routing is a pure cost decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Descent {
-    /// No usable parent lineage: full tier-1 evaluation.
+    /// Scored by a full tier-1 pass.
     Fresh,
-    /// Bit-for-bit copy of `parents[parent]` (an elite, or crossover of
-    /// converged parents with no effective mutation): the parent's
-    /// known cost **is** the child's cost — a full pass over an
+    /// Bit-for-bit copy of `parents[parent]` (an elite, or a child
+    /// whose crossover and mutations reproduced its prefix donor): the
+    /// parent's known cost **is** the child's cost — a full pass over an
     /// identical solution recomputes identical bits.
     Clone {
         /// Index into the parent pool.
         parent: usize,
     },
-    /// `parents[parent]` with exactly one task moved
-    /// (remove-then-insert, [`Solution::move_task`] semantics) — the
-    /// mutation-only child shape, routed through the existing
-    /// [`IncrementalEvaluator::score_move`] path.
-    Move {
-        /// Index into the parent pool.
-        parent: usize,
-        /// The relocated task.
-        task: TaskId,
-        /// Its new string position.
-        pos: usize,
-        /// Its new machine.
-        machine: MachineId,
-    },
-    /// Shares the string prefix `[0, diverge)` with `parents[parent]`
-    /// (crossover offspring): scored by
-    /// [`IncrementalEvaluator::score_suffix`] against the parent-primed
-    /// checkpoints.
+    /// Shares the string prefix `[0, diverge)` with `parents[parent]`;
+    /// scored by a full pass, like [`Descent::Fresh`].
+    ///
+    /// Kept only because the benchmark under `perfbench/` builds it;
+    /// delete it with that use at the next change to the benchmark.
     Suffix {
         /// Index into the parent pool.
         parent: usize,
         /// First string position where the child's segments differ from
-        /// the parent's (any smaller value is also sound).
+        /// the parent's.
         diverge: usize,
     },
 }
@@ -200,17 +188,6 @@ struct Arena<'a> {
     /// the prime inputs are constant, so a matching stamp lets a worker
     /// reuse its prime across every chunk it claims in that scan.
     primed_epoch: u64,
-    /// Whether `inc` currently holds a *population-mode* prime
-    /// (splicing on, pruning off, floor inert) — the GA parent shape.
-    /// Unlike scan primes, population primes are keyed by the primed
-    /// base itself, not an epoch: dominant parents and elites recur
-    /// bit-identically across generations, so a worker that meets the
-    /// same parent again skips the prime entirely.
-    pop_primed: bool,
-    /// Stride the population prime was taken at (reuse requires a
-    /// match; the stride is a bit-neutral cost knob, but checkpoints
-    /// built at one stride cannot serve resumes computed for another).
-    pop_stride: Option<usize>,
 }
 
 impl<'a> Arena<'a> {
@@ -221,8 +198,6 @@ impl<'a> Arena<'a> {
             scratch: None,
             lane_scores: Vec::new(),
             primed_epoch: 0,
-            pop_primed: false,
-            pop_stride: None,
         }
     }
 }
@@ -293,62 +268,24 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
     }
 
     /// Checks out an arena with its incremental evaluator primed on
-    /// `base` at the requested checkpoint stride and configured with the
-    /// evaluator's prune/splice flags — the move-scoring fast path. The
-    /// prime is stamped with the scan `epoch`: the first chunk a thread
-    /// claims pays the O(k + p) prime, every later chunk of the same
-    /// scan finds the stamp current and reuses it as-is (base, stride,
-    /// flags and floor are all scan-constant).
+    /// `base` at the requested checkpoint stride, for move scoring. The
+    /// prime is stamped with the scan `epoch`: the first chunk
+    /// a thread claims pays the O(k + p) prime, every later chunk of the
+    /// same scan finds the stamp current and reuses it as-is (base and
+    /// stride are scan-constant).
     fn checkout_primed(
         pool: &'p ArenaPool<'a>,
         snap: &'a EvalSnapshot,
         base: &Solution,
         stride: Option<usize>,
-        prune: bool,
-        scan_floor: f64,
         epoch: u64,
     ) -> ArenaGuard<'p, 'a> {
         let mut guard = ArenaGuard::checkout(pool, snap);
         let arena = guard.arena.as_mut().expect("arena present until drop");
         if arena.primed_epoch != epoch {
             arena.inc.set_stride(stride);
-            arena.inc.set_pruning(prune);
-            arena.inc.set_splicing(prune);
-            arena.inc.set_scan_floor(scan_floor);
             arena.inc.prime(base);
             arena.primed_epoch = epoch;
-            arena.pop_primed = false;
-        }
-        guard
-    }
-
-    /// Checks out an arena primed on a GA parent for population scoring:
-    /// splicing on (splices are bit-exact), pruning **off** (roulette
-    /// needs every exact value), floor inert. The prime is keyed by the
-    /// base solution itself rather than a scan epoch — if the arena
-    /// already holds a population prime on a bit-identical base at the
-    /// same stride (the dominant parent of a converged population, or
-    /// an elite recurring across generations), it is reused as-is.
-    fn checkout_population(
-        pool: &'p ArenaPool<'a>,
-        snap: &'a EvalSnapshot,
-        base: &Solution,
-        stride: Option<usize>,
-    ) -> ArenaGuard<'p, 'a> {
-        let mut guard = ArenaGuard::checkout(pool, snap);
-        let arena = guard.arena.as_mut().expect("arena present until drop");
-        let reusable =
-            arena.pop_primed && arena.pop_stride == stride && arena.inc.base() == Some(base);
-        if !reusable {
-            arena.inc.set_stride(stride);
-            arena.inc.set_pruning(false);
-            arena.inc.set_splicing(true);
-            arena.inc.set_scan_floor(f64::NEG_INFINITY);
-            arena.inc.prime(base);
-            arena.pop_primed = true;
-            arena.pop_stride = stride;
-            // A later move scan must not mistake this for its own prime.
-            arena.primed_epoch = 0;
         }
         guard
     }
@@ -406,14 +343,8 @@ pub struct BatchEvaluator<'a> {
     /// Checkpoint stride handed to the per-thread incremental evaluators
     /// (`None` = auto `⌈√k⌉`). Never affects scores, only resume cost.
     stride: Option<usize>,
-    /// Whether the bounded scans may prune/splice (`--no-prune` turns
-    /// this off). Selections are bit-identical either way.
-    prune: bool,
-    /// Certified instance floor forwarded to the per-thread incremental
-    /// evaluators as a scan-global cutoff (default `-inf` = inert).
-    scan_floor: f64,
     evaluations: u64,
-    /// Aggregated fast-path counters across all calls.
+    /// Aggregated scoring and population counters across all calls.
     scan: ScanStats,
 }
 
@@ -425,8 +356,6 @@ impl<'a> BatchEvaluator<'a> {
             arenas: ArenaPool::new(),
             scan_epoch: 0,
             stride: None,
-            prune: true,
-            scan_floor: f64::NEG_INFINITY,
             evaluations: 0,
             scan: ScanStats::default(),
         }
@@ -436,30 +365,6 @@ impl<'a> BatchEvaluator<'a> {
     /// auto `⌈√k⌉`).
     pub fn with_stride(mut self, stride: Option<usize>) -> BatchEvaluator<'a> {
         self.stride = stride;
-        self
-    }
-
-    /// Enables/disables bound pruning and reconvergence splicing in the
-    /// bounded argmin [`best_task_move`](Self::best_task_move) and the
-    /// incremental move scorings (default: on). A pure cost knob —
-    /// argmin results, scores and evaluation counts are identical either
-    /// way. [`best_relocation`](Self::best_relocation) never prunes or
-    /// splices, whatever this says.
-    pub fn with_pruning(mut self, prune: bool) -> BatchEvaluator<'a> {
-        self.prune = prune;
-        self
-    }
-
-    /// Installs a certified instance floor as the scan-global cutoff for
-    /// the bounded argmin [`best_task_move`](Self::best_task_move) (see
-    /// [`IncrementalEvaluator::set_scan_floor`]). Callers must only pass
-    /// a floor that provably lower-bounds every candidate's exact score
-    /// under the scan's objective — [`crate::InstanceBound::floor`] under
-    /// makespan. Honored only while pruning is enabled; another pure
-    /// cost knob (argmin results, scores and evaluation counts are
-    /// identical either way).
-    pub fn with_scan_floor(mut self, floor: f64) -> BatchEvaluator<'a> {
-        self.scan_floor = floor;
         self
     }
 
@@ -477,21 +382,20 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluations
     }
 
-    /// Counters of the bounded/spliced fast path across all calls. Every
-    /// axis is deterministic at any thread count: relocation scans are
-    /// exact per position, and the bounded scans' chunk grid depends on
-    /// the grid alone (see `scan_chunks`).
+    /// Scoring and population counters across all calls. Every axis is
+    /// deterministic at any thread count: each counts candidates, never
+    /// workers or chunks.
     #[inline]
     pub fn scan_stats(&self) -> ScanStats {
         self.scan
     }
 
-    /// Contiguous index chunks for a bounded scan of `len` candidates:
-    /// `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates each, a single chunk for a
-    /// grid below that. A pure function of `len` and the task count, so
-    /// the chunk grid — and with it which candidates get pruned versus
-    /// scored to completion — is the same at any thread count. The grid
-    /// never affects the scan's winner.
+    /// Contiguous index chunks for
+    /// [`score_task_moves`](Self::score_task_moves) over `len`
+    /// candidates: `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates each, a single
+    /// (inline) chunk for a grid below that. A pure function of `len`
+    /// and the task count, so whether a scan fans out never depends on
+    /// the thread count. The grid never affects a score.
     fn scan_chunks(&self, len: usize) -> Vec<Range<usize>> {
         let chunk = SCAN_CHUNK_REPLAYS.div_ceil(self.snap.task_count().max(1));
         (0..len).step_by(chunk).map(|lo| lo..(lo + chunk).min(len)).collect()
@@ -519,37 +423,23 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Scores a GA generation against its parent pool: `out[i]` is the
     /// exact score of `children[i]`, bit-identical to
-    /// [`scores`](Self::scores) over the same children, computed with as
-    /// little replay as the lineage allows. `descents[i]` says how child
-    /// `i` descends from `parents` (with `parent_costs` the parents' own
-    /// scores, as returned by the previous generation's scoring):
+    /// [`scores`](Self::scores) over the same children. `descents[i]`
+    /// says how child `i` descends from `parents` (with `parent_costs`
+    /// the parents' own scores, as returned by the previous generation's
+    /// scoring): a [`Descent::Clone`] child reuses its parent's cost
+    /// outright — a full pass over a bit-identical solution recomputes
+    /// identical bits, so no pass runs at all — and every other child
+    /// takes one full pass, all of them in one fan-out over the pool.
     ///
-    /// - [`Descent::Clone`] children reuse the parent's cost outright —
-    ///   a full pass over a bit-identical solution recomputes identical
-    ///   bits, so no pass runs at all;
-    /// - [`Descent::Move`] and [`Descent::Suffix`] children are grouped
-    ///   by parent; each group primes one per-worker incremental
-    ///   evaluator on its parent (reused across generations when the
-    ///   parent recurs — see `ArenaGuard::checkout_population`) and
-    ///   scores its children by checkpoint-resumed suffix replay with
-    ///   reconvergence splicing, pruning off;
-    /// - [`Descent::Fresh`] children take the tier-1 full pass.
-    ///
-    /// A parent group whose summed divergence indices don't cover the
-    /// ~two-walk cost of a prime is demoted to full passes — the
-    /// routing guard that keeps unconverged (random) populations from
-    /// paying more for priming than the prefixes save. The demotion
-    /// rule reads only the descent metadata, so routing — and with it
-    /// every counter this method touches — is deterministic at any
-    /// thread count.
-    ///
-    /// Every child counts as exactly one evaluation, clones and
-    /// demotions included: the evaluation axis measures candidates
-    /// considered, exactly like [`scores`](Self::scores).
+    /// Every child counts as exactly one evaluation, clones included:
+    /// the evaluation axis measures candidates considered, exactly like
+    /// [`scores`](Self::scores). The population axes of
+    /// [`scan_stats`](Self::scan_stats) count the clones and their
+    /// string positions, a pure function of the descents.
     ///
     /// # Panics
-    /// If slice lengths disagree, a descent names a parent index out of
-    /// range, or (debug) a divergence index exceeds the string length.
+    /// If slice lengths disagree or a clone names a parent index out of
+    /// range; debug builds also check that each clone equals its parent.
     pub fn score_population(
         &mut self,
         parents: &[Solution],
@@ -564,102 +454,22 @@ impl<'a> BatchEvaluator<'a> {
             return Vec::new();
         }
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        let k = self.snap.task_count();
-        let incremental = obj.supports_incremental();
-
-        // Route deterministically: clones shortcut, lineage children
-        // group by parent, everything else full-evaluates. `savings`
-        // accumulates the string positions each group's prime would
-        // save; a prime costs about two walks (the priming pass plus
-        // checkpoint/suffix sweeps), so groups below `2k` are demoted.
-        enum Kid {
-            Move { idx: usize, task: TaskId, pos: usize, machine: MachineId },
-            Suffix { idx: usize, diverge: usize },
-        }
-        let mut clones: Vec<(usize, usize)> = Vec::new();
+        let mut out = vec![0.0f64; children.len()];
         let mut fulls: Vec<usize> = Vec::new();
-        let mut grouped: Vec<(Vec<Kid>, u64)> = Vec::new();
-        let mut group_of: Vec<Option<usize>> = vec![None; parents.len()];
-        let mut group_parent: Vec<usize> = Vec::new();
+        let mut clones = 0u64;
         for (i, d) in descents.iter().enumerate() {
-            let lineage = match *d {
-                Descent::Fresh => None,
+            match *d {
                 Descent::Clone { parent } => {
                     assert!(parent < parents.len(), "clone parent out of range");
-                    clones.push((i, parent));
-                    continue;
+                    debug_assert!(children[i] == parents[parent], "a clone equals its parent");
+                    out[i] = parent_costs[parent];
+                    clones += 1;
                 }
-                Descent::Move { parent, task, pos, machine } if incremental => {
-                    let reused = parents[parent].position_of(task).min(pos);
-                    Some((parent, Kid::Move { idx: i, task, pos, machine }, reused))
-                }
-                Descent::Suffix { parent, diverge } if incremental => {
-                    debug_assert!(diverge <= k, "divergence index out of range");
-                    Some((parent, Kid::Suffix { idx: i, diverge }, diverge))
-                }
-                Descent::Move { .. } | Descent::Suffix { .. } => None,
-            };
-            match lineage {
-                Some((parent, kid, reused)) => {
-                    assert!(parent < parents.len(), "lineage parent out of range");
-                    let g = *group_of[parent].get_or_insert_with(|| {
-                        grouped.push((Vec::new(), 0));
-                        group_parent.push(parent);
-                        grouped.len() - 1
-                    });
-                    grouped[g].0.push(kid);
-                    grouped[g].1 += reused as u64;
-                }
-                None => fulls.push(i),
+                Descent::Fresh | Descent::Suffix { .. } => fulls.push(i),
             }
         }
-        // Demote unprofitable groups to full passes, keeping the
-        // profitable ones in first-encounter order.
-        let prime_cost = 2 * k as u64;
-        let mut groups: Vec<(usize, Vec<Kid>)> = Vec::new();
-        let mut reused_positions = 0u64;
-        for ((kids, savings), parent) in grouped.into_iter().zip(group_parent) {
-            if savings >= prime_cost {
-                reused_positions += savings;
-                groups.push((parent, kids));
-            } else {
-                fulls.extend(kids.iter().map(|kid| match *kid {
-                    Kid::Move { idx, .. } | Kid::Suffix { idx, .. } => idx,
-                }));
-            }
-        }
-
         let snap = self.snap;
         let pool = &self.arenas;
-        let stride = self.stride;
-        let before = self.arena_totals();
-        let mut out = vec![0.0f64; children.len()];
-        // Lineage groups first (one item per parent: its children score
-        // on one worker against one prime), then the full-pass spill.
-        let group_scores: Vec<Vec<f64>> = groups
-            .par_iter()
-            .map(|(parent, kids)| {
-                let mut guard =
-                    ArenaGuard::checkout_population(pool, snap, &parents[*parent], stride);
-                let inc = guard.inc();
-                kids.iter()
-                    .map(|kid| match *kid {
-                        Kid::Move { task, pos, machine, .. } => {
-                            inc.score_move(task, pos, machine, obj)
-                        }
-                        Kid::Suffix { ref idx, diverge } => {
-                            inc.score_suffix(&children[*idx], diverge, obj)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        for ((_, kids), scores) in groups.iter().zip(group_scores) {
-            for (kid, score) in kids.iter().zip(scores) {
-                let (Kid::Move { idx, .. } | Kid::Suffix { idx, .. }) = *kid;
-                out[idx] = score;
-            }
-        }
         let full_scores: Vec<f64> = fulls
             .par_iter()
             .map_init(
@@ -673,25 +483,17 @@ impl<'a> BatchEvaluator<'a> {
         for (&i, score) in fulls.iter().zip(full_scores) {
             out[i] = score;
         }
-        for &(i, parent) in &clones {
-            out[i] = parent_costs[parent];
-        }
-
         self.evaluations += children.len() as u64;
-        self.absorb_arena_stats(before);
-        // Population axes (deterministic — see the routing note above):
-        // clones reuse their whole string, lineage children their shared
-        // prefix; demoted and fresh children only widen the denominator.
-        let lineage_children: u64 = groups.iter().map(|(_, kids)| kids.len() as u64).sum();
+        let k = self.snap.task_count() as u64;
         let axes = ScanStats {
-            suffixed: lineage_children + clones.len() as u64,
-            prefix_reused: reused_positions + (clones.len() * k) as u64,
-            suffix_total: (children.len() * k) as u64,
+            clones,
+            clone_positions: clones * k,
+            population_positions: children.len() as u64 * k,
             ..ScanStats::default()
         };
-        obs::add(obs::Counter::ScanSuffixed, axes.suffixed);
-        obs::add(obs::Counter::ScanPrefixReused, axes.prefix_reused);
-        obs::add(obs::Counter::ScanSuffixTotal, axes.suffix_total);
+        obs::add(obs::Counter::ScanClones, axes.clones);
+        obs::add(obs::Counter::ScanClonePositions, axes.clone_positions);
+        obs::add(obs::Counter::ScanPopulationPositions, axes.population_positions);
         self.scan.merge(axes);
         out
     }
@@ -717,23 +519,12 @@ impl<'a> BatchEvaluator<'a> {
         let snap = self.snap;
         let pool = &self.arenas;
         let stride = self.stride;
-        let prune = self.prune;
-        let before = self.arena_totals();
+        let before = self.arena_scorings();
         let out: Vec<f64> = if obj.supports_incremental() {
             moves
                 .par_iter()
                 .map_init(
-                    || {
-                        ArenaGuard::checkout_primed(
-                            pool,
-                            snap,
-                            base,
-                            stride,
-                            prune,
-                            f64::NEG_INFINITY,
-                            epoch,
-                        )
-                    },
+                    || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
                     |guard, &(pos, m)| guard.inc().score_move(t, pos, m, obj),
                 )
                 .collect()
@@ -752,7 +543,7 @@ impl<'a> BatchEvaluator<'a> {
                 .collect()
         };
         self.evaluations += moves.len() as u64;
-        self.absorb_arena_stats(before);
+        self.absorb_arena_scorings(before);
         out
     }
 
@@ -762,6 +553,10 @@ impl<'a> BatchEvaluator<'a> {
     /// objectives never touch a scratch solution; the fallback undoes
     /// each move before the next so the scratch stays equal to `base`
     /// throughout a chunk.
+    ///
+    /// The candidates split into chunks of about `SCAN_CHUNK_REPLAYS`
+    /// task-replays; a set below one chunk is scored inline on the
+    /// calling thread, larger ones fan their chunks out over the pool.
     ///
     /// [`score_moves`]: BatchEvaluator::score_moves
     pub fn score_task_moves(
@@ -774,49 +569,50 @@ impl<'a> BatchEvaluator<'a> {
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
         self.scan_epoch += 1;
         let epoch = self.scan_epoch;
+        let chunks = self.scan_chunks(moves.len());
         let snap = self.snap;
         let pool = &self.arenas;
         let stride = self.stride;
-        let prune = self.prune;
-        let before = self.arena_totals();
-        let out: Vec<f64> = if obj.supports_incremental() {
-            moves
+        let before = self.arena_scorings();
+        let per_chunk: Vec<Vec<f64>> = if obj.supports_incremental() {
+            chunks
                 .par_iter()
                 .map_init(
-                    || {
-                        ArenaGuard::checkout_primed(
-                            pool,
-                            snap,
-                            base,
-                            stride,
-                            prune,
-                            f64::NEG_INFINITY,
-                            epoch,
-                        )
+                    || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
+                    |guard, range| {
+                        let inc = guard.inc();
+                        moves[range.clone()]
+                            .iter()
+                            .map(|&(t, pos, m)| inc.score_move(t, pos, m, obj))
+                            .collect()
                     },
-                    |guard, &(t, pos, m)| guard.inc().score_move(t, pos, m, obj),
                 )
                 .collect()
         } else {
-            moves
+            chunks
                 .par_iter()
                 .map_init(
                     || ArenaGuard::checkout_with_base(pool, snap, base),
-                    |guard, &(t, pos, m)| {
+                    |guard, range| {
                         let (eval, scratch) = guard.parts();
                         let scratch = scratch.as_mut().expect("checkout_with_base sets scratch");
-                        let undo = (scratch.position_of(t), scratch.machine_of(t));
-                        scratch.move_task(graph, t, pos, m).expect("candidate within valid range");
-                        let score = eval.objective_value(scratch, obj);
-                        scratch.move_task(graph, t, undo.0, undo.1).expect("undo restores base");
-                        score
+                        let mut scores = Vec::with_capacity(range.len());
+                        for &(t, pos, m) in &moves[range.clone()] {
+                            let undo = (scratch.position_of(t), scratch.machine_of(t));
+                            scratch.move_task(graph, t, pos, m).expect("candidate within range");
+                            scores.push(eval.objective_value(scratch, obj));
+                            scratch
+                                .move_task(graph, t, undo.0, undo.1)
+                                .expect("undo restores base");
+                        }
+                        scores
                     },
                 )
                 .collect()
         };
         self.evaluations += moves.len() as u64;
-        self.absorb_arena_stats(before);
-        out
+        self.absorb_arena_scorings(before);
+        per_chunk.concat()
     }
 
     /// Argmin over SE's allocation grid: `base` with task `t` relocated
@@ -830,15 +626,13 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// Each position is one work item, scored through
     /// [`IncrementalEvaluator::score_position`]: one lockstep replay
-    /// with a lane per machine, exact and without bounds, so the winner
+    /// with a lane per machine, exact, so the winner
     /// and every counter are those of scoring each candidate through
     /// [`score_moves`](Self::score_moves) and folding, at any thread
     /// count. The grid fans out over the pool when its lane-replays
     /// (`positions × machines × k`) reach `LANE_FANOUT_REPLAYS` and runs
     /// inline on the calling thread, with no pool operation, below it.
-    /// Arenas are primed with pruning and splicing off (the lanes use
-    /// neither). Objectives without incremental support fall back to
-    /// full passes.
+    /// Objectives without incremental support fall back to full passes.
     pub fn best_relocation(
         &mut self,
         graph: &TaskGraph,
@@ -856,11 +650,8 @@ impl<'a> BatchEvaluator<'a> {
                 .filter(|&(_, pos, m)| !own(pos, m))
                 .collect();
             let scores = self.score_task_moves(graph, base, &moves, obj);
-            let scored = scores.iter().enumerate().map(|(i, &s)| (i, MoveScore::Exact(s)));
-            return fold_eligible(None, scored, None, f64::INFINITY).map(|b| Relocation {
-                pos: moves[b.index].1,
-                machine: moves[b.index].2,
-                score: b.score,
+            return fold_eligible(scores.into_iter().enumerate(), None, f64::INFINITY).map(|b| {
+                Relocation { pos: moves[b.index].1, machine: moves[b.index].2, score: b.score }
             });
         }
         let positions = *positions.start()..positions.end() + 1;
@@ -879,10 +670,8 @@ impl<'a> BatchEvaluator<'a> {
         let snap = self.snap;
         let pool = &self.arenas;
         let stride = self.stride;
-        let before = self.arena_totals();
-        let checkout = || {
-            ArenaGuard::checkout_primed(pool, snap, base, stride, false, f64::NEG_INFINITY, epoch)
-        };
+        let before = self.arena_scorings();
+        let checkout = || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch);
         // Strict improvement under total_cmp keeps the earliest cell on
         // ties, within a position and across positions alike.
         let first_min = |best: Option<Relocation>, cell: Relocation| match best {
@@ -909,19 +698,21 @@ impl<'a> BatchEvaluator<'a> {
             positions.map(|pos| score_position(&mut guard, pos)).collect()
         };
         self.evaluations += len as u64;
-        self.absorb_arena_stats(before);
+        self.absorb_arena_scorings(before);
         per_position.into_iter().flatten().fold(None, first_min)
     }
 
-    /// Bounded argmin over a mixed-task move sample (tabu's shape).
+    /// Argmin over a mixed-task move sample (tabu's shape).
     ///
     /// `admissible` marks moves that may always be chosen; a
     /// non-admissible move (a tabu task) is only eligible when its score
     /// strictly beats `aspiration` (the global best — tabu's aspiration
-    /// criterion). `None` admits everything. Returns the earliest-index
-    /// minimum among eligible candidates — exactly what the sequential
-    /// skip-tabu-unless-aspirating scan selects — or `None` when no move
-    /// is eligible. Evaluation count is `moves.len()` regardless.
+    /// criterion). `None` admits everything. Every candidate is scored
+    /// exactly by [`score_task_moves`](Self::score_task_moves). Returns
+    /// the earliest-index minimum among eligible candidates — exactly
+    /// what the sequential skip-tabu-unless-aspirating scan selects — or
+    /// `None` when no move is eligible. Evaluation count is
+    /// `moves.len()` regardless.
     pub fn best_task_move(
         &mut self,
         graph: &TaskGraph,
@@ -934,130 +725,34 @@ impl<'a> BatchEvaluator<'a> {
         if let Some(mask) = admissible {
             debug_assert_eq!(mask.len(), moves.len(), "admissible mask/move mismatch");
         }
-        self.bounded_argmin(graph, base, moves.len(), |i| moves[i], admissible, aspiration, obj)
+        let scores = self.score_task_moves(graph, base, moves, obj);
+        fold_eligible(scores.into_iter().enumerate(), admissible, aspiration)
     }
 
-    /// Shared bounded-argmin engine. `move_at` resolves candidate `i`;
-    /// admissible candidates contend unconditionally (pruned only
-    /// against the chunk's running best), non-admissible ones only below
-    /// `aspiration` (which then also joins their pruning cut).
-    #[allow(clippy::too_many_arguments)]
-    fn bounded_argmin(
-        &mut self,
-        graph: &TaskGraph,
-        base: &Solution,
-        len: usize,
-        move_at: impl Fn(usize) -> (TaskId, usize, MachineId) + Sync,
-        admissible: Option<&[bool]>,
-        aspiration: f64,
-        obj: &dyn Objective,
-    ) -> Option<BestMove> {
-        if len == 0 {
-            return None;
-        }
-        if !obj.supports_incremental() {
-            // Full-pass fallback: score everything (counting happens in
-            // the called method), then fold eligibility sequentially.
-            let moves: Vec<(TaskId, usize, MachineId)> = (0..len).map(&move_at).collect();
-            let scores = self.score_task_moves(graph, base, &moves, obj);
-            return fold_eligible(
-                None,
-                scores.iter().enumerate().map(|(i, &s)| (i, MoveScore::Exact(s))),
-                admissible,
-                aspiration,
-            );
-        }
-        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        self.scan_epoch += 1;
-        let epoch = self.scan_epoch;
-        let snap = self.snap;
-        let pool = &self.arenas;
-        let stride = self.stride;
-        let prune = self.prune;
-        let scan_floor = self.scan_floor;
-        let before = self.arena_totals();
-        let chunks = self.scan_chunks(len);
-        // One chunk = one item: the per-chunk running bound lives inside
-        // the item computation and is never carried across chunks, so
-        // each item's result and counters depend only on its range —
-        // not on which worker ran it or what that worker ran before.
-        let chunk_best: Vec<Option<BestMove>> = chunks
-            .par_iter()
-            .map_init(
-                || ArenaGuard::checkout_primed(pool, snap, base, stride, prune, scan_floor, epoch),
-                |guard, range| {
-                    let inc = guard.inc();
-                    let mut best: Option<BestMove> = None;
-                    for i in range.clone() {
-                        let (t, pos, m) = move_at(i);
-                        let local = best.map_or(f64::INFINITY, |b| b.score);
-                        let adm = admissible.is_none_or(|a| a[i]);
-                        // A non-admissible candidate must beat both the
-                        // aspiration line and the running best to be
-                        // chosen; either alone justifies the cut.
-                        let cut = if adm { local } else { aspiration.min(local) };
-                        match inc.score_move_bounded(t, pos, m, cut, obj) {
-                            MoveScore::Exact(score) => {
-                                best = fold_eligible(
-                                    best,
-                                    std::iter::once((i, MoveScore::Exact(score))),
-                                    admissible,
-                                    aspiration,
-                                );
-                            }
-                            MoveScore::Pruned => {}
-                        }
-                    }
-                    best
-                },
-            )
-            .collect();
-        self.evaluations += len as u64;
-        self.absorb_arena_stats(before);
-        // Merge in chunk (index) order; strict improvement (under
-        // total_cmp, so a NaN from a custom objective ranks greatest
-        // instead of poisoning the fold) keeps the earliest index on
-        // ties.
-        chunk_best.into_iter().flatten().fold(None, |acc: Option<BestMove>, b| match acc {
-            Some(a) if a.score.total_cmp(&b.score).is_le() => Some(a),
-            _ => Some(b),
-        })
+    /// Scorings performed so far by every pooled arena (all arenas are at
+    /// rest between calls — `&mut self` methods cannot overlap).
+    fn arena_scorings(&self) -> u64 {
+        let slots =
+            self.arenas.slots.iter().filter_map(|slot| {
+                lock_tolerant(slot).as_ref().map(|arena| arena.inc.evaluations())
+            });
+        let overflow: u64 =
+            lock_tolerant(&self.arenas.overflow).iter().map(|arena| arena.inc.evaluations()).sum();
+        slots.sum::<u64>() + overflow
     }
 
-    /// Sums the fast-path counters over every pooled arena (all arenas
-    /// are at rest between calls — `&mut self` methods cannot overlap).
-    fn arena_totals(&self) -> ScanStats {
-        let mut total = ScanStats::default();
-        for slot in &self.arenas.slots {
-            if let Some(arena) = lock_tolerant(slot).as_ref() {
-                total.merge(arena.inc.stats());
-            }
-        }
-        for arena in lock_tolerant(&self.arenas.overflow).iter() {
-            total.merge(arena.inc.stats());
-        }
-        total
-    }
-
-    /// Folds the arena counters gained since `before` into the
-    /// evaluator-level totals. Saturating: a panicking scan discards its
-    /// arena, taking that arena's lifetime counters with it, which can
-    /// leave `after < before` on an axis (diagnostics only — the
-    /// deterministic `scored` axis undercounts rather than wrapping).
-    fn absorb_arena_stats(&mut self, before: ScanStats) {
-        let after = self.arena_totals();
-        self.scan.merge(ScanStats {
-            scored: after.scored.saturating_sub(before.scored),
-            pruned: after.pruned.saturating_sub(before.pruned),
-            spliced: after.spliced.saturating_sub(before.spliced),
-            suffixed: after.suffixed.saturating_sub(before.suffixed),
-            prefix_reused: after.prefix_reused.saturating_sub(before.prefix_reused),
-            suffix_total: after.suffix_total.saturating_sub(before.suffix_total),
-        });
+    /// Folds the arena scorings gained since `before` into the
+    /// evaluator-level counters. Saturating: a panicking scan discards
+    /// its arena, taking that arena's lifetime count with it, which can
+    /// leave the total below `before` (diagnostics only — the axis
+    /// undercounts rather than wrapping).
+    fn absorb_arena_scorings(&mut self, before: u64) {
+        let scored = self.arena_scorings().saturating_sub(before);
+        self.scan.merge(ScanStats { scored, ..ScanStats::default() });
     }
 }
 
-/// Sequential eligibility fold shared by the bounded scans: admissible
+/// Sequential eligibility fold shared by the argmin scans: admissible
 /// candidates always contend, others only strictly below `aspiration`;
 /// strict score improvement keeps the earliest index on ties. All
 /// comparisons use `total_cmp` — matching the `min_by` fold this
@@ -1065,14 +760,12 @@ impl<'a> BatchEvaluator<'a> {
 /// (never chosen over a finite score, never aspirating) instead of
 /// poisoning the fold.
 fn fold_eligible(
-    init: Option<BestMove>,
-    scored: impl Iterator<Item = (usize, MoveScore)>,
+    scored: impl Iterator<Item = (usize, f64)>,
     admissible: Option<&[bool]>,
     aspiration: f64,
 ) -> Option<BestMove> {
-    let mut best = init;
+    let mut best: Option<BestMove> = None;
     for (i, score) in scored {
-        let MoveScore::Exact(score) = score else { continue };
         let adm = admissible.is_none_or(|a| a[i]);
         if !adm && score.total_cmp(&aspiration).is_ge() {
             continue;
@@ -1136,7 +829,7 @@ mod tests {
 
     #[test]
     fn scan_chunk_grid_depends_on_the_grid_alone() {
-        // The bounded scans' chunk grid is a function of the candidate
+        // The tabu argmin's chunk grid is a function of the candidate
         // count and the task count only: the same ranges on 1, 2 and 8
         // threads, one range while `len × k` stays below a chunk's
         // worth of task-replays and several above.
@@ -1212,9 +905,11 @@ mod tests {
         a.segments().iter().zip(b.segments()).position(|(x, y)| x != y).unwrap_or(a.len())
     }
 
-    /// Builds a lineage-annotated offspring pool: per parent one exact
+    /// Builds a descent-annotated offspring pool: per parent one exact
     /// clone, one single-move child, and three multi-move suffix
     /// children, plus three fresh immigrants — every [`Descent`] arm.
+    /// A single-move child that equals its parent is a clone, any other
+    /// `Fresh`, as GA classifies them.
     fn population_fixture(
         inst: &HcInstance,
         rng: &mut ChaCha8Rng,
@@ -1235,8 +930,12 @@ mod tests {
             let m = MachineId::from_usize(rng.gen_range(0..l));
             let mut child = parent.clone();
             child.move_task(g, t, pos, m).unwrap();
+            descents.push(if child == *parent {
+                Descent::Clone { parent: p }
+            } else {
+                Descent::Fresh
+            });
             children.push(child);
-            descents.push(Descent::Move { parent: p, task: t, pos, machine: m });
             for _ in 0..3 {
                 let mut child = parent.clone();
                 for _ in 0..rng.gen_range(1..=3usize) {
@@ -1275,10 +974,18 @@ mod tests {
             assert_eq!(got, want, "objective {}", kind.label());
             assert_eq!(batch.evaluations(), children.len() as u64);
             let stats = batch.scan_stats();
-            assert_eq!(stats.suffix_total, (children.len() * inst.task_count()) as u64);
-            // At minimum the per-parent clones rode the reuse path.
-            assert!(stats.suffixed >= parents.len() as u64);
-            assert!(stats.prefix_reused >= (parents.len() * inst.task_count()) as u64);
+            let k = inst.task_count() as u64;
+            let clones = descents.iter().filter(|d| matches!(d, Descent::Clone { .. })).count();
+            assert!(clones >= parents.len(), "every parent has a clone");
+            assert_eq!(
+                stats,
+                ScanStats {
+                    scored: 0,
+                    clones: clones as u64,
+                    clone_positions: clones as u64 * k,
+                    population_positions: children.len() as u64 * k,
+                }
+            );
         }
     }
 
@@ -1313,26 +1020,15 @@ mod tests {
                     (out, batch.scan_stats())
                 });
                 assert_eq!(got, baseline, "stride {stride:?}, {threads} threads");
-                // Everything but `spliced` (which legitimately varies
-                // with checkpoint placement) is stride-invariant too.
-                assert_eq!(
-                    (stats.scored, stats.suffixed, stats.prefix_reused, stats.suffix_total),
-                    (
-                        base_stats.scored,
-                        base_stats.suffixed,
-                        base_stats.prefix_reused,
-                        base_stats.suffix_total
-                    ),
-                    "stride {stride:?}, {threads} threads"
-                );
+                assert_eq!(stats, base_stats, "stride {stride:?}, {threads} threads");
             }
         }
     }
 
     #[test]
     fn score_population_falls_back_for_custom_objectives() {
-        // Without accumulator support lineage children take the full
-        // pass (no prime, no inc scorings); clones still shortcut.
+        // A custom objective without accumulator support takes the same
+        // route: full passes for every child but the clones.
         struct StartSum;
         impl Objective for StartSum {
             fn name(&self) -> &str {
@@ -1357,56 +1053,11 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(batch.evaluations(), children.len() as u64);
         let stats = batch.scan_stats();
-        assert_eq!(stats.scored, 0, "no incremental scorings for a custom objective");
-        assert_eq!(stats.suffixed, parents.len() as u64, "exactly the clones");
-        assert_eq!(stats.prefix_reused, (parents.len() * k) as u64);
-        assert_eq!(stats.suffix_total, (children.len() * k) as u64);
-    }
-
-    #[test]
-    fn population_primes_survive_and_invalidate_across_scans() {
-        // Single-thread pool so one arena serves everything — the
-        // dangerous path: a population prime reused across calls must
-        // yield the same bits, and an interleaved move scan (different
-        // base) must invalidate it rather than inherit it, and vice
-        // versa.
-        let inst = random_instance(20, 3, 37);
-        let g = inst.graph();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 2);
-        let obj = ObjectiveKind::Makespan;
-        let mut scalar = Evaluator::new(&inst);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|s| scalar.objective_value(s, &obj)).collect();
-        let want: Vec<f64> = children.iter().map(|s| scalar.objective_value(s, &obj)).collect();
-        let other = random_solution(&inst, &mut rng);
-        let t = TaskId::from_usize(3);
-        let (lo, hi) = other.valid_range(g, t);
-        let moves: Vec<(TaskId, usize, MachineId)> =
-            (lo..=hi).map(|pos| (t, pos, other.machine_of(t))).collect();
-        let move_want: Vec<f64> = moves
-            .iter()
-            .map(|&(t, pos, m)| {
-                let mut cand = other.clone();
-                cand.move_task(g, t, pos, m).unwrap();
-                scalar.objective_value(&cand, &obj)
-            })
-            .collect();
-        rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-            let mut batch = BatchEvaluator::new(&snap);
-            assert_eq!(
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj),
-                want
-            );
-            assert_eq!(batch.score_task_moves(g, &other, &moves, &obj), move_want);
-            assert_eq!(
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj),
-                want,
-                "population scoring after an interleaved move scan"
-            );
-            assert_eq!(batch.score_task_moves(g, &other, &moves, &obj), move_want);
-        });
+        let clones = descents.iter().filter(|d| matches!(d, Descent::Clone { .. })).count();
+        assert_eq!(stats.scored, 0, "no incremental scorings");
+        assert_eq!(stats.clones, clones as u64, "exactly the clones");
+        assert_eq!(stats.clone_positions, (clones * k) as u64);
+        assert_eq!(stats.population_positions, (children.len() * k) as u64);
     }
 
     #[test]
@@ -1586,7 +1237,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_argmin_serves_non_incremental_objectives() {
+    fn relocation_argmin_serves_non_incremental_objectives() {
         // Custom full-pass objectives fall back to exact scoring with
         // the same argmin semantics.
         struct StartSum;
@@ -1614,56 +1265,6 @@ mod tests {
         let got = batch.best_relocation(g, &base, t, lo..=hi, &machines, &StartSum);
         assert_eq!(got.map(cell), want);
         assert_eq!(batch.evaluations() - before, moves.len() as u64);
-    }
-
-    #[test]
-    fn scan_floor_prunes_instantly_without_changing_the_argmin() {
-        // Balanced integer instance: 4 independent tasks on 2 machines,
-        // every execution 6.0 → certified floor 12.0 (total work 24 over
-        // aggregate capacity 2), reached by any 2+2 split.
-        let g = mshc_taskgraph::TaskGraphBuilder::new(4).build().unwrap();
-        let exec = Matrix::filled(2, 4, 6.0);
-        let transfer = Matrix::filled(1, 0, 0.0);
-        let sys = HcSystem::with_anonymous_machines(2, exec, transfer).unwrap();
-        let inst = HcInstance::new(g, sys).unwrap();
-        let bound = crate::InstanceBound::compute(&inst);
-        assert_eq!(bound.floor(), 12.0);
-
-        // Direct evaluator check: once the caller's running best equals
-        // the floor, a bounded scoring is pruned before any replay; with
-        // the default (-inf) floor the same call scores to completion.
-        let snap = EvalSnapshot::new(&inst);
-        let g = inst.graph();
-        let mut rng = ChaCha8Rng::seed_from_u64(40);
-        let base = random_solution(&inst, &mut rng);
-        let obj = ObjectiveKind::Makespan;
-        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.prime(&base);
-        let t = TaskId::new(0);
-        let (pos, m) = (base.position_of(t), base.machine_of(t));
-        let exact = inc.score_move_bounded(t, pos, m, bound.floor(), &obj);
-        assert!(matches!(exact, MoveScore::Exact(_)), "identity move scores");
-        inc.set_scan_floor(bound.floor());
-        let cut = inc.score_move_bounded(t, pos, m, bound.floor(), &obj);
-        assert_eq!(cut, MoveScore::Pruned, "floor == bound prunes instantly");
-
-        // Batch-level identity: the relocation winner, its score bits
-        // and the evaluation count are unchanged by the floor, at any
-        // thread count.
-        let (lo, hi) = base.valid_range(g, t);
-        let machines = [MachineId::new(0), MachineId::new(1)];
-        for threads in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let (plain, floored) = pool.install(|| {
-                let mut b0 = BatchEvaluator::new(&snap);
-                let r0 = b0.best_relocation(g, &base, t, lo..=hi, &machines, &obj).unwrap();
-                let mut b1 = BatchEvaluator::new(&snap).with_scan_floor(bound.floor());
-                let r1 = b1.best_relocation(g, &base, t, lo..=hi, &machines, &obj).unwrap();
-                assert_eq!(b0.evaluations(), b1.evaluations());
-                (r0, r1)
-            });
-            assert_eq!(cell(plain), cell(floored), "{threads} threads");
-        }
     }
 
     #[test]
@@ -1759,7 +1360,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_scores_follow_total_cmp_in_bounded_argmin() {
+    fn nan_scores_follow_total_cmp_in_relocation_argmin() {
         // A custom objective emitting NaN for some candidates must not
         // poison the argmin: the fold follows total_cmp exactly like the
         // min_by fold this machinery replaced (-NaN smallest, +NaN

@@ -31,67 +31,30 @@
 //!    whole solutions with no shared lineage.
 //! 3. **incremental** — [`IncrementalEvaluator`]: primes a base solution
 //!    once, checkpoints frontier state every `⌈√k⌉` positions, and scores
-//!    candidates sharing a prefix with the base by replaying only the
-//!    disturbed suffix — exact (bit-identical to a full pass),
-//!    asymptotically cheaper than tier 1 per candidate. Two entry
-//!    shapes: *single-task moves*
-//!    ([`score_move`](IncrementalEvaluator::score_move)) for move scans
-//!    against a fixed base — tabu's sampled neighborhood, SA's proposal
-//!    loop, and SE's allocation scan, which scores all allowed machines
-//!    of one position in a single lockstep replay with a lane per
-//!    machine ([`score_position`](IncrementalEvaluator::score_position))
-//!    — and *arbitrary
-//!    prefix-sharing candidates*
-//!    ([`score_suffix`](IncrementalEvaluator::score_suffix)) for GA
-//!    crossover offspring, which share a literal prefix with a parent
-//!    up to their first divergence. The batch move-scoring and
-//!    population-scoring ([`score_population`](BatchEvaluator::score_population))
-//!    entry points route through per-thread incremental evaluators
-//!    automatically, so tiers 2 and 3 compose: GA rides tier 3 like
-//!    every other algorithm in the portfolio.
+//!    a single-task move of the base by replaying only the disturbed
+//!    suffix — exact (bit-identical to a full pass), asymptotically
+//!    cheaper than tier 1 per candidate. Two entry shapes:
+//!    [`score_move`](IncrementalEvaluator::score_move), one candidate at
+//!    a time, for tabu's sampled neighborhood and SA's proposal loop; and
+//!    machine lanes
+//!    ([`score_position`](IncrementalEvaluator::score_position)) for SE's
+//!    allocation scan, which scores all allowed machines of one position
+//!    in a single lockstep replay with a lane per machine. The batch
+//!    move-scoring entry points route through per-thread incremental
+//!    evaluators automatically, so tiers 2 and 3 compose. GA offspring
+//!    share no single-move shape with a parent: population scoring
+//!    ([`score_population`](BatchEvaluator::score_population)) gives exact
+//!    clones their parent's cost and every other child one tier-1 pass.
 //!
-//! *Why suffix replay cannot change fitness bits*: the replay starts
+//! *Why suffix replay cannot change a score bit*: the replay starts
 //! from checkpointed frontier state reached by walking exactly the
 //! shared prefix (identical segments ⇒ identical floating-point state,
 //! since the walk is deterministic and order-preserving), then replays
-//! the child's own segments one by one with the same fold a full pass
-//! would apply. No value is approximated, reordered, or recomputed
-//! along a different association order, so every intermediate — and
-//! hence the final objective value — is the same IEEE-754 bit pattern
-//! the scalar evaluator produces. Selection pressure in roulette-style
-//! algorithms depends on exact fitness values, which is why the
-//! population path never engages bound pruning: every child gets its
-//! exact score.
-//!
-//! Tier 3's **fast path** cuts the replay itself two ways, both exact.
-//! It serves tabu's neighborhood argmin and SE's first-improvement
-//! allocation; SE's best-fit scan runs on machine lanes, which score
-//! every candidate to completion:
-//!
-//! * **Bound pruning**
-//!   ([`score_move_bounded`](IncrementalEvaluator::score_move_bounded)):
-//!   the caller's best-so-far score rides along, and the replay abandons
-//!   a candidate the moment the objective's monotone
-//!   [`lower bound`](Objective::lower_bound) reaches it.
-//!   *Why this can never change a selection*: suppose the scan's
-//!   incumbent scored `b` and a later candidate is pruned. Pruning
-//!   required `lower_bound >= b`, and the true score is at least the
-//!   lower bound, so the candidate's score is `>= b` — it either loses
-//!   to the incumbent outright or ties it, and every scan in the suite
-//!   commits strict improvements with earliest-index tie-breaking, so a
-//!   tie loses to the earlier incumbent whether it was scored exactly
-//!   or abandoned. The winner itself can never be pruned: every bound
-//!   it is checked against comes from a strictly worse (or infinite)
-//!   score, which its own lower bound cannot reach. Pruned candidates
-//!   still count as one evaluation each, so evaluation counts are
-//!   unchanged too.
-//! * **Reconvergence splicing**: priming precomputes per-checkpoint
-//!   suffix aggregates; when a replay's frontier bitwise re-converges
-//!   with the base walk at a checkpoint boundary (past the disturbed
-//!   window and every perturbed consumer), the tail is spliced from the
-//!   aggregates instead of replayed — O(disturbed region) per move, not
-//!   O(k − pos). Only exact merges are taken (`max` for makespan; the
-//!   full-state identity splice otherwise), preserving bit-identity.
+//! the candidate's own segments one by one, to the end of the string,
+//! with the same fold a full pass would apply. No value is approximated,
+//! reordered, or recomputed along a different association order, so
+//! every intermediate — and hence the final objective value — is the
+//! same IEEE-754 bit pattern the scalar evaluator produces.
 //!
 //! ## The encoding
 //!
@@ -149,8 +112,8 @@ pub use incremental::{auto_stride, IncrementalEvaluator, MoveScore, ScanStats};
 pub use init::random_solution;
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{
-    objective_from_report, BoundHints, EvalView, LoadBalance, Makespan, MeanFlowtime, Objective,
-    ObjectiveKind, ObjectiveState, ObjectiveValues, SuffixView, TotalFlowtime, Weighted,
+    objective_from_report, EvalView, LoadBalance, Makespan, MeanFlowtime, Objective, ObjectiveKind,
+    ObjectiveState, ObjectiveValues, TotalFlowtime, Weighted,
 };
 pub use replan::{
     Disturbance, DisturbanceKind, DisturbanceRecord, ReplanError, ReplanReport, Replanner,

@@ -33,8 +33,7 @@
 //!   quotient is at least its ceiling. This regime is what makes
 //!   early termination actually fire: the floor is *reachable*.
 //! * **General float instances**: the floor's whole magnitude is
-//!   deflated by `1 − (2k + 16)·ε` — the same conservative margin the
-//!   incremental evaluator's pruning floors use — which dominates the
+//!   deflated by `1 − (2k + 16)·ε`, a conservative margin that dominates the
 //!   relative error of both the floor computation (≤ k additions) and
 //!   the evaluator's timing chain. A deflated floor sits strictly below
 //!   every computed makespan, so the certificate holds; early stop then
@@ -84,8 +83,7 @@ pub struct InstanceBound {
     exact: bool,
     /// Machine count the work term was spread over.
     machines: usize,
-    /// Cheapest execution time per task (clamped to finite `>= 0`,
-    /// matching the incremental evaluator's pruning floors).
+    /// Cheapest execution time per task (clamped to finite `>= 0`).
     min_exec: Vec<f64>,
     /// Earliest/latest start times under the relaxation.
     slack: SlackAnalysis,
@@ -198,8 +196,9 @@ impl InstanceBound {
     /// chain (cheapest machines, free transfers) still runs after it.
     /// Never below [`floor`](Self::floor).
     ///
-    /// The search algorithms do not read it; `perfbench`'s allocation-
-    /// grid probe orders machines by it.
+    /// No library code reads it. Kept only because the benchmark under
+    /// `perfbench/` orders its allocation-grid machines by it; delete it
+    /// with that use at the next change to the benchmark.
     pub fn placement_floor(&self, t: TaskId, exec: f64) -> f64 {
         let i = t.index();
         let tail = self.slack.length - self.slack.latest[i] - self.min_exec[i];
@@ -228,11 +227,10 @@ impl InstanceBound {
     }
 }
 
-/// The conservative whole-magnitude deflation factor `1 − (2k + 16)·ε`
-/// shared with the incremental evaluator's pruning floors: it dominates
-/// the relative rounding error of both the floor computation and the
-/// evaluator's timing chain, so a deflated floor never overshoots a
-/// computed makespan.
+/// The conservative whole-magnitude deflation factor `1 − (2k + 16)·ε`:
+/// it dominates the relative rounding error of both the floor
+/// computation and the evaluator's timing chain, so a deflated floor
+/// never overshoots a computed makespan.
 #[inline]
 fn deflate(k: usize) -> f64 {
     1.0 - (2 * k + 16) as f64 * f64::EPSILON

@@ -51,17 +51,6 @@ pub struct ObjectiveState {
     finish_sum: f64,
     tasks: usize,
     machine_busy: Vec<f64>,
-    /// Running maximum over the busy-vector entries. Busy times only
-    /// grow under [`fold`](Self::fold), so this is monotone — the
-    /// load-balance lower bound rests on it.
-    max_busy: f64,
-    /// Running maximum of caller-supplied *pending-work* floors
-    /// ([`note_pending`](Self::note_pending)): certified lower bounds on
-    /// the final max finish time given what has been folded so far (e.g.
-    /// a folded task's finish plus the remaining critical path below
-    /// it). Only the incremental replay feeds this; it never affects
-    /// scores, only how early the makespan lower bound can prune.
-    pending_floor: f64,
 }
 
 impl ObjectiveState {
@@ -72,8 +61,6 @@ impl ObjectiveState {
             finish_sum: 0.0,
             tasks: 0,
             machine_busy: vec![0.0; machines],
-            max_busy: 0.0,
-            pending_floor: 0.0,
         }
     }
 
@@ -85,8 +72,6 @@ impl ObjectiveState {
         self.tasks = 0;
         self.machine_busy.clear();
         self.machine_busy.resize(machines, 0.0);
-        self.max_busy = 0.0;
-        self.pending_floor = 0.0;
     }
 
     /// Folds one completed task: it finished at `finish` on `machine`,
@@ -95,9 +80,7 @@ impl ObjectiveState {
     pub fn fold(&mut self, machine: MachineId, finish: f64, exec: f64) {
         self.max_finish = self.max_finish.max(finish);
         self.finish_sum += finish;
-        let busy = self.machine_busy[machine.index()] + exec;
-        self.machine_busy[machine.index()] = busy;
-        self.max_busy = self.max_busy.max(busy);
+        self.machine_busy[machine.index()] += exec;
         self.tasks += 1;
     }
 
@@ -110,10 +93,6 @@ impl ObjectiveState {
         self.tasks = tasks;
         self.machine_busy.clear();
         self.machine_busy.extend_from_slice(machine_busy);
-        // Entries only grow, so the running max equals the max over the
-        // restored entries.
-        self.max_busy = machine_busy.iter().copied().fold(0.0, f64::max);
-        self.pending_floor = 0.0;
     }
 
     /// Running maximum of folded finish times.
@@ -139,75 +118,6 @@ impl ObjectiveState {
     pub fn machine_busy(&self) -> &[f64] {
         &self.machine_busy
     }
-
-    /// Running maximum over the per-machine busy times (monotone under
-    /// [`fold`](Self::fold)).
-    #[inline]
-    pub fn max_busy(&self) -> f64 {
-        self.max_busy
-    }
-
-    /// Raises the pending-work floor: `floor` must be a certified lower
-    /// bound on the *final computed* max finish time (rounding
-    /// included), typically a folded task's finish plus a deflated
-    /// remaining-critical-path bound. Monotone by construction.
-    #[inline]
-    pub fn note_pending(&mut self, floor: f64) {
-        self.pending_floor = self.pending_floor.max(floor);
-    }
-
-    /// The current pending-work floor (0 when never noted).
-    #[inline]
-    pub fn pending_floor(&self) -> f64 {
-        self.pending_floor
-    }
-
-    /// Whether this fold bitwise-equals a checkpoint of the same shape —
-    /// the reconvergence test of the incremental evaluator's identity
-    /// splice: when the whole resumable accumulator state matches the
-    /// base walk's, the remaining fold is the base walk's remaining fold.
-    #[inline]
-    pub fn matches(
-        &self,
-        max_finish: f64,
-        finish_sum: f64,
-        tasks: usize,
-        machine_busy: &[f64],
-    ) -> bool {
-        self.tasks == tasks
-            && self.max_finish == max_finish
-            && self.finish_sum == finish_sum
-            && self.machine_busy == machine_busy
-    }
-}
-
-/// Per-candidate context for [`Objective::lower_bound`]: facts about the
-/// *finished* fold that are known before the replay completes.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundHints {
-    /// Number of tasks the finished fold will contain.
-    pub total_tasks: usize,
-    /// Certified upper bound on the finished fold's total machine-busy
-    /// time **as `finalize` will compute it** (i.e. inflated past any
-    /// float-rounding drift). Lower bounds may divide by the machine
-    /// count through this; they must never assume it is tight.
-    pub total_busy_upper: f64,
-}
-
-/// Precomputed aggregates of a base walk's suffix (all string positions
-/// at or after one checkpoint boundary) — what
-/// [`crate::IncrementalEvaluator`] offers [`Objective::splice`] when a
-/// replay's frontier reconverges with the base walk.
-#[derive(Debug, Clone, Copy)]
-pub struct SuffixView<'a> {
-    /// Maximum finish time over the suffix positions.
-    pub max_finish: f64,
-    /// Sum of finish times over the suffix positions (left-to-right).
-    pub finish_sum: f64,
-    /// Per-machine busy time accumulated over the suffix positions.
-    pub machine_busy: &'a [f64],
-    /// Number of suffix positions.
-    pub tasks: usize,
 }
 
 /// A scalar schedule-quality measure; **lower is better**.
@@ -246,46 +156,6 @@ pub trait Objective: Sync {
         let _ = state;
         panic!("objective {:?} does not support incremental scoring", self.name())
     }
-
-    /// A monotone lower bound on what [`finalize`](Objective::finalize)
-    /// will return once the fold completes, given a partial fold and the
-    /// [`BoundHints`] context.
-    ///
-    /// **Contract:** for every partial state reachable during a fold and
-    /// every way the fold can complete, `lower_bound(partial, hints) <=
-    /// finalize(final)` — including float rounding, not just real
-    /// arithmetic. The incremental evaluator abandons a candidate the
-    /// moment this bound *reaches* the caller's best-so-far score
-    /// (candidates that cannot strictly beat the incumbent lose its
-    /// earliest-index tie-break anyway), so an over-tight bound would
-    /// change search selections; a loose bound only costs missed
-    /// pruning. The default, `f64::NEG_INFINITY`, never prunes and is
-    /// always safe.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, hints: &BoundHints) -> f64 {
-        let _ = (state, hints);
-        f64::NEG_INFINITY
-    }
-
-    /// Merges a partially replayed fold with precomputed base-suffix
-    /// aggregates, **bit-exactly**, or `None` when that is impossible.
-    ///
-    /// Called by the incremental evaluator when a replay's frontier has
-    /// reconverged with the base walk at a checkpoint boundary (the
-    /// remaining positions would fold exactly the base walk's values, in
-    /// the base walk's order). Only objectives whose finalize folds the
-    /// remaining values through *exact, associative* operations may
-    /// merge: `Makespan` does (`max` is exact), the sum-based objectives
-    /// must decline — `(prefix + a) + b` and `prefix + (a + b)` round
-    /// differently, and bit-identity with the full pass is part of the
-    /// evaluation-stack contract. Declining only costs speed: the replay
-    /// simply continues (or takes the identity splice when the whole
-    /// accumulator state matches the base checkpoint).
-    #[inline]
-    fn splice(&self, state: &ObjectiveState, suffix: &SuffixView<'_>) -> Option<f64> {
-        let _ = (state, suffix);
-        None
-    }
 }
 
 /// The schedule length the paper minimizes: the latest finish time.
@@ -310,21 +180,6 @@ impl Objective for Makespan {
     fn finalize(&self, state: &ObjectiveState) -> f64 {
         state.max_finish()
     }
-
-    /// The running max never decreases, every folded finish time enters
-    /// the final max unchanged, and the pending-work floor is certified
-    /// by its feeder — whichever is larger prunes earlier.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, _hints: &BoundHints) -> f64 {
-        state.max_finish().max(state.pending_floor())
-    }
-
-    /// `max` is exact and associative, so folding the suffix finishes
-    /// one by one and taking their precomputed max give the same bits.
-    #[inline]
-    fn splice(&self, state: &ObjectiveState, suffix: &SuffixView<'_>) -> Option<f64> {
-        Some(state.max_finish().max(suffix.max_finish))
-    }
 }
 
 /// Sum of all task finish times (total flowtime / total completion time).
@@ -347,14 +202,6 @@ impl Objective for TotalFlowtime {
 
     #[inline]
     fn finalize(&self, state: &ObjectiveState) -> f64 {
-        state.finish_sum()
-    }
-
-    /// The partial sum is a literal prefix of the final left-to-right
-    /// fold, and IEEE addition of non-negative terms never decreases a
-    /// running sum, so it lower-bounds the final rounded sum too.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, _hints: &BoundHints) -> f64 {
         state.finish_sum()
     }
 }
@@ -387,18 +234,6 @@ impl Objective for MeanFlowtime {
             0.0
         } else {
             state.finish_sum() / state.tasks() as f64
-        }
-    }
-
-    /// The partial sum lower-bounds the final sum (see
-    /// [`TotalFlowtime`]) and dividing both by the same positive task
-    /// count preserves the order under IEEE rounding.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, hints: &BoundHints) -> f64 {
-        if hints.total_tasks == 0 {
-            0.0
-        } else {
-            state.finish_sum() / hints.total_tasks as f64
         }
     }
 }
@@ -438,19 +273,6 @@ impl Objective for LoadBalance {
         let mean = state.machine_busy().iter().sum::<f64>() / state.machine_busy().len() as f64;
         max - mean
     }
-
-    /// The busiest machine only gets busier, while the final mean busy
-    /// time is capped by `hints.total_busy_upper / machines` — the hint
-    /// is certified to sit at or above the mean `finalize` will compute,
-    /// rounding included, so the difference can only grow.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, hints: &BoundHints) -> f64 {
-        let machines = state.machine_busy().len();
-        if machines == 0 {
-            return 0.0;
-        }
-        state.max_busy() - hints.total_busy_upper / machines as f64
-    }
 }
 
 /// Weighted blend `w_mk·makespan + w_ft·mean_flowtime + w_lb·imbalance`.
@@ -488,17 +310,6 @@ impl Objective for Weighted {
         self.makespan * Makespan.finalize(state)
             + self.flowtime * MeanFlowtime.finalize(state)
             + self.balance * LoadBalance.finalize(state)
-    }
-
-    /// Mirrors the `finalize` expression term for term: weights are
-    /// validated non-negative, and IEEE multiplication/addition are
-    /// monotone, so a per-component lower bound composes into a blend
-    /// lower bound with the same rounding behavior.
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, hints: &BoundHints) -> f64 {
-        self.makespan * Makespan.lower_bound(state, hints)
-            + self.flowtime * MeanFlowtime.lower_bound(state, hints)
-            + self.balance * LoadBalance.lower_bound(state, hints)
     }
 }
 
@@ -672,29 +483,6 @@ impl Objective for ObjectiveKind {
             }
         }
     }
-
-    #[inline]
-    fn lower_bound(&self, state: &ObjectiveState, hints: &BoundHints) -> f64 {
-        match *self {
-            ObjectiveKind::Makespan => Makespan.lower_bound(state, hints),
-            ObjectiveKind::TotalFlowtime => TotalFlowtime.lower_bound(state, hints),
-            ObjectiveKind::MeanFlowtime => MeanFlowtime.lower_bound(state, hints),
-            ObjectiveKind::LoadBalance => LoadBalance.lower_bound(state, hints),
-            ObjectiveKind::Weighted { makespan, flowtime, balance } => {
-                Weighted { makespan, flowtime, balance }.lower_bound(state, hints)
-            }
-        }
-    }
-
-    #[inline]
-    fn splice(&self, state: &ObjectiveState, suffix: &SuffixView<'_>) -> Option<f64> {
-        match *self {
-            ObjectiveKind::Makespan => Makespan.splice(state, suffix),
-            // The sum-based kinds cannot merge bit-exactly; they rely on
-            // the identity splice (full accumulator match) instead.
-            _ => None,
-        }
-    }
 }
 
 /// The per-objective summary attached to a [`ScheduleReport`].
@@ -821,86 +609,6 @@ mod tests {
         state.fold(MachineId::new(0), 3.0, 3.0);
         assert_eq!(restored, state);
         assert_eq!(MeanFlowtime.finalize(&ObjectiveState::new(3)), 0.0, "empty fold");
-    }
-
-    #[test]
-    fn lower_bounds_never_exceed_finalize() {
-        // Fold a partial prefix, finish the fold, and check every
-        // built-in objective's lower bound at the partial point sits at
-        // or below its finalized value — with hints describing the
-        // finished fold.
-        let folds = [(0u32, 4.0, 4.0), (1, 7.0, 7.0), (0, 9.0, 5.0), (1, 16.0, 9.0)];
-        let total_busy: f64 = folds.iter().map(|f| f.2).sum();
-        let hints = BoundHints { total_tasks: folds.len(), total_busy_upper: total_busy * 1.001 };
-        let weighted = Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
-        let mut full = ObjectiveState::new(2);
-        for (m, fin, exec) in folds {
-            full.fold(MachineId::new(m), fin, exec);
-        }
-        for cut in 0..folds.len() {
-            let mut partial = ObjectiveState::new(2);
-            for &(m, fin, exec) in &folds[..cut] {
-                partial.fold(MachineId::new(m), fin, exec);
-            }
-            for kind in ObjectiveKind::BASIC {
-                assert!(
-                    kind.lower_bound(&partial, &hints) <= kind.finalize(&full),
-                    "{} at cut {cut}",
-                    kind.label()
-                );
-            }
-            assert!(weighted.lower_bound(&partial, &hints) <= weighted.finalize(&full));
-        }
-        // The pending-work floor strengthens the makespan bound only.
-        let mut partial = ObjectiveState::new(2);
-        partial.fold(MachineId::new(0), 4.0, 4.0);
-        partial.note_pending(15.5);
-        assert_eq!(partial.pending_floor(), 15.5);
-        assert_eq!(Makespan.lower_bound(&partial, &hints), 15.5);
-        assert!(Makespan.lower_bound(&partial, &hints) <= Makespan.finalize(&full));
-        assert_eq!(TotalFlowtime.lower_bound(&partial, &hints), 4.0);
-        // max_busy tracks the busiest machine monotonically; load
-        // balance uses it against the certified mean cap.
-        assert_eq!(full.max_busy(), 16.0);
-        let lb = LoadBalance.lower_bound(&full, &hints);
-        assert!(lb <= LoadBalance.finalize(&full));
-        // Custom objectives never prune by default.
-        assert_eq!(
-            ObjectiveKind::Makespan.lower_bound(&ObjectiveState::new(2), &hints),
-            0.0f64.max(0.0)
-        );
-    }
-
-    #[test]
-    fn splice_is_exact_for_makespan_and_declined_for_sums() {
-        let mut state = ObjectiveState::new(2);
-        state.fold(MachineId::new(0), 6.0, 6.0);
-        let busy = [3.0, 8.0];
-        let suffix =
-            SuffixView { max_finish: 11.0, finish_sum: 19.0, machine_busy: &busy, tasks: 2 };
-        assert_eq!(Makespan.splice(&state, &suffix), Some(11.0));
-        assert_eq!(ObjectiveKind::Makespan.splice(&state, &suffix), Some(11.0));
-        // Sum-based finalizes cannot merge bit-exactly — they decline.
-        assert_eq!(TotalFlowtime.splice(&state, &suffix), None);
-        assert_eq!(ObjectiveKind::TotalFlowtime.splice(&state, &suffix), None);
-        assert_eq!(ObjectiveKind::MeanFlowtime.splice(&state, &suffix), None);
-        assert_eq!(ObjectiveKind::LoadBalance.splice(&state, &suffix), None);
-        let w = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.5 };
-        assert_eq!(w.splice(&state, &suffix), None);
-        // A prefix already past the suffix max dominates the merge.
-        state.fold(MachineId::new(1), 14.0, 8.0);
-        assert_eq!(Makespan.splice(&state, &suffix), Some(14.0));
-    }
-
-    #[test]
-    fn state_matches_detects_exact_checkpoint_equality() {
-        let mut state = ObjectiveState::new(2);
-        state.fold(MachineId::new(0), 3.0, 3.0);
-        state.fold(MachineId::new(1), 5.0, 5.0);
-        assert!(state.matches(5.0, 8.0, 2, &[3.0, 5.0]));
-        assert!(!state.matches(5.0, 8.0, 3, &[3.0, 5.0]), "task count differs");
-        assert!(!state.matches(5.0, 8.0 + 1e-12, 2, &[3.0, 5.0]), "sum differs");
-        assert!(!state.matches(5.0, 8.0, 2, &[3.0, 5.5]), "busy differs");
     }
 
     #[test]

@@ -479,13 +479,12 @@ impl<'a> Replanner<'a> {
             .expect("carryover order is a linear extension of the sub-DAG");
 
         // Re-prime the incremental evaluator from the disturbed frontier
-        // and score the carryover exactly (primes are uncounted; the
-        // zero-divergence suffix score is the primed end state).
+        // and read the carryover's exact score off the primed walk
+        // (primes are uncounted).
         let mut inc = IncrementalEvaluator::new(&res_inst);
         inc.set_stride(budget.checkpoint_stride);
-        inc.set_pruning(budget.prune);
         inc.prime(&carryover);
-        let carryover_cost = inc.score_suffix(&carryover, carryover.len(), &budget.objective);
+        let carryover_cost = inc.base_score(&budget.objective);
         drop(inc);
 
         // Run the search on the residual, seeded with the carryover.
@@ -650,7 +649,6 @@ mod tests {
                 scan: Default::default(),
                 lower_bound: None,
                 gap: None,
-                early_stopped: false,
                 termination: Termination::Completed,
             }
             .with_certificate(self.inst, self.budget.objective)

@@ -134,14 +134,6 @@ pub struct RunBudget {
     /// auto stride `⌈√k⌉`. A pure cost knob: results are bit-identical
     /// at every stride.
     pub checkpoint_stride: Option<usize>,
-    /// Whether the move-scan fast path may bound-prune and splice
-    /// (default `true`; the CLI's `--no-prune` escape hatch turns it
-    /// off). It governs tabu's bounded neighborhood argmin, SA's
-    /// incremental scorings and SE's first-improvement allocation; SE's
-    /// best-fit allocation scans on machine lanes, which never prune or
-    /// splice. Another pure cost knob: solutions, objective values and
-    /// evaluation counts are bit-identical either way.
-    pub prune: bool,
     /// Whether iterative searches may terminate as soon as the incumbent
     /// reaches the instance's certified lower bound
     /// ([`crate::InstanceBound`]) — the incumbent is then provably
@@ -151,13 +143,6 @@ pub struct RunBudget {
     /// a different solution or objective value; runs that never reach
     /// the floor are bit-identical either way.
     pub early_stop: bool,
-    /// Forces the GA back onto full tier-1 population evaluation instead
-    /// of parent-primed prefix splicing (default `false`; the CLI's
-    /// `--ga-full-eval` escape hatch turns it on). Another pure cost
-    /// knob: splicing replays the exact fold a full pass would, so
-    /// solutions, fitness values and evaluation counts are bit-identical
-    /// either way.
-    pub ga_full_eval: bool,
     /// *Deterministic* deadline: stop once this many full evaluations
     /// have been performed, reporting [`Termination::Deadline`]. Unlike
     /// `max_evaluations` (a budget), a deadline models an external
@@ -185,9 +170,7 @@ impl Default for RunBudget {
             max_stall: None,
             objective: ObjectiveKind::default(),
             checkpoint_stride: None,
-            prune: true,
             early_stop: true,
-            ga_full_eval: false,
             deadline_evals: None,
             deadline_wall: None,
             cancel: None,
@@ -230,24 +213,10 @@ impl RunBudget {
         self
     }
 
-    /// Enables/disables the bounded+spliced move-scan fast path
-    /// (default: on).
-    pub fn with_prune(mut self, prune: bool) -> RunBudget {
-        self.prune = prune;
-        self
-    }
-
     /// Enables/disables early termination at the certified lower bound
     /// (default: on).
     pub fn with_early_stop(mut self, early_stop: bool) -> RunBudget {
         self.early_stop = early_stop;
-        self
-    }
-
-    /// Forces full tier-1 GA population evaluation (default: off, i.e.
-    /// parent-primed prefix splicing on).
-    pub fn with_ga_full_eval(mut self, ga_full_eval: bool) -> RunBudget {
-        self.ga_full_eval = ga_full_eval;
         self
     }
 
@@ -281,7 +250,7 @@ impl RunBudget {
         let hit = self.early_stop
             && lower_bound.is_some_and(|floor| incumbent.is_finite() && incumbent <= floor);
         if hit {
-            // Every scheduler latches `early_stopped` on the first hit
+            // Every scheduler latches its floor stop on the first hit
             // and short-circuits later checks, so this registry bump
             // fires at most once per run.
             mshc_obs::add(mshc_obs::Counter::EarlyStops, 1);
@@ -369,7 +338,9 @@ impl RunBudget {
     /// Classifies why a finished run stopped, applying the reporting
     /// precedence `Floor > Cancelled > Deadline > Budget > Completed`.
     /// Called once by each search's `result()` assembler with its final
-    /// counters and latches.
+    /// counters and latches; `early_stopped` is the search's floor latch
+    /// (set when [`floor_reached`](Self::floor_reached) fired), so
+    /// [`Termination::Floor`] is the one record of a floor stop.
     pub fn termination(
         &self,
         iterations: u64,
@@ -409,11 +380,11 @@ pub struct RunResult {
     pub evaluations: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Move-scan fast-path counters (all zero for schedulers that never
-    /// scan moves incrementally). Every axis, pruned and spliced
-    /// included, is identical at any thread count; the counters are
-    /// still kept out of the serialized tournament outcome, whose
-    /// layout they would change.
+    /// Tier-3 scoring and GA population counters (all zero for
+    /// schedulers that never score incrementally or by population).
+    /// Every axis is identical at any thread count; the counters are
+    /// still kept out of the serialized tournament outcome, whose layout
+    /// they would change.
     pub scan: ScanStats,
     /// The instance's certified makespan floor ([`crate::InstanceBound`]),
     /// `Some` only when the run optimized plain makespan (other
@@ -423,12 +394,10 @@ pub struct RunResult {
     /// Optimality gap `objective_value / lower_bound` (`>= 1.0` by the
     /// certificate contract); `None` whenever `lower_bound` is.
     pub gap: Option<f64>,
-    /// Whether the run terminated early because the incumbent reached
-    /// the certified floor (implies the solution is provably optimal).
-    pub early_stopped: bool,
     /// Why the run stopped (see [`Termination`] for the precedence).
     /// Always accompanied by the best incumbent — degraded termination
-    /// is graceful, never an error.
+    /// is graceful, never an error. [`Termination::Floor`] means the
+    /// incumbent reached the certified floor and is provably optimal.
     pub termination: Termination,
 }
 
@@ -514,8 +483,6 @@ mod tests {
         let b = RunBudget::iterations(5).with_checkpoint_stride(Some(7));
         assert_eq!(b.checkpoint_stride, Some(7));
         assert_eq!(RunBudget::default().checkpoint_stride, None);
-        assert!(!RunBudget::default().ga_full_eval, "splicing is the default");
-        assert!(RunBudget::iterations(5).with_ga_full_eval(true).ga_full_eval);
     }
 
     #[test]

@@ -224,7 +224,6 @@ mod tests {
                 scan: Default::default(),
                 lower_bound: None,
                 gap: None,
-                early_stopped: false,
                 termination: crate::runner::Termination::Completed,
             }
         }

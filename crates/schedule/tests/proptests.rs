@@ -4,9 +4,9 @@
 
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
-    objective_from_report, random_solution, replay, replay_with, BatchEvaluator, EvalSnapshot,
-    Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, Objective, ObjectiveKind,
-    Solution,
+    objective_from_report, random_solution, replay, replay_with, BatchEvaluator, Descent,
+    EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, Objective,
+    ObjectiveKind, Solution,
 };
 use mshc_taskgraph::gen::{erdos_dag, layered, LayeredConfig};
 use mshc_taskgraph::TaskId;
@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A random mixed-task move sample inside `base`'s valid ranges — the
-/// shape the bounded scans serve.
+/// shape tabu's neighborhood argmin serves.
 fn sample_moves(
     inst: &HcInstance,
     base: &Solution,
@@ -271,64 +271,14 @@ proptest! {
         }
     }
 
-    /// Every [`MoveScore::Pruned`] verdict is sound: the candidate's true
-    /// (full-evaluation) score is at least the bound it was pruned
-    /// against, and every [`MoveScore::Exact`] is bit-identical to the
-    /// unbounded scoring — across random workloads, strides, bounds and
-    /// objectives. This is the property the whole bounded fast path
-    /// rests on: an invalid lower bound (critical-cone, chain-tail or
-    /// machine-load floor, or a rounding overshoot) would fail it.
+    /// The batch argmins commit exactly what a score-everything-then-fold
+    /// scan commits: tabu's mixed-task argmin matches a sequential
+    /// first-minimum fold with the admissibility/aspiration rule — same
+    /// index (tie-breaks included), same exact score, same evaluation
+    /// count — across random workloads, strides and thread counts, and
+    /// SE's relocation argmin matches a first-minimum fold over its grid.
     #[test]
-    fn pruned_verdicts_are_sound_and_exact_scores_exact(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-        stride_sel in 0usize..3,
-        tighten in 0.7f64..1.3,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = inst.graph();
-        let k = inst.task_count();
-        let base = random_solution(&inst, &mut rng);
-        let stride = [Some(1), Some((k / 2).max(1)), None][stride_sel];
-        let snap = EvalSnapshot::new(&inst);
-        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
-        inc.prime(&base);
-        let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
-        let base_score = inc.base_score(&ObjectiveKind::Makespan);
-        for (t, pos, m) in sample_moves(&inst, &base, 10, &mut rng) {
-            let mut cand = base.clone();
-            cand.move_task(g, t, pos, m).unwrap();
-            for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-                let truth = scalar.objective_value(&cand, &kind);
-                // Bounds straddling the score distribution, ties included.
-                for bound in [truth, base_score * tighten, truth * tighten, f64::INFINITY] {
-                    match inc.score_move_bounded(t, pos, m, bound, &kind) {
-                        MoveScore::Exact(s) => prop_assert_eq!(
-                            s, truth, "{} stride {:?} bound {}", kind.name(), stride, bound
-                        ),
-                        MoveScore::Pruned => prop_assert!(
-                            truth >= bound,
-                            "{}: pruned at bound {bound} but true score {truth} beats it \
-                             (stride {:?}, move {t} -> ({pos}, {m}))",
-                            kind.name(), stride
-                        ),
-                    }
-                }
-            }
-        }
-        let stats = inc.stats();
-        prop_assert_eq!(stats.scored, inc.evaluations(), "every call counts once");
-    }
-
-    /// The bounded batch argmin commits exactly what the unbounded
-    /// score-everything-then-fold scan commits — same index (tie-breaks
-    /// included), same exact score, same evaluation count — across
-    /// random workloads, strides, thread counts, and the tabu-style
-    /// admissibility/aspiration rule.
-    #[test]
-    fn bounded_scan_commits_identical_argmin_value_and_count(
+    fn argmin_scans_commit_the_sequential_choice(
         inst in instance_strategy(),
         seed in any::<u64>(),
         stride_sel in 0usize..3,
@@ -348,7 +298,7 @@ proptest! {
             ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 },
         ][kind_sel];
         let snap = EvalSnapshot::new(&inst);
-        // Unbounded reference: exact scores, sequential fold.
+        // Reference: exact scores, sequential fold.
         let scores = BatchEvaluator::new(&snap).score_task_moves(g, &base, &moves, &kind);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
 
@@ -490,78 +440,72 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `score_suffix` is bit-identical to a scalar full pass for every
-    /// objective, on arbitrary children built by stacking random moves
-    /// on the primed base, with any divergence index at or below the
-    /// true first divergence, at every checkpoint stride.
+    /// `score_population` is bit-identical to full passes over the same
+    /// children (`scores`) for every objective, on children built by
+    /// stacking random moves on a parent — exact clones included — with
+    /// every `Descent` arm, and it counts one evaluation per child and
+    /// exactly the clones on the population axes.
     #[test]
-    fn score_suffix_equals_full_reevaluation(
+    fn score_population_equals_full_passes(
         inst in instance_strategy(),
         seed in any::<u64>(),
-        stride_sel in 0usize..5,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = inst.graph();
         let k = inst.task_count();
-        let base = random_solution(&inst, &mut rng);
-        let stride = match stride_sel {
-            0 => Some(1),
-            1 => Some(2),
-            2 => Some((k / 2).max(1)),
-            3 => Some(k + 7), // beyond k: degenerates to replay-from-zero
-            _ => None,        // auto ⌈√k⌉
-        };
-        let snap = EvalSnapshot::new(&inst);
-        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
-        inc.set_pruning(false);
-        inc.prime(&base);
-        let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
-        for round in 0..8 {
-            // Children at increasing distance from the base, including
-            // the identical child (divergence k).
-            let mut child = base.clone();
-            for _ in 0..round {
+        let parents: Vec<Solution> = (0..3).map(|_| random_solution(&inst, &mut rng)).collect();
+        let mut children = Vec::new();
+        let mut descents = Vec::new();
+        for round in 0..9 {
+            // Children at increasing distance from their parent,
+            // including the identical child.
+            let p = round % parents.len();
+            let mut child = parents[p].clone();
+            for _ in 0..round / 2 {
                 let t = TaskId::new(rng.gen_range(0..k as u32));
                 let (lo, hi) = child.valid_range(g, t);
                 let pos = rng.gen_range(lo..=hi);
                 let m = MachineId::new(rng.gen_range(0..inst.machine_count() as u32));
                 child.move_task(g, t, pos, m).unwrap();
             }
-            let diverge = base
-                .segments()
-                .iter()
-                .zip(child.segments())
-                .position(|(a, b)| a != b)
-                .unwrap_or(k);
-            for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-                let slow = scalar.objective_value(&child, &kind);
-                // The exact divergence index and any sound (smaller)
-                // one must agree with the full pass bit for bit.
-                for d in [diverge, diverge / 2, 0] {
-                    prop_assert_eq!(
-                        inc.score_suffix(&child, d, &kind), slow,
-                        "{} stride {:?} diverge {} (true {})", kind.name(), stride, d, diverge
-                    );
-                }
-            }
+            let diverge =
+                parents[p].segments().iter().zip(child.segments()).position(|(a, b)| a != b);
+            descents.push(match diverge {
+                None => Descent::Clone { parent: p },
+                Some(d) if round % 2 == 0 => Descent::Suffix { parent: p, diverge: d },
+                Some(_) => Descent::Fresh,
+            });
+            children.push(child);
+        }
+        let clones = descents.iter().filter(|d| matches!(d, Descent::Clone { .. })).count() as u64;
+        let snap = EvalSnapshot::new(&inst);
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
+        for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
+            let costs = BatchEvaluator::new(&snap).scores(&parents, &kind);
+            let want = BatchEvaluator::new(&snap).scores(&children, &kind);
+            let mut batch = BatchEvaluator::new(&snap);
+            let got = batch.score_population(&parents, &costs, &children, &descents, &kind);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{}", kind.name());
+            prop_assert_eq!(batch.evaluations(), children.len() as u64);
+            let stats = batch.scan_stats();
+            prop_assert_eq!(stats.clones, clones);
+            prop_assert_eq!(stats.clone_positions, clones * k as u64);
+            prop_assert_eq!(stats.population_positions, (children.len() * k) as u64);
         }
     }
 
     /// A machine-changing move re-prices the moved task's edges in the
-    /// evaluator's per-edge cost cache; every exit of
-    /// `score_move_bounded` must put the base costs (and finish times)
-    /// back. The bounds pick each exit in turn — the scan-floor cut, the
-    /// zero-replay cut (`f64::MIN` sits below every finite floor), a
-    /// prune mid-replay (the candidate's own score is reached at the
-    /// latest by its final step) and an exact or spliced finish — on
-    /// same-machine, machine-changing and identity moves. After every
-    /// call a fresh candidate and the base itself must still score
-    /// bit-identically to full passes. Instances include a single
-    /// machine (no `Tr` rows, only the zero row) and edgeless DAGs.
+    /// evaluator's per-edge cost cache, and every replay dirties finish
+    /// times; `score_move` must put both back. Same-machine,
+    /// machine-changing, random and identity moves are scored in turn;
+    /// after every one a fresh candidate and the base itself must still
+    /// score bit-identically to full passes, and the benchmark-pinned
+    /// `score_move_bounded` returns the same exact score at any bound.
+    /// Instances include a single machine (no `Tr` rows, only the zero
+    /// row) and edgeless DAGs.
     #[test]
-    fn bounded_scoring_restores_the_base_on_every_exit(
+    fn score_move_restores_the_base_after_every_move(
         k in 1usize..25,
         l in 1usize..6,
         p in 0.0f64..0.9,
@@ -599,29 +543,20 @@ proptest! {
             let away = MachineId::from_usize((home.index() + 1) % l);
             for mv in [(t, pos, home), (t, pos, away), (t, pos, m), (t, base.position_of(t), home)] {
                 let truth = moved_score(&mut scalar, &inst, &base, mv, &kind);
-                let exits = [
-                    (truth, truth),
-                    (f64::NEG_INFINITY, f64::MIN),
-                    (f64::NEG_INFINITY, truth),
-                    (f64::NEG_INFINITY, f64::INFINITY),
-                ];
-                for (floor, bound) in exits {
-                    inc.set_scan_floor(floor);
+                let got = inc.score_move(mv.0, mv.1, mv.2, &kind);
+                prop_assert_eq!(got.to_bits(), truth.to_bits(), "{} move {:?}", kind.name(), mv);
+                for bound in [f64::MIN, truth, f64::INFINITY] {
                     let out = inc.score_move_bounded(mv.0, mv.1, mv.2, bound, &kind);
-                    inc.set_scan_floor(f64::NEG_INFINITY);
-                    match out {
-                        MoveScore::Exact(s) => prop_assert_eq!(s.to_bits(), truth.to_bits()),
-                        MoveScore::Pruned => prop_assert!(bound < f64::INFINITY),
-                    }
-                    let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
-                    let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
-                    let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "{} after {:?} at bound {}: fresh move {:?}", kind.name(), mv, bound, fresh
-                    );
-                    prop_assert_eq!(inc.base_score(&kind).to_bits(), base_truth.to_bits());
+                    prop_assert_eq!(out, MoveScore::Exact(got));
                 }
+                let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
+                let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
+                let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "{} after {:?}: fresh move {:?}", kind.name(), mv, fresh
+                );
+                prop_assert_eq!(inc.base_score(&kind).to_bits(), base_truth.to_bits());
             }
         }
     }
@@ -658,8 +593,6 @@ proptest! {
         let snap = EvalSnapshot::new(&inst);
         let mut inc = IncrementalEvaluator::with_snapshot(&snap);
         inc.set_stride(stride);
-        inc.set_pruning(false);
-        inc.set_splicing(false);
         inc.prime(&base);
         let mut oracle = IncrementalEvaluator::with_snapshot(&snap);
         oracle.set_stride(stride);
@@ -713,6 +646,5 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(inc.stats().pruned + inc.stats().spliced, 0, "lanes neither prune nor splice");
     }
 }

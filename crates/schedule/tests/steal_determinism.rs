@@ -151,7 +151,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The full scoring pipeline under per-candidate delays: batch
-    /// scores, the bounded argmin (index and score bits) and the
+    /// scores, the relocation argmin (cell and score bits) and the
     /// evaluation count all match the 1-thread run at every thread
     /// count, with steal-order jitter injected through a full-pass
     /// objective.
@@ -282,14 +282,14 @@ proptest! {
         prop_assert_eq!(baseline.2.scored, grid.len() as u64);
     }
 
-    /// Incremental-path scans (the bounded argmin fast path) are
-    /// thread-invariant on the stealing executor: same index, same
-    /// score bits, same evaluation count and the same scored, pruned
-    /// and spliced counts as the 1-thread scan. A scan chunk holds
+    /// Tabu's mixed-task argmin is thread-invariant on the stealing
+    /// executor: same index, same score bits, same evaluation count and
+    /// the same scan counters as the 1-thread scan, and the winner is
+    /// the first minimum of the exact scores. A scan chunk holds
     /// `⌈6144 / k⌉` candidates (at most 205 at these task counts), so
     /// the sample spans several chunks and really fans out.
     #[test]
-    fn incremental_bounded_scan_is_thread_invariant_under_stealing(
+    fn task_move_argmin_is_thread_invariant_under_stealing(
         tasks in 30usize..70,
         machines in 2usize..5,
         seed in any::<u64>(),
@@ -314,17 +314,21 @@ proptest! {
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
                 let best = batch.best_task_move(g, &base, &moves, None, 0.0, &obj);
-                let stats = batch.scan_stats();
-                (
-                    best.map(|b| (b.index, b.score.to_bits())),
-                    batch.evaluations(),
-                    (stats.scored, stats.pruned, stats.spliced),
-                )
+                (best.map(|b| (b.index, b.score.to_bits())), batch.evaluations(), batch.scan_stats())
             })
         };
         let baseline = run(1);
         for threads in [2usize, 4, 8] {
             prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
         }
+        let scores = BatchEvaluator::new(&snap).score_task_moves(g, &base, &moves, &obj);
+        let want = scores
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+            .map(|(i, s)| (i, s.to_bits()));
+        prop_assert_eq!(baseline.0, want, "first minimum of the exact scores");
+        prop_assert_eq!(baseline.1, moves.len() as u64);
+        prop_assert_eq!(baseline.2.scored, moves.len() as u64);
     }
 }

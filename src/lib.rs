@@ -61,7 +61,7 @@ pub use mshc_workloads as workloads;
 
 /// Everything a typical user needs, one import away.
 pub mod prelude {
-    pub use mshc_core::{AllocationStrategy, SeConfig, SeScheduler};
+    pub use mshc_core::{SeConfig, SeScheduler};
     pub use mshc_ga::{GaConfig, GaScheduler};
     pub use mshc_heuristics::{
         CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SaConfig,

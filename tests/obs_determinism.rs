@@ -47,7 +47,7 @@ struct RunFingerprint {
     makespan_bits: u64,
     iterations: u64,
     evaluations: u64,
-    early_stopped: bool,
+    termination: Termination,
     trace: Vec<TraceBits>,
 }
 
@@ -72,7 +72,7 @@ fn run_fingerprinted(
         makespan_bits: result.makespan.to_bits(),
         iterations: result.iterations,
         evaluations: result.evaluations,
-        early_stopped: result.early_stopped,
+        termination: result.termination,
         trace: trace
             .records()
             .iter()
