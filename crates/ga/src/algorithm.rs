@@ -1,16 +1,33 @@
-//! The GA generation loop: evaluate → roulette-select → crossover →
-//! mutate, with elitism.
+//! The GA generation loop: roulette-select → crossover → mutate, with
+//! elitism, each generation bred and scored in one overlapped pass.
+//!
+//! *Why breeding is serial.* A run is a pure function of its seed, and
+//! the RNG draw order is the contract (the comment in the generation
+//! loop lists it). The number of RNG words a child takes depends on the
+//! child itself: `gen_range` rejects and redraws a word that would bias
+//! its result, with a rejection zone set by the range's width, and the
+//! scheduling mutation draws its position from the child's valid range,
+//! which depends on the crossover before it. So child `i + 1`'s first
+//! draw is known only once child `i` is bred, and the children are bred
+//! one after another on the calling thread.
+//!
+//! *Why the overlap cannot change a bit.* Scoring consumes no RNG and
+//! writes nothing breeding reads. A child is scored only after it is
+//! published, and breeding never touches it again. Each score is either
+//! the donor's known cost for an exact clone, or one full pass over the
+//! child, and a pass depends on the child alone. So neither which
+//! thread scores a child nor when it does so can change a fitness
+//! value, a selection, a solution or a counter.
 
-use crate::chromosome::{order_valid_range, Chromosome};
 use crate::config::GaConfig;
+use crate::operators::{crossover, mutate_matching, random_individual, seeded_individual, Wheel};
 use mshc_obs as obs;
-use mshc_platform::{HcInstance, MachineId};
+use mshc_platform::HcInstance;
 use mshc_schedule::{
-    certified_gap, run_stepped, BatchEvaluator, Descent, EvalSnapshot, Evaluator, Incumbent,
+    certified_gap, perturb, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent,
     InstanceBound, ObjectiveKind, RunBudget, RunResult, ScanStats, Scheduler, SearchStep, Solution,
     StepVerdict, SteppableSearch,
 };
-use mshc_taskgraph::TaskId;
 use mshc_trace::{Trace, TraceRecord};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -40,25 +57,6 @@ impl GaScheduler {
     }
 }
 
-/// Roulette-wheel pick over linearly rescaled fitness: weight
-/// `w_i = worst - cost_i + ε·span`, so the worst chromosome keeps a small
-/// nonzero chance. Returns an index.
-fn roulette<R: Rng + ?Sized>(costs: &[f64], rng: &mut R) -> usize {
-    let worst = costs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let best = costs.iter().copied().fold(f64::INFINITY, f64::min);
-    let span = (worst - best).max(f64::MIN_POSITIVE);
-    let floor = 0.05 * span;
-    let total: f64 = costs.iter().map(|&c| worst - c + floor).sum();
-    let mut target = rng.gen::<f64>() * total;
-    for (i, &c) in costs.iter().enumerate() {
-        target -= worst - c + floor;
-        if target <= 0.0 {
-            return i;
-        }
-    }
-    costs.len() - 1
-}
-
 impl Scheduler for GaScheduler {
     fn name(&self) -> &str {
         "ga"
@@ -83,34 +81,29 @@ impl SteppableSearch for GaScheduler {
         let cfg = self.config;
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        // Whole-population fitness goes through the batch evaluator: one
-        // call per generation, fanned out over worker threads. From
-        // generation 1 on, each child records its prefix donor, and a
-        // child identical to its donor (an elite, or crossover and
-        // mutation that reproduced parent A) reuses the donor's score
-        // outright (`score_population`) — bit-identical to a full pass,
-        // so roulette pressure and evaluation counts are unchanged.
-        // Generation 0 has no parents and full-evaluates.
         let snapshot = EvalSnapshot::new(inst);
-        let mut sols: Vec<Solution> = Vec::with_capacity(cfg.population);
 
         // ---- initial population ----
-        let mut pop: Vec<Chromosome> =
-            (0..cfg.population).map(|_| Chromosome::random(inst, &mut rng)).collect();
+        // Generation 0 has no parents: every individual takes a full
+        // pass. From generation 1 on, `breed_population` scores each
+        // child as it is bred, and a child equal to its donor (an elite,
+        // or parent A when crossover and mutation reproduced it) takes
+        // the donor's cost.
+        let mut pop: Vec<Solution> =
+            (0..cfg.population).map(|_| random_individual(inst, &mut rng)).collect();
         if cfg.seed_with_heuristic {
-            pop[0] = Chromosome::seeded(inst);
+            pop[0] = seeded_individual(inst);
         }
-        sols.extend(pop.iter().map(|c| c.to_solution(inst)));
         let mut evaluations = 0;
         let costs = {
             let mut batch = BatchEvaluator::new(&snapshot).with_stride(budget.checkpoint_stride);
-            let costs = batch.scores(&sols, &objective);
+            let costs = batch.scores(&pop, &objective);
             evaluations += batch.evaluations();
             costs
         };
 
         let best_idx = argmin(&costs);
-        let best = pop[best_idx].clone();
+        let best_solution = pop[best_idx].clone();
         let best_cost = costs[best_idx];
 
         // The certified floor for early termination and gap reporting
@@ -125,11 +118,11 @@ impl SteppableSearch for GaScheduler {
             objective,
             rng,
             snapshot,
+            next: pop.clone(),
             pop,
             costs,
-            sols,
-            best_solution: best.to_solution(inst),
-            best,
+            wheel: Wheel::default(),
+            best_solution,
             best_cost,
             generations: 0,
             stall: 0,
@@ -152,12 +145,16 @@ struct GaState<'a> {
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
-    pop: Vec<Chromosome>,
+    /// The current generation and its fitness, index for index.
+    pop: Vec<Solution>,
     costs: Vec<f64>,
-    sols: Vec<Solution>,
-    best: Chromosome,
-    /// `best` in solution form, maintained eagerly so
-    /// [`SearchStep::incumbent`] can hand out a borrow.
+    /// The buffers the next generation is bred into; swapped with `pop`
+    /// after every generation.
+    next: Vec<Solution>,
+    /// The current generation's roulette weights.
+    wheel: Wheel,
+    /// The best individual seen, kept so [`SearchStep::incumbent`] can
+    /// hand out a borrow.
     best_solution: Solution,
     best_cost: f64,
     generations: u64,
@@ -185,7 +182,6 @@ impl SearchStep for GaState<'_> {
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let g = self.inst.graph();
         let k = self.inst.task_count();
-        let l = self.inst.machine_count();
         let mut batch =
             BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
         let mut stepped = 0u64;
@@ -205,83 +201,52 @@ impl SearchStep for GaState<'_> {
             )
         {
             // ---- next generation ----
-            let mut next = Vec::with_capacity(self.cfg.population);
-            // Each child's prefix donor: the elite itself, or parent A.
-            let mut donors = Vec::with_capacity(self.cfg.population);
-            // Elitism: carry the best chromosomes over unchanged.
+            // Elitism: the best chromosomes are carried over unchanged.
             let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
             ranked.sort_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)));
-            for &i in ranked.iter().take(self.cfg.elites) {
-                next.push(self.pop[i].clone());
-                donors.push(i);
-            }
-            while next.len() < self.cfg.population {
+            ranked.truncate(self.cfg.elites);
+            self.wheel.load(&self.costs);
+            let (cfg, pop, wheel, rng) = (&self.cfg, &self.pop, &self.wheel, &mut self.rng);
+            let breed = |i: usize, child: &mut Solution| {
+                if let Some(&elite) = ranked.get(i) {
+                    child.clone_from(&pop[elite]);
+                    return elite;
+                }
                 // RNG consumption order is the fitness-bit contract:
                 // roulette(pa), roulette(pb), crossover draw (+cuts),
                 // sched-mutation draw (+task,pos), match-mutation draw
                 // (+task,machine).
-                let ia = roulette(&self.costs, &mut self.rng);
-                let ib = roulette(&self.costs, &mut self.rng);
-                let pa = &self.pop[ia];
-                let pb = &self.pop[ib];
-                let crossed = self.rng.gen::<f64>() < self.cfg.crossover_prob;
-                let mut child = if crossed {
-                    let cut_s = self.rng.gen_range(0..=k);
-                    let cut_m = self.rng.gen_range(0..=k);
-                    Chromosome {
-                        order: pa.crossover_order(pb, cut_s),
-                        matching: pa.crossover_matching(pb, cut_m),
-                    }
+                let ia = wheel.pick(rng);
+                let ib = wheel.pick(rng);
+                if rng.gen::<f64>() < cfg.crossover_prob {
+                    let cut_s = rng.gen_range(0..=k);
+                    let cut_m = rng.gen_range(0..=k);
+                    crossover(child, g, &pop[ia], &pop[ib], cut_s, cut_m);
                 } else {
-                    pa.clone()
-                };
-                if self.rng.gen::<f64>() < self.cfg.sched_mutation_prob {
-                    let t = TaskId::from_usize(self.rng.gen_range(0..k));
-                    let (lo, hi) = order_valid_range(g, &child.order, t);
-                    let pos = self.rng.gen_range(lo..=hi);
-                    let moved = child.mutate_order(g, t, pos);
-                    debug_assert!(moved);
+                    child.clone_from(&pop[ia]);
                 }
-                if self.rng.gen::<f64>() < self.cfg.match_mutation_prob {
-                    let t = TaskId::from_usize(self.rng.gen_range(0..k));
-                    let m = MachineId::from_usize(self.rng.gen_range(0..l));
-                    child.mutate_matching(t, m);
+                if rng.gen::<f64>() < cfg.sched_mutation_prob {
+                    perturb(child, g, rng);
                 }
-                next.push(child);
-                donors.push(ia);
-            }
-            // The outgoing generation becomes the parent pool: its costs
-            // serve the children that reproduce their donor exactly.
-            let parent_sols = std::mem::take(&mut self.sols);
-            let parent_costs = std::mem::take(&mut self.costs);
-            self.pop = next;
-            let inst = self.inst;
-            self.sols.extend(self.pop.iter().map(|c| c.to_solution(inst)));
-            let descents: Vec<Descent> = self
-                .sols
-                .iter()
-                .zip(&donors)
-                .map(|(child, &parent)| {
-                    if *child == parent_sols[parent] {
-                        Descent::Clone { parent }
-                    } else {
-                        Descent::Fresh
-                    }
-                })
-                .collect();
-            self.costs = batch.score_population(
-                &parent_sols,
-                &parent_costs,
-                &self.sols,
-                &descents,
+                if rng.gen::<f64>() < cfg.match_mutation_prob {
+                    mutate_matching(child, rng);
+                }
+                // The donor a clone is checked against: parent A.
+                ia
+            };
+            self.costs = batch.breed_population(
+                &self.pop,
+                &self.costs,
+                &mut self.next,
+                breed,
                 &self.objective,
             );
+            std::mem::swap(&mut self.pop, &mut self.next);
 
             let best_idx = argmin(&self.costs);
             if self.costs[best_idx] < self.best_cost {
                 self.best_cost = self.costs[best_idx];
-                self.best = self.pop[best_idx].clone();
-                self.best_solution = self.best.to_solution(inst);
+                self.best_solution.clone_from(&self.pop[best_idx]);
                 self.stall = 0;
                 if self.budget.floor_reached(self.lower_bound, self.best_cost) {
                     self.early_stopped = true;
@@ -340,15 +305,10 @@ impl SearchStep for GaState<'_> {
             .map(|(i, _)| i)
             .expect("non-empty population");
         if cost < self.costs[worst] {
-            self.pop[worst] = Chromosome::from_solution(migrant);
+            self.pop[worst].clone_from(migrant);
             self.costs[worst] = cost;
-            // Keep the cached solution in sync: next generation's clone
-            // detection compares children against `sols`
-            // (`from_solution` → `to_solution` round-trips exactly).
-            self.sols[worst] = migrant.clone();
             if cost < self.best_cost {
-                self.best = self.pop[worst].clone();
-                self.best_solution = self.best.to_solution(self.inst);
+                self.best_solution.clone_from(migrant);
                 self.best_cost = cost;
                 self.stall = 0;
             }
@@ -410,31 +370,6 @@ mod tests {
         let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
         let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
         HcInstance::new(graph, sys).unwrap()
-    }
-
-    #[test]
-    fn roulette_prefers_low_cost() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let costs = vec![100.0, 10.0, 100.0, 100.0];
-        let mut hits = [0usize; 4];
-        for _ in 0..4000 {
-            hits[roulette(&costs, &mut rng)] += 1;
-        }
-        assert!(hits[1] > hits[0] * 3, "cheapest chromosome must dominate: {hits:?}");
-        assert!(hits.iter().all(|&h| h > 0), "everyone keeps a nonzero chance: {hits:?}");
-    }
-
-    #[test]
-    fn roulette_uniform_when_costs_equal() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let costs = vec![5.0; 4];
-        let mut hits = [0usize; 4];
-        for _ in 0..4000 {
-            hits[roulette(&costs, &mut rng)] += 1;
-        }
-        for &h in &hits {
-            assert!((800..1200).contains(&h), "roughly uniform: {hits:?}");
-        }
     }
 
     #[test]
@@ -580,8 +515,7 @@ mod tests {
         // With seeding on, generation 0's best is at least as good as the
         // deterministic heuristic chromosome.
         let inst = random_instance(25, 4, 25);
-        let seed_cost =
-            Evaluator::new(&inst).makespan(&Chromosome::seeded(&inst).to_solution(&inst));
+        let seed_cost = Evaluator::new(&inst).makespan(&seeded_individual(&inst));
         let mut trace = Trace::new();
         GaScheduler::new(GaConfig { seed: 9, ..Default::default() }).run(
             &inst,
@@ -649,18 +583,5 @@ mod tests {
         let r = state.result();
         r.solution.check(inst.graph()).unwrap();
         assert!(r.objective_value <= before.min(donor.objective_value) + 1e-9);
-    }
-
-    #[test]
-    fn chromosome_solution_roundtrip_via_from_solution() {
-        let inst = random_instance(15, 3, 52);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for _ in 0..20 {
-            let c = Chromosome::random(&inst, &mut rng);
-            let sol = c.to_solution(&inst);
-            let back = Chromosome::from_solution(&sol);
-            assert!(back.check(&inst));
-            assert_eq!(back.to_solution(&inst), sol, "round-trip preserves the schedule");
-        }
     }
 }

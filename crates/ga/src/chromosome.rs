@@ -1,17 +1,19 @@
-//! The two-string chromosome and its validity-preserving operators.
+//! The two-string chromosome of Wang et al.'s encoding.
+//!
+//! Kept only for the benchmark under `perfbench/`; delete with that use.
+//! The GA itself breeds [`Solution`]s through [`crate::operators`], and
+//! these string operators remain the reference its crossover is tested
+//! against.
 
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::Solution;
-use mshc_taskgraph::{TaskGraph, TaskId, TopoOrder};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use mshc_taskgraph::TaskId;
 
-/// One GA individual: a matching string plus a scheduling string.
+/// One individual as two strings: a scheduling string plus a matching
+/// string.
 ///
-/// Invariant: `order` is a linear extension of the instance DAG and
-/// `matching[t]` is a valid machine for every task. All constructors and
-/// operators preserve it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Kept only for the benchmark under `perfbench/`; delete with that use.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chromosome {
     /// Scheduling string: a topological order of all tasks.
     pub order: Vec<TaskId>,
@@ -20,24 +22,10 @@ pub struct Chromosome {
 }
 
 impl Chromosome {
-    /// Uniformly random valid chromosome.
-    pub fn random<R: Rng + ?Sized>(inst: &HcInstance, rng: &mut R) -> Chromosome {
-        let order = TopoOrder::random(inst.graph(), rng).into_vec();
-        let l = inst.machine_count();
-        let matching =
-            (0..inst.task_count()).map(|_| MachineId::from_usize(rng.gen_range(0..l))).collect();
-        Chromosome { order, matching }
-    }
-
-    /// The non-evolutionary seed chromosome: deterministic topological
-    /// order with every task on its best-matching machine.
-    pub fn seeded(inst: &HcInstance) -> Chromosome {
-        let order = TopoOrder::kahn(inst.graph()).into_vec();
-        let matching = inst.graph().tasks().map(|t| inst.system().best_machine(t)).collect();
-        Chromosome { order, matching }
-    }
-
-    /// Converts to the combined-string [`Solution`] for evaluation.
+    /// Converts to the combined-string [`Solution`].
+    ///
+    /// # Panics
+    /// If `order` is not a linear extension or a machine is out of range.
     pub fn to_solution(&self, inst: &HcInstance) -> Solution {
         Solution::from_order(inst.graph(), inst.machine_count(), &self.order, &self.matching)
             .expect("chromosome invariant: valid order + in-range machines")
@@ -45,9 +33,6 @@ impl Chromosome {
 
     /// Splits a combined-string [`Solution`] back into the two-string
     /// representation — the inverse of [`to_solution`](Self::to_solution).
-    /// Used to adopt migrant solutions from other algorithms in
-    /// portfolio (incumbent-exchange) runs; a valid solution string is a
-    /// linear extension, so the chromosome invariant holds.
     pub fn from_solution(sol: &Solution) -> Chromosome {
         let order: Vec<TaskId> = sol.order().collect();
         let mut matching = vec![MachineId::from_usize(0); sol.len()];
@@ -86,174 +71,31 @@ impl Chromosome {
         child[cut..].copy_from_slice(&other.matching[cut..]);
         child
     }
-
-    /// Scheduling mutation: move task `t` to position `new_pos` within its
-    /// valid range in the order. Returns `false` (and leaves the order
-    /// unchanged) if `new_pos` is outside the range.
-    pub fn mutate_order(&mut self, graph: &TaskGraph, t: TaskId, new_pos: usize) -> bool {
-        let (lo, hi) = order_valid_range(graph, &self.order, t);
-        if new_pos < lo || new_pos > hi {
-            return false;
-        }
-        let old = self.order.iter().position(|&x| x == t).expect("task present");
-        self.order.remove(old);
-        self.order.insert(new_pos, t);
-        true
-    }
-
-    /// Matching mutation: assign `t` to `machine`.
-    pub fn mutate_matching(&mut self, t: TaskId, machine: MachineId) {
-        self.matching[t.index()] = machine;
-    }
-
-    /// Validity check used by tests.
-    pub fn check(&self, inst: &HcInstance) -> bool {
-        inst.graph().is_linear_extension(&self.order)
-            && self.matching.len() == inst.task_count()
-            && self.matching.iter().all(|m| m.index() < inst.machine_count())
-    }
-}
-
-/// Valid insertion range of `t` inside a bare task order (same semantics
-/// as [`Solution::valid_range`], but without machines).
-pub fn order_valid_range(graph: &TaskGraph, order: &[TaskId], t: TaskId) -> (usize, usize) {
-    let mut pos = vec![0u32; order.len()];
-    for (i, &x) in order.iter().enumerate() {
-        pos[x.index()] = i as u32;
-    }
-    let mut lo = 0usize;
-    for p in graph.predecessors(t) {
-        lo = lo.max(pos[p.index()] as usize + 1);
-    }
-    let mut hi = order.len() - 1;
-    for s in graph.successors(t) {
-        hi = hi.min((pos[s.index()] as usize).saturating_sub(1));
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::random_individual;
     use mshc_platform::{HcSystem, Matrix};
-    use mshc_taskgraph::TaskGraphBuilder;
-    use rand::SeedableRng;
+    use mshc_taskgraph::gen::{layered, LayeredConfig};
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn instance() -> HcInstance {
-        let mut b = TaskGraphBuilder::new(7);
-        for (s, d) in [(0, 2), (0, 3), (1, 4), (2, 5), (3, 5), (4, 6)] {
-            b.add_edge(s, d).unwrap();
-        }
-        let g = b.build().unwrap();
-        let exec = Matrix::from_rows(&[
-            vec![400.0, 700.0, 500.0, 300.0, 800.0, 600.0, 200.0],
-            vec![600.0, 500.0, 400.0, 900.0, 435.0, 450.0, 350.0],
-        ]);
-        let transfer = Matrix::from_rows(&[vec![120.0, 80.0, 200.0, 60.0, 90.0, 150.0]]);
-        let sys = HcSystem::with_anonymous_machines(2, exec, transfer).unwrap();
-        HcInstance::new(g, sys).unwrap()
-    }
-
     #[test]
-    fn random_chromosomes_valid() {
-        let inst = instance();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..100 {
-            let c = Chromosome::random(&inst, &mut rng);
-            assert!(c.check(&inst));
-            let s = c.to_solution(&inst);
-            s.check(inst.graph()).unwrap();
-        }
-    }
-
-    #[test]
-    fn seeded_chromosome_uses_best_machines() {
-        let inst = instance();
-        let c = Chromosome::seeded(&inst);
-        assert!(c.check(&inst));
-        for t in inst.graph().tasks() {
-            assert_eq!(c.matching[t.index()], inst.system().best_machine(t));
-        }
-    }
-
-    #[test]
-    fn order_crossover_preserves_validity() {
-        let inst = instance();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        for _ in 0..200 {
-            let a = Chromosome::random(&inst, &mut rng);
-            let b = Chromosome::random(&inst, &mut rng);
-            let cut = rng.gen_range(0..=7);
-            let child_order = a.crossover_order(&b, cut);
-            assert!(
-                inst.graph().is_linear_extension(&child_order),
-                "cut {cut}: {child_order:?} from {:?} x {:?}",
-                a.order,
-                b.order
-            );
-        }
-    }
-
-    #[test]
-    fn order_crossover_extremes() {
-        let inst = instance();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let a = Chromosome::random(&inst, &mut rng);
-        let b = Chromosome::random(&inst, &mut rng);
-        assert_eq!(a.crossover_order(&b, 7), a.order, "full cut copies parent A");
-        assert_eq!(a.crossover_order(&b, 0), b.order, "empty cut copies parent B");
-    }
-
-    #[test]
-    fn matching_crossover_mixes() {
-        let inst = instance();
-        let mut a = Chromosome::seeded(&inst);
-        let mut b = Chromosome::seeded(&inst);
-        a.matching = vec![MachineId::new(0); 7];
-        b.matching = vec![MachineId::new(1); 7];
-        let child = a.crossover_matching(&b, 3);
-        assert_eq!(child[..3], vec![MachineId::new(0); 3][..]);
-        assert_eq!(child[3..], vec![MachineId::new(1); 4][..]);
-    }
-
-    #[test]
-    fn mutate_order_respects_range() {
-        let inst = instance();
-        let mut c = Chromosome::seeded(&inst); // order 0..7
-
-        // s4: pred s1@1, succ s6@6 => range [2,5]
-        assert!(!c.mutate_order(inst.graph(), TaskId::new(4), 1));
-        assert!(c.mutate_order(inst.graph(), TaskId::new(4), 2));
-        assert!(inst.graph().is_linear_extension(&c.order));
-        assert_eq!(c.order[2], TaskId::new(4));
-    }
-
-    #[test]
-    fn mutate_matching_sets_machine() {
-        let inst = instance();
-        let mut c = Chromosome::seeded(&inst);
-        c.mutate_matching(TaskId::new(3), MachineId::new(1));
-        assert_eq!(c.matching[3], MachineId::new(1));
-        assert!(c.check(&inst));
-    }
-
-    #[test]
-    fn mutation_stress_preserves_validity() {
-        let inst = instance();
-        let g = inst.graph();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut c = Chromosome::random(&inst, &mut rng);
-        for _ in 0..500 {
-            let t = TaskId::new(rng.gen_range(0..7));
-            let (lo, hi) = order_valid_range(g, &c.order, t);
-            let pos = rng.gen_range(lo..=hi);
-            assert!(c.mutate_order(g, t, pos));
-            c.mutate_matching(
-                TaskId::new(rng.gen_range(0..7)),
-                MachineId::new(rng.gen_range(0..2)),
-            );
-            assert!(c.check(&inst));
+    fn chromosome_solution_roundtrip_via_from_solution() {
+        let mut rng = ChaCha8Rng::seed_from_u64(52);
+        let cfg = LayeredConfig { tasks: 15, mean_width: 4, edge_prob: 0.5, skip_prob: 0.05 };
+        let graph = layered(&cfg, &mut rng).unwrap();
+        let exec = Matrix::from_fn(3, 15, |_, _| rng.gen_range(10.0..100.0));
+        let transfer = Matrix::from_fn(3, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
+        let sys = HcSystem::with_anonymous_machines(3, exec, transfer).unwrap();
+        let inst = HcInstance::new(graph, sys).unwrap();
+        for _ in 0..20 {
+            let sol = random_individual(&inst, &mut rng);
+            let back = Chromosome::from_solution(&sol);
+            assert!(inst.graph().is_linear_extension(&back.order));
+            assert_eq!(back.to_solution(&inst), sol, "round-trip preserves the schedule");
         }
     }
 }

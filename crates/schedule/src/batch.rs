@@ -39,15 +39,26 @@
 //! ([`IncrementalEvaluator::score_position`]). Tabu's sampled
 //! neighborhood goes through the mixed-task argmin, [`best_task_move`],
 //! one [`IncrementalEvaluator::score_move`] per candidate. Both score
-//! every candidate exactly. GA generations go through
-//! [`score_population`]: exact clones take their parent's cost, every
-//! other child one full pass.
+//! every candidate exactly.
+//!
+//! GA generations go through [`breed_population`], one overlapped pass
+//! per generation: the calling thread breeds the children in order and
+//! publishes each one as soon as it is bred, while a pool worker scores
+//! the published children; the caller scores whatever is left after the
+//! last. Exact clones take their donor's cost, every other child one
+//! full pass. The handoff is safe code only: one lock per child slot,
+//! never contended, plus atomics for the publish watermark and the
+//! claims. A scorer waiting for the next child yields the CPU, and the
+//! breeding side closes the handoff when it leaves, unwinding included,
+//! so a panic on either side reaches the caller and no one waits on a
+//! child that will not come.
 //!
 //! Determinism: scores are returned **in candidate order** and every
 //! candidate's score depends only on that candidate, so results are
-//! bit-identical at any thread count. [`best_relocation`] fans its
-//! positions out only when the grid's size (positions × machines ×
-//! tasks) calls for it; [`score_task_moves`] (and so
+//! bit-identical at any thread count; a generation's scores likewise
+//! depend on each child alone, never on which thread scored it or when.
+//! [`best_relocation`] fans its positions out only when the grid's size
+//! (positions × machines × tasks) calls for it; [`score_task_moves`] (and so
 //! [`best_task_move`]) splits its candidates on a chunk grid that is a
 //! pure function of the grid itself — its length and the instance's
 //! task count, never the thread count. Small grids run inline on the
@@ -61,7 +72,7 @@
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
 //! [`best_relocation`]: BatchEvaluator::best_relocation
 //! [`best_task_move`]: BatchEvaluator::best_task_move
-//! [`score_population`]: BatchEvaluator::score_population
+//! [`breed_population`]: BatchEvaluator::breed_population
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
@@ -73,6 +84,7 @@ use mshc_platform::MachineId;
 use mshc_taskgraph::{TaskGraph, TaskId};
 use rayon::prelude::*;
 use std::ops::{Range, RangeInclusive};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Work one chunk of [`BatchEvaluator::score_task_moves`] (tabu's
@@ -146,10 +158,11 @@ pub struct Relocation {
 }
 
 /// How a population candidate descends from the parent pool — the
-/// routing metadata [`BatchEvaluator::score_population`] consumes. The
-/// caller (the GA generation loop) computes one per child; every
-/// variant scores bit-identically to a full evaluation of the child,
-/// so the routing is a pure cost decision.
+/// routing metadata [`BatchEvaluator::score_population`] consumes. Every
+/// variant scores bit-identically to a full evaluation of the child, so
+/// the routing is a pure cost decision.
+///
+/// Kept only for the benchmark under `perfbench/`; delete with that use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Descent {
     /// Scored by a full tier-1 pass.
@@ -164,9 +177,6 @@ pub enum Descent {
     },
     /// Shares the string prefix `[0, diverge)` with `parents[parent]`;
     /// scored by a full pass, like [`Descent::Fresh`].
-    ///
-    /// Kept only because the benchmark under `perfbench/` builds it;
-    /// delete it with that use at the next change to the benchmark.
     Suffix {
         /// Index into the parent pool.
         parent: usize,
@@ -332,6 +342,92 @@ impl Drop for ArenaGuard<'_, '_> {
     }
 }
 
+/// One child of [`BatchEvaluator::breed_population`]: its buffer, its
+/// donor once bred and its score once scored.
+struct Slot<'c> {
+    child: &'c mut Solution,
+    donor: usize,
+    score: f64,
+}
+
+/// The breeder-to-scorer handoff of one overlapped generation. The
+/// caller breeds child `i` under slot `i`'s lock, releases it and then
+/// raises `published` past `i`; scorers claim indices from `claims` and
+/// wait for their claimed child to be published. No lock is ever
+/// contended: the breeder never takes a slot again once it is
+/// published, and a published slot is taken only by the scorer that
+/// claimed it.
+struct Handoff<'c> {
+    slots: Vec<Mutex<Slot<'c>>>,
+    /// Children `[0, published)` are bred. Stored with `Release` after
+    /// the bred slot's lock is released, loaded with `Acquire`.
+    published: AtomicUsize,
+    /// The next child index a scorer claims. `Relaxed`: it publishes no
+    /// data, and `fetch_add` alone hands each index out once.
+    claims: AtomicUsize,
+    /// Set when the breeding side is done, normally or by unwinding, so
+    /// that no scorer waits for a child that will not come. Stored with
+    /// `Release` after the last `published` store and loaded with
+    /// `Acquire`, so a scorer that sees it set also sees the final
+    /// watermark.
+    closed: AtomicBool,
+}
+
+impl<'c> Handoff<'c> {
+    fn new(children: &'c mut [Solution]) -> Handoff<'c> {
+        Handoff {
+            slots: children
+                .iter_mut()
+                .map(|child| Mutex::new(Slot { child, donor: 0, score: 0.0 }))
+                .collect(),
+            published: AtomicUsize::new(0),
+            claims: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+        }
+    }
+
+    /// Claims children one at a time and scores each with `score` once
+    /// it is published, yielding the CPU while it waits. Stops when
+    /// every index is claimed or the handoff closed before the claimed
+    /// child was published. Returns how many scorings reported a clone
+    /// (`true`) and how many did not.
+    fn drain(&self, mut score: impl FnMut(&mut Slot<'c>) -> bool) -> (u64, u64) {
+        let (mut clones, mut passes) = (0, 0);
+        while !self.closed.load(Ordering::Acquire) {
+            let i = self.claims.fetch_add(1, Ordering::Relaxed);
+            if i >= self.slots.len() {
+                break;
+            }
+            while self.published.load(Ordering::Acquire) <= i {
+                // Re-read after seeing `closed`: a normal close follows
+                // the last publish, so only an unwinding breeder can
+                // leave `i` unpublished here.
+                if self.closed.load(Ordering::Acquire)
+                    && self.published.load(Ordering::Acquire) <= i
+                {
+                    return (clones, passes);
+                }
+                std::thread::yield_now();
+            }
+            if score(&mut lock_tolerant(&self.slots[i])) {
+                clones += 1;
+            } else {
+                passes += 1;
+            }
+        }
+        (clones, passes)
+    }
+}
+
+/// Sets its flag when dropped, unwinding included.
+struct CloseOnDrop<'f>(&'f AtomicBool);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// Scores whole candidate sets in one call, in parallel.
 pub struct BatchEvaluator<'a> {
     snap: &'a EvalSnapshot,
@@ -437,6 +533,10 @@ impl<'a> BatchEvaluator<'a> {
     /// [`scan_stats`](Self::scan_stats) count the clones and their
     /// string positions, a pure function of the descents.
     ///
+    /// Kept only for the benchmark under `perfbench/`; delete with that
+    /// use. The GA scores its generations through
+    /// [`breed_population`](Self::breed_population).
+    ///
     /// # Panics
     /// If slice lengths disagree or a clone names a parent index out of
     /// range; debug builds also check that each clone equals its parent.
@@ -489,6 +589,105 @@ impl<'a> BatchEvaluator<'a> {
             clones,
             clone_positions: clones * k,
             population_positions: children.len() as u64 * k,
+            ..ScanStats::default()
+        };
+        obs::add(obs::Counter::ScanClones, axes.clones);
+        obs::add(obs::Counter::ScanClonePositions, axes.clone_positions);
+        obs::add(obs::Counter::ScanPopulationPositions, axes.population_positions);
+        self.scan.merge(axes);
+        out
+    }
+
+    /// Breeds and scores one GA generation in a single overlapped pass:
+    /// `out[i]` is the exact score of `children[i]` once
+    /// `breed(i, &mut children[i])` has filled it in place, bit-identical
+    /// to [`scores`](Self::scores) over the bred children.
+    ///
+    /// The calling thread runs `breed` for `i = 0, 1, …, n - 1`, in order,
+    /// and publishes each child as soon as its call returns. One pool
+    /// operation per call lets a worker score published children while
+    /// the caller breeds the next ones; once the last child is bred, the
+    /// caller scores whatever is still unclaimed. With one thread, or
+    /// when no worker is free (inside a tournament cell, say), the caller
+    /// breeds everything and then scores everything.
+    ///
+    /// `breed` returns the child's donor, an index into `parents` (with
+    /// `parent_costs` their scores). A child equal to its donor takes the
+    /// donor's cost outright: a full pass over an identical solution
+    /// recomputes identical bits. Every other child gets one full pass
+    /// from the scoring thread's arena. Which thread scores a child, and
+    /// when, cannot change its score, so the output and every counter
+    /// read the same at any thread count. Every child counts one
+    /// evaluation, clones included, and the population axes of
+    /// [`scan_stats`](Self::scan_stats) count the clones and their
+    /// string positions.
+    ///
+    /// # Panics
+    /// If `parents` and `parent_costs` differ in length or a donor is out
+    /// of range. A panic in `breed` or in the objective reaches the
+    /// caller; the breeding side closes the handoff as it unwinds, so a
+    /// worker never waits for a child that will not come.
+    pub fn breed_population<F>(
+        &mut self,
+        parents: &[Solution],
+        parent_costs: &[f64],
+        children: &mut [Solution],
+        breed: F,
+        obj: &dyn Objective,
+    ) -> Vec<f64>
+    where
+        F: FnMut(usize, &mut Solution) -> usize + Send,
+    {
+        assert_eq!(parents.len(), parent_costs.len(), "one cost per parent");
+        let n = children.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
+        let handoff = Handoff::new(children);
+        let snap = self.snap;
+        let pool = &self.arenas;
+        // Scores claimed children on the current thread; returns the
+        // clone and full-pass counts.
+        let drain = || {
+            let mut guard = None;
+            handoff.drain(|slot| {
+                let donor = slot.donor;
+                if *slot.child == parents[donor] {
+                    slot.score = parent_costs[donor];
+                    true
+                } else {
+                    let guard = guard.get_or_insert_with(|| ArenaGuard::checkout(pool, snap));
+                    slot.score = guard.parts().0.objective_value(slot.child, obj);
+                    false
+                }
+            })
+        };
+        let mut breed = breed;
+        let ((clones_a, passes_a), (clones_b, passes_b)) = rayon::join(
+            || {
+                let _close = CloseOnDrop(&handoff.closed);
+                for (i, slot) in handoff.slots.iter().enumerate() {
+                    let mut slot = lock_tolerant(slot);
+                    let donor = breed(i, slot.child);
+                    assert!(donor < parents.len(), "donor {donor} out of range");
+                    slot.donor = donor;
+                    drop(slot);
+                    handoff.published.store(i + 1, Ordering::Release);
+                }
+                drain()
+            },
+            drain,
+        );
+        let clones = clones_a + clones_b;
+        debug_assert_eq!(clones + passes_a + passes_b, n as u64, "every child scored once");
+        let out = handoff.slots.iter().map(|slot| lock_tolerant(slot).score).collect();
+        self.evaluations += n as u64;
+        let k = self.snap.task_count() as u64;
+        let axes = ScanStats {
+            clones,
+            clone_positions: clones * k,
+            population_positions: n as u64 * k,
             ..ScanStats::default()
         };
         obs::add(obs::Counter::ScanClones, axes.clones);
@@ -1029,15 +1228,6 @@ mod tests {
     fn score_population_falls_back_for_custom_objectives() {
         // A custom objective without accumulator support takes the same
         // route: full passes for every child but the clones.
-        struct StartSum;
-        impl Objective for StartSum {
-            fn name(&self) -> &str {
-                "start-sum"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                view.start.iter().sum()
-            }
-        }
         let inst = random_instance(18, 3, 35);
         let k = inst.task_count();
         let snap = EvalSnapshot::new(&inst);
@@ -1058,6 +1248,182 @@ mod tests {
         assert_eq!(stats.clones, clones as u64, "exactly the clones");
         assert_eq!(stats.clone_positions, (clones * k) as u64);
         assert_eq!(stats.population_positions, (children.len() * k) as u64);
+    }
+
+    /// Breeds the fixture's children through `breed_population`: child
+    /// `i` is copied in by the breed closure, which names its descent's
+    /// parent as donor (parent 0 for a fresh child). Every `slow`-th
+    /// child sleeps first, which makes it likely that a worker scorer
+    /// waits for it; the result must not depend on whether one does.
+    fn breed_fixture(
+        batch: &mut BatchEvaluator<'_>,
+        parents: &[Solution],
+        parent_costs: &[f64],
+        children: &[Solution],
+        descents: &[Descent],
+        slow: Option<usize>,
+        obj: &dyn Objective,
+    ) -> Vec<f64> {
+        let mut buffers = vec![parents[0].clone(); children.len()];
+        let breed = |i: usize, child: &mut Solution| {
+            if slow.is_some_and(|every| i.is_multiple_of(every)) {
+                std::thread::sleep(std::time::Duration::from_micros(300));
+            }
+            child.clone_from(&children[i]);
+            match descents[i] {
+                Descent::Clone { parent } | Descent::Suffix { parent, .. } => parent,
+                Descent::Fresh => 0,
+            }
+        };
+        let out = batch.breed_population(parents, parent_costs, &mut buffers, breed, obj);
+        assert_eq!(buffers, children, "every child bred in place");
+        out
+    }
+
+    /// A custom objective without accumulator support.
+    struct StartSum;
+
+    impl Objective for StartSum {
+        fn name(&self) -> &str {
+            "start-sum"
+        }
+        fn value(&self, view: &EvalView<'_>) -> f64 {
+            view.start.iter().sum()
+        }
+    }
+
+    #[test]
+    fn breed_population_matches_scores_at_any_thread_count() {
+        let inst = random_instance(24, 4, 36);
+        let k = inst.task_count() as u64;
+        let snap = EvalSnapshot::new(&inst);
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let (parents, children, descents) = population_fixture(&inst, &mut rng, 6);
+        let clones = children
+            .iter()
+            .zip(&descents)
+            .filter(|(child, d)| match d {
+                Descent::Clone { parent } | Descent::Suffix { parent, .. } => {
+                    **child == parents[*parent]
+                }
+                Descent::Fresh => **child == parents[0],
+            })
+            .count() as u64;
+        assert!(clones >= parents.len() as u64, "every parent has a clone");
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
+        let kinds: Vec<ObjectiveKind> =
+            ObjectiveKind::BASIC.into_iter().chain([weighted]).collect();
+        let objectives: Vec<&dyn Objective> =
+            kinds.iter().map(|kind| kind as &dyn Objective).chain([&StartSum as _]).collect();
+        for obj in objectives {
+            let mut scalar = Evaluator::new(&inst);
+            let parent_costs: Vec<f64> =
+                parents.iter().map(|s| scalar.objective_value(s, obj)).collect();
+            let want = BatchEvaluator::new(&snap).scores(&children, obj);
+            for threads in [1usize, 2, 8] {
+                for slow in [None, Some(5)] {
+                    let pool =
+                        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                    let (got, batch_evals, stats) = pool.install(|| {
+                        let mut batch = BatchEvaluator::new(&snap);
+                        let got = breed_fixture(
+                            &mut batch,
+                            &parents,
+                            &parent_costs,
+                            &children,
+                            &descents,
+                            slow,
+                            obj,
+                        );
+                        (got, batch.evaluations(), batch.scan_stats())
+                    });
+                    let label = format!("{}, {threads} threads, slow {slow:?}", obj.name());
+                    assert_eq!(got, want, "{label}");
+                    assert_eq!(batch_evals, children.len() as u64, "{label}");
+                    let axes = ScanStats {
+                        scored: 0,
+                        clones,
+                        clone_positions: clones * k,
+                        population_positions: children.len() as u64 * k,
+                    };
+                    assert_eq!(stats, axes, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn breed_population_propagates_panics_without_hanging() {
+        struct Grenade;
+        impl Objective for Grenade {
+            fn name(&self) -> &str {
+                "grenade"
+            }
+            fn value(&self, _: &EvalView<'_>) -> f64 {
+                panic!("objective boom");
+            }
+        }
+        let inst = random_instance(20, 3, 38);
+        let snap = EvalSnapshot::new(&inst);
+        let mut rng = ChaCha8Rng::seed_from_u64(39);
+        let (parents, children, descents) = population_fixture(&inst, &mut rng, 4);
+        let obj = ObjectiveKind::Makespan;
+        let parent_costs = BatchEvaluator::new(&snap).scores(&parents, &obj);
+        let want = BatchEvaluator::new(&snap).scores(&children, &obj);
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        };
+        let n = children.len();
+        for threads in [2usize, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let mut batch = BatchEvaluator::new(&snap);
+                for at in [0, 1, n / 2, n - 1] {
+                    let mut buffers = vec![parents[0].clone(); n];
+                    let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let breed = |i: usize, child: &mut Solution| {
+                            assert!(i != at, "breed boom at {i}");
+                            child.clone_from(&children[i]);
+                            0
+                        };
+                        batch.breed_population(&parents, &parent_costs, &mut buffers, breed, &obj)
+                    }));
+                    let msg = message(blast.expect_err("breeding panics"));
+                    assert!(
+                        msg.contains(&format!("breed boom at {at}")),
+                        "{threads} threads: {msg}"
+                    );
+                }
+                let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    breed_fixture(
+                        &mut batch,
+                        &parents,
+                        &parent_costs,
+                        &children,
+                        &descents,
+                        Some(3),
+                        &Grenade,
+                    )
+                }));
+                let msg = message(blast.expect_err("the objective panics"));
+                assert!(msg.contains("objective boom"), "{threads} threads: {msg}");
+                // The evaluator keeps serving, with the same bits.
+                let got = breed_fixture(
+                    &mut batch,
+                    &parents,
+                    &parent_costs,
+                    &children,
+                    &descents,
+                    None,
+                    &obj,
+                );
+                assert_eq!(got, want, "{threads} threads");
+            });
+        }
     }
 
     #[test]
@@ -1151,15 +1517,6 @@ mod tests {
     fn non_incremental_objectives_fall_back_to_full_passes() {
         // A custom objective without accumulator support must still be
         // served (clone-and-move route) and match the scalar evaluator.
-        struct StartSum;
-        impl Objective for StartSum {
-            fn name(&self) -> &str {
-                "start-sum"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                view.start.iter().sum()
-            }
-        }
         let inst = random_instance(14, 3, 21);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);
@@ -1240,15 +1597,6 @@ mod tests {
     fn relocation_argmin_serves_non_incremental_objectives() {
         // Custom full-pass objectives fall back to exact scoring with
         // the same argmin semantics.
-        struct StartSum;
-        impl Objective for StartSum {
-            fn name(&self) -> &str {
-                "start-sum"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                view.start.iter().sum()
-            }
-        }
         let inst = random_instance(12, 3, 33);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);

@@ -18,7 +18,8 @@ pub struct Segment {
 
 /// A complete candidate solution to MSHC.
 ///
-/// Invariants, enforced by every constructor and mutator:
+/// Invariants, enforced by every constructor and mutator (a failed
+/// [`rebuild`](Solution::rebuild) excepted, see there):
 ///
 /// 1. the segment sequence contains every task exactly once;
 /// 2. the task order is a linear extension of the DAG (every task after
@@ -28,12 +29,32 @@ pub struct Segment {
 /// Because of (2), the per-machine execution orders read off the string
 /// are always precedence-consistent, and the makespan evaluator can run in
 /// a single left-to-right pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Solution {
     segments: Vec<Segment>,
     /// `position[t] = index of t's segment` — kept in sync with `segments`.
     position: Vec<u32>,
     machine_count: u32,
+}
+
+/// Written by hand because the derived `clone_from` is `*self =
+/// source.clone()`, which replaces both buffers; this one copies into
+/// them, so a reused solution (an arena scratch, a search's incumbent, a
+/// GA child) keeps its allocations.
+impl Clone for Solution {
+    fn clone(&self) -> Solution {
+        Solution {
+            segments: self.segments.clone(),
+            position: self.position.clone(),
+            machine_count: self.machine_count,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Solution) {
+        self.segments.clone_from(&source.segments);
+        self.position.clone_from(&source.position);
+        self.machine_count = source.machine_count;
+    }
 }
 
 impl Solution {
@@ -43,12 +64,39 @@ impl Solution {
         machine_count: usize,
         segments: Vec<Segment>,
     ) -> Result<Solution, ScheduleError> {
+        let mut sol = Solution { segments, position: Vec::new(), machine_count: 0 };
+        sol.index(graph, machine_count)?;
+        Ok(sol)
+    }
+
+    /// Replaces the segment string with `segments`, reusing both of this
+    /// solution's buffers, and validates the result exactly as
+    /// [`Solution::new`] does (permutation, machine range, precedence).
+    /// The machine count is kept.
+    ///
+    /// On error the solution holds the rejected string and breaks the
+    /// type's invariants: rebuild it again or drop it.
+    pub fn rebuild(
+        &mut self,
+        graph: &TaskGraph,
+        segments: impl IntoIterator<Item = Segment>,
+    ) -> Result<(), ScheduleError> {
+        self.segments.clear();
+        self.segments.extend(segments);
+        self.index(graph, self.machine_count())
+    }
+
+    /// The one validator: rebuilds `position` from `segments` and checks
+    /// every invariant against `graph` and `machine_count`.
+    fn index(&mut self, graph: &TaskGraph, machine_count: usize) -> Result<(), ScheduleError> {
         let k = graph.task_count();
-        if segments.len() != k {
-            return Err(ScheduleError::LengthMismatch { got: segments.len(), expected: k });
+        if self.segments.len() != k {
+            return Err(ScheduleError::LengthMismatch { got: self.segments.len(), expected: k });
         }
-        let mut position = vec![u32::MAX; k];
-        for (i, seg) in segments.iter().enumerate() {
+        let position = &mut self.position;
+        position.clear();
+        position.resize(k, u32::MAX);
+        for (i, seg) in self.segments.iter().enumerate() {
             if seg.task.index() >= k || position[seg.task.index()] != u32::MAX {
                 return Err(ScheduleError::NotAPermutation);
             }
@@ -65,7 +113,8 @@ impl Solution {
                 return Err(ScheduleError::PrecedenceViolation { earlier: e.src, later: e.dst });
             }
         }
-        Ok(Solution { segments, position, machine_count: machine_count as u32 })
+        self.machine_count = machine_count as u32;
+        Ok(())
     }
 
     /// Builds a solution from a task order and a per-task machine
@@ -433,6 +482,53 @@ mod tests {
         s.reassign(TaskId::new(5), MachineId::new(0)).unwrap();
         assert_eq!(s.machine_of(TaskId::new(5)), MachineId::new(0));
         assert!(s.reassign(TaskId::new(5), MachineId::new(9)).is_err());
+    }
+
+    #[test]
+    fn clone_from_reuses_both_buffers() {
+        let g = figure1();
+        let src = figure2_solution(&g);
+        let mut dst = Solution::new(&g, 2, (0..7).map(|i| seg(i, 0)).collect()).unwrap();
+        let (segments, position) = (dst.segments.as_ptr(), dst.position.as_ptr());
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.segments.as_ptr(), segments, "segment buffer reused");
+        assert_eq!(dst.position.as_ptr(), position, "position buffer reused");
+    }
+
+    #[test]
+    fn rebuild_validates_like_new_and_reuses_buffers() {
+        let g = figure1();
+        let want = figure2_solution(&g);
+        let mut s = Solution::new(&g, 2, (0..7).map(|i| seg(i, 0)).collect()).unwrap();
+        let (segments, position) = (s.segments.as_ptr(), s.position.as_ptr());
+        s.rebuild(&g, want.segments().iter().copied()).unwrap();
+        assert_eq!(s, want);
+        assert_eq!(s.segments.as_ptr(), segments, "segment buffer reused");
+        assert_eq!(s.position.as_ptr(), position, "position buffer reused");
+        // The same rejections as `new`, in the same precedence.
+        let bad: [(Vec<Segment>, ScheduleError); 3] = [
+            (
+                (0..5).map(|i| seg(i, 0)).collect(),
+                ScheduleError::LengthMismatch { got: 5, expected: 7 },
+            ),
+            ((0..7).map(|i| seg(i.min(5), 0)).collect(), ScheduleError::NotAPermutation),
+            (
+                (0..7).map(|i| seg(i, if i == 3 { 5 } else { 0 })).collect(),
+                ScheduleError::MachineOutOfRange { machine: 5, machine_count: 2 },
+            ),
+        ];
+        for (segs, err) in bad {
+            assert_eq!(Solution::new(&g, 2, segs.clone()).unwrap_err(), err);
+            assert_eq!(s.rebuild(&g, segs).unwrap_err(), err);
+        }
+        let reversed: Vec<Segment> = (0..7).rev().map(|i| seg(i, 0)).collect();
+        assert!(matches!(
+            s.rebuild(&g, reversed).unwrap_err(),
+            ScheduleError::PrecedenceViolation { .. }
+        ));
+        s.rebuild(&g, want.segments().iter().copied()).unwrap();
+        assert_eq!(s, want, "a rejected string is repaired by the next rebuild");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::encoding::Solution;
 use mshc_platform::{HcInstance, MachineId};
-use mshc_taskgraph::{TaskId, TopoOrder};
+use mshc_taskgraph::{TaskGraph, TaskId, TopoOrder};
 use rand::Rng;
 
 /// Generates a random valid solution exactly as §4.2 prescribes.
@@ -35,13 +35,20 @@ pub fn random_solution_with<R: Rng + ?Sized>(
     // 3. Random valid-range moves.
     let n = rng.gen_range(0..=max_perturbations);
     for _ in 0..n {
-        let t = TaskId::from_usize(rng.gen_range(0..g.task_count()));
-        let (lo, hi) = sol.valid_range(g, t);
-        let pos = rng.gen_range(lo..=hi);
-        let m = sol.machine_of(t);
-        sol.move_task(g, t, pos, m).expect("in-range move");
+        perturb(&mut sol, g, rng);
     }
     sol
+}
+
+/// One random valid-range move, §4.2's perturbation (and the GA's
+/// scheduling mutation): draws a task, then a position inside its valid
+/// range, and moves the task there on its own machine.
+pub fn perturb<R: Rng + ?Sized>(sol: &mut Solution, graph: &TaskGraph, rng: &mut R) {
+    let t = TaskId::from_usize(rng.gen_range(0..graph.task_count()));
+    let (lo, hi) = sol.valid_range(graph, t);
+    let pos = rng.gen_range(lo..=hi);
+    let m = sol.machine_of(t);
+    sol.move_task(graph, t, pos, m).expect("in-range move");
 }
 
 /// [`random_solution_with`] with the default perturbation bound `2k`.

@@ -28,7 +28,9 @@
 //!    call, fanned out over worker threads with reusable per-thread
 //!    arenas; results come back in candidate order, bit-identical at any
 //!    thread count. Right for independent candidate sets — arbitrary
-//!    whole solutions with no shared lineage.
+//!    whole solutions with no shared lineage — and for GA generations,
+//!    which [`breed_population`](BatchEvaluator::breed_population) breeds
+//!    on the calling thread while a worker scores each published child.
 //! 3. **incremental** — [`IncrementalEvaluator`]: primes a base solution
 //!    once, checkpoints frontier state every `⌈√k⌉` positions, and scores
 //!    a single-task move of the base by replaying only the disturbed
@@ -42,9 +44,9 @@
 //!    in a single lockstep replay with a lane per machine. The batch
 //!    move-scoring entry points route through per-thread incremental
 //!    evaluators automatically, so tiers 2 and 3 compose. GA offspring
-//!    share no single-move shape with a parent: population scoring
-//!    ([`score_population`](BatchEvaluator::score_population)) gives exact
-//!    clones their parent's cost and every other child one tier-1 pass.
+//!    share no single-move shape with a parent: a generation
+//!    ([`breed_population`](BatchEvaluator::breed_population)) gives exact
+//!    clones their donor's cost and every other child one tier-1 pass.
 //!
 //! *Why suffix replay cannot change a score bit*: the replay starts
 //! from checkpointed frontier state reached by walking exactly the
@@ -109,7 +111,7 @@ pub use eval::{Evaluator, ScheduleReport};
 pub use faults::{CellFault, FaultPlan, FAULT_PANIC_PREFIX};
 pub use gantt::Gantt;
 pub use incremental::{auto_stride, IncrementalEvaluator, MoveScore, ScanStats};
-pub use init::random_solution;
+pub use init::{perturb, random_solution};
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{
     objective_from_report, EvalView, LoadBalance, Makespan, MeanFlowtime, Objective, ObjectiveKind,

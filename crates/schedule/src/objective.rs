@@ -45,12 +45,33 @@ pub struct EvalView<'a> {
 /// [`Objective::finalize`] produces **bit-identical** scores on every
 /// route (max is order-independent for non-negative times; the sums fold
 /// identical values in identical order).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ObjectiveState {
     max_finish: f64,
     finish_sum: f64,
     tasks: usize,
     machine_busy: Vec<f64>,
+}
+
+/// Written by hand because the derived `clone_from` replaces the busy
+/// vector; this one copies into it, so the incremental evaluator's
+/// per-prime state copies keep their allocation.
+impl Clone for ObjectiveState {
+    fn clone(&self) -> ObjectiveState {
+        ObjectiveState {
+            max_finish: self.max_finish,
+            finish_sum: self.finish_sum,
+            tasks: self.tasks,
+            machine_busy: self.machine_busy.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &ObjectiveState) {
+        self.max_finish = source.max_finish;
+        self.finish_sum = source.finish_sum;
+        self.tasks = source.tasks;
+        self.machine_busy.clone_from(&source.machine_busy);
+    }
 }
 
 impl ObjectiveState {
@@ -523,6 +544,18 @@ mod tests {
 
     fn view<'a>(start: &'a [f64], finish: &'a [f64], busy: &'a [f64]) -> EvalView<'a> {
         EvalView { start, finish, machine_busy: busy }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_busy_buffer() {
+        let mut src = ObjectiveState::new(3);
+        src.fold(MachineId::new(1), 7.0, 4.0);
+        src.fold(MachineId::new(2), 9.5, 2.5);
+        let mut dst = ObjectiveState::new(3);
+        let busy = dst.machine_busy.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.machine_busy.as_ptr(), busy, "busy buffer reused");
     }
 
     #[test]

@@ -153,6 +153,11 @@ proptest! {
             } else {
                 prop_assert_eq!(&probe, &sol, "failed move must not mutate");
             }
+            // Tight: exactly the in-range insertions keep the order a
+            // linear extension.
+            let mut order: Vec<TaskId> = sol.order().filter(|&x| x != t).collect();
+            order.insert(pos, t);
+            prop_assert_eq!(g.is_linear_extension(&order), (lo..=hi).contains(&pos), "pos {}", pos);
         }
     }
 

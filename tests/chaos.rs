@@ -32,6 +32,14 @@ fn run_se(seed: u64, inst: &HcInstance) -> RunResult {
     s.run(inst, &RunBudget::iterations(20), None)
 }
 
+fn ga_instance(seed: u64) -> HcInstance {
+    WorkloadSpec { tasks: 40, machines: 6, ..WorkloadSpec::small(seed) }.generate()
+}
+
+fn run_ga(seed: u64, inst: &HcInstance) -> RunResult {
+    GaScheduler::with_seed(seed).run(inst, &RunBudget::iterations(30), None)
+}
+
 #[test]
 fn poisoned_evaluation_panics_are_contained_and_workers_survive() {
     let _guard = lock();
@@ -175,5 +183,52 @@ proptest! {
         let after = run_se(seed, &inst);
         prop_assert_eq!(after.makespan.to_bits(), clean.makespan.to_bits());
         prop_assert_eq!(after.evaluations, clean.evaluations);
+    }
+
+    /// The same contract for GA on a 2-thread pool, where the caller
+    /// breeds each generation while a worker scores the children already
+    /// bred: the poisoned pass lands on either side of that handoff, and
+    /// neither side may be left waiting for the other.
+    #[test]
+    fn ga_poison_points_never_corrupt_survivors(
+        panic_at in 1u64..1600,
+        seed in 0u64..300,
+    ) {
+        let _guard = lock();
+        let inst = ga_instance(seed);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let (clean, blast, after) = pool.install(|| {
+            let clean = run_ga(seed, &inst);
+            faults::arm(&FaultPlan {
+                panic_at_evaluations: Some(panic_at),
+                ..FaultPlan::default()
+            });
+            let blast = catch_unwind(AssertUnwindSafe(|| run_ga(seed, &inst)));
+            faults::disarm();
+            (clean, blast, run_ga(seed, &inst))
+        });
+        match blast {
+            Ok(survivor) => {
+                survivor.solution.check(inst.graph()).expect("survivor is valid");
+                prop_assert_eq!(&survivor.solution, &clean.solution);
+                prop_assert_eq!(survivor.makespan.to_bits(), clean.makespan.to_bits());
+                prop_assert_eq!(survivor.evaluations, clean.evaluations);
+            }
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                prop_assert!(
+                    msg.contains(FAULT_PANIC_PREFIX),
+                    "only injected panics may escape: {}", msg
+                );
+            }
+        }
+        prop_assert_eq!(&after.solution, &clean.solution);
+        prop_assert_eq!(after.makespan.to_bits(), clean.makespan.to_bits());
+        prop_assert_eq!(after.evaluations, clean.evaluations);
+        prop_assert_eq!(after.iterations, clean.iterations);
+        prop_assert_eq!(after.scan, clean.scan);
     }
 }

@@ -1,7 +1,8 @@
 //! Cross-crate property tests: the suite's core invariants under
 //! randomized instances, solutions and operator sequences.
 
-use mshc::ga::chromosome::{order_valid_range, Chromosome};
+use mshc::ga::operators::{crossover, random_individual};
+use mshc::ga::Chromosome;
 use mshc::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -74,38 +75,36 @@ proptest! {
         prop_assert!(sol.check(g).is_ok());
     }
 
-    /// GA crossover preserves the linear-extension invariant for every
-    /// cut point on random parents.
+    /// The GA's in-place crossover yields a valid string for every
+    /// scheduling cut and a spread of matching cuts on random parents,
+    /// and equals the two-string reference operators' child.
     #[test]
-    fn ga_crossover_preserves_validity(spec in spec_strategy(), seeds in any::<(u64, u64)>()) {
-        let inst = spec.generate();
-        let a = Chromosome::random(&inst, &mut ChaCha8Rng::seed_from_u64(seeds.0));
-        let b = Chromosome::random(&inst, &mut ChaCha8Rng::seed_from_u64(seeds.1));
-        for cut in 0..=inst.task_count() {
-            let order = a.crossover_order(&b, cut);
-            prop_assert!(inst.graph().is_linear_extension(&order), "cut {cut}");
-            let matching = a.crossover_matching(&b, cut);
-            prop_assert!(matching.iter().all(|m| m.index() < inst.machine_count()));
-        }
-    }
-
-    /// `order_valid_range` brackets exactly the insertions that keep the
-    /// order a linear extension.
-    #[test]
-    fn order_valid_range_is_tight(spec in spec_strategy(), seed in any::<u64>()) {
+    fn ga_crossover_preserves_validity(
+        spec in spec_strategy(),
+        seeds in any::<(u64, u64)>(),
+        matching_cuts in prop::collection::vec(any::<u32>(), 1..4),
+    ) {
         let inst = spec.generate();
         let g = inst.graph();
-        let c = Chromosome::random(&inst, &mut ChaCha8Rng::seed_from_u64(seed));
-        let t = c.order[seed as usize % c.order.len()];
-        let (lo, hi) = order_valid_range(g, &c.order, t);
-        for pos in 0..c.order.len() {
-            let mut probe = c.clone();
-            let mut removed = probe.order.clone();
-            removed.retain(|&x| x != t);
-            removed.insert(pos, t);
-            probe.order = removed;
-            let valid = g.is_linear_extension(&probe.order);
-            prop_assert_eq!(valid, (lo..=hi).contains(&pos), "pos {} range [{},{}]", pos, lo, hi);
+        let k = inst.task_count();
+        let a = random_individual(&inst, &mut ChaCha8Rng::seed_from_u64(seeds.0));
+        let b = random_individual(&inst, &mut ChaCha8Rng::seed_from_u64(seeds.1));
+        let (ca, cb) = (Chromosome::from_solution(&a), Chromosome::from_solution(&b));
+        // The cut ends plus random interior points.
+        let mut cuts_m = vec![0, k];
+        cuts_m.extend(matching_cuts.iter().map(|&c| c as usize % (k + 1)));
+        let mut child = b.clone();
+        for cut_s in 0..=k {
+            for &cut_m in &cuts_m {
+                crossover(&mut child, g, &a, &b, cut_s, cut_m);
+                prop_assert!(child.check(g).is_ok(), "cuts {} {}", cut_s, cut_m);
+                let reference = Chromosome {
+                    order: ca.crossover_order(&cb, cut_s),
+                    matching: ca.crossover_matching(&cb, cut_m),
+                }
+                .to_solution(&inst);
+                prop_assert_eq!(&child, &reference, "cuts {} {}", cut_s, cut_m);
+            }
         }
     }
 
