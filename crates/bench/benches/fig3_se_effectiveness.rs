@@ -1,6 +1,5 @@
 //! Fig 3 bench target: the cost of SE iterations on the Fig-3 workload
-//! (large size, high connectivity), with the incremental vs full-pass
-//! allocation ablation.
+//! (large size, high connectivity).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mshc_core::{SeConfig, SeScheduler};
@@ -15,17 +14,6 @@ fn bench_se_iterations(c: &mut Criterion) {
         b.iter(|| {
             let mut se =
                 SeScheduler::new(SeConfig { seed: 1, selection_bias: 0.05, ..SeConfig::default() });
-            black_box(se.run(&inst, &RunBudget::iterations(5), None).makespan)
-        })
-    });
-    group.bench_function("5_iterations_full_eval", |b| {
-        b.iter(|| {
-            let mut se = SeScheduler::new(SeConfig {
-                seed: 1,
-                selection_bias: 0.05,
-                incremental_eval: false,
-                ..SeConfig::default()
-            });
             black_box(se.run(&inst, &RunBudget::iterations(5), None).makespan)
         })
     });

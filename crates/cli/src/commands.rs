@@ -41,9 +41,9 @@ commands:
              the leaderboard JSON (--out) is bit-identical at any
              --threads / RAYON_NUM_THREADS setting, portfolio on or off.
              --portfolio, --rounds and --no-early-stop compose with
-             --spec; --wall, --deadline-evals, --deadline-ms and
-             --checkpoint-stride do not apply to tournaments (a spec
-             file sets a per-cell deadline_evals)
+             --spec; --wall, --deadline-evals and --deadline-ms do not
+             apply to tournaments (a spec file sets a per-cell
+             deadline_evals)
   replan     disturb a running schedule and re-search the residue:
              machine dropout, machine slowdown, task-duration inflation
              --algo se|ga|random|sa|tabu (iterative searches only; the
@@ -75,11 +75,6 @@ global options:
              RAYON_NUM_THREADS environment variable, which beats the
              machine's available parallelism. Results are bit-identical
              at every setting — the flag only changes speed.
-  --checkpoint-stride N
-             checkpoint stride of the incremental move evaluators used by
-             se/sa/tabu (default: auto = ceil(sqrt(tasks)); results are
-             identical at every stride, only speed/memory change; N must
-             be at least 1 — 0 is rejected, omit the flag for auto)
   --no-early-stop
              disable early termination at the certified instance lower
              bound (default is on). When the incumbent's makespan reaches
@@ -97,14 +92,17 @@ global options:
              evaluation counts are exact, so deadline'd results are
              bit-identical at any thread count. N must be at least 1 —
              a zero deadline would fire before the first incumbent
-             exists (omit the flag for no deadline).
+             exists (omit the flag for no deadline). A run has one wall
+             limit, so --wall next to a deadline flag is an error; give
+             a deadline run its wall limit as --deadline-ms.
   --deadline-ms X
              wall-clock deadline in milliseconds (anytime mode): stop
              at the first iteration boundary past X ms and return the
              best incumbent, marked \"deadline\". Inherently
              non-deterministic — do not combine with byte-compared
              artifacts; use --deadline-evals for a reproducible
-             deadline. X must be positive and finite.
+             deadline. X must be positive and finite, and --wall cannot
+             sit next to it.
   --faults FILE
              arm a declarative fault-injection plan (JSON) for this
              invocation: {\"panic_at_evaluations\": N} poisons the Nth
@@ -232,15 +230,8 @@ const WORKLOAD_FLAGS: &[&str] = &["tasks", "machines", "connectivity", "heteroge
 /// Flags only seeded disturbance generation in [`disturbances`] reads.
 const EVENT_FLAGS: &[&str] = &["events", "disturb-seed", "dropout"];
 /// Flags [`budget`] reads.
-const BUDGET_FLAGS: &[&str] = &[
-    "iters",
-    "wall",
-    "deadline-evals",
-    "deadline-ms",
-    "objective",
-    "checkpoint-stride",
-    "no-early-stop",
-];
+const BUDGET_FLAGS: &[&str] =
+    &["iters", "wall", "deadline-evals", "deadline-ms", "objective", "no-early-stop"];
 /// Flags [`make_scheduler`] and [`make_steppable`] read.
 const SCHEDULER_FLAGS: &[&str] = &["seed", "bias", "y"];
 
@@ -353,11 +344,22 @@ fn positive_duration(secs: f64) -> Option<Duration> {
 
 fn budget(p: &Parsed) -> Result<RunBudget, String> {
     let mut b = RunBudget::default();
-    let iters: u64 = p.get_parse("iters", 0)?;
-    if iters > 0 {
+    if p.get("iters").is_some() {
+        let iters: u64 = p.get_parse("iters", 0)?;
+        if iters == 0 {
+            return Err("--iters: must be at least 1 (omit the flag for the default of 200 \
+                 iterations)"
+                .to_string());
+        }
         b.max_iterations = Some(iters);
     }
     if let Some(raw) = p.get("wall") {
+        reject_beside(
+            p,
+            "--wall",
+            &["deadline-evals", "deadline-ms"],
+            "a run has one wall limit; a deadline run takes it as --deadline-ms",
+        )?;
         let secs: f64 = p.get_parse("wall", 0.0)?;
         b.max_wall = Some(positive_duration(secs).ok_or_else(|| {
             format!(
@@ -374,7 +376,7 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
                  schedule; omit the flag for no deadline)"
                 .to_string());
         }
-        b.deadline_evals = Some(n);
+        b = b.with_deadline_evals(n);
     }
     if let Some(raw) = p.get("deadline-ms") {
         let ms: f64 = raw.parse().map_err(|_| format!("--deadline-ms: not a number: {raw:?}"))?;
@@ -385,12 +387,12 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
                  reproducible one)"
             ));
         }
-        b.deadline_wall = Some(
+        b = b.with_deadline_wall(
             positive_duration(ms / 1000.0)
                 .ok_or_else(|| format!("--deadline-ms: {raw:?} is too long for a deadline"))?,
         );
     }
-    if b.validate().is_err() {
+    if !b.is_bounded() {
         // An all-`None` budget would make the iterative schedulers run
         // forever; default loudly instead of silently never stopping.
         b.max_iterations = Some(200);
@@ -399,35 +401,15 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
     if let Some(raw) = p.get("objective") {
         b.objective = raw.parse().map_err(|e| format!("--objective: {e}"))?;
     }
-    if p.get("checkpoint-stride").is_some() {
-        let stride: usize = p.get_parse("checkpoint-stride", 0)?;
-        if stride == 0 {
-            return Err(
-                "--checkpoint-stride: must be at least 1 (omit the flag for the auto stride \
-                 ceil(sqrt(tasks)))"
-                    .to_string(),
-            );
-        }
-        b.checkpoint_stride = Some(stride);
-    }
     b.early_stop = !p.flag("no-early-stop");
     debug_assert!(b.validate().is_ok());
     Ok(b)
 }
 
+/// Builds any scheduler: the one-shot heuristics here, the iterative
+/// searches through [`make_steppable`].
 fn make_scheduler(p: &Parsed, name: &str) -> Result<Box<dyn Scheduler>, String> {
-    let seed: u64 = p.get_parse("seed", 2001)?;
     Ok(match name {
-        "se" => {
-            let mut cfg = SeConfig { seed, ..SeConfig::default() };
-            cfg.selection_bias = p.get_parse("bias", f64::NAN)?;
-            let y: usize = p.get_parse("y", 0)?;
-            if y > 0 {
-                cfg.y_limit = Some(y);
-            }
-            Box::new(SePendingBias::new(cfg))
-        }
-        "ga" => Box::new(GaScheduler::new(GaConfig { seed, ..GaConfig::default() })),
         "heft" => Box::new(HeftScheduler::new()),
         "heft-ins" => Box::new(HeftScheduler::with_insertion()),
         "cpop" => Box::new(CpopScheduler::new()),
@@ -436,10 +418,7 @@ fn make_scheduler(p: &Parsed, name: &str) -> Result<Box<dyn Scheduler>, String> 
         "olb" => Box::new(ListScheduler::new(ListPolicy::Olb)),
         "min-min" => Box::new(ListScheduler::new(ListPolicy::MinMin)),
         "max-min" => Box::new(ListScheduler::new(ListPolicy::MaxMin)),
-        "random" => Box::new(RandomSearch::new(seed)),
-        "sa" => Box::new(SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() })),
-        "tabu" => Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() })),
-        other => return Err(format!("--algo: unknown algorithm {other:?}")),
+        _ => make_steppable(p, name)?,
     })
 }
 
@@ -721,9 +700,9 @@ fn cmd_tournament(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a steppable (iterative) search for `replan`, mirroring
-/// [`make_scheduler`]'s configuration for the five iterative
-/// algorithms and rejecting the one-shots with an explanation.
+/// Builds one of the five iterative searches (for `run` and `compare`
+/// through [`make_scheduler`], and for `replan`), rejecting the
+/// one-shots with an explanation.
 fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, String> {
     let seed: u64 = p.get_parse("seed", 2001)?;
     Ok(match name {
@@ -742,7 +721,9 @@ fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, St
         "tabu" => Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() })),
         "heft" | "heft-ins" | "cpop" | "met" | "mct" | "olb" | "min-min" | "max-min" => {
             return Err(format!(
-                "replan: --algo {name} is a one-shot constructive heuristic; replanning                  re-searches the residual problem from a frozen frontier, which needs an                  iterative search: se, ga, random, sa, tabu"
+                "replan: --algo {name} is a one-shot constructive heuristic; replanning \
+                 re-searches the residual problem from a frozen frontier, which needs an \
+                 iterative search: se, ga, random, sa, tabu"
             ))
         }
         other => return Err(format!("--algo: unknown algorithm {other:?}")),
@@ -779,7 +760,8 @@ fn disturbances(
     }
     let events: usize = p.get_parse("events", 3usize)?;
     if events == 0 {
-        return Err("--events: must be at least 1 (a replan run without disturbances is just                     `mshc run`)"
+        return Err("--events: must be at least 1 (a replan run without disturbances is just \
+                    `mshc run`)"
             .to_string());
     }
     let seed: u64 = p.get_parse("disturb-seed", 2001u64)?;
@@ -979,60 +961,32 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_stride_flag_parses_and_runs() {
-        // Stride is a pure cost knob; the run must succeed at extreme
-        // strides and reject unparsable values.
-        for stride in ["1", "3", "1000"] {
-            dispatch(&argv(&[
-                "run",
-                "--algo",
-                "se",
-                "--tasks",
-                "12",
-                "--machines",
-                "3",
-                "--iters",
-                "5",
-                "--checkpoint-stride",
-                stride,
-                "--report",
-            ]))
-            .unwrap();
-        }
-        dispatch(&argv(&[
-            "compare",
-            "--tasks",
-            "10",
-            "--machines",
-            "3",
-            "--iters",
-            "5",
-            "--checkpoint-stride",
-            "4",
-        ]))
-        .unwrap();
-        let e = dispatch(&argv(&["run", "--algo", "sa", "--checkpoint-stride", "x"])).unwrap_err();
-        assert!(e.contains("--checkpoint-stride"));
-        // 0 is rejected rather than silently falling back to auto.
-        let e = dispatch(&argv(&["run", "--algo", "sa", "--checkpoint-stride", "0"])).unwrap_err();
-        assert!(e.contains("at least 1"));
-    }
-
-    #[test]
     fn budget_parser_applies_flags() {
-        let p = parse(&argv(&["--iters", "7", "--checkpoint-stride", "9"]));
+        let p = parse(&argv(&["--iters", "7"]));
         let b = budget(&p).unwrap();
         assert_eq!(b.max_iterations, Some(7));
-        assert_eq!(b.checkpoint_stride, Some(9));
         assert!(b.validate().is_ok());
         // No limits given: the loud default keeps the budget bounded.
         let b = budget(&parse(&argv(&[]))).unwrap();
         assert_eq!(b.max_iterations, Some(200));
-        assert_eq!(b.checkpoint_stride, None);
         // The escape hatch.
         assert!(b.early_stop, "early stop on by default");
         let b = budget(&parse(&argv(&["--iters", "7", "--no-early-stop"]))).unwrap();
         assert!(!b.early_stop);
+    }
+
+    #[test]
+    fn zero_iterations_are_rejected_not_replaced() {
+        // `--iters 0` would leave the budget unbounded; it is an error
+        // naming the flag, never a silent switch to the 200-iteration
+        // default.
+        let e = budget(&parse(&argv(&["--iters", "0"]))).unwrap_err();
+        assert!(e.contains("--iters") && e.contains("at least 1"), "{e}");
+        for cmd in [&["run", "--algo", "se"][..], &["compare"], &["replan", "--algo", "sa"]] {
+            let args = [cmd, &["--tasks", "8", "--machines", "2", "--iters", "0"]].concat();
+            let e = dispatch(&argv(&args)).unwrap_err();
+            assert!(e.contains("--iters") && e.contains("at least 1"), "{args:?}: {e}");
+        }
     }
 
     /// Every command rejects an option it does not read, naming the
@@ -1048,7 +1002,7 @@ mod tests {
             err(&["tournament", "--suite", "tiny", "--seeds", "1", "--iters", "5", "--algo", "se"]);
         assert!(e.contains("tournament") && e.contains("--algo"), "{e}");
         // The retired cost knobs.
-        for knob in ["--no-prune", "--ga-full-eval"] {
+        for knob in ["--no-prune", "--ga-full-eval", "--checkpoint-stride"] {
             for cmd in ["run", "compare", "tournament", "replan"] {
                 let e = err(&[cmd, "--iters", "2", knob]);
                 assert!(e.contains(knob), "{cmd} {knob}: {e}");
@@ -1056,12 +1010,8 @@ mod tests {
         }
         // Global options a tournament cannot honour; a spec file sets a
         // per-cell deadline_evals.
-        for (flag, value) in [
-            ("--wall", "1"),
-            ("--deadline-evals", "10"),
-            ("--deadline-ms", "50"),
-            ("--checkpoint-stride", "2"),
-        ] {
+        for (flag, value) in [("--wall", "1"), ("--deadline-evals", "10"), ("--deadline-ms", "50")]
+        {
             let e = err(&["tournament", "--suite", "tiny", "--seeds", "1", flag, value]);
             assert!(e.contains("tournament") && e.contains(flag), "{flag}: {e}");
         }
@@ -1112,8 +1062,9 @@ mod tests {
         }
         dispatch(&argv(&replan)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        assert!(USAGE.contains("--checkpoint-stride"));
-        assert!(!USAGE.contains("--no-prune") && !USAGE.contains("--ga-full-eval"));
+        for knob in ["--no-prune", "--ga-full-eval", "--checkpoint-stride"] {
+            assert!(!USAGE.contains(knob), "{knob}");
+        }
     }
 
     #[test]
@@ -1383,11 +1334,21 @@ mod tests {
         // reports the deadline termination.
         let p = parse(&argv(&["--iters", "500", "--deadline-evals", "9"]));
         let b = budget(&p).unwrap();
-        assert_eq!(b.deadline_evals, Some(9));
+        assert_eq!((b.max_iterations, b.max_evaluations, b.deadline), (Some(500), Some(9), true));
         assert!(b.validate().is_ok());
         let p = parse(&argv(&["--iters", "5", "--deadline-ms", "250"]));
         let b = budget(&p).unwrap();
-        assert_eq!(b.deadline_wall, Some(Duration::from_millis(250)));
+        assert_eq!((b.max_wall, b.deadline), (Some(Duration::from_millis(250)), true));
+        // Both deadline flags set both deadline limits.
+        let b = budget(&parse(&argv(&["--deadline-evals", "9", "--deadline-ms", "250"]))).unwrap();
+        assert_eq!((b.max_evaluations, b.max_wall), (Some(9), Some(Duration::from_millis(250))));
+        // A run has one wall limit: --wall next to a deadline flag would
+        // be reported as a deadline, so the pair is an error.
+        for (flag, value) in [("--deadline-evals", "50"), ("--deadline-ms", "250")] {
+            let args = ["run", "--algo", "sa", "--tasks", "8", "--wall", "1", flag, value];
+            let e = dispatch(&argv(&args)).unwrap_err();
+            assert!(e.contains("--wall") && e.contains(flag) && e.contains("exclusive"), "{e}");
+        }
         // A deadline alone bounds the budget: no loud --iters default.
         let b = budget(&parse(&argv(&["--deadline-evals", "50"]))).unwrap();
         assert_eq!(b.max_iterations, None);
@@ -1532,6 +1493,7 @@ mod tests {
         let e = dispatch(&argv(&["replan", "--algo", "heft", "--tasks", "10", "--machines", "3"]))
             .unwrap_err();
         assert!(e.contains("iterative"), "{e}");
+        assert!(!e.contains("  "), "no runs of spaces: {e:?}");
         let e = dispatch(&argv(&[
             "replan",
             "--algo",
@@ -1547,6 +1509,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.contains("--events"), "{e}");
+        assert!(!e.contains("  "), "no runs of spaces: {e:?}");
         // An explicit trace file (bare event array form) drives the run.
         let dir = std::env::temp_dir().join("mshc_cli_replan_trace");
         std::fs::create_dir_all(&dir).unwrap();

@@ -2,14 +2,13 @@
 
 use crate::config::SeConfig;
 use crate::goodness::{goodness, optimal_costs};
-use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent, InstanceBound,
-    Objective, ObjectiveKind, RunBudget, RunResult, ScanStats, ScheduleReport, Scheduler,
-    SearchStep, Solution, StepVerdict, SteppableSearch,
+    run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent, Objective, ObjectiveKind,
+    RunBudget, RunLedger, RunResult, ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict,
+    SteppableSearch,
 };
-use mshc_taskgraph::{Levels, TaskId};
+use mshc_taskgraph::{Levels, TaskGraph, TaskId};
 use mshc_trace::{Trace, TraceRecord};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -65,7 +64,7 @@ impl Scheduler for SeScheduler {
 
 impl SteppableSearch for SeScheduler {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
-        let start = Instant::now();
+        let clock = Instant::now();
         let g = inst.graph();
         let cfg = self.config;
         let objective = budget.objective;
@@ -90,58 +89,39 @@ impl SteppableSearch for SeScheduler {
         // score).
         let snapshot = EvalSnapshot::new(inst);
 
-        // Certified instance floor (makespan only): drives early
-        // termination and the reported gap. Computed once; consumes no
-        // RNG, counts no evaluations.
-        let bound = objective.is_makespan().then(|| InstanceBound::compute(inst));
-
         // ---- initial solution (§4.2) ----
         let perturb = cfg.init_perturbations.unwrap_or(2 * inst.task_count());
         let current = mshc_schedule::init::random_solution_with(inst, perturb, &mut rng);
-        let mut evaluations = 0;
-        let (report, score) = {
-            let mut eval = Evaluator::with_snapshot(&snapshot);
-            let report = eval.report(&current);
-            let score = objective.value(&report.view());
-            evaluations += eval.evaluations();
-            (report, score)
-        };
+        let mut eval = Evaluator::with_snapshot(&snapshot);
+        let report = eval.report(&current);
+        let score = objective.value(&report.view());
+        let ledger =
+            RunLedger::new(inst, budget, clock, current.clone(), score, eval.evaluations());
 
         Box::new(SeState {
             inst,
             cfg,
-            budget: budget.clone(),
             objective,
             rng,
             optimal,
             levels,
             allowed,
             snapshot,
-            best: current.clone(),
-            best_score: score,
             current,
             report,
             score,
-            iterations: 0,
-            stall: 0,
-            evaluations,
-            scan: ScanStats::default(),
             selected: Vec::with_capacity(inst.task_count()),
             bias: cfg.selection_bias,
-            bound,
-            early_stopped: false,
-            cancelled: false,
-            start,
+            ledger,
         })
     }
 }
 
 /// A paused SE run: everything the evaluation → selection → allocation
-/// loop carries between iterations, plus accumulated budget accounting.
+/// loop carries between iterations, plus its run ledger.
 struct SeState<'a> {
     inst: &'a HcInstance,
     cfg: SeConfig,
-    budget: RunBudget,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     optimal: Vec<f64>,
@@ -151,29 +131,9 @@ struct SeState<'a> {
     current: Solution,
     report: ScheduleReport,
     score: f64,
-    best: Solution,
-    best_score: f64,
-    iterations: u64,
-    stall: u64,
-    /// Evaluations accumulated across completed step slices (the
-    /// per-slice evaluators contribute their counts when the slice
-    /// ends, so totals are independent of how the run is sliced).
-    evaluations: u64,
-    /// Allocation-scan counters accumulated across completed slices.
-    scan: ScanStats,
     selected: Vec<TaskId>,
     bias: f64,
-    /// Certified instance floor, present iff the objective is makespan.
-    bound: Option<InstanceBound>,
-    /// Whether the incumbent reached the certified floor and the run
-    /// stopped early (observable only as fewer evaluations — never a
-    /// different solution, since nothing below the floor exists).
-    early_stopped: bool,
-    /// Latched cooperative-cancellation flag: set the first time the
-    /// budget's [`mshc_schedule::CancelToken`] is observed fired at an
-    /// iteration boundary (never mid-evaluation, so counts stay exact).
-    cancelled: bool,
-    start: Instant,
+    ledger: RunLedger,
 }
 
 impl SearchStep for SeState<'_> {
@@ -183,28 +143,10 @@ impl SearchStep for SeState<'_> {
 
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let g = self.inst.graph();
-        let floor = self.bound.as_ref().map(|b| b.floor());
         let mut eval = Evaluator::with_snapshot(&self.snapshot);
-        let mut batch =
-            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
-        let mut stepped = 0u64;
-
-        // The initial solution (or an injected migrant) may already sit
-        // on the certified floor — nothing below it exists, so there is
-        // nothing left to search.
-        self.early_stopped =
-            self.early_stopped || self.budget.floor_reached(floor, self.best_score);
-
-        while !self.early_stopped
-            && stepped < max_iterations
-            && !self.budget.observe_cancel(&mut self.cancelled)
-            && !self.budget.halted(
-                self.iterations,
-                self.evaluations + eval.evaluations(),
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
+        let mut batch = BatchEvaluator::new(&self.snapshot);
+        self.ledger.open_slice(max_iterations);
+        while self.ledger.proceed(eval.evaluations()) {
             // ---- evaluation + selection (§4.4) ----
             // Goodness stays the paper's finish-time ratio for every
             // objective: it measures how well an individual task sits,
@@ -232,64 +174,30 @@ impl SearchStep for SeState<'_> {
             for &t in &self.selected {
                 allocate(
                     &mut self.current,
-                    self.inst,
+                    g,
                     &mut eval,
                     &mut batch,
                     t,
                     &self.allowed[t.index()],
-                    &self.cfg,
-                    self.objective,
+                    &self.objective,
                 );
             }
 
             eval.report_into(&self.current, &mut self.report);
             self.score = self.objective.value(&self.report.view());
-            if self.score < self.best_score {
-                self.best_score = self.score;
-                self.best.clone_from(&self.current);
-                self.stall = 0;
-                if self.budget.floor_reached(floor, self.best_score) {
-                    self.early_stopped = true;
-                }
-            } else {
-                self.stall += 1;
-            }
-            self.iterations += 1;
-            obs::add(obs::Counter::Iterations, 1);
-            stepped += 1;
-
+            self.ledger.record(&self.current, self.score);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(TraceRecord {
-                    iteration: self.iterations - 1,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                    evaluations: self.evaluations + eval.evaluations(),
-                    current_cost: self.score,
-                    best_cost: self.best_score,
                     selected: Some(selected_count),
-                    population_mean: None,
+                    ..self.ledger.trace_record(eval.evaluations(), self.score)
                 });
             }
         }
-
-        self.evaluations += eval.evaluations();
-        self.scan.merge(batch.scan_stats());
-        if self.early_stopped
-            || self.cancelled
-            || self.budget.halted(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
-            StepVerdict::Exhausted
-        } else {
-            StepVerdict::Running
-        }
+        self.ledger.close_slice(eval.evaluations(), batch.scan_stats())
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
-        Some(Incumbent { solution: &self.best, cost: self.best_score })
+        Some(self.ledger.incumbent())
     }
 
     fn inject(&mut self, migrant: &Solution, cost: f64) {
@@ -301,42 +209,12 @@ impl SearchStep for SeState<'_> {
             // per-chunk primes, so portfolio and solo runs share the
             // same evaluation axis.
             Evaluator::with_snapshot(&self.snapshot).report_into(&self.current, &mut self.report);
-            if cost < self.best_score {
-                self.best.clone_from(migrant);
-                self.best_score = cost;
-                self.stall = 0;
-            }
+            self.ledger.offer(migrant, cost);
         }
     }
 
     fn result(&mut self) -> RunResult {
-        let makespan = if self.objective.is_makespan() {
-            self.best_score
-        } else {
-            // Reporting pass, deliberately uncounted: `evaluations` is
-            // the search-cost axis of the figures.
-            Evaluator::with_snapshot(&self.snapshot).makespan(&self.best)
-        };
-        let lower_bound = self.bound.as_ref().map(|b| b.floor());
-        RunResult {
-            solution: self.best.clone(),
-            makespan,
-            objective_value: self.best_score,
-            iterations: self.iterations,
-            evaluations: self.evaluations,
-            elapsed: self.start.elapsed(),
-            scan: self.scan,
-            lower_bound,
-            gap: certified_gap(lower_bound, self.best_score),
-            termination: self.budget.termination(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-                self.early_stopped,
-                self.cancelled,
-            ),
-        }
+        self.ledger.result(&self.snapshot)
     }
 }
 
@@ -399,77 +277,39 @@ impl SteppableSearch for SePendingBias {
 /// alternative placement (valid range of one position and a single
 /// allowed machine), which stays put.
 ///
-/// Two evaluation routes, both committing the same argmin (ties break
-/// to the earliest candidate in `(position, machine)` grid order, so the
-/// routes are bit-identical for every built-in objective):
-///
-/// * `incremental_eval` — the grid is handed to
-///   [`BatchEvaluator::best_relocation`]: the base is primed once per
-///   worker, and each position's candidates are scored together in one
-///   lockstep replay with a lane per allowed machine, exact, never
-///   mutating the solution. Grids large enough to pay for it fan their
-///   positions out over the worker pool; smaller ones run inline. Works
-///   for every [`ObjectiveKind`] through the accumulator-finalize
-///   interface;
-/// * otherwise — serial full objective passes (the ablation baseline).
-#[allow(clippy::too_many_arguments)]
+/// The grid is handed to [`BatchEvaluator::best_relocation`]: the base
+/// is primed once per worker, and each position's candidates are scored
+/// together in one lockstep replay with a lane per allowed machine,
+/// exact, never mutating the solution. Grids large enough to pay for it
+/// fan their positions out over the worker pool; smaller ones run
+/// inline. Ties break to the earliest candidate in `(position, machine)`
+/// grid order, and every [`ObjectiveKind`] is scored through the
+/// accumulator-finalize interface.
 fn allocate(
     sol: &mut Solution,
-    inst: &HcInstance,
+    g: &TaskGraph,
     eval: &mut Evaluator<'_>,
     batch: &mut BatchEvaluator<'_>,
     t: TaskId,
     machines: &[MachineId],
-    cfg: &SeConfig,
-    objective: ObjectiveKind,
+    objective: &ObjectiveKind,
 ) {
-    let g = inst.graph();
     let (lo, hi) = sol.valid_range(g, t);
     debug_assert!(!machines.is_empty());
-    let orig_pos = sol.position_of(t);
-    let orig_m = sol.machine_of(t);
-    if hi == lo && machines.len() == 1 && machines[0] == orig_m {
+    if hi == lo && machines.len() == 1 && machines[0] == sol.machine_of(t) {
         return; // nowhere else to go
     }
-
-    // The incremental route is charged 2 evaluations per scan on top of
-    // one per candidate — one for the current-cost read, one for the
-    // priming pass — exactly what it has always charged, so evaluation
-    // budgets and reported counts are stable across releases (the
-    // per-worker primes themselves are uncounted). The full-pass
-    // ablation route charges 1 for the current-cost read, as it always
-    // has: decisions are bit-identical between the routes, evaluation
-    // *counts* are not — don't compare the flag settings under a
-    // max_evaluations budget.
-    if cfg.incremental_eval && objective.supports_incremental() {
-        let before = batch.evaluations();
-        let best = batch
-            .best_relocation(g, sol, t, lo..=hi, machines, &objective)
-            .expect("non-empty candidate grid");
-        eval.bump_evaluations(2 + batch.evaluations() - before);
-        sol.move_task(g, t, best.pos, best.machine).expect("committing the best candidate");
-        return;
-    }
-
-    eval.bump_evaluations(1);
-    let mut best_pos = orig_pos;
-    let mut best_m = orig_m;
-    let mut best_cost = f64::INFINITY;
-    for pos in lo..=hi {
-        for &m in machines {
-            if pos == orig_pos && m == orig_m {
-                continue; // relocation is mandatory
-            }
-            sol.move_task(g, t, pos, m).expect("candidate within valid range");
-            let cost = eval.objective_value(sol, &objective);
-            if cost < best_cost {
-                best_cost = cost;
-                best_pos = pos;
-                best_m = m;
-            }
-        }
-    }
-    sol.move_task(g, t, best_pos, best_m).expect("committing the best candidate");
+    // Each scan is charged 2 evaluations on top of one per candidate —
+    // one for the current-cost read, one for the priming pass — exactly
+    // what it has always charged, so evaluation budgets and reported
+    // counts are stable across releases (the per-worker primes
+    // themselves are uncounted).
+    let before = batch.evaluations();
+    let best = batch
+        .best_relocation(g, sol, t, lo..=hi, machines, objective)
+        .expect("non-empty candidate grid");
+    eval.bump_evaluations(2 + batch.evaluations() - before);
+    sol.move_task(g, t, best.pos, best.machine).expect("committing the best candidate");
 }
 
 #[cfg(test)]
@@ -667,23 +507,6 @@ mod tests {
             (mean - target).abs() < 0.12,
             "adaptive selection fraction {mean} should track target {target}"
         );
-    }
-
-    #[test]
-    fn incremental_eval_matches_full_eval_runs() {
-        // The lane route must not change a single decision: whole runs
-        // are bit-identical to the full-pass route.
-        for seed in [3u64, 17, 91] {
-            let inst = random_instance(22, 4, seed);
-            let fast =
-                SeScheduler::new(SeConfig { seed, incremental_eval: true, ..Default::default() })
-                    .run(&inst, &RunBudget::iterations(20), None);
-            let slow =
-                SeScheduler::new(SeConfig { seed, incremental_eval: false, ..Default::default() })
-                    .run(&inst, &RunBudget::iterations(20), None);
-            assert_eq!(fast.solution, slow.solution, "seed {seed}");
-            assert_eq!(fast.makespan, slow.makespan);
-        }
     }
 
     #[test]

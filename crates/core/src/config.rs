@@ -44,21 +44,6 @@ pub struct SeConfig {
     /// applied to the initial topological string (§4.2). `None` selects
     /// the default `2k`.
     pub init_perturbations: Option<usize>,
-    /// Use incremental (prefix-cached) evaluation during allocation: the
-    /// base schedule is primed once per allocation scan (once per worker
-    /// when the scan fans out) and every candidate move is scored by
-    /// checkpoint-resumed suffix replay, for any built-in objective.
-    /// Best-fit scans run as the batch evaluator's relocation argmin,
-    /// which replays each position once with a lane per allowed machine
-    /// and spreads large grids' positions over the worker pool; results
-    /// and every counter are identical at any thread count. Every candidate
-    /// *score* and therefore every decision is bit-identical to the
-    /// full-pass route (covered by tests); only the reported evaluation
-    /// counts differ (the priming pass is charged, so this route counts
-    /// one more evaluation per scan — under a `max_evaluations` budget
-    /// the two flag settings stop at different points). Disable only for
-    /// the ablation benchmarks.
-    pub incremental_eval: bool,
     /// Optional ESP-style closed-loop bias adaptation (extension; the
     /// paper uses the fixed `selection_bias` only). When set,
     /// `selection_bias` is the initial value.
@@ -72,7 +57,6 @@ impl Default for SeConfig {
             y_limit: None,
             seed: 2001, // the paper's year; any fixed default works
             init_perturbations: None,
-            incremental_eval: true,
             adaptive_bias: None,
         }
     }

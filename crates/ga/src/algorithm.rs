@@ -21,12 +21,10 @@
 
 use crate::config::GaConfig;
 use crate::operators::{crossover, mutate_matching, random_individual, seeded_individual, Wheel};
-use mshc_obs as obs;
 use mshc_platform::HcInstance;
 use mshc_schedule::{
-    certified_gap, perturb, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent,
-    InstanceBound, ObjectiveKind, RunBudget, RunResult, ScanStats, Scheduler, SearchStep, Solution,
-    StepVerdict, SteppableSearch,
+    perturb, run_stepped, BatchEvaluator, EvalSnapshot, Incumbent, ObjectiveKind, RunBudget,
+    RunLedger, RunResult, Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
 };
 use mshc_trace::{Trace, TraceRecord};
 use rand::{Rng, SeedableRng};
@@ -77,7 +75,7 @@ impl Scheduler for GaScheduler {
 
 impl SteppableSearch for GaScheduler {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
-        let start = Instant::now();
+        let clock = Instant::now();
         let cfg = self.config;
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -94,27 +92,16 @@ impl SteppableSearch for GaScheduler {
         if cfg.seed_with_heuristic {
             pop[0] = seeded_individual(inst);
         }
-        let mut evaluations = 0;
-        let costs = {
-            let mut batch = BatchEvaluator::new(&snapshot).with_stride(budget.checkpoint_stride);
-            let costs = batch.scores(&pop, &objective);
-            evaluations += batch.evaluations();
-            costs
-        };
-
+        let mut batch = BatchEvaluator::new(&snapshot);
+        let costs = batch.scores(&pop, &objective);
         let best_idx = argmin(&costs);
-        let best_solution = pop[best_idx].clone();
-        let best_cost = costs[best_idx];
-
-        // The certified floor for early termination and gap reporting
-        // (makespan objective only); consumes no RNG and counts no
-        // evaluations, so it cannot perturb the trajectory.
-        let lower_bound = objective.is_makespan().then(|| InstanceBound::compute(inst).floor());
+        let best = pop[best_idx].clone();
+        let ledger =
+            RunLedger::new(inst, budget, clock, best, costs[best_idx], batch.evaluations());
 
         Box::new(GaState {
             inst,
             cfg,
-            budget: budget.clone(),
             objective,
             rng,
             snapshot,
@@ -122,26 +109,16 @@ impl SteppableSearch for GaScheduler {
             pop,
             costs,
             wheel: Wheel::default(),
-            best_solution,
-            best_cost,
-            generations: 0,
-            stall: 0,
-            evaluations,
-            scan: ScanStats::default(),
-            lower_bound,
-            early_stopped: false,
-            cancelled: false,
-            start,
+            ledger,
         })
     }
 }
 
-/// A paused GA run: the population with its fitness, incumbent tracking
-/// and accumulated budget accounting.
+/// A paused GA run: the population with its fitness, and the run
+/// ledger, whose incumbent is the best individual seen.
 struct GaState<'a> {
     inst: &'a HcInstance,
     cfg: GaConfig,
-    budget: RunBudget,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
@@ -153,25 +130,7 @@ struct GaState<'a> {
     next: Vec<Solution>,
     /// The current generation's roulette weights.
     wheel: Wheel,
-    /// The best individual seen, kept so [`SearchStep::incumbent`] can
-    /// hand out a borrow.
-    best_solution: Solution,
-    best_cost: f64,
-    generations: u64,
-    stall: u64,
-    evaluations: u64,
-    /// Population-scoring counters accumulated across steps (clones and
-    /// their string positions; all deterministic).
-    scan: ScanStats,
-    /// The certified instance floor (`Some` iff makespan objective).
-    lower_bound: Option<f64>,
-    /// Set when the incumbent reached the floor and the run stopped
-    /// early (the incumbent is then provably optimal).
-    early_stopped: bool,
-    /// Latched cooperative-cancellation flag (checked at generation
-    /// boundaries only, so evaluation counts stay exact).
-    cancelled: bool,
-    start: Instant,
+    ledger: RunLedger,
 }
 
 impl SearchStep for GaState<'_> {
@@ -182,24 +141,9 @@ impl SearchStep for GaState<'_> {
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let g = self.inst.graph();
         let k = self.inst.task_count();
-        let mut batch =
-            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
-        let mut stepped = 0u64;
-
-        // Generation 0 (or an injected migrant) may already sit on the
-        // certified floor — then nothing can improve and the run stops.
-        self.early_stopped =
-            self.early_stopped || self.budget.floor_reached(self.lower_bound, self.best_cost);
-        while !self.early_stopped
-            && stepped < max_iterations
-            && !self.budget.observe_cancel(&mut self.cancelled)
-            && !self.budget.halted(
-                self.generations,
-                self.evaluations + batch.evaluations(),
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
+        let mut batch = BatchEvaluator::new(&self.snapshot);
+        self.ledger.open_slice(max_iterations);
+        while self.ledger.proceed(batch.evaluations()) {
             // ---- next generation ----
             // Elitism: the best chromosomes are carried over unchanged.
             let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
@@ -244,52 +188,20 @@ impl SearchStep for GaState<'_> {
             std::mem::swap(&mut self.pop, &mut self.next);
 
             let best_idx = argmin(&self.costs);
-            if self.costs[best_idx] < self.best_cost {
-                self.best_cost = self.costs[best_idx];
-                self.best_solution.clone_from(&self.pop[best_idx]);
-                self.stall = 0;
-                if self.budget.floor_reached(self.lower_bound, self.best_cost) {
-                    self.early_stopped = true;
-                }
-            } else {
-                self.stall += 1;
-            }
-            self.generations += 1;
-            obs::add(obs::Counter::Iterations, 1);
-            stepped += 1;
-
+            self.ledger.record(&self.pop[best_idx], self.costs[best_idx]);
             if let Some(tr) = trace.as_deref_mut() {
+                let mean = self.costs.iter().sum::<f64>() / self.costs.len() as f64;
                 tr.push(TraceRecord {
-                    iteration: self.generations - 1,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                    evaluations: self.evaluations + batch.evaluations(),
-                    current_cost: self.costs[best_idx],
-                    best_cost: self.best_cost,
-                    selected: None,
-                    population_mean: Some(self.costs.iter().sum::<f64>() / self.costs.len() as f64),
+                    population_mean: Some(mean),
+                    ..self.ledger.trace_record(batch.evaluations(), self.costs[best_idx])
                 });
             }
         }
-
-        self.evaluations += batch.evaluations();
-        self.scan.merge(batch.scan_stats());
-        if self.early_stopped
-            || self.cancelled
-            || self.budget.halted(
-                self.generations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
-            StepVerdict::Exhausted
-        } else {
-            StepVerdict::Running
-        }
+        self.ledger.close_slice(batch.evaluations(), batch.scan_stats())
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
-        Some(Incumbent { solution: &self.best_solution, cost: self.best_cost })
+        Some(self.ledger.incumbent())
     }
 
     fn inject(&mut self, migrant: &Solution, cost: f64) {
@@ -307,41 +219,12 @@ impl SearchStep for GaState<'_> {
         if cost < self.costs[worst] {
             self.pop[worst].clone_from(migrant);
             self.costs[worst] = cost;
-            if cost < self.best_cost {
-                self.best_solution.clone_from(migrant);
-                self.best_cost = cost;
-                self.stall = 0;
-            }
+            self.ledger.offer(migrant, cost);
         }
     }
 
     fn result(&mut self) -> RunResult {
-        let solution = self.best_solution.clone();
-        let makespan = if self.objective.is_makespan() {
-            self.best_cost
-        } else {
-            // Reporting pass, deliberately uncounted.
-            Evaluator::with_snapshot(&self.snapshot).makespan(&solution)
-        };
-        RunResult {
-            solution,
-            makespan,
-            objective_value: self.best_cost,
-            iterations: self.generations,
-            evaluations: self.evaluations,
-            elapsed: self.start.elapsed(),
-            scan: self.scan,
-            lower_bound: self.lower_bound,
-            gap: certified_gap(self.lower_bound, self.best_cost),
-            termination: self.budget.termination(
-                self.generations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-                self.early_stopped,
-                self.cancelled,
-            ),
-        }
+        self.ledger.result(&self.snapshot)
     }
 }
 
@@ -358,7 +241,7 @@ fn argmin(costs: &[f64]) -> usize {
 mod tests {
     use super::*;
     use mshc_platform::{HcSystem, Matrix};
-    use mshc_schedule::replay;
+    use mshc_schedule::{replay, Evaluator};
     use mshc_taskgraph::gen::{layered, LayeredConfig};
 
     fn random_instance(tasks: usize, machines: usize, seed: u64) -> HcInstance {
@@ -445,14 +328,6 @@ mod tests {
             assert_eq!(r.scan.population_positions, children * k, "{}", kind.label());
             assert!(r.scan.clones >= r.iterations * cfg.elites as u64, "{}", kind.label());
             assert_eq!(r.scan.clone_positions, r.scan.clones * k, "{}", kind.label());
-            // The checkpoint stride does not reach population scoring.
-            let strided = GaScheduler::with_seed(3).run(
-                &inst,
-                &budget.clone().with_checkpoint_stride(Some(1)),
-                None,
-            );
-            assert_eq!(strided.solution, r.solution, "{}", kind.label());
-            assert_eq!(strided.scan, r.scan, "{}", kind.label());
         }
     }
 

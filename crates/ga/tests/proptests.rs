@@ -1,9 +1,9 @@
 //! Property tests for the GA's population fitness pass (exact clones
 //! take their donor's cost, every other child a full pass): whole runs
 //! must be bit-identical — solutions, fitness values, per-generation
-//! traces and evaluation counts — across instances, seeds, checkpoint
-//! strides and worker-thread counts, and the reported fitness must be
-//! the full-pass score of the returned solution.
+//! traces and evaluation counts — across instances, seeds and
+//! worker-thread counts, and the reported fitness must be the full-pass
+//! score of the returned solution.
 
 use mshc_ga::GaScheduler;
 use mshc_platform::{HcInstance, HcSystem, Matrix};
@@ -45,24 +45,16 @@ fn instance_strategy() -> impl Strategy<Value = HcInstance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Full GA runs agree bit for bit at every stride and thread count
-    /// with a one-thread, auto-stride run, for every objective family,
-    /// and the incumbent's fitness is its full-pass score.
+    /// Full GA runs agree bit for bit at every thread count with a
+    /// one-thread run, for every objective family, and the incumbent's
+    /// fitness is its full-pass score.
     #[test]
-    fn ga_runs_are_thread_and_stride_invariant_and_exact(
+    fn ga_runs_are_thread_invariant_and_exact(
         inst in instance_strategy(),
         seed in any::<u64>(),
-        stride_sel in 0usize..4,
         threads_sel in 0usize..3,
         objective_sel in 0usize..3,
     ) {
-        let k = inst.task_count();
-        let stride = match stride_sel {
-            0 => Some(1),
-            1 => Some((k / 2).max(1)),
-            2 => Some(k + 5),
-            _ => None,
-        };
         let threads = [1usize, 2, 8][threads_sel];
         let objective = match objective_sel {
             0 => ObjectiveKind::Makespan,
@@ -78,8 +70,7 @@ proptest! {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let (run, trace) = pool.install(|| {
             let mut trace = Trace::new();
-            let strided = budget.clone().with_checkpoint_stride(stride);
-            (GaScheduler::with_seed(seed).run(&inst, &strided, Some(&mut trace)), trace)
+            (GaScheduler::with_seed(seed).run(&inst, &budget, Some(&mut trace)), trace)
         });
         prop_assert_eq!(&run.solution, &base.solution);
         prop_assert_eq!(run.objective_value, base.objective_value);

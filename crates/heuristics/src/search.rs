@@ -9,43 +9,18 @@
 //! parallel [`BatchEvaluator`] in one call (which routes through
 //! per-thread incremental evaluators itself).
 
-use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, random_solution, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator,
-    IncrementalEvaluator, Incumbent, InstanceBound, ObjectiveKind, RunBudget, RunResult, ScanStats,
-    Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
+    random_solution, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator,
+    Incumbent, ObjectiveKind, RunBudget, RunLedger, RunResult, ScanStats, Scheduler, SearchStep,
+    Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::TaskId;
-use mshc_trace::{Trace, TraceRecord};
+use mshc_trace::Trace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// The certified instance floor for early termination and gap
-/// reporting: `Some` only for the makespan objective (the only one
-/// with a certificate). Computed once per run start; consumes no RNG
-/// and counts no evaluations, so it cannot perturb a trajectory.
-fn certified_floor(inst: &HcInstance, objective: ObjectiveKind) -> Option<f64> {
-    objective.is_makespan().then(|| InstanceBound::compute(inst).floor())
-}
-
-/// Makespan to report alongside a best objective value: reuses the value
-/// when the objective *is* makespan, otherwise runs one (uncounted)
-/// reporting pass.
-fn reported_makespan(
-    inst: &HcInstance,
-    best: &Solution,
-    best_value: f64,
-    objective: ObjectiveKind,
-) -> f64 {
-    if objective.is_makespan() {
-        best_value
-    } else {
-        Evaluator::new(inst).makespan(best)
-    }
-}
 
 /// Uniformly samples a neighbor move `(task, position, machine)` from the
 /// valid-range neighborhood of `sol` **without applying it** — the
@@ -98,61 +73,27 @@ impl Scheduler for RandomSearch {
 
 impl SteppableSearch for RandomSearch {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
-        let start = Instant::now();
+        let clock = Instant::now();
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let snapshot = EvalSnapshot::new(inst);
         let best = random_solution(inst, &mut rng);
-        let mut evaluations = 0;
-        let best_cost = {
-            let mut eval = Evaluator::with_snapshot(&snapshot);
-            let cost = eval.objective_value(&best, &objective);
-            evaluations += eval.evaluations();
-            cost
-        };
-        // The initial solution counts as iteration 1 (mirrored into the
-        // registry so its view matches `RunResult::iterations`).
-        obs::add(obs::Counter::Iterations, 1);
-        Box::new(RandomState {
-            lower_bound: certified_floor(inst, objective),
-            inst,
-            budget: budget.clone(),
-            objective,
-            rng,
-            snapshot,
-            best,
-            best_cost,
-            iterations: 1,
-            stall: 0,
-            evaluations,
-            early_stopped: false,
-            cancelled: false,
-            start,
-        })
+        let mut eval = Evaluator::with_snapshot(&snapshot);
+        let best_cost = eval.objective_value(&best, &objective);
+        let mut ledger = RunLedger::new(inst, budget, clock, best, best_cost, eval.evaluations());
+        // The initial solution counts as iteration 1.
+        ledger.count_iteration();
+        Box::new(RandomState { inst, objective, rng, snapshot, ledger })
     }
 }
 
 /// A paused random-restart run.
 struct RandomState<'a> {
     inst: &'a HcInstance,
-    budget: RunBudget,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
-    best: Solution,
-    best_cost: f64,
-    iterations: u64,
-    stall: u64,
-    evaluations: u64,
-    /// The certified instance floor (`Some` iff makespan objective).
-    lower_bound: Option<f64>,
-    /// Set when the incumbent reached the floor and the run stopped
-    /// early (the incumbent is then provably optimal).
-    early_stopped: bool,
-    /// Latched cooperative-cancellation flag (checked at iteration
-    /// boundaries only, so evaluation counts stay exact).
-    cancelled: bool,
-    start: Instant,
+    ledger: RunLedger,
 }
 
 impl SearchStep for RandomState<'_> {
@@ -162,99 +103,30 @@ impl SearchStep for RandomState<'_> {
 
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let mut eval = Evaluator::with_snapshot(&self.snapshot);
-        let mut stepped = 0u64;
-        // The initial solution (or an injected migrant) may already sit
-        // on the certified floor — then there is nothing left to search.
-        self.early_stopped =
-            self.early_stopped || self.budget.floor_reached(self.lower_bound, self.best_cost);
-        while !self.early_stopped
-            && stepped < max_iterations
-            && !self.budget.observe_cancel(&mut self.cancelled)
-            && !self.budget.halted(
-                self.iterations,
-                self.evaluations + eval.evaluations(),
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
+        self.ledger.open_slice(max_iterations);
+        while self.ledger.proceed(eval.evaluations()) {
             let cand = random_solution(self.inst, &mut self.rng);
             let cost = eval.objective_value(&cand, &self.objective);
-            if cost < self.best_cost {
-                self.best_cost = cost;
-                self.best = cand;
-                self.stall = 0;
-                if self.budget.floor_reached(self.lower_bound, self.best_cost) {
-                    self.early_stopped = true;
-                }
-            } else {
-                self.stall += 1;
-            }
-            self.iterations += 1;
-            obs::add(obs::Counter::Iterations, 1);
-            stepped += 1;
+            self.ledger.record(&cand, cost);
             if let Some(tr) = trace.as_deref_mut() {
-                tr.push(TraceRecord {
-                    iteration: self.iterations - 1,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                    evaluations: self.evaluations + eval.evaluations(),
-                    current_cost: cost,
-                    best_cost: self.best_cost,
-                    selected: None,
-                    population_mean: None,
-                });
+                tr.push(self.ledger.trace_record(eval.evaluations(), cost));
             }
         }
-        self.evaluations += eval.evaluations();
-        if self.early_stopped
-            || self.cancelled
-            || self.budget.halted(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
-            StepVerdict::Exhausted
-        } else {
-            StepVerdict::Running
-        }
+        self.ledger.close_slice(eval.evaluations(), ScanStats::default())
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
-        Some(Incumbent { solution: &self.best, cost: self.best_cost })
+        Some(self.ledger.incumbent())
     }
 
     fn inject(&mut self, migrant: &Solution, cost: f64) {
         // Restarts share no working state; a better migrant simply
         // becomes the incumbent.
-        if cost < self.best_cost {
-            self.best.clone_from(migrant);
-            self.best_cost = cost;
-            self.stall = 0;
-        }
+        self.ledger.offer(migrant, cost);
     }
 
     fn result(&mut self) -> RunResult {
-        let makespan = reported_makespan(self.inst, &self.best, self.best_cost, self.objective);
-        RunResult {
-            solution: self.best.clone(),
-            makespan,
-            objective_value: self.best_cost,
-            iterations: self.iterations,
-            evaluations: self.evaluations,
-            elapsed: self.start.elapsed(),
-            scan: ScanStats::default(),
-            lower_bound: self.lower_bound,
-            gap: certified_gap(self.lower_bound, self.best_cost),
-            termination: self.budget.termination(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-                self.early_stopped,
-                self.cancelled,
-            ),
-        }
+        self.ledger.result(&self.snapshot)
     }
 }
 
@@ -316,7 +188,7 @@ impl Scheduler for SimulatedAnnealing {
 
 impl SteppableSearch for SimulatedAnnealing {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
-        let start = Instant::now();
+        let clock = Instant::now();
         let cfg = self.config;
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -324,68 +196,42 @@ impl SteppableSearch for SimulatedAnnealing {
         let current = random_solution(inst, &mut rng);
         let current_cost = {
             let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-            inc.set_stride(budget.checkpoint_stride);
             inc.prime(&current);
             inc.base_score(&objective)
         };
         let temp = current_cost.max(f64::MIN_POSITIVE) * cfg.initial_temp_fraction;
+        // The evaluation count is `1 + proposals`: one for the initial
+        // priming pass, one per proposal. Re-primes (on acceptance and at
+        // slice starts) are uncounted cache rebuilds, keeping the axis
+        // identical to the historic full-pass loop however the run is
+        // sliced.
+        let ledger = RunLedger::new(inst, budget, clock, current.clone(), current_cost, 1);
         Box::new(SaState {
-            lower_bound: certified_floor(inst, objective),
             inst,
             cfg,
-            budget: budget.clone(),
             objective,
             rng,
             snapshot,
-            best: current.clone(),
-            best_cost: current_cost,
             current,
             current_cost,
             temp,
-            iterations: 0,
-            stall: 0,
-            proposals: 0,
-            scan: ScanStats::default(),
-            early_stopped: false,
-            cancelled: false,
-            start,
+            ledger,
         })
     }
 }
 
 /// A paused SA run: the annealing trajectory (current solution,
-/// temperature) plus incumbent tracking and budget accounting.
+/// temperature) plus its run ledger.
 struct SaState<'a> {
     inst: &'a HcInstance,
     cfg: SaConfig,
-    budget: RunBudget,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
     current: Solution,
     current_cost: f64,
-    best: Solution,
-    best_cost: f64,
     temp: f64,
-    iterations: u64,
-    stall: u64,
-    /// Proposals scored across completed slices. The reported evaluation
-    /// count is `1 + proposals`: one for the initial priming pass, one
-    /// per proposal — re-primes (on acceptance and at slice starts) are
-    /// uncounted cache rebuilds, keeping the axis identical to the
-    /// historic full-pass loop however the run is sliced.
-    proposals: u64,
-    /// Proposal scorings accumulated across completed slices.
-    scan: ScanStats,
-    /// The certified instance floor (`Some` iff makespan objective).
-    lower_bound: Option<f64>,
-    /// Set when the incumbent reached the floor and the run stopped
-    /// early (the incumbent is then provably optimal).
-    early_stopped: bool,
-    /// Latched cooperative-cancellation flag (checked at iteration
-    /// boundaries only, so evaluation counts stay exact).
-    cancelled: bool,
-    start: Instant,
+    ledger: RunLedger,
 }
 
 impl SearchStep for SaState<'_> {
@@ -395,21 +241,9 @@ impl SearchStep for SaState<'_> {
 
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let mut inc = IncrementalEvaluator::with_snapshot(&self.snapshot);
-        inc.set_stride(self.budget.checkpoint_stride);
         inc.prime(&self.current);
-        let mut stepped = 0u64;
-        self.early_stopped =
-            self.early_stopped || self.budget.floor_reached(self.lower_bound, self.best_cost);
-        while !self.early_stopped
-            && stepped < max_iterations
-            && !self.budget.observe_cancel(&mut self.cancelled)
-            && !self.budget.halted(
-                self.iterations,
-                1 + self.proposals + inc.evaluations(),
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
+        self.ledger.open_slice(max_iterations);
+        while self.ledger.proceed(inc.evaluations()) {
             // Propose a move and score it by suffix replay — the current
             // solution is only mutated on acceptance.
             let (t, pos, m) = sample_move(&self.current, self.inst, &mut self.rng);
@@ -422,51 +256,17 @@ impl SearchStep for SaState<'_> {
                 self.current_cost = cand_cost;
                 inc.prime(&self.current);
             }
-            if self.current_cost < self.best_cost {
-                self.best_cost = self.current_cost;
-                self.best.clone_from(&self.current);
-                self.stall = 0;
-                if self.budget.floor_reached(self.lower_bound, self.best_cost) {
-                    self.early_stopped = true;
-                }
-            } else {
-                self.stall += 1;
-            }
+            self.ledger.record(&self.current, self.current_cost);
             self.temp *= self.cfg.cooling;
-            self.iterations += 1;
-            obs::add(obs::Counter::Iterations, 1);
-            stepped += 1;
             if let Some(tr) = trace.as_deref_mut() {
-                tr.push(TraceRecord {
-                    iteration: self.iterations - 1,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                    evaluations: 1 + self.proposals + inc.evaluations(),
-                    current_cost: self.current_cost,
-                    best_cost: self.best_cost,
-                    selected: None,
-                    population_mean: None,
-                });
+                tr.push(self.ledger.trace_record(inc.evaluations(), self.current_cost));
             }
         }
-        self.proposals += inc.evaluations();
-        self.scan.merge(inc.stats());
-        if self.early_stopped
-            || self.cancelled
-            || self.budget.halted(
-                self.iterations,
-                1 + self.proposals,
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
-            StepVerdict::Exhausted
-        } else {
-            StepVerdict::Running
-        }
+        self.ledger.close_slice(inc.evaluations(), inc.stats())
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
-        Some(Incumbent { solution: &self.best, cost: self.best_cost })
+        Some(self.ledger.incumbent())
     }
 
     fn inject(&mut self, migrant: &Solution, cost: f64) {
@@ -476,35 +276,12 @@ impl SearchStep for SaState<'_> {
         if cost < self.current_cost {
             self.current.clone_from(migrant);
             self.current_cost = cost;
-            if cost < self.best_cost {
-                self.best.clone_from(migrant);
-                self.best_cost = cost;
-                self.stall = 0;
-            }
+            self.ledger.offer(migrant, cost);
         }
     }
 
     fn result(&mut self) -> RunResult {
-        let makespan = reported_makespan(self.inst, &self.best, self.best_cost, self.objective);
-        RunResult {
-            solution: self.best.clone(),
-            makespan,
-            objective_value: self.best_cost,
-            iterations: self.iterations,
-            evaluations: 1 + self.proposals,
-            elapsed: self.start.elapsed(),
-            scan: self.scan,
-            lower_bound: self.lower_bound,
-            gap: certified_gap(self.lower_bound, self.best_cost),
-            termination: self.budget.termination(
-                self.iterations,
-                1 + self.proposals,
-                self.start.elapsed(),
-                self.stall,
-                self.early_stopped,
-                self.cancelled,
-            ),
-        }
+        self.ledger.result(&self.snapshot)
     }
 }
 
@@ -564,76 +341,49 @@ impl Scheduler for TabuSearch {
 
 impl SteppableSearch for TabuSearch {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
-        let start = Instant::now();
+        let clock = Instant::now();
         let cfg = self.config;
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let snapshot = EvalSnapshot::new(inst);
         let current = random_solution(inst, &mut rng);
-        let mut evaluations = 0;
-        let current_cost = {
-            let mut eval = Evaluator::with_snapshot(&snapshot);
-            let cost = eval.objective_value(&current, &objective);
-            evaluations += eval.evaluations();
-            cost
-        };
+        let mut eval = Evaluator::with_snapshot(&snapshot);
+        let current_cost = eval.objective_value(&current, &objective);
+        let evaluations = eval.evaluations();
+        let ledger =
+            RunLedger::new(inst, budget, clock, current.clone(), current_cost, evaluations);
         Box::new(TabuState {
-            lower_bound: certified_floor(inst, objective),
             inst,
             cfg,
-            budget: budget.clone(),
             objective,
             rng,
             snapshot,
-            best: current.clone(),
-            best_cost: current_cost,
             current,
             current_cost,
             tabu_until: vec![0u64; inst.task_count()],
             sampled: Vec::with_capacity(cfg.samples),
             admissible: Vec::with_capacity(cfg.samples),
-            iterations: 0,
-            stall: 0,
-            evaluations,
-            scan: ScanStats::default(),
-            early_stopped: false,
-            cancelled: false,
-            start,
+            ledger,
         })
     }
 }
 
-/// A paused tabu run: trajectory, tabu tenures and budget accounting.
+/// A paused tabu run: trajectory, tabu tenures and the run ledger.
 struct TabuState<'a> {
     inst: &'a HcInstance,
     cfg: TabuConfig,
-    budget: RunBudget,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
     current: Solution,
     current_cost: f64,
-    best: Solution,
-    best_cost: f64,
+    /// The ledger iteration count at which each task stops being tabu.
     tabu_until: Vec<u64>,
     sampled: Vec<(TaskId, usize, MachineId)>,
     /// Per-sample non-tabu mask for the argmin scan, rebuilt each
     /// iteration.
     admissible: Vec<bool>,
-    iterations: u64,
-    stall: u64,
-    evaluations: u64,
-    /// Neighborhood scorings accumulated across completed slices.
-    scan: ScanStats,
-    /// The certified instance floor (`Some` iff makespan objective).
-    lower_bound: Option<f64>,
-    /// Set when the incumbent reached the floor and the run stopped
-    /// early (the incumbent is then provably optimal).
-    early_stopped: bool,
-    /// Latched cooperative-cancellation flag (checked at iteration
-    /// boundaries only, so evaluation counts stay exact).
-    cancelled: bool,
-    start: Instant,
+    ledger: RunLedger,
 }
 
 impl SearchStep for TabuState<'_> {
@@ -643,21 +393,9 @@ impl SearchStep for TabuState<'_> {
 
     fn step(&mut self, max_iterations: u64, mut trace: Option<&mut Trace>) -> StepVerdict {
         let g = self.inst.graph();
-        let mut batch =
-            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
-        let mut stepped = 0u64;
-        self.early_stopped =
-            self.early_stopped || self.budget.floor_reached(self.lower_bound, self.best_cost);
-        while !self.early_stopped
-            && stepped < max_iterations
-            && !self.budget.observe_cancel(&mut self.cancelled)
-            && !self.budget.halted(
-                self.iterations,
-                self.evaluations + batch.evaluations(),
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
+        let mut batch = BatchEvaluator::new(&self.snapshot);
+        self.ledger.open_slice(max_iterations);
+        while self.ledger.proceed(batch.evaluations()) {
             // Sample the neighborhood, then score the whole sample at once.
             self.sampled.clear();
             for _ in 0..self.cfg.samples {
@@ -670,70 +408,36 @@ impl SearchStep for TabuState<'_> {
             // Tabu status is a pure function of the tenure table, so it
             // is known before scoring; the scan applies the aspiration
             // rule to the exact scores.
+            let now = self.ledger.iterations();
             self.admissible.clear();
-            self.admissible.extend(
-                self.sampled.iter().map(|&(t, _, _)| self.tabu_until[t.index()] <= self.iterations),
-            );
+            self.admissible
+                .extend(self.sampled.iter().map(|&(t, _, _)| self.tabu_until[t.index()] <= now));
             let chosen = batch.best_task_move(
                 g,
                 &self.current,
                 &self.sampled,
                 Some(&self.admissible),
-                self.best_cost,
+                self.ledger.incumbent().cost,
                 &self.objective,
             );
             if let Some(best) = chosen {
                 let (t, pos, m) = self.sampled[best.index];
                 self.current.move_task(g, t, pos, m).expect("apply chosen");
                 self.current_cost = best.score;
-                self.tabu_until[t.index()] = self.iterations + self.cfg.tenure;
-                if self.current_cost < self.best_cost {
-                    self.best_cost = self.current_cost;
-                    self.best.clone_from(&self.current);
-                    self.stall = 0;
-                    if self.budget.floor_reached(self.lower_bound, self.best_cost) {
-                        self.early_stopped = true;
-                    }
-                } else {
-                    self.stall += 1;
-                }
-            } else {
-                self.stall += 1;
+                self.tabu_until[t.index()] = now + self.cfg.tenure;
             }
-            self.iterations += 1;
-            obs::add(obs::Counter::Iterations, 1);
-            stepped += 1;
+            // With no admissible move the current solution stands, and
+            // it never beats the incumbent: the iteration stalls.
+            self.ledger.record(&self.current, self.current_cost);
             if let Some(tr) = trace.as_deref_mut() {
-                tr.push(TraceRecord {
-                    iteration: self.iterations - 1,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                    evaluations: self.evaluations + batch.evaluations(),
-                    current_cost: self.current_cost,
-                    best_cost: self.best_cost,
-                    selected: None,
-                    population_mean: None,
-                });
+                tr.push(self.ledger.trace_record(batch.evaluations(), self.current_cost));
             }
         }
-        self.evaluations += batch.evaluations();
-        self.scan.merge(batch.scan_stats());
-        if self.early_stopped
-            || self.cancelled
-            || self.budget.halted(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-            )
-        {
-            StepVerdict::Exhausted
-        } else {
-            StepVerdict::Running
-        }
+        self.ledger.close_slice(batch.evaluations(), batch.scan_stats())
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
-        Some(Incumbent { solution: &self.best, cost: self.best_cost })
+        Some(self.ledger.incumbent())
     }
 
     fn inject(&mut self, migrant: &Solution, cost: f64) {
@@ -742,35 +446,12 @@ impl SearchStep for TabuState<'_> {
         if cost < self.current_cost {
             self.current.clone_from(migrant);
             self.current_cost = cost;
-            if cost < self.best_cost {
-                self.best.clone_from(migrant);
-                self.best_cost = cost;
-                self.stall = 0;
-            }
+            self.ledger.offer(migrant, cost);
         }
     }
 
     fn result(&mut self) -> RunResult {
-        let makespan = reported_makespan(self.inst, &self.best, self.best_cost, self.objective);
-        RunResult {
-            solution: self.best.clone(),
-            makespan,
-            objective_value: self.best_cost,
-            iterations: self.iterations,
-            evaluations: self.evaluations,
-            elapsed: self.start.elapsed(),
-            scan: self.scan,
-            lower_bound: self.lower_bound,
-            gap: certified_gap(self.lower_bound, self.best_cost),
-            termination: self.budget.termination(
-                self.iterations,
-                self.evaluations,
-                self.start.elapsed(),
-                self.stall,
-                self.early_stopped,
-                self.cancelled,
-            ),
-        }
+        self.ledger.result(&self.snapshot)
     }
 }
 

@@ -408,7 +408,8 @@ mod tests {
         let parsed: TournamentSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.cell_retries, 1, "missing field defaults to one retry");
         assert_eq!(parsed.deadline_evals, None);
-        assert!(parsed.budget(ObjectiveKind::Makespan).deadline_evals.is_none());
+        let budget = parsed.budget(ObjectiveKind::Makespan);
+        assert_eq!((budget.max_evaluations, budget.deadline), (None, false));
     }
 
     #[test]
@@ -419,7 +420,8 @@ mod tests {
         spec.deadline_evals = Some(500);
         spec.validate().unwrap();
         let budget = spec.budget(ObjectiveKind::Makespan);
-        assert_eq!(budget.deadline_evals, Some(500));
+        assert_eq!((budget.max_evaluations, budget.deadline), (Some(500), true));
+        assert_eq!(budget.max_iterations, Some(spec.iterations));
         budget.validate().unwrap();
     }
 

@@ -458,7 +458,8 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Sets the checkpoint stride for incremental move scoring (`None` =
-    /// auto `⌈√k⌉`).
+    /// auto `⌈√k⌉`). No search sets it; tests and the evaluator bench
+    /// vary it to show it never changes a score.
     pub fn with_stride(mut self, stride: Option<usize>) -> BatchEvaluator<'a> {
         self.stride = stride;
         self

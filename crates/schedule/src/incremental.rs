@@ -319,7 +319,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// Sets the checkpoint stride: `None` selects the auto default
     /// `⌈√k⌉`, `Some(c)` checkpoints every `max(c, 1)` positions. Takes
     /// effect at the next [`prime`](Self::prime); the stride never
-    /// changes scores, only the memory/resume-cost trade-off.
+    /// changes scores, only the memory/resume-cost trade-off. No search
+    /// sets it; tests and the evaluator bench vary it.
     pub fn set_stride(&mut self, stride: Option<usize>) {
         self.stride_override = stride;
     }

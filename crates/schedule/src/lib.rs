@@ -127,5 +127,5 @@ pub use runner::{
 pub use sim::{replay, replay_with, NetworkModel, SimError};
 pub use snapshot::EvalSnapshot;
 pub use steppable::{
-    run_stepped, Incumbent, OneShotStep, SearchStep, StepVerdict, SteppableSearch,
+    run_stepped, Incumbent, OneShotStep, RunLedger, SearchStep, StepVerdict, SteppableSearch,
 };

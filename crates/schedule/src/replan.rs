@@ -482,7 +482,6 @@ impl<'a> Replanner<'a> {
         // and read the carryover's exact score off the primed walk
         // (primes are uncounted).
         let mut inc = IncrementalEvaluator::new(&res_inst);
-        inc.set_stride(budget.checkpoint_stride);
         inc.prime(&carryover);
         let carryover_cost = inc.base_score(&budget.objective);
         drop(inc);

@@ -9,9 +9,16 @@
 //! [`RunBudget`] expresses the stopping criteria the paper uses:
 //! iteration counts for Figs 3–4 and wall-clock time for the SE-vs-GA
 //! races of Figs 5–7, plus an evaluation-count budget for deterministic
-//! comparisons and a stall window ("no improvement for N iterations").
-//! It also carries the [`ObjectiveKind`] to optimize, so the CLI and the
-//! harnesses select objectives without touching the `Scheduler` trait.
+//! comparisons and a stall window ("no improvement for N iterations"),
+//! one limit per axis. A `deadline` tag marks the evaluation and wall
+//! limits as an external deadline, which changes only how a stop is
+//! reported ([`Termination::Deadline`]). The budget also carries the
+//! [`ObjectiveKind`] to optimize, so the CLI and the harnesses select
+//! objectives without touching the `Scheduler` trait.
+//!
+//! The budget is data only. The iterative searches apply it through
+//! [`crate::RunLedger`], the one place that decides when a run stops and
+//! assembles its [`RunResult`].
 
 use crate::encoding::Solution;
 use crate::error::ScheduleError;
@@ -76,10 +83,11 @@ pub enum Termination {
     /// or a steppable search drained by its driver without exhausting
     /// the budget.
     Completed,
-    /// A classic budget limit (`max_iterations`, `max_evaluations`,
-    /// `max_wall`, `max_stall`) stopped the run.
+    /// A budget limit (`max_iterations`, `max_evaluations`, `max_wall`,
+    /// `max_stall`) stopped the run.
     Budget,
-    /// A deadline (`deadline_evals` or `deadline_wall`) stopped the run.
+    /// The evaluation or wall limit of a budget tagged as a deadline
+    /// ([`RunBudget::deadline`]) stopped the run.
     Deadline,
     /// A [`CancelToken`] fired and the run stopped at the next slice
     /// boundary.
@@ -113,6 +121,8 @@ impl std::fmt::Display for Termination {
 /// as *any* set limit is reached. A fully `None` budget never stops —
 /// constructive heuristics ignore budgets, iterative schedulers require
 /// at least one limit ([`validate`](RunBudget::validate) enforces this).
+/// Each axis has one limit; the [`deadline`](RunBudget::deadline) tag
+/// only changes how a stop on the evaluation or wall limit is reported.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunBudget {
     /// Maximum iterations (SE) / generations (GA).
@@ -129,11 +139,6 @@ pub struct RunBudget {
     /// build makespan-oriented schedules but report this objective's
     /// value alongside.
     pub objective: ObjectiveKind,
-    /// Checkpoint stride for the incremental (suffix-replay) move
-    /// evaluators the schedulers use. `None` (the default) selects the
-    /// auto stride `⌈√k⌉`. A pure cost knob: results are bit-identical
-    /// at every stride.
-    pub checkpoint_stride: Option<usize>,
     /// Whether iterative searches may terminate as soon as the incumbent
     /// reaches the instance's certified lower bound
     /// ([`crate::InstanceBound`]) — the incumbent is then provably
@@ -143,19 +148,13 @@ pub struct RunBudget {
     /// a different solution or objective value; runs that never reach
     /// the floor are bit-identical either way.
     pub early_stop: bool,
-    /// *Deterministic* deadline: stop once this many full evaluations
-    /// have been performed, reporting [`Termination::Deadline`]. Unlike
-    /// `max_evaluations` (a budget), a deadline models an external
-    /// request limit; both stop the run identically, the difference is
-    /// how the termination is classified. Bit-reproducible — the
-    /// testable deadline surface.
-    pub deadline_evals: Option<u64>,
-    /// *Wall-clock* deadline: stop once this much time has elapsed,
-    /// reporting [`Termination::Deadline`]. Anytime mode — the result
-    /// still carries the best incumbent and its certificate gap, but
-    /// which iteration it stops at varies run-to-run, so wall deadlines
-    /// never gate byte-compared artifacts.
-    pub deadline_wall: Option<Duration>,
+    /// Whether `max_evaluations` and `max_wall` are an external
+    /// deadline rather than a budget. Both stop the run identically; the
+    /// tag only changes how the stop is classified. An evaluation
+    /// deadline is bit-reproducible — the testable deadline surface; a
+    /// wall deadline is anytime mode, so which iteration it stops at
+    /// varies run to run and it never gates byte-compared artifacts.
+    pub deadline: bool,
     /// Cooperative cancellation token, polled at slice boundaries
     /// (never inside an evaluation). `None` means not cancellable.
     pub cancel: Option<CancelToken>,
@@ -169,10 +168,8 @@ impl Default for RunBudget {
             max_wall: None,
             max_stall: None,
             objective: ObjectiveKind::default(),
-            checkpoint_stride: None,
             early_stop: true,
-            deadline_evals: None,
-            deadline_wall: None,
+            deadline: false,
             cancel: None,
         }
     }
@@ -206,13 +203,6 @@ impl RunBudget {
         self
     }
 
-    /// Sets the checkpoint stride for incremental move evaluation
-    /// (`None` = auto `⌈√k⌉`).
-    pub fn with_checkpoint_stride(mut self, stride: Option<usize>) -> RunBudget {
-        self.checkpoint_stride = stride;
-        self
-    }
-
     /// Enables/disables early termination at the certified lower bound
     /// (default: on).
     pub fn with_early_stop(mut self, early_stop: bool) -> RunBudget {
@@ -220,17 +210,21 @@ impl RunBudget {
         self
     }
 
-    /// Sets the deterministic evaluation-count deadline
-    /// ([`Termination::Deadline`] once `n` evaluations are done).
+    /// Sets the evaluation limit to `n` and tags the budget as a
+    /// deadline ([`Termination::Deadline`] once `n` evaluations are
+    /// done).
     pub fn with_deadline_evals(mut self, n: u64) -> RunBudget {
-        self.deadline_evals = Some(n);
+        self.max_evaluations = Some(n);
+        self.deadline = true;
         self
     }
 
-    /// Sets the wall-clock deadline ([`Termination::Deadline`] once `d`
-    /// has elapsed). Anytime mode: not bit-reproducible.
+    /// Sets the wall limit to `d` and tags the budget as a deadline
+    /// ([`Termination::Deadline`] once `d` has elapsed). Anytime mode:
+    /// not bit-reproducible.
     pub fn with_deadline_wall(mut self, d: Duration) -> RunBudget {
-        self.deadline_wall = Some(d);
+        self.max_wall = Some(d);
+        self.deadline = true;
         self
     }
 
@@ -240,34 +234,13 @@ impl RunBudget {
         self
     }
 
-    /// Whether a search may stop now because its incumbent has reached
-    /// the instance's certified floor: requires the knob on, a floor
-    /// (searches only certify the makespan objective), and the floor
-    /// actually reached. The shared early-termination test of every
-    /// iterative scheduler in the suite.
-    #[inline]
-    pub fn floor_reached(&self, lower_bound: Option<f64>, incumbent: f64) -> bool {
-        let hit = self.early_stop
-            && lower_bound.is_some_and(|floor| incumbent.is_finite() && incumbent <= floor);
-        if hit {
-            // Every scheduler latches its floor stop on the first hit
-            // and short-circuits later checks, so this registry bump
-            // fires at most once per run.
-            mshc_obs::add(mshc_obs::Counter::EarlyStops, 1);
-        }
-        hit
-    }
-
-    /// Whether any limit is set (budget limits or deadlines; a fired
-    /// cancel token does not bound a budget — cancellation may never
-    /// come).
+    /// Whether any limit is set (a cancel token does not bound a budget
+    /// — cancellation may never come).
     pub fn is_bounded(&self) -> bool {
         self.max_iterations.is_some()
             || self.max_evaluations.is_some()
             || self.max_wall.is_some()
             || self.max_stall.is_some()
-            || self.deadline_evals.is_some()
-            || self.deadline_wall.is_some()
     }
 
     /// Validates the budget for an iterative (anytime) scheduler: an
@@ -278,10 +251,10 @@ impl RunBudget {
     /// running forever; one-shot constructive heuristics ignore budgets
     /// and need not validate.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        if self.deadline_evals == Some(0) {
+        if self.deadline && self.max_evaluations == Some(0) {
             return Err(ScheduleError::InvalidDeadline { axis: "deadline_evals" });
         }
-        if self.deadline_wall == Some(Duration::ZERO) {
+        if self.deadline && self.max_wall == Some(Duration::ZERO) {
             return Err(ScheduleError::InvalidDeadline { axis: "deadline_wall" });
         }
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
@@ -291,75 +264,6 @@ impl RunBudget {
             Ok(())
         } else {
             Err(ScheduleError::UnboundedBudget)
-        }
-    }
-
-    /// True once any classic budget limit is hit (not deadlines — see
-    /// [`halted`](RunBudget::halted) for the combined stopping test).
-    pub fn exhausted(
-        &self,
-        iterations: u64,
-        evaluations: u64,
-        elapsed: Duration,
-        stall: u64,
-    ) -> bool {
-        self.max_iterations.is_some_and(|m| iterations >= m)
-            || self.max_evaluations.is_some_and(|m| evaluations >= m)
-            || self.max_wall.is_some_and(|m| elapsed >= m)
-            || self.max_stall.is_some_and(|m| stall >= m)
-    }
-
-    /// True once a deadline (evaluation-count or wall-clock) is hit.
-    pub fn deadline_hit(&self, evaluations: u64, elapsed: Duration) -> bool {
-        self.deadline_evals.is_some_and(|m| evaluations >= m)
-            || self.deadline_wall.is_some_and(|m| elapsed >= m)
-    }
-
-    /// The combined stopping test every steppable loop uses: any budget
-    /// limit or deadline hit.
-    pub fn halted(&self, iterations: u64, evaluations: u64, elapsed: Duration, stall: u64) -> bool {
-        self.exhausted(iterations, evaluations, elapsed, stall)
-            || self.deadline_hit(evaluations, elapsed)
-    }
-
-    /// Polls the cancel token at a slice boundary, latching the result
-    /// into the caller-held flag. The registry's `Cancellations` counter
-    /// bumps exactly once per run — on the first observation — mirroring
-    /// the `floor_reached`/`EarlyStops` latch pattern. Returns the
-    /// latched state.
-    pub fn observe_cancel(&self, latched: &mut bool) -> bool {
-        if !*latched && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            *latched = true;
-            mshc_obs::add(mshc_obs::Counter::Cancellations, 1);
-        }
-        *latched
-    }
-
-    /// Classifies why a finished run stopped, applying the reporting
-    /// precedence `Floor > Cancelled > Deadline > Budget > Completed`.
-    /// Called once by each search's `result()` assembler with its final
-    /// counters and latches; `early_stopped` is the search's floor latch
-    /// (set when [`floor_reached`](Self::floor_reached) fired), so
-    /// [`Termination::Floor`] is the one record of a floor stop.
-    pub fn termination(
-        &self,
-        iterations: u64,
-        evaluations: u64,
-        elapsed: Duration,
-        stall: u64,
-        early_stopped: bool,
-        cancelled: bool,
-    ) -> Termination {
-        if early_stopped {
-            Termination::Floor
-        } else if cancelled {
-            Termination::Cancelled
-        } else if self.deadline_hit(evaluations, elapsed) {
-            Termination::Deadline
-        } else if self.exhausted(iterations, evaluations, elapsed, stall) {
-            Termination::Budget
-        } else {
-            Termination::Completed
         }
     }
 }
@@ -473,6 +377,7 @@ mod tests {
         let b = RunBudget::evaluations(100).with_stall(10);
         assert_eq!(b.max_evaluations, Some(100));
         assert_eq!(b.max_stall, Some(10));
+        assert!(!b.deadline, "an evaluation budget is not a deadline");
         let b = RunBudget::wall(Duration::from_millis(50));
         assert_eq!(b.max_wall, Some(Duration::from_millis(50)));
         assert!(!RunBudget::default().is_bounded());
@@ -480,9 +385,8 @@ mod tests {
         let b = RunBudget::iterations(5).with_objective(ObjectiveKind::LoadBalance);
         assert_eq!(b.objective, ObjectiveKind::LoadBalance);
         assert!(b.is_bounded());
-        let b = RunBudget::iterations(5).with_checkpoint_stride(Some(7));
-        assert_eq!(b.checkpoint_stride, Some(7));
-        assert_eq!(RunBudget::default().checkpoint_stride, None);
+        assert!(b.early_stop, "early stop defaults on");
+        assert!(!b.with_early_stop(false).early_stop);
     }
 
     #[test]
@@ -493,53 +397,9 @@ mod tests {
         assert!(RunBudget::evaluations(1).validate().is_ok());
         assert!(RunBudget::wall(Duration::from_millis(1)).validate().is_ok());
         assert!(RunBudget::default().with_stall(3).validate().is_ok());
-        // Setting only the objective or stride does not bound a budget.
-        let b = RunBudget::default()
-            .with_objective(ObjectiveKind::TotalFlowtime)
-            .with_checkpoint_stride(Some(4));
+        // Setting only the objective does not bound a budget.
+        let b = RunBudget::default().with_objective(ObjectiveKind::TotalFlowtime);
         assert!(b.validate().is_err());
-    }
-
-    #[test]
-    fn exhaustion_each_axis() {
-        let b = RunBudget::iterations(3);
-        assert!(!b.exhausted(2, 0, Duration::ZERO, 0));
-        assert!(b.exhausted(3, 0, Duration::ZERO, 0));
-
-        let b = RunBudget::evaluations(10);
-        assert!(!b.exhausted(99, 9, Duration::ZERO, 0));
-        assert!(b.exhausted(0, 10, Duration::ZERO, 0));
-
-        let b = RunBudget::wall(Duration::from_secs(1));
-        assert!(!b.exhausted(0, 0, Duration::from_millis(999), 0));
-        assert!(b.exhausted(0, 0, Duration::from_secs(1), 0));
-
-        let b = RunBudget::default().with_stall(4);
-        assert!(!b.exhausted(100, 100, Duration::from_secs(100), 3));
-        assert!(b.exhausted(0, 0, Duration::ZERO, 4));
-    }
-
-    #[test]
-    fn early_stop_knob_and_floor_test() {
-        let b = RunBudget::iterations(5);
-        assert!(b.early_stop, "early stop defaults on");
-        assert!(!b.clone().with_early_stop(false).early_stop);
-        // No floor (non-makespan objectives) never stops early.
-        assert!(!b.floor_reached(None, 0.0));
-        // Floor reached stops; above the floor keeps running.
-        assert!(b.floor_reached(Some(10.0), 10.0));
-        assert!(b.floor_reached(Some(10.0), 9.5));
-        assert!(!b.floor_reached(Some(10.0), 10.5));
-        // Knob off disables the test entirely.
-        assert!(!b.clone().with_early_stop(false).floor_reached(Some(10.0), 10.0));
-        // Non-finite incumbents never claim optimality.
-        assert!(!b.floor_reached(Some(10.0), f64::NAN));
-    }
-
-    #[test]
-    fn unbounded_never_exhausts() {
-        let b = RunBudget::default();
-        assert!(!b.exhausted(u64::MAX, u64::MAX, Duration::from_secs(1 << 40), u64::MAX));
     }
 
     #[test]
@@ -557,14 +417,19 @@ mod tests {
 
     #[test]
     fn deadlines_bound_and_validate() {
+        // A deadline sets its axis's one limit and the tag.
+        let b = RunBudget::iterations(3).with_deadline_evals(10);
+        assert_eq!((b.max_iterations, b.max_evaluations, b.deadline), (Some(3), Some(10), true));
+        let b = RunBudget::default().with_deadline_wall(Duration::from_millis(5));
+        assert_eq!((b.max_wall, b.deadline), (Some(Duration::from_millis(5)), true));
         // Deadlines alone bound a budget.
+        assert!(b.is_bounded());
+        assert!(b.validate().is_ok());
         let b = RunBudget::default().with_deadline_evals(10);
         assert!(b.is_bounded());
         assert!(b.validate().is_ok());
-        let b = RunBudget::default().with_deadline_wall(Duration::from_millis(5));
-        assert!(b.is_bounded());
-        assert!(b.validate().is_ok());
-        // Zero deadlines are rejected with the axis named.
+        // Zero deadlines are rejected with the axis named; an untagged
+        // zero limit is an ordinary (immediately exhausted) budget.
         assert_eq!(
             RunBudget::default().with_deadline_evals(0).validate(),
             Err(ScheduleError::InvalidDeadline { axis: "deadline_evals" })
@@ -573,6 +438,7 @@ mod tests {
             RunBudget::default().with_deadline_wall(Duration::ZERO).validate(),
             Err(ScheduleError::InvalidDeadline { axis: "deadline_wall" })
         );
+        assert!(RunBudget::evaluations(0).validate().is_ok());
         // A pre-fired token is misuse even on an otherwise valid budget.
         let fired = CancelToken::new();
         fired.cancel();
@@ -588,57 +454,5 @@ mod tests {
             RunBudget::default().with_cancel(token).validate(),
             Err(ScheduleError::UnboundedBudget)
         );
-    }
-
-    #[test]
-    fn deadline_hit_and_halted_each_axis() {
-        let b = RunBudget::default().with_deadline_evals(10);
-        assert!(!b.deadline_hit(9, Duration::ZERO));
-        assert!(b.deadline_hit(10, Duration::ZERO));
-        assert!(!b.exhausted(0, 10, Duration::ZERO, 0), "deadline is not a budget limit");
-        assert!(b.halted(0, 10, Duration::ZERO, 0));
-        let b = RunBudget::default().with_deadline_wall(Duration::from_millis(5));
-        assert!(!b.deadline_hit(u64::MAX, Duration::from_millis(4)));
-        assert!(b.deadline_hit(0, Duration::from_millis(5)));
-        // halted() is the union of both stopping families.
-        let b = RunBudget::iterations(3).with_deadline_evals(10);
-        assert!(b.halted(3, 0, Duration::ZERO, 0), "budget side");
-        assert!(b.halted(0, 10, Duration::ZERO, 0), "deadline side");
-        assert!(!b.halted(2, 9, Duration::ZERO, 0));
-    }
-
-    #[test]
-    fn observe_cancel_latches_once() {
-        let token = CancelToken::new();
-        let b = RunBudget::iterations(5).with_cancel(token.clone());
-        let mut latched = false;
-        assert!(!b.observe_cancel(&mut latched));
-        token.cancel();
-        assert!(b.observe_cancel(&mut latched));
-        assert!(latched);
-        // Latched stays true on subsequent polls.
-        assert!(b.observe_cancel(&mut latched));
-        // A budget without a token never cancels.
-        let mut latched = false;
-        assert!(!RunBudget::iterations(5).observe_cancel(&mut latched));
-    }
-
-    #[test]
-    fn termination_precedence() {
-        let b = RunBudget::iterations(3).with_deadline_evals(10);
-        let t = Duration::ZERO;
-        // Floor outranks everything.
-        assert_eq!(b.termination(3, 10, t, 0, true, true), Termination::Floor);
-        // Cancelled outranks deadlines and budget.
-        assert_eq!(b.termination(3, 10, t, 0, false, true), Termination::Cancelled);
-        // Deadline outranks budget.
-        assert_eq!(b.termination(3, 10, t, 0, false, false), Termination::Deadline);
-        // Budget alone.
-        assert_eq!(b.termination(3, 9, t, 0, false, false), Termination::Budget);
-        // Nothing hit: completed.
-        assert_eq!(b.termination(2, 9, t, 0, false, false), Termination::Completed);
-        // Labels are stable.
-        assert_eq!(Termination::Deadline.as_str(), "deadline");
-        assert_eq!(Termination::Cancelled.to_string(), "cancelled");
     }
 }

@@ -2,7 +2,8 @@
 //! steppable search: a cancellation fired at any slice boundary yields
 //! a valid incumbent marked [`Termination::Cancelled`], never an error;
 //! deterministic deadlines stop runs reproducibly; the replan flow is
-//! bit-identical at any thread count.
+//! bit-identical at any thread count; and every search latches its
+//! floor stop at the same points of its run.
 
 use mshc::prelude::*;
 use proptest::prelude::*;
@@ -66,6 +67,73 @@ fn deterministic_deadline_stops_every_search_reproducibly() {
         assert_eq!(a.evaluations, b.evaluations, "{name}");
         assert_eq!(a.iterations, b.iterations, "{name}");
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{name}");
+    }
+}
+
+/// Independent tasks with the given durations on `machines` identical
+/// machines.
+fn identical_machines(durations: &[f64], machines: usize) -> HcInstance {
+    let graph = TaskGraphBuilder::new(durations.len()).build().unwrap();
+    let exec = Matrix::from_fn(machines, durations.len(), |_, t| durations[t]);
+    let pairs = Matrix::filled(machines * (machines - 1) / 2, 0, 0.0);
+    HcInstance::new(graph, HcSystem::with_anonymous_machines(machines, exec, pairs).unwrap())
+        .unwrap()
+}
+
+/// The solution placing task `t` on machine `assign(t)`, tasks in index
+/// order.
+fn placed(inst: &HcInstance, assign: impl Fn(usize) -> usize) -> Solution {
+    let segments = (0..inst.task_count())
+        .map(|t| Segment { task: TaskId::from_usize(t), machine: MachineId::from_usize(assign(t)) })
+        .collect();
+    Solution::new(inst.graph(), inst.machine_count(), segments).unwrap()
+}
+
+/// The floor latches at slice entry and after an improving iteration,
+/// never inside `inject`: a floor-cost migrant injected into an
+/// exhausted run leaves it reporting `budget` until its next `step`,
+/// which reports `floor` without running an iteration. Portfolio
+/// leaderboards depend on these points.
+#[test]
+fn floor_latches_at_slice_entry_and_after_improvements_only() {
+    // 9 tasks of 6.0 on 3 machines: floor 18, reached by a 3/3/3 split.
+    let even = identical_machines(&[6.0; 9], 3);
+    for (name, mut s) in steppables(4) {
+        let r = s.run(&even, &RunBudget::iterations(200), None);
+        assert_eq!((r.makespan, r.lower_bound), (18.0, Some(18.0)), "{name}");
+        assert_eq!(r.termination, Termination::Floor, "{name}");
+        assert!(r.iterations < 200, "{name}: the stop saves work");
+    }
+    // GA reaches 18 in generation 0 there; on durations 1..9 (floor 15,
+    // reached by {9, 6}, {8, 7}, {1, 2, 3, 4, 5}) its first generation
+    // stays above the floor.
+    let spread = identical_machines(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], 3);
+    let spread_migrant = placed(&spread, |t| match t + 1 {
+        9 | 6 => 0,
+        8 | 7 => 1,
+        _ => 2,
+    });
+    let even_migrant = placed(&even, |t| t % 3);
+    for (name, mut s) in steppables(3) {
+        let (inst, migrant, floor) = if name == "ga" {
+            (&spread, &spread_migrant, 15.0)
+        } else {
+            (&even, &even_migrant, 18.0)
+        };
+        let mut state = s.start(inst, &RunBudget::iterations(1));
+        assert!(state.step(u64::MAX, None).is_exhausted(), "{name}");
+        let exhausted = state.result();
+        assert!(exhausted.makespan > floor, "{name}: {}", exhausted.makespan);
+        assert_eq!(exhausted.termination, Termination::Budget, "{name}");
+        state.inject(migrant, floor);
+        let injected = state.result();
+        assert_eq!(injected.objective_value, floor, "{name}: the migrant is adopted");
+        assert_eq!(injected.termination, Termination::Budget, "{name}: no latch inside inject");
+        assert!(state.step(u64::MAX, None).is_exhausted(), "{name}");
+        let latched = state.result();
+        assert_eq!(latched.termination, Termination::Floor, "{name}");
+        assert_eq!(latched.iterations, exhausted.iterations, "{name}: no iteration runs");
+        assert_eq!(latched.evaluations, exhausted.evaluations, "{name}");
     }
 }
 

@@ -1,9 +1,9 @@
 //! The observability no-perturbation contract, end to end: enabling
 //! metric recording must not change a single result bit — solutions,
 //! objective values, evaluation counts, iteration counts, trace records
-//! — for any scheduler, seed, objective, checkpoint stride, or thread
-//! count. And the registry's deterministic plane must itself reproduce
-//! bit-for-bit across identical fixed-thread runs.
+//! — for any scheduler, seed, objective or thread count. And the
+//! registry's deterministic plane must itself reproduce bit-for-bit
+//! across identical fixed-thread runs.
 //!
 //! The registry is process-global, so every test here serializes
 //! through one lock; this file is its own test binary, so no other
@@ -95,22 +95,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Metrics-on and metrics-off runs are bit-identical in every
-    /// result dimension, across seeds x objectives x strides x {1,2,8}
-    /// threads, for every scheduler tier.
+    /// result dimension, across seeds x objectives x {1,2,8} threads,
+    /// for every scheduler tier.
     #[test]
     fn recording_cannot_perturb_any_result_bit(
         seed in any::<u64>(),
         algo_idx in 0usize..5,
         obj_idx in 0usize..2,
-        stride_idx in 0usize..3,
     ) {
         let _guard = lock();
         let algo = ["se", "ga", "sa", "tabu", "random"][algo_idx];
         let objective = [ObjectiveKind::Makespan, ObjectiveKind::TotalFlowtime][obj_idx];
-        let stride = [None, Some(1), Some(3)][stride_idx];
         let inst = WorkloadSpec { tasks: 16, machines: 3, ..WorkloadSpec::small(seed) }.generate();
-        let mut budget = RunBudget::iterations(10).with_objective(objective);
-        budget.checkpoint_stride = stride;
+        let budget = RunBudget::iterations(10).with_objective(objective);
         let (reference, _) = run_fingerprinted(algo, &inst, &budget, seed, 1, false);
         for threads in [1usize, 2, 8] {
             let (off, _) = run_fingerprinted(algo, &inst, &budget, seed, threads, false);

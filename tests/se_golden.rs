@@ -5,7 +5,9 @@
 //! evaluations and report the same scorings. These constants were
 //! captured from the bounded-argmin scan that preceded the machine-lane
 //! scan; any change to a scan that moves a solution, a score bit or a
-//! count fails here.
+//! count fails here. The scan's checkpoint stride is a cost knob too:
+//! at this scale every grid commits the same cell with a checkpoint at
+//! every position as at the auto stride.
 
 use mshc::prelude::*;
 
@@ -106,4 +108,36 @@ fn se_trajectory_matches_the_pinned_run() {
         assert_eq!(r.scan.scored, g.scored, "{label}: scorings");
         assert_eq!(solution_hash(&r.solution), g.hash, "{label}: solution");
     }
+}
+
+/// Tier 3 resumes from the nearest checkpoint and re-prices a moved
+/// task's edges for every machine-changing candidate, so a checkpoint at
+/// every position must score each grid exactly like the auto stride
+/// `⌈√k⌉`: same cell, same score bits, same evaluations, same counters.
+#[test]
+fn allocation_scans_are_stride_invariant_at_paper_scale() {
+    let inst = WorkloadSpec::large(7).generate();
+    let cfg = SeConfig {
+        seed: 7,
+        selection_bias: SeConfig::recommended_bias(inst.task_count()),
+        ..SeConfig::default()
+    };
+    let base = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(5), None).solution;
+    let (g, snap) = (inst.graph(), EvalSnapshot::new(&inst));
+    let mut auto = BatchEvaluator::new(&snap);
+    let mut every = BatchEvaluator::new(&snap).with_stride(Some(1));
+    for t in g.tasks() {
+        let (lo, hi) = base.valid_range(g, t);
+        let machines = inst.system().machine_ranking(t);
+        let scan = |batch: &mut BatchEvaluator<'_>| {
+            let cell = batch
+                .best_relocation(g, &base, t, lo..=hi, &machines, &ObjectiveKind::Makespan)
+                .expect("100x20 grids are never empty");
+            (cell.pos, cell.machine, cell.score.to_bits())
+        };
+        assert_eq!(scan(&mut auto), scan(&mut every), "{t}: cell");
+        assert_eq!(auto.evaluations(), every.evaluations(), "{t}: evaluations");
+        assert_eq!(auto.scan_stats(), every.scan_stats(), "{t}: scan counters");
+    }
+    assert!(auto.scan_stats().scored > 0);
 }
