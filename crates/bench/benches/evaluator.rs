@@ -40,9 +40,10 @@ fn bench_evaluator(c: &mut Criterion) {
 
 /// Batch candidate evaluation, SE allocation-scan shape: the widest
 /// single-task "base with task t moved" fan-out (several hundred
-/// candidates) on the 100-task / 20-machine comparison scale. The
-/// acceptance bar for the parallel refactor: `batch/threads-N`
-/// (N ≥ 4 cores) ≥ 2x `scalar`.
+/// candidates) on the 100-task / 20-machine comparison scale, scored by
+/// `score_task_moves` (tabu's scan) over the grid as `(t, pos, m)`
+/// triples. The acceptance bar for the parallel refactor:
+/// `batch/threads-N` (N ≥ 4 cores) ≥ 2x `scalar`.
 fn bench_batch_candidates(c: &mut Criterion) {
     let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
     let inst = spec.generate();
@@ -52,6 +53,7 @@ fn bench_batch_candidates(c: &mut Criterion) {
     // Same grid as the `bench_eval` binary, so criterion numbers and the
     // CI-archived BENCH_eval.json stay comparable.
     let (t, moves) = mshc_bench::probes::widest_move_grid(&inst, &base);
+    let task_moves: Vec<_> = moves.iter().map(|&(pos, m)| (t, pos, m)).collect();
     let obj = ObjectiveKind::Makespan;
     let snapshot = EvalSnapshot::new(&inst);
 
@@ -72,7 +74,7 @@ fn bench_batch_candidates(c: &mut Criterion) {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         let mut batch = BatchEvaluator::new(&snapshot);
         group.bench_function(BenchmarkId::new(format!("threads-{threads}"), moves.len()), |b| {
-            pool.install(|| b.iter(|| black_box(batch.score_moves(g, &base, t, &moves, &obj))))
+            pool.install(|| b.iter(|| black_box(batch.score_task_moves(&base, &task_moves, &obj))))
         });
     }
     group.finish();
@@ -151,7 +153,6 @@ fn bench_relocation_scan(c: &mut Criterion) {
                 pool.install(|| {
                     b.iter(|| {
                         black_box(batch.best_relocation(
-                            g,
                             &base,
                             t,
                             positions.clone(),

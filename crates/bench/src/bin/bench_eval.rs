@@ -11,9 +11,10 @@
 //!    the base is primed once, every candidate is a checkpoint-resumed
 //!    suffix replay. `incremental_speedup_vs_full` is the algorithmic
 //!    win (same thread count, same candidates, same bits out);
-//! 3. **batch ×1** — [`BatchEvaluator`] pinned to a single worker thread
-//!    (isolates batch-machinery overhead);
-//! 4. **batch ×N** — [`BatchEvaluator`] on the requested pool (default:
+//! 3. **batch ×1** — [`BatchEvaluator::score_task_moves`] (tabu's scan)
+//!    over the same candidates as `(t, pos, m)` triples, pinned to a
+//!    single worker thread (isolates batch-machinery overhead);
+//! 4. **batch ×N** — the same call on the requested pool (default:
 //!    available parallelism, or `--threads N`) — thread parallelism
 //!    compounding on top of the incremental scoring inside.
 //!
@@ -198,6 +199,8 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let base = mshc_schedule::random_solution(&inst, &mut rng);
     let (t, moves) = mshc_bench::probes::widest_move_grid(&inst, &base);
+    let task_moves: Vec<(TaskId, usize, MachineId)> =
+        moves.iter().map(|&(pos, m)| (t, pos, m)).collect();
     let obj = ObjectiveKind::Makespan;
     let snapshot = EvalSnapshot::new(&inst);
 
@@ -223,10 +226,10 @@ fn main() {
         pool.install(|| {
             let mut batch = BatchEvaluator::new(&snapshot);
             // Warm the arenas once so steady-state throughput is measured.
-            black_box(batch.score_moves(g, &base, t, &moves, &obj));
+            black_box(batch.score_task_moves(&base, &task_moves, &obj));
             let start = Instant::now();
             for _ in 0..rounds {
-                black_box(batch.score_moves(g, &base, t, &moves, &obj));
+                black_box(batch.score_task_moves(&base, &task_moves, &obj));
             }
             (rounds * moves.len()) as f64 / start.elapsed().as_secs_f64()
         })
@@ -289,7 +292,7 @@ fn main() {
                     .iter()
                     .map(|(t, positions)| {
                         let best = batch
-                            .best_relocation(g, &incumbent, *t, positions.clone(), &machines, &obj)
+                            .best_relocation(&incumbent, *t, positions.clone(), &machines, &obj)
                             .expect("non-empty grid");
                         (best.pos, best.machine, best.score.to_bits())
                     })
@@ -300,7 +303,7 @@ fn main() {
                     .iter()
                     .map(|cells| {
                         let best = batch
-                            .best_task_move(g, &incumbent, cells, None, 0.0, &obj)
+                            .best_task_move(&incumbent, cells, None, 0.0, &obj)
                             .expect("non-empty grid");
                         let (_, pos, m) = cells[best.index];
                         (pos, m, best.score.to_bits())

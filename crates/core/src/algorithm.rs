@@ -4,9 +4,9 @@ use crate::config::SeConfig;
 use crate::goodness::{goodness, optimal_costs};
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent, Objective, ObjectiveKind,
-    RunBudget, RunLedger, RunResult, ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict,
-    SteppableSearch,
+    objective_from_report, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent,
+    ObjectiveKind, RunBudget, RunLedger, RunResult, ScheduleReport, Scheduler, SearchStep,
+    Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::{Levels, TaskGraph, TaskId};
 use mshc_trace::{Trace, TraceRecord};
@@ -93,8 +93,10 @@ impl SteppableSearch for SeScheduler {
         let perturb = cfg.init_perturbations.unwrap_or(2 * inst.task_count());
         let current = mshc_schedule::init::random_solution_with(inst, perturb, &mut rng);
         let mut eval = Evaluator::with_snapshot(&snapshot);
+        // The report's fold is the one the allocation scans rank
+        // candidates by, so its score is theirs.
         let report = eval.report(&current);
-        let score = objective.value(&report.view());
+        let score = objective_from_report(&objective, &report);
         let ledger =
             RunLedger::new(inst, budget, clock, current.clone(), score, eval.evaluations());
 
@@ -184,7 +186,7 @@ impl SearchStep for SeState<'_> {
             }
 
             eval.report_into(&self.current, &mut self.report);
-            self.score = self.objective.value(&self.report.view());
+            self.score = objective_from_report(&self.objective, &self.report);
             self.ledger.record(&self.current, self.score);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(TraceRecord {
@@ -283,8 +285,7 @@ impl SteppableSearch for SePendingBias {
 /// exact, never mutating the solution. Grids large enough to pay for it
 /// fan their positions out over the worker pool; smaller ones run
 /// inline. Ties break to the earliest candidate in `(position, machine)`
-/// grid order, and every [`ObjectiveKind`] is scored through the
-/// accumulator-finalize interface.
+/// grid order.
 fn allocate(
     sol: &mut Solution,
     g: &TaskGraph,
@@ -306,7 +307,7 @@ fn allocate(
     // themselves are uncounted).
     let before = batch.evaluations();
     let best = batch
-        .best_relocation(g, sol, t, lo..=hi, machines, objective)
+        .best_relocation(sol, t, lo..=hi, machines, objective)
         .expect("non-empty candidate grid");
     eval.bump_evaluations(2 + batch.evaluations() - before);
     sol.move_task(g, t, best.pos, best.machine).expect("committing the best candidate");

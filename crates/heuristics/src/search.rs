@@ -413,7 +413,6 @@ impl SearchStep for TabuState<'_> {
             self.admissible
                 .extend(self.sampled.iter().map(|&(t, _, _)| self.tabu_until[t.index()] <= now));
             let chosen = batch.best_task_move(
-                g,
                 &self.current,
                 &self.sampled,
                 Some(&self.admissible),

@@ -4,8 +4,8 @@
 //! set of candidate schedules that are independent of one another, score
 //! them all, pick one. [`BatchEvaluator`] centralizes that shape — it
 //! owns a pool of reusable per-thread arenas (a borrowed-snapshot
-//! [`Evaluator`], an [`IncrementalEvaluator`] and a scratch [`Solution`])
-//! and fans a candidate set out over the rayon executor in one call.
+//! [`Evaluator`] and an [`IncrementalEvaluator`]) and fans a candidate
+//! set out over the rayon executor in one call.
 //! Arenas live in **per-worker slots** keyed by
 //! [`rayon::current_thread_index`] (the persistent pool keeps worker
 //! identity stable, so slot `i` always means the same OS thread), with a
@@ -14,17 +14,14 @@
 //! `Mutex<Vec>` scramble, and steady-state batch scoring performs no
 //! allocations beyond the output vector.
 //!
-//! The move-oriented entry points ([`score_moves`], [`score_task_moves`],
+//! The move-oriented entry points ([`score_task_moves`],
 //! [`best_task_move`], [`best_relocation`]) route through the per-thread
-//! incremental evaluators whenever the objective supports accumulator
-//! finalization (every [`crate::ObjectiveKind`] does): workers prime
-//! their evaluator on the shared base and score candidates by exact
-//! suffix replay — no per-candidate `Solution` mutation at all. Because a
-//! worker's slot survives across chunks, the prime is stamped with a
-//! per-scan epoch and **reused** by every later chunk the same worker
-//! claims within the scan (the base and stride are scan-constant).
-//! Objectives without incremental support fall back to clone-and-move
-//! full passes.
+//! incremental evaluators: workers prime their evaluator on the shared
+//! base and score candidates by exact suffix replay — no per-candidate
+//! `Solution` mutation at all. Because a worker's slot survives across
+//! chunks, the prime is stamped with a per-scan epoch and **reused** by
+//! every later chunk the same worker claims within the scan (the base
+//! and stride are scan-constant).
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -68,7 +65,6 @@
 //! a scan varies with the thread count, and the evaluation axis must
 //! not.
 //!
-//! [`score_moves`]: BatchEvaluator::score_moves
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
 //! [`best_relocation`]: BatchEvaluator::best_relocation
 //! [`best_task_move`]: BatchEvaluator::best_task_move
@@ -81,7 +77,7 @@ use crate::objective::Objective;
 use crate::snapshot::EvalSnapshot;
 use mshc_obs as obs;
 use mshc_platform::MachineId;
-use mshc_taskgraph::{TaskGraph, TaskId};
+use mshc_taskgraph::TaskId;
 use rayon::prelude::*;
 use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -186,12 +182,10 @@ pub enum Descent {
     },
 }
 
-/// One worker's reusable state: evaluators over the shared snapshot and
-/// an optional scratch solution for non-incremental move scoring.
+/// One worker's reusable state: evaluators over the shared snapshot.
 struct Arena<'a> {
     eval: Evaluator<'a>,
     inc: IncrementalEvaluator<'a>,
-    scratch: Option<Solution>,
     /// One score slot per machine lane of a relocation scan.
     lane_scores: Vec<f64>,
     /// Scan epoch `inc` was last primed for (0 = never). Within one scan
@@ -205,7 +199,6 @@ impl<'a> Arena<'a> {
         Arena {
             eval: Evaluator::with_snapshot(snap),
             inc: IncrementalEvaluator::with_snapshot(snap),
-            scratch: None,
             lane_scores: Vec::new(),
             primed_epoch: 0,
         }
@@ -262,21 +255,6 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
         ArenaGuard { pool, slot, arena: Some(arena) }
     }
 
-    /// Checks out an arena with its scratch solution reset to `base`.
-    fn checkout_with_base(
-        pool: &'p ArenaPool<'a>,
-        snap: &'a EvalSnapshot,
-        base: &Solution,
-    ) -> ArenaGuard<'p, 'a> {
-        let mut guard = ArenaGuard::checkout(pool, snap);
-        let arena = guard.arena.as_mut().expect("arena present until drop");
-        match &mut arena.scratch {
-            Some(s) => s.clone_from(base),
-            none => *none = Some(base.clone()),
-        }
-        guard
-    }
-
     /// Checks out an arena with its incremental evaluator primed on
     /// `base` at the requested checkpoint stride, for move scoring. The
     /// prime is stamped with the scan `epoch`: the first chunk
@@ -300,9 +278,8 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
         guard
     }
 
-    fn parts(&mut self) -> (&mut Evaluator<'a>, &mut Option<Solution>) {
-        let arena = self.arena.as_mut().expect("arena present until drop");
-        (&mut arena.eval, &mut arena.scratch)
+    fn eval(&mut self) -> &mut Evaluator<'a> {
+        &mut self.arena.as_mut().expect("arena present until drop").eval
     }
 
     fn inc(&mut self) -> &mut IncrementalEvaluator<'a> {
@@ -508,10 +485,7 @@ impl<'a> BatchEvaluator<'a> {
             .par_iter()
             .map_init(
                 || ArenaGuard::checkout(pool, snap),
-                |guard, sol| {
-                    let (eval, _) = guard.parts();
-                    eval.objective_value(sol, obj)
-                },
+                |guard, sol| guard.eval().objective_value(sol, obj),
             )
             .collect();
         self.evaluations += candidates.len() as u64;
@@ -575,10 +549,7 @@ impl<'a> BatchEvaluator<'a> {
             .par_iter()
             .map_init(
                 || ArenaGuard::checkout(pool, snap),
-                |guard, &i| {
-                    let (eval, _) = guard.parts();
-                    eval.objective_value(&children[i], obj)
-                },
+                |guard, &i| guard.eval().objective_value(&children[i], obj),
             )
             .collect();
         for (&i, score) in fulls.iter().zip(full_scores) {
@@ -659,7 +630,7 @@ impl<'a> BatchEvaluator<'a> {
                     true
                 } else {
                     let guard = guard.get_or_insert_with(|| ArenaGuard::checkout(pool, snap));
-                    slot.score = guard.parts().0.objective_value(slot.child, obj);
+                    slot.score = guard.eval().objective_value(slot.child, obj);
                     false
                 }
             })
@@ -698,70 +669,17 @@ impl<'a> BatchEvaluator<'a> {
         out
     }
 
-    /// Scores the candidate set "`base` with task `t` moved to
-    /// `(position, machine)`" for every entry of `moves`, one exact
-    /// score per candidate — SE's allocation grid cell by cell, where
-    /// [`best_relocation`](Self::best_relocation) returns only its
-    /// argmin. Incremental-capable objectives are scored by suffix
-    /// replay against a once-per-chunk primed base; others fall back to
-    /// a scratch clone re-moved per candidate.
-    pub fn score_moves(
-        &mut self,
-        graph: &TaskGraph,
-        base: &Solution,
-        t: TaskId,
-        moves: &[(usize, MachineId)],
-        obj: &dyn Objective,
-    ) -> Vec<f64> {
-        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        self.scan_epoch += 1;
-        let epoch = self.scan_epoch;
-        let snap = self.snap;
-        let pool = &self.arenas;
-        let stride = self.stride;
-        let before = self.arena_scorings();
-        let out: Vec<f64> = if obj.supports_incremental() {
-            moves
-                .par_iter()
-                .map_init(
-                    || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
-                    |guard, &(pos, m)| guard.inc().score_move(t, pos, m, obj),
-                )
-                .collect()
-        } else {
-            moves
-                .par_iter()
-                .map_init(
-                    || ArenaGuard::checkout_with_base(pool, snap, base),
-                    |guard, &(pos, m)| {
-                        let (eval, scratch) = guard.parts();
-                        let scratch = scratch.as_mut().expect("checkout_with_base sets scratch");
-                        scratch.move_task(graph, t, pos, m).expect("candidate within valid range");
-                        eval.objective_value(scratch, obj)
-                    },
-                )
-                .collect()
-        };
-        self.evaluations += moves.len() as u64;
-        self.absorb_arena_scorings(before);
-        out
-    }
-
     /// Scores the candidate set "`base` with one task moved" where each
-    /// entry may move a *different* task — the sampled-neighborhood shape
-    /// (tabu search). Same routing as [`score_moves`]: incremental
-    /// objectives never touch a scratch solution; the fallback undoes
-    /// each move before the next so the scratch stays equal to `base`
-    /// throughout a chunk.
+    /// entry `(t, position, machine)` may move a *different* task — the
+    /// sampled-neighborhood shape (tabu search): `out[i]` is the exact
+    /// score of `moves[i]`, by suffix replay against the base primed once
+    /// per worker, never touching a `Solution`.
     ///
     /// The candidates split into chunks of about `SCAN_CHUNK_REPLAYS`
     /// task-replays; a set below one chunk is scored inline on the
     /// calling thread, larger ones fan their chunks out over the pool.
-    ///
-    /// [`score_moves`]: BatchEvaluator::score_moves
     pub fn score_task_moves(
         &mut self,
-        graph: &TaskGraph,
         base: &Solution,
         moves: &[(TaskId, usize, MachineId)],
         obj: &dyn Objective,
@@ -774,42 +692,19 @@ impl<'a> BatchEvaluator<'a> {
         let pool = &self.arenas;
         let stride = self.stride;
         let before = self.arena_scorings();
-        let per_chunk: Vec<Vec<f64>> = if obj.supports_incremental() {
-            chunks
-                .par_iter()
-                .map_init(
-                    || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
-                    |guard, range| {
-                        let inc = guard.inc();
-                        moves[range.clone()]
-                            .iter()
-                            .map(|&(t, pos, m)| inc.score_move(t, pos, m, obj))
-                            .collect()
-                    },
-                )
-                .collect()
-        } else {
-            chunks
-                .par_iter()
-                .map_init(
-                    || ArenaGuard::checkout_with_base(pool, snap, base),
-                    |guard, range| {
-                        let (eval, scratch) = guard.parts();
-                        let scratch = scratch.as_mut().expect("checkout_with_base sets scratch");
-                        let mut scores = Vec::with_capacity(range.len());
-                        for &(t, pos, m) in &moves[range.clone()] {
-                            let undo = (scratch.position_of(t), scratch.machine_of(t));
-                            scratch.move_task(graph, t, pos, m).expect("candidate within range");
-                            scores.push(eval.objective_value(scratch, obj));
-                            scratch
-                                .move_task(graph, t, undo.0, undo.1)
-                                .expect("undo restores base");
-                        }
-                        scores
-                    },
-                )
-                .collect()
-        };
+        let per_chunk: Vec<Vec<f64>> = chunks
+            .par_iter()
+            .map_init(
+                || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
+                |guard, range| {
+                    let inc = guard.inc();
+                    moves[range.clone()]
+                        .iter()
+                        .map(|&(t, pos, m)| inc.score_move(t, pos, m, obj))
+                        .collect()
+                },
+            )
+            .collect();
         self.evaluations += moves.len() as u64;
         self.absorb_arena_scorings(before);
         per_chunk.concat()
@@ -828,14 +723,13 @@ impl<'a> BatchEvaluator<'a> {
     /// [`IncrementalEvaluator::score_position`]: one lockstep replay
     /// with a lane per machine, exact, so the winner
     /// and every counter are those of scoring each candidate through
-    /// [`score_moves`](Self::score_moves) and folding, at any thread
-    /// count. The grid fans out over the pool when its lane-replays
-    /// (`positions × machines × k`) reach `LANE_FANOUT_REPLAYS` and runs
-    /// inline on the calling thread, with no pool operation, below it.
-    /// Objectives without incremental support fall back to full passes.
+    /// [`score_task_moves`](Self::score_task_moves) and folding, at any
+    /// thread count. The grid fans out over the pool when its
+    /// lane-replays (`positions × machines × k`) reach
+    /// `LANE_FANOUT_REPLAYS` and runs inline on the calling thread, with
+    /// no pool operation, below it.
     pub fn best_relocation(
         &mut self,
-        graph: &TaskGraph,
         base: &Solution,
         t: TaskId,
         positions: RangeInclusive<usize>,
@@ -844,16 +738,6 @@ impl<'a> BatchEvaluator<'a> {
     ) -> Option<Relocation> {
         let (old_pos, old_m) = (base.position_of(t), base.machine_of(t));
         let own = move |pos: usize, m: MachineId| pos == old_pos && m == old_m;
-        if !obj.supports_incremental() {
-            let moves: Vec<(TaskId, usize, MachineId)> = positions
-                .flat_map(|pos| machines.iter().map(move |&m| (t, pos, m)))
-                .filter(|&(_, pos, m)| !own(pos, m))
-                .collect();
-            let scores = self.score_task_moves(graph, base, &moves, obj);
-            return fold_eligible(scores.into_iter().enumerate(), None, f64::INFINITY).map(|b| {
-                Relocation { pos: moves[b.index].1, machine: moves[b.index].2, score: b.score }
-            });
-        }
         let positions = *positions.start()..positions.end() + 1;
         let own_cells = if positions.contains(&old_pos) {
             machines.iter().filter(|&&m| m == old_m).count()
@@ -915,7 +799,6 @@ impl<'a> BatchEvaluator<'a> {
     /// `moves.len()` regardless.
     pub fn best_task_move(
         &mut self,
-        graph: &TaskGraph,
         base: &Solution,
         moves: &[(TaskId, usize, MachineId)],
         admissible: Option<&[bool]>,
@@ -925,7 +808,7 @@ impl<'a> BatchEvaluator<'a> {
         if let Some(mask) = admissible {
             debug_assert_eq!(mask.len(), moves.len(), "admissible mask/move mismatch");
         }
-        let scores = self.score_task_moves(graph, base, moves, obj);
+        let scores = self.score_task_moves(base, moves, obj);
         fold_eligible(scores.into_iter().enumerate(), admissible, aspiration)
     }
 
@@ -981,7 +864,7 @@ fn fold_eligible(
 mod tests {
     use super::*;
     use crate::init::random_solution;
-    use crate::objective::{EvalView, ObjectiveKind};
+    use crate::objective::{ObjectiveKind, ObjectiveState};
     use mshc_platform::{HcInstance, HcSystem, Matrix};
     use mshc_taskgraph::gen::{layered, LayeredConfig};
     use rand::{Rng, SeedableRng};
@@ -1005,22 +888,25 @@ mod tests {
         t: TaskId,
         positions: RangeInclusive<usize>,
         machines: &[MachineId],
-    ) -> Vec<(usize, MachineId)> {
-        let own = (base.position_of(t), base.machine_of(t));
+    ) -> Vec<(TaskId, usize, MachineId)> {
+        let own = (t, base.position_of(t), base.machine_of(t));
         positions
-            .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
+            .flat_map(|pos| machines.iter().map(move |&m| (t, pos, m)))
             .filter(|&cell| cell != own)
             .collect()
     }
 
     /// The earliest minimum of `scores` under `total_cmp`, as the cell
     /// of `grid` it scores.
-    fn first_min(grid: &[(usize, MachineId)], scores: &[f64]) -> Option<(usize, MachineId, u64)> {
+    fn first_min(
+        grid: &[(TaskId, usize, MachineId)],
+        scores: &[f64],
+    ) -> Option<(usize, MachineId, u64)> {
         scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()))
+            .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()))
     }
 
     fn cell(r: Relocation) -> (usize, MachineId, u64) {
@@ -1225,32 +1111,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn score_population_falls_back_for_custom_objectives() {
-        // A custom objective without accumulator support takes the same
-        // route: full passes for every child but the clones.
-        let inst = random_instance(18, 3, 35);
-        let k = inst.task_count();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 3);
-        let mut scalar = Evaluator::new(&inst);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|s| scalar.objective_value(s, &StartSum)).collect();
-        let want: Vec<f64> =
-            children.iter().map(|s| scalar.objective_value(s, &StartSum)).collect();
-        let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_population(&parents, &parent_costs, &children, &descents, &StartSum);
-        assert_eq!(got, want);
-        assert_eq!(batch.evaluations(), children.len() as u64);
-        let stats = batch.scan_stats();
-        let clones = descents.iter().filter(|d| matches!(d, Descent::Clone { .. })).count();
-        assert_eq!(stats.scored, 0, "no incremental scorings");
-        assert_eq!(stats.clones, clones as u64, "exactly the clones");
-        assert_eq!(stats.clone_positions, (clones * k) as u64);
-        assert_eq!(stats.population_positions, (children.len() * k) as u64);
-    }
-
     /// Breeds the fixture's children through `breed_population`: child
     /// `i` is copied in by the breed closure, which names its descent's
     /// parent as donor (parent 0 for a fresh child). Every `slow`-th
@@ -1281,18 +1141,6 @@ mod tests {
         out
     }
 
-    /// A custom objective without accumulator support.
-    struct StartSum;
-
-    impl Objective for StartSum {
-        fn name(&self) -> &str {
-            "start-sum"
-        }
-        fn value(&self, view: &EvalView<'_>) -> f64 {
-            view.start.iter().sum()
-        }
-    }
-
     #[test]
     fn breed_population_matches_scores_at_any_thread_count() {
         let inst = random_instance(24, 4, 36);
@@ -1312,11 +1160,8 @@ mod tests {
             .count() as u64;
         assert!(clones >= parents.len() as u64, "every parent has a clone");
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        let kinds: Vec<ObjectiveKind> =
-            ObjectiveKind::BASIC.into_iter().chain([weighted]).collect();
-        let objectives: Vec<&dyn Objective> =
-            kinds.iter().map(|kind| kind as &dyn Objective).chain([&StartSum as _]).collect();
-        for obj in objectives {
+        for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
+            let obj = &kind;
             let mut scalar = Evaluator::new(&inst);
             let parent_costs: Vec<f64> =
                 parents.iter().map(|s| scalar.objective_value(s, obj)).collect();
@@ -1338,7 +1183,7 @@ mod tests {
                         );
                         (got, batch.evaluations(), batch.scan_stats())
                     });
-                    let label = format!("{}, {threads} threads, slow {slow:?}", obj.name());
+                    let label = format!("{}, {threads} threads, slow {slow:?}", kind.label());
                     assert_eq!(got, want, "{label}");
                     assert_eq!(batch_evals, children.len() as u64, "{label}");
                     let axes = ScanStats {
@@ -1357,10 +1202,7 @@ mod tests {
     fn breed_population_propagates_panics_without_hanging() {
         struct Grenade;
         impl Objective for Grenade {
-            fn name(&self) -> &str {
-                "grenade"
-            }
-            fn value(&self, _: &EvalView<'_>) -> f64 {
+            fn finalize(&self, _: &ObjectiveState) -> f64 {
                 panic!("objective boom");
             }
         }
@@ -1428,28 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn score_moves_matches_move_then_scalar() {
-        let inst = random_instance(18, 4, 5);
-        let g = inst.graph();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(7);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|pos| (0..4).map(move |m| (pos, MachineId::new(m)))).collect();
-        let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_moves(g, &base, t, &moves, &ObjectiveKind::Makespan);
-        let mut scalar = Evaluator::new(&inst);
-        for (&(pos, m), &score) in moves.iter().zip(&got) {
-            let mut cand = base.clone();
-            cand.move_task(g, t, pos, m).unwrap();
-            assert_eq!(scalar.makespan(&cand), score, "move ({pos}, {m})");
-        }
-        assert_eq!(batch.evaluations(), moves.len() as u64);
-    }
-
-    #[test]
     fn score_task_moves_matches_and_restores_base() {
         let inst = random_instance(16, 3, 7);
         let g = inst.graph();
@@ -1465,7 +1285,7 @@ mod tests {
             .collect();
         let obj = ObjectiveKind::TotalFlowtime;
         let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_task_moves(g, &base, &moves, &obj);
+        let got = batch.score_task_moves(&base, &moves, &obj);
         let mut scalar = Evaluator::new(&inst);
         for (&(t, pos, m), &score) in moves.iter().zip(&got) {
             let mut cand = base.clone();
@@ -1474,7 +1294,7 @@ mod tests {
         }
         // Scoring again over the recycled arenas gives the same answers
         // (primed bases are rebuilt per checkout).
-        assert_eq!(batch.score_task_moves(g, &base, &moves, &obj), got);
+        assert_eq!(batch.score_task_moves(&base, &moves, &obj), got);
     }
 
     #[test]
@@ -1500,40 +1320,17 @@ mod tests {
             .num_threads(1)
             .build()
             .unwrap()
-            .install(|| BatchEvaluator::new(&snap).score_task_moves(g, &base, &moves, &obj));
+            .install(|| BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &obj));
         for stride in [Some(1), None, Some(k + 9)] {
             for threads in [1usize, 2, 8] {
                 let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
                 let got = pool.install(|| {
                     BatchEvaluator::new(&snap)
                         .with_stride(stride)
-                        .score_task_moves(g, &base, &moves, &obj)
+                        .score_task_moves(&base, &moves, &obj)
                 });
                 assert_eq!(got, baseline, "stride {stride:?}, {threads} threads");
             }
-        }
-    }
-
-    #[test]
-    fn non_incremental_objectives_fall_back_to_full_passes() {
-        // A custom objective without accumulator support must still be
-        // served (clone-and-move route) and match the scalar evaluator.
-        let inst = random_instance(14, 3, 21);
-        let g = inst.graph();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(5);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).map(|pos| (pos, MachineId::new(0))).collect();
-        let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_moves(g, &base, t, &moves, &StartSum);
-        let mut scalar = Evaluator::new(&inst);
-        for (&(pos, m), &score) in moves.iter().zip(&got) {
-            let mut cand = base.clone();
-            cand.move_task(g, t, pos, m).unwrap();
-            assert_eq!(scalar.objective_value(&cand, &StartSum), score);
         }
     }
 
@@ -1544,17 +1341,16 @@ mod tests {
         let mut batch = BatchEvaluator::new(&snap);
         assert!(batch.scores(&[], &ObjectiveKind::Makespan).is_empty());
         assert_eq!(batch.evaluations(), 0);
-        let g = inst.graph();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let base = random_solution(&inst, &mut rng);
-        assert_eq!(batch.best_task_move(g, &base, &[], None, 0.0, &ObjectiveKind::Makespan), None);
+        assert_eq!(batch.best_task_move(&base, &[], None, 0.0, &ObjectiveKind::Makespan), None);
         // No machines, no positions, or nothing but the base's own cell.
         let t = TaskId::new(0);
         let (pos, m) = (base.position_of(t), base.machine_of(t));
         let obj = ObjectiveKind::Makespan;
-        assert_eq!(batch.best_relocation(g, &base, t, pos..=pos, &[], &obj), None);
-        assert_eq!(batch.best_relocation(g, &base, t, pos + 1..=pos, &[m], &obj), None);
-        assert_eq!(batch.best_relocation(g, &base, t, pos..=pos, &[m], &obj), None);
+        assert_eq!(batch.best_relocation(&base, t, pos..=pos, &[], &obj), None);
+        assert_eq!(batch.best_relocation(&base, t, pos + 1..=pos, &[m], &obj), None);
+        assert_eq!(batch.best_relocation(&base, t, pos..=pos, &[m], &obj), None);
         assert_eq!(batch.evaluations(), 0);
         assert_eq!(batch.scan_stats(), crate::incremental::ScanStats::default());
     }
@@ -1581,7 +1377,6 @@ mod tests {
             let mut batch = BatchEvaluator::new(&snap);
             let got = pool.install(|| {
                 batch.best_task_move(
-                    g,
                     &base,
                     &moves,
                     Some(&admissible),
@@ -1595,28 +1390,6 @@ mod tests {
     }
 
     #[test]
-    fn relocation_argmin_serves_non_incremental_objectives() {
-        // Custom full-pass objectives fall back to exact scoring with
-        // the same argmin semantics.
-        let inst = random_instance(12, 3, 33);
-        let g = inst.graph();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(4);
-        let (lo, hi) = base.valid_range(g, t);
-        let machines: Vec<MachineId> = (0..3).map(MachineId::new).collect();
-        let moves = relocation_grid(&base, t, lo..=hi, &machines);
-        let mut batch = BatchEvaluator::new(&snap);
-        let scores = batch.score_moves(g, &base, t, &moves, &StartSum);
-        let want = first_min(&moves, &scores);
-        let before = batch.evaluations();
-        let got = batch.best_relocation(g, &base, t, lo..=hi, &machines, &StartSum);
-        assert_eq!(got.map(cell), want);
-        assert_eq!(batch.evaluations() - before, moves.len() as u64);
-    }
-
-    #[test]
     fn panicking_objective_does_not_poison_the_arena_pool() {
         // Regression: a panicking candidate used to poison the shared
         // arena mutex (the guard returned its arena while unwinding),
@@ -1627,11 +1400,8 @@ mod tests {
         // the same evaluator must keep working after a contained panic.
         struct Grenade;
         impl Objective for Grenade {
-            fn name(&self) -> &str {
-                "grenade"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                if view.finish.len() > 3 {
+            fn finalize(&self, state: &ObjectiveState) -> f64 {
+                if state.tasks() > 3 {
                     panic!("boom");
                 }
                 0.0
@@ -1644,8 +1414,8 @@ mod tests {
         let base = random_solution(&inst, &mut rng);
         let t = TaskId::new(2);
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let moves: Vec<(TaskId, usize, MachineId)> =
+            (lo..=hi).flat_map(|p| (0..3).map(move |m| (t, p, MachineId::new(m)))).collect();
         let obj = ObjectiveKind::Makespan;
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -1653,24 +1423,24 @@ mod tests {
                 let mut batch = BatchEvaluator::new(&snap);
                 // Warm the arena slots, then detonate a contained panic
                 // mid-scan (the portfolio's catch_unwind shape).
-                let want = batch.score_moves(g, &base, t, &moves, &obj);
+                let want = batch.score_task_moves(&base, &moves, &obj);
                 let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    batch.score_moves(g, &base, t, &moves, &Grenade)
+                    batch.score_task_moves(&base, &moves, &Grenade)
                 }));
                 assert!(blast.is_err(), "objective must panic");
                 // The evaluator must still serve healthy scans, with the
                 // same bits as before the panic.
-                let got = batch.score_moves(g, &base, t, &moves, &obj);
+                let got = batch.score_task_moves(&base, &moves, &obj);
                 assert_eq!(got, want, "{threads} threads");
                 let machines: Vec<MachineId> = (0..3).map(MachineId::new).collect();
-                let best = batch.best_relocation(g, &base, t, lo..=hi, &machines, &obj);
+                let best = batch.best_relocation(&base, t, lo..=hi, &machines, &obj);
                 assert!(best.is_some(), "{threads} threads");
                 let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    batch.best_relocation(g, &base, t, lo..=hi, &machines, &Grenade)
+                    batch.best_relocation(&base, t, lo..=hi, &machines, &Grenade)
                 }));
                 assert!(blast.is_err(), "objective must panic");
                 assert_eq!(
-                    batch.best_relocation(g, &base, t, lo..=hi, &machines, &obj),
+                    batch.best_relocation(&base, t, lo..=hi, &machines, &obj),
                     best,
                     "{threads} threads"
                 );
@@ -1697,10 +1467,10 @@ mod tests {
             let base = if round % 2 == 0 { &base_a } else { &base_b };
             let t = TaskId::new(round as u32 + 1);
             let (lo, hi) = base.valid_range(g, t);
-            let moves: Vec<(usize, MachineId)> =
-                (lo..=hi).flat_map(|p| (0..4).map(move |m| (p, MachineId::new(m)))).collect();
-            let got = batch.score_moves(g, base, t, &moves, &obj);
-            for (&(pos, m), &score) in moves.iter().zip(&got) {
+            let moves: Vec<(TaskId, usize, MachineId)> =
+                (lo..=hi).flat_map(|p| (0..4).map(move |m| (t, p, MachineId::new(m)))).collect();
+            let got = batch.score_task_moves(base, &moves, &obj);
+            for (&(_, pos, m), &score) in moves.iter().zip(&got) {
                 let mut cand = base.clone();
                 cand.move_task(g, t, pos, m).unwrap();
                 assert_eq!(scalar.makespan(&cand), score, "round {round}, move ({pos}, {m})");
@@ -1716,13 +1486,9 @@ mod tests {
         // greatest — never "sticky first seen"), at any thread count.
         struct SqrtMargin(f64);
         impl Objective for SqrtMargin {
-            fn name(&self) -> &str {
-                "sqrt-margin"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
+            fn finalize(&self, state: &ObjectiveState) -> f64 {
                 // NaN whenever the schedule beats the threshold.
-                let mk = view.finish.iter().copied().fold(0.0, f64::max);
-                (mk - self.0).sqrt()
+                (state.max_finish() - self.0).sqrt()
             }
         }
         let inst = random_instance(12, 3, 34);
@@ -1737,10 +1503,10 @@ mod tests {
         let mut batch = BatchEvaluator::new(&snap);
         // Threshold at the median candidate makespan, so roughly half
         // the candidates go NaN.
-        let mut makespans = batch.score_moves(g, &base, t, &moves, &ObjectiveKind::Makespan);
+        let mut makespans = batch.score_task_moves(&base, &moves, &ObjectiveKind::Makespan);
         makespans.sort_by(f64::total_cmp);
         let objective = SqrtMargin(makespans[makespans.len() / 2]);
-        let scores = batch.score_moves(g, &base, t, &moves, &objective);
+        let scores = batch.score_task_moves(&base, &moves, &objective);
         assert!(scores.iter().any(|s| s.is_nan()), "test needs NaN candidates");
         assert!(scores.iter().any(|s| !s.is_nan()), "test needs finite candidates");
         let want = first_min(&moves, &scores).expect("non-empty grid");
@@ -1749,7 +1515,6 @@ mod tests {
             let got = pool
                 .install(|| {
                     BatchEvaluator::new(&snap).best_relocation(
-                        g,
                         &base,
                         t,
                         lo..=hi,

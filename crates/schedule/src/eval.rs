@@ -16,13 +16,16 @@
 //!
 //! The pass folds an [`crate::ObjectiveState`] accumulator (running
 //! makespan / flowtime / per-machine busy) **in string order** as tasks
-//! complete, and [`Evaluator::objective_value`] scores incremental-capable
-//! objectives from that fold. [`crate::IncrementalEvaluator`] replays
-//! exactly the same fold from a checkpoint, which is what makes its
-//! move scores bit-identical to a full pass here.
+//! complete, and [`Evaluator::objective_value`] scores that fold; a
+//! report carries the same fold's makespan, flowtime and busy times.
+//! [`crate::IncrementalEvaluator`] replays exactly the same fold from a
+//! checkpoint, which is what makes its move scores bit-identical to a
+//! full pass here.
 
 use crate::encoding::Solution;
-use crate::objective::{EvalView, Objective, ObjectiveState, ObjectiveValues};
+use crate::objective::{
+    objective_from_report, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
+};
 use crate::snapshot::EvalSnapshot;
 use mshc_platform::HcInstance;
 use mshc_taskgraph::TaskId;
@@ -41,7 +44,8 @@ pub struct ScheduleReport {
     pub machine_busy: Vec<f64>,
     /// Latest finish time — the schedule length the paper minimizes.
     pub makespan: f64,
-    /// Sum of all task finish times (total flowtime).
+    /// Sum of all task finish times (total flowtime), added in string
+    /// order — the fold's sum, which every objective scores.
     pub total_flowtime: f64,
     /// Certified instance lower bound on the makespan, stamped by
     /// [`attach_certificate`](Self::attach_certificate) (`None` until
@@ -71,6 +75,7 @@ impl ScheduleReport {
         debug_assert_eq!(start.len(), solution.len(), "start times / solution length mismatch");
         debug_assert_eq!(finish.len(), solution.len(), "finish times / solution length mismatch");
         let mut machine_busy = vec![0.0; solution.machine_count()];
+        let mut total_flowtime = 0.0;
         for seg in solution.segments() {
             let i = seg.task.index();
             let m = seg.machine.index();
@@ -78,9 +83,9 @@ impl ScheduleReport {
                 machine_busy.resize(m + 1, 0.0);
             }
             machine_busy[m] += finish[i] - start[i];
+            total_flowtime += finish[i];
         }
         let makespan = finish.iter().copied().fold(0.0, f64::max);
-        let total_flowtime = finish.iter().sum();
         ScheduleReport {
             start,
             finish,
@@ -115,25 +120,16 @@ impl ScheduleReport {
         self.start[t.index()]
     }
 
-    /// Mean task finish time.
-    #[inline]
-    pub fn mean_flowtime(&self) -> f64 {
-        if self.finish.is_empty() {
-            0.0
-        } else {
-            self.total_flowtime / self.finish.len() as f64
-        }
-    }
-
-    /// The view an [`Objective`] scores.
-    #[inline]
-    pub fn view(&self) -> EvalView<'_> {
-        EvalView { start: &self.start, finish: &self.finish, machine_busy: &self.machine_busy }
-    }
-
-    /// All built-in objective values of this schedule.
+    /// All built-in objective values of this schedule, by
+    /// [`crate::objective_from_report`].
     pub fn objectives(&self) -> ObjectiveValues {
-        ObjectiveValues::from_view(&self.view())
+        let value = |kind| objective_from_report(&kind, self);
+        ObjectiveValues {
+            makespan: value(ObjectiveKind::Makespan),
+            total_flowtime: value(ObjectiveKind::TotalFlowtime),
+            mean_flowtime: value(ObjectiveKind::MeanFlowtime),
+            load_imbalance: value(ObjectiveKind::LoadBalance),
+        }
     }
 }
 
@@ -183,7 +179,7 @@ pub struct Evaluator<'a> {
     /// Machine of each task already walked by the current pass.
     machine: Vec<u32>,
     /// Objective accumulators folded during the pass, in string order
-    /// (also carries the per-machine busy times the view exposes).
+    /// (also carries the per-machine busy times a report copies).
     state: ObjectiveState,
     /// Number of full evaluations performed (the deterministic cost axis
     /// reported alongside wall time by the Fig 5–7 harness).
@@ -248,24 +244,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates `solution` and scores it under `obj` (lower is better).
-    /// For [`crate::objective::Makespan`] this equals
+    /// For [`crate::ObjectiveKind::Makespan`] this equals
     /// [`makespan`](Self::makespan) exactly.
     ///
-    /// Incremental-capable objectives (all [`crate::ObjectiveKind`]s) are
-    /// finalized from the string-order accumulator fold, so this value is
+    /// The score is finalized from the string-order fold, so it is
     /// bit-identical to what [`crate::IncrementalEvaluator`] computes for
     /// the same solution via suffix replay.
     pub fn objective_value(&mut self, solution: &Solution, obj: &dyn Objective) -> f64 {
         self.pass(solution);
-        if obj.supports_incremental() {
-            obj.finalize(&self.state)
-        } else {
-            obj.value(&EvalView {
-                start: &self.start,
-                finish: &self.finish,
-                machine_busy: self.state.machine_busy(),
-            })
-        }
+        obj.finalize(&self.state)
     }
 
     /// Evaluates `solution`, returning the full per-task report.
@@ -300,7 +287,7 @@ impl<'a> Evaluator<'a> {
         out.machine_busy.clear();
         out.machine_busy.extend_from_slice(self.state.machine_busy());
         out.makespan = self.state.max_finish();
-        out.total_flowtime = self.finish.iter().sum();
+        out.total_flowtime = self.state.finish_sum();
         // A refreshed report describes a new schedule; any previously
         // stamped certificate no longer applies.
         out.lower_bound = None;
@@ -442,10 +429,10 @@ mod tests {
         // m0: 400 + 300 + 800 = 1500; m1: 500 + 400 + 450 + 350 = 1700.
         assert_eq!(r.machine_busy, vec![1500.0, 1700.0]);
         assert_eq!(r.total_flowtime, 400.0 + 500.0 + 920.0 + 700.0 + 1500.0 + 1370.0 + 2000.0);
-        assert!((r.mean_flowtime() - r.total_flowtime / 7.0).abs() < 1e-12);
         let o = r.objectives();
         assert_eq!(o.makespan, r.makespan);
         assert_eq!(o.total_flowtime, r.total_flowtime);
+        assert_eq!(o.mean_flowtime, r.total_flowtime / 7.0);
         assert_eq!(o.load_imbalance, 1700.0 - 1600.0);
         // from_times reconstructs the same aggregates from raw arrays.
         let rebuilt = ScheduleReport::from_times(r.start.clone(), r.finish.clone(), &s);
@@ -458,14 +445,13 @@ mod tests {
 
     #[test]
     fn objective_value_matches_makespan_for_makespan_objective() {
-        use crate::objective::{Makespan, ObjectiveKind};
+        use crate::objective::ObjectiveKind;
         let inst = figure1_instance();
         let mut eval = Evaluator::new(&inst);
         let s = figure2_solution(inst.graph());
         let mk = eval.makespan(&s);
-        assert_eq!(eval.objective_value(&s, &Makespan), mk);
         assert_eq!(eval.objective_value(&s, &ObjectiveKind::Makespan), mk);
-        assert_eq!(eval.evaluations(), 3, "objective passes count as evaluations");
+        assert_eq!(eval.evaluations(), 2, "objective passes count as evaluations");
     }
 
     #[test]
@@ -563,9 +549,8 @@ mod tests {
         for m in [0usize, 2, 3, 4] {
             assert_eq!(r.machine_busy[m], 0.0, "idle machine {m} must read 0.0");
         }
-        // LoadBalance over the report sees the idle machines.
-        use crate::objective::{LoadBalance, Objective};
-        assert_eq!(LoadBalance.value(&r.view()), 70.0 - 70.0 / 5.0);
+        // Load balance over the report sees the idle machines.
+        assert_eq!(r.objectives().load_imbalance, 70.0 - 70.0 / 5.0);
         // An unvalidated string referencing a machine beyond the declared
         // count grows the vector instead of panicking.
         let rogue = Solution::new_unchecked(

@@ -17,10 +17,9 @@
 //! only from there — **exact, not approximate**: the replay performs the
 //! same float operations in the same order as a full pass over the
 //! mutated string, so scores are bit-identical to
-//! [`Evaluator::objective_value`] for every incremental-capable
-//! objective (all [`crate::ObjectiveKind`]s; the property tests pin this
-//! down across strides). Every candidate is replayed to the end of the
-//! string: there are no bounds and no shortcuts.
+//! [`Evaluator::objective_value`] for every objective (the property
+//! tests pin this down across strides). Every candidate is replayed to
+//! the end of the string: there are no bounds and no shortcuts.
 //!
 //! The default stride `C = ⌈√k⌉` balances checkpoint memory/priming cost
 //! (`O(√k)` checkpoints of `O(l)` floats) against resume cost (`≤ C`
@@ -419,8 +418,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// not a pass.
     ///
     /// # Panics
-    /// If the evaluator was never primed, or `obj` does not support
-    /// incremental scoring.
+    /// If the evaluator was never primed.
     pub fn base_score(&self, obj: &dyn Objective) -> f64 {
         assert!(self.base.is_some(), "prime() the evaluator first");
         obj.finalize(&self.end_state)
@@ -438,9 +436,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// can be scored back to back. Every call counts as one evaluation.
     ///
     /// # Panics
-    /// If the evaluator was never primed, or `obj` does not support
-    /// incremental scoring. `new_pos` must lie inside `t`'s valid range
-    /// on the base (callers enumerate candidates from
+    /// If the evaluator was never primed. `new_pos` must lie inside `t`'s
+    /// valid range on the base (callers enumerate candidates from
     /// [`Solution::valid_range`]); positions outside it yield a
     /// precedence-inconsistent replay and a meaningless score.
     pub fn score_move(

@@ -14,16 +14,17 @@
 //! pointer-rich [`mshc_platform::HcInstance`] — and [`Objective`] —
 //! pluggable lower-is-better scoring (makespan, total/mean flowtime,
 //! load balance, weighted blends), selected at run time through the
-//! [`ObjectiveKind`] carried by [`RunBudget`], with an
-//! incremental-accumulator interface ([`ObjectiveState`]: fold one
-//! completed task, finalize) on top of the array-based one.
+//! [`ObjectiveKind`] carried by [`RunBudget`]. Scoring has one rule:
+//! every evaluator folds each finished task, in string order, into an
+//! [`ObjectiveState`], and [`Objective::finalize`] scores the fold.
+//! [`objective_from_report`] applies the same formulas to a
+//! [`ScheduleReport`].
 //!
 //! On that base sits a **three-tier evaluation stack**; pick the lowest
 //! tier whose shape matches the work:
 //!
 //! 1. **scalar** — [`Evaluator`]: one full O(k + p) left-to-right pass
-//!    per solution. Right for one-off scoring, reports, and arbitrary
-//!    (non-incremental) custom objectives.
+//!    per solution. Right for one-off scoring and reports.
 //! 2. **batch** — [`BatchEvaluator`]: scores whole candidate sets in one
 //!    call, fanned out over worker threads with reusable per-thread
 //!    arenas; results come back in candidate order, bit-identical at any
@@ -114,8 +115,7 @@ pub use incremental::{auto_stride, IncrementalEvaluator, MoveScore, ScanStats};
 pub use init::{perturb, random_solution};
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{
-    objective_from_report, EvalView, LoadBalance, Makespan, MeanFlowtime, Objective, ObjectiveKind,
-    ObjectiveState, ObjectiveValues, TotalFlowtime, Weighted,
+    objective_from_report, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
 };
 pub use replan::{
     Disturbance, DisturbanceKind, DisturbanceRecord, ReplanError, ReplanReport, Replanner,

@@ -3,34 +3,28 @@
 //! The paper minimizes the schedule length (makespan) only. Production
 //! scheduling cares about more: mean job turnaround (flowtime), how
 //! evenly the machine suite is loaded, and blends of all three. An
-//! [`Objective`] maps the timing arrays a single evaluator pass produces
-//! — per-task start/finish plus per-machine busy time — to one scalar
-//! where **lower is always better**, so every search algorithm in the
-//! suite (SE, GA, SA, tabu, random) optimizes any objective through the
-//! same argmin machinery.
+//! [`Objective`] maps the fold one evaluation builds — an
+//! [`ObjectiveState`] that adds each finished task in string order — to
+//! one scalar where **lower is always better**, so every search
+//! algorithm in the suite (SE, GA, SA, tabu, random) optimizes any
+//! objective through the same argmin machinery.
+//!
+//! This module is the only place that decides how a schedule is scored.
+//! Every evaluator (a full pass, a suffix replay, a machine lane) builds
+//! the same fold and hands it to [`Objective::finalize`];
+//! [`objective_from_report`] applies the same formulas to a
+//! [`ScheduleReport`], which is how the discrete-event replay serves as
+//! an independent oracle.
 //!
 //! [`ObjectiveKind`] is the plumbing-friendly, `Copy` enumeration of the
 //! built-in objectives; it is what [`crate::RunBudget`] carries from the
-//! CLI down into every scheduler. Custom objectives only need the trait.
+//! CLI down into every scheduler.
 
 use crate::eval::ScheduleReport;
 use mshc_platform::MachineId;
 use serde::{Deserialize, Serialize};
 
-/// Borrowed view of one evaluated schedule: everything an objective may
-/// score, produced by a single evaluator pass (or assembled from a
-/// [`ScheduleReport`], e.g. the discrete-event replay oracle).
-#[derive(Debug, Clone, Copy)]
-pub struct EvalView<'a> {
-    /// Start time per task, indexed by task.
-    pub start: &'a [f64],
-    /// Finish time per task, indexed by task.
-    pub finish: &'a [f64],
-    /// Total execution (busy) time per machine, indexed by machine.
-    pub machine_busy: &'a [f64],
-}
-
-/// Running accumulator for incremental (suffix-replay) objective scoring.
+/// The fold every objective scores.
 ///
 /// One completed task is folded at a time, in **string order** — the
 /// order the single left-to-right evaluator pass completes tasks in. The
@@ -39,9 +33,9 @@ pub struct EvalView<'a> {
 /// (flowtime), the folded task count, and the per-machine busy times
 /// (load balance).
 ///
-/// Both the scalar [`crate::Evaluator`]'s full pass and the
-/// checkpoint-resumed suffix replay of [`crate::IncrementalEvaluator`]
-/// fold tasks in the same order over the same values, so
+/// The scalar [`crate::Evaluator`]'s full pass, the checkpoint-resumed
+/// suffix replay of [`crate::IncrementalEvaluator`] and each of its
+/// machine lanes fold tasks in the same order over the same values, so
 /// [`Objective::finalize`] produces **bit-identical** scores on every
 /// route (max is order-independent for non-negative times; the sums fold
 /// identical values in identical order).
@@ -143,216 +137,38 @@ impl ObjectiveState {
 
 /// A scalar schedule-quality measure; **lower is better**.
 ///
-/// Implementations must be pure functions of the view — they are invoked
-/// concurrently from [`crate::BatchEvaluator`] worker threads (hence the
-/// `Sync` supertrait).
-///
-/// Objectives that can be computed from the [`ObjectiveState`]
-/// accumulators alone (all five built-in kinds) additionally implement
-/// [`supports_incremental`](Objective::supports_incremental) /
-/// [`finalize`](Objective::finalize), which is what lets
-/// [`crate::IncrementalEvaluator`] score a single-task move by replaying
-/// only the suffix of the string the move disturbs.
+/// Implementations must be pure functions of the fold — they are
+/// invoked concurrently from [`crate::BatchEvaluator`] worker threads
+/// (hence the `Sync` supertrait).
 pub trait Objective: Sync {
-    /// Short stable identifier (CSV columns, CLI, reports).
-    fn name(&self) -> &str;
-
-    /// Scores one evaluated schedule.
-    fn value(&self, view: &EvalView<'_>) -> f64;
-
-    /// Whether [`finalize`](Objective::finalize) is implemented — i.e.
-    /// whether this objective is a pure function of the
-    /// [`ObjectiveState`] accumulators and therefore eligible for
-    /// incremental suffix-replay scoring. Defaults to `false`; custom
-    /// objectives that need the full timing arrays simply keep the
-    /// default and every evaluator falls back to full passes.
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// Scores a completed accumulator fold. Only called when
-    /// [`supports_incremental`](Objective::supports_incremental) is
-    /// true; the default panics.
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        let _ = state;
-        panic!("objective {:?} does not support incremental scoring", self.name())
-    }
-}
-
-/// The schedule length the paper minimizes: the latest finish time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Makespan;
-
-impl Objective for Makespan {
-    fn name(&self) -> &str {
-        "makespan"
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        view.finish.iter().copied().fold(0.0, f64::max)
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        state.max_finish()
-    }
-}
-
-/// Sum of all task finish times (total flowtime / total completion time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TotalFlowtime;
-
-impl Objective for TotalFlowtime {
-    fn name(&self) -> &str {
-        "total-flowtime"
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        view.finish.iter().sum()
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        state.finish_sum()
-    }
-}
-
-/// Mean task finish time — total flowtime normalized by task count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MeanFlowtime;
-
-impl Objective for MeanFlowtime {
-    fn name(&self) -> &str {
-        "mean-flowtime"
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        if view.finish.is_empty() {
-            0.0
-        } else {
-            view.finish.iter().sum::<f64>() / view.finish.len() as f64
-        }
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        if state.tasks() == 0 {
-            0.0
-        } else {
-            state.finish_sum() / state.tasks() as f64
-        }
-    }
-}
-
-/// Machine load imbalance: the busiest machine's excess over the mean
-/// busy time. Zero means perfectly balanced load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadBalance;
-
-impl Objective for LoadBalance {
-    fn name(&self) -> &str {
-        "load-balance"
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        if view.machine_busy.is_empty() {
-            return 0.0;
-        }
-        let max = view.machine_busy.iter().copied().fold(0.0, f64::max);
-        let mean = view.machine_busy.iter().sum::<f64>() / view.machine_busy.len() as f64;
-        max - mean
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        // Same fold as `value`, over the accumulated busy vector — the
-        // two routes are bit-identical by construction.
-        if state.machine_busy().is_empty() {
-            return 0.0;
-        }
-        let max = state.machine_busy().iter().copied().fold(0.0, f64::max);
-        let mean = state.machine_busy().iter().sum::<f64>() / state.machine_busy().len() as f64;
-        max - mean
-    }
-}
-
-/// Weighted blend `w_mk·makespan + w_ft·mean_flowtime + w_lb·imbalance`.
-///
-/// Mean flowtime (not total) keeps the three components on comparable
-/// scales, so unit weights are a sensible starting point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weighted {
-    /// Weight on the makespan component.
-    pub makespan: f64,
-    /// Weight on the mean-flowtime component.
-    pub flowtime: f64,
-    /// Weight on the load-imbalance component.
-    pub balance: f64,
-}
-
-impl Objective for Weighted {
-    fn name(&self) -> &str {
-        "weighted"
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        self.makespan * Makespan.value(view)
-            + self.flowtime * MeanFlowtime.value(view)
-            + self.balance * LoadBalance.value(view)
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn finalize(&self, state: &ObjectiveState) -> f64 {
-        self.makespan * Makespan.finalize(state)
-            + self.flowtime * MeanFlowtime.finalize(state)
-            + self.balance * LoadBalance.finalize(state)
-    }
+    /// Scores a completed fold.
+    fn finalize(&self, state: &ObjectiveState) -> f64;
 }
 
 /// The built-in objectives as plumbable configuration.
 ///
 /// `Copy + PartialEq` so [`crate::RunBudget`] stays a plain value type;
-/// dispatches to the unit objectives above through its own [`Objective`]
-/// impl. (Not serde-derived: the run budget is never persisted; the CLI
-/// round-trips through [`parse`](ObjectiveKind::parse)/
-/// [`label`](ObjectiveKind::label) instead.)
+/// its [`Objective`] impl holds the five formulas. (Not serde-derived:
+/// the run budget is never persisted; the CLI round-trips through
+/// [`parse`](ObjectiveKind::parse)/[`label`](ObjectiveKind::label)
+/// instead.)
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ObjectiveKind {
     /// Minimize the schedule length (the paper's objective; the default).
     #[default]
     Makespan,
-    /// Minimize the sum of task finish times.
+    /// Minimize the sum of task finish times (total completion time).
     TotalFlowtime,
-    /// Minimize the mean task finish time.
+    /// Minimize the mean task finish time (total flowtime over the task
+    /// count).
     MeanFlowtime,
-    /// Minimize the machine load imbalance.
+    /// Minimize the machine load imbalance: the busiest machine's excess
+    /// over the mean busy time (zero means perfectly balanced).
     LoadBalance,
-    /// Minimize a weighted blend of the three components.
+    /// Minimize a weighted blend `w_mk·makespan + w_ft·mean_flowtime +
+    /// w_lb·imbalance`. Mean flowtime (not total) keeps the three
+    /// components on comparable scales, so unit weights are a sensible
+    /// starting point.
     Weighted {
         /// Weight on the makespan component.
         makespan: f64,
@@ -438,6 +254,28 @@ impl ObjectiveKind {
     pub fn is_makespan(&self) -> bool {
         matches!(self, ObjectiveKind::Makespan)
     }
+
+    /// The five formulas, over the fold's components: the latest finish,
+    /// the finish-time sum, the task count and the busy time per machine.
+    fn score(&self, max_finish: f64, finish_sum: f64, tasks: usize, machine_busy: &[f64]) -> f64 {
+        let mean_flowtime = || if tasks == 0 { 0.0 } else { finish_sum / tasks as f64 };
+        let imbalance = || {
+            if machine_busy.is_empty() {
+                return 0.0;
+            }
+            let max = machine_busy.iter().copied().fold(0.0, f64::max);
+            max - machine_busy.iter().sum::<f64>() / machine_busy.len() as f64
+        };
+        match *self {
+            ObjectiveKind::Makespan => max_finish,
+            ObjectiveKind::TotalFlowtime => finish_sum,
+            ObjectiveKind::MeanFlowtime => mean_flowtime(),
+            ObjectiveKind::LoadBalance => imbalance(),
+            ObjectiveKind::Weighted { makespan, flowtime, balance } => {
+                makespan * max_finish + flowtime * mean_flowtime() + balance * imbalance()
+            }
+        }
+    }
 }
 
 impl std::str::FromStr for ObjectiveKind {
@@ -465,44 +303,9 @@ impl std::str::FromStr for ObjectiveKind {
 }
 
 impl Objective for ObjectiveKind {
-    fn name(&self) -> &str {
-        match self {
-            ObjectiveKind::Makespan => "makespan",
-            ObjectiveKind::TotalFlowtime => "total-flowtime",
-            ObjectiveKind::MeanFlowtime => "mean-flowtime",
-            ObjectiveKind::LoadBalance => "load-balance",
-            ObjectiveKind::Weighted { .. } => "weighted",
-        }
-    }
-
-    #[inline]
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        match *self {
-            ObjectiveKind::Makespan => Makespan.value(view),
-            ObjectiveKind::TotalFlowtime => TotalFlowtime.value(view),
-            ObjectiveKind::MeanFlowtime => MeanFlowtime.value(view),
-            ObjectiveKind::LoadBalance => LoadBalance.value(view),
-            ObjectiveKind::Weighted { makespan, flowtime, balance } => {
-                Weighted { makespan, flowtime, balance }.value(view)
-            }
-        }
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
     #[inline]
     fn finalize(&self, state: &ObjectiveState) -> f64 {
-        match *self {
-            ObjectiveKind::Makespan => Makespan.finalize(state),
-            ObjectiveKind::TotalFlowtime => TotalFlowtime.finalize(state),
-            ObjectiveKind::MeanFlowtime => MeanFlowtime.finalize(state),
-            ObjectiveKind::LoadBalance => LoadBalance.finalize(state),
-            ObjectiveKind::Weighted { makespan, flowtime, balance } => {
-                Weighted { makespan, flowtime, balance }.finalize(state)
-            }
-        }
+        self.score(state.max_finish(), state.finish_sum(), state.tasks(), state.machine_busy())
     }
 }
 
@@ -519,31 +322,40 @@ pub struct ObjectiveValues {
     pub load_imbalance: f64,
 }
 
-impl ObjectiveValues {
-    /// Computes all built-in objective values from one view.
-    pub fn from_view(view: &EvalView<'_>) -> ObjectiveValues {
-        ObjectiveValues {
-            makespan: Makespan.value(view),
-            total_flowtime: TotalFlowtime.value(view),
-            mean_flowtime: MeanFlowtime.value(view),
-            load_imbalance: LoadBalance.value(view),
-        }
-    }
-}
-
-/// Scores a finished [`ScheduleReport`] under `obj` — the bridge that
-/// lets the discrete-event replay (`sim.rs`) act as an oracle for every
-/// objective, not just makespan.
-pub fn objective_from_report(obj: &dyn Objective, report: &ScheduleReport) -> f64 {
-    obj.value(&report.view())
+/// Scores a finished [`ScheduleReport`] under `kind` with the formulas
+/// [`Objective::finalize`] applies to a fold, read from the report's
+/// makespan, total flowtime, task count and busy vector. An evaluator's
+/// report holds its own fold, so this equals
+/// [`crate::Evaluator::objective_value`] bit for bit; over the
+/// discrete-event replay's report (`sim.rs`), whose times come from its
+/// own event simulation, it is an independent oracle for every
+/// objective.
+pub fn objective_from_report(kind: &ObjectiveKind, report: &ScheduleReport) -> f64 {
+    kind.score(report.makespan, report.total_flowtime, report.finish.len(), &report.machine_busy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{Segment, Solution};
+    use mshc_taskgraph::TaskId;
 
-    fn view<'a>(start: &'a [f64], finish: &'a [f64], busy: &'a [f64]) -> EvalView<'a> {
-        EvalView { start, finish, machine_busy: busy }
+    /// Three tasks on two machines, in string order: latest finish 9,
+    /// finish sum 20, busy times 9 and 7 (mean 8).
+    const TASKS: [(u32, f64, f64); 3] = [(0, 4.0, 4.0), (1, 7.0, 7.0), (0, 9.0, 5.0)];
+
+    fn hand_fold() -> ObjectiveState {
+        let mut state = ObjectiveState::new(2);
+        for (m, finish, exec) in TASKS {
+            state.fold(MachineId::new(m), finish, exec);
+        }
+        state
+    }
+
+    fn kinds() -> [ObjectiveKind; 5] {
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+        let [a, b, c, d] = ObjectiveKind::BASIC;
+        [a, b, c, d, weighted]
     }
 
     #[test]
@@ -559,74 +371,49 @@ mod tests {
     }
 
     #[test]
-    fn makespan_is_max_finish() {
-        let v = view(&[0.0, 1.0], &[4.0, 9.0], &[4.0, 8.0]);
-        assert_eq!(Makespan.value(&v), 9.0);
-        assert_eq!(Makespan.name(), "makespan");
-    }
-
-    #[test]
-    fn flowtimes() {
-        let v = view(&[0.0, 0.0, 0.0], &[2.0, 4.0, 6.0], &[12.0]);
-        assert_eq!(TotalFlowtime.value(&v), 12.0);
-        assert_eq!(MeanFlowtime.value(&v), 4.0);
-    }
-
-    #[test]
-    fn load_balance_zero_when_even() {
-        let v = view(&[], &[], &[5.0, 5.0, 5.0]);
-        assert_eq!(LoadBalance.value(&v), 0.0);
-        let v = view(&[], &[], &[9.0, 3.0]);
-        assert_eq!(LoadBalance.value(&v), 3.0);
-    }
-
-    #[test]
-    fn weighted_blends_components() {
-        let v = view(&[0.0, 0.0], &[2.0, 6.0], &[8.0, 0.0]);
-        // makespan 6, mean flowtime 4, imbalance 4.
-        let w = Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
-        assert_eq!(w.value(&v), 6.0 + 2.0 + 1.0);
-    }
-
-    #[test]
-    fn kind_dispatch_matches_units() {
-        let v = view(&[0.0, 0.0], &[3.0, 5.0], &[3.0, 5.0]);
-        assert_eq!(ObjectiveKind::Makespan.value(&v), Makespan.value(&v));
-        assert_eq!(ObjectiveKind::TotalFlowtime.value(&v), TotalFlowtime.value(&v));
-        assert_eq!(ObjectiveKind::MeanFlowtime.value(&v), MeanFlowtime.value(&v));
-        assert_eq!(ObjectiveKind::LoadBalance.value(&v), LoadBalance.value(&v));
-        let k = ObjectiveKind::Weighted { makespan: 2.0, flowtime: 1.0, balance: 0.0 };
-        let u = Weighted { makespan: 2.0, flowtime: 1.0, balance: 0.0 };
-        assert_eq!(k.value(&v), u.value(&v));
-    }
-
-    #[test]
-    fn finalize_matches_value_on_a_hand_fold() {
-        // Fold three tasks on two machines and check every built-in
-        // objective finalizes to the same number `value` computes from
-        // the equivalent arrays.
-        let mut state = ObjectiveState::new(2);
-        for (m, finish, exec) in [(0u32, 4.0, 4.0), (1, 7.0, 7.0), (0, 9.0, 5.0)] {
-            state.fold(MachineId::new(m), finish, exec);
-        }
-        assert_eq!(state.tasks(), 3);
-        assert_eq!(state.max_finish(), 9.0);
-        assert_eq!(state.finish_sum(), 20.0);
+    fn every_kind_scores_a_hand_built_fold() {
+        let state = hand_fold();
+        assert_eq!((state.tasks(), state.max_finish(), state.finish_sum()), (3, 9.0, 20.0));
         assert_eq!(state.machine_busy(), &[9.0, 7.0]);
-        let start = [0.0, 0.0, 4.0];
-        let finish = [4.0, 7.0, 9.0];
-        let busy = [9.0, 7.0];
-        let v = view(&start, &finish, &busy);
-        let weighted = Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
-        assert_eq!(Makespan.finalize(&state), Makespan.value(&v));
-        assert_eq!(TotalFlowtime.finalize(&state), TotalFlowtime.value(&v));
-        assert_eq!(MeanFlowtime.finalize(&state), MeanFlowtime.value(&v));
-        assert_eq!(LoadBalance.finalize(&state), LoadBalance.value(&v));
-        assert_eq!(weighted.finalize(&state), weighted.value(&v));
-        for kind in ObjectiveKind::BASIC {
-            assert!(kind.supports_incremental());
-            assert_eq!(kind.finalize(&state), kind.value(&v), "{}", kind.label());
+        let want = [9.0, 20.0, 20.0 / 3.0, 1.0, 9.0 + 0.5 * (20.0 / 3.0) + 0.25 * 1.0];
+        for (kind, want) in kinds().into_iter().zip(want) {
+            assert_eq!(kind.finalize(&state), want, "{}", kind.label());
+            assert_eq!(kind.finalize(&ObjectiveState::new(0)), 0.0, "{}: empty fold", kind.label());
         }
+        let mut even = ObjectiveState::new(3);
+        for m in 0..3 {
+            even.fold(MachineId::new(m), 5.0, 5.0);
+        }
+        assert_eq!(ObjectiveKind::LoadBalance.finalize(&even), 0.0, "even load");
+    }
+
+    #[test]
+    fn report_scores_equal_the_fold() {
+        // The replay's shape: times by task, busy time from the string.
+        let solution = Solution::new_unchecked(
+            2,
+            TASKS
+                .iter()
+                .enumerate()
+                .map(|(t, &(m, ..))| Segment {
+                    task: TaskId::from_usize(t),
+                    machine: MachineId::new(m),
+                })
+                .collect(),
+        );
+        let finish: Vec<f64> = TASKS.iter().map(|&(_, finish, _)| finish).collect();
+        let start: Vec<f64> = TASKS.iter().map(|&(_, finish, exec)| finish - exec).collect();
+        let report = ScheduleReport::from_times(start, finish, &solution);
+        let state = hand_fold();
+        for kind in kinds() {
+            let got = objective_from_report(&kind, &report);
+            assert_eq!(got.to_bits(), kind.finalize(&state).to_bits(), "{}", kind.label());
+        }
+        let values = report.objectives();
+        assert_eq!(values.makespan, 9.0);
+        assert_eq!(values.total_flowtime, 20.0);
+        assert_eq!(values.mean_flowtime, 20.0 / 3.0);
+        assert_eq!(values.load_imbalance, 1.0);
     }
 
     #[test]
@@ -641,23 +428,6 @@ mod tests {
         state.reset(2);
         state.fold(MachineId::new(0), 3.0, 3.0);
         assert_eq!(restored, state);
-        assert_eq!(MeanFlowtime.finalize(&ObjectiveState::new(3)), 0.0, "empty fold");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support incremental")]
-    fn finalize_default_panics() {
-        struct StartSum;
-        impl Objective for StartSum {
-            fn name(&self) -> &str {
-                "start-sum"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                view.start.iter().sum()
-            }
-        }
-        assert!(!StartSum.supports_incremental());
-        let _ = StartSum.finalize(&ObjectiveState::new(1));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
     objective_from_report, random_solution, replay, replay_with, BatchEvaluator, Descent,
-    EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, Objective,
-    ObjectiveKind, Solution,
+    EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, ObjectiveKind,
+    ScheduleReport, Solution,
 };
 use mshc_taskgraph::gen::{erdos_dag, layered, LayeredConfig};
 use mshc_taskgraph::TaskId;
@@ -199,7 +199,7 @@ proptest! {
             prop_assert!(
                 (analytic - oracle).abs() < 1e-9 * analytic.abs().max(1.0),
                 "{}: analytic {analytic} vs replay {oracle}",
-                kind.name()
+                kind.label()
             );
         }
         // The report carries the same values.
@@ -207,6 +207,31 @@ proptest! {
         let o = report.objectives();
         prop_assert!((o.makespan - sim.makespan).abs() < 1e-9);
         prop_assert!((o.total_flowtime - sim.total_flowtime).abs() < 1e-9);
+    }
+
+    /// An evaluator's report scores exactly like the evaluator: it
+    /// carries the fold the pass built, so `objective_from_report` over
+    /// it equals `objective_value` bit for bit, for every objective. A
+    /// report rebuilt from its times sums the flowtime in the same
+    /// string order.
+    #[test]
+    fn report_scores_equal_the_evaluator_fold(inst in instance_strategy(), seed in any::<u64>()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut eval = Evaluator::new(&inst);
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+        for _ in 0..4 {
+            let sol = random_solution(&inst, &mut rng);
+            let report = eval.report(&sol);
+            let rebuilt = ScheduleReport::from_times(report.start.clone(), report.finish.clone(), &sol);
+            prop_assert_eq!(rebuilt.total_flowtime.to_bits(), report.total_flowtime.to_bits());
+            for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
+                let fold = eval.objective_value(&sol, &kind);
+                let read = objective_from_report(&kind, &report);
+                prop_assert_eq!(
+                    read.to_bits(), fold.to_bits(), "{}: {} vs {}", kind.label(), read, fold
+                );
+            }
+        }
     }
 
     /// Batch evaluation is pointwise identical to the scalar evaluator
@@ -221,7 +246,7 @@ proptest! {
         for kind in ObjectiveKind::BASIC {
             let got = batch.scores(&candidates, &kind);
             for (sol, &score) in candidates.iter().zip(&got) {
-                prop_assert_eq!(scalar.objective_value(sol, &kind), score, "{}", kind.name());
+                prop_assert_eq!(scalar.objective_value(sol, &kind), score, "{}", kind.label());
             }
         }
     }
@@ -270,7 +295,7 @@ proptest! {
                 let slow = scalar.objective_value(&cand, &kind);
                 prop_assert_eq!(
                     fast, slow,
-                    "{} stride {:?}: move ({}, {}, {})", kind.name(), stride, t, pos, m
+                    "{} stride {:?}: move ({}, {}, {})", kind.label(), stride, t, pos, m
                 );
             }
         }
@@ -304,12 +329,12 @@ proptest! {
         ][kind_sel];
         let snap = EvalSnapshot::new(&inst);
         // Reference: exact scores, sequential fold.
-        let scores = BatchEvaluator::new(&snap).score_task_moves(g, &base, &moves, &kind);
+        let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &kind);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
 
         // Plain argmin (admit everything).
         let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-        let got = pool.install(|| batch.best_task_move(g, &base, &moves, None, 0.0, &kind));
+        let got = pool.install(|| batch.best_task_move(&base, &moves, None, 0.0, &kind));
         let want = reference_choice(&scores, None, 0.0);
         prop_assert_eq!(got.map(|b| (b.index, b.score)), want, "plain argmin, {threads} threads");
         prop_assert_eq!(batch.evaluations(), moves.len() as u64, "one evaluation per candidate");
@@ -320,7 +345,7 @@ proptest! {
             scores[rng.gen_range(0..scores.len())] * [0.9, 1.0, 1.1][rng.gen_range(0..3)];
         let got = pool.install(|| {
             BatchEvaluator::new(&snap).with_stride(stride).best_task_move(
-                g, &base, &moves, Some(&admissible), aspiration, &kind,
+                &base, &moves, Some(&admissible), aspiration, &kind,
             )
         });
         let want = reference_choice(&scores, Some(&admissible), aspiration);
@@ -337,19 +362,19 @@ proptest! {
         let (lo, hi) = base.valid_range(g, t);
         let machines: Vec<MachineId> =
             (0..inst.machine_count()).map(MachineId::from_usize).collect();
-        let own = (base.position_of(t), base.machine_of(t));
-        let grid: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| machines.iter().map(move |&m| (p, m)))
+        let own = (t, base.position_of(t), base.machine_of(t));
+        let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| machines.iter().map(move |&m| (t, p, m)))
             .filter(|&cell| cell != own)
             .collect();
-        let grid_scores = BatchEvaluator::new(&snap).score_moves(g, &base, t, &grid, &kind);
+        let grid_scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &kind);
         let want = grid_scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()));
+            .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
         let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-        let got = pool.install(|| batch.best_relocation(g, &base, t, lo..=hi, &machines, &kind));
+        let got = pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
         prop_assert_eq!(got.map(|r| (r.pos, r.machine, r.score.to_bits())), want, "grid scan");
         prop_assert_eq!(batch.evaluations(), grid.len() as u64);
         prop_assert_eq!(batch.scan_stats().scored, grid.len() as u64);
@@ -491,7 +516,7 @@ proptest! {
             let mut batch = BatchEvaluator::new(&snap);
             let got = batch.score_population(&parents, &costs, &children, &descents, &kind);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&got), bits(&want), "{}", kind.name());
+            prop_assert_eq!(bits(&got), bits(&want), "{}", kind.label());
             prop_assert_eq!(batch.evaluations(), children.len() as u64);
             let stats = batch.scan_stats();
             prop_assert_eq!(stats.clones, clones);
@@ -549,7 +574,7 @@ proptest! {
             for mv in [(t, pos, home), (t, pos, away), (t, pos, m), (t, base.position_of(t), home)] {
                 let truth = moved_score(&mut scalar, &inst, &base, mv, &kind);
                 let got = inc.score_move(mv.0, mv.1, mv.2, &kind);
-                prop_assert_eq!(got.to_bits(), truth.to_bits(), "{} move {:?}", kind.name(), mv);
+                prop_assert_eq!(got.to_bits(), truth.to_bits(), "{} move {:?}", kind.label(), mv);
                 for bound in [f64::MIN, truth, f64::INFINITY] {
                     let out = inc.score_move_bounded(mv.0, mv.1, mv.2, bound, &kind);
                     prop_assert_eq!(out, MoveScore::Exact(got));
@@ -559,7 +584,7 @@ proptest! {
                 let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
                 prop_assert_eq!(
                     got.to_bits(), want.to_bits(),
-                    "{} after {:?}: fresh move {:?}", kind.name(), mv, fresh
+                    "{} after {:?}: fresh move {:?}", kind.label(), mv, fresh
                 );
                 prop_assert_eq!(inc.base_score(&kind).to_bits(), base_truth.to_bits());
             }
@@ -627,7 +652,7 @@ proptest! {
                             let want = oracle.score_move(t, pos, m, &kind);
                             prop_assert_eq!(
                                 got.to_bits(), want.to_bits(),
-                                "{} stride {:?}: {} -> ({}, {})", kind.name(), stride, t, pos, m
+                                "{} stride {:?}: {} -> ({}, {})", kind.label(), stride, t, pos, m
                             );
                         }
                         let own_cells = machines

@@ -10,8 +10,8 @@
 
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
-    random_solution, BatchEvaluator, EvalSnapshot, EvalView, Evaluator, Objective, ObjectiveKind,
-    Solution,
+    random_solution, BatchEvaluator, EvalSnapshot, Evaluator, Objective, ObjectiveKind,
+    ObjectiveState, Solution,
 };
 use mshc_taskgraph::gen::{layered, LayeredConfig};
 use mshc_taskgraph::TaskId;
@@ -39,20 +39,30 @@ fn small_instance(tasks: usize, machines: usize, seed: u64) -> HcInstance {
     HcInstance::new(graph, sys).unwrap()
 }
 
-/// A full-pass (non-incremental) objective that sleeps a hash-derived
-/// few microseconds per evaluation — per-candidate jitter driven through
-/// the real scoring pipeline, not just a synthetic map.
+/// Sparse layered DAG over many machines, drawn from `rng`: wide valid
+/// ranges, so the widest task's relocation grid reaches the lane scan's
+/// fan-out threshold.
+fn wide_instance(tasks: usize, machines: usize, rng: &mut ChaCha8Rng) -> HcInstance {
+    let cfg = LayeredConfig { tasks, mean_width: tasks / 2, edge_prob: 0.1, skip_prob: 0.0 };
+    let graph = layered(&cfg, rng).unwrap();
+    let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(5.0..80.0));
+    let pairs = machines * (machines - 1) / 2;
+    let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..25.0));
+    let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
+    HcInstance::new(graph, sys).unwrap()
+}
+
+/// The makespan, after sleeping a hash-derived few microseconds per
+/// scoring — per-candidate jitter driven through the real scoring
+/// pipeline (suffix replays and machine lanes), not just a synthetic
+/// map.
 struct JitteredMakespan {
     salt: u64,
 }
 
 impl Objective for JitteredMakespan {
-    fn name(&self) -> &str {
-        "jittered-makespan"
-    }
-
-    fn value(&self, view: &EvalView<'_>) -> f64 {
-        let mk = view.finish.iter().copied().fold(0.0f64, f64::max);
+    fn finalize(&self, state: &ObjectiveState) -> f64 {
+        let mk = state.max_finish();
         std::thread::sleep(jitter(mk.to_bits(), self.salt));
         mk
     }
@@ -150,28 +160,36 @@ proptest! {
     // candidate; fewer cases keep the suite quick.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full scoring pipeline under per-candidate delays: batch
-    /// scores, the relocation argmin (cell and score bits) and the
-    /// evaluation count all match the 1-thread run at every thread
-    /// count, with steal-order jitter injected through a full-pass
-    /// objective.
+    /// The full scoring pipeline under per-candidate delays: the widest
+    /// task's grid scored as `(t, pos, m)` triples (several scan chunks)
+    /// and through the relocation argmin (on machine lanes, above the
+    /// fan-out threshold). Scores, the argmin (cell and score bits) and
+    /// the evaluation count all match the 1-thread run at every thread
+    /// count, with steal-order jitter injected through the objective.
     #[test]
     fn jittered_scoring_pipeline_is_thread_invariant(
-        tasks in 6usize..18,
-        machines in 2usize..5,
+        tasks in 64usize..96,
+        machines in 10usize..14,
         seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let inst = small_instance(tasks, machines, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let inst = wide_instance(tasks, machines, &mut rng);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(rng.gen_range(0..tasks as u32));
+        let width = |t: TaskId| {
+            let (lo, hi) = base.valid_range(g, t);
+            hi - lo
+        };
+        let t = g.tasks().max_by_key(|&t| width(t)).unwrap();
         let (lo, hi) = base.valid_range(g, t);
         let lanes: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| lanes.iter().map(move |&m| (p, m))).collect();
+        let moves: Vec<(TaskId, usize, MachineId)> =
+            (lo..=hi).flat_map(|p| lanes.iter().map(move |&m| (t, p, m))).collect();
+        // 16,384 lane-replays fan the lanes out, and are several
+        // 6,144-replay chunks of triples.
+        prop_assert!(moves.len() * tasks >= 16_384, "grid below the fan-out thresholds");
         let obj = JitteredMakespan { salt };
 
         let run = |threads: usize| {
@@ -179,11 +197,11 @@ proptest! {
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap);
                 let scores: Vec<u64> = batch
-                    .score_moves(g, &base, t, &moves, &obj)
+                    .score_task_moves(&base, &moves, &obj)
                     .into_iter()
                     .map(f64::to_bits)
                     .collect();
-                let best = batch.best_relocation(g, &base, t, lo..=hi, &lanes, &obj);
+                let best = batch.best_relocation(&base, t, lo..=hi, &lanes, &obj);
                 (scores, best.map(|b| (b.pos, b.machine, b.score.to_bits())), batch.evaluations())
             })
         };
@@ -197,7 +215,7 @@ proptest! {
         // And the jittered objective really is the makespan.
         let mut scalar = Evaluator::new(&inst);
         let mut cand: Solution = base.clone();
-        let (pos, m) = moves[0];
+        let (_, pos, m) = moves[0];
         cand.move_task(g, t, pos, m).unwrap();
         prop_assert_eq!(scalar.makespan(&cand).to_bits(), baseline.0[0]);
     }
@@ -217,19 +235,7 @@ proptest! {
         kind_sel in 0usize..3,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let cfg = LayeredConfig {
-            tasks,
-            mean_width: tasks / 2,
-            edge_prob: 0.1,
-            skip_prob: 0.0,
-        };
-        let graph = layered(&cfg, &mut rng).unwrap();
-        let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(5.0..80.0));
-        let pairs = machines * (machines - 1) / 2;
-        let transfer =
-            Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..25.0));
-        let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
-        let inst = HcInstance::new(graph, sys).unwrap();
+        let inst = wide_instance(tasks, machines, &mut rng);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);
         let base = random_solution(&inst, &mut rng);
@@ -254,7 +260,7 @@ proptest! {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-                let best = batch.best_relocation(g, &base, t, lo..=hi, &lanes, &obj);
+                let best = batch.best_relocation(&base, t, lo..=hi, &lanes, &obj);
                 (
                     best.map(|b| (b.pos, b.machine, b.score.to_bits())),
                     batch.evaluations(),
@@ -266,17 +272,17 @@ proptest! {
         for threads in [2usize, 8] {
             prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
         }
-        let own = (base.position_of(t), base.machine_of(t));
-        let grid: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| lanes.iter().map(move |&m| (p, m)))
+        let own = (t, base.position_of(t), base.machine_of(t));
+        let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| lanes.iter().map(move |&m| (t, p, m)))
             .filter(|&cell| cell != own)
             .collect();
-        let scores = BatchEvaluator::new(&snap).score_moves(g, &base, t, &grid, &obj);
+        let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &obj);
         let want = scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, &s)| (grid[i].0, grid[i].1, s.to_bits()));
+            .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
         prop_assert_eq!(baseline.0, want, "first minimum of the exact scores");
         prop_assert_eq!(baseline.1, grid.len() as u64);
         prop_assert_eq!(baseline.2.scored, grid.len() as u64);
@@ -313,7 +319,7 @@ proptest! {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-                let best = batch.best_task_move(g, &base, &moves, None, 0.0, &obj);
+                let best = batch.best_task_move(&base, &moves, None, 0.0, &obj);
                 (best.map(|b| (b.index, b.score.to_bits())), batch.evaluations(), batch.scan_stats())
             })
         };
@@ -321,7 +327,7 @@ proptest! {
         for threads in [2usize, 4, 8] {
             prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
         }
-        let scores = BatchEvaluator::new(&snap).score_task_moves(g, &base, &moves, &obj);
+        let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &obj);
         let want = scores
             .iter()
             .enumerate()

@@ -52,6 +52,36 @@ fn every_scheduler_valid_and_consistent_on_every_workload_class() {
     }
 }
 
+/// Every scheduler reports the score its candidates were ranked by: the
+/// evaluator's string-order fold of the solution it returns, bit for
+/// bit, under every objective.
+#[test]
+fn every_scheduler_reports_the_evaluators_score() {
+    let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+    let kinds: Vec<ObjectiveKind> = ObjectiveKind::BASIC.into_iter().chain([weighted]).collect();
+    let specs = (1..=3).map(WorkloadSpec::small).chain((1..=3).map(WorkloadSpec::large));
+    for spec in specs {
+        let inst = spec.generate();
+        let mut eval = Evaluator::new(&inst);
+        for kind in &kinds {
+            let budget = RunBudget::iterations(10).with_objective(*kind);
+            for mut s in all_schedulers(spec.seed) {
+                let r = s.run(&inst, &budget, None);
+                let fold = eval.objective_value(&r.solution, kind);
+                assert_eq!(
+                    r.objective_value.to_bits(),
+                    fold.to_bits(),
+                    "{} under {} on {}: reported {} but the evaluator scores {fold}",
+                    s.name(),
+                    kind.label(),
+                    spec.tag(),
+                    r.objective_value
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn iterative_schedulers_beat_random_search() {
     let inst = WorkloadSpec::small(5).with_connectivity(Connectivity::High).generate();
