@@ -20,10 +20,14 @@
 //!
 //! SE's own allocation scan gets a probe on its real grids: every
 //! position × machine of every task of a partly converged incumbent,
-//! scanned single-threaded through the machine-lane argmin
+//! scanned single-threaded through SE's relocation argmin
 //! (`lane_scan_evals_per_sec`) and through the argmin that scores each
-//! candidate with one `score_move`; `lane_speedup_vs_exact` is their
-//! same-process ratio, with the winners asserted identical.
+//! cell with one `score_move`; `lane_speedup_vs_exact` is their
+//! same-process ratio, with the winners asserted identical. Under the
+//! probe's makespan objective the relocation argmin walks run starts: it
+//! replays the first position's lanes together and then one cell per
+//! run of identical schedules, while the other argmin replays every
+//! cell.
 //!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
@@ -84,11 +88,12 @@ struct BenchReport {
     /// incremental over full, single-threaded — the algorithmic win
     /// (≥ 2x expected on the 100-task preset).
     incremental_speedup_vs_full: f64,
-    /// SE's allocation scan on machine lanes: candidates per second over
+    /// SE's allocation scan: evaluations (grid cells) per second over
     /// every task's full position × machine grid of a partly converged
-    /// incumbent, one thread (`BatchEvaluator::best_relocation`).
+    /// incumbent, one thread (`BatchEvaluator::best_relocation`, which
+    /// under makespan replays one cell per run of identical schedules).
     lane_scan_evals_per_sec: f64,
-    /// Lane scan over the argmin that scores each candidate with one
+    /// That scan over the argmin that scores each cell with one
     /// `IncrementalEvaluator::score_move` (`BatchEvaluator::best_task_move`)
     /// on the same grids, one thread — a same-process, hardware-stable
     /// ratio.
@@ -253,9 +258,10 @@ fn main() {
 
     // SE's allocation grids: every task of an incumbent after a few SE
     // iterations, each over its full valid range × all machines, scanned
-    // on one thread through the lane argmin and through the argmin that
-    // scores each candidate with one `score_move`. Both must pick the
-    // same cell with the same score bits.
+    // on one thread through the relocation argmin (the run-start walk)
+    // and through the argmin that scores each cell with one
+    // `score_move`. Both must pick the same cell with the same score
+    // bits.
     let (lane_eps, lane_speedup) = {
         let incumbent = mshc_core::SeScheduler::with_seed(2001)
             .run(&inst, &RunBudget::iterations(4), None)
@@ -321,7 +327,7 @@ fn main() {
             };
             let (lane, lane_winners) = timed(&lane_scan, &mut batch);
             let (exact, exact_winners) = timed(&exact_scan, &mut batch);
-            assert_eq!(lane_winners, exact_winners, "lane and per-candidate scans must agree");
+            assert_eq!(lane_winners, exact_winners, "run-start and per-cell scans must agree");
             (lane, lane / exact)
         })
     };
@@ -540,8 +546,8 @@ fn main() {
         report.speedup_vs_scalar
     );
     println!(
-        "se allocation grids: lane scan {:.0}/s ({:.2}x vs one score_move per candidate, one \
-         thread)",
+        "se allocation grids: run-start scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
+         one thread)",
         lane_eps, lane_speedup
     );
     println!(

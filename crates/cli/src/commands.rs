@@ -31,6 +31,8 @@ commands:
              --algo se|ga|heft|heft-ins|cpop|met|mct|olb|min-min|max-min|random|sa|tabu
              [--instance FILE | workload options] [--iters N] [--wall SECS]
              [--seed N] [--bias B] [--y Y] [--gantt] [--report] [--trace FILE]
+             SE's --bias B (finite) defaults to the paper's guidance for the
+             task count, and --y Y (at least 1) to every machine
   compare    run every scheduler on one workload and print a table
              [--instance FILE | workload options] [--iters N] [--wall SECS]
   tournament race schedulers across a scenario grid, deterministically
@@ -106,7 +108,7 @@ global options:
   --faults FILE
              arm a declarative fault-injection plan (JSON) for this
              invocation: {\"panic_at_evaluations\": N} poisons the Nth
-             schedule evaluation, \"cell_panics\" panics named
+             full pass or move replay, \"cell_panics\" panics named
              tournament cells (each entry {algorithm, scenario, seed}
              fires once and is consumed), \"dropouts\" carries
              disturbance events for replan. Injected cell panics are
@@ -708,9 +710,23 @@ fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, St
     Ok(match name {
         "se" => {
             let mut cfg = SeConfig { seed, ..SeConfig::default() };
-            cfg.selection_bias = p.get_parse("bias", f64::NAN)?;
-            let y: usize = p.get_parse("y", 0)?;
-            if y > 0 {
+            // NaN tells `SePendingBias` to resolve the size-based default.
+            cfg.selection_bias = f64::NAN;
+            if p.get("bias").is_some() {
+                let bias: f64 = p.get_parse("bias", f64::NAN)?;
+                if !bias.is_finite() {
+                    return Err("--bias: must be finite (omit the flag for the default set by \
+                         the task count)"
+                        .to_string());
+                }
+                cfg.selection_bias = bias;
+            }
+            if p.get("y").is_some() {
+                let y: usize = p.get_parse("y", 0)?;
+                if y == 0 {
+                    return Err("--y: must be at least 1 (omit the flag to allow every machine)"
+                        .to_string());
+                }
                 cfg.y_limit = Some(y);
             }
             Box::new(SePendingBias::new(cfg))
@@ -987,6 +1003,28 @@ mod tests {
             let e = dispatch(&argv(&args)).unwrap_err();
             assert!(e.contains("--iters") && e.contains("at least 1"), "{args:?}: {e}");
         }
+    }
+
+    #[test]
+    fn meaningless_se_flags_are_rejected_not_replaced() {
+        // `--y 0` used to mean "every machine" and a non-finite `--bias`
+        // the size-based default (NaN) or an SE that selects nothing
+        // (inf): each is an error naming the flag.
+        let base = ["run", "--algo", "se", "--tasks", "30", "--machines", "6", "--iters", "20"];
+        let cases = [
+            ("--y", "0", "at least 1"),
+            ("--bias", "nan", "finite"),
+            ("--bias", "inf", "finite"),
+            ("--bias", "-inf", "finite"),
+        ];
+        for (flag, value, want) in cases {
+            for cmd in [&base[..], &["replan", "--algo", "se", "--tasks", "12", "--iters", "5"]] {
+                let args = [cmd, &[flag, value]].concat();
+                let e = dispatch(&argv(&args)).unwrap_err();
+                assert!(e.contains(flag) && e.contains(want), "{args:?}: {e}");
+            }
+        }
+        assert!(USAGE.contains("--y Y (at least 1)") && USAGE.contains("--bias B (finite)"));
     }
 
     /// Every command rejects an option it does not read, naming the

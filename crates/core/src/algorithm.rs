@@ -279,13 +279,20 @@ impl SteppableSearch for SePendingBias {
 /// alternative placement (valid range of one position and a single
 /// allowed machine), which stays put.
 ///
-/// The grid is handed to [`BatchEvaluator::best_relocation`]: the base
-/// is primed once per worker, and each position's candidates are scored
-/// together in one lockstep replay with a lane per allowed machine,
-/// exact, never mutating the solution. Grids large enough to pay for it
-/// fan their positions out over the worker pool; smaller ones run
-/// inline. Ties break to the earliest candidate in `(position, machine)`
-/// grid order.
+/// The grid is handed to [`BatchEvaluator::best_relocation`], which
+/// primes the base once per worker and never mutates the solution. The
+/// scheduling kernel never inserts a task into an idle gap, so sliding
+/// `t` past a task on another machine changes no machine's task
+/// sequence and no finish time. Under makespan, load balance or a
+/// weighted blend without flowtime, the candidates of one machine that
+/// differ only by such steps therefore score bit-identically, and the
+/// scan replays one per run of them: the first position's allowed
+/// machines in one lockstep lane replay, each later run with one suffix
+/// replay. Under the flowtime objectives every cell is replayed, a
+/// position per lane replay. Every cell is charged as an evaluation
+/// either way. Walks large enough to pay for it fan their positions out
+/// over the worker pool; smaller ones run inline. Ties break to the
+/// earliest candidate in `(position, machine)` grid order.
 fn allocate(
     sol: &mut Solution,
     g: &TaskGraph,
@@ -381,48 +388,65 @@ mod tests {
     #[test]
     fn fanned_out_allocation_is_thread_count_invariant() {
         // The determinism guard for the fanned-out allocation scan: on a
-        // sparse DAG over many machines most relocation grids reach the
-        // lane scan's fan-out threshold (16,384 lane-replays, positions
-        // × machines × k), so their positions really spread across the
-        // pool — and the whole run (solution, makespan, evaluation count
-        // and every scan counter) must be bit-identical at 1, 2 and 8
-        // worker threads.
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let (tasks, machines) = (64, 16);
-        let cfg = LayeredConfig { tasks, mean_width: 32, edge_prob: 0.1, skip_prob: 0.0 };
-        let graph = layered(&cfg, &mut rng).unwrap();
-        let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(10.0..100.0));
-        let pairs = machines * (machines - 1) / 2;
-        let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
-        let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
-        let inst = HcInstance::new(graph, sys).unwrap();
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| {
-                SeScheduler::new(SeConfig { seed: 21, selection_bias: -0.1, ..Default::default() })
-                    .run(&inst, &RunBudget::iterations(15), None)
-            })
-        };
-        let baseline = run(1);
-        // More than half the grids of the final solution fan out.
-        let g = inst.graph();
-        let mut positions: Vec<usize> = g
-            .tasks()
-            .map(|t| {
-                let (lo, hi) = baseline.solution.valid_range(g, t);
-                hi - lo + 1
-            })
-            .collect();
-        positions.sort_unstable();
-        let median = positions[tasks / 2];
-        assert!(median * machines * tasks >= 16_384, "median grid of {median} positions");
-        assert!(baseline.scan.scored > 0, "the scans must score");
-        for threads in [2usize, 8] {
-            let r = run(threads);
-            assert_eq!(r.solution, baseline.solution, "{threads} threads");
-            assert_eq!(r.makespan.to_bits(), baseline.makespan.to_bits(), "{threads} threads");
-            assert_eq!(r.evaluations, baseline.evaluations, "{threads} threads");
-            assert_eq!(r.scan, baseline.scan, "{threads} threads");
+        // sparse DAG over many machines most allocation walks reach the
+        // fan-out threshold (16,384 lane-replays), so their positions
+        // really spread across the pool — and the whole run (solution,
+        // makespan, evaluation count and every scan counter) must be
+        // bit-identical at 1, 2 and 8 worker threads. Under makespan a
+        // walk replays one cell per run of identical schedules, so it
+        // takes a couple of hundred tasks to cross the threshold; under
+        // total flowtime every cell is replayed.
+        for (tasks, objective, iterations) in
+            [(200, ObjectiveKind::Makespan, 2), (64, ObjectiveKind::TotalFlowtime, 15)]
+        {
+            let machines = 16;
+            let mut rng = ChaCha8Rng::seed_from_u64(6);
+            let cfg =
+                LayeredConfig { tasks, mean_width: tasks / 2, edge_prob: 0.1, skip_prob: 0.0 };
+            let graph = layered(&cfg, &mut rng).unwrap();
+            let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(10.0..100.0));
+            let pairs = machines * (machines - 1) / 2;
+            let transfer =
+                Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
+            let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
+            let inst = HcInstance::new(graph, sys).unwrap();
+            let run = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let cfg = SeConfig { seed: 21, selection_bias: -0.1, ..Default::default() };
+                let budget = RunBudget::iterations(iterations).with_objective(objective);
+                pool.install(|| SeScheduler::new(cfg).run(&inst, &budget, None))
+            };
+            let baseline = run(1);
+            // More than half the walks over the final solution's grids
+            // fan out. With every machine allowed, a makespan walk
+            // replays all lanes of its first position and, at each later
+            // position, the lane of the machine its step passes — less
+            // the base's own cell if that is one of them.
+            let g = inst.graph();
+            let mut replays: Vec<usize> = g
+                .tasks()
+                .map(|t| {
+                    let (lo, hi) = baseline.solution.valid_range(g, t);
+                    let lanes = match objective {
+                        ObjectiveKind::Makespan => machines + (hi - lo) - 1,
+                        _ => (hi - lo + 1) * machines,
+                    };
+                    lanes * tasks
+                })
+                .collect();
+            replays.sort_unstable();
+            let median = replays[tasks / 2];
+            let label = objective.label();
+            assert!(median >= 16_384, "{label}: median walk of {median} lane-replays");
+            assert!(baseline.scan.scored > 0, "the scans must score");
+            for threads in [2usize, 8] {
+                let r = run(threads);
+                assert_eq!(r.solution, baseline.solution, "{label}, {threads} threads");
+                let bits = |r: &RunResult| (r.objective_value.to_bits(), r.makespan.to_bits());
+                assert_eq!(bits(&r), bits(&baseline), "{label}, {threads} threads");
+                assert_eq!(r.evaluations, baseline.evaluations, "{label}, {threads} threads");
+                assert_eq!(r.scan, baseline.scan, "{label}, {threads} threads");
+            }
         }
     }
 

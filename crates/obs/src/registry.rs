@@ -54,7 +54,11 @@ pub enum Counter {
     ///
     /// [`Evaluator`]: ../../mshc_schedule/struct.Evaluator.html
     Evaluations,
-    /// Tier-3 move scorings (one per candidate, machine lanes included).
+    /// Tier-3 move scorings: replays, one per candidate a suffix replay
+    /// or a machine lane scores. Not evaluations, which count charged
+    /// candidates: SE's relocation scans charge every grid cell but,
+    /// under an objective that ignores the finish-time sum, replay one
+    /// cell per run of identical schedules.
     ScanScored,
     /// Population children served by their parent's cost (exact clones).
     ScanClones,

@@ -71,7 +71,8 @@ pub struct DeterministicPlane {
     /// Tier-1 full evaluation passes.
     #[serde(default)]
     pub evaluations: u64,
-    /// Tier-3 move scorings (mirrors `ScanStats::scored`).
+    /// Tier-3 move scorings: replays, not evaluations (mirrors
+    /// `ScanStats::scored`, which says how the two differ).
     #[serde(default)]
     pub scan_scored: u64,
     /// Population children served by their parent's cost (exact clones).

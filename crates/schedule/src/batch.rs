@@ -31,12 +31,17 @@
 //!
 //! SE's allocation scan has its own argmin, [`best_relocation`]: the
 //! candidates of one string position differ only in the relocated
-//! task's machine, so each position is scored in one lockstep replay
-//! with a lane per machine
-//! ([`IncrementalEvaluator::score_position`]). Tabu's sampled
-//! neighborhood goes through the mixed-task argmin, [`best_task_move`],
-//! one [`IncrementalEvaluator::score_move`] per candidate. Both score
-//! every candidate exactly.
+//! task's machine, so a position is scored in one lockstep replay with a
+//! lane per machine ([`IncrementalEvaluator::score_position`]). Under an
+//! objective that ignores the finish-time sum, most cells need no replay
+//! at all. The scheduling kernel never inserts a task into an idle gap,
+//! so sliding the relocated task past a task on another machine leaves
+//! every machine's task sequence, and so every finish time, unchanged.
+//! The scan replays one cell per run of such identical schedules. Tabu's
+//! sampled neighborhood goes through the mixed-task argmin,
+//! [`best_task_move`], one [`IncrementalEvaluator::score_move`] per
+//! candidate. Both argmins charge one evaluation per candidate and
+//! return exactly the winner of scoring every candidate.
 //!
 //! GA generations go through [`breed_population`], one overlapped pass
 //! per generation: the calling thread breeds the children in order and
@@ -54,8 +59,8 @@
 //! candidate's score depends only on that candidate, so results are
 //! bit-identical at any thread count; a generation's scores likewise
 //! depend on each child alone, never on which thread scored it or when.
-//! [`best_relocation`] fans its positions out only when the grid's size
-//! (positions × machines × tasks) calls for it; [`score_task_moves`] (and so
+//! [`best_relocation`] fans its positions out only when the lane-replays
+//! its walk schedules call for it; [`score_task_moves`] (and so
 //! [`best_task_move`]) splits its candidates on a chunk grid that is a
 //! pure function of the grid itself — its length and the instance's
 //! task count, never the thread count. Small grids run inline on the
@@ -102,26 +107,39 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// never on the thread count.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
 
-/// Lane-replays (`positions × machines × k`) at which
-/// [`BatchEvaluator::best_relocation`] fans its position grid out over
-/// the pool; smaller grids run inline on the calling thread.
+/// Lane-replays at which [`BatchEvaluator::best_relocation`] fans its
+/// positions out over the pool; a walk that schedules fewer runs inline
+/// on the calling thread. A walk's lane-replays are the lanes it
+/// replays times `k`: every position × machine when the objective reads
+/// the finish-time sum, and otherwise the first position's lanes plus
+/// one per later run of identical cells (one scalar
+/// [`IncrementalEvaluator::score_move`] counts as one lane).
 ///
 /// Derived from the measured layer costs on SE's real 100 × 20 grids
 /// (2 vCPUs, 2.1 GHz Xeon): the lane kernel scores a candidate in about
-/// 0.5–0.65 µs, i.e. 5–6.5 ns per lane-replay unit, so 16,384 units are
-/// roughly 80–110 µs of lane work. Fanning out costs one pool dispatch
-/// (~6–12 µs to wake a parked worker) plus the joining worker's prime
-/// (~4–7 µs): about 15 % of such a grid.
-/// That is what a fanned-out scan loses when no worker is free — in a
-/// tournament, whose cells already occupy the pool — while a free
-/// worker takes half the grid. A sweep agreed: SE at 100 × 20 (seeds
-/// 7–9, 60 iterations, 2 threads) took 0.41–0.43 s at 2,048–16,384,
-/// 0.46 s at 32,768, 0.52 s at 65,536 and 0.61 s all inline, and a
-/// small-suite tournament took 0.23 s at 1,024, 0.22 s at 4,096 and
-/// 0.20–0.21 s at 16,384 (where its grids, at most 30 positions × 8
-/// machines × 30 tasks, all run inline). The decision reads the grid
-/// alone, and scores are exact per position, so neither the threshold
-/// nor the thread count can move a result or a counter.
+/// 0.5–0.65 µs and a scalar replay in about 1.0 µs, i.e. 5–10 ns per
+/// lane-replay unit, so 16,384 units are roughly 80–160 µs of replay.
+/// Fanning out costs one pool dispatch (~6–12 µs to wake a parked
+/// worker) plus the joining worker's prime (~4–7 µs): 10–20 % of such a
+/// walk. That is what a fanned-out scan loses when no worker is free —
+/// in a tournament, whose cells already occupy the pool — while a free
+/// worker takes half the walk. A sweep over full grids agreed: SE at
+/// 100 × 20 (seeds 7–9, 60 iterations, 2 threads) took 0.41–0.43 s at
+/// 2,048–16,384, 0.46 s at 32,768, 0.52 s at 65,536 and 0.61 s all
+/// inline, and a small-suite tournament took 0.23 s at 1,024, 0.22 s at
+/// 4,096 and 0.20–0.21 s at 16,384 (where its grids, at most 30
+/// positions × 8 machines × 30 tasks, all run inline). Under makespan a
+/// 100 × 20 walk replays the first position's 20 lanes, at most one
+/// lane per later position and at most one more after the base's own
+/// cell: at most 12,000 units, so SE's makespan scans at that size run
+/// inline, while at 300 tasks the wider valid ranges cross the
+/// threshold. There the threshold matters little: SE at 300 × 16 (20
+/// iterations, seeds 7–9, 2 threads, 24 runs each) took a median 0.163 s
+/// at 4,096, 0.157 s at 16,384, 0.163 s at 65,536 and 0.164 s all
+/// inline, differences within the host's run-to-run noise. The decision
+/// reads the base string alone, and every replayed score is exact, so
+/// neither the threshold nor the thread count can move a result or a
+/// counter.
 const LANE_FANOUT_REPLAYS: usize = 16_384;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
@@ -448,9 +466,11 @@ impl<'a> BatchEvaluator<'a> {
         self.snap
     }
 
-    /// Total schedule evaluations performed across all batches (one per
-    /// scored candidate; per-chunk primes are uncounted so the axis is
-    /// thread-count independent).
+    /// Total schedule evaluations charged across all batches: one per
+    /// candidate, whether it was replayed or took the score of an
+    /// identical schedule (see [`ScanStats::scored`] for replays).
+    /// Per-chunk primes are uncounted, so the axis is thread-count
+    /// independent.
     #[inline]
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -716,18 +736,40 @@ impl<'a> BatchEvaluator<'a> {
     /// Candidates are ordered pos-major — position by position, machines
     /// in the given order within a position — and the winner is the
     /// earliest-index minimum under `total_cmp`, with its exact score
-    /// (`None` only for an empty grid). Every candidate counts as one
-    /// evaluation.
+    /// (`None` only for an empty grid). Every cell of the grid counts as
+    /// one evaluation; [`ScanStats::scored`] counts the cells replayed.
     ///
-    /// Each position is one work item, scored through
-    /// [`IncrementalEvaluator::score_position`]: one lockstep replay
-    /// with a lane per machine, exact, so the winner
-    /// and every counter are those of scoring each candidate through
-    /// [`score_task_moves`](Self::score_task_moves) and folding, at any
-    /// thread count. The grid fans out over the pool when its
-    /// lane-replays (`positions × machines × k`) reach
-    /// `LANE_FANOUT_REPLAYS` and runs inline on the calling thread, with
-    /// no pool operation, below it.
+    /// Which cells are replayed rests on one fact about the grid. Let
+    /// `S'` be `base` without `t` and `C(p)` be `S'` with `t` inserted at
+    /// `p`. Stepping from `C(p − 1)` to `C(p)` passes one task, `S'[p −
+    /// 1]`, which inside the valid range neither precedes nor succeeds
+    /// `t`. If it runs on a machine other than `m`, the two candidates
+    /// with `t` on `m` give every machine the same task sequence. The
+    /// scheduling kernel does not insert into idle gaps: each task starts
+    /// at the later of its data-ready time and its machine's previous
+    /// finish, so both candidates have the same finish times, busy times
+    /// and latest finish, bit for bit. Only the string-order finish sum
+    /// can round differently. So when `obj`
+    /// [ignores the finish sum](Objective::ignores_finish_sum), the cells
+    /// of lane `m` fall into runs of identical scores: a run starts at
+    /// the first position and wherever the passed task runs on `m`. Each
+    /// run is replayed once, at its first cell other than the base's own:
+    /// the first position's lanes in one
+    /// [`IncrementalEvaluator::score_position`] call, every later run
+    /// with one [`IncrementalEvaluator::score_move`]. The other cells of
+    /// a run have the replayed cell's score and come after it in grid
+    /// order, so none of them can be the first minimum, and the winner,
+    /// its score bits and the evaluation count are those of scoring every
+    /// cell through [`score_task_moves`](Self::score_task_moves) and
+    /// folding. Under an objective that reads the finish sum, every cell
+    /// is a run of its own and every position is one lane replay.
+    ///
+    /// The runs are read from the base string before anything is
+    /// replayed, so the walk is fixed before it starts. It fans its
+    /// positions out over the pool when the lane-replays it schedules
+    /// (lanes replayed × `k`) reach `LANE_FANOUT_REPLAYS` and runs
+    /// inline on the calling thread, with no pool operation, below it.
+    /// Neither choice can move the winner or a counter.
     pub fn best_relocation(
         &mut self,
         base: &Solution,
@@ -748,6 +790,21 @@ impl<'a> BatchEvaluator<'a> {
         if len == 0 {
             return None;
         }
+        // Every lane is replayed at the first position, and everywhere
+        // unless the objective ignores the finish sum.
+        let lo = positions.start;
+        let runs = obj.ignores_finish_sum();
+        let every_lane = move |pos: usize| !runs || pos == lo;
+        // Lane `m` starts a run at `pos`: the first position, or the step
+        // to `pos` passes a task on `m`. That task is `S'[pos - 1]`: base
+        // position `pos - 1` before `t`'s own, `pos` from there on.
+        let run_start = move |pos: usize, m: MachineId| {
+            pos == lo || base.segment_at(if pos - 1 < old_pos { pos - 1 } else { pos }).machine == m
+        };
+        // A run is replayed at its first cell other than the base's own.
+        let replayed = move |pos: usize, m: MachineId| {
+            !own(pos, m) && (run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
+        };
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
         self.scan_epoch += 1;
         let epoch = self.scan_epoch;
@@ -762,19 +819,42 @@ impl<'a> BatchEvaluator<'a> {
             Some(b) if b.score.total_cmp(&cell.score).is_le() => Some(b),
             _ => Some(cell),
         };
-        // One position = one item: its lanes' scores depend on the
-        // position alone.
+        // One position = one item: the scores of the cells it replays
+        // depend on the position alone.
         let score_position = |guard: &mut ArenaGuard<'_, 'a>, pos: usize| {
-            let (inc, scores) = guard.lanes(machines.len());
-            inc.score_position(t, pos, machines, obj, scores);
-            machines
-                .iter()
-                .zip(scores.iter())
-                .filter(|&(&m, _)| !own(pos, m))
-                .map(|(&machine, &score)| Relocation { pos, machine, score })
-                .fold(None, first_min)
+            if every_lane(pos) {
+                let (inc, scores) = guard.lanes(machines.len());
+                inc.score_position(t, pos, machines, obj, scores);
+                machines
+                    .iter()
+                    .zip(scores.iter())
+                    .filter(|&(&m, _)| !own(pos, m))
+                    .map(|(&machine, &score)| Relocation { pos, machine, score })
+                    .fold(None, first_min)
+            } else {
+                let inc = guard.inc();
+                machines
+                    .iter()
+                    .filter(|&&m| replayed(pos, m))
+                    .map(|&machine| Relocation {
+                        pos,
+                        machine,
+                        score: inc.score_move(t, pos, machine, obj),
+                    })
+                    .fold(None, first_min)
+            }
         };
-        let work = positions.len() * machines.len() * snap.task_count();
+        let lanes: usize = positions
+            .clone()
+            .map(|pos| {
+                if every_lane(pos) {
+                    machines.len()
+                } else {
+                    machines.iter().filter(|&&m| replayed(pos, m)).count()
+                }
+            })
+            .sum();
+        let work = lanes * snap.task_count();
         let per_position: Vec<Option<Relocation>> = if work >= LANE_FANOUT_REPLAYS {
             positions.into_par_iter().map_init(checkout, score_position).collect()
         } else {

@@ -64,11 +64,13 @@ pub struct FaultPlan {
     /// Seed for deriving randomized injections (dropout traces).
     #[serde(default)]
     pub seed: u64,
-    /// Panic when the process-wide counted-evaluation tick reaches this
-    /// value (1-based: `Some(1)` panics the very first evaluation).
-    /// Ticks count exactly the evaluations the budget counts, across
-    /// every evaluator tier — when the Nth lands inside a batch chunk
-    /// the panic poisons that worker's arena, which is the point.
+    /// Panic when the process-wide tick reaches this value (1-based:
+    /// `Some(1)` panics the very first tick). Every full pass and every
+    /// move scoring (a replay, machine lanes included) ticks once, across
+    /// every evaluator tier; cells a relocation scan charges as
+    /// evaluations without replaying them do not. When the Nth tick lands
+    /// inside a batch chunk the panic poisons that worker's arena, which
+    /// is the point.
     #[serde(default)]
     pub panic_at_evaluations: Option<u64>,
     /// Cells to panic on their first attempt (consumed on use).

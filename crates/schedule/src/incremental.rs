@@ -18,8 +18,8 @@
 //! same float operations in the same order as a full pass over the
 //! mutated string, so scores are bit-identical to
 //! [`Evaluator::objective_value`] for every objective (the property
-//! tests pin this down across strides). Every candidate is replayed to
-//! the end of the string: there are no bounds and no shortcuts.
+//! tests pin this down across strides). Every scoring replays to the
+//! end of the string: there are no bounds and no early exits.
 //!
 //! The default stride `C = ⌈√k⌉` balances checkpoint memory/priming cost
 //! (`O(√k)` checkpoints of `O(l)` floats) against resume cost (`≤ C`
@@ -50,6 +50,22 @@
 //! add/max sequence of its own candidate's replay — the lane shape of
 //! the one scheduling kernel — so every lane score is bit-identical to
 //! [`score_move`].
+//!
+//! **Runs of identical schedules.** The kernel never inserts a task into
+//! an idle gap: a task starts at the later of its data-ready time and
+//! its machine's previous finish in string order. The string therefore
+//! fixes the schedule only through each machine's task sequence. Two
+//! relocations of `t` onto the same machine `m` whose positions differ
+//! only by tasks running on other machines (and neither preceding nor
+//! succeeding `t`) give every machine the same sequence, so they
+//! produce the same finish times, busy times and latest finish, bit for
+//! bit. Only the string-order finish sum can round differently.
+//! [`crate::BatchEvaluator::best_relocation`] uses this to replay one
+//! cell per run of such candidates under an objective that ignores the
+//! finish sum ([`Objective::ignores_finish_sum`]). The fact holds for
+//! this kernel only: a kernel that filled idle gaps would make the
+//! schedule depend on the interleaving, and every cell would need its
+//! own replay.
 //!
 //! [`prime`]: IncrementalEvaluator::prime
 //! [`score_move`]: IncrementalEvaluator::score_move
@@ -94,8 +110,14 @@ pub enum MoveScore {
 /// [`mshc_obs::DeterministicPlane`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Move scorings performed (one per candidate, machine lanes
-    /// included).
+    /// Scorings: replays performed, one per candidate that
+    /// [`IncrementalEvaluator::score_move`] or a lane of
+    /// [`IncrementalEvaluator::score_position`] scores. An *evaluation*
+    /// is a charged candidate instead. A relocation scan
+    /// ([`crate::BatchEvaluator::best_relocation`]) charges every cell of
+    /// its grid but, under an objective that ignores the finish-time
+    /// sum, scores one cell per run of identical schedules, so it counts
+    /// fewer scorings than evaluations.
     pub scored: u64,
     /// Population children served by their parent's known cost (exact
     /// clones; the GA axis).

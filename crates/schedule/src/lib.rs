@@ -59,6 +59,21 @@
 //! every intermediate — and hence the final objective value — is the
 //! same IEEE-754 bit pattern the scalar evaluator produces.
 //!
+//! *Why SE's allocation scan may skip replays*: the kernel never inserts
+//! a task into an idle gap; a task starts at the later of its data-ready
+//! time and its machine's previous finish. A schedule is therefore fixed
+//! by each machine's task sequence, not by how the string interleaves
+//! machines. Sliding the relocated task past a task on another machine
+//! keeps every sequence, so the two candidates share every finish time,
+//! busy time and the latest finish, bit for bit; only the string-order
+//! finish sum can round differently. Under an objective that ignores
+//! that sum ([`Objective::ignores_finish_sum`]: makespan, load balance,
+//! a weighted blend without flowtime),
+//! [`best_relocation`](BatchEvaluator::best_relocation) replays one cell
+//! per run of such candidates and charges every cell as an evaluation.
+//! An insertion-based kernel would break the fact, and every cell would
+//! need its own replay.
+//!
 //! ## The encoding
 //!
 //! A solution is a string of `k` segments, each pairing a subtask with a

@@ -143,6 +143,18 @@ impl ObjectiveState {
 pub trait Objective: Sync {
     /// Scores a completed fold.
     fn finalize(&self, state: &ObjectiveState) -> f64;
+
+    /// Whether [`finalize`](Self::finalize) never reads the fold's
+    /// finish-time sum. Every other part of the fold (the latest
+    /// finish, the task count, each machine's busy time) depends only on
+    /// the task sequence each machine runs, never on how the string
+    /// interleaves machines, so two strings with the same per-machine
+    /// sequences score bit-identically under such an objective.
+    /// [`crate::BatchEvaluator::best_relocation`] replays one candidate
+    /// per run of such strings. `false`, the default, is always safe.
+    fn ignores_finish_sum(&self) -> bool {
+        false
+    }
 }
 
 /// The built-in objectives as plumbable configuration.
@@ -307,6 +319,16 @@ impl Objective for ObjectiveKind {
     fn finalize(&self, state: &ObjectiveState) -> f64 {
         self.score(state.max_finish(), state.finish_sum(), state.tasks(), state.machine_busy())
     }
+
+    /// Makespan, load balance, and a weighted blend without a flowtime
+    /// term.
+    fn ignores_finish_sum(&self) -> bool {
+        match *self {
+            ObjectiveKind::Makespan | ObjectiveKind::LoadBalance => true,
+            ObjectiveKind::TotalFlowtime | ObjectiveKind::MeanFlowtime => false,
+            ObjectiveKind::Weighted { flowtime, .. } => flowtime == 0.0,
+        }
+    }
 }
 
 /// The per-objective summary attached to a [`ScheduleReport`].
@@ -385,6 +407,19 @@ mod tests {
             even.fold(MachineId::new(m), 5.0, 5.0);
         }
         assert_eq!(ObjectiveKind::LoadBalance.finalize(&even), 0.0, "even load");
+    }
+
+    #[test]
+    fn kinds_that_ignore_the_finish_sum_never_read_it() {
+        let state = hand_fold();
+        let mut other_sum = ObjectiveState::default();
+        other_sum.load(state.max_finish(), 1234.5, state.tasks(), state.machine_busy());
+        let no_flowtime = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 };
+        for kind in kinds().into_iter().chain([no_flowtime]) {
+            let same = kind.finalize(&state).to_bits() == kind.finalize(&other_sum).to_bits();
+            assert_eq!(kind.ignores_finish_sum(), same, "{}", kind.label());
+        }
+        assert!(no_flowtime.ignores_finish_sum());
     }
 
     #[test]

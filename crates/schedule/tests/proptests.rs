@@ -2,6 +2,8 @@
 //! evaluator semantics and the DES cross-check, on random instances
 //! built without the workload crate (kept dependency-light).
 
+mod support;
+
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
     objective_from_report, random_solution, replay, replay_with, BatchEvaluator, Descent,
@@ -13,6 +15,7 @@ use mshc_taskgraph::TaskId;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use support::{lane_runs, replayed_cells};
 
 /// A random mixed-task move sample inside `base`'s valid ranges — the
 /// shape tabu's neighborhood argmin serves.
@@ -356,8 +359,9 @@ proptest! {
 
         // The relocation grid scan (SE's shape: positions × machines in
         // pos-major order, the base's own cell excluded) agrees with
-        // exact scores plus a first-minimum fold, and counts one
-        // evaluation per cell.
+        // exact scores plus a first-minimum fold, counts one evaluation
+        // per cell, and replays one cell per run of identical schedules
+        // under makespan, every cell under the flowtime objectives.
         let t = moves[0].0;
         let (lo, hi) = base.valid_range(g, t);
         let machines: Vec<MachineId> =
@@ -377,7 +381,112 @@ proptest! {
         let got = pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
         prop_assert_eq!(got.map(|r| (r.pos, r.machine, r.score.to_bits())), want, "grid scan");
         prop_assert_eq!(batch.evaluations(), grid.len() as u64);
-        prop_assert_eq!(batch.scan_stats().scored, grid.len() as u64);
+        let replayed = replayed_cells(&base, t, (lo, hi), &machines, kind_sel == 0);
+        prop_assert_eq!(batch.scan_stats().scored, replayed as u64);
+    }
+
+    /// Sliding the relocated task past a task on another machine keeps
+    /// every machine's task sequence: within each run of a lane, every
+    /// cell's full report has the finish times and busy times of the
+    /// run's first cell, bit for bit, and so the same makespan and load
+    /// balance scores.
+    #[test]
+    fn cells_of_a_run_share_their_schedule(inst in instance_strategy(), seed in any::<u64>()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = inst.graph();
+        let k = inst.task_count();
+        let base = random_solution(&inst, &mut rng);
+        let snap = EvalSnapshot::new(&inst);
+        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+        inc.prime(&base);
+        let mut scalar = Evaluator::new(&inst);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let kinds = [ObjectiveKind::Makespan, ObjectiveKind::LoadBalance];
+        for _ in 0..4 {
+            let t = TaskId::new(rng.gen_range(0..k as u32));
+            let range = base.valid_range(g, t);
+            for m in (0..inst.machine_count()).map(MachineId::from_usize) {
+                let mut report = |pos: usize| {
+                    let mut cand = base.clone();
+                    cand.move_task(g, t, pos, m).unwrap();
+                    scalar.report(&cand)
+                };
+                for run in lane_runs(&base, t, range, m) {
+                    let first = report(run[0]);
+                    let first_scores = kinds.map(|kind| inc.score_move(t, run[0], m, &kind));
+                    for &pos in &run[1..] {
+                        let cell = report(pos);
+                        let label = format!("{t} -> ({pos}, {m})");
+                        prop_assert_eq!(bits(&cell.finish), bits(&first.finish), "{}", label);
+                        prop_assert_eq!(bits(&cell.machine_busy), bits(&first.machine_busy));
+                        let scores = kinds.map(|kind| inc.score_move(t, pos, m, &kind));
+                        prop_assert_eq!(bits(&scores), bits(&first_scores), "{}", label);
+                    }
+                }
+            }
+        }
+    }
+
+    /// SE's relocation argmin commits the first minimum of the exact
+    /// scores over the full grid under every objective kind — the five
+    /// built-ins and a weighted blend without flowtime — at 1, 2 and 8
+    /// threads and strides 1, k/2 and auto, on a Y-limited machine
+    /// ranking. It charges one evaluation per cell and replays exactly
+    /// the cells that start a run (every cell under the objectives that
+    /// read the finish-time sum).
+    #[test]
+    fn relocation_scan_is_the_full_grid_first_minimum(
+        inst in instance_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = inst.graph();
+        let k = inst.task_count();
+        let base = random_solution(&inst, &mut rng);
+        let snap = EvalSnapshot::new(&inst);
+        let t = TaskId::new(rng.gen_range(0..k as u32));
+        let (lo, hi) = base.valid_range(g, t);
+        let mut machines = inst.system().machine_ranking(t);
+        machines.truncate(rng.gen_range(1..=inst.machine_count()));
+        let own = (t, base.position_of(t), base.machine_of(t));
+        let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| machines.iter().map(move |&m| (t, p, m)))
+            .filter(|&cell| cell != own)
+            .collect();
+        let pools: Vec<rayon::ThreadPool> = [1usize, 2, 8]
+            .into_iter()
+            .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap())
+            .collect();
+        // Each kind with whether it ignores the finish-time sum.
+        let kinds = [
+            (ObjectiveKind::Makespan, true),
+            (ObjectiveKind::TotalFlowtime, false),
+            (ObjectiveKind::MeanFlowtime, false),
+            (ObjectiveKind::LoadBalance, true),
+            (ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 }, false),
+            (ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 }, true),
+        ];
+        for (kind, runs) in kinds {
+            let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &kind);
+            let want = scores
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+                .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
+            let replayed = replayed_cells(&base, t, (lo, hi), &machines, runs) as u64;
+            for (pool, threads) in pools.iter().zip([1, 2, 8]) {
+                for stride in [Some(1), Some((k / 2).max(1)), None] {
+                    let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+                    let got =
+                        pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
+                    let got = got.map(|r| (r.pos, r.machine, r.score.to_bits()));
+                    let label = format!("{}, {threads} threads, stride {stride:?}", kind.label());
+                    prop_assert_eq!(got, want, "{}", label);
+                    prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
+                    prop_assert_eq!(batch.scan_stats().scored, replayed, "{}", label);
+                }
+            }
+        }
     }
 
     /// Contention can only delay: the per-pair-link network dominates the

@@ -8,6 +8,8 @@
 //! executor-side half of the house invariant the chunk-grid-invariant
 //! scans in `batch.rs` rely on.
 
+mod support;
+
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
     random_solution, BatchEvaluator, EvalSnapshot, Evaluator, Objective, ObjectiveKind,
@@ -20,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use std::time::Duration;
+use support::replayed_cells;
 
 /// Deterministic per-item delay in 0..23µs — enough to scramble chunk
 /// completion order without slowing the suite down.
@@ -220,12 +223,16 @@ proptest! {
         prop_assert_eq!(scalar.makespan(&cand).to_bits(), baseline.0[0]);
     }
 
-    /// SE's relocation scan on machine lanes fans its positions out over
-    /// the stealing executor once a grid reaches 16,384 lane-replays
-    /// (`positions × machines × k`); every grid here is above that. The
-    /// winner (cell and score bits), the evaluation count and the scan
-    /// counters match the 1-thread scan at 2 and 8 threads, and the
-    /// winner is the first minimum of the exact scores.
+    /// SE's relocation scan fans its positions out over the stealing
+    /// executor once its walk schedules 16,384 lane-replays (lanes
+    /// replayed × `k`); every walk here is above that. Under makespan a
+    /// walk replays one cell per run of identical schedules, so the
+    /// makespan leg takes four times the tasks to get there. The winner
+    /// (cell and score bits), the evaluation count and the scan counters
+    /// match the 1-thread scan at 2 and 8 threads, the winner is the
+    /// first minimum of the exact scores, and the scan replays exactly
+    /// the cells that start a run (every cell under the objectives that
+    /// read the finish-time sum).
     #[test]
     fn lane_relocation_scan_is_thread_invariant_under_stealing(
         tasks in 64usize..96,
@@ -234,6 +241,8 @@ proptest! {
         stride_sel in 0usize..3,
         kind_sel in 0usize..3,
     ) {
+        let runs = kind_sel == 0;
+        let tasks = if runs { 4 * tasks } else { tasks };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let inst = wide_instance(tasks, machines, &mut rng);
         let g = inst.graph();
@@ -246,9 +255,10 @@ proptest! {
         let t = g.tasks().max_by_key(|&t| width(t)).unwrap();
         let (lo, hi) = base.valid_range(g, t);
         let lanes: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
+        let replayed = replayed_cells(&base, t, (lo, hi), &lanes, runs);
         prop_assert!(
-            (hi - lo + 1) * machines * tasks >= 16_384,
-            "grid below the fan-out threshold: {} positions", hi - lo + 1
+            replayed * tasks >= 16_384,
+            "walk below the fan-out threshold: {} replays of {} tasks", replayed, tasks
         );
         let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
         let obj = [
@@ -285,7 +295,7 @@ proptest! {
             .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
         prop_assert_eq!(baseline.0, want, "first minimum of the exact scores");
         prop_assert_eq!(baseline.1, grid.len() as u64);
-        prop_assert_eq!(baseline.2.scored, grid.len() as u64);
+        prop_assert_eq!(baseline.2.scored, replayed as u64);
     }
 
     /// Tabu's mixed-task argmin is thread-invariant on the stealing
