@@ -24,10 +24,10 @@
 //! (`lane_scan_evals_per_sec`) and through the argmin that scores each
 //! cell with one `score_move`; `lane_speedup_vs_exact` is their
 //! same-process ratio, with the winners asserted identical. Under the
-//! probe's makespan objective the relocation argmin walks run starts: it
-//! replays the first position's lanes together and then one cell per
-//! run of identical schedules, while the other argmin replays every
-//! cell.
+//! probe's makespan objective the relocation argmin replays one cell per
+//! run of identical schedules, every one of them a lane of one lockstep
+//! pass over the string without the relocated task, while the other
+//! argmin replays every cell with its own `score_move`.
 //!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
@@ -258,8 +258,8 @@ fn main() {
 
     // SE's allocation grids: every task of an incumbent after a few SE
     // iterations, each over its full valid range × all machines, scanned
-    // on one thread through the relocation argmin (the run-start walk)
-    // and through the argmin that scores each cell with one
+    // on one thread through the relocation argmin (one lane per run
+    // start) and through the argmin that scores each cell with one
     // `score_move`. Both must pick the same cell with the same score
     // bits.
     let (lane_eps, lane_speedup) = {

@@ -26,7 +26,11 @@ pub struct SeScheduler {
 
 impl SeScheduler {
     /// Creates a scheduler with the given configuration.
+    ///
+    /// # Panics
+    /// If the configuration means nothing ([`SeConfig::validate`]).
     pub fn new(config: SeConfig) -> SeScheduler {
+        config.validate();
         SeScheduler { config }
     }
 
@@ -230,7 +234,13 @@ pub struct SePendingBias(SeConfig);
 impl SePendingBias {
     /// Wraps a configuration whose `selection_bias` may be NaN
     /// ("resolve from the instance size at run time").
+    ///
+    /// # Panics
+    /// If the configuration means nothing ([`SeConfig::validate`]), a
+    /// NaN bias aside.
     pub fn new(config: SeConfig) -> SePendingBias {
+        // Whatever size the bias resolves for, it is finite.
+        SePendingBias(config).resolved(0).validate();
         SePendingBias(config)
     }
 
@@ -286,13 +296,14 @@ impl SteppableSearch for SePendingBias {
 /// sequence and no finish time. Under makespan, load balance or a
 /// weighted blend without flowtime, the candidates of one machine that
 /// differ only by such steps therefore score bit-identically, and the
-/// scan replays one per run of them: the first position's allowed
-/// machines in one lockstep lane replay, each later run with one suffix
-/// replay. Under the flowtime objectives every cell is replayed, a
-/// position per lane replay. Every cell is charged as an evaluation
-/// either way. Walks large enough to pay for it fan their positions out
-/// over the worker pool; smaller ones run inline. Ties break to the
-/// earliest candidate in `(position, machine)` grid order.
+/// scan replays one per run of them; under the flowtime objectives it
+/// replays every cell. Either way the replayed cells are lanes of one
+/// lockstep replay of the string without `t`, each lane inserting `t`
+/// at its own position on its own machine, and every cell is charged as
+/// an evaluation. A walk of more lanes than one group (about 16,384
+/// task-replays) fans its groups out over the worker pool; smaller ones
+/// run inline. Ties break to the earliest candidate in `(position,
+/// machine)` grid order.
 fn allocate(
     sol: &mut Solution,
     g: &TaskGraph,
@@ -389,7 +400,7 @@ mod tests {
     fn fanned_out_allocation_is_thread_count_invariant() {
         // The determinism guard for the fanned-out allocation scan: on a
         // sparse DAG over many machines most allocation walks reach the
-        // fan-out threshold (16,384 lane-replays), so their positions
+        // fan-out threshold (16,384 lane-replays), so their lane groups
         // really spread across the pool — and the whole run (solution,
         // makespan, evaluation count and every scan counter) must be
         // bit-identical at 1, 2 and 8 worker threads. Under makespan a
@@ -616,6 +627,34 @@ mod tests {
                 "Y=1 pins {t} to its best machine"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "y_limit must be at least 1")]
+    fn zero_y_limit_is_rejected_at_construction() {
+        SeScheduler::new(SeConfig { y_limit: Some(0), ..SeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "selection_bias must be finite")]
+    fn nan_bias_is_rejected_at_construction() {
+        SeScheduler::new(SeConfig { selection_bias: f64::NAN, ..SeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "selection_bias must be finite")]
+    fn pending_bias_rejects_an_infinite_bias() {
+        SePendingBias::new(SeConfig { selection_bias: f64::NEG_INFINITY, ..SeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "y_limit must be at least 1")]
+    fn pending_bias_rejects_a_zero_y_limit() {
+        SePendingBias::new(SeConfig {
+            selection_bias: f64::NAN,
+            y_limit: Some(0),
+            ..SeConfig::default()
+        });
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub struct SeConfig {
     pub selection_bias: f64,
     /// The `Y` parameter (§4.5): each task may only be (re-)assigned to
     /// its `Y` best-matching machines. `None` means all machines
-    /// (`Y = l`). Values are clamped to `[1, l]` at run time.
+    /// (`Y = l`). A limit must be at least 1 ([`SeConfig::validate`]);
+    /// one above `l` allows every machine.
     pub y_limit: Option<usize>,
     /// RNG seed; every run is fully deterministic given the seed.
     pub seed: u64,
@@ -83,6 +84,22 @@ impl SeConfig {
             0.05
         } else {
             0.1
+        }
+    }
+
+    /// Panics early on settings that mean nothing instead of running
+    /// silently without them: a `y_limit` of 0, a selection bias that is
+    /// not finite (a NaN or infinite bias selects no task, so the run
+    /// would spend its budget on the random initial string), or an
+    /// adaptive-bias field that is not finite.
+    pub fn validate(&self) {
+        assert!(self.y_limit != Some(0), "y_limit must be at least 1, got 0");
+        let bias = self.selection_bias;
+        assert!(bias.is_finite(), "selection_bias must be finite, got {bias}");
+        if let Some(AdaptiveBias { target_fraction, gain }) = self.adaptive_bias {
+            for (name, v) in [("target_fraction", target_fraction), ("gain", gain)] {
+                assert!(v.is_finite(), "adaptive_bias.{name} must be finite, got {v}");
+            }
         }
     }
 
@@ -138,5 +155,33 @@ mod tests {
         assert_eq!(c.selection_bias, -0.2);
         assert_eq!(c.y_limit, Some(3));
         assert_eq!(c.seed, 9);
+        c.validate();
+        SeConfig { adaptive_bias: Some(AdaptiveBias::default()), ..c }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "y_limit must be at least 1")]
+    fn zero_y_limit_rejected() {
+        SeConfig::default().with_y(0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "selection_bias must be finite")]
+    fn infinite_bias_rejected() {
+        SeConfig::default().with_bias(f64::INFINITY).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive_bias.gain must be finite")]
+    fn infinite_adaptive_gain_rejected() {
+        let adaptive = AdaptiveBias { gain: f64::NEG_INFINITY, ..AdaptiveBias::default() };
+        SeConfig { adaptive_bias: Some(adaptive), ..SeConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive_bias.target_fraction must be finite")]
+    fn nan_adaptive_target_rejected() {
+        let adaptive = AdaptiveBias { target_fraction: f64::NAN, ..AdaptiveBias::default() };
+        SeConfig { adaptive_bias: Some(adaptive), ..SeConfig::default() }.validate();
     }
 }

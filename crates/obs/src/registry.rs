@@ -55,7 +55,7 @@ pub enum Counter {
     /// [`Evaluator`]: ../../mshc_schedule/struct.Evaluator.html
     Evaluations,
     /// Tier-3 move scorings: replays, one per candidate a suffix replay
-    /// or a machine lane scores. Not evaluations, which count charged
+    /// or a cell lane scores. Not evaluations, which count charged
     /// candidates: SE's relocation scans charge every grid cell but,
     /// under an objective that ignores the finish-time sum, replay one
     /// cell per run of identical schedules.

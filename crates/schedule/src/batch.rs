@@ -29,19 +29,21 @@
 //! cell can never cascade `"arena pool poisoned"` panics into healthy
 //! scans that share the evaluator.
 //!
-//! SE's allocation scan has its own argmin, [`best_relocation`]: the
-//! candidates of one string position differ only in the relocated
-//! task's machine, so a position is scored in one lockstep replay with a
-//! lane per machine ([`IncrementalEvaluator::score_position`]). Under an
-//! objective that ignores the finish-time sum, most cells need no replay
-//! at all. The scheduling kernel never inserts a task into an idle gap,
-//! so sliding the relocated task past a task on another machine leaves
-//! every machine's task sequence, and so every finish time, unchanged.
-//! The scan replays one cell per run of such identical schedules. Tabu's
-//! sampled neighborhood goes through the mixed-task argmin,
-//! [`best_task_move`], one [`IncrementalEvaluator::score_move`] per
-//! candidate. Both argmins charge one evaluation per candidate and
-//! return exactly the winner of scoring every candidate.
+//! SE's allocation scan has its own argmin, [`best_relocation`]. Every
+//! cell of its grid is the base without the relocated task with that
+//! task inserted at one position on one machine, so the cells it
+//! replays are lanes of one lockstep pass
+//! ([`IncrementalEvaluator::score_cells`]), each lane inserting the task
+//! at its own position. Under an objective that ignores the finish-time
+//! sum, most cells need no replay at all. The scheduling kernel never
+//! inserts a task into an idle gap, so sliding the relocated task past a
+//! task on another machine leaves every machine's task sequence, and so
+//! every finish time, unchanged. The scan replays one cell per run of
+//! such identical schedules. Tabu's sampled neighborhood goes through
+//! the mixed-task argmin, [`best_task_move`], one
+//! [`IncrementalEvaluator::score_move`] per candidate. Both argmins
+//! charge one evaluation per candidate and return exactly the winner of
+//! scoring every candidate.
 //!
 //! GA generations go through [`breed_population`], one overlapped pass
 //! per generation: the calling thread breeds the children in order and
@@ -59,8 +61,8 @@
 //! candidate's score depends only on that candidate, so results are
 //! bit-identical at any thread count; a generation's scores likewise
 //! depend on each child alone, never on which thread scored it or when.
-//! [`best_relocation`] fans its positions out only when the lane-replays
-//! its walk schedules call for it; [`score_task_moves`] (and so
+//! [`best_relocation`] fans its lane groups out only when its walk
+//! holds more than one; [`score_task_moves`] (and so
 //! [`best_task_move`]) splits its candidates on a chunk grid that is a
 //! pure function of the grid itself — its length and the instance's
 //! task count, never the thread count. Small grids run inline on the
@@ -92,7 +94,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// sampled neighborhood) is sized to, in task-replays: a chunk
 /// holds `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates of a `k`-task instance
 /// (62 at the paper's 100 tasks, 205 at 30, 308 at 20). SE's
-/// allocation scan runs on machine lanes instead (see
+/// allocation scan runs on cell lanes instead (see
 /// `LANE_FANOUT_REPLAYS`).
 ///
 /// Derived from the traced per-layer costs on `se-100x20` (2 vCPUs): a
@@ -107,39 +109,39 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// never on the thread count.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
 
-/// Lane-replays at which [`BatchEvaluator::best_relocation`] fans its
-/// positions out over the pool; a walk that schedules fewer runs inline
-/// on the calling thread. A walk's lane-replays are the lanes it
-/// replays times `k`: every position × machine when the objective reads
-/// the finish-time sum, and otherwise the first position's lanes plus
-/// one per later run of identical cells (one scalar
-/// [`IncrementalEvaluator::score_move`] counts as one lane).
+/// Lane-replays one lane group of [`BatchEvaluator::best_relocation`]
+/// is sized to. A group holds `⌈LANE_FANOUT_REPLAYS / k⌉` cell lanes of
+/// a `k`-task instance (164 at 100 tasks, 55 at 300, 547 at 30), so a
+/// group is about `LANE_FANOUT_REPLAYS` lane-replays of work, a lane
+/// replaying at most the `k` string positions. A walk's lanes are the
+/// cells it replays: every cell but the base's own when the objective
+/// reads the finish-time sum, one per run of identical cells otherwise.
+/// A walk of one group runs inline on the calling thread; a longer walk
+/// fans its groups out over the pool. The size also caps an arena's
+/// lane scratch at `k × ⌈LANE_FANOUT_REPLAYS / k⌉` finish slots (16,400
+/// at 100 tasks).
 ///
-/// Derived from the measured layer costs on SE's real 100 × 20 grids
-/// (2 vCPUs, 2.1 GHz Xeon): the lane kernel scores a candidate in about
-/// 0.5–0.65 µs and a scalar replay in about 1.0 µs, i.e. 5–10 ns per
-/// lane-replay unit, so 16,384 units are roughly 80–160 µs of replay.
-/// Fanning out costs one pool dispatch (~6–12 µs to wake a parked
-/// worker) plus the joining worker's prime (~4–7 µs): 10–20 % of such a
-/// walk. That is what a fanned-out scan loses when no worker is free —
-/// in a tournament, whose cells already occupy the pool — while a free
-/// worker takes half the walk. A sweep over full grids agreed: SE at
-/// 100 × 20 (seeds 7–9, 60 iterations, 2 threads) took 0.41–0.43 s at
-/// 2,048–16,384, 0.46 s at 32,768, 0.52 s at 65,536 and 0.61 s all
-/// inline, and a small-suite tournament took 0.23 s at 1,024, 0.22 s at
-/// 4,096 and 0.20–0.21 s at 16,384 (where its grids, at most 30
-/// positions × 8 machines × 30 tasks, all run inline). Under makespan a
-/// 100 × 20 walk replays the first position's 20 lanes, at most one
-/// lane per later position and at most one more after the base's own
-/// cell: at most 12,000 units, so SE's makespan scans at that size run
-/// inline, while at 300 tasks the wider valid ranges cross the
-/// threshold. There the threshold matters little: SE at 300 × 16 (20
-/// iterations, seeds 7–9, 2 threads, 24 runs each) took a median 0.163 s
-/// at 4,096, 0.157 s at 16,384, 0.163 s at 65,536 and 0.164 s all
-/// inline, differences within the host's run-to-run noise. The decision
-/// reads the base string alone, and every replayed score is exact, so
-/// neither the threshold nor the thread count can move a result or a
-/// counter.
+/// Derived from the measured layer costs on SE's real grids (2 vCPUs,
+/// 2.1 GHz Xeon, one thread). A makespan walk at 100 × 20 replays about
+/// 30 lanes, at about 1.0 µs a lane; a total-flowtime walk replays about
+/// 255, at about 0.6 µs a lane, since the lockstep's per-task work is
+/// shared by more lanes. A full group is therefore roughly 100–160 µs of
+/// replay. Fanning a group out costs one pool dispatch (~6–12 µs to wake
+/// a parked worker) plus the joining worker's prime (~4–7 µs), 10–20 %
+/// of a group; that is what a fanned-out walk loses when no worker is
+/// free, in a tournament, whose cells already occupy the pool. A
+/// makespan walk replays the first position's machines plus at most one
+/// lane per later position and one after the base's own cell: at most
+/// 120 lanes at 100 × 20 (70 on the incumbent measured), so it never
+/// fills a group and runs inline. At 300 × 16 (55-lane groups) 12 of 300
+/// walks span two or more groups. A total-flowtime walk at 100 ×
+/// 20 spans two or more groups in 67 of 100 walks. There, on that host,
+/// the second thread neither gains nor loses measurably: `mshc run
+/// --algo se --tasks 100 --machines 20 --seed 7 --iters 30 --objective
+/// total-flowtime` took 0.054–0.074 s on one thread and 0.059–0.077 s on
+/// two (five runs each). The groups are read from the base string
+/// alone, and every replayed score is exact, so neither the group size
+/// nor the thread count can move a result or a counter.
 const LANE_FANOUT_REPLAYS: usize = 16_384;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
@@ -204,7 +206,7 @@ pub enum Descent {
 struct Arena<'a> {
     eval: Evaluator<'a>,
     inc: IncrementalEvaluator<'a>,
-    /// One score slot per machine lane of a relocation scan.
+    /// One score slot per cell lane of a relocation scan.
     lane_scores: Vec<f64>,
     /// Scan epoch `inc` was last primed for (0 = never). Within one scan
     /// the prime inputs are constant, so a matching stamp lets a worker
@@ -305,7 +307,7 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
     }
 
     /// The incremental evaluator plus a score slot for each of `lanes`
-    /// machine lanes.
+    /// cell lanes.
     fn lanes(&mut self, lanes: usize) -> (&mut IncrementalEvaluator<'a>, &mut [f64]) {
         let arena = self.arena.as_mut().expect("arena present until drop");
         arena.lane_scores.resize(lanes, 0.0);
@@ -437,6 +439,10 @@ pub struct BatchEvaluator<'a> {
     evaluations: u64,
     /// Aggregated scoring and population counters across all calls.
     scan: ScanStats,
+    /// Positions and machines of the cells a relocation scan replays,
+    /// reused across scans.
+    cell_pos: Vec<usize>,
+    cell_machines: Vec<MachineId>,
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -449,6 +455,8 @@ impl<'a> BatchEvaluator<'a> {
             stride: None,
             evaluations: 0,
             scan: ScanStats::default(),
+            cell_pos: Vec::new(),
+            cell_machines: Vec::new(),
         }
     }
 
@@ -753,23 +761,23 @@ impl<'a> BatchEvaluator<'a> {
     /// [ignores the finish sum](Objective::ignores_finish_sum), the cells
     /// of lane `m` fall into runs of identical scores: a run starts at
     /// the first position and wherever the passed task runs on `m`. Each
-    /// run is replayed once, at its first cell other than the base's own:
-    /// the first position's lanes in one
-    /// [`IncrementalEvaluator::score_position`] call, every later run
-    /// with one [`IncrementalEvaluator::score_move`]. The other cells of
-    /// a run have the replayed cell's score and come after it in grid
-    /// order, so none of them can be the first minimum, and the winner,
-    /// its score bits and the evaluation count are those of scoring every
-    /// cell through [`score_task_moves`](Self::score_task_moves) and
-    /// folding. Under an objective that reads the finish sum, every cell
-    /// is a run of its own and every position is one lane replay.
+    /// run is replayed once, at its first cell other than the base's
+    /// own. The other cells of a run have the replayed cell's score and
+    /// come after it in grid order, so none of them can be the first
+    /// minimum, and the winner, its score bits and the evaluation count
+    /// are those of scoring every cell through
+    /// [`score_task_moves`](Self::score_task_moves) and folding. Under an
+    /// objective that reads the finish sum, every cell is a run of its
+    /// own.
     ///
-    /// The runs are read from the base string before anything is
-    /// replayed, so the walk is fixed before it starts. It fans its
-    /// positions out over the pool when the lane-replays it schedules
-    /// (lanes replayed × `k`) reach `LANE_FANOUT_REPLAYS` and runs
-    /// inline on the calling thread, with no pool operation, below it.
-    /// Neither choice can move the winner or a counter.
+    /// The replayed cells, in grid order, are lanes of
+    /// [`IncrementalEvaluator::score_cells`], one lockstep pass per
+    /// contiguous group of `⌈LANE_FANOUT_REPLAYS / k⌉` lanes. The cells
+    /// are read from the base string before anything is replayed, so the
+    /// groups are fixed before the walk starts. A walk of one group runs
+    /// inline on the calling thread, with no pool operation; a longer
+    /// walk fans its groups out over the pool. Neither choice can move
+    /// the winner or a counter.
     pub fn best_relocation(
         &mut self,
         base: &Solution,
@@ -790,80 +798,67 @@ impl<'a> BatchEvaluator<'a> {
         if len == 0 {
             return None;
         }
-        // Every lane is replayed at the first position, and everywhere
-        // unless the objective ignores the finish sum.
         let lo = positions.start;
         let runs = obj.ignores_finish_sum();
-        let every_lane = move |pos: usize| !runs || pos == lo;
         // Lane `m` starts a run at `pos`: the first position, or the step
         // to `pos` passes a task on `m`. That task is `S'[pos - 1]`: base
         // position `pos - 1` before `t`'s own, `pos` from there on.
         let run_start = move |pos: usize, m: MachineId| {
             pos == lo || base.segment_at(if pos - 1 < old_pos { pos - 1 } else { pos }).machine == m
         };
-        // A run is replayed at its first cell other than the base's own.
+        // A run is replayed at its first cell other than the base's own;
+        // under an objective that reads the finish sum every cell is a
+        // run of its own.
         let replayed = move |pos: usize, m: MachineId| {
-            !own(pos, m) && (run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
+            !own(pos, m)
+                && (!runs || run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
         };
+        self.cell_pos.clear();
+        self.cell_machines.clear();
+        for pos in positions {
+            for &m in machines.iter().filter(|&&m| replayed(pos, m)) {
+                self.cell_pos.push(pos);
+                self.cell_machines.push(m);
+            }
+        }
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
         self.scan_epoch += 1;
         let epoch = self.scan_epoch;
         let snap = self.snap;
         let pool = &self.arenas;
         let stride = self.stride;
+        let (cell_pos, cell_machines) = (&self.cell_pos[..], &self.cell_machines[..]);
         let before = self.arena_scorings();
         let checkout = || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch);
         // Strict improvement under total_cmp keeps the earliest cell on
-        // ties, within a position and across positions alike.
+        // ties, within a group and across groups alike.
         let first_min = |best: Option<Relocation>, cell: Relocation| match best {
             Some(b) if b.score.total_cmp(&cell.score).is_le() => Some(b),
             _ => Some(cell),
         };
-        // One position = one item: the scores of the cells it replays
-        // depend on the position alone.
-        let score_position = |guard: &mut ArenaGuard<'_, 'a>, pos: usize| {
-            if every_lane(pos) {
-                let (inc, scores) = guard.lanes(machines.len());
-                inc.score_position(t, pos, machines, obj, scores);
-                machines
-                    .iter()
-                    .zip(scores.iter())
-                    .filter(|&(&m, _)| !own(pos, m))
-                    .map(|(&machine, &score)| Relocation { pos, machine, score })
-                    .fold(None, first_min)
-            } else {
-                let inc = guard.inc();
-                machines
-                    .iter()
-                    .filter(|&&m| replayed(pos, m))
-                    .map(|&machine| Relocation {
-                        pos,
-                        machine,
-                        score: inc.score_move(t, pos, machine, obj),
-                    })
-                    .fold(None, first_min)
-            }
+        let group = LANE_FANOUT_REPLAYS.div_ceil(snap.task_count().max(1));
+        let score_group = |guard: &mut ArenaGuard<'_, 'a>, g: usize| {
+            let cells = g * group..((g + 1) * group).min(cell_pos.len());
+            let (pos, machine) = (&cell_pos[cells.clone()], &cell_machines[cells]);
+            let (inc, scores) = guard.lanes(pos.len());
+            inc.score_cells(t, pos, machine, obj, scores);
+            pos.iter()
+                .zip(machine)
+                .zip(scores.iter())
+                .map(|((&pos, &machine), &score)| Relocation { pos, machine, score })
+                .fold(None, first_min)
         };
-        let lanes: usize = positions
-            .clone()
-            .map(|pos| {
-                if every_lane(pos) {
-                    machines.len()
-                } else {
-                    machines.iter().filter(|&&m| replayed(pos, m)).count()
-                }
-            })
-            .sum();
-        let work = lanes * snap.task_count();
-        let per_position: Vec<Option<Relocation>> = if work >= LANE_FANOUT_REPLAYS {
-            positions.into_par_iter().map_init(checkout, score_position).collect()
+        let groups = cell_pos.len().div_ceil(group);
+        let best = if groups > 1 {
+            let per_group: Vec<Option<Relocation>> =
+                (0..groups).into_par_iter().map_init(checkout, score_group).collect();
+            per_group.into_iter().flatten().fold(None, first_min)
         } else {
-            let mut guard = checkout();
-            positions.map(|pos| score_position(&mut guard, pos)).collect()
+            score_group(&mut checkout(), 0)
         };
         self.evaluations += len as u64;
         self.absorb_arena_scorings(before);
-        per_position.into_iter().flatten().fold(None, first_min)
+        best
     }
 
     /// Argmin over a mixed-task move sample (tabu's shape).

@@ -66,7 +66,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Panic when the process-wide tick reaches this value (1-based:
     /// `Some(1)` panics the very first tick). Every full pass and every
-    /// move scoring (a replay, machine lanes included) ticks once, across
+    /// move scoring (a replay, cell lanes included) ticks once, across
     /// every evaluator tier; cells a relocation scan charges as
     /// evaluations without replaying them do not. When the Nth tick lands
     /// inside a batch chunk the panic poisons that worker's arena, which

@@ -40,16 +40,20 @@
 //! of [`EvalSnapshot`]'s single scheduling kernel, so the cache cannot
 //! change a score bit.
 //!
-//! **Machine lanes** ([`score_position`]) serve SE's best-fit allocation
-//! scan, which tries every allowed machine at every valid position. The
-//! candidates of one position share their string and differ only in the
-//! moved task's machine, so they replay together in one lockstep pass
-//! with a lane per machine: the shared prefix and any left-shifted tasks
-//! once, then the suffix with per-lane finish times, frontiers and
-//! accumulators laid out lane-minor. Each lane performs exactly the
-//! add/max sequence of its own candidate's replay — the lane shape of
-//! the one scheduling kernel — so every lane score is bit-identical to
-//! [`score_move`].
+//! **Cell lanes** ([`score_cells`]) serve SE's best-fit allocation
+//! scan, which tries every allowed machine at every valid position.
+//! Every cell of that grid is the base without the relocated task `t`,
+//! call it `S'`, with `t` inserted at one position on one machine. So
+//! any list of cells in position order replays together in one lockstep
+//! pass over `S'` with a lane per cell: the shared prefix and any
+//! left-shifted tasks once, then `S'` from the first cell's position on
+//! with per-lane finish times, frontiers and accumulators laid out
+//! lane-minor, each lane inserting `t` just before its own position.
+//! `t`'s producers precede every cell and its consumers follow every
+//! cell, so each lane performs exactly the add/max sequence of its own
+//! candidate's replay — the lane shape of the one scheduling kernel —
+//! and every lane score is bit-identical to [`score_move`], finish-time
+//! sum included.
 //!
 //! **Runs of identical schedules.** The kernel never inserts a task into
 //! an idle gap: a task starts at the later of its data-ready time and
@@ -69,7 +73,7 @@
 //!
 //! [`prime`]: IncrementalEvaluator::prime
 //! [`score_move`]: IncrementalEvaluator::score_move
-//! [`score_position`]: IncrementalEvaluator::score_position
+//! [`score_cells`]: IncrementalEvaluator::score_cells
 //! [`Evaluator::objective_value`]: crate::Evaluator::objective_value
 
 use crate::encoding::{Segment, Solution};
@@ -112,7 +116,7 @@ pub enum MoveScore {
 pub struct ScanStats {
     /// Scorings: replays performed, one per candidate that
     /// [`IncrementalEvaluator::score_move`] or a lane of
-    /// [`IncrementalEvaluator::score_position`] scores. An *evaluation*
+    /// [`IncrementalEvaluator::score_cells`] scores. An *evaluation*
     /// is a charged candidate instead. A relocation scan
     /// ([`crate::BatchEvaluator::best_relocation`]) charges every cell of
     /// its grid but, under an objective that ignores the finish-time
@@ -251,11 +255,11 @@ pub struct IncrementalEvaluator<'a> {
     /// building, mirroring how batch arenas keep the evaluation axis
     /// independent of chunking).
     evaluations: u64,
-    /// Scratch of [`Self::score_position`]'s machine lanes.
+    /// Scratch of [`Self::score_cells`]'s cell lanes.
     lanes: LaneScratch,
 }
 
-/// Per-lane replay state of [`IncrementalEvaluator::score_position`],
+/// Per-lane replay state of [`IncrementalEvaluator::score_cells`],
 /// lane-minor so every per-lane loop runs over one contiguous row. Grown
 /// on first use to the lane count in play and reused afterwards.
 #[derive(Debug, Default)]
@@ -579,39 +583,50 @@ impl<'a> IncrementalEvaluator<'a> {
         MoveScore::Exact(self.score_move(t, new_pos, new_m, obj))
     }
 
-    /// Scores *base with task `t` moved to string position `pos`* on
-    /// every machine of `machines` at once: `out[j]` receives the score
-    /// of the move onto `machines[j]`, bit-identical to
-    /// [`score_move`](Self::score_move)`(t, pos, machines[j], obj)` and
-    /// so to a full pass over the materialized candidate.
+    /// Scores relocation cells of task `t` in one lockstep pass: lane
+    /// `j` is the cell `(positions[j], machines[j])`, *base with `t`
+    /// moved to string position `positions[j]` on machine
+    /// `machines[j]`*, and `out[j]` receives its score, bit-identical to
+    /// [`score_move`](Self::score_move)`(t, positions[j], machines[j],
+    /// obj)` and so to a full pass over the materialized candidate.
+    /// Positions must be nondecreasing and inside `t`'s valid range;
+    /// cells may repeat.
     ///
-    /// The candidates of one position share their string, and differ
-    /// only in `t`'s machine, so they are replayed in one lockstep pass
-    /// with one *lane* per machine. The replay resumes from the
-    /// checkpoint at or before `min(old_pos, pos)` and fast-forwards
-    /// from the stored finish times. A rightward move first replays the
-    /// left-shifted tasks `[old_pos, pos)` once, scalar: none of them
-    /// reads `t`, so every lane agrees on them. `t` is then placed on
-    /// each lane's machine through the scheduling kernel's scalar step,
-    /// and the suffix is replayed through its lane step with per-lane
-    /// finish times, frontiers and accumulators. Each lane folds exactly
-    /// what [`ObjectiveState::fold`] folds and is finalized through
-    /// [`Objective::finalize`].
+    /// Let `S'` be the base without `t`; cell `j` is `S'` with `t`
+    /// inserted just before `S'[positions[j]]`. The pass resumes from
+    /// the checkpoint at or before the first disturbed position and
+    /// fast-forwards from the stored finish times. When the first cell
+    /// lies right of `t`'s own position, the left-shifted tasks between
+    /// the two replay once, scalar: none of them touches `t`. Every lane
+    /// then starts from that shared state, and `S'` from the first
+    /// cell's position on replays through the kernel's lane step, with
+    /// per-lane finish times, frontiers and accumulators laid out
+    /// lane-minor. Just before `S'[positions[j]]`, lane `j` inserts `t`
+    /// through the scalar step's data-ready fold over its own machine
+    /// and its own frontier. This stays exact:
     ///
-    /// Every lane counts as one scoring (and one fault-plan tick) —
-    /// except a lane that would re-score the base's own placement
-    /// (`pos` is `t`'s position and `machines[j]` its machine), whose
-    /// slot still receives the base score. The base stays primed, and
-    /// the lane scratch is reused, so steady-state calls allocate
-    /// nothing.
+    /// * `t`'s producers precede the valid range, so every lane reads
+    ///   their shared finish times;
+    /// * `t`'s consumers follow it, so every lane has inserted `t`
+    ///   before one of them reads it;
+    /// * a lane whose insertion is still ahead steps the same inputs
+    ///   through the same ops as every other such lane, so it holds
+    ///   exactly the values of `S'`;
+    /// * each lane folds `t` at its own insertion point, so its fold
+    ///   runs in its candidate's string order, and objectives that read
+    ///   the finish-time sum stay bit-identical too.
+    ///
+    /// Every lane counts as one scoring (and one fault-plan tick). The
+    /// base stays primed, and the lane scratch is reused, so
+    /// steady-state calls allocate nothing.
     ///
     /// # Panics
-    /// As [`score_move`](Self::score_move), or if `out` is not one slot
-    /// per machine.
-    pub fn score_position(
+    /// As [`score_move`](Self::score_move), or if `machines` or `out`
+    /// does not hold one entry per cell.
+    pub fn score_cells(
         &mut self,
         t: TaskId,
-        pos: usize,
+        positions: &[usize],
         machines: &[MachineId],
         obj: &dyn Objective,
         out: &mut [f64],
@@ -639,24 +654,23 @@ impl<'a> IncrementalEvaluator<'a> {
         let base = base.as_ref().expect("prime() the evaluator first");
         let k = base.len();
         let l = snap.machine_count();
-        let y = machines.len();
-        assert!(pos < k, "move position out of range");
-        assert_eq!(out.len(), y, "one score slot per lane");
+        let n = positions.len();
+        assert_eq!(machines.len(), n, "one machine per cell");
+        assert_eq!(out.len(), n, "one score slot per cell");
+        let (Some(&p0), Some(&last)) = (positions.first(), positions.last()) else { return };
+        assert!(last < k, "move position out of range");
+        debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "positions nondecreasing");
         debug_assert!(machines.iter().all(|m| m.index() < l), "machine out of range");
-
-        let old_pos = base.position_of(t);
-        let old_m = base.machine_of(t);
-        let own = if pos == old_pos { machines.iter().filter(|&&m| m == old_m).count() } else { 0 };
-        let scored = (y - own) as u64;
-        *evaluations += scored;
-        obs::add(obs::Counter::ScanScored, scored);
-        for _ in 0..scored {
+        *evaluations += n as u64;
+        obs::add(obs::Counter::ScanScored, n as u64);
+        for _ in 0..n {
             crate::faults::eval_tick();
         }
 
         // Resume from the nearest checkpoint at or before the first
         // disturbed position and fast-forward the unchanged prefix.
-        let first = old_pos.min(pos);
+        let old_pos = base.position_of(t);
+        let first = old_pos.min(p0);
         let ci = first / *stride;
         machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
         state.load(ckpt_max[ci], ckpt_sum[ci], ci * *stride, &ckpt_busy[ci * l..(ci + 1) * l]);
@@ -667,12 +681,12 @@ impl<'a> IncrementalEvaluator<'a> {
             state.fold(mu, f, snap.exec_time(mu, u));
         }
 
-        // A rightward move shifts base positions (old_pos, pos] one to
-        // the left. None of them consumes `t` (it lands after them), and
-        // none of their edges touches `t`, so they replay once, scalar,
-        // on the cached base edge costs.
-        if pos > old_pos {
-            for seg in &base.segments()[old_pos + 1..=pos] {
+        // A first cell right of `t` shifts base positions (old_pos, p0]
+        // one to the left. None of them consumes `t` (every cell lands
+        // after them), and none of their edges touches `t`, so they
+        // replay once, scalar, on the cached base edge costs.
+        if p0 > old_pos {
+            for seg in &base.segments()[old_pos + 1..=p0] {
                 let (u, mu) = (seg.task, seg.machine);
                 let exec = snap.exec_time(mu, u);
                 let (_, f) =
@@ -684,48 +698,50 @@ impl<'a> IncrementalEvaluator<'a> {
             }
         }
 
-        lanes.reserve(k, l, y);
+        // Every lane starts from the shared frontier and fold.
+        lanes.reserve(k, l, n);
         let LaneScratch { finish: lane_finish, avail, busy, max, sum, step, column } = lanes;
-        // `t` itself, once per lane: every producer is shared, and the
-        // in-edges are priced for the lane's machine.
-        let t_row = t.index() * y..(t.index() + 1) * y;
-        for (f_t, &m) in lane_finish[t_row.clone()].iter_mut().zip(machines) {
-            let rows = snap.pair_rows(m);
-            let exec = snap.exec_time(m, t);
-            let (_, f) = snap.schedule_step(
-                t,
-                m,
-                exec,
-                |e, src| snap.edge_transfer(e, rows[base_machine[src] as usize]),
-                finish,
-                machine_avail,
-            );
-            *f_t = f;
-        }
-        // Lane state: the shared frontier and fold, each lane then
-        // folding its own placement of `t` (`ObjectiveState::fold`).
         for x in 0..l {
-            avail[x * y..(x + 1) * y].fill(machine_avail[x]);
-            busy[x * y..(x + 1) * y].fill(state.machine_busy()[x]);
+            avail[x * n..(x + 1) * n].fill(machine_avail[x]);
+            busy[x * n..(x + 1) * n].fill(state.machine_busy()[x]);
         }
-        for (j, (&m, &f)) in machines.iter().zip(&lane_finish[t_row.clone()]).enumerate() {
-            avail[m.index() * y + j] = f;
-            max[j] = state.max_finish().max(f);
-            sum[j] = state.finish_sum() + f;
-            busy[m.index() * y + j] += snap.exec_time(m, t);
-        }
-        let mut tasks = state.tasks() + 1;
+        max[..n].fill(state.max_finish());
+        sum[..n].fill(state.finish_sum());
 
-        // The suffix in lanes: every base task from `from` on except `t`
-        // (a leftward move shifts base positions [pos, old_pos) right).
-        let from = if pos < old_pos { pos } else { pos + 1 };
-        for seg in &base.segments()[from..] {
-            let (u, mu) = (seg.task, seg.machine);
-            if u == t {
-                continue;
+        // `S'[i]` is base position `i` before `t`'s own and `i + 1` from
+        // there on, so `S'[p0..]` is the base from `from` on without `t`.
+        let from = if p0 < old_pos { p0 } else { p0 + 1 };
+        let t_row = t.index() * n..(t.index() + 1) * n;
+        let mut next = 0;
+        for i in p0..k {
+            // Lanes whose cell sits at `i` insert `t` before `S'[i]`:
+            // its producers are shared, its in-edges priced for the
+            // lane's machine, its frontier the lane's own.
+            while next < n && positions[next] == i {
+                let (j, m) = (next, machines[next]);
+                let rows = snap.pair_rows(m);
+                let exec = snap.exec_time(m, t);
+                let ready = snap.data_ready(
+                    t,
+                    |e, src| snap.edge_transfer(e, rows[base_machine[src] as usize]),
+                    finish,
+                );
+                let slot = m.index() * n + j;
+                let f = ready.max(avail[slot]) + exec;
+                lane_finish[t.index() * n + j] = f;
+                avail[slot] = f;
+                max[j] = max[j].max(f);
+                sum[j] += f;
+                busy[slot] += exec;
+                next += 1;
             }
+            if i + 1 == k {
+                break; // `S'` holds k - 1 tasks
+            }
+            let seg = base.segment_at(if i < old_pos { i } else { i + 1 });
+            let (u, mu) = (seg.task, seg.machine);
             let exec = snap.exec_time(mu, u);
-            let row = mu.index() * y..(mu.index() + 1) * y;
+            let row = mu.index() * n..(mu.index() + 1) * n;
             snap.lane_step(
                 u,
                 mu,
@@ -733,9 +749,10 @@ impl<'a> IncrementalEvaluator<'a> {
                 machines,
                 |e, src| {
                     if src == t.index() {
+                        debug_assert_eq!(next, n, "a consumer of {t} precedes a cell");
                         LaneArrival::Moved(&lane_finish[t_row.clone()])
                     } else if base.position_of(TaskId::from_usize(src)) >= from {
-                        LaneArrival::Lanes(&lane_finish[src * y..(src + 1) * y], edge_cost[e])
+                        LaneArrival::Lanes(&lane_finish[src * n..(src + 1) * n], edge_cost[e])
                     } else {
                         LaneArrival::Shared(finish[src] + edge_cost[e])
                     }
@@ -743,12 +760,12 @@ impl<'a> IncrementalEvaluator<'a> {
                 &avail[row.clone()],
                 step,
             );
-            let lanes = lane_finish[u.index() * y..(u.index() + 1) * y]
+            let lanes = lane_finish[u.index() * n..(u.index() + 1) * n]
                 .iter_mut()
                 .zip(&mut avail[row.clone()])
                 .zip(&mut busy[row])
                 .zip(max.iter_mut().zip(sum.iter_mut()))
-                .zip(&step[..y]);
+                .zip(&step[..n]);
             for ((((f_u, a), b), (mx, sm)), &f) in lanes {
                 *f_u = f;
                 *a = f;
@@ -756,15 +773,15 @@ impl<'a> IncrementalEvaluator<'a> {
                 *sm += f;
                 *b += exec;
             }
-            tasks += 1;
         }
 
+        // Every lane has folded all k tasks.
         let column = &mut column[..l];
         for (j, score) in out.iter_mut().enumerate() {
             for (x, c) in column.iter_mut().enumerate() {
-                *c = busy[x * y + j];
+                *c = busy[x * n + j];
             }
-            state.load(max[j], sum[j], tasks, column);
+            state.load(max[j], sum[j], k, column);
             *score = obj.finalize(state);
         }
         for &u in dirty.iter() {

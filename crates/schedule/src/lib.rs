@@ -39,10 +39,14 @@
 //!    cheaper than tier 1 per candidate. Two entry shapes:
 //!    [`score_move`](IncrementalEvaluator::score_move), one candidate at
 //!    a time, for tabu's sampled neighborhood and SA's proposal loop; and
-//!    machine lanes
-//!    ([`score_position`](IncrementalEvaluator::score_position)) for SE's
-//!    allocation scan, which scores all allowed machines of one position
-//!    in a single lockstep replay with a lane per machine. The batch
+//!    cell lanes ([`score_cells`](IncrementalEvaluator::score_cells)) for
+//!    SE's allocation scan, which replays the base without the relocated
+//!    task once, in lockstep, with a lane per cell of the grid, each lane
+//!    inserting the task at its own position on its own machine. The
+//!    task's producers precede every cell and its consumers follow every
+//!    cell, and a lane whose insertion is still ahead holds exactly the
+//!    values of the string without the task, so every lane is its own
+//!    candidate's replay, op for op. The batch
 //!    move-scoring entry points route through per-thread incremental
 //!    evaluators automatically, so tiers 2 and 3 compose. GA offspring
 //!    share no single-move shape with a parent: a generation

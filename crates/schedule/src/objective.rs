@@ -10,7 +10,7 @@
 //! objective through the same argmin machinery.
 //!
 //! This module is the only place that decides how a schedule is scored.
-//! Every evaluator (a full pass, a suffix replay, a machine lane) builds
+//! Every evaluator (a full pass, a suffix replay, a cell lane) builds
 //! the same fold and hands it to [`Objective::finalize`];
 //! [`objective_from_report`] applies the same formulas to a
 //! [`ScheduleReport`], which is how the discrete-event replay serves as
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The scalar [`crate::Evaluator`]'s full pass, the checkpoint-resumed
 /// suffix replay of [`crate::IncrementalEvaluator`] and each of its
-/// machine lanes fold tasks in the same order over the same values, so
+/// cell lanes fold tasks in the same order over the same values, so
 /// [`Objective::finalize`] produces **bit-identical** scores on every
 /// route (max is order-independent for non-negative times; the sums fold
 /// identical values in identical order).

@@ -111,19 +111,14 @@ impl EvalSnapshot {
             }
         }
 
-        let mut exec = Vec::with_capacity(l * k);
-        for m in 0..l {
-            for t in 0..k {
-                exec.push(sys.exec_matrix().get(m, t));
-            }
-        }
+        // Both matrices are row-major with exactly the slabs' shapes, so
+        // each slab is one slice copy.
+        let exec = sys.exec_matrix().as_slice().to_vec();
+        debug_assert_eq!(exec.len(), l * k, "E is l × k");
         let pairs = pair_count(l);
         let mut transfer = Vec::with_capacity((pairs + 1) * p);
-        for pair in 0..pairs {
-            for d in 0..p {
-                transfer.push(sys.transfer_matrix().get(pair, d));
-            }
-        }
+        transfer.extend_from_slice(sys.transfer_matrix().as_slice());
+        debug_assert_eq!(transfer.len(), pairs * p, "Tr is l(l-1)/2 × p");
         // The co-located row: the model charges nothing for data that
         // stays on its machine.
         transfer.resize((pairs + 1) * p, 0.0);
@@ -251,20 +246,37 @@ impl EvalSnapshot {
     /// where the edge cost comes from (a pair-table lookup, or tier 3's
     /// per-edge cache of those same lookups). The one other shape of the
     /// kernel is [`Self::lane_step`], which performs this same sequence
-    /// once per machine lane. The bit-identity guarantee across tiers
-    /// rests on these float operations happening in exactly this order;
-    /// do not duplicate or reorder them.
+    /// once per cell lane; a lane's insertion of the relocated task
+    /// calls [`Self::data_ready`] and finishes the step the same way.
+    /// The bit-identity guarantee across tiers rests on these float
+    /// operations happening in exactly this order; do not duplicate or
+    /// reorder them.
     #[inline]
     pub(crate) fn schedule_step(
         &self,
         t: TaskId,
         m: MachineId,
         exec: f64,
-        mut edge_cost: impl FnMut(usize, usize) -> f64,
+        edge_cost: impl FnMut(usize, usize) -> f64,
         finish: &[f64],
         machine_avail: &[f64],
     ) -> (f64, f64) {
-        // Data-arrival constraint: every input item must have arrived.
+        let ready = self.data_ready(t, edge_cost, finish);
+        // Machine-order constraint: the machine must be free.
+        let start = ready.max(machine_avail[m.index()]);
+        (start, start + exec)
+    }
+
+    /// The data-arrival constraint of [`Self::schedule_step`]: `ready`
+    /// starts at `0.0` and folds `ready.max(finish[src] + edge_cost(e,
+    /// src))` over `t`'s incoming edges in predecessor-CSR order.
+    #[inline]
+    pub(crate) fn data_ready(
+        &self,
+        t: TaskId,
+        mut edge_cost: impl FnMut(usize, usize) -> f64,
+        finish: &[f64],
+    ) -> f64 {
         let edges = self.pred_edges(t);
         let mut ready = 0.0f64;
         for (e, &src) in edges.clone().zip(&self.pred_src[edges]) {
@@ -272,27 +284,31 @@ impl EvalSnapshot {
             let arrival = finish[src] + edge_cost(e, src);
             ready = ready.max(arrival);
         }
-        // Machine-order constraint: the machine must be free.
-        let start = ready.max(machine_avail[m.index()]);
-        (start, start + exec)
+        ready
     }
 
     /// The lane shape of [`Self::schedule_step`] — the second shape of
     /// the one scheduling kernel. Steps task `t` on machine `m` with
-    /// execution time `exec` once per *lane*, where the lanes are copies
-    /// of one candidate string that differ only in the machine
-    /// `lanes[j]` of a single relocated task. `arrival(e, src)` says
-    /// where the incoming edge at predecessor-CSR position `e` arrives
-    /// from (see [`LaneArrival`]), `avail[j]` is `m`'s frontier in lane
-    /// `j`, and `finish[j]` receives `t`'s finish time in lane `j`.
+    /// execution time `exec` once per *lane*. The lanes are cells of one
+    /// relocation grid: each replays the string without the relocated
+    /// task, and lane `j` inserts that task at its own position on
+    /// machine `lanes[j]`. `t` is never the relocated task itself: that
+    /// one enters each lane through [`Self::data_ready`].
+    /// `arrival(e, src)` says where the incoming edge at
+    /// predecessor-CSR position `e` arrives from (see [`LaneArrival`]),
+    /// `avail[j]` is `m`'s frontier in lane `j`, and `finish[j]`
+    /// receives `t`'s finish time in lane `j`.
     ///
     /// Same op-order contract as [`Self::schedule_step`]: in every lane,
     /// `ready` starts at `0.0` and folds `ready.max(finish + cost)` edge
     /// by edge in CSR order, then `start = ready.max(avail)` and
     /// `finish = start + exec`. A [`LaneArrival::Shared`] sum is the very
     /// `finish + cost` the scalar step adds, so each lane reproduces the
-    /// scalar step of its own candidate bit for bit. The per-lane loops
-    /// run over contiguous rows, which the compiler vectorizes.
+    /// scalar step of its own candidate bit for bit. A lane that has not
+    /// inserted the relocated task yet gets the same inputs as every
+    /// other such lane, so all of them hold the values of the string
+    /// without it. The per-lane loops run over contiguous rows, which
+    /// the compiler vectorizes.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lane_step<'a>(
@@ -341,15 +357,17 @@ impl EvalSnapshot {
 /// from: the three cases a single-task relocation leaves.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LaneArrival<'a> {
-    /// A producer every lane shares (scheduled before the relocated
-    /// task): one `finish + edge cost`, broadcast to every lane.
+    /// A producer every lane shares (scheduled before the first cell's
+    /// position): one `finish + edge cost`, broadcast to every lane.
     Shared(f64),
     /// A producer replayed in lanes over an edge not touching the
     /// relocated task: its per-lane finish times plus the edge's cached
     /// base cost.
     Lanes(&'a [f64], f64),
     /// The relocated task itself: its per-lane finish times, each over
-    /// the transfer from that lane's machine to the consumer's.
+    /// the transfer from that lane's machine to the consumer's. Its
+    /// consumers come after every cell of a valid range, so each lane
+    /// has inserted it by the time one of them reads it.
     Moved(&'a [f64]),
 }
 
@@ -388,6 +406,21 @@ mod tests {
             for t in inst.graph().tasks() {
                 assert_eq!(snap.exec_time(m, t), sys.exec_time(m, t));
             }
+        }
+    }
+
+    /// The slabs are the instance's row-major matrices: `E` verbatim,
+    /// and `Tr` followed by the all-zero co-located row of `p` entries.
+    #[test]
+    fn slabs_copy_the_instance_matrices() {
+        for machines in [1, 2, 5] {
+            let inst = instance_on(machines);
+            let snap = EvalSnapshot::new(&inst);
+            let sys = inst.system();
+            assert_eq!(snap.exec, sys.exec_matrix().as_slice(), "{machines} machines");
+            let tr = sys.transfer_matrix().as_slice();
+            assert_eq!(&snap.transfer[..tr.len()], tr, "{machines} machines");
+            assert_eq!(snap.transfer[tr.len()..], vec![0.0; snap.data_count()]);
         }
     }
 

@@ -700,14 +700,18 @@ proptest! {
         }
     }
 
-    /// The machine-lane kernel: every lane of `score_position` equals
-    /// `score_move` of the same candidate bit for bit — under every
-    /// objective, at every stride, for positions left of, right of and
-    /// at the task's own, over all machines, a Y-limited ranking prefix
-    /// and a single machine. Afterwards a fresh `score_move` and
-    /// `base_score` still read the base, so the lane replay restored
-    /// the shared scratch. Instances include a single machine and
-    /// edgeless DAGs.
+    /// The cell-lane kernel: every lane of `score_cells` equals
+    /// `score_move` of the same cell bit for bit — under the five
+    /// objective kinds and a weighted blend without flowtime, at strides
+    /// 1, k/2 and auto — on nondecreasing cell lists: random cells on
+    /// both sides of the task's own position with a repeated cell, the
+    /// full grid of a Y-limited ranking prefix, every machine at one
+    /// position, one machine (Y = 1) at every position, a single lane,
+    /// and the last valid position (the last string position for a
+    /// sink). Every lane counts one scoring. Afterwards a fresh
+    /// `score_move` and `base_score` still read the base, so the lane
+    /// replay restored the shared scratch. Instances include a single
+    /// machine and edgeless DAGs.
     #[test]
     fn lane_scores_equal_score_move_bit_for_bit(
         k in 1usize..25,
@@ -717,7 +721,7 @@ proptest! {
         use_layered in prop::bool::ANY,
         shape in 0usize..3,
         seed in any::<u64>(),
-        stride_sel in 0usize..4,
+        stride_sel in 0usize..3,
     ) {
         let inst = match shape {
             0 => build_instance(k, l, p, inst_seed, use_layered),
@@ -728,7 +732,7 @@ proptest! {
         let g = inst.graph();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let base = random_solution(&inst, &mut rng);
-        let stride = [Some(1), None, Some(k), Some(k + 17)][stride_sel];
+        let stride = [Some(1), Some((k / 2).max(1)), None][stride_sel];
         let snap = EvalSnapshot::new(&inst);
         let mut inc = IncrementalEvaluator::with_snapshot(&snap);
         inc.set_stride(stride);
@@ -737,51 +741,74 @@ proptest! {
         oracle.set_stride(stride);
         oracle.prime(&base);
         let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
-        for _ in 0..4 {
-            let t = TaskId::new(rng.gen_range(0..k as u32));
+        let kinds = [
+            ObjectiveKind::Makespan,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::MeanFlowtime,
+            ObjectiveKind::LoadBalance,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 },
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 },
+        ];
+        // Two random tasks, the string's first task (a source) and its
+        // last (a sink, whose range ends at the last string position).
+        let tasks = [
+            TaskId::new(rng.gen_range(0..k as u32)),
+            TaskId::new(rng.gen_range(0..k as u32)),
+            base.segment_at(0).task,
+            base.segment_at(k - 1).task,
+        ];
+        for t in tasks {
             let (lo, hi) = base.valid_range(g, t);
             let own = base.position_of(t);
-            let mut positions = vec![lo, own, hi, rng.gen_range(lo..=hi)];
-            positions.dedup();
+            let any_machine = |rng: &mut ChaCha8Rng| MachineId::from_usize(rng.gen_range(0..l));
             let ranking = inst.system().machine_ranking(t);
-            let all: Vec<MachineId> = (0..l).map(MachineId::from_usize).collect();
-            let lane_sets = [
-                all,
-                ranking[..rng.gen_range(1..=l)].to_vec(),
-                vec![MachineId::from_usize(rng.gen_range(0..l))],
+            let prefix = &ranking[..rng.gen_range(1..=l)];
+            let mut random: Vec<(usize, MachineId)> = Vec::new();
+            for pos in [lo, own, hi] {
+                random.push((pos, any_machine(&mut rng)));
+            }
+            for _ in 0..rng.gen_range(0..8) {
+                random.push((rng.gen_range(lo..=hi), any_machine(&mut rng)));
+            }
+            random.push(random[rng.gen_range(0..random.len())]);
+            random.sort_by_key(|&(pos, _)| pos);
+            let at = rng.gen_range(lo..=hi);
+            let cell_lists: Vec<Vec<(usize, MachineId)>> = vec![
+                random,
+                (lo..=hi).flat_map(|pos| prefix.iter().map(move |&m| (pos, m))).collect(),
+                (0..l).map(|m| (at, MachineId::from_usize(m))).collect(),
+                (lo..=hi).map(|pos| (pos, ranking[0])).collect(),
+                vec![(rng.gen_range(lo..=hi), any_machine(&mut rng))],
+                vec![(hi, any_machine(&mut rng)), (hi, base.machine_of(t))],
             ];
-            for machines in &lane_sets {
-                for &pos in &positions {
-                    for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-                        let before = inc.evaluations();
-                        let mut out = vec![f64::NAN; machines.len()];
-                        inc.score_position(t, pos, machines, &kind, &mut out);
-                        for (&m, &got) in machines.iter().zip(&out) {
-                            let want = oracle.score_move(t, pos, m, &kind);
-                            prop_assert_eq!(
-                                got.to_bits(), want.to_bits(),
-                                "{} stride {:?}: {} -> ({}, {})", kind.label(), stride, t, pos, m
-                            );
-                        }
-                        let own_cells = machines
-                            .iter()
-                            .filter(|&&m| pos == own && m == base.machine_of(t))
-                            .count();
+            for cells in &cell_lists {
+                let positions: Vec<usize> = cells.iter().map(|c| c.0).collect();
+                let machines: Vec<MachineId> = cells.iter().map(|c| c.1).collect();
+                for kind in kinds {
+                    let before = inc.evaluations();
+                    let mut out = vec![f64::NAN; cells.len()];
+                    inc.score_cells(t, &positions, &machines, &kind, &mut out);
+                    for (&(pos, m), &got) in cells.iter().zip(&out) {
+                        let want = oracle.score_move(t, pos, m, &kind);
                         prop_assert_eq!(
-                            inc.evaluations() - before,
-                            (machines.len() - own_cells) as u64,
-                            "one scoring per lane, the base's own cell excluded"
-                        );
-                        let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
-                        let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
-                        let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
-                        prop_assert_eq!(got.to_bits(), want.to_bits(), "fresh move {:?}", fresh);
-                        prop_assert_eq!(
-                            inc.base_score(&kind).to_bits(),
-                            scalar.objective_value(&base, &kind).to_bits()
+                            got.to_bits(), want.to_bits(),
+                            "{} stride {:?}: {} -> ({}, {}) in {:?}",
+                            kind.label(), stride, t, pos, m, cells
                         );
                     }
+                    prop_assert_eq!(
+                        inc.evaluations() - before,
+                        cells.len() as u64,
+                        "one scoring per lane"
+                    );
+                    let fresh = sample_moves(&inst, &base, 1, &mut rng)[0];
+                    let want = moved_score(&mut scalar, &inst, &base, fresh, &kind);
+                    let got = inc.score_move(fresh.0, fresh.1, fresh.2, &kind);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "fresh move {:?}", fresh);
+                    prop_assert_eq!(
+                        inc.base_score(&kind).to_bits(),
+                        scalar.objective_value(&base, &kind).to_bits()
+                    );
                 }
             }
         }

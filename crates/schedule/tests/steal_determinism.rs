@@ -57,7 +57,7 @@ fn wide_instance(tasks: usize, machines: usize, rng: &mut ChaCha8Rng) -> HcInsta
 
 /// The makespan, after sleeping a hash-derived few microseconds per
 /// scoring — per-candidate jitter driven through the real scoring
-/// pipeline (suffix replays and machine lanes), not just a synthetic
+/// pipeline (suffix replays and cell lanes), not just a synthetic
 /// map.
 struct JitteredMakespan {
     salt: u64,
@@ -165,7 +165,7 @@ proptest! {
 
     /// The full scoring pipeline under per-candidate delays: the widest
     /// task's grid scored as `(t, pos, m)` triples (several scan chunks)
-    /// and through the relocation argmin (on machine lanes, above the
+    /// and through the relocation argmin (on cell lanes, above the
     /// fan-out threshold). Scores, the argmin (cell and score bits) and
     /// the evaluation count all match the 1-thread run at every thread
     /// count, with steal-order jitter injected through the objective.
@@ -190,8 +190,8 @@ proptest! {
         let lanes: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
         let moves: Vec<(TaskId, usize, MachineId)> =
             (lo..=hi).flat_map(|p| lanes.iter().map(move |&m| (t, p, m))).collect();
-        // 16,384 lane-replays fan the lanes out, and are several
-        // 6,144-replay chunks of triples.
+        // 16,384 lane-replays fill a lane group of the relocation scan,
+        // and are several 6,144-replay chunks of triples.
         prop_assert!(moves.len() * tasks >= 16_384, "grid below the fan-out thresholds");
         let obj = JitteredMakespan { salt };
 
@@ -223,11 +223,13 @@ proptest! {
         prop_assert_eq!(scalar.makespan(&cand).to_bits(), baseline.0[0]);
     }
 
-    /// SE's relocation scan fans its positions out over the stealing
-    /// executor once its walk schedules 16,384 lane-replays (lanes
-    /// replayed × `k`); every walk here is above that. Under makespan a
-    /// walk replays one cell per run of identical schedules, so the
-    /// makespan leg takes four times the tasks to get there. The winner
+    /// SE's relocation scan replays its cells as lanes, in groups of
+    /// `⌈16,384 / k⌉` lanes, and fans the groups of a longer walk out
+    /// over the stealing executor; every walk here replays at least
+    /// 16,384 lane-replays (lanes × `k`), and a walk that replays every
+    /// cell spans at least two groups. Under makespan a walk replays one
+    /// cell per run of identical schedules, so the makespan leg takes
+    /// four times the tasks to get there. The winner
     /// (cell and score bits), the evaluation count and the scan counters
     /// match the 1-thread scan at 2 and 8 threads, the winner is the
     /// first minimum of the exact scores, and the scan replays exactly
@@ -260,6 +262,8 @@ proptest! {
             replayed * tasks >= 16_384,
             "walk below the fan-out threshold: {} replays of {} tasks", replayed, tasks
         );
+        let groups = replayed.div_ceil(16_384usize.div_ceil(tasks));
+        prop_assert!(runs || groups >= 2, "{} lanes make {} lane group(s)", replayed, groups);
         let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
         let obj = [
             ObjectiveKind::Makespan,
