@@ -12,8 +12,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mshc_platform::MachineId;
 use mshc_schedule::{
-    auto_stride, random_solution, replay, BatchEvaluator, EvalSnapshot, Evaluator,
-    IncrementalEvaluator, ObjectiveKind,
+    random_solution, replay, BatchEvaluator, EvalSnapshot, Evaluator, IncrementalEvaluator,
+    ObjectiveKind,
 };
 use mshc_workloads::WorkloadSpec;
 use rand::SeedableRng;
@@ -83,14 +83,13 @@ fn bench_batch_candidates(c: &mut Criterion) {
 /// Full-vs-incremental move scan, single thread, same candidate grid as
 /// `batch_candidates` and `bench_eval` (the `BENCH_eval.json` series):
 /// the `full` baseline pays move + O(k + p) pass per candidate, the
-/// `stride-*` entries pay one prime plus a checkpoint-resumed suffix
+/// `incremental` entry pays one prime plus a checkpoint-resumed suffix
 /// replay per candidate. Acceptance bar: incremental ≥ 2x `full` on the
-/// 100-task preset at any stride.
+/// 100-task preset.
 fn bench_incremental_moves(c: &mut Criterion) {
     let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
     let inst = spec.generate();
     let g = inst.graph();
-    let k = inst.task_count();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let base = random_solution(&inst, &mut rng);
     let (t, moves) = mshc_bench::probes::widest_move_grid(&inst, &base);
@@ -110,20 +109,17 @@ fn bench_incremental_moves(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    for stride in [1usize, auto_stride(k), k] {
-        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
-        inc.set_stride(Some(stride));
-        inc.prime(&base);
-        group.bench_function(BenchmarkId::new(format!("stride-{stride}"), moves.len()), |b| {
-            b.iter(|| {
-                let mut acc = 0.0f64;
-                for &(pos, m) in &moves {
-                    acc += inc.score_move(t, pos, m, &obj);
-                }
-                black_box(acc)
-            })
-        });
-    }
+    let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
+    inc.prime(&base);
+    group.bench_function(BenchmarkId::new("incremental", moves.len()), |b| {
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for &(pos, m) in &moves {
+                acc += inc.score_move(t, pos, m, &obj);
+            }
+            black_box(acc)
+        })
+    });
     group.finish();
 }
 

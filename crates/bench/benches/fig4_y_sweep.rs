@@ -21,7 +21,6 @@ fn bench_y_sweep(c: &mut Criterion) {
                         seed: 3,
                         selection_bias: 0.05,
                         y_limit: Some(y),
-                        ..SeConfig::default()
                     });
                     black_box(se.run(&inst, &RunBudget::iterations(3), None).makespan)
                 })

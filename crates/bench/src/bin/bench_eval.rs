@@ -82,8 +82,7 @@ struct BenchReport {
     /// Full re-evaluation series: move + full pass per candidate, one
     /// thread.
     scalar_evals_per_sec: f64,
-    /// Incremental series: suffix replay per candidate, one thread,
-    /// auto checkpoint stride.
+    /// Incremental series: suffix replay per candidate, one thread.
     incremental_evals_per_sec: f64,
     /// incremental over full, single-threaded — the algorithmic win
     /// (≥ 2x expected on the 100-task preset).
@@ -409,10 +408,7 @@ fn main() {
             WorkloadSpec { tasks: 40, machines: 4, seed: 2001, ..WorkloadSpec::small(2001) }
                 .generate();
         let budget = RunBudget::iterations(if rounds <= 6 { 10 } else { 30 });
-        let mut search = mshc_heuristics::SimulatedAnnealing::new(mshc_heuristics::SaConfig {
-            seed: 2001,
-            ..mshc_heuristics::SaConfig::default()
-        });
+        let mut search = mshc_heuristics::SimulatedAnnealing::new(2001);
         let baseline = search.run(&small, &budget, None);
         let trace = DisturbanceTrace::generate(
             &DisturbanceTraceSpec::balanced(4, baseline.makespan, 4),

@@ -90,7 +90,6 @@ pub fn fig4(heterogeneity: Heterogeneity, ys: &[usize], scale: &ExperimentScale)
                 seed: scale.seed,
                 selection_bias: SeConfig::recommended_bias(inst.task_count()),
                 y_limit: Some(y),
-                ..SeConfig::default()
             };
             let mut trace = Trace::new();
             let result = SeScheduler::new(cfg).run(

@@ -4,19 +4,23 @@ use crate::args::{parse, Parsed};
 use mshc_core::{SeConfig, SePendingBias};
 use mshc_ga::{GaConfig, GaScheduler};
 use mshc_heuristics::{
-    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SaConfig,
-    SimulatedAnnealing, TabuConfig, TabuSearch,
+    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SimulatedAnnealing,
+    TabuSearch,
 };
 use mshc_platform::{HcInstance, InstanceMetrics};
-use mshc_portfolio::{aggregate, cells_csv, render_report, replicate_seeds, TournamentSpec};
+use mshc_portfolio::{
+    aggregate, cells_csv, render_report, replicate_seeds, TournamentSpec, ALGORITHMS,
+};
 use mshc_schedule::{
-    Disturbance, Evaluator, Gantt, ObjectiveKind, Replanner, RunBudget, Scheduler, SteppableSearch,
-    Termination,
+    CellFault, Disturbance, Evaluator, FaultPlan, Gantt, ObjectiveKind, Replanner, RunBudget,
+    Scheduler, SteppableSearch, Termination,
 };
 use mshc_trace::Trace;
 use mshc_workloads::{
     named_suite, Connectivity, DisturbanceTrace, DisturbanceTraceSpec, Heterogeneity, WorkloadSpec,
 };
+use std::fmt;
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// Top-level usage text.
@@ -110,8 +114,10 @@ global options:
              invocation: {\"panic_at_evaluations\": N} poisons the Nth
              full pass or move replay, \"cell_panics\" panics named
              tournament cells (each entry {algorithm, scenario, seed}
-             fires once and is consumed), \"dropouts\" carries
-             disturbance events for replan. Injected cell panics are
+             must name a cell of the tournament, fires once and is
+             consumed; every other command rejects a plan with cell
+             panics), \"dropouts\" carries disturbance events for
+             replan. Injected cell panics are
              caught by the tournament harness: cells retry up to the
              spec's cell_retries budget (same seed, deterministic),
              then surface as failed cells; retried cells are flagged
@@ -129,25 +135,68 @@ global options:
              lifecycle, span durations). Same no-perturbation guarantee
              as --metrics; event payloads carry wall-clock content and
              vary run to run.
+
+exit status: 0 on success, and also when standard output closes early
+(a reader such as `head` stops reading: the command ends quietly); 2 on
+any other error, with a message on standard error.
 ";
 
-/// Entry point: dispatches `argv` to a subcommand.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Why a command failed.
+#[derive(Debug)]
+pub enum Error {
+    /// The command could not run as asked: a bad flag, input or file.
+    Command(String),
+    /// Writing to standard output failed; a closed pipe reads
+    /// [`io::ErrorKind::BrokenPipe`].
+    Output(io::Error),
+}
+
+impl From<String> for Error {
+    fn from(message: String) -> Error {
+        Error::Command(message)
+    }
+}
+
+impl From<&str> for Error {
+    fn from(message: &str) -> Error {
+        Error::Command(message.to_string())
+    }
+}
+
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Error {
+        Error::Output(e)
+    }
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Error::Command(message) => f.write_str(message),
+            Error::Output(e) => write!(f, "writing output: {e}"),
+        }
+    }
+}
+
+/// Entry point: dispatches `argv` to a subcommand, which writes its
+/// report to `out` (the locked standard output in `main`).
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return Ok(());
+        write!(out, "{USAGE}")?;
+        return Ok(out.flush()?);
     }
     let parsed = parse(argv);
-    if let Some(command) = parsed.positional.first() {
+    let command = parsed.positional.first().map(String::as_str);
+    if let Some(command) = command {
         if let Some(flag) = parsed.options.keys().find(|flag| !reads(command, flag)) {
-            return Err(format!("{command}: --{flag} is not an option of this command"));
+            return Err(format!("{command}: --{flag} is not an option of this command").into());
         }
     }
     let threads: usize = parsed.get_parse("threads", 0)?;
     if parsed.get("threads").is_some() && threads == 0 {
         return Err("--threads: must be at least 1 (omit the flag to use RAYON_NUM_THREADS or \
                     the machine's available parallelism)"
-            .to_string());
+            .into());
     }
     // Observability is armed only when something will consume it: an
     // export flag or --report (which renders the registry snapshot).
@@ -172,27 +221,37 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
-            let plan = mshc_schedule::FaultPlan::from_json(&text)
+            let plan = FaultPlan::from_json(&text)
                 .map_err(|e| format!("--faults {path}: invalid fault plan: {e}"))?;
+            // Only a tournament runs cells; a cell fault anywhere else
+            // could never fire.
+            if let (Some(fault), Some(command)) = (plan.cell_panics.first(), command) {
+                if command != "tournament" {
+                    return Err(format!(
+                        "--faults {path}: cell_panics entry {} names a tournament cell, but \
+                         {command} runs no cells",
+                        cell_name(fault)
+                    )
+                    .into());
+                }
+            }
             mshc_schedule::faults::quiet_injected_panics();
             mshc_schedule::faults::arm(&plan);
             Some(plan)
         }
         None => None,
     };
-    let run = || match parsed.positional.first().map(String::as_str) {
-        Some("help") => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some("generate") => cmd_generate(&parsed),
-        Some("run") => cmd_run(&parsed),
-        Some("compare") => cmd_compare(&parsed),
-        Some("tournament") => cmd_tournament(&parsed),
-        Some("replan") => cmd_replan(&parsed),
-        Some("info") => cmd_info(&parsed),
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".to_string()),
+    let faults = fault_plan.as_ref();
+    let run = |out: &mut dyn Write| match command {
+        Some("help") => Ok(write!(out, "{USAGE}")?),
+        Some("generate") => cmd_generate(&parsed, out),
+        Some("run") => cmd_run(&parsed, out),
+        Some("compare") => cmd_compare(&parsed, out),
+        Some("tournament") => cmd_tournament(&parsed, faults, out),
+        Some("replan") => cmd_replan(&parsed, faults, out),
+        Some("info") => cmd_info(&parsed, out),
+        Some(other) => Err(format!("unknown command {other:?}").into()),
+        None => Err("missing command".into()),
     };
     let outcome = if threads > 0 {
         // A scoped size override on the resident pool — no process-wide
@@ -202,26 +261,33 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             .num_threads(threads)
             .build()
             .map_err(|e| format!("--threads: {e}"))?;
-        pool.install(run)
+        pool.install(|| run(out))
     } else {
-        run()
+        run(out)
     };
     if fault_plan.is_some() {
         mshc_schedule::faults::disarm();
-    }
-    if outcome.is_ok() {
-        if let Some(path) = parsed.get("metrics") {
-            std::fs::write(path, mshc_obs::snapshot().to_json())
-                .map_err(|e| format!("--metrics {path}: {e}"))?;
-            println!("metrics written to {path}");
-        }
     }
     // Only tear down the sink this invocation installed — embedding
     // callers (tests) may dispatch concurrently.
     if parsed.get("obs-events").is_some() {
         mshc_obs::shutdown_events();
     }
-    outcome
+    outcome?;
+    if let Some(path) = parsed.get("metrics") {
+        std::fs::write(path, mshc_obs::snapshot().to_json())
+            .map_err(|e| format!("--metrics {path}: {e}"))?;
+        writeln!(out, "metrics written to {path}")?;
+    }
+    Ok(out.flush()?)
+}
+
+/// A cell fault as `{algorithm "se", scenario "…", seed 7}`, for errors.
+fn cell_name(fault: &CellFault) -> String {
+    format!(
+        "{{algorithm {:?}, scenario {:?}, seed {}}}",
+        fault.algorithm, fault.scenario, fault.seed
+    )
 }
 
 /// Flags `dispatch` itself reads, for every command.
@@ -424,28 +490,29 @@ fn make_scheduler(p: &Parsed, name: &str) -> Result<Box<dyn Scheduler>, String> 
     })
 }
 
-fn cmd_generate(p: &Parsed) -> Result<(), String> {
+fn cmd_generate(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
     let spec = workload_spec(p)?;
     let inst = spec.generate();
     let json = serde_json::to_string(&inst).map_err(|e| e.to_string())?;
     match p.get("out") {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "wrote {} ({} tasks, {} machines, {} data items) tag={}",
                 path,
                 inst.task_count(),
                 inst.machine_count(),
                 inst.data_count(),
                 spec.tag()
-            );
+            )?;
         }
-        None => println!("{json}"),
+        None => writeln!(out, "{json}")?,
     }
     Ok(())
 }
 
-fn cmd_run(p: &Parsed) -> Result<(), String> {
+fn cmd_run(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
     let algo = p.get("algo").ok_or("run: --algo is required")?.to_string();
     let inst = load_instance(p)?;
     let budget = budget(p)?;
@@ -461,29 +528,32 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
         .solution
         .check(inst.graph())
         .map_err(|e| format!("BUG: scheduler emitted invalid solution: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "{algo}: makespan {:.2} | {} iterations, {} evaluations, {:.3}s",
         result.makespan,
         result.iterations,
         result.evaluations,
         result.elapsed.as_secs_f64()
-    );
-    println!("termination: {}", result.termination.as_str());
+    )?;
+    writeln!(out, "termination: {}", result.termination.as_str())?;
     if !budget.objective.is_makespan() {
-        println!("objective {}: {:.2}", budget.objective.label(), result.objective_value);
+        writeln!(out, "objective {}: {:.2}", budget.objective.label(), result.objective_value)?;
     }
     // One shared evaluation pass serves both --report and --gantt.
     let full_report = (p.flag("report") || p.flag("gantt"))
         .then(|| Evaluator::new(&inst).report(&result.solution));
     if p.flag("report") {
         let o = full_report.as_ref().expect("computed above").objectives();
-        println!(
+        writeln!(
+            out,
             "objectives: makespan {:.2} | total-flowtime {:.2} | mean-flowtime {:.2} | \
              load-imbalance {:.2}",
             o.makespan, o.total_flowtime, o.mean_flowtime, o.load_imbalance
-        );
+        )?;
         match (result.lower_bound, result.gap) {
-            (Some(lb), Some(gap)) => println!(
+            (Some(lb), Some(gap)) => writeln!(
+                out,
                 "certificate: lower bound {:.2} | gap {:.4}x{}",
                 lb,
                 gap,
@@ -492,17 +562,18 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
                 } else {
                     ""
                 }
-            ),
-            (Some(lb), None) => println!("certificate: lower bound {lb:.2}"),
-            _ => println!("certificate: none (objective is not makespan)"),
+            )?,
+            (Some(lb), None) => writeln!(out, "certificate: lower bound {lb:.2}")?,
+            _ => writeln!(out, "certificate: none (objective is not makespan)")?,
         }
         let secs = result.elapsed.as_secs_f64();
         let evals_per_sec =
             if secs > 0.0 { result.evaluations as f64 / secs } else { f64::INFINITY };
-        println!(
+        writeln!(
+            out,
             "throughput: {:.0} evals/sec ({} evals, {:.3}s)",
             evals_per_sec, result.evaluations, secs
-        );
+        )?;
         // The rest of the report renders the obs registry snapshot —
         // the same counters --metrics exports, so the human-facing and
         // machine-facing views cannot drift apart. Every line below
@@ -510,53 +581,53 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
         // at any thread count.
         let det = mshc_obs::snapshot().deterministic;
         if det.scan_population_positions > 0 {
-            println!(
+            writeln!(
+                out,
                 "population: {} clones | {:.1}% of string positions served without a pass",
                 det.scan_clones,
                 100.0 * det.clone_fraction()
-            );
+            )?;
         } else if det.scan_scored > 0 {
-            println!("move scan: {} move scorings", det.scan_scored);
+            writeln!(out, "move scan: {} move scorings", det.scan_scored)?;
         }
         // Incumbent-vs-iteration sparkline from the run trace (the
         // deterministic x axis; running minimum of the current cost).
         if trace.len() >= 2 {
             let incumbent = trace.current_cost_series().running_min().renamed("incumbent");
-            print!(
+            write!(
+                out,
                 "{}",
                 mshc_trace::AsciiPlot::new("incumbent vs iteration", 64, 10).render(&[incumbent])
-            );
+            )?;
         }
     }
     if p.flag("gantt") {
         let report = full_report.as_ref().expect("computed above");
         let gantt = Gantt::build(&result.solution, report);
-        print!("{}", gantt.render_ascii(&inst, 72));
-        println!("utilization: {:.1}%", 100.0 * gantt.utilization());
+        write!(out, "{}", gantt.render_ascii(&inst, 72))?;
+        writeln!(out, "utilization: {:.1}%", 100.0 * gantt.utilization())?;
     }
     if let Some(path) = p.get("trace") {
         let mut series = vec![trace.best_vs_time_series().renamed("best")];
         series.push(trace.current_cost_series().renamed("current"));
         mshc_trace::write_csv("x", &series).write_file(path).map_err(|e| format!("{path}: {e}"))?;
-        println!("trace written to {path} ({} records)", trace.len());
+        writeln!(out, "trace written to {path} ({} records)", trace.len())?;
     }
     Ok(())
 }
 
-fn cmd_compare(p: &Parsed) -> Result<(), String> {
+fn cmd_compare(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
     let inst = load_instance(p)?;
     let budget = budget(p)?;
-    let names = [
-        "se", "ga", "heft", "heft-ins", "cpop", "met", "mct", "olb", "min-min", "max-min",
-        "random", "sa", "tabu",
-    ];
-    println!(
+    writeln!(
+        out,
         "instance: {} tasks, {} machines, {} data items",
         inst.task_count(),
         inst.machine_count(),
         inst.data_count()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<10} {:>12} {:>12} {:>8} {:>12} {:>12} {:>9}",
         "algorithm",
         "makespan",
@@ -565,10 +636,10 @@ fn cmd_compare(p: &Parsed) -> Result<(), String> {
         "iterations",
         "evals",
         "secs"
-    );
+    )?;
     let mut rows: Vec<(String, f64)> = Vec::new();
     let mut floor: Option<f64> = None;
-    for name in names {
+    for name in ALGORITHMS {
         let mut s = make_scheduler(p, name)?;
         let r = {
             let _span = mshc_obs::span("compare-cell");
@@ -578,7 +649,8 @@ fn cmd_compare(p: &Parsed) -> Result<(), String> {
         // the same floor; remember it for the summary line.
         floor = floor.or(r.lower_bound);
         let gap = r.gap.map_or_else(|| "-".to_string(), |g| format!("{g:.4}"));
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>12.2} {:>12.2} {:>8} {:>12} {:>12} {:>9.3}",
             name,
             r.makespan,
@@ -587,13 +659,13 @@ fn cmd_compare(p: &Parsed) -> Result<(), String> {
             r.iterations,
             r.evaluations,
             r.elapsed.as_secs_f64()
-        );
+        )?;
         rows.push((name.to_string(), r.objective_value));
     }
     let best = rows.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty");
-    println!("best: {} ({:.2})", best.0, best.1);
+    writeln!(out, "best: {} ({:.2})", best.0, best.1)?;
     if let Some(lb) = floor {
-        println!("certified lower bound: {lb:.2}");
+        writeln!(out, "certified lower bound: {lb:.2}")?;
     }
     Ok(())
 }
@@ -656,8 +728,27 @@ fn tournament_spec(p: &Parsed) -> Result<TournamentSpec, String> {
     Ok(spec)
 }
 
-fn cmd_tournament(p: &Parsed) -> Result<(), String> {
+fn cmd_tournament(
+    p: &Parsed,
+    faults: Option<&FaultPlan>,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let spec = tournament_spec(p)?;
+    // A cell fault fires only on the cell it names; one naming no cell
+    // of this tournament would be silently ignored.
+    for fault in faults.iter().flat_map(|plan| &plan.cell_panics) {
+        let names_a_cell = spec.algorithms.contains(&fault.algorithm)
+            && spec.seeds.contains(&fault.seed)
+            && spec.scenarios.iter().any(|s| s.tag() == fault.scenario);
+        if !names_a_cell {
+            return Err(format!(
+                "--faults {}: cell_panics entry {} names no cell of this tournament",
+                p.get("faults").unwrap_or_default(),
+                cell_name(fault)
+            )
+            .into());
+        }
+    }
     let run = {
         let _span = mshc_obs::span("tournament");
         mshc_portfolio::run_tournament(&spec)?
@@ -666,9 +757,10 @@ fn cmd_tournament(p: &Parsed) -> Result<(), String> {
     if p.flag("report") {
         // The full report opens with the same header line; don't print
         // the one-line summary twice.
-        print!("{}", render_report(&board, &timing));
+        write!(out, "{}", render_report(&board, &timing))?;
     } else {
-        println!(
+        writeln!(
+            out,
             "tournament: {} suite | {} races x {} algorithms = {} cells ({} failed) | \
              portfolio {} | {} iterations per run",
             board.suite,
@@ -678,26 +770,27 @@ fn cmd_tournament(p: &Parsed) -> Result<(), String> {
             board.failures,
             if board.portfolio { "on" } else { "off" },
             board.iterations
-        );
+        )?;
     }
     match board.standings.first() {
-        Some(top) => println!(
+        Some(top) => writeln!(
+            out,
             "winner: {} ({} wins, {:.0}% win rate, mean rank {:.2})",
             top.algorithm,
             top.wins,
             100.0 * top.win_rate,
             top.mean_rank
-        ),
-        None => println!("no standings (empty spec?)"),
+        )?,
+        None => writeln!(out, "no standings (empty spec?)")?,
     }
     if let Some(path) = p.get("out") {
         let json = serde_json::to_string(&board).map_err(|e| e.to_string())?;
         std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-        println!("leaderboard written to {path} ({} cells)", board.cells);
+        writeln!(out, "leaderboard written to {path} ({} cells)", board.cells)?;
     }
     if let Some(path) = p.get("csv") {
         cells_csv(&board, &run.timing).write_file(path).map_err(|e| format!("{path}: {e}"))?;
-        println!("cells CSV written to {path}");
+        writeln!(out, "cells CSV written to {path}")?;
     }
     Ok(())
 }
@@ -733,8 +826,8 @@ fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, St
         }
         "ga" => Box::new(GaScheduler::new(GaConfig { seed, ..GaConfig::default() })),
         "random" => Box::new(RandomSearch::new(seed)),
-        "sa" => Box::new(SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() })),
-        "tabu" => Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() })),
+        "sa" => Box::new(SimulatedAnnealing::new(seed)),
+        "tabu" => Box::new(TabuSearch::new(seed)),
         "heft" | "heft-ins" | "cpop" | "met" | "mct" | "olb" | "min-min" | "max-min" => {
             return Err(format!(
                 "replan: --algo {name} is a one-shot constructive heuristic; replanning \
@@ -747,11 +840,12 @@ fn make_steppable(p: &Parsed, name: &str) -> Result<Box<dyn SteppableSearch>, St
 }
 
 /// Resolves the disturbance sequence for `replan`: an explicit trace
-/// file beats the armed fault plan's dropouts, which beat seeded
-/// generation from the event flags. The event flags are errors next
-/// to either of the first two.
+/// file beats the fault plan's dropouts, which beat seeded generation
+/// from the event flags. The event flags are errors next to either of
+/// the first two.
 fn disturbances(
     p: &Parsed,
+    faults: Option<&FaultPlan>,
     baseline_makespan: f64,
     machines: u32,
 ) -> Result<Vec<Disturbance>, String> {
@@ -765,14 +859,9 @@ fn disturbances(
             .or_else(|_| serde_json::from_str::<Vec<Disturbance>>(&text))
             .map_err(|e| format!("{path}: invalid disturbance trace: {e}"));
     }
-    if p.get("faults").is_some() && mshc_schedule::faults::armed() {
-        let text = std::fs::read_to_string(p.get("faults").expect("checked"))
-            .map_err(|e| e.to_string())?;
-        let plan = mshc_schedule::FaultPlan::from_json(&text).map_err(|e| e.to_string())?;
-        if !plan.dropouts.is_empty() {
-            reject_beside(p, "--faults", EVENT_FLAGS, "the plan's dropouts fix the disturbances")?;
-            return Ok(plan.dropouts);
-        }
+    if let Some(plan) = faults.filter(|plan| !plan.dropouts.is_empty()) {
+        reject_beside(p, "--faults", EVENT_FLAGS, "the plan's dropouts fix the disturbances")?;
+        return Ok(plan.dropouts.clone());
     }
     let events: usize = p.get_parse("events", 3usize)?;
     if events == 0 {
@@ -789,7 +878,7 @@ fn disturbances(
     Ok(DisturbanceTrace::generate(&spec, seed).events)
 }
 
-fn cmd_replan(p: &Parsed) -> Result<(), String> {
+fn cmd_replan(p: &Parsed, faults: Option<&FaultPlan>, out: &mut dyn Write) -> Result<(), Error> {
     let algo = p.get("algo").unwrap_or("se").to_string();
     let inst = load_instance(p)?;
     let budget = budget(p)?;
@@ -798,9 +887,14 @@ fn cmd_replan(p: &Parsed) -> Result<(), String> {
         let _span = mshc_obs::span("replan-baseline");
         search.run(&inst, &budget, None)
     };
-    let events = disturbances(p, baseline.makespan, inst.machine_count() as u32)?;
+    let events = disturbances(p, faults, baseline.makespan, inst.machine_count() as u32)?;
     let mut replanner = Replanner::new(&inst, baseline.solution);
-    println!("{algo}: baseline makespan {:.2} | {} disturbances", baseline.makespan, events.len());
+    writeln!(
+        out,
+        "{algo}: baseline makespan {:.2} | {} disturbances",
+        baseline.makespan,
+        events.len()
+    )?;
     for d in &events {
         let record = {
             let _span = mshc_obs::span("replan-event");
@@ -810,7 +904,8 @@ fn cmd_replan(p: &Parsed) -> Result<(), String> {
             mshc_schedule::DisturbanceKind::TaskInflation => "all tasks".to_string(),
             _ => format!("m{}", d.machine),
         };
-        println!(
+        writeln!(
+            out,
             "  {} at t={:.2} ({}): {} committed, {} residual on {} machines -> makespan {:.2}              ({})",
             record.kind,
             record.time,
@@ -820,50 +915,65 @@ fn cmd_replan(p: &Parsed) -> Result<(), String> {
             record.survivors,
             record.makespan,
             record.termination
-        );
+        )?;
     }
     let report = replanner.report();
-    println!(
+    writeln!(
+        out,
         "final: makespan {:.2} ({:+.2} vs baseline) | {} replans | {} evaluations",
         report.final_makespan,
         report.final_makespan - report.baseline_makespan,
         report.replans,
         report.evaluations
-    );
+    )?;
     if p.flag("report") {
         if let (Some(lb), Some(gap)) = (report.lower_bound, report.gap) {
-            println!("certificate: residual lower bound {lb:.2} | gap {gap:.4}x");
+            writeln!(out, "certificate: residual lower bound {lb:.2} | gap {gap:.4}x")?;
         }
     }
     if let Some(path) = p.get("out") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("replan report written to {path} ({} records)", report.records.len());
+        writeln!(out, "replan report written to {path} ({} records)", report.records.len())?;
     }
     Ok(())
 }
 
-fn cmd_info(p: &Parsed) -> Result<(), String> {
+fn cmd_info(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
     // No scheduler runs here: only generation would read --seed.
     if p.flag("instance") {
         reject_beside(p, "--instance", &["seed"], "the file fixes the workload")?;
     }
     let inst = load_instance(p)?;
     let m = InstanceMetrics::compute(&inst);
-    println!("tasks:         {}", m.tasks);
-    println!("machines:      {}", m.machines);
-    println!("data items:    {}", m.data_items);
-    println!("connectivity:  {:.3} (data items per task)", m.connectivity);
-    println!("heterogeneity: {:.3} (mean per-task CV of E)", m.heterogeneity);
-    println!("ccr:           {:.3}", m.ccr);
+    writeln!(out, "tasks:         {}", m.tasks)?;
+    writeln!(out, "machines:      {}", m.machines)?;
+    writeln!(out, "data items:    {}", m.data_items)?;
+    writeln!(out, "connectivity:  {:.3} (data items per task)", m.connectivity)?;
+    writeln!(out, "heterogeneity: {:.3} (mean per-task CV of E)", m.heterogeneity)?;
+    writeln!(out, "ccr:           {:.3}", m.ccr)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// Runs a command line with its output discarded, its error as the
+    /// message `main` prints.
+    fn dispatch(argv: &[String]) -> Result<(), String> {
+        super::dispatch(argv, &mut io::sink()).map_err(|e| e.to_string())
+    }
+
+    /// Arming a fault plan is process-global: the tests that arm one
+    /// hold this lock, so none sees another's plan armed.
+    fn arming() -> MutexGuard<'static, ()> {
+        static ARMING: Mutex<()> = Mutex::new(());
+        ARMING.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One machine failure, as a disturbance-trace or fault-plan event.
@@ -1450,6 +1560,7 @@ mod tests {
 
     #[test]
     fn faults_flag_arms_and_disarms_a_plan() {
+        let _arming = arming();
         let dir = std::env::temp_dir().join("mshc_cli_faults");
         std::fs::create_dir_all(&dir).unwrap();
         let plan = dir.join("plan.json");
@@ -1470,8 +1581,7 @@ mod tests {
         .unwrap();
         assert!(!mshc_schedule::faults::armed(), "--faults must disarm on exit");
         // A plan's dropouts fix replan's disturbances, so the event
-        // options are errors next to them. (Arming is process-global;
-        // this is the one test of the crate that arms a plan.)
+        // options are errors next to them.
         std::fs::write(&plan, format!("{{\"dropouts\": [{DROPOUT}]}}")).unwrap();
         let replan = ["replan", "--algo", "sa", "--tasks", "12", "--machines", "3", "--iters", "5"];
         let replan = [&replan[..], &["--faults", plan.to_str().unwrap()]].concat();
@@ -1491,6 +1601,63 @@ mod tests {
         assert!(e.contains("invalid fault plan"), "{e}");
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(USAGE.contains("--faults"));
+    }
+
+    #[test]
+    fn cell_faults_must_name_a_tournament_cell() {
+        let _arming = arming();
+        let dir = std::env::temp_dir().join("mshc_cli_cell_faults");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = dir.join("plan.json");
+        let plan_arg = plan.to_str().unwrap();
+        let write_plan = |algorithm: &str, scenario: &str, seed: u64| {
+            let fault = format!(
+                "{{\"algorithm\": \"{algorithm}\", \"scenario\": \"{scenario}\", \"seed\": {seed}}}"
+            );
+            std::fs::write(&plan, format!("{{\"cell_panics\": [{fault}]}}")).unwrap();
+        };
+        let seed = replicate_seeds(2001, 1)[0];
+        let tag = named_suite("tiny").unwrap()[0].tag();
+        let tournament = [
+            "tournament",
+            "--suite",
+            "tiny",
+            "--seeds",
+            "1",
+            "--iters",
+            "5",
+            "--algos",
+            "heft,mct",
+        ];
+        let tournament = [&tournament[..], &["--faults", plan_arg]].concat();
+        // A fault on no cell of the tournament could never fire: each
+        // coordinate that misses is an error naming the entry.
+        for (algorithm, scenario, seed) in
+            [("se", tag.as_str(), seed), ("heft", "nope", seed), ("heft", tag.as_str(), seed + 1)]
+        {
+            write_plan(algorithm, scenario, seed);
+            let e = dispatch(&argv(&tournament)).unwrap_err();
+            assert!(e.contains("names no cell"), "{e}");
+            assert!(e.contains(&format!("scenario {scenario:?}, seed {seed}")), "{e}");
+            assert!(!mshc_schedule::faults::armed(), "--faults must disarm on exit");
+        }
+        // A fault on a real cell fires, and the cell's retry absorbs it.
+        write_plan("heft", &tag, seed);
+        dispatch(&argv(&tournament)).unwrap();
+        // The other commands run no cells, so a plan with cell panics
+        // is an error there, whatever it names.
+        for command in [
+            &["run", "--algo", "se", "--iters", "5"][..],
+            &["compare", "--iters", "5"],
+            &["replan", "--algo", "sa", "--iters", "5"],
+        ] {
+            let args =
+                [command, &["--tasks", "8", "--machines", "2", "--faults", plan_arg]].concat();
+            let e = dispatch(&argv(&args)).unwrap_err();
+            assert!(e.contains("runs no cells") && e.contains("\"heft\""), "{args:?}: {e}");
+        }
+        assert!(!mshc_schedule::faults::armed());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,15 +11,26 @@
 mod args;
 mod commands;
 
+use commands::Error;
+use std::io::ErrorKind;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
-        Ok(()) => {}
-        Err(e) => {
+    let status = match commands::dispatch(&argv, &mut std::io::stdout().lock()) {
+        Ok(()) => 0,
+        // The reader closed the pipe (`mshc generate | head`): nobody
+        // reads the rest, and nothing went wrong.
+        Err(Error::Output(e)) if e.kind() == ErrorKind::BrokenPipe => 0,
+        Err(e @ Error::Output(_)) => {
+            eprintln!("error: {e}");
+            2
+        }
+        Err(e @ Error::Command(_)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
+            2
         }
-    }
+    };
+    std::process::exit(status);
 }

@@ -2,30 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Closed-loop adaptation of the selection bias, in the spirit of Kling &
-/// Banerjee's ESP (the paper's reference \[9\]), where selection pressure
-/// is tuned dynamically rather than fixed.
-///
-/// The paper itself uses a *fixed* `B` (§4.4); this is an extension knob:
-/// each iteration the bias moves by `gain × (selected_fraction −
-/// target_fraction)`, so the selection set settles near
-/// `target_fraction × k` tasks regardless of how the goodness
-/// distribution evolves. The adapted bias is clamped to the paper's
-/// published range `[−0.3, 0.1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveBias {
-    /// Desired fraction of tasks selected per iteration (0..1).
-    pub target_fraction: f64,
-    /// Proportional gain applied to the fraction error.
-    pub gain: f64,
-}
-
-impl Default for AdaptiveBias {
-    fn default() -> Self {
-        AdaptiveBias { target_fraction: 0.2, gain: 0.05 }
-    }
-}
-
 /// Configuration of the SE scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SeConfig {
@@ -41,14 +17,6 @@ pub struct SeConfig {
     pub y_limit: Option<usize>,
     /// RNG seed; every run is fully deterministic given the seed.
     pub seed: u64,
-    /// Upper bound on the random number of valid-range perturbations
-    /// applied to the initial topological string (§4.2). `None` selects
-    /// the default `2k`.
-    pub init_perturbations: Option<usize>,
-    /// Optional ESP-style closed-loop bias adaptation (extension; the
-    /// paper uses the fixed `selection_bias` only). When set,
-    /// `selection_bias` is the initial value.
-    pub adaptive_bias: Option<AdaptiveBias>,
 }
 
 impl Default for SeConfig {
@@ -57,8 +25,6 @@ impl Default for SeConfig {
             selection_bias: 0.0,
             y_limit: None,
             seed: 2001, // the paper's year; any fixed default works
-            init_perturbations: None,
-            adaptive_bias: None,
         }
     }
 }
@@ -88,37 +54,13 @@ impl SeConfig {
     }
 
     /// Panics early on settings that mean nothing instead of running
-    /// silently without them: a `y_limit` of 0, a selection bias that is
-    /// not finite (a NaN or infinite bias selects no task, so the run
-    /// would spend its budget on the random initial string), or an
-    /// adaptive-bias field that is not finite.
+    /// silently without them: a `y_limit` of 0, or a selection bias that
+    /// is not finite (a NaN or infinite bias selects no task, so the run
+    /// would spend its budget on the random initial string).
     pub fn validate(&self) {
         assert!(self.y_limit != Some(0), "y_limit must be at least 1, got 0");
         let bias = self.selection_bias;
         assert!(bias.is_finite(), "selection_bias must be finite, got {bias}");
-        if let Some(AdaptiveBias { target_fraction, gain }) = self.adaptive_bias {
-            for (name, v) in [("target_fraction", target_fraction), ("gain", gain)] {
-                assert!(v.is_finite(), "adaptive_bias.{name} must be finite, got {v}");
-            }
-        }
-    }
-
-    /// Builder-style: set the selection bias.
-    pub fn with_bias(mut self, b: f64) -> SeConfig {
-        self.selection_bias = b;
-        self
-    }
-
-    /// Builder-style: set the `Y` limit.
-    pub fn with_y(mut self, y: usize) -> SeConfig {
-        self.y_limit = Some(y);
-        self
-    }
-
-    /// Builder-style: set the seed.
-    pub fn with_seed(mut self, seed: u64) -> SeConfig {
-        self.seed = seed;
-        self
     }
 }
 
@@ -130,7 +72,8 @@ mod tests {
     fn default_is_paper_faithful() {
         let c = SeConfig::default();
         assert_eq!(c.y_limit, None);
-        assert_eq!(c.adaptive_bias, None, "the paper's bias is fixed");
+        assert_eq!(c.selection_bias, 0.0);
+        c.validate();
     }
 
     #[test]
@@ -150,38 +93,14 @@ mod tests {
     }
 
     #[test]
-    fn builders() {
-        let c = SeConfig::default().with_bias(-0.2).with_y(3).with_seed(9);
-        assert_eq!(c.selection_bias, -0.2);
-        assert_eq!(c.y_limit, Some(3));
-        assert_eq!(c.seed, 9);
-        c.validate();
-        SeConfig { adaptive_bias: Some(AdaptiveBias::default()), ..c }.validate();
-    }
-
-    #[test]
     #[should_panic(expected = "y_limit must be at least 1")]
     fn zero_y_limit_rejected() {
-        SeConfig::default().with_y(0).validate();
+        SeConfig { y_limit: Some(0), ..SeConfig::default() }.validate();
     }
 
     #[test]
     #[should_panic(expected = "selection_bias must be finite")]
     fn infinite_bias_rejected() {
-        SeConfig::default().with_bias(f64::INFINITY).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive_bias.gain must be finite")]
-    fn infinite_adaptive_gain_rejected() {
-        let adaptive = AdaptiveBias { gain: f64::NEG_INFINITY, ..AdaptiveBias::default() };
-        SeConfig { adaptive_bias: Some(adaptive), ..SeConfig::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive_bias.target_fraction must be finite")]
-    fn nan_adaptive_target_rejected() {
-        let adaptive = AdaptiveBias { target_fraction: f64::NAN, ..AdaptiveBias::default() };
-        SeConfig { adaptive_bias: Some(adaptive), ..SeConfig::default() }.validate();
+        SeConfig { selection_bias: f64::INFINITY, ..SeConfig::default() }.validate();
     }
 }

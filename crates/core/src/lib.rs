@@ -60,5 +60,5 @@ pub mod config;
 pub mod goodness;
 
 pub use algorithm::{SePendingBias, SeScheduler};
-pub use config::{AdaptiveBias, SeConfig};
+pub use config::SeConfig;
 pub use goodness::{goodness, optimal_costs};

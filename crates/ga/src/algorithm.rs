@@ -31,6 +31,17 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
+/// Probability that a bred child is the crossover of its two parents
+/// rather than a copy of the first (Wang et al., JPDC 1997).
+const CROSSOVER_PROB: f64 = 0.6;
+/// Probability that a child undergoes scheduling mutation (Wang et al.).
+const SCHED_MUTATION_PROB: f64 = 0.4;
+/// Probability that a child undergoes matching mutation (Wang et al.).
+const MATCH_MUTATION_PROB: f64 = 0.4;
+/// Best chromosomes copied unchanged into the next generation: Wang et
+/// al.'s elitism keeps the single best.
+const ELITES: usize = 1;
+
 /// The Wang et al. genetic-algorithm scheduler.
 #[derive(Debug, Clone)]
 pub struct GaScheduler {
@@ -87,11 +98,11 @@ impl SteppableSearch for GaScheduler {
         // child as it is bred, and a child equal to its donor (an elite,
         // or parent A when crossover and mutation reproduced it) takes
         // the donor's cost.
+        // One chromosome is seeded with the fast baseline heuristic
+        // (topological order + best machine per task), as in Wang et al.
         let mut pop: Vec<Solution> =
             (0..cfg.population).map(|_| random_individual(inst, &mut rng)).collect();
-        if cfg.seed_with_heuristic {
-            pop[0] = seeded_individual(inst);
-        }
+        pop[0] = seeded_individual(inst);
         let mut batch = BatchEvaluator::new(&snapshot);
         let costs = batch.scores(&pop, &objective);
         let best_idx = argmin(&costs);
@@ -101,7 +112,6 @@ impl SteppableSearch for GaScheduler {
 
         Box::new(GaState {
             inst,
-            cfg,
             objective,
             rng,
             snapshot,
@@ -118,7 +128,6 @@ impl SteppableSearch for GaScheduler {
 /// ledger, whose incumbent is the best individual seen.
 struct GaState<'a> {
     inst: &'a HcInstance,
-    cfg: GaConfig,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
@@ -148,9 +157,9 @@ impl SearchStep for GaState<'_> {
             // Elitism: the best chromosomes are carried over unchanged.
             let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
             ranked.sort_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)));
-            ranked.truncate(self.cfg.elites);
+            ranked.truncate(ELITES);
             self.wheel.load(&self.costs);
-            let (cfg, pop, wheel, rng) = (&self.cfg, &self.pop, &self.wheel, &mut self.rng);
+            let (pop, wheel, rng) = (&self.pop, &self.wheel, &mut self.rng);
             let breed = |i: usize, child: &mut Solution| {
                 if let Some(&elite) = ranked.get(i) {
                     child.clone_from(&pop[elite]);
@@ -162,17 +171,17 @@ impl SearchStep for GaState<'_> {
                 // (+task,machine).
                 let ia = wheel.pick(rng);
                 let ib = wheel.pick(rng);
-                if rng.gen::<f64>() < cfg.crossover_prob {
+                if rng.gen::<f64>() < CROSSOVER_PROB {
                     let cut_s = rng.gen_range(0..=k);
                     let cut_m = rng.gen_range(0..=k);
                     crossover(child, g, &pop[ia], &pop[ib], cut_s, cut_m);
                 } else {
                     child.clone_from(&pop[ia]);
                 }
-                if rng.gen::<f64>() < cfg.sched_mutation_prob {
+                if rng.gen::<f64>() < SCHED_MUTATION_PROB {
                     perturb(child, g, rng);
                 }
-                if rng.gen::<f64>() < cfg.match_mutation_prob {
+                if rng.gen::<f64>() < MATCH_MUTATION_PROB {
                     mutate_matching(child, rng);
                 }
                 // The donor a clone is checked against: parent A.
@@ -326,7 +335,7 @@ mod tests {
             assert_eq!(r.evaluations, cfg.population as u64 + children, "{}", kind.label());
             assert_eq!(r.scan.scored, 0, "{}", kind.label());
             assert_eq!(r.scan.population_positions, children * k, "{}", kind.label());
-            assert!(r.scan.clones >= r.iterations * cfg.elites as u64, "{}", kind.label());
+            assert!(r.scan.clones >= r.iterations * ELITES as u64, "{}", kind.label());
             assert_eq!(r.scan.clone_positions, r.scan.clones * k, "{}", kind.label());
         }
     }

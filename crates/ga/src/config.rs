@@ -3,23 +3,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Wang et al. GA.
+/// Configuration of the Wang et al. GA. The operator rates, elitism
+/// and the heuristic seed are the reference settings, fixed beside
+/// their one reader in the GA loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaConfig {
     /// Population size (Wang et al. use 50 for comparable instance sizes).
     pub population: usize,
-    /// Probability that a selected pair undergoes crossover.
-    pub crossover_prob: f64,
-    /// Probability that a chromosome undergoes scheduling mutation.
-    pub sched_mutation_prob: f64,
-    /// Probability that a chromosome undergoes matching mutation.
-    pub match_mutation_prob: f64,
-    /// Number of top chromosomes copied unchanged into the next
-    /// generation (elitism).
-    pub elites: usize,
-    /// Seed one chromosome with the fast baseline heuristic (topological
-    /// order + best machine per task).
-    pub seed_with_heuristic: bool,
     /// RNG seed; runs are fully deterministic given the seed.
     pub seed: u64,
 }
@@ -28,11 +18,6 @@ impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
             population: 50,
-            crossover_prob: 0.6,
-            sched_mutation_prob: 0.4,
-            match_mutation_prob: 0.4,
-            elites: 1,
-            seed_with_heuristic: true,
             seed: 1997, // the reference paper's year
         }
     }
@@ -45,23 +30,9 @@ impl GaConfig {
         self
     }
 
-    /// Builder-style: set the population size.
-    pub fn with_population(mut self, population: usize) -> GaConfig {
-        self.population = population;
-        self
-    }
-
     /// Panics early on nonsensical settings instead of misbehaving mid-run.
     pub fn validate(&self) {
         assert!(self.population >= 2, "population must hold at least two chromosomes");
-        assert!(self.elites < self.population, "elites must leave room for offspring");
-        for (name, p) in [
-            ("crossover_prob", self.crossover_prob),
-            ("sched_mutation_prob", self.sched_mutation_prob),
-            ("match_mutation_prob", self.match_mutation_prob),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must lie in [0,1], got {p}");
-        }
     }
 }
 
@@ -73,33 +44,13 @@ mod tests {
     fn defaults_match_reference() {
         let c = GaConfig::default();
         assert_eq!(c.population, 50);
-        assert_eq!(c.elites, 1);
-        assert!(c.seed_with_heuristic);
         c.validate();
-    }
-
-    #[test]
-    fn builders() {
-        let c = GaConfig::default().with_seed(4).with_population(10);
-        assert_eq!(c.seed, 4);
-        assert_eq!(c.population, 10);
+        assert_eq!(c.with_seed(4).seed, 4);
     }
 
     #[test]
     #[should_panic(expected = "at least two")]
     fn tiny_population_rejected() {
         GaConfig { population: 1, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "leave room")]
-    fn all_elites_rejected() {
-        GaConfig { population: 5, elites: 5, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "crossover_prob")]
-    fn bad_probability_rejected() {
-        GaConfig { crossover_prob: 1.5, ..Default::default() }.validate();
     }
 }

@@ -34,4 +34,4 @@ pub mod search;
 pub use builder::ListScheduleBuilder;
 pub use heft::{CpopScheduler, HeftScheduler};
 pub use list::{ListPolicy, ListScheduler};
-pub use search::{RandomSearch, SaConfig, SimulatedAnnealing, TabuConfig, TabuSearch};
+pub use search::{RandomSearch, SimulatedAnnealing, TabuSearch};

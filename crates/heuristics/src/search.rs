@@ -19,7 +19,6 @@ use mshc_taskgraph::TaskId;
 use mshc_trace::Trace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Uniformly samples a neighbor move `(task, position, machine)` from the
@@ -130,22 +129,14 @@ impl SearchStep for RandomState<'_> {
     }
 }
 
-/// Simulated-annealing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SaConfig {
-    /// Initial temperature as a fraction of the initial makespan.
-    pub initial_temp_fraction: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig { initial_temp_fraction: 0.2, cooling: 0.999, seed: 42 }
-    }
-}
+/// SA's initial temperature as a fraction of the initial solution's
+/// cost, so that at first a proposal worse by a fifth of that cost is
+/// accepted with probability `1/e`. Like [`SA_COOLING`], a setting of
+/// this baseline, not of a published SA.
+const SA_INITIAL_TEMP_FRACTION: f64 = 0.2;
+/// SA's geometric cooling factor per iteration: the temperature falls
+/// by a factor `e` about every 1,000 iterations.
+const SA_COOLING: f64 = 0.999;
 
 /// Simulated annealing over the valid-range move neighborhood (the
 /// Flan/Freund-style genetic-simulated-annealing lineage the paper cites
@@ -158,15 +149,13 @@ impl Default for SaConfig {
 /// the makespan objective.
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealing {
-    config: SaConfig,
+    seed: u64,
 }
 
 impl SimulatedAnnealing {
-    /// Creates the scheduler.
-    pub fn new(config: SaConfig) -> SimulatedAnnealing {
-        assert!(config.cooling > 0.0 && config.cooling < 1.0, "cooling in (0,1)");
-        assert!(config.initial_temp_fraction > 0.0, "temperature must be positive");
-        SimulatedAnnealing { config }
+    /// Creates the scheduler with a seed.
+    pub fn new(seed: u64) -> SimulatedAnnealing {
+        SimulatedAnnealing { seed }
     }
 }
 
@@ -189,9 +178,8 @@ impl Scheduler for SimulatedAnnealing {
 impl SteppableSearch for SimulatedAnnealing {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
         let clock = Instant::now();
-        let cfg = self.config;
         let objective = budget.objective;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let snapshot = EvalSnapshot::new(inst);
         let current = random_solution(inst, &mut rng);
         let current_cost = {
@@ -199,24 +187,14 @@ impl SteppableSearch for SimulatedAnnealing {
             inc.prime(&current);
             inc.base_score(&objective)
         };
-        let temp = current_cost.max(f64::MIN_POSITIVE) * cfg.initial_temp_fraction;
+        let temp = current_cost.max(f64::MIN_POSITIVE) * SA_INITIAL_TEMP_FRACTION;
         // The evaluation count is `1 + proposals`: one for the initial
         // priming pass, one per proposal. Re-primes (on acceptance and at
         // slice starts) are uncounted cache rebuilds, keeping the axis
         // identical to the historic full-pass loop however the run is
         // sliced.
         let ledger = RunLedger::new(inst, budget, clock, current.clone(), current_cost, 1);
-        Box::new(SaState {
-            inst,
-            cfg,
-            objective,
-            rng,
-            snapshot,
-            current,
-            current_cost,
-            temp,
-            ledger,
-        })
+        Box::new(SaState { inst, objective, rng, snapshot, current, current_cost, temp, ledger })
     }
 }
 
@@ -224,7 +202,6 @@ impl SteppableSearch for SimulatedAnnealing {
 /// temperature) plus its run ledger.
 struct SaState<'a> {
     inst: &'a HcInstance,
-    cfg: SaConfig,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
@@ -257,7 +234,7 @@ impl SearchStep for SaState<'_> {
                 inc.prime(&self.current);
             }
             self.ledger.record(&self.current, self.current_cost);
-            self.temp *= self.cfg.cooling;
+            self.temp *= SA_COOLING;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(self.ledger.trace_record(inc.evaluations(), self.current_cost));
             }
@@ -285,41 +262,30 @@ impl SearchStep for SaState<'_> {
     }
 }
 
-/// Tabu-search parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TabuConfig {
-    /// Iterations a moved task stays tabu.
-    pub tenure: u64,
-    /// Neighbor moves sampled per iteration.
-    pub samples: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Iterations a moved task stays tabu. Like [`TABU_SAMPLES`], a setting
+/// of this baseline, not of a published tabu search.
+const TABU_TENURE: u64 = 8;
+/// Neighbor moves tabu samples per iteration.
+const TABU_SAMPLES: usize = 24;
 
-impl Default for TabuConfig {
-    fn default() -> Self {
-        TabuConfig { tenure: 8, samples: 24, seed: 42 }
-    }
-}
-
-/// Sampled-neighborhood tabu search: each iteration samples `samples`
-/// moves, resolves the whole sample in one
+/// Sampled-neighborhood tabu search: each iteration samples
+/// `TABU_SAMPLES` (24) moves, resolves the whole sample in one
 /// [`BatchEvaluator::best_task_move`] scan (tabu moves contend only
 /// through the aspiration criterion: beating the global best), applies
-/// the winner and marks the moved task tabu for `tenure` iterations.
+/// the winner and marks the moved task tabu for `TABU_TENURE` (8)
+/// iterations.
 /// Moves are drawn *before* any is scored, and the scan selects exactly
 /// what the historic score-everything-then-pick loop selected —
 /// bit-identical at any thread count, with the same evaluation count.
 #[derive(Debug, Clone)]
 pub struct TabuSearch {
-    config: TabuConfig,
+    seed: u64,
 }
 
 impl TabuSearch {
-    /// Creates the scheduler.
-    pub fn new(config: TabuConfig) -> TabuSearch {
-        assert!(config.samples > 0, "need at least one sample per iteration");
-        TabuSearch { config }
+    /// Creates the scheduler with a seed.
+    pub fn new(seed: u64) -> TabuSearch {
+        TabuSearch { seed }
     }
 }
 
@@ -342,9 +308,8 @@ impl Scheduler for TabuSearch {
 impl SteppableSearch for TabuSearch {
     fn start<'a>(&mut self, inst: &'a HcInstance, budget: &RunBudget) -> Box<dyn SearchStep + 'a> {
         let clock = Instant::now();
-        let cfg = self.config;
         let objective = budget.objective;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let snapshot = EvalSnapshot::new(inst);
         let current = random_solution(inst, &mut rng);
         let mut eval = Evaluator::with_snapshot(&snapshot);
@@ -354,15 +319,14 @@ impl SteppableSearch for TabuSearch {
             RunLedger::new(inst, budget, clock, current.clone(), current_cost, evaluations);
         Box::new(TabuState {
             inst,
-            cfg,
             objective,
             rng,
             snapshot,
             current,
             current_cost,
             tabu_until: vec![0u64; inst.task_count()],
-            sampled: Vec::with_capacity(cfg.samples),
-            admissible: Vec::with_capacity(cfg.samples),
+            sampled: Vec::with_capacity(TABU_SAMPLES),
+            admissible: Vec::with_capacity(TABU_SAMPLES),
             ledger,
         })
     }
@@ -371,7 +335,6 @@ impl SteppableSearch for TabuSearch {
 /// A paused tabu run: trajectory, tabu tenures and the run ledger.
 struct TabuState<'a> {
     inst: &'a HcInstance,
-    cfg: TabuConfig,
     objective: ObjectiveKind,
     rng: ChaCha8Rng,
     snapshot: EvalSnapshot,
@@ -398,7 +361,7 @@ impl SearchStep for TabuState<'_> {
         while self.ledger.proceed(batch.evaluations()) {
             // Sample the neighborhood, then score the whole sample at once.
             self.sampled.clear();
-            for _ in 0..self.cfg.samples {
+            for _ in 0..TABU_SAMPLES {
                 let t = TaskId::from_usize(self.rng.gen_range(0..self.inst.task_count()));
                 let (lo, hi) = self.current.valid_range(g, t);
                 let pos = self.rng.gen_range(lo..=hi);
@@ -423,7 +386,7 @@ impl SearchStep for TabuState<'_> {
                 let (t, pos, m) = self.sampled[best.index];
                 self.current.move_task(g, t, pos, m).expect("apply chosen");
                 self.current_cost = best.score;
-                self.tabu_until[t.index()] = now + self.cfg.tenure;
+                self.tabu_until[t.index()] = now + TABU_TENURE;
             }
             // With no admissible move the current solution stands, and
             // it never beats the incumbent: the iteration stalls.
@@ -484,7 +447,7 @@ mod tests {
     #[test]
     fn sa_improves_on_its_own_start_and_is_valid() {
         let inst = random_instance(25, 4, 32);
-        let mut sa = SimulatedAnnealing::new(SaConfig { seed: 2, ..Default::default() });
+        let mut sa = SimulatedAnnealing::new(2);
         let mut trace = Trace::new();
         let r = sa.run(&inst, &RunBudget::iterations(2_000), Some(&mut trace));
         r.solution.check(inst.graph()).unwrap();
@@ -498,8 +461,7 @@ mod tests {
         // Validity after thousands of accept/undo cycles is the regression
         // this guards.
         let inst = random_instance(15, 3, 33);
-        let mut sa =
-            SimulatedAnnealing::new(SaConfig { seed: 3, cooling: 0.9, ..Default::default() });
+        let mut sa = SimulatedAnnealing::new(3);
         let r = sa.run(&inst, &RunBudget::iterations(3_000), None);
         r.solution.check(inst.graph()).unwrap();
         let mk = Evaluator::new(&inst).makespan(&r.solution);
@@ -509,7 +471,7 @@ mod tests {
     #[test]
     fn tabu_valid_and_beats_random_start() {
         let inst = random_instance(25, 4, 34);
-        let mut ts = TabuSearch::new(TabuConfig { seed: 4, ..Default::default() });
+        let mut ts = TabuSearch::new(4);
         let mut trace = Trace::new();
         let r = ts.run(&inst, &RunBudget::iterations(300), Some(&mut trace));
         r.solution.check(inst.graph()).unwrap();
@@ -521,15 +483,11 @@ mod tests {
     fn metaheuristics_deterministic_under_seed() {
         let inst = random_instance(15, 3, 35);
         let budget = RunBudget::iterations(200);
-        let a = SimulatedAnnealing::new(SaConfig { seed: 7, ..Default::default() })
-            .run(&inst, &budget, None);
-        let b = SimulatedAnnealing::new(SaConfig { seed: 7, ..Default::default() })
-            .run(&inst, &budget, None);
+        let a = SimulatedAnnealing::new(7).run(&inst, &budget, None);
+        let b = SimulatedAnnealing::new(7).run(&inst, &budget, None);
         assert_eq!(a.solution, b.solution);
-        let c =
-            TabuSearch::new(TabuConfig { seed: 7, ..Default::default() }).run(&inst, &budget, None);
-        let d =
-            TabuSearch::new(TabuConfig { seed: 7, ..Default::default() }).run(&inst, &budget, None);
+        let c = TabuSearch::new(7).run(&inst, &budget, None);
+        let d = TabuSearch::new(7).run(&inst, &budget, None);
         assert_eq!(c.solution, d.solution);
         let e = RandomSearch::new(7).run(&inst, &budget, None);
         let f = RandomSearch::new(7).run(&inst, &budget, None);
@@ -542,17 +500,14 @@ mod tests {
         // move-eval-undo loop exactly, at any worker-thread count.
         let inst = random_instance(20, 4, 36);
         let budget = RunBudget::iterations(120);
-        let baseline =
-            rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-                TabuSearch::new(TabuConfig { seed: 9, ..Default::default() })
-                    .run(&inst, &budget, None)
-            });
+        let baseline = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| TabuSearch::new(9).run(&inst, &budget, None));
         for threads in [2usize, 8] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let r = pool.install(|| {
-                TabuSearch::new(TabuConfig { seed: 9, ..Default::default() })
-                    .run(&inst, &budget, None)
-            });
+            let r = pool.install(|| TabuSearch::new(9).run(&inst, &budget, None));
             assert_eq!(r.solution, baseline.solution, "{threads} threads");
             assert_eq!(r.makespan, baseline.makespan, "{threads} threads");
             assert_eq!(r.evaluations, baseline.evaluations, "{threads} threads");
@@ -569,9 +524,8 @@ mod tests {
         let budget = RunBudget::iterations(150).with_objective(kind);
         let runs: Vec<RunResult> = vec![
             RandomSearch::new(2).run(&inst, &budget, None),
-            SimulatedAnnealing::new(SaConfig { seed: 2, ..Default::default() })
-                .run(&inst, &budget, None),
-            TabuSearch::new(TabuConfig { seed: 2, ..Default::default() }).run(&inst, &budget, None),
+            SimulatedAnnealing::new(2).run(&inst, &budget, None),
+            TabuSearch::new(2).run(&inst, &budget, None),
         ];
         for r in runs {
             r.solution.check(inst.graph()).unwrap();
@@ -590,18 +544,8 @@ mod tests {
         let budget = RunBudget::iterations(150);
         type MakeSearch = Box<dyn Fn() -> Box<dyn SteppableSearch>>;
         let checks: Vec<(MakeSearch, &str)> = vec![
-            (
-                Box::new(|| {
-                    Box::new(SimulatedAnnealing::new(SaConfig { seed: 6, ..Default::default() }))
-                }),
-                "sa",
-            ),
-            (
-                Box::new(|| {
-                    Box::new(TabuSearch::new(TabuConfig { seed: 6, ..Default::default() }))
-                }),
-                "tabu",
-            ),
+            (Box::new(|| Box::new(SimulatedAnnealing::new(6))), "sa"),
+            (Box::new(|| Box::new(TabuSearch::new(6))), "tabu"),
             (Box::new(|| Box::new(RandomSearch::new(6))), "random"),
         ];
         for (make, name) in checks {
@@ -626,14 +570,10 @@ mod tests {
         let inst = random_instance(20, 3, 41);
         let budget = RunBudget::iterations(400);
         // A strong donor from an independent longer run.
-        let donor = TabuSearch::new(TabuConfig { seed: 13, ..Default::default() }).run(
-            &inst,
-            &RunBudget::iterations(600),
-            None,
-        );
+        let donor = TabuSearch::new(13).run(&inst, &RunBudget::iterations(600), None);
         let searches: Vec<Box<dyn SteppableSearch>> = vec![
-            Box::new(SimulatedAnnealing::new(SaConfig { seed: 8, ..Default::default() })),
-            Box::new(TabuSearch::new(TabuConfig { seed: 8, ..Default::default() })),
+            Box::new(SimulatedAnnealing::new(8)),
+            Box::new(TabuSearch::new(8)),
             Box::new(RandomSearch::new(8)),
         ];
         for mut algo in searches {
@@ -653,17 +593,5 @@ mod tests {
             r.solution.check(inst.graph()).unwrap();
             assert!(r.objective_value <= donor.objective_value + 1e-9);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cooling")]
-    fn sa_bad_cooling_rejected() {
-        let _ = SimulatedAnnealing::new(SaConfig { cooling: 1.5, ..Default::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "sample")]
-    fn tabu_zero_samples_rejected() {
-        let _ = TabuSearch::new(TabuConfig { samples: 0, ..Default::default() });
     }
 }

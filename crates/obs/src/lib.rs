@@ -44,8 +44,8 @@
 //!
 //! CI enforces the claim end-to-end by byte-comparing leaderboards and
 //! run outputs with metrics on vs off at 1 and 8 threads, and the
-//! facade's property tests replay seeds × objectives × strides ×
-//! thread counts both ways.
+//! facade's property tests replay seeds × objectives × thread counts
+//! both ways.
 //!
 //! ## Usage
 //!

@@ -64,11 +64,6 @@ impl HcInstance {
     pub fn data_count(&self) -> usize {
         self.graph.data_count()
     }
-
-    /// Splits the instance back into its parts.
-    pub fn into_parts(self) -> (TaskGraph, HcSystem) {
-        (self.graph, self.system)
-    }
 }
 
 #[cfg(test)]
@@ -97,9 +92,6 @@ mod tests {
         assert_eq!(inst.task_count(), 3);
         assert_eq!(inst.machine_count(), 2);
         assert_eq!(inst.data_count(), 2);
-        let (g, s) = inst.into_parts();
-        assert_eq!(g.task_count(), 3);
-        assert_eq!(s.machine_count(), 2);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use mshc_core::{SeConfig, SePendingBias};
 use mshc_ga::{GaConfig, GaScheduler};
 use mshc_heuristics::{
-    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SaConfig,
-    SimulatedAnnealing, TabuConfig, TabuSearch,
+    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SimulatedAnnealing,
+    TabuSearch,
 };
 use mshc_platform::HcInstance;
 use mshc_schedule::{
@@ -292,14 +292,8 @@ pub fn build_contestant(name: &str, seed: u64) -> Result<Contestant, String> {
             ..GaConfig::default()
         }))),
         "random" => Contestant::Steppable(Box::new(RandomSearch::new(seed))),
-        "sa" => Contestant::Steppable(Box::new(SimulatedAnnealing::new(SaConfig {
-            seed,
-            ..SaConfig::default()
-        }))),
-        "tabu" => Contestant::Steppable(Box::new(TabuSearch::new(TabuConfig {
-            seed,
-            ..TabuConfig::default()
-        }))),
+        "sa" => Contestant::Steppable(Box::new(SimulatedAnnealing::new(seed))),
+        "tabu" => Contestant::Steppable(Box::new(TabuSearch::new(seed))),
         "heft" => Contestant::OneShot(Box::new(HeftScheduler::new())),
         "heft-ins" => Contestant::OneShot(Box::new(HeftScheduler::with_insertion())),
         "cpop" => Contestant::OneShot(Box::new(CpopScheduler::new())),

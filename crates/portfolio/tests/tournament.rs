@@ -5,8 +5,8 @@
 use mshc_core::{SeConfig, SePendingBias};
 use mshc_ga::{GaConfig, GaScheduler};
 use mshc_heuristics::{
-    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SaConfig,
-    SimulatedAnnealing, TabuConfig, TabuSearch,
+    CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SimulatedAnnealing,
+    TabuSearch,
 };
 use mshc_portfolio::{aggregate, cells_csv, render_report, run_tournament, TournamentSpec};
 use mshc_schedule::{ObjectiveKind, RunBudget, Scheduler};
@@ -46,8 +46,8 @@ fn cli_style_scheduler(name: &str, seed: u64) -> Box<dyn Scheduler> {
         "min-min" => Box::new(ListScheduler::new(ListPolicy::MinMin)),
         "max-min" => Box::new(ListScheduler::new(ListPolicy::MaxMin)),
         "random" => Box::new(RandomSearch::new(seed)),
-        "sa" => Box::new(SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() })),
-        "tabu" => Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() })),
+        "sa" => Box::new(SimulatedAnnealing::new(seed)),
+        "tabu" => Box::new(TabuSearch::new(seed)),
         other => panic!("unknown algorithm {other}"),
     }
 }

@@ -21,7 +21,7 @@
 //! `Solution` mutation at all. Because a worker's slot survives across
 //! chunks, the prime is stamped with a per-scan epoch and **reused** by
 //! every later chunk the same worker claims within the scan (the base
-//! and stride are scan-constant).
+//! is scan-constant).
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -105,8 +105,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// parallel for about a quarter of its own cost in dispatch plus the
 /// extra worker's prime — while a grid below one chunk stays inline
 /// and pays neither: tabu's 24-move samples stay inline at every size
-/// up to 256 tasks. The grid depends on `k` and the grid length alone,
-/// never on the thread count.
+/// up to 256 tasks. Above that they fan out: into chunks of 21 and 3
+/// moves at 300 tasks, of 11, 11 and 2 at 600. Measured on a 2-vCPU
+/// host in alternating `--threads 1` / `--threads 2` pairs (medians of
+/// the wall time `mshc run --algo tabu --machines 16` prints), a second
+/// thread took 600 tasks at 500 iterations from 0.388 to 0.320–0.324 s,
+/// faster in 7 and 8 of 10 pairs at seeds 7 and 2001; 300 tasks at 1,000
+/// iterations went from 0.249–0.257 to 0.225–0.239 s, faster in 7 of 10
+/// pairs, a gain too small to tell from noise. The grid depends on `k`
+/// and the grid length alone, never on the thread count.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
 
 /// Lane-replays one lane group of [`BatchEvaluator::best_relocation`]
@@ -135,11 +142,18 @@ const SCAN_CHUNK_REPLAYS: usize = 6144;
 /// 120 lanes at 100 × 20 (70 on the incumbent measured), so it never
 /// fills a group and runs inline. At 300 × 16 (55-lane groups) 12 of 300
 /// walks span two or more groups. A total-flowtime walk at 100 ×
-/// 20 spans two or more groups in 67 of 100 walks. There, on that host,
-/// the second thread neither gains nor loses measurably: `mshc run
-/// --algo se --tasks 100 --machines 20 --seed 7 --iters 30 --objective
-/// total-flowtime` took 0.054–0.074 s on one thread and 0.059–0.077 s on
-/// two (five runs each). The groups are read from the base string
+/// 20 spans two or more groups in 67 of 100 walks.
+///
+/// What a second thread buys, measured on a 2-vCPU host in alternating
+/// `--threads 1` / `--threads 2` pairs of `mshc run --algo se` (medians
+/// of the printed wall time): under total flowtime at 300 × 16 (10
+/// iterations) it took 0.383 to 0.260 s at seed 3, faster in 10 of 12
+/// pairs, and 0.253 to 0.168 s at seed 7, faster in 12 of 12. At 100 ×
+/// 20 (60 iterations, seed 7) the same objective read 0.120 against
+/// 0.116 s, faster in only 5 of 12 pairs, and makespan at 300 × 16 (30
+/// iterations, seed 7), whose walks rarely span two groups, read 0.075
+/// against 0.081 s, faster in 3 of 10: there the fan-out neither gains
+/// nor loses beyond noise. The groups are read from the base string
 /// alone, and every replayed score is exact, so neither the group size
 /// nor the thread count can move a result or a counter.
 const LANE_FANOUT_REPLAYS: usize = 16_384;
@@ -276,22 +290,19 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
     }
 
     /// Checks out an arena with its incremental evaluator primed on
-    /// `base` at the requested checkpoint stride, for move scoring. The
-    /// prime is stamped with the scan `epoch`: the first chunk
-    /// a thread claims pays the O(k + p) prime, every later chunk of the
-    /// same scan finds the stamp current and reuses it as-is (base and
-    /// stride are scan-constant).
+    /// `base`, for move scoring. The prime is stamped with the scan
+    /// `epoch`: the first chunk a thread claims pays the O(k + p) prime,
+    /// every later chunk of the same scan finds the stamp current and
+    /// reuses it as-is (the base is scan-constant).
     fn checkout_primed(
         pool: &'p ArenaPool<'a>,
         snap: &'a EvalSnapshot,
         base: &Solution,
-        stride: Option<usize>,
         epoch: u64,
     ) -> ArenaGuard<'p, 'a> {
         let mut guard = ArenaGuard::checkout(pool, snap);
         let arena = guard.arena.as_mut().expect("arena present until drop");
         if arena.primed_epoch != epoch {
-            arena.inc.set_stride(stride);
             arena.inc.prime(base);
             arena.primed_epoch = epoch;
         }
@@ -433,9 +444,6 @@ pub struct BatchEvaluator<'a> {
     /// [`ArenaGuard::checkout_primed`]); bumped by every scoring entry
     /// point so a stale prime can never leak across scans.
     scan_epoch: u64,
-    /// Checkpoint stride handed to the per-thread incremental evaluators
-    /// (`None` = auto `⌈√k⌉`). Never affects scores, only resume cost.
-    stride: Option<usize>,
     evaluations: u64,
     /// Aggregated scoring and population counters across all calls.
     scan: ScanStats,
@@ -452,20 +460,11 @@ impl<'a> BatchEvaluator<'a> {
             snap,
             arenas: ArenaPool::new(),
             scan_epoch: 0,
-            stride: None,
             evaluations: 0,
             scan: ScanStats::default(),
             cell_pos: Vec::new(),
             cell_machines: Vec::new(),
         }
-    }
-
-    /// Sets the checkpoint stride for incremental move scoring (`None` =
-    /// auto `⌈√k⌉`). No search sets it; tests and the evaluator bench
-    /// vary it to show it never changes a score.
-    pub fn with_stride(mut self, stride: Option<usize>) -> BatchEvaluator<'a> {
-        self.stride = stride;
-        self
     }
 
     /// The shared snapshot.
@@ -718,12 +717,11 @@ impl<'a> BatchEvaluator<'a> {
         let chunks = self.scan_chunks(moves.len());
         let snap = self.snap;
         let pool = &self.arenas;
-        let stride = self.stride;
         let before = self.arena_scorings();
         let per_chunk: Vec<Vec<f64>> = chunks
             .par_iter()
             .map_init(
-                || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch),
+                || ArenaGuard::checkout_primed(pool, snap, base, epoch),
                 |guard, range| {
                     let inc = guard.inc();
                     moves[range.clone()]
@@ -826,10 +824,9 @@ impl<'a> BatchEvaluator<'a> {
         let epoch = self.scan_epoch;
         let snap = self.snap;
         let pool = &self.arenas;
-        let stride = self.stride;
         let (cell_pos, cell_machines) = (&self.cell_pos[..], &self.cell_machines[..]);
         let before = self.arena_scorings();
-        let checkout = || ArenaGuard::checkout_primed(pool, snap, base, stride, epoch);
+        let checkout = || ArenaGuard::checkout_primed(pool, snap, base, epoch);
         // Strict improvement under total_cmp keeps the earliest cell on
         // ties, within a group and across groups alike.
         let first_min = |best: Option<Relocation>, cell: Relocation| match best {
@@ -1151,12 +1148,11 @@ mod tests {
     }
 
     #[test]
-    fn score_population_is_stride_and_thread_invariant() {
+    fn score_population_is_thread_invariant() {
         // Exact fitness plus every population counter must be a pure
-        // function of the chromosomes: same bits at any stride (cost
-        // knob) and thread count (work stealing).
+        // function of the chromosomes: same bits at any thread count
+        // (work stealing).
         let inst = random_instance(26, 4, 33);
-        let k = inst.task_count();
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(14);
         let (parents, children, descents) = population_fixture(&inst, &mut rng, 6);
@@ -1171,18 +1167,16 @@ mod tests {
                     batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
                 (out, batch.scan_stats())
             });
-        for stride in [Some(1), None, Some(k + 7)] {
-            for threads in [1usize, 2, 8] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let (got, stats) = pool.install(|| {
-                    let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-                    let out =
-                        batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
-                    (out, batch.scan_stats())
-                });
-                assert_eq!(got, baseline, "stride {stride:?}, {threads} threads");
-                assert_eq!(stats, base_stats, "stride {stride:?}, {threads} threads");
-            }
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (got, stats) = pool.install(|| {
+                let mut batch = BatchEvaluator::new(&snap);
+                let out =
+                    batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
+                (out, batch.scan_stats())
+            });
+            assert_eq!(got, baseline, "{threads} threads");
+            assert_eq!(stats, base_stats, "{threads} threads");
         }
     }
 
@@ -1373,10 +1367,8 @@ mod tests {
     }
 
     #[test]
-    fn move_scores_are_stride_and_thread_invariant() {
-        // The checkpoint stride is a pure cost knob: every stride (1,
-        // auto, beyond-k) and every thread count must produce the same
-        // bits.
+    fn move_scores_are_thread_invariant() {
+        // Every thread count must produce the same bits.
         let inst = random_instance(26, 4, 12);
         let g = inst.graph();
         let k = inst.task_count();
@@ -1396,16 +1388,11 @@ mod tests {
             .build()
             .unwrap()
             .install(|| BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &obj));
-        for stride in [Some(1), None, Some(k + 9)] {
-            for threads in [1usize, 2, 8] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let got = pool.install(|| {
-                    BatchEvaluator::new(&snap)
-                        .with_stride(stride)
-                        .score_task_moves(&base, &moves, &obj)
-                });
-                assert_eq!(got, baseline, "stride {stride:?}, {threads} threads");
-            }
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got =
+                pool.install(|| BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &obj));
+            assert_eq!(got, baseline, "{threads} threads");
         }
     }
 

@@ -79,7 +79,7 @@ impl fmt::Display for ScheduleError {
             ScheduleError::UnboundedBudget => write!(
                 f,
                 "iterative schedulers need a bounded run budget: set at least one of \
-                 max_iterations, max_evaluations, max_wall or max_stall"
+                 max_iterations, max_evaluations or max_wall"
             ),
             ScheduleError::InvalidDeadline { axis } => write!(
                 f,

@@ -18,16 +18,15 @@
 //! same float operations in the same order as a full pass over the
 //! mutated string, so scores are bit-identical to
 //! [`Evaluator::objective_value`] for every objective (the property
-//! tests pin this down across strides). Every scoring replays to the
-//! end of the string: there are no bounds and no early exits.
+//! tests pin this down). Every scoring replays to the end of the
+//! string: there are no bounds and no early exits.
 //!
-//! The default stride `C = ⌈√k⌉` balances checkpoint memory/priming cost
+//! The stride `C = ⌈√k⌉` balances checkpoint memory/priming cost
 //! (`O(√k)` checkpoints of `O(l)` floats) against resume cost (`≤ C`
-//! fast-forwarded positions per score). Stride 1 checkpoints every
-//! position; stride ≥ k degenerates to replay-from-zero. The mutated
-//! string is never materialized: segments are read through an index
-//! remapping of the base, so scoring performs no `Solution` clones or
-//! `move_task` calls at all.
+//! fast-forwarded positions per score). The mutated string is never
+//! materialized: segments are read through an index remapping of the
+//! base, so scoring performs no `Solution` clones or `move_task` calls
+//! at all.
 //!
 //! The priming walk caches every edge's **resolved transfer cost** under
 //! the base assignment, in predecessor-CSR order, as it reads it. A
@@ -84,8 +83,8 @@ use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::TaskId;
 use std::borrow::Cow;
 
-/// Returns the default checkpoint stride for a `k`-task string: `⌈√k⌉`.
-pub fn auto_stride(tasks: usize) -> usize {
+/// The checkpoint stride for a `k`-task string: `⌈√k⌉`.
+fn auto_stride(tasks: usize) -> usize {
     ((tasks as f64).sqrt().ceil() as usize).max(1)
 }
 
@@ -105,7 +104,7 @@ pub enum MoveScore {
 
 /// Counters of tier-3 scoring and GA population scoring. Every axis is
 /// a pure function of the candidates scored, so each reads the same at
-/// any thread count and checkpoint stride.
+/// any thread count.
 ///
 /// The bump sites that feed these per-run counters also mirror into the
 /// process-wide [`mshc_obs`] registry (`ScanScored` and the population
@@ -220,9 +219,7 @@ pub struct IncrementalEvaluator<'a> {
     /// Owned when built straight from an instance; borrowed when many
     /// evaluators share one snapshot (the batch path).
     snap: Cow<'a, EvalSnapshot>,
-    /// Requested stride; `None` resolves to [`auto_stride`] at prime time.
-    stride_override: Option<usize>,
-    /// Stride in effect for the current priming.
+    /// Checkpoint stride, [`auto_stride`] of the task count.
     stride: usize,
     /// Owned copy of the primed base (`clone_from`-reused across primes).
     base: Option<Solution>,
@@ -320,9 +317,8 @@ impl<'a> IncrementalEvaluator<'a> {
         let l = snap.machine_count();
         let edges = snap.edge_count();
         IncrementalEvaluator {
+            stride: auto_stride(k),
             snap,
-            stride_override: None,
-            stride: 1,
             base: None,
             base_finish: vec![0.0; k],
             base_machine: vec![0; k],
@@ -339,21 +335,6 @@ impl<'a> IncrementalEvaluator<'a> {
             evaluations: 0,
             lanes: LaneScratch::default(),
         }
-    }
-
-    /// Sets the checkpoint stride: `None` selects the auto default
-    /// `⌈√k⌉`, `Some(c)` checkpoints every `max(c, 1)` positions. Takes
-    /// effect at the next [`prime`](Self::prime); the stride never
-    /// changes scores, only the memory/resume-cost trade-off. No search
-    /// sets it; tests and the evaluator bench vary it.
-    pub fn set_stride(&mut self, stride: Option<usize>) {
-        self.stride_override = stride;
-    }
-
-    /// The stride in effect for the current priming.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// The snapshot this evaluator walks.
@@ -390,15 +371,13 @@ impl<'a> IncrementalEvaluator<'a> {
     /// Walks `base` once, storing its finish times and machines, every
     /// edge's resolved transfer cost, and a checkpoint of the frontier
     /// state (machine-ready vector + objective accumulators) every
-    /// [`stride`](Self::stride) positions. O(k + p) plus O(k/stride × l)
-    /// checkpoint writes.
+    /// `⌈√k⌉` positions. O(k + p) plus O(√k × l) checkpoint writes.
     pub fn prime(&mut self, base: &Solution) {
         let snap = self.snap.as_ref();
         let k = snap.task_count();
         let l = snap.machine_count();
         debug_assert_eq!(base.len(), k, "solution/instance mismatch");
         debug_assert_eq!(base.machine_count(), l, "solution/instance machine mismatch");
-        self.stride = self.stride_override.unwrap_or_else(|| auto_stride(k)).max(1);
         match &mut self.base {
             Some(b) => b.clone_from(base),
             none => *none = Some(base.clone()),
@@ -824,17 +803,16 @@ mod tests {
     }
 
     #[test]
-    fn score_move_is_bit_identical_to_full_eval_at_every_stride() {
+    fn score_move_is_bit_identical_to_full_eval() {
         let inst = random_instance(24, 4, 3);
         let g = inst.graph();
         let k = inst.task_count();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut scalar = Evaluator::new(&inst);
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for stride in [Some(1), Some(2), Some(5), None, Some(k), Some(k + 17)] {
+        for round in 0..6 {
             let base = random_solution(&inst, &mut rng);
             let mut inc = IncrementalEvaluator::new(&inst);
-            inc.set_stride(stride);
             inc.prime(&base);
             for _ in 0..40 {
                 let t = TaskId::new(rng.gen_range(0..k as u32));
@@ -846,7 +824,7 @@ mod tests {
                 for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
                     let fast = inc.score_move(t, pos, m, &kind);
                     let slow = scalar.objective_value(&cand, &kind);
-                    assert_eq!(fast, slow, "{} stride {stride:?}", kind.label());
+                    assert_eq!(fast, slow, "{} base {round}", kind.label());
                 }
             }
         }
@@ -928,7 +906,6 @@ mod tests {
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
         for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
             let mut inc = IncrementalEvaluator::new(&inst);
-            inc.set_stride(Some(2));
             inc.prime(&base);
             let t = base.segment_at(3).task;
             let score = inc.score_move(t, 3, base.machine_of(t), &kind);
@@ -1031,7 +1008,6 @@ mod tests {
         let order: Vec<TaskId> = (0..4).map(TaskId::new).collect();
         let base = Solution::from_order(graph, 2, &order, &[MachineId::new(0); 4]).unwrap();
         let mut inc = IncrementalEvaluator::new(&inst);
-        inc.set_stride(Some(1));
         inc.prime(&base);
         let mut scalar = Evaluator::new(&inst);
         let mut candidates = Vec::new();

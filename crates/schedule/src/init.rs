@@ -11,17 +11,14 @@ use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::{TaskGraph, TaskId, TopoOrder};
 use rand::Rng;
 
-/// Generates a random valid solution exactly as §4.2 prescribes.
-///
-/// `max_perturbations` bounds the "random number of times" the string is
-/// perturbed after the topological sort (the paper leaves the bound open;
-/// we draw uniformly from `0..=max_perturbations`, default `2k` in
-/// [`random_solution`]).
-pub fn random_solution_with<R: Rng + ?Sized>(
-    inst: &HcInstance,
-    max_perturbations: usize,
-    rng: &mut R,
-) -> Solution {
+/// Bound on §4.2's "random number of times" the initial string is
+/// perturbed, per task. The paper leaves the bound open; the count is
+/// drawn uniformly from `0..=2k`.
+const PERTURBATIONS_PER_TASK: usize = 2;
+
+/// Generates a random valid solution exactly as §4.2 prescribes, with
+/// up to `2k` valid-range perturbations of the topological string.
+pub fn random_solution<R: Rng + ?Sized>(inst: &HcInstance, rng: &mut R) -> Solution {
     let g = inst.graph();
     let l = inst.machine_count();
     // 1. Random machine per task.
@@ -33,7 +30,7 @@ pub fn random_solution_with<R: Rng + ?Sized>(
     let mut sol = Solution::from_order(g, l, order.as_slice(), &assignment)
         .expect("topological order + in-range machines is always valid");
     // 3. Random valid-range moves.
-    let n = rng.gen_range(0..=max_perturbations);
+    let n = rng.gen_range(0..=PERTURBATIONS_PER_TASK * g.task_count());
     for _ in 0..n {
         perturb(&mut sol, g, rng);
     }
@@ -49,11 +46,6 @@ pub fn perturb<R: Rng + ?Sized>(sol: &mut Solution, graph: &TaskGraph, rng: &mut
     let pos = rng.gen_range(lo..=hi);
     let m = sol.machine_of(t);
     sol.move_task(graph, t, pos, m).expect("in-range move");
-}
-
-/// [`random_solution_with`] with the default perturbation bound `2k`.
-pub fn random_solution<R: Rng + ?Sized>(inst: &HcInstance, rng: &mut R) -> Solution {
-    random_solution_with(inst, 2 * inst.task_count(), rng)
 }
 
 #[cfg(test)]
@@ -109,13 +101,5 @@ mod tests {
         let a = random_solution(&inst, &mut ChaCha8Rng::seed_from_u64(33));
         let b = random_solution(&inst, &mut ChaCha8Rng::seed_from_u64(33));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_perturbations_is_topo_order() {
-        let inst = instance();
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let s = random_solution_with(&inst, 0, &mut rng);
-        assert!(inst.graph().is_linear_extension(&s.order().collect::<Vec<_>>()));
     }
 }

@@ -130,7 +130,7 @@ pub use error::ScheduleError;
 pub use eval::{Evaluator, ScheduleReport};
 pub use faults::{CellFault, FaultPlan, FAULT_PANIC_PREFIX};
 pub use gantt::Gantt;
-pub use incremental::{auto_stride, IncrementalEvaluator, MoveScore, ScanStats};
+pub use incremental::{IncrementalEvaluator, MoveScore, ScanStats};
 pub use init::{perturb, random_solution};
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{

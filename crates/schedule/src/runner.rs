@@ -9,10 +9,10 @@
 //! [`RunBudget`] expresses the stopping criteria the paper uses:
 //! iteration counts for Figs 3–4 and wall-clock time for the SE-vs-GA
 //! races of Figs 5–7, plus an evaluation-count budget for deterministic
-//! comparisons and a stall window ("no improvement for N iterations"),
-//! one limit per axis. A `deadline` tag marks the evaluation and wall
-//! limits as an external deadline, which changes only how a stop is
-//! reported ([`Termination::Deadline`]). The budget also carries the
+//! comparisons, one limit per axis. A `deadline` tag marks the
+//! evaluation and wall limits as an external deadline, which changes
+//! only how a stop is reported ([`Termination::Deadline`]). The budget
+//! also carries the
 //! [`ObjectiveKind`] to optimize, so the CLI and the harnesses select
 //! objectives without touching the `Scheduler` trait.
 //!
@@ -83,8 +83,8 @@ pub enum Termination {
     /// or a steppable search drained by its driver without exhausting
     /// the budget.
     Completed,
-    /// A budget limit (`max_iterations`, `max_evaluations`, `max_wall`,
-    /// `max_stall`) stopped the run.
+    /// A budget limit (`max_iterations`, `max_evaluations`, `max_wall`)
+    /// stopped the run.
     Budget,
     /// The evaluation or wall limit of a budget tagged as a deadline
     /// ([`RunBudget::deadline`]) stopped the run.
@@ -131,9 +131,6 @@ pub struct RunBudget {
     pub max_evaluations: Option<u64>,
     /// Maximum wall-clock time.
     pub max_wall: Option<Duration>,
-    /// Stop after this many consecutive iterations without improving the
-    /// best objective value.
-    pub max_stall: Option<u64>,
     /// The objective iterative schedulers minimize (default: makespan,
     /// the paper's objective). One-shot constructive heuristics always
     /// build makespan-oriented schedules but report this objective's
@@ -166,7 +163,6 @@ impl Default for RunBudget {
             max_iterations: None,
             max_evaluations: None,
             max_wall: None,
-            max_stall: None,
             objective: ObjectiveKind::default(),
             early_stop: true,
             deadline: false,
@@ -189,12 +185,6 @@ impl RunBudget {
     /// Budget limited by wall-clock time only.
     pub fn wall(d: Duration) -> RunBudget {
         RunBudget { max_wall: Some(d), ..Default::default() }
-    }
-
-    /// Adds a stall window to an existing budget.
-    pub fn with_stall(mut self, n: u64) -> RunBudget {
-        self.max_stall = Some(n);
-        self
     }
 
     /// Sets the objective to optimize.
@@ -237,10 +227,7 @@ impl RunBudget {
     /// Whether any limit is set (a cancel token does not bound a budget
     /// — cancellation may never come).
     pub fn is_bounded(&self) -> bool {
-        self.max_iterations.is_some()
-            || self.max_evaluations.is_some()
-            || self.max_wall.is_some()
-            || self.max_stall.is_some()
+        self.max_iterations.is_some() || self.max_evaluations.is_some() || self.max_wall.is_some()
     }
 
     /// Validates the budget for an iterative (anytime) scheduler: an
@@ -374,9 +361,8 @@ mod tests {
         let b = RunBudget::iterations(5);
         assert_eq!(b.max_iterations, Some(5));
         assert!(b.is_bounded());
-        let b = RunBudget::evaluations(100).with_stall(10);
+        let b = RunBudget::evaluations(100);
         assert_eq!(b.max_evaluations, Some(100));
-        assert_eq!(b.max_stall, Some(10));
         assert!(!b.deadline, "an evaluation budget is not a deadline");
         let b = RunBudget::wall(Duration::from_millis(50));
         assert_eq!(b.max_wall, Some(Duration::from_millis(50)));
@@ -396,7 +382,6 @@ mod tests {
         assert!(RunBudget::iterations(1).validate().is_ok());
         assert!(RunBudget::evaluations(1).validate().is_ok());
         assert!(RunBudget::wall(Duration::from_millis(1)).validate().is_ok());
-        assert!(RunBudget::default().with_stall(3).validate().is_ok());
         // Setting only the objective does not bound a budget.
         let b = RunBudget::default().with_objective(ObjectiveKind::TotalFlowtime);
         assert!(b.validate().is_err());

@@ -18,8 +18,8 @@
 //!
 //! **One ledger per run.** Every iterative search (SE, GA, SA, tabu,
 //! random search) keeps its run bookkeeping in a [`RunLedger`]: the
-//! budget, the run clock, the iteration, evaluation and stall counters,
-//! the floor and cancel latches, the incumbent, the step verdict and the
+//! budget, the run clock, the iteration and evaluation counters, the
+//! floor and cancel latches, the incumbent, the step verdict and the
 //! [`RunResult`] assembly. A search calls it at the same points of its
 //! loop:
 //!
@@ -153,8 +153,8 @@ pub fn run_stepped(
 }
 
 /// The run bookkeeping every iterative search shares: the budget, the
-/// run clock, the iteration, evaluation and stall counters, the floor
-/// and cancel latches, the incumbent, the step verdict and the
+/// run clock, the iteration and evaluation counters, the floor and
+/// cancel latches, the incumbent, the step verdict and the
 /// [`RunResult`] assembly. See the [module docs](self) for the points of
 /// a search loop that call it.
 ///
@@ -175,7 +175,6 @@ pub struct RunLedger {
     iterations: u64,
     /// Evaluations charged by the start and by completed slices.
     evaluations: u64,
-    stall: u64,
     /// Scoring counters merged from completed slices.
     scan: ScanStats,
     /// The iteration count at which the current slice ends.
@@ -211,7 +210,6 @@ impl RunLedger {
             best_cost,
             iterations: 0,
             evaluations,
-            stall: 0,
             scan: ScanStats::default(),
             slice_end: 0,
             floor_hit: false,
@@ -240,16 +238,13 @@ impl RunLedger {
     }
 
     /// Ends an iteration whose best candidate is `candidate` at `cost`:
-    /// a strict improvement becomes the incumbent, resets the stall
-    /// count and may latch the floor; anything else extends the stall.
+    /// a strict improvement becomes the incumbent and may latch the
+    /// floor.
     pub fn record(&mut self, candidate: &Solution, cost: f64) {
         if cost < self.best_cost {
             self.best.clone_from(candidate);
             self.best_cost = cost;
-            self.stall = 0;
             self.latch_floor();
-        } else {
-            self.stall += 1;
         }
         self.count_iteration();
     }
@@ -274,13 +269,12 @@ impl RunLedger {
     }
 
     /// Offers a migrant from outside the search: it becomes the
-    /// incumbent when it beats it and resets the stall count. The floor
-    /// does not latch here; the next slice entry latches it.
+    /// incumbent when it beats it. The floor does not latch here; the
+    /// next slice entry latches it.
     pub fn offer(&mut self, migrant: &Solution, cost: f64) {
         if cost < self.best_cost {
             self.best.clone_from(migrant);
             self.best_cost = cost;
-            self.stall = 0;
         }
     }
 
@@ -349,16 +343,14 @@ impl RunLedger {
     /// The termination a limit reached at `evaluations` reports, if any:
     /// the evaluation and wall limits report
     /// [`Termination::Deadline`] on a budget tagged as a deadline, and
-    /// take precedence over the iteration and stall limits.
+    /// take precedence over the iteration limit.
     fn limit_hit(&self, evaluations: u64) -> Option<Termination> {
         let b = &self.budget;
         if b.max_evaluations.is_some_and(|m| evaluations >= m)
             || b.max_wall.is_some_and(|m| self.clock.elapsed() >= m)
         {
             Some(if b.deadline { Termination::Deadline } else { Termination::Budget })
-        } else if b.max_iterations.is_some_and(|m| self.iterations >= m)
-            || b.max_stall.is_some_and(|m| self.stall >= m)
-        {
+        } else if b.max_iterations.is_some_and(|m| self.iterations >= m) {
             Some(Termination::Budget)
         } else {
             None
@@ -610,22 +602,6 @@ mod tests {
         assert_eq!(termination(&l, &inst), Termination::Budget);
         let mut l = opened(&inst, &RunBudget::wall(Duration::from_secs(3600)), &lopsided, now, 0);
         assert!(l.proceed(0));
-
-        // Non-improving iterations stall; an improvement resets the count.
-        let mut l = opened(&inst, &RunBudget::default().with_stall(4), &lopsided, now, 0);
-        for _ in 0..3 {
-            l.record(&lopsided, 24.0);
-        }
-        assert!(l.proceed(0));
-        l.record(&lopsided, 20.0);
-        for _ in 0..3 {
-            l.record(&lopsided, 24.0);
-        }
-        assert!(l.proceed(0), "the improvement reset the stall");
-        l.record(&lopsided, 20.0);
-        assert!(!l.proceed(0));
-        assert_eq!(l.iterations(), 8);
-        assert_eq!(termination(&l, &inst), Termination::Budget);
 
         // A slice ends at its own iteration count, not the run's.
         let mut l =

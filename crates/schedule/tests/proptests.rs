@@ -256,29 +256,18 @@ proptest! {
 
     /// The incremental move evaluator is bit-identical to a full
     /// re-evaluation of the materialized move, for **every** objective
-    /// kind, on random workloads, random moves and checkpoint strides
-    /// from 1 to beyond the task count (stride must never change a bit;
-    /// it is a pure memory/speed trade-off).
+    /// kind, on random workloads and random moves.
     #[test]
     fn incremental_score_move_equals_full_reevaluation(
         inst in instance_strategy(),
         seed in any::<u64>(),
-        stride_sel in 0usize..5,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = inst.graph();
         let k = inst.task_count();
         let base = random_solution(&inst, &mut rng);
-        let stride = match stride_sel {
-            0 => Some(1),
-            1 => Some(2),
-            2 => Some((k / 2).max(1)),
-            3 => Some(k + 7), // beyond k: degenerates to replay-from-zero
-            _ => None,        // auto ⌈√k⌉
-        };
         let snap = EvalSnapshot::new(&inst);
         let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
         inc.prime(&base);
         let mut scalar = Evaluator::new(&inst);
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
@@ -297,8 +286,7 @@ proptest! {
                 let fast = inc.score_move(t, pos, m, &kind);
                 let slow = scalar.objective_value(&cand, &kind);
                 prop_assert_eq!(
-                    fast, slow,
-                    "{} stride {:?}: move ({}, {}, {})", kind.label(), stride, t, pos, m
+                    fast, slow, "{}: move ({}, {}, {})", kind.label(), t, pos, m
                 );
             }
         }
@@ -308,22 +296,19 @@ proptest! {
     /// scan commits: tabu's mixed-task argmin matches a sequential
     /// first-minimum fold with the admissibility/aspiration rule — same
     /// index (tie-breaks included), same exact score, same evaluation
-    /// count — across random workloads, strides and thread counts, and
+    /// count — across random workloads and thread counts, and
     /// SE's relocation argmin matches a first-minimum fold over its grid.
     #[test]
     fn argmin_scans_commit_the_sequential_choice(
         inst in instance_strategy(),
         seed in any::<u64>(),
-        stride_sel in 0usize..3,
         threads_sel in 0usize..3,
         kind_sel in 0usize..3,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = inst.graph();
-        let k = inst.task_count();
         let base = random_solution(&inst, &mut rng);
         let moves = sample_moves(&inst, &base, 24, &mut rng);
-        let stride = [Some(1), Some((k / 2).max(1)), None][stride_sel];
         let threads = [1usize, 2, 8][threads_sel];
         let kind = [
             ObjectiveKind::Makespan,
@@ -336,7 +321,7 @@ proptest! {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
 
         // Plain argmin (admit everything).
-        let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+        let mut batch = BatchEvaluator::new(&snap);
         let got = pool.install(|| batch.best_task_move(&base, &moves, None, 0.0, &kind));
         let want = reference_choice(&scores, None, 0.0);
         prop_assert_eq!(got.map(|b| (b.index, b.score)), want, "plain argmin, {threads} threads");
@@ -347,14 +332,14 @@ proptest! {
         let aspiration =
             scores[rng.gen_range(0..scores.len())] * [0.9, 1.0, 1.1][rng.gen_range(0..3)];
         let got = pool.install(|| {
-            BatchEvaluator::new(&snap).with_stride(stride).best_task_move(
+            BatchEvaluator::new(&snap).best_task_move(
                 &base, &moves, Some(&admissible), aspiration, &kind,
             )
         });
         let want = reference_choice(&scores, Some(&admissible), aspiration);
         prop_assert_eq!(
             got.map(|b| (b.index, b.score)), want,
-            "aspiration {aspiration}, {threads} threads, stride {:?}", stride
+            "aspiration {aspiration}, {threads} threads"
         );
 
         // The relocation grid scan (SE's shape: positions × machines in
@@ -377,7 +362,7 @@ proptest! {
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
             .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
-        let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+        let mut batch = BatchEvaluator::new(&snap);
         let got = pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
         prop_assert_eq!(got.map(|r| (r.pos, r.machine, r.score.to_bits())), want, "grid scan");
         prop_assert_eq!(batch.evaluations(), grid.len() as u64);
@@ -430,8 +415,7 @@ proptest! {
     /// SE's relocation argmin commits the first minimum of the exact
     /// scores over the full grid under every objective kind — the five
     /// built-ins and a weighted blend without flowtime — at 1, 2 and 8
-    /// threads and strides 1, k/2 and auto, on a Y-limited machine
-    /// ranking. It charges one evaluation per cell and replays exactly
+    /// threads, on a Y-limited machine ranking. It charges one evaluation per cell and replays exactly
     /// the cells that start a run (every cell under the objectives that
     /// read the finish-time sum).
     #[test]
@@ -475,16 +459,14 @@ proptest! {
                 .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
             let replayed = replayed_cells(&base, t, (lo, hi), &machines, runs) as u64;
             for (pool, threads) in pools.iter().zip([1, 2, 8]) {
-                for stride in [Some(1), Some((k / 2).max(1)), None] {
-                    let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-                    let got =
-                        pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
-                    let got = got.map(|r| (r.pos, r.machine, r.score.to_bits()));
-                    let label = format!("{}, {threads} threads, stride {stride:?}", kind.label());
-                    prop_assert_eq!(got, want, "{}", label);
-                    prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
-                    prop_assert_eq!(batch.scan_stats().scored, replayed, "{}", label);
-                }
+                let mut batch = BatchEvaluator::new(&snap);
+                let got =
+                    pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
+                let got = got.map(|r| (r.pos, r.machine, r.score.to_bits()));
+                let label = format!("{}, {threads} threads", kind.label());
+                prop_assert_eq!(got, want, "{}", label);
+                prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
+                prop_assert_eq!(batch.scan_stats().scored, replayed, "{}", label);
             }
         }
     }
@@ -652,7 +634,6 @@ proptest! {
         use_layered in prop::bool::ANY,
         shape in 0usize..3,
         seed in any::<u64>(),
-        stride_sel in 0usize..4,
         kind_sel in 0usize..5,
     ) {
         let inst = match shape {
@@ -663,7 +644,6 @@ proptest! {
         let l = inst.machine_count();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let base = random_solution(&inst, &mut rng);
-        let stride = [Some(1), Some(2), Some((k / 2).max(1)), None][stride_sel];
         let kind = [
             ObjectiveKind::Makespan,
             ObjectiveKind::TotalFlowtime,
@@ -673,7 +653,6 @@ proptest! {
         ][kind_sel];
         let snap = EvalSnapshot::new(&inst);
         let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
         inc.prime(&base);
         let mut scalar = Evaluator::new(&inst);
         let base_truth = scalar.objective_value(&base, &kind);
@@ -702,8 +681,8 @@ proptest! {
 
     /// The cell-lane kernel: every lane of `score_cells` equals
     /// `score_move` of the same cell bit for bit — under the five
-    /// objective kinds and a weighted blend without flowtime, at strides
-    /// 1, k/2 and auto — on nondecreasing cell lists: random cells on
+    /// objective kinds and a weighted blend without flowtime — on
+    /// nondecreasing cell lists: random cells on
     /// both sides of the task's own position with a repeated cell, the
     /// full grid of a Y-limited ranking prefix, every machine at one
     /// position, one machine (Y = 1) at every position, a single lane,
@@ -721,7 +700,6 @@ proptest! {
         use_layered in prop::bool::ANY,
         shape in 0usize..3,
         seed in any::<u64>(),
-        stride_sel in 0usize..3,
     ) {
         let inst = match shape {
             0 => build_instance(k, l, p, inst_seed, use_layered),
@@ -732,13 +710,10 @@ proptest! {
         let g = inst.graph();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let base = random_solution(&inst, &mut rng);
-        let stride = [Some(1), Some((k / 2).max(1)), None][stride_sel];
         let snap = EvalSnapshot::new(&inst);
         let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
         inc.prime(&base);
         let mut oracle = IncrementalEvaluator::with_snapshot(&snap);
-        oracle.set_stride(stride);
         oracle.prime(&base);
         let mut scalar = Evaluator::new(&inst);
         let kinds = [
@@ -792,8 +767,8 @@ proptest! {
                         let want = oracle.score_move(t, pos, m, &kind);
                         prop_assert_eq!(
                             got.to_bits(), want.to_bits(),
-                            "{} stride {:?}: {} -> ({}, {}) in {:?}",
-                            kind.label(), stride, t, pos, m, cells
+                            "{}: {} -> ({}, {}) in {:?}",
+                            kind.label(), t, pos, m, cells
                         );
                     }
                     prop_assert_eq!(

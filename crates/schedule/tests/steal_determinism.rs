@@ -240,7 +240,6 @@ proptest! {
         tasks in 64usize..96,
         machines in 10usize..14,
         seed in any::<u64>(),
-        stride_sel in 0usize..3,
         kind_sel in 0usize..3,
     ) {
         let runs = kind_sel == 0;
@@ -264,7 +263,6 @@ proptest! {
         );
         let groups = replayed.div_ceil(16_384usize.div_ceil(tasks));
         prop_assert!(runs || groups >= 2, "{} lanes make {} lane group(s)", replayed, groups);
-        let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
         let obj = [
             ObjectiveKind::Makespan,
             ObjectiveKind::TotalFlowtime,
@@ -273,7 +271,7 @@ proptest! {
         let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
-                let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+                let mut batch = BatchEvaluator::new(&snap);
                 let best = batch.best_relocation(&base, t, lo..=hi, &lanes, &obj);
                 (
                     best.map(|b| (b.pos, b.machine, b.score.to_bits())),
@@ -284,7 +282,7 @@ proptest! {
         };
         let baseline = run(1);
         for threads in [2usize, 8] {
-            prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
+            prop_assert_eq!(run(threads), baseline, "{} threads", threads);
         }
         let own = (t, base.position_of(t), base.machine_of(t));
         let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
@@ -313,14 +311,12 @@ proptest! {
         tasks in 30usize..70,
         machines in 2usize..5,
         seed in any::<u64>(),
-        stride_sel in 0usize..3,
     ) {
         let inst = small_instance(tasks, machines, seed);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5851f42d4c957f2d);
         let base = random_solution(&inst, &mut rng);
-        let stride = [Some(1), None, Some(tasks + 3)][stride_sel];
         let moves: Vec<(TaskId, usize, MachineId)> = (0..640)
             .map(|_| {
                 let t = TaskId::new(rng.gen_range(0..tasks as u32));
@@ -332,14 +328,14 @@ proptest! {
         let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
-                let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
+                let mut batch = BatchEvaluator::new(&snap);
                 let best = batch.best_task_move(&base, &moves, None, 0.0, &obj);
                 (best.map(|b| (b.index, b.score.to_bits())), batch.evaluations(), batch.scan_stats())
             })
         };
         let baseline = run(1);
         for threads in [2usize, 4, 8] {
-            prop_assert_eq!(run(threads), baseline, "{} threads, stride {:?}", threads, stride);
+            prop_assert_eq!(run(threads), baseline, "{} threads", threads);
         }
         let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &moves, &obj);
         let want = scores

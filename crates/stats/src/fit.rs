@@ -41,11 +41,6 @@ impl LinearFit {
         let r2 = if ss_tot == 0.0 { 0.0 } else { 1.0 - ss_res / ss_tot };
         LinearFit { slope, intercept, r2 }
     }
-
-    /// Predicted y at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 #[cfg(test)]
@@ -59,7 +54,6 @@ mod tests {
         assert!((f.slope - 3.0).abs() < 1e-12);
         assert!((f.intercept - 1.0).abs() < 1e-12);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.predict(20.0) - 61.0).abs() < 1e-12);
     }
 
     #[test]

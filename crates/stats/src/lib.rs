@@ -1,10 +1,9 @@
 //! # mshc-stats
 //!
 //! Small statistics substrate for the `mshc` suite: batch summaries,
-//! online (Welford) accumulators, normal-approximation confidence
-//! intervals and least-squares trend fits. The benchmark harness uses
-//! these to summarize repeated scheduler runs; no external stats crate is
-//! pulled in.
+//! online (Welford) accumulators and least-squares trend fits. The
+//! benchmark harness uses these to summarize repeated scheduler runs; no
+//! external stats crate is pulled in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

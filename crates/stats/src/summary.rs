@@ -39,15 +39,6 @@ impl Summary {
         Summary { n, mean, std: var.sqrt(), min: sorted[0], max: sorted[n - 1], median }
     }
 
-    /// Half-width of the ~95% confidence interval on the mean
-    /// (normal approximation, `1.96 * std / sqrt(n)`).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * self.std / (self.n as f64).sqrt()
-    }
-
     /// `p`-th percentile (0–100, nearest-rank).
     pub fn percentile(samples: &[f64], p: f64) -> f64 {
         assert!(!samples.is_empty(), "empty sample");
@@ -80,21 +71,12 @@ mod tests {
         let s = Summary::of(&[3.5]);
         assert_eq!(s.std, 0.0);
         assert_eq!(s.median, 3.5);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
     fn odd_median() {
         let s = Summary::of(&[9.0, 1.0, 5.0]);
         assert_eq!(s.median, 5.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let few = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        let many: Vec<f64> = (0..100).map(|i| 1.0 + (i % 4) as f64).collect();
-        let many = Summary::of(&many);
-        assert!(many.ci95_half_width() < few.ci95_half_width());
     }
 
     #[test]

@@ -1,130 +1,14 @@
-//! Structural analyses of task graphs: reachability, critical paths and
+//! Structural analyses of task graphs: critical-path slack and
 //! workload-characterization metrics.
 //!
 //! The paper classifies workloads by *connectivity* (§5, "the number of
 //! data items to be transferred between the subtasks"); [`GraphMetrics`]
-//! computes that plus the usual DAG shape statistics. [`TransitiveClosure`]
-//! backs the valid-range computation of the schedule encoding (a task may
-//! move anywhere between its last transitive predecessor and first
-//! transitive successor), and [`CriticalPath`] provides lower bounds used
-//! by tests and the benchmark harness to sanity-band every scheduler.
+//! computes that plus the usual DAG shape statistics. [`SlackAnalysis`]
+//! is the critical-path sweep behind the certified instance lower bound.
 
-use crate::bitset::BitSet;
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::topo::TopoOrder;
-
-/// All-pairs reachability for a DAG, one [`BitSet`] of descendants per task.
-///
-/// Memory is `k^2 / 8` bytes — ~1.25 MB at `k = 3162`, comfortably within
-/// scope for the paper's instance sizes (k ≤ a few hundred).
-#[derive(Debug, Clone)]
-pub struct TransitiveClosure {
-    /// `desc[t]` = set of tasks reachable from `t` (excluding `t`).
-    desc: Vec<BitSet>,
-    /// `anc[t]` = set of tasks that reach `t` (excluding `t`).
-    anc: Vec<BitSet>,
-}
-
-impl TransitiveClosure {
-    /// Computes the closure in O(k·p/64) word operations via a reverse
-    /// topological sweep.
-    pub fn compute(graph: &TaskGraph) -> TransitiveClosure {
-        let k = graph.task_count();
-        let order = TopoOrder::kahn(graph);
-        let mut desc = vec![BitSet::new(k); k];
-        for &t in order.as_slice().iter().rev() {
-            // descendants(t) = U over direct successors s of ({s} U descendants(s))
-            let mut acc = BitSet::new(k);
-            for s in graph.successors(t) {
-                acc.insert(s.index());
-                acc.union_with(&desc[s.index()]);
-            }
-            desc[t.index()] = acc;
-        }
-        let mut anc = vec![BitSet::new(k); k];
-        for &t in order.as_slice() {
-            let mut acc = BitSet::new(k);
-            for p in graph.predecessors(t) {
-                acc.insert(p.index());
-                acc.union_with(&anc[p.index()]);
-            }
-            anc[t.index()] = acc;
-        }
-        TransitiveClosure { desc, anc }
-    }
-
-    /// Is there a directed path `from -> ... -> to`?
-    #[inline]
-    pub fn reaches(&self, from: TaskId, to: TaskId) -> bool {
-        self.desc[from.index()].contains(to.index())
-    }
-
-    /// Tasks reachable from `t` (its transitive successors).
-    #[inline]
-    pub fn descendants(&self, t: TaskId) -> &BitSet {
-        &self.desc[t.index()]
-    }
-
-    /// Tasks that reach `t` (its transitive predecessors).
-    #[inline]
-    pub fn ancestors(&self, t: TaskId) -> &BitSet {
-        &self.anc[t.index()]
-    }
-
-    /// Are `a` and `b` incomparable (no path either way)? Incomparable task
-    /// pairs are exactly the pairs whose relative order a schedule may
-    /// freely choose.
-    #[inline]
-    pub fn independent(&self, a: TaskId, b: TaskId) -> bool {
-        a != b && !self.reaches(a, b) && !self.reaches(b, a)
-    }
-}
-
-/// A longest path through the DAG under a per-task weight function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPath {
-    /// Tasks on the path, in precedence order.
-    pub tasks: Vec<TaskId>,
-    /// Total weight of the path.
-    pub length: f64,
-}
-
-impl CriticalPath {
-    /// Longest path where task `t` costs `weight(t)` and edges cost
-    /// `edge_weight(src, dst)`. With unit task weights and zero edge
-    /// weights this is the "depth" of the DAG; with per-task mean execution
-    /// times it is the classic schedule-length lower bound used by HEFT-
-    /// style analyses.
-    pub fn compute(
-        graph: &TaskGraph,
-        mut weight: impl FnMut(TaskId) -> f64,
-        mut edge_weight: impl FnMut(TaskId, TaskId) -> f64,
-    ) -> CriticalPath {
-        let order = TopoOrder::kahn(graph);
-        let k = graph.task_count();
-        let mut dist = vec![0.0f64; k];
-        let mut parent: Vec<Option<TaskId>> = vec![None; k];
-        for &t in order.as_slice() {
-            dist[t.index()] += weight(t);
-            for s in graph.successors(t) {
-                let cand = dist[t.index()] + edge_weight(t, s);
-                if cand > dist[s.index()] {
-                    dist[s.index()] = cand;
-                    parent[s.index()] = Some(t);
-                }
-            }
-        }
-        let (end, &length) =
-            dist.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).expect("graph is non-empty");
-        let mut tasks = vec![TaskId::from_usize(end)];
-        while let Some(p) = parent[tasks.last().unwrap().index()] {
-            tasks.push(p);
-        }
-        tasks.reverse();
-        CriticalPath { tasks, length }
-    }
-}
 
 /// Earliest/latest start-time schedulability analysis under a per-task
 /// weight function — the classic CPM forward/backward sweep.
@@ -262,69 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_reachability() {
-        let g = figure1();
-        let tc = TransitiveClosure::compute(&g);
-        assert!(tc.reaches(TaskId::new(0), TaskId::new(5)));
-        assert!(tc.reaches(TaskId::new(1), TaskId::new(6)));
-        assert!(!tc.reaches(TaskId::new(0), TaskId::new(6)));
-        assert!(!tc.reaches(TaskId::new(5), TaskId::new(0)));
-        assert!(!tc.reaches(TaskId::new(0), TaskId::new(0)), "excludes self");
-    }
-
-    #[test]
-    fn closure_ancestors_mirror_descendants() {
-        let g = figure1();
-        let tc = TransitiveClosure::compute(&g);
-        for a in g.tasks() {
-            for b in g.tasks() {
-                assert_eq!(
-                    tc.reaches(a, b),
-                    tc.ancestors(b).contains(a.index()),
-                    "descendant/ancestor symmetry {a} {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn independence() {
-        let g = figure1();
-        let tc = TransitiveClosure::compute(&g);
-        assert!(tc.independent(TaskId::new(0), TaskId::new(1)));
-        assert!(tc.independent(TaskId::new(5), TaskId::new(6)));
-        assert!(!tc.independent(TaskId::new(0), TaskId::new(5)));
-        assert!(!tc.independent(TaskId::new(3), TaskId::new(3)));
-    }
-
-    #[test]
-    fn unit_critical_path_is_depth() {
-        let g = figure1();
-        let cp = CriticalPath::compute(&g, |_| 1.0, |_, _| 0.0);
-        assert_eq!(cp.length, 3.0); // e.g. s1 -> s4 -> s6 (3 tasks)
-        assert_eq!(cp.tasks.len(), 3);
-        assert!(g.entry_tasks().contains(&cp.tasks[0]));
-        assert!(g.exit_tasks().contains(cp.tasks.last().unwrap()));
-    }
-
-    #[test]
-    fn weighted_critical_path() {
-        // 0 ->(10) 2, 1 ->(1) 2; task weights 1 except task1 = 5.
-        let mut b = TaskGraphBuilder::new(3);
-        b.add_edge(0, 2).unwrap();
-        b.add_edge(1, 2).unwrap();
-        let g = b.build().unwrap();
-        let cp = CriticalPath::compute(
-            &g,
-            |t| if t == TaskId::new(1) { 5.0 } else { 1.0 },
-            |s, _| if s == TaskId::new(0) { 10.0 } else { 1.0 },
-        );
-        // path 0 -> 2: 1 + 10 + 1 = 12; path 1 -> 2: 5 + 1 + 1 = 7
-        assert_eq!(cp.length, 12.0);
-        assert_eq!(cp.tasks, vec![TaskId::new(0), TaskId::new(2)]);
-    }
-
-    #[test]
     fn metrics_figure1() {
         let g = figure1();
         let m = GraphMetrics::compute(&g);
@@ -348,15 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn slack_forward_pass_matches_critical_path() {
+    fn unit_slack_length_is_the_depth() {
         let g = figure1();
         let sa = SlackAnalysis::compute(&g, |_| 1.0, |_, _| 0.0);
-        let cp = CriticalPath::compute(&g, |_| 1.0, |_, _| 0.0);
-        assert_eq!(sa.length, cp.length);
-        // Critical tasks have zero slack; every task on the critical
-        // path reported by CriticalPath must be critical here too.
-        for &t in &cp.tasks {
-            assert_eq!(sa.slack(t), 0.0, "{t} on the critical path");
+        let depth = GraphMetrics::compute(&g).depth;
+        assert_eq!(sa.length, depth as f64);
+        // Critical tasks have zero slack, and every task of Figure 1
+        // lies on a three-task path: s0 -> s2|s3 -> s5, s1 -> s4 -> s6.
+        for t in g.tasks() {
+            assert_eq!(sa.slack(t), 0.0, "{t} lies on a longest path");
         }
         // Entry tasks start at zero; slack is never negative.
         for t in g.tasks() {
@@ -390,18 +211,5 @@ mod tests {
         assert_eq!(sa.length, 11.0);
         assert_eq!(sa.slack(TaskId::new(1)), 8.0);
         assert_eq!(sa.slack(TaskId::new(0)), 0.0);
-    }
-
-    #[test]
-    fn critical_path_on_chain() {
-        let mut b = TaskGraphBuilder::new(5);
-        for i in 0..4 {
-            b.add_edge(i, i + 1).unwrap();
-        }
-        let g = b.build().unwrap();
-        let cp = CriticalPath::compute(&g, |_| 2.0, |_, _| 3.0);
-        // 5 tasks * 2 + 4 edges * 3 = 22
-        assert_eq!(cp.length, 22.0);
-        assert_eq!(cp.tasks.len(), 5);
     }
 }

@@ -143,11 +143,6 @@ impl TaskGraph {
         }
         self.edges.iter().all(|e| position[e.src.index()] < position[e.dst.index()])
     }
-
-    /// Returns the data edge from `src` to `dst`, if one exists.
-    pub fn edge_between(&self, src: TaskId, dst: TaskId) -> Option<DataEdge> {
-        self.out_edges(src).find(|e| e.dst == dst)
-    }
 }
 
 /// Incremental builder for [`TaskGraph`].
@@ -320,9 +315,8 @@ mod tests {
     #[test]
     fn edge_lookup() {
         let g = figure1_dag();
-        let e = g.edge_between(TaskId::new(0), TaskId::new(3)).unwrap();
-        assert_eq!(e.id, DataId::new(1));
-        assert!(g.edge_between(TaskId::new(0), TaskId::new(6)).is_none());
+        let e = g.edge(DataId::new(1));
+        assert_eq!((e.src, e.dst), (TaskId::new(0), TaskId::new(3)));
         assert_eq!(g.edge(DataId::new(2)).src, TaskId::new(1));
     }
 

@@ -16,13 +16,12 @@
 //!   rejects cycles, duplicate edges and dangling endpoints;
 //! * topological orders and per-task *levels* ([`topo`]), which the SE
 //!   selection step uses to order selected tasks (§4.4);
-//! * structural analyses ([`analysis`]): critical paths, transitive
-//!   closure/reachability, graph width, connectivity metrics;
+//! * structural analyses ([`analysis`]): critical-path slack, graph
+//!   width, connectivity metrics;
 //! * deterministic random and structured generators ([`gen`]): layered
 //!   random DAGs, Erdős–Rényi-style DAGs, series-parallel graphs, and the
 //!   classic scheduling benchmarks (FFT butterfly, Gaussian elimination,
-//!   fork–join, in/out-trees, diamond stencils);
-//! * [`dot`] — Graphviz export for debugging and documentation.
+//!   fork–join, in/out-trees, diamond stencils).
 //!
 //! Everything downstream (the platform model, the schedule encoding, the SE
 //! and GA schedulers) is built on these types.
@@ -51,15 +50,13 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bitset;
-pub mod dot;
 pub mod error;
 pub mod gen;
 pub mod graph;
 pub mod ids;
 pub mod topo;
 
-pub use analysis::{CriticalPath, GraphMetrics, SlackAnalysis, TransitiveClosure};
+pub use analysis::{GraphMetrics, SlackAnalysis};
 pub use error::GraphError;
 pub use graph::{DataEdge, TaskGraph, TaskGraphBuilder};
 pub use ids::{DataId, TaskId};

@@ -14,7 +14,6 @@
 
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -161,14 +160,6 @@ impl Levels {
     }
 }
 
-/// Shuffles machine-independent tie-breaking data; convenience used by
-/// generators and initializers that need a random permutation of tasks.
-pub fn random_task_permutation<R: Rng + ?Sized>(k: usize, rng: &mut R) -> Vec<TaskId> {
-    let mut perm: Vec<TaskId> = (0..k as u32).map(TaskId::new).collect();
-    perm.shuffle(rng);
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,14 +279,5 @@ mod tests {
         let total: usize = layers.iter().map(Vec::len).sum();
         assert_eq!(total, g.task_count());
         assert_eq!(layers[0], vec![TaskId::new(0), TaskId::new(1)]);
-    }
-
-    #[test]
-    fn permutation_covers_all_tasks() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let p = random_task_permutation(10, &mut rng);
-        let mut ids: Vec<u32> = p.iter().map(|t| t.raw()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
     }
 }

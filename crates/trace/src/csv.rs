@@ -36,11 +36,6 @@ impl CsvTable {
         self.rows.push(row);
     }
 
-    /// Appends a row of floats formatted with full precision.
-    pub fn push_floats(&mut self, row: impl IntoIterator<Item = f64>) {
-        self.push_row(row.into_iter().map(|v| format!("{v}")));
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -108,7 +103,7 @@ mod tests {
     fn table_roundtrip() {
         let mut t = CsvTable::new(["iter", "cost"]);
         t.push_row(["0", "10.5"]);
-        t.push_floats([1.0, 9.25]);
+        t.push_row(["1", "9.25"]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.to_string_csv(), "iter,cost\n0,10.5\n1,9.25\n");
     }

@@ -31,9 +31,9 @@ fn main() {
     rows.push(("se", se.run(&inst, &wall, None)));
     let mut ga = GaScheduler::new(GaConfig { seed, ..GaConfig::default() });
     rows.push(("ga", ga.run(&inst, &wall, None)));
-    let mut sa = SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() });
+    let mut sa = SimulatedAnnealing::new(seed);
     rows.push(("sa", sa.run(&inst, &wall, None)));
-    let mut tabu = TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() });
+    let mut tabu = TabuSearch::new(seed);
     rows.push(("tabu", tabu.run(&inst, &wall, None)));
     let mut random = RandomSearch::new(seed);
     rows.push(("random", random.run(&inst, &wall, None)));

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use mshc_core::{SeConfig, SeScheduler};
     pub use mshc_ga::{GaConfig, GaScheduler};
     pub use mshc_heuristics::{
-        CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SaConfig,
-        SimulatedAnnealing, TabuConfig, TabuSearch,
+        CpopScheduler, HeftScheduler, ListPolicy, ListScheduler, RandomSearch, SimulatedAnnealing,
+        TabuSearch,
     };
     pub use mshc_platform::{
         ArchClass, HcInstance, HcSystem, InstanceMetrics, Machine, MachineId, Matrix,

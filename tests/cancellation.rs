@@ -21,8 +21,8 @@ fn steppables(seed: u64) -> Vec<(&'static str, Box<dyn SteppableSearch>)> {
         ),
         ("ga", Box::new(GaScheduler::new(GaConfig { seed, ..GaConfig::default() }))),
         ("random", Box::new(RandomSearch::new(seed))),
-        ("sa", Box::new(SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() }))),
-        ("tabu", Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() }))),
+        ("sa", Box::new(SimulatedAnnealing::new(seed))),
+        ("tabu", Box::new(TabuSearch::new(seed))),
     ]
 }
 

@@ -116,7 +116,7 @@ fn replan_reports_are_thread_count_invariant() {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         pool.install(|| {
             let inst = tiny_instance(13);
-            let mut search = SimulatedAnnealing::new(SaConfig { seed: 13, ..SaConfig::default() });
+            let mut search = SimulatedAnnealing::new(13);
             let budget = RunBudget::iterations(40);
             let baseline = search.run(&inst, &budget, None);
             let spec = DisturbanceTraceSpec::balanced(3, baseline.makespan, 3);

@@ -27,8 +27,8 @@ fn make_scheduler(algo: &str, seed: u64) -> Box<dyn Scheduler> {
     match algo {
         "se" => Box::new(SeScheduler::new(SeConfig { seed, ..SeConfig::default() })),
         "ga" => Box::new(GaScheduler::new(GaConfig { seed, ..GaConfig::default() })),
-        "sa" => Box::new(SimulatedAnnealing::new(SaConfig { seed, ..SaConfig::default() })),
-        "tabu" => Box::new(TabuSearch::new(TabuConfig { seed, ..TabuConfig::default() })),
+        "sa" => Box::new(SimulatedAnnealing::new(seed)),
+        "tabu" => Box::new(TabuSearch::new(seed)),
         "random" => Box::new(RandomSearch::new(seed)),
         other => panic!("unknown algo {other}"),
     }

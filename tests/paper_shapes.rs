@@ -52,12 +52,8 @@ fn fig3b_schedule_length_decreases() {
 fn fig4a_larger_y_no_worse_on_low_heterogeneity() {
     let inst = FigureWorkload::Fig4Low.spec(2001).generate();
     let run_y = |y: usize| {
-        let mut se = SeScheduler::new(SeConfig {
-            seed: 2001,
-            selection_bias: 0.05,
-            y_limit: Some(y),
-            ..SeConfig::default()
-        });
+        let mut se =
+            SeScheduler::new(SeConfig { seed: 2001, selection_bias: 0.05, y_limit: Some(y) });
         se.run(&inst, &RunBudget::iterations(60), None).makespan
     };
     let y2 = run_y(2);
@@ -75,12 +71,8 @@ fn fig4a_larger_y_no_worse_on_low_heterogeneity() {
 fn fig4_evaluations_grow_with_y() {
     let inst = FigureWorkload::Fig4High.spec(2001).generate();
     let evals_y = |y: usize| {
-        let mut se = SeScheduler::new(SeConfig {
-            seed: 2001,
-            selection_bias: 0.05,
-            y_limit: Some(y),
-            ..SeConfig::default()
-        });
+        let mut se =
+            SeScheduler::new(SeConfig { seed: 2001, selection_bias: 0.05, y_limit: Some(y) });
         se.run(&inst, &RunBudget::iterations(10), None).evaluations
     };
     let e5 = evals_y(5);

@@ -10,9 +10,7 @@
 //! (cells whose positions differ only by tasks on other machines), so
 //! the two makespan rows replay 16,497 and 4,086 of the cells behind
 //! their 128,384 and 32,178 evaluations, while the rows whose objective
-//! reads the finish-time sum replay every cell. The scan's checkpoint
-//! stride is a cost knob too: at this scale every grid commits the same
-//! cell with a checkpoint at every position as at the auto stride.
+//! reads the finish-time sum replay every cell.
 //!
 //! Every pinned objective value is also the evaluator's own score of
 //! the run's solution, the string-order fold SE ranks its candidates
@@ -93,7 +91,6 @@ fn se_trajectory_matches_the_pinned_run() {
                 seed: 7,
                 selection_bias: SeConfig::recommended_bias(inst.task_count()),
                 y_limit: g.y_limit,
-                ..SeConfig::default()
             };
             let budget = RunBudget::iterations(30).with_objective(g.objective);
             let r = SeScheduler::new(cfg).run(&inst, &budget, None);
@@ -119,36 +116,4 @@ fn se_trajectory_matches_the_pinned_run() {
         assert_eq!(r.scan.scored, g.scored, "{label}: scorings");
         assert_eq!(solution_hash(&r.solution), g.hash, "{label}: solution");
     }
-}
-
-/// Tier 3 resumes from the nearest checkpoint and re-prices a moved
-/// task's edges for every machine-changing candidate, so a checkpoint at
-/// every position must score each grid exactly like the auto stride
-/// `⌈√k⌉`: same cell, same score bits, same evaluations, same counters.
-#[test]
-fn allocation_scans_are_stride_invariant_at_paper_scale() {
-    let inst = WorkloadSpec::large(7).generate();
-    let cfg = SeConfig {
-        seed: 7,
-        selection_bias: SeConfig::recommended_bias(inst.task_count()),
-        ..SeConfig::default()
-    };
-    let base = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(5), None).solution;
-    let (g, snap) = (inst.graph(), EvalSnapshot::new(&inst));
-    let mut auto = BatchEvaluator::new(&snap);
-    let mut every = BatchEvaluator::new(&snap).with_stride(Some(1));
-    for t in g.tasks() {
-        let (lo, hi) = base.valid_range(g, t);
-        let machines = inst.system().machine_ranking(t);
-        let scan = |batch: &mut BatchEvaluator<'_>| {
-            let cell = batch
-                .best_relocation(&base, t, lo..=hi, &machines, &ObjectiveKind::Makespan)
-                .expect("100x20 grids are never empty");
-            (cell.pos, cell.machine, cell.score.to_bits())
-        };
-        assert_eq!(scan(&mut auto), scan(&mut every), "{t}: cell");
-        assert_eq!(auto.evaluations(), every.evaluations(), "{t}: evaluations");
-        assert_eq!(auto.scan_stats(), every.scan_stats(), "{t}: scan counters");
-    }
-    assert!(auto.scan_stats().scored > 0);
 }

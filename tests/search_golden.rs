@@ -39,14 +39,8 @@ struct Golden {
 fn search(algorithm: &str) -> (Box<dyn Scheduler>, RunBudget) {
     match algorithm {
         "ga" => (Box::new(GaScheduler::with_seed(7)), RunBudget::iterations(40)),
-        "sa" => (
-            Box::new(SimulatedAnnealing::new(SaConfig { seed: 7, ..SaConfig::default() })),
-            RunBudget::iterations(3_000),
-        ),
-        "tabu" => (
-            Box::new(TabuSearch::new(TabuConfig { seed: 7, ..TabuConfig::default() })),
-            RunBudget::iterations(150),
-        ),
+        "sa" => (Box::new(SimulatedAnnealing::new(7)), RunBudget::iterations(3_000)),
+        "tabu" => (Box::new(TabuSearch::new(7)), RunBudget::iterations(150)),
         other => unreachable!("no golden run for {other}"),
     }
 }
