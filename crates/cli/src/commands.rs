@@ -124,8 +124,12 @@ global options:
              degraded on the leaderboard instead of being dropped.
   --metrics FILE
              write an observability snapshot (JSON) after the command
-             finishes. Turns metric recording on for this invocation;
-             recording is write-only and cannot change any result bit —
+             finishes. Turns metric recording on for this invocation.
+             The deterministic plane sums the records of the runs the
+             command made: full passes (\"evaluations\"), move
+             scorings, GA clones, iterations; passes made only to
+             report (--report, --gantt) are in no run's record.
+             Recording is write-only and cannot change any result bit —
              run/compare/tournament artifacts are byte-identical with or
              without this flag, and the snapshot's deterministic plane
              is itself bit-stable at any thread count (the timing
@@ -179,8 +183,54 @@ impl fmt::Display for Error {
 }
 
 /// Entry point: dispatches `argv` to a subcommand, which writes its
-/// report to `out` (the locked standard output in `main`).
+/// report to `out` (the locked standard output in `main`). A closed
+/// `out` ends only the report: the command still runs to the end and
+/// writes every file it was asked for, then returns the
+/// [`io::ErrorKind::BrokenPipe`] error.
 pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
+    let mut out = ReportOut { out, closed: None };
+    run_command(argv, &mut out)?;
+    out.closed.map_or(Ok(()), |e| Err(Error::Output(e)))
+}
+
+/// A command's report writer: once a write fails with
+/// [`io::ErrorKind::BrokenPipe`] (nobody reads the rest), it keeps the
+/// error and drops every later write.
+struct ReportOut<'a> {
+    out: &'a mut dyn Write,
+    closed: Option<io::Error>,
+}
+
+impl ReportOut<'_> {
+    /// Runs `attempt` on the real writer while it is open; a broken pipe
+    /// closes it. A closed writer reports `done` instead.
+    fn guard<T>(
+        &mut self,
+        done: T,
+        attempt: impl FnOnce(&mut dyn Write) -> io::Result<T>,
+    ) -> io::Result<T> {
+        if self.closed.is_none() {
+            match attempt(self.out) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = Some(e),
+                result => return result,
+            }
+        }
+        Ok(done)
+    }
+}
+
+impl Write for ReportOut<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.guard(buf.len(), |out| out.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.guard((), |out| out.flush())
+    }
+}
+
+/// Runs the command line `argv`, writing its report to `out`.
+fn run_command(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         write!(out, "{USAGE}")?;
         return Ok(out.flush()?);
@@ -199,14 +249,10 @@ pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
             .into());
     }
     // Observability is armed only when something will consume it: an
-    // export flag or --report (which renders the registry snapshot).
-    // Leaving it off otherwise is what lets CI byte-compare artifacts
-    // produced with and without recording — the gate that pins "metrics
-    // cannot perturb any result bit".
-    let observing = parsed.get("metrics").is_some()
-        || parsed.get("obs-events").is_some()
-        || parsed.flag("report");
-    if observing {
+    // export flag. Leaving it off otherwise is what lets CI byte-compare
+    // artifacts produced with and without recording — the gate that pins
+    // "metrics cannot perturb any result bit".
+    if parsed.get("metrics").is_some() || parsed.get("obs-events").is_some() {
         mshc_obs::reset();
         mshc_obs::enable(true);
     }
@@ -574,21 +620,19 @@ fn cmd_run(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
             "throughput: {:.0} evals/sec ({} evals, {:.3}s)",
             evals_per_sec, result.evaluations, secs
         )?;
-        // The rest of the report renders the obs registry snapshot —
-        // the same counters --metrics exports, so the human-facing and
-        // machine-facing views cannot drift apart. Every line below
-        // draws on the deterministic plane only and is byte-identical
-        // at any thread count.
-        let det = mshc_obs::snapshot().deterministic;
-        if det.scan_population_positions > 0 {
+        // The rest of the report renders the run's own record — the
+        // one --metrics sums — and its trace, so every line below is
+        // byte-identical at any thread count.
+        let work = result.scan;
+        if work.population_positions > 0 {
             writeln!(
                 out,
                 "population: {} clones | {:.1}% of string positions served without a pass",
-                det.scan_clones,
-                100.0 * det.clone_fraction()
+                work.clones,
+                100.0 * work.prefix_reuse_fraction()
             )?;
-        } else if det.scan_scored > 0 {
-            writeln!(out, "move scan: {} move scorings", det.scan_scored)?;
+        } else if work.scored > 0 {
+            writeln!(out, "move scan: {} move scorings", work.scored)?;
         }
         // Incumbent-vs-iteration sparkline from the run trace (the
         // deterministic x axis; running minimum of the current cost).
@@ -1034,6 +1078,99 @@ mod tests {
         .unwrap();
         dispatch(&argv(&["info", "--instance", file_s])).unwrap();
         dispatch(&argv(&["run", "--algo", "min-min", "--instance", file_s])).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Instance files load through the validating constructors, so an
+    /// edited file that breaks them is an input error (exit 2), not a
+    /// run.
+    #[test]
+    fn invalid_instance_files_are_errors() {
+        let dir = std::env::temp_dir().join("mshc_cli_invalid_instance");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let generated = path("wl.json");
+        dispatch(&argv(&["generate", "--tasks", "4", "--machines", "2", "--out", &generated]))
+            .unwrap();
+        let json = std::fs::read_to_string(&generated).unwrap();
+        let inst: HcInstance = serde_json::from_str(&json).unwrap();
+        let exec = inst.system().exec_matrix();
+        let exec_json = serde_json::to_string(exec).unwrap();
+        let negated =
+            mshc_platform::Matrix::from_fn(exec.rows(), exec.cols(), |r, c| -exec.get(r, c));
+        let edits = [
+            ("negated.json", serde_json::to_string(&negated).unwrap(), "must be > 0"),
+            ("narrowed.json", exec_json.replace("\"cols\":4", "\"cols\":3"), "data holds 8"),
+        ];
+        for (name, edited, why) in edits {
+            std::fs::write(path(name), json.replace(&exec_json, &edited)).unwrap();
+            for algo in ["se", "heft"] {
+                let e = super::dispatch(
+                    &argv(&["run", "--algo", algo, "--instance", &path(name)]),
+                    &mut io::sink(),
+                )
+                .unwrap_err();
+                assert!(matches!(e, Error::Command(_)), "{name}, {algo}: {e}");
+                assert!(
+                    e.to_string().contains("invalid instance") && e.to_string().contains(why),
+                    "{e}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Standard output whose reader has gone: every write fails with a
+    /// broken pipe.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    /// A closed stdout ends only the report: each command still writes
+    /// every file it was asked for, and reports the broken pipe.
+    #[test]
+    fn a_closed_stdout_still_writes_every_requested_file() {
+        let dir = std::env::temp_dir().join("mshc_cli_closed_stdout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let read = |name: &str| std::fs::read_to_string(path(name)).unwrap();
+        let closed = |args: &[&str]| match super::dispatch(&argv(args), &mut ClosedPipe) {
+            Err(Error::Output(e)) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe, "{args:?}"),
+            other => panic!("{args:?}: {other:?}"),
+        };
+        let small = ["--tasks", "12", "--machines", "3", "--iters", "5"];
+        let (board, csv) = (path("lb.json"), path("lb.csv"));
+        let metrics = path("metrics.json");
+        closed(
+            &[
+                &["tournament", "--suite", "tiny", "--seeds", "1", "--iters", "5"][..],
+                &["--out", &board, "--csv", &csv, "--metrics", &metrics],
+            ]
+            .concat(),
+        );
+        let board: mshc_portfolio::Leaderboard = serde_json::from_str(&read("lb.json")).unwrap();
+        let rows = read("lb.csv").lines().count();
+        assert_eq!(rows, board.cells + 1, "a header and one row per cell");
+        mshc_obs::Snapshot::from_json(&read("metrics.json")).unwrap();
+
+        let trace = path("trace.csv");
+        closed(&[&["run", "--algo", "se", "--trace", &trace][..], &small].concat());
+        let trace = read("trace.csv");
+        assert!(trace.starts_with("x,best,current\n"), "{trace}");
+        assert_eq!(trace.lines().count(), 11, "a header, then five points of each series");
+
+        let replan = path("replan.json");
+        closed(&[&["replan", "--events", "1", "--out", &replan][..], &small].concat());
+        let report = mshc_schedule::ReplanReport::from_json(&read("replan.json")).unwrap();
+        assert_eq!(report.records.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,8 +5,8 @@ use crate::goodness::{goodness, optimal_costs};
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
     objective_from_report, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent,
-    ObjectiveKind, RunBudget, RunLedger, RunResult, ScheduleReport, Scheduler, SearchStep,
-    Solution, StepVerdict, SteppableSearch,
+    ObjectiveKind, RunBudget, RunLedger, RunResult, ScanStats, ScheduleReport, Scheduler,
+    SearchStep, Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::{Levels, TaskGraph, TaskId};
 use mshc_trace::{Trace, TraceRecord};
@@ -101,8 +101,9 @@ impl SteppableSearch for SeScheduler {
         // candidates by, so its score is theirs.
         let report = eval.report(&current);
         let score = objective_from_report(&objective, &report);
-        let ledger =
-            RunLedger::new(inst, budget, clock, current.clone(), score, eval.evaluations());
+        let passes = eval.evaluations();
+        let start = ScanStats::passes(passes);
+        let ledger = RunLedger::new(inst, budget, clock, current.clone(), score, passes, start);
 
         Box::new(SeState {
             inst,
@@ -149,8 +150,10 @@ impl SearchStep for SeState<'_> {
         let g = self.inst.graph();
         let mut eval = Evaluator::with_snapshot(&self.snapshot);
         let mut batch = BatchEvaluator::new(&self.snapshot);
+        // The slice's allocation charges, on top of its full passes.
+        let mut allocations = 0;
         self.ledger.open_slice(max_iterations);
-        while self.ledger.proceed(eval.evaluations()) {
+        while self.ledger.proceed(eval.evaluations() + allocations) {
             // ---- evaluation + selection (§4.4) ----
             // Goodness stays the paper's finish-time ratio for every
             // objective: it measures how well an individual task sits,
@@ -168,10 +171,9 @@ impl SearchStep for SeState<'_> {
 
             // ---- allocation (§4.5) ----
             for &t in &self.selected {
-                allocate(
+                allocations += allocate(
                     &mut self.current,
                     g,
-                    &mut eval,
                     &mut batch,
                     t,
                     &self.allowed[t.index()],
@@ -185,11 +187,13 @@ impl SearchStep for SeState<'_> {
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(TraceRecord {
                     selected: Some(selected_count),
-                    ..self.ledger.trace_record(eval.evaluations(), self.score)
+                    ..self.ledger.trace_record(eval.evaluations() + allocations, self.score)
                 });
             }
         }
-        self.ledger.close_slice(eval.evaluations(), batch.scan_stats())
+        let passes = eval.evaluations();
+        let work = ScanStats { full_passes: passes, ..batch.scan_stats() };
+        self.ledger.close_slice(passes + allocations, work)
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
@@ -203,7 +207,7 @@ impl SearchStep for SeState<'_> {
             // Selection needs the migrant's per-task finish times; this
             // bookkeeping pass is uncounted, like the batch evaluator's
             // per-chunk primes, so portfolio and solo runs share the
-            // same evaluation axis.
+            // same evaluation axis and the record counts no pass for it.
             Evaluator::with_snapshot(&self.snapshot).report_into(&self.current, &mut self.report);
             self.ledger.offer(migrant, cost);
         }
@@ -294,31 +298,31 @@ impl SteppableSearch for SePendingBias {
 /// task-replays) fans its groups out over the worker pool; smaller ones
 /// run inline. Ties break to the earliest candidate in `(position,
 /// machine)` grid order.
+///
+/// Returns the evaluations the scan charges: one per candidate plus 2,
+/// one for the current-cost read and one for the priming pass, exactly
+/// what it has always charged, so evaluation budgets and reported counts
+/// are stable across releases (the per-worker primes themselves are
+/// uncounted). A task with nowhere else to go charges nothing.
 fn allocate(
     sol: &mut Solution,
     g: &TaskGraph,
-    eval: &mut Evaluator<'_>,
     batch: &mut BatchEvaluator<'_>,
     t: TaskId,
     machines: &[MachineId],
     objective: &ObjectiveKind,
-) {
+) -> u64 {
     let (lo, hi) = sol.valid_range(g, t);
     debug_assert!(!machines.is_empty());
     if hi == lo && machines.len() == 1 && machines[0] == sol.machine_of(t) {
-        return; // nowhere else to go
+        return 0; // nowhere else to go
     }
-    // Each scan is charged 2 evaluations on top of one per candidate —
-    // one for the current-cost read, one for the priming pass — exactly
-    // what it has always charged, so evaluation budgets and reported
-    // counts are stable across releases (the per-worker primes
-    // themselves are uncounted).
     let before = batch.evaluations();
     let best = batch
         .best_relocation(sol, t, lo..=hi, machines, objective)
         .expect("non-empty candidate grid");
-    eval.bump_evaluations(2 + batch.evaluations() - before);
     sol.move_task(g, t, best.pos, best.machine).expect("committing the best candidate");
+    2 + batch.evaluations() - before
 }
 
 #[cfg(test)]

@@ -107,8 +107,8 @@ impl SteppableSearch for GaScheduler {
         let costs = batch.scores(&pop, &objective);
         let best_idx = argmin(&costs);
         let best = pop[best_idx].clone();
-        let ledger =
-            RunLedger::new(inst, budget, clock, best, costs[best_idx], batch.evaluations());
+        let (evaluations, start) = (batch.evaluations(), batch.scan_stats());
+        let ledger = RunLedger::new(inst, budget, clock, best, costs[best_idx], evaluations, start);
 
         Box::new(GaState {
             inst,

@@ -2,7 +2,7 @@
 
 use crate::builder::ListScheduleBuilder;
 use mshc_platform::{HcInstance, MachineId};
-use mshc_schedule::{report_objective_value, RunBudget, RunResult, Scheduler, Termination};
+use mshc_schedule::{RunBudget, RunResult, Scheduler};
 use mshc_taskgraph::{TaskId, TopoOrder};
 use mshc_trace::Trace;
 use std::time::Instant;
@@ -192,21 +192,9 @@ impl Scheduler for HeftScheduler {
         let start = Instant::now();
         let (solution, makespan, evaluations) =
             if self.insertion { self.run_insertion(inst) } else { self.run_append(inst) };
-        let objective_value = report_objective_value(inst, &solution, makespan, budget.objective);
-        mshc_obs::add(mshc_obs::Counter::Iterations, 1); // one constructive pass
-        RunResult {
-            solution,
-            makespan,
-            objective_value,
-            iterations: 1,
-            evaluations,
-            elapsed: start.elapsed(),
-            scan: Default::default(),
-            lower_bound: None,
-            gap: None,
-            termination: Termination::Completed,
-        }
-        .with_certificate(inst, budget.objective)
+        // The insertion policy's export pass is its one full pass.
+        let full_passes = u64::from(self.insertion);
+        RunResult::one_shot(inst, budget, solution, makespan, evaluations, full_passes, start)
     }
 }
 
@@ -283,21 +271,7 @@ impl Scheduler for CpopScheduler {
         }
         let makespan = builder.makespan();
         let solution = builder.into_solution();
-        let objective_value = report_objective_value(inst, &solution, makespan, budget.objective);
-        mshc_obs::add(mshc_obs::Counter::Iterations, 1); // one constructive pass
-        RunResult {
-            solution,
-            makespan,
-            objective_value,
-            iterations: 1,
-            evaluations: evaluations.max(1),
-            elapsed: start.elapsed(),
-            scan: Default::default(),
-            lower_bound: None,
-            gap: None,
-            termination: Termination::Completed,
-        }
-        .with_certificate(inst, budget.objective)
+        RunResult::one_shot(inst, budget, solution, makespan, evaluations.max(1), 0, start)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::builder::ListScheduleBuilder;
 use mshc_platform::HcInstance;
-use mshc_schedule::{RunBudget, RunResult, Scheduler, Termination};
+use mshc_schedule::{RunBudget, RunResult, Scheduler};
 use mshc_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -138,22 +138,7 @@ impl Scheduler for ListScheduler {
         }
         let makespan = b.makespan();
         let solution = b.into_solution();
-        let objective_value =
-            mshc_schedule::report_objective_value(inst, &solution, makespan, budget.objective);
-        mshc_obs::add(mshc_obs::Counter::Iterations, 1); // one constructive pass
-        RunResult {
-            solution,
-            makespan,
-            objective_value,
-            iterations: 1,
-            evaluations: evaluations.max(1),
-            elapsed: start.elapsed(),
-            scan: Default::default(),
-            lower_bound: None,
-            gap: None,
-            termination: Termination::Completed,
-        }
-        .with_certificate(inst, budget.objective)
+        RunResult::one_shot(inst, budget, solution, makespan, evaluations.max(1), 0, start)
     }
 }
 

@@ -79,7 +79,9 @@ impl SteppableSearch for RandomSearch {
         let best = random_solution(inst, &mut rng);
         let mut eval = Evaluator::with_snapshot(&snapshot);
         let best_cost = eval.objective_value(&best, &objective);
-        let mut ledger = RunLedger::new(inst, budget, clock, best, best_cost, eval.evaluations());
+        let passes = eval.evaluations();
+        let start = ScanStats::passes(passes);
+        let mut ledger = RunLedger::new(inst, budget, clock, best, best_cost, passes, start);
         // The initial solution counts as iteration 1.
         ledger.count_iteration();
         Box::new(RandomState { inst, objective, rng, snapshot, ledger })
@@ -111,7 +113,7 @@ impl SearchStep for RandomState<'_> {
                 tr.push(self.ledger.trace_record(eval.evaluations(), cost));
             }
         }
-        self.ledger.close_slice(eval.evaluations(), ScanStats::default())
+        self.ledger.close_slice(eval.evaluations(), ScanStats::passes(eval.evaluations()))
     }
 
     fn incumbent(&self) -> Option<Incumbent<'_>> {
@@ -193,7 +195,8 @@ impl SteppableSearch for SimulatedAnnealing {
         // slice starts) are uncounted cache rebuilds, keeping the axis
         // identical to the historic full-pass loop however the run is
         // sliced.
-        let ledger = RunLedger::new(inst, budget, clock, current.clone(), current_cost, 1);
+        let (best, start) = (current.clone(), ScanStats::default());
+        let ledger = RunLedger::new(inst, budget, clock, best, current_cost, 1, start);
         Box::new(SaState { inst, objective, rng, snapshot, current, current_cost, temp, ledger })
     }
 }
@@ -314,9 +317,9 @@ impl SteppableSearch for TabuSearch {
         let current = random_solution(inst, &mut rng);
         let mut eval = Evaluator::with_snapshot(&snapshot);
         let current_cost = eval.objective_value(&current, &objective);
-        let evaluations = eval.evaluations();
-        let ledger =
-            RunLedger::new(inst, budget, clock, current.clone(), current_cost, evaluations);
+        let (best, passes) = (current.clone(), eval.evaluations());
+        let start = ScanStats::passes(passes);
+        let ledger = RunLedger::new(inst, budget, clock, best, current_cost, passes, start);
         Box::new(TabuState {
             inst,
             objective,

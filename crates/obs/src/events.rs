@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Fast-path flag: true iff a sink is installed (and not `noop`).
+/// Fast-path flag: true iff a sink is installed.
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
 
 /// The installed sink, if any.
@@ -34,16 +34,12 @@ fn sink_lock() -> std::sync::MutexGuard<'static, Option<Box<dyn Write + Send>>> 
 /// Whether an event sink is installed and accepting events.
 #[inline]
 pub fn events_enabled() -> bool {
-    !cfg!(feature = "noop") && EVENTS_ON.load(Relaxed)
+    EVENTS_ON.load(Relaxed)
 }
 
 /// Installs an arbitrary writer as the JSONL event sink, replacing any
-/// previous sink (which is flushed and dropped). Under the `noop`
-/// feature the writer is dropped and events stay off.
+/// previous sink (which is flushed and dropped).
 pub fn install_events_writer(writer: Box<dyn Write + Send>) {
-    if cfg!(feature = "noop") {
-        return;
-    }
     let mut sink = sink_lock();
     if let Some(mut old) = sink.take() {
         let _ = old.flush();
@@ -246,11 +242,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "event emission is compiled out under the noop feature")]
     fn events_are_one_json_object_per_line() {
-        if cfg!(feature = "noop") {
-            return;
-        }
         let _g = guard();
         let cap = Capture(Arc::new(StdMutex::new(Vec::new())));
         install_events_writer(Box::new(cap.clone()));
@@ -281,11 +273,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "event emission is compiled out under the noop feature")]
     fn spans_emit_and_cancel() {
-        if cfg!(feature = "noop") {
-            return;
-        }
         let _g = guard();
         let cap = Capture(Arc::new(StdMutex::new(Vec::new())));
         install_events_writer(Box::new(cap.clone()));
@@ -302,11 +290,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "noop", ignore = "event emission is compiled out under the noop feature")]
     fn nonfinite_floats_become_null() {
-        if cfg!(feature = "noop") {
-            return;
-        }
         let _g = guard();
         let cap = Capture(Arc::new(StdMutex::new(Vec::new())));
         install_events_writer(Box::new(cap.clone()));

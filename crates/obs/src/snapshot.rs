@@ -64,15 +64,17 @@ impl Histogram {
 
 /// The deterministic plane: counters that are reproducible run-to-run
 /// and thread-count *invariant* — every one of them, not just the
-/// evaluation counts (the house invariant). Field names match
-/// [`Counter::name`].
+/// evaluation counts (the house invariant). One field per [`Counter`].
+/// The run counters, `evaluations` through
+/// `iterations`, are sums of the runs' own records (`ScanStats` and
+/// their iteration counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeterministicPlane {
-    /// Tier-1 full evaluation passes.
+    /// Full passes (`ScanStats::full_passes`), not charged evaluations.
     #[serde(default)]
     pub evaluations: u64,
-    /// Tier-3 move scorings: replays, not evaluations (mirrors
-    /// `ScanStats::scored`, which says how the two differ).
+    /// Tier-3 move scorings (`ScanStats::scored`): replays, not
+    /// evaluations.
     #[serde(default)]
     pub scan_scored: u64,
     /// Population children served by their parent's cost (exact clones).

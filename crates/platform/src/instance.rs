@@ -2,18 +2,29 @@
 //! runs on.
 
 use crate::error::PlatformError;
+use crate::field;
 use crate::system::HcSystem;
 use mshc_taskgraph::TaskGraph;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A matched pair of application DAG and HC system — everything a
 /// scheduler needs. Construction checks that the system's matrix
 /// dimensions agree with the graph's task/data counts, so downstream code
 /// can index freely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HcInstance {
     graph: TaskGraph,
     system: HcSystem,
+}
+
+impl Deserialize for HcInstance {
+    /// Reads the graph and the (validated) system and checks that their
+    /// dimensions agree through [`HcInstance::new`].
+    fn deserialize(v: &Value) -> Result<HcInstance, serde::Error> {
+        let graph = field(v, "HcInstance", "graph")?;
+        let system = field(v, "HcInstance", "system")?;
+        HcInstance::new(graph, system).map_err(serde::Error::custom)
+    }
 }
 
 impl HcInstance {

@@ -38,4 +38,15 @@ pub use machine::{ArchClass, Machine, MachineId};
 pub use matrix::Matrix;
 pub use metrics::InstanceMetrics;
 pub use pair::{pair_count, pair_index};
+
+/// Reads field `name` of the map `v` that deserializes into `target`,
+/// naming the field in any error.
+fn field<T: serde::Deserialize>(
+    v: &serde::Value,
+    target: &str,
+    name: &str,
+) -> Result<T, serde::Error> {
+    let value = v.get_field(name).ok_or_else(|| serde::Error::missing_field(target, name))?;
+    T::deserialize(value).map_err(|e| serde::Error::custom(format!("{name}: {e}")))
+}
 pub use system::HcSystem;

@@ -5,11 +5,12 @@
 //! inner loop — so they live in a single boxed slice (perf-book: one
 //! allocation, no pointer chasing, row-contiguous access).
 
-use serde::{Deserialize, Serialize};
+use crate::field;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -140,6 +141,23 @@ impl Matrix {
         let mut rows: Vec<usize> = (0..self.rows).collect();
         rows.sort_by(|&a, &b| self.get(a, col).total_cmp(&self.get(b, col)).then(a.cmp(&b)));
         rows
+    }
+}
+
+impl Deserialize for Matrix {
+    /// Reads `rows`, `cols` and the row-major `data`, which must hold
+    /// exactly `rows × cols` entries.
+    fn deserialize(v: &Value) -> Result<Matrix, serde::Error> {
+        let rows: usize = field(v, "Matrix", "rows")?;
+        let cols: usize = field(v, "Matrix", "cols")?;
+        let data: Box<[f64]> = field(v, "Matrix", "data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "data holds {} entries, not rows x cols = {rows} x {cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
     }
 }
 

@@ -1,11 +1,12 @@
 //! The validated HC system: machines + `E` + `Tr`.
 
 use crate::error::PlatformError;
+use crate::field;
 use crate::machine::{ArchClass, Machine, MachineId};
 use crate::matrix::Matrix;
 use crate::pair::{pair_count, pair_index};
 use mshc_taskgraph::{DataId, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A heterogeneous suite of fully connected machines together with the
 /// paper's two cost matrices.
@@ -14,11 +15,22 @@ use serde::{Deserialize, Serialize};
 /// * at least one machine;
 /// * `E` is `l × k` with strictly positive finite entries;
 /// * `Tr` is `l(l-1)/2 × p` with finite non-negative entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HcSystem {
     machines: Vec<Machine>,
     exec: Matrix,
     transfer: Matrix,
+}
+
+impl Deserialize for HcSystem {
+    /// Reads the machines and both matrices and validates them through
+    /// [`HcSystem::new`].
+    fn deserialize(v: &Value) -> Result<HcSystem, serde::Error> {
+        let machines = field(v, "HcSystem", "machines")?;
+        let exec = field(v, "HcSystem", "exec")?;
+        let transfer = field(v, "HcSystem", "transfer")?;
+        HcSystem::new(machines, exec, transfer).map_err(serde::Error::custom)
+    }
 }
 
 impl HcSystem {

@@ -45,8 +45,8 @@ pub struct CellOutcome {
     pub makespan: f64,
     /// Iterations (generations) executed.
     pub iterations: u64,
-    /// Schedule evaluations performed — part of the determinism
-    /// contract: identical at any thread count.
+    /// Charged evaluations ([`RunResult::evaluations`]) — part of the
+    /// determinism contract: identical at any thread count.
     pub evaluations: u64,
     /// Certified instance lower bound on the makespan (`None` for
     /// non-makespan objectives and failed cells). Instance-level, so
@@ -91,8 +91,8 @@ pub struct CellTiming {
     /// Seconds spent executing the cell (in portfolio mode: this
     /// contestant's share of the race, excluding barrier bookkeeping).
     pub secs: f64,
-    /// The cell's [`ScanStats`] (zeroed for failed cells and one-shot
-    /// heuristics) — source of the per-cell efficiency columns in
+    /// The cell's work record, [`RunResult::scan`] (zeroed for failed
+    /// cells) — source of the per-cell efficiency columns in
     /// `tournament --csv`.
     pub scan: ScanStats,
 }

@@ -79,8 +79,9 @@
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
-use crate::incremental::{IncrementalEvaluator, ScanStats};
+use crate::incremental::IncrementalEvaluator;
 use crate::objective::Objective;
+use crate::runner::ScanStats;
 use crate::snapshot::EvalSnapshot;
 use mshc_obs as obs;
 use mshc_platform::MachineId;
@@ -473,9 +474,9 @@ impl<'a> BatchEvaluator<'a> {
         self.snap
     }
 
-    /// Total schedule evaluations charged across all batches: one per
-    /// candidate, whether it was replayed or took the score of an
-    /// identical schedule (see [`ScanStats::scored`] for replays).
+    /// Charged evaluations across all batches: one per candidate,
+    /// whether it took a full pass, a replay, or the score of an
+    /// identical schedule ([`ScanStats`] counts the passes and replays).
     /// Per-chunk primes are uncounted, so the axis is thread-count
     /// independent.
     #[inline]
@@ -483,9 +484,9 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluations
     }
 
-    /// Scoring and population counters across all calls. Every axis is
-    /// deterministic at any thread count: each counts candidates, never
-    /// workers or chunks.
+    /// The record of the work across all calls: full passes, scorings
+    /// and the population axes. Every axis is deterministic at any
+    /// thread count: each counts candidates, never workers or chunks.
     #[inline]
     pub fn scan_stats(&self) -> ScanStats {
         self.scan
@@ -516,6 +517,7 @@ impl<'a> BatchEvaluator<'a> {
             )
             .collect();
         self.evaluations += candidates.len() as u64;
+        self.scan.full_passes += candidates.len() as u64;
         out
     }
 
@@ -583,17 +585,7 @@ impl<'a> BatchEvaluator<'a> {
             out[i] = score;
         }
         self.evaluations += children.len() as u64;
-        let k = self.snap.task_count() as u64;
-        let axes = ScanStats {
-            clones,
-            clone_positions: clones * k,
-            population_positions: children.len() as u64 * k,
-            ..ScanStats::default()
-        };
-        obs::add(obs::Counter::ScanClones, axes.clones);
-        obs::add(obs::Counter::ScanClonePositions, axes.clone_positions);
-        obs::add(obs::Counter::ScanPopulationPositions, axes.population_positions);
-        self.scan.merge(axes);
+        self.count_population(children.len() as u64, clones);
         out
     }
 
@@ -682,17 +674,7 @@ impl<'a> BatchEvaluator<'a> {
         debug_assert_eq!(clones + passes_a + passes_b, n as u64, "every child scored once");
         let out = handoff.slots.iter().map(|slot| lock_tolerant(slot).score).collect();
         self.evaluations += n as u64;
-        let k = self.snap.task_count() as u64;
-        let axes = ScanStats {
-            clones,
-            clone_positions: clones * k,
-            population_positions: n as u64 * k,
-            ..ScanStats::default()
-        };
-        obs::add(obs::Counter::ScanClones, axes.clones);
-        obs::add(obs::Counter::ScanClonePositions, axes.clone_positions);
-        obs::add(obs::Counter::ScanPopulationPositions, axes.population_positions);
-        self.scan.merge(axes);
+        self.count_population(n as u64, clones);
         out
     }
 
@@ -884,6 +866,19 @@ impl<'a> BatchEvaluator<'a> {
         fold_eligible(scores.into_iter().enumerate(), admissible, aspiration)
     }
 
+    /// Records a generation of `children`, `clones` of them served by
+    /// their donor's cost and every other one by a full pass.
+    fn count_population(&mut self, children: u64, clones: u64) {
+        let k = self.snap.task_count() as u64;
+        self.scan.merge(ScanStats {
+            full_passes: children - clones,
+            clones,
+            clone_positions: clones * k,
+            population_positions: children * k,
+            ..ScanStats::default()
+        });
+    }
+
     /// Scorings performed so far by every pooled arena (all arenas are at
     /// rest between calls — `&mut self` methods cannot overlap).
     fn arena_scorings(&self) -> u64 {
@@ -1037,6 +1032,7 @@ mod tests {
                 candidates.iter().map(|s| scalar.objective_value(s, &kind)).collect();
             assert_eq!(got, want, "objective {}", kind.label());
             assert_eq!(batch.evaluations(), 40);
+            assert_eq!(batch.scan_stats().full_passes, 40, "one full pass per candidate");
         }
     }
 
@@ -1138,6 +1134,7 @@ mod tests {
             assert_eq!(
                 stats,
                 ScanStats {
+                    full_passes: (children.len() - clones) as u64,
                     scored: 0,
                     clones: clones as u64,
                     clone_positions: clones as u64 * k,
@@ -1256,6 +1253,7 @@ mod tests {
                     assert_eq!(got, want, "{label}");
                     assert_eq!(batch_evals, children.len() as u64, "{label}");
                     let axes = ScanStats {
+                        full_passes: children.len() as u64 - clones,
                         scored: 0,
                         clones,
                         clone_positions: clones * k,
@@ -1414,7 +1412,7 @@ mod tests {
         assert_eq!(batch.best_relocation(&base, t, pos + 1..=pos, &[m], &obj), None);
         assert_eq!(batch.best_relocation(&base, t, pos..=pos, &[m], &obj), None);
         assert_eq!(batch.evaluations(), 0);
-        assert_eq!(batch.scan_stats(), crate::incremental::ScanStats::default());
+        assert_eq!(batch.scan_stats(), ScanStats::default());
     }
 
     #[test]

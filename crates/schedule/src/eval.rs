@@ -181,8 +181,7 @@ pub struct Evaluator<'a> {
     /// Objective accumulators folded during the pass, in string order
     /// (also carries the per-machine busy times a report copies).
     state: ObjectiveState,
-    /// Number of full evaluations performed (the deterministic cost axis
-    /// reported alongside wall time by the Fig 5–7 harness).
+    /// Full passes performed.
     evaluations: u64,
 }
 
@@ -219,19 +218,13 @@ impl<'a> Evaluator<'a> {
         &self.snap
     }
 
-    /// Total number of evaluations performed so far.
+    /// Full passes this evaluator has run, one per
+    /// [`makespan`](Self::makespan), [`objective_value`](Self::objective_value)
+    /// or report call (see [`crate::ScanStats`] for which passes a run
+    /// counts).
     #[inline]
     pub fn evaluations(&self) -> u64 {
         self.evaluations
-    }
-
-    /// Adds externally performed evaluations to the counter (used when a
-    /// scheduler fans candidate evaluations out to worker threads with
-    /// their own short-lived evaluators, so the run's reported evaluation
-    /// count stays complete).
-    #[inline]
-    pub fn bump_evaluations(&mut self, n: u64) {
-        self.evaluations += n;
     }
 
     /// Evaluates `solution`, returning only the makespan (hot path).
@@ -313,7 +306,6 @@ impl<'a> Evaluator<'a> {
         self.machine_avail.fill(0.0);
         self.state.reset(self.machine_avail.len());
         self.evaluations += 1;
-        mshc_obs::add(mshc_obs::Counter::Evaluations, 1);
         crate::faults::eval_tick();
         for seg in solution.segments() {
             let t = seg.task;

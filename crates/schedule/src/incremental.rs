@@ -77,8 +77,8 @@
 
 use crate::encoding::{Segment, Solution};
 use crate::objective::{Objective, ObjectiveState};
+use crate::runner::ScanStats;
 use crate::snapshot::{EvalSnapshot, LaneArrival};
-use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::TaskId;
 use std::borrow::Cow;
@@ -100,76 +100,6 @@ pub enum MoveScore {
     /// The candidate's exact objective value — bit-identical to a full
     /// evaluation pass over the materialized mutated solution.
     Exact(f64),
-}
-
-/// Counters of tier-3 scoring and GA population scoring. Every axis is
-/// a pure function of the candidates scored, so each reads the same at
-/// any thread count.
-///
-/// The bump sites that feed these per-run counters also mirror into the
-/// process-wide [`mshc_obs`] registry (`ScanScored` and the population
-/// axes), so the registry's view can never drift from `ScanStats` —
-/// same sites, same semantics, and the same fraction accessors on
-/// [`mshc_obs::DeterministicPlane`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Scorings: replays performed, one per candidate that
-    /// [`IncrementalEvaluator::score_move`] or a lane of
-    /// [`IncrementalEvaluator::score_cells`] scores. An *evaluation*
-    /// is a charged candidate instead. A relocation scan
-    /// ([`crate::BatchEvaluator::best_relocation`]) charges every cell of
-    /// its grid but, under an objective that ignores the finish-time
-    /// sum, scores one cell per run of identical schedules, so it counts
-    /// fewer scorings than evaluations.
-    pub scored: u64,
-    /// Population children served by their parent's known cost (exact
-    /// clones; the GA axis).
-    pub clones: u64,
-    /// String positions of those clones (clones × string length),
-    /// served without a pass.
-    pub clone_positions: u64,
-    /// String positions of every population child scored (children ×
-    /// string length).
-    pub population_positions: u64,
-}
-
-impl ScanStats {
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: ScanStats) {
-        self.scored += other.scored;
-        self.clones += other.clones;
-        self.clone_positions += other.clone_positions;
-        self.population_positions += other.population_positions;
-    }
-
-    /// Always 0: tier 3 scores every candidate to the end of the string.
-    /// Kept only because the benchmark under `perfbench/` reports it;
-    /// delete it with that use at the next change to the benchmark.
-    pub fn pruned_fraction(&self) -> f64 {
-        0.0
-    }
-
-    /// Always 0, like [`Self::pruned_fraction`]. Kept only because the
-    /// benchmark under `perfbench/` reports it; delete it with that use
-    /// at the next change to the benchmark.
-    pub fn spliced_fraction(&self) -> f64 {
-        0.0
-    }
-
-    /// `clone_positions / population_positions`: the share of population
-    /// string positions served by exact clones instead of a full pass (0
-    /// when no population was scored). Deterministic at any thread count.
-    /// The name is that of the deleted prefix-splicing path, kept only
-    /// because the benchmark under `perfbench/` reports it; rename it to
-    /// `clone_fraction` with that use at the next change to the
-    /// benchmark.
-    pub fn prefix_reuse_fraction(&self) -> f64 {
-        if self.population_positions == 0 {
-            0.0
-        } else {
-            self.clone_positions as f64 / self.population_positions as f64
-        }
-    }
 }
 
 /// Scores single-task moves against a primed base solution by suffix
@@ -248,9 +178,8 @@ pub struct IncrementalEvaluator<'a> {
     /// replay dirties only suffix entries and restores them afterwards).
     finish: Vec<f64>,
     dirty: Vec<u32>,
-    /// Move scorings performed ([`Self::prime`] is uncounted cache
-    /// building, mirroring how batch arenas keep the evaluation axis
-    /// independent of chunking).
+    /// Scorings performed ([`Self::prime`] is uncounted cache building,
+    /// so the count does not depend on how often a base is primed).
     evaluations: u64,
     /// Scratch of [`Self::score_cells`]'s cell lanes.
     lanes: LaneScratch,
@@ -349,13 +278,13 @@ impl<'a> IncrementalEvaluator<'a> {
         self.base.as_ref()
     }
 
-    /// Move scorings performed so far (primes are uncounted).
+    /// Scorings performed so far (primes are uncounted).
     #[inline]
     pub fn evaluations(&self) -> u64 {
         self.evaluations
     }
 
-    /// The scoring counter as [`ScanStats`].
+    /// The scorings as a [`ScanStats`] record.
     #[inline]
     pub fn stats(&self) -> ScanStats {
         ScanStats { scored: self.evaluations, ..ScanStats::default() }
@@ -481,7 +410,6 @@ impl<'a> IncrementalEvaluator<'a> {
         let old_m = base.machine_of(t);
         let first = old_pos.min(new_pos);
         *evaluations += 1;
-        obs::add(obs::Counter::ScanScored, 1);
         crate::faults::eval_tick();
 
         // Resume from the nearest checkpoint at or before `first` and
@@ -641,7 +569,6 @@ impl<'a> IncrementalEvaluator<'a> {
         debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "positions nondecreasing");
         debug_assert!(machines.iter().all(|m| m.index() < l), "machine out of range");
         *evaluations += n as u64;
-        obs::add(obs::Counter::ScanScored, n as u64);
         for _ in 0..n {
             crate::faults::eval_tick();
         }
@@ -1026,32 +953,6 @@ mod tests {
             let truth = scalar.objective_value(&cand, &ObjectiveKind::Makespan);
             assert_eq!(inc.score_move(t, pos, m, &ObjectiveKind::Makespan), truth, "{t} -> {pos}");
         }
-    }
-
-    #[test]
-    fn scan_stats_track_and_merge() {
-        let mut a = ScanStats { scored: 10, ..Default::default() };
-        a.merge(ScanStats { scored: 10, ..Default::default() });
-        assert_eq!(a, ScanStats { scored: 20, ..Default::default() });
-        // The benchmark-pinned fractions read 0.
-        assert_eq!(a.pruned_fraction(), 0.0);
-        assert_eq!(a.spliced_fraction(), 0.0);
-        // The population axes merge and ratio independently.
-        a.merge(ScanStats {
-            clones: 3,
-            clone_positions: 30,
-            population_positions: 120,
-            ..Default::default()
-        });
-        a.merge(ScanStats {
-            clones: 1,
-            clone_positions: 30,
-            population_positions: 40,
-            ..Default::default()
-        });
-        assert_eq!(a.clones, 4);
-        assert_eq!(a.prefix_reuse_fraction(), 60.0 / 160.0);
-        assert_eq!(ScanStats::default().prefix_reuse_fraction(), 0.0);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub use error::ScheduleError;
 pub use eval::{Evaluator, ScheduleReport};
 pub use faults::{CellFault, FaultPlan, FAULT_PANIC_PREFIX};
 pub use gantt::Gantt;
-pub use incremental::{IncrementalEvaluator, MoveScore, ScanStats};
+pub use incremental::{IncrementalEvaluator, MoveScore};
 pub use init::{perturb, random_solution};
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{
@@ -140,8 +140,7 @@ pub use replan::{
     Disturbance, DisturbanceKind, DisturbanceRecord, ReplanError, ReplanReport, Replanner,
 };
 pub use runner::{
-    certified_gap, report_objective_value, CancelToken, RunBudget, RunResult, Scheduler,
-    Termination,
+    certified_gap, CancelToken, RunBudget, RunResult, ScanStats, Scheduler, Termination,
 };
 pub use sim::{replay, replay_with, NetworkModel, SimError};
 pub use snapshot::EvalSnapshot;

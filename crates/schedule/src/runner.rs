@@ -22,13 +22,13 @@
 
 use crate::encoding::Solution;
 use crate::error::ScheduleError;
-use crate::incremental::ScanStats;
 use crate::objective::ObjectiveKind;
+use mshc_obs as obs;
 use mshc_platform::HcInstance;
 use mshc_trace::Trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A shared, one-shot cooperative cancellation flag.
 ///
@@ -127,7 +127,7 @@ impl std::fmt::Display for Termination {
 pub struct RunBudget {
     /// Maximum iterations (SE) / generations (GA).
     pub max_iterations: Option<u64>,
-    /// Maximum number of full schedule evaluations.
+    /// Maximum charged evaluations ([`RunResult::evaluations`]).
     pub max_evaluations: Option<u64>,
     /// Maximum wall-clock time.
     pub max_wall: Option<Duration>,
@@ -255,6 +255,101 @@ impl RunBudget {
     }
 }
 
+/// The one record of a run's work, carried in [`RunResult::scan`]; the
+/// metrics registry's run counters are sums of these records. Every
+/// axis is a pure function of the candidates a run considers, so each
+/// reads the same at any thread count. Three counts measure work:
+///
+/// * A **full pass** walks a whole solution at tier 1
+///   ([`crate::Evaluator`]). Only the passes a run makes to search
+///   count: GA generation 0 and children that are not clones, SE's
+///   reports, tabu's first pass, random-search samples, HEFT-with-
+///   insertion's export pass, a one-shot heuristic's non-makespan score.
+///   Passes made only to report (the ledger's makespan under another
+///   objective, SE's pass over a migrant, the replanner's freeze, the
+///   CLI's `--report`) and priming walks do not.
+/// * A **scoring** replays one candidate at tier 3
+///   ([`crate::IncrementalEvaluator`]).
+/// * A **charged evaluation** ([`RunResult::evaluations`]) is one
+///   candidate a run considered, whatever it cost: the budget axis. A
+///   GA clone is charged without a pass; SE charges every cell of a
+///   relocation grid, which may replay fewer, plus two per allocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Full passes.
+    pub full_passes: u64,
+    /// Scorings.
+    pub scored: u64,
+    /// Population children served by their parent's known cost (exact
+    /// clones; the GA axis).
+    pub clones: u64,
+    /// String positions of those clones (clones × string length),
+    /// served without a pass.
+    pub clone_positions: u64,
+    /// String positions of every population child scored (children ×
+    /// string length).
+    pub population_positions: u64,
+}
+
+impl ScanStats {
+    /// The record of `n` full passes and no other work.
+    pub fn passes(n: u64) -> ScanStats {
+        ScanStats { full_passes: n, ..ScanStats::default() }
+    }
+
+    /// Accumulates another record into this one.
+    pub fn merge(&mut self, other: ScanStats) {
+        self.full_passes += other.full_passes;
+        self.scored += other.scored;
+        self.clones += other.clones;
+        self.clone_positions += other.clone_positions;
+        self.population_positions += other.population_positions;
+    }
+
+    /// Adds this record and `iterations` to the metrics registry's run
+    /// counters. Called where a run closes a piece of its work:
+    /// [`crate::RunLedger`] per slice and a one-shot heuristic per run
+    /// ([`RunResult::one_shot`]), so the registry holds the sum of the
+    /// records of the runs it saw.
+    pub(crate) fn publish(&self, iterations: u64) {
+        obs::add(obs::Counter::Iterations, iterations);
+        obs::add(obs::Counter::Evaluations, self.full_passes);
+        obs::add(obs::Counter::ScanScored, self.scored);
+        obs::add(obs::Counter::ScanClones, self.clones);
+        obs::add(obs::Counter::ScanClonePositions, self.clone_positions);
+        obs::add(obs::Counter::ScanPopulationPositions, self.population_positions);
+    }
+
+    /// Always 0: tier 3 scores every candidate to the end of the string.
+    /// Kept only because the benchmark under `perfbench/` reports it;
+    /// delete it with that use at the next change to the benchmark.
+    pub fn pruned_fraction(&self) -> f64 {
+        0.0
+    }
+
+    /// Always 0, like [`Self::pruned_fraction`]. Kept only because the
+    /// benchmark under `perfbench/` reports it; delete it with that use
+    /// at the next change to the benchmark.
+    pub fn spliced_fraction(&self) -> f64 {
+        0.0
+    }
+
+    /// `clone_positions / population_positions`: the share of population
+    /// string positions served by exact clones instead of a full pass (0
+    /// when no population was scored). Deterministic at any thread count.
+    /// The name is that of the deleted prefix-splicing path, kept only
+    /// because the benchmark under `perfbench/` reports it; rename it to
+    /// `clone_fraction` with that use at the next change to the
+    /// benchmark.
+    pub fn prefix_reuse_fraction(&self) -> f64 {
+        if self.population_positions == 0 {
+            0.0
+        } else {
+            self.clone_positions as f64 / self.population_positions as f64
+        }
+    }
+}
+
 /// Outcome of one scheduler run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
@@ -267,12 +362,13 @@ pub struct RunResult {
     pub objective_value: f64,
     /// Iterations (or generations) executed; 1 for one-shot heuristics.
     pub iterations: u64,
-    /// Full schedule evaluations performed.
+    /// Charged evaluations: one per candidate schedule the run
+    /// considered, the axis [`RunBudget::max_evaluations`] limits (see
+    /// [`ScanStats`] for how it relates to full passes and scorings).
     pub evaluations: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Tier-3 scoring and GA population counters (all zero for
-    /// schedulers that never score incrementally or by population).
+    /// The run's full passes, scorings and GA population counters.
     /// Every axis is identical at any thread count; the counters are
     /// still kept out of the serialized tournament outcome, whose layout
     /// they would change.
@@ -293,6 +389,45 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The result of a one-shot constructive heuristic started at
+    /// `start`: `solution` with its `makespan`, one iteration, the
+    /// `evaluations` it charged and the `full_passes` it made, scored
+    /// under the budget's objective and certified, with
+    /// [`Termination::Completed`]. The heuristics build makespan-oriented
+    /// schedules; a non-makespan objective costs one more full pass.
+    /// Publishes the run's record to the metrics registry.
+    pub fn one_shot(
+        inst: &HcInstance,
+        budget: &RunBudget,
+        solution: Solution,
+        makespan: f64,
+        evaluations: u64,
+        full_passes: u64,
+        start: Instant,
+    ) -> RunResult {
+        let (objective_value, full_passes) = if budget.objective.is_makespan() {
+            (makespan, full_passes)
+        } else {
+            let value = crate::Evaluator::new(inst).objective_value(&solution, &budget.objective);
+            (value, full_passes + 1)
+        };
+        let scan = ScanStats::passes(full_passes);
+        scan.publish(1);
+        RunResult {
+            solution,
+            makespan,
+            objective_value,
+            iterations: 1,
+            evaluations,
+            elapsed: start.elapsed(),
+            scan,
+            lower_bound: None,
+            gap: None,
+            termination: Termination::Completed,
+        }
+        .with_certificate(inst, budget.objective)
+    }
+
     /// Attaches the certificate fields to a result: the instance floor
     /// and gap when `objective` is plain makespan (the only certified
     /// objective), clearing them otherwise. One-shot heuristics and
@@ -319,23 +454,6 @@ pub fn certified_gap(lower_bound: Option<f64>, value: f64) -> Option<f64> {
     }
 }
 
-/// Scores `solution` under `objective` for reporting, reusing the known
-/// `makespan` when the objective is plain makespan (no extra pass). Used
-/// by one-shot constructive heuristics, which always build makespan-
-/// oriented schedules but report the budget's objective alongside.
-pub fn report_objective_value(
-    inst: &HcInstance,
-    solution: &Solution,
-    makespan: f64,
-    objective: ObjectiveKind,
-) -> f64 {
-    if objective.is_makespan() {
-        makespan
-    } else {
-        crate::Evaluator::new(inst).objective_value(solution, &objective)
-    }
-}
-
 /// A task matching-and-scheduling algorithm.
 pub trait Scheduler {
     /// Short stable identifier used in figures, CSV columns and the CLI
@@ -355,6 +473,32 @@ pub trait Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scan_stats_merge_every_axis() {
+        let mut a = ScanStats { full_passes: 2, scored: 10, ..Default::default() };
+        a.merge(ScanStats { full_passes: 1, scored: 10, ..Default::default() });
+        assert_eq!(a, ScanStats { full_passes: 3, scored: 20, ..Default::default() });
+        // The benchmark-pinned fractions read 0.
+        assert_eq!(a.pruned_fraction(), 0.0);
+        assert_eq!(a.spliced_fraction(), 0.0);
+        // The population axes merge and ratio independently.
+        a.merge(ScanStats {
+            clones: 3,
+            clone_positions: 30,
+            population_positions: 120,
+            ..Default::default()
+        });
+        a.merge(ScanStats {
+            clones: 1,
+            clone_positions: 30,
+            population_positions: 40,
+            ..Default::default()
+        });
+        assert_eq!(a.clones, 4);
+        assert_eq!(a.prefix_reuse_fraction(), 60.0 / 160.0);
+        assert_eq!(ScanStats::default().prefix_reuse_fraction(), 0.0);
+    }
 
     #[test]
     fn constructors() {

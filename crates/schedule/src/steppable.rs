@@ -24,7 +24,8 @@
 //! loop:
 //!
 //! ```text
-//! start:   RunLedger::new(inst, budget, clock, first incumbent, evaluations charged so far)
+//! start:   RunLedger::new(inst, budget, clock, first incumbent, evaluations, scan)
+//!                                            the start's charge and work record
 //! step:    open_slice(max)                   latches the floor
 //!          while proceed(pending) {          polls cancel, checks every limit
 //!              ... one iteration ...
@@ -34,6 +35,10 @@
 //! inject:  offer(migrant, cost)              never latches the floor
 //! result:  result(snapshot)
 //! ```
+//!
+//! The ledger alone publishes these runs' work to the metrics registry
+//! (`ScanStats::publish`): the start's record in `new`, each slice's
+//! record and iterations in `close_slice`.
 //!
 //! The floor latches only at slice entry and after an improving
 //! iteration, never inside `offer`: a floor-cost migrant injected into an
@@ -55,9 +60,10 @@
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
-use crate::incremental::ScanStats;
 use crate::lower_bound::InstanceBound;
-use crate::runner::{certified_gap, CancelToken, RunBudget, RunResult, Scheduler, Termination};
+use crate::runner::{
+    certified_gap, CancelToken, RunBudget, RunResult, ScanStats, Scheduler, Termination,
+};
 use crate::snapshot::EvalSnapshot;
 use mshc_obs as obs;
 use mshc_platform::HcInstance;
@@ -160,9 +166,10 @@ pub fn run_stepped(
 ///
 /// A search keeps its own evaluation accounting: it charges what
 /// [`new`](RunLedger::new) is handed, what each
-/// [`close_slice`](RunLedger::close_slice) is handed, and nothing else.
-/// Inside a slice, [`proceed`](RunLedger::proceed) adds the slice's
-/// pending count to the charged total before testing the limits.
+/// [`close_slice`](RunLedger::close_slice) is handed, and nothing else,
+/// and the same holds for its [`ScanStats`] record. Inside a slice,
+/// [`proceed`](RunLedger::proceed) adds the slice's pending count to the
+/// charged total before testing the limits.
 #[derive(Debug)]
 pub struct RunLedger {
     budget: RunBudget,
@@ -173,9 +180,11 @@ pub struct RunLedger {
     best: Solution,
     best_cost: f64,
     iterations: u64,
+    /// Iterations already published to the metrics registry.
+    iterations_published: u64,
     /// Evaluations charged by the start and by completed slices.
     evaluations: u64,
-    /// Scoring counters merged from completed slices.
+    /// The work records of the start and of completed slices, merged.
     scan: ScanStats,
     /// The iteration count at which the current slice ends.
     slice_end: u64,
@@ -190,10 +199,11 @@ pub struct RunLedger {
 
 impl RunLedger {
     /// Opens the ledger of a run on `inst` under `budget`, started at
-    /// `clock`, with its first incumbent and the `evaluations` its start
-    /// charged. Computes the certified floor once (makespan objective
-    /// only); that consumes no RNG and counts no evaluations, so it
-    /// cannot perturb a trajectory.
+    /// `clock`, with its first incumbent, the `evaluations` its start
+    /// charged and the start's work record `scan`, which it publishes.
+    /// Computes the certified floor once (makespan objective only); that
+    /// consumes no RNG and counts no evaluations, so it cannot perturb a
+    /// trajectory.
     pub fn new(
         inst: &HcInstance,
         budget: &RunBudget,
@@ -201,7 +211,9 @@ impl RunLedger {
         best: Solution,
         best_cost: f64,
         evaluations: u64,
+        scan: ScanStats,
     ) -> RunLedger {
+        scan.publish(0);
         RunLedger {
             floor: budget.objective.is_makespan().then(|| InstanceBound::compute(inst).floor()),
             budget: budget.clone(),
@@ -209,8 +221,9 @@ impl RunLedger {
             best,
             best_cost,
             iterations: 0,
+            iterations_published: 0,
             evaluations,
-            scan: ScanStats::default(),
+            scan,
             slice_end: 0,
             floor_hit: false,
             cancelled: false,
@@ -250,17 +263,19 @@ impl RunLedger {
     }
 
     /// Counts an iteration that offers no candidate (random search's
-    /// initial sample) and mirrors it into the registry.
+    /// initial sample; the next closed slice publishes it).
     pub fn count_iteration(&mut self) {
         self.iterations += 1;
-        obs::add(obs::Counter::Iterations, 1);
     }
 
-    /// Closes the open slice: charges its `evaluations` and `scan`
-    /// counters and reports whether the run can go on.
+    /// Closes the open slice: charges its `evaluations`, merges its work
+    /// record `scan`, publishes that record with the iterations counted
+    /// since the last close, and reports whether the run can go on.
     pub fn close_slice(&mut self, evaluations: u64, scan: ScanStats) -> StepVerdict {
         self.evaluations += evaluations;
         self.scan.merge(scan);
+        scan.publish(self.iterations - self.iterations_published);
+        self.iterations_published = self.iterations;
         if self.floor_hit || self.cancelled || self.limit_hit(self.evaluations).is_some() {
             StepVerdict::Exhausted
         } else {
@@ -306,8 +321,8 @@ impl RunLedger {
 
     /// The run's result: the incumbent, its certificate and why the run
     /// stopped. A non-makespan objective costs one reporting pass over
-    /// `snapshot` for the makespan, deliberately uncounted: evaluations
-    /// are the search-cost axis of the figures.
+    /// `snapshot` for the makespan, deliberately uncounted: the record
+    /// counts the work of the search.
     pub fn result(&self, snapshot: &EvalSnapshot) -> RunResult {
         let makespan = if self.budget.objective.is_makespan() {
             self.best_cost
@@ -560,7 +575,15 @@ mod tests {
         clock: Instant,
         evaluations: u64,
     ) -> RunLedger {
-        let mut ledger = RunLedger::new(inst, budget, clock, lopsided.clone(), 24.0, evaluations);
+        let mut ledger = RunLedger::new(
+            inst,
+            budget,
+            clock,
+            lopsided.clone(),
+            24.0,
+            evaluations,
+            ScanStats::default(),
+        );
         ledger.open_slice(u64::MAX);
         ledger
     }
@@ -604,8 +627,15 @@ mod tests {
         assert!(l.proceed(0));
 
         // A slice ends at its own iteration count, not the run's.
-        let mut l =
-            RunLedger::new(&inst, &RunBudget::iterations(9), now, lopsided.clone(), 24.0, 0);
+        let mut l = RunLedger::new(
+            &inst,
+            &RunBudget::iterations(9),
+            now,
+            lopsided.clone(),
+            24.0,
+            0,
+            ScanStats::default(),
+        );
         l.open_slice(2);
         l.record(&lopsided, 24.0);
         assert!(l.proceed(0));
@@ -622,7 +652,8 @@ mod tests {
         let budget = RunBudget::iterations(5);
         // An incumbent on the floor latches at slice entry: no iteration
         // runs and the run reports the floor.
-        let mut l = RunLedger::new(&inst, &budget, now, even.clone(), 12.0, 1);
+        let mut l =
+            RunLedger::new(&inst, &budget, now, even.clone(), 12.0, 1, ScanStats::default());
         l.open_slice(u64::MAX);
         assert!(!l.proceed(0));
         assert!(closed(&mut l, 0).is_exhausted());
@@ -646,14 +677,15 @@ mod tests {
         assert!(l.proceed(0));
         // Non-makespan objectives have no floor and never stop early.
         let flowtime = budget.clone().with_objective(ObjectiveKind::TotalFlowtime);
-        let mut l = RunLedger::new(&inst, &flowtime, now, even.clone(), 0.0, 0);
+        let mut l =
+            RunLedger::new(&inst, &flowtime, now, even.clone(), 0.0, 0, ScanStats::default());
         l.open_slice(u64::MAX);
         assert!(l.proceed(0));
         let r = l.result(&EvalSnapshot::new(&inst));
         assert_eq!((r.lower_bound, r.gap), (None, None));
         assert_eq!(r.makespan, 12.0, "the reporting pass scores the makespan");
         // Non-finite incumbents never claim optimality.
-        let mut l = RunLedger::new(&inst, &budget, now, even, f64::NAN, 0);
+        let mut l = RunLedger::new(&inst, &budget, now, even, f64::NAN, 0, ScanStats::default());
         l.open_slice(u64::MAX);
         assert!(l.proceed(0));
     }
@@ -785,12 +817,16 @@ mod tests {
     #[test]
     fn results_carry_the_charged_counters() {
         let (inst, lopsided, even) = balanced();
-        let mut l = opened(&inst, &RunBudget::iterations(4), &lopsided, Instant::now(), 3);
+        let start = ScanStats { full_passes: 1, ..ScanStats::default() };
+        let budget = RunBudget::iterations(4);
+        let mut l = RunLedger::new(&inst, &budget, Instant::now(), lopsided, 24.0, 3, start);
+        l.open_slice(u64::MAX);
         l.record(&even, 12.0);
-        let scan = ScanStats { scored: 7, ..ScanStats::default() };
+        let scan = ScanStats { full_passes: 2, scored: 7, ..ScanStats::default() };
         assert!(l.close_slice(5, scan).is_exhausted());
         let r = l.result(&EvalSnapshot::new(&inst));
-        assert_eq!((r.evaluations, r.iterations, r.scan.scored), (8, 1, 7));
+        assert_eq!((r.evaluations, r.iterations), (8, 1));
+        assert_eq!(r.scan, ScanStats { full_passes: 3, scored: 7, ..ScanStats::default() });
         assert_eq!((&r.solution, r.makespan, r.objective_value), (&even, 12.0, 12.0));
         assert_eq!(l.trace_record(2, 30.0).evaluations, 10);
         assert_eq!(l.trace_record(2, 30.0).iteration, 0);

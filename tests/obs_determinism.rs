@@ -1,16 +1,19 @@
 //! The observability no-perturbation contract, end to end: enabling
 //! metric recording must not change a single result bit — solutions,
-//! objective values, evaluation counts, iteration counts, trace records
-//! — for any scheduler, seed, objective or thread count. And the
-//! registry's deterministic plane must itself reproduce bit-for-bit
-//! across identical fixed-thread runs.
+//! objective values, evaluation counts, iteration counts, work records,
+//! trace records — for any scheduler, seed, objective or thread count.
+//! The registry's deterministic plane must itself reproduce bit-for-bit
+//! across identical fixed-thread runs, and its run counters must equal
+//! the sum of the records the runs return.
 //!
 //! The registry is process-global, so every test here serializes
 //! through one lock; this file is its own test binary, so no other
 //! suite races it.
 
 use mshc::obs;
+use mshc::portfolio::{build_contestant, ALGORITHMS};
 use mshc::prelude::*;
+use mshc::schedule::ScanStats;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -20,9 +23,10 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The iterative schedulers covering all three evaluator tiers: SE and
-/// tabu drive the bounded incremental scan, SA the plain incremental
-/// path, the GA the population pass, random search the full evaluator.
+/// The iterative schedulers covering all three evaluator tiers: SE
+/// drives the cell-lane allocation scan, tabu the sampled move scan, SA
+/// the single-move replay, the GA the population pass, random search the
+/// full evaluator.
 fn make_scheduler(algo: &str, seed: u64) -> Box<dyn Scheduler> {
     match algo {
         "se" => Box::new(SeScheduler::new(SeConfig { seed, ..SeConfig::default() })),
@@ -47,6 +51,7 @@ struct RunFingerprint {
     makespan_bits: u64,
     iterations: u64,
     evaluations: u64,
+    scan: ScanStats,
     termination: Termination,
     trace: Vec<TraceBits>,
 }
@@ -72,6 +77,7 @@ fn run_fingerprinted(
         makespan_bits: result.makespan.to_bits(),
         iterations: result.iterations,
         evaluations: result.evaluations,
+        scan: result.scan,
         termination: result.termination,
         trace: trace
             .records()
@@ -146,34 +152,92 @@ proptest! {
     }
 }
 
-/// The registry's iteration and evaluation counters agree with the
-/// `RunResult` bookkeeping across the whole portfolio — the accessors
-/// stayed truthful when they moved onto the registry.
+/// The registry's run counters as one record: iterations, and the
+/// full passes, scorings and clone axes of [`ScanStats`].
+fn registry_record(det: &obs::DeterministicPlane) -> (u64, ScanStats) {
+    let work = ScanStats {
+        full_passes: det.evaluations,
+        scored: det.scan_scored,
+        clones: det.scan_clones,
+        clone_positions: det.scan_clone_positions,
+        population_positions: det.scan_population_positions,
+    };
+    (det.iterations, work)
+}
+
+/// After a fault-free run, the registry holds exactly the run's record:
+/// every one of the 13 algorithms, under makespan and total flowtime,
+/// run plainly and in 3-iteration slices.
 #[test]
 fn registry_counters_match_run_result_bookkeeping() {
     let _guard = lock();
     let inst = WorkloadSpec::small(7).generate();
-    let budget = RunBudget::iterations(12);
-    for algo in ["se", "ga", "sa", "tabu", "random"] {
-        obs::reset();
-        obs::enable(true);
-        let result = make_scheduler(algo, 7).run(&inst, &budget, None);
-        let det = obs::snapshot().deterministic;
-        obs::enable(false);
-        assert_eq!(det.iterations, result.iterations, "{algo}: iteration counters must agree");
-        // The registry counts *physical* work: full passes plus
-        // incremental scorings. `RunResult::evaluations` is a *charge*
-        // model — primes, fold-derived cost reads and clone shortcuts
-        // are charged for budget stability even when no replay runs —
-        // so the physical counters bound the report from below and must
-        // see real work; exact equality is not a contract.
-        let physical = det.evaluations + det.scan_scored;
-        assert!(physical > 0, "{algo}: the registry must see the evaluation work");
-        assert!(
-            physical <= result.evaluations,
-            "{algo}: physical work ({physical}) cannot exceed the charged count ({})",
-            result.evaluations
-        );
+    for objective in [ObjectiveKind::Makespan, ObjectiveKind::TotalFlowtime] {
+        let budget = RunBudget::iterations(12).with_objective(objective);
+        for algo in ALGORITHMS {
+            for sliced in [false, true] {
+                obs::reset();
+                obs::enable(true);
+                let mut contestant = build_contestant(algo, 7).expect("a known algorithm");
+                let result = if sliced {
+                    let mut state = contestant.start(&inst, &budget);
+                    while !state.step(3, None).is_exhausted() {}
+                    state.result()
+                } else {
+                    contestant.run(&inst, &budget)
+                };
+                let det = obs::snapshot().deterministic;
+                obs::enable(false);
+                assert_eq!(
+                    registry_record(&det),
+                    (result.iterations, result.scan),
+                    "{algo}, {}, sliced {sliced}",
+                    objective.label()
+                );
+                let stopped = result.termination == Termination::Floor;
+                assert_eq!(det.early_stops, u64::from(stopped), "{algo}: early stops");
+            }
+        }
+    }
+}
+
+/// A tournament's deterministic plane is the sum of its cells' records,
+/// portfolio off and on, under makespan and total flowtime, at 1 and 8
+/// threads.
+#[test]
+fn registry_plane_sums_the_tournament_cell_records() {
+    let _guard = lock();
+    for objective in ["makespan", "total-flowtime"] {
+        for portfolio in [false, true] {
+            let spec = TournamentSpec {
+                seeds: vec![3],
+                iterations: 6,
+                objectives: vec![objective.to_string()],
+                portfolio,
+                ..TournamentSpec::new("tiny", mshc::workloads::tiny_suite())
+            };
+            for threads in [1usize, 8] {
+                obs::reset();
+                obs::enable(true);
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let run = pool.install(|| run_tournament(&spec)).expect("tiny tournament runs");
+                let det = obs::snapshot().deterministic;
+                obs::enable(false);
+                let mut work = ScanStats::default();
+                for timing in &run.timing {
+                    work.merge(timing.scan);
+                }
+                let iterations = run.cells.iter().map(|c| c.iterations).sum();
+                let label = format!("{objective}, portfolio {portfolio}, {threads} threads");
+                assert_eq!(registry_record(&det), (iterations, work), "{label}");
+                let count = |f: fn(&mshc::portfolio::CellOutcome) -> bool| {
+                    run.cells.iter().filter(|c| f(c)).count() as u64
+                };
+                assert_eq!(det.early_stops, count(|c| c.early_stopped), "{label}");
+                assert_eq!(det.cells_completed, count(|c| c.ok), "{label}");
+                assert_eq!(det.cells_completed, run.cells.len() as u64, "{label}: fault-free");
+            }
+        }
     }
 }
 

@@ -62,6 +62,30 @@ fn malformed_instance_json_is_rejected() {
     assert!(serde_json::from_str::<Solution>("[1,2,3]").is_err());
 }
 
+/// Instance files load through the validating constructors: a file
+/// whose matrices `HcSystem::new` or `HcInstance::new` would reject, or
+/// whose matrix data does not fill its shape, fails to load.
+#[test]
+fn invalid_instance_files_are_rejected() {
+    let inst = WorkloadSpec { tasks: 4, machines: 2, ..WorkloadSpec::small(2001) }.generate();
+    let json = serde_json::to_string(&inst).unwrap();
+    let exec = inst.system().exec_matrix();
+    let exec_json = serde_json::to_string(exec).unwrap();
+    assert!(json.contains(&exec_json));
+    let load = |text: &str| serde_json::from_str::<HcInstance>(text).map_err(|e| e.to_string());
+    assert_eq!(load(&json).unwrap(), inst, "a generated file loads unchanged");
+
+    let negated = Matrix::from_fn(exec.rows(), exec.cols(), |r, c| -exec.get(r, c));
+    let negated = json.replace(&exec_json, &serde_json::to_string(&negated).unwrap());
+    let e = load(&negated).unwrap_err();
+    assert!(e.contains("system") && e.contains("execution times must be > 0"), "{e}");
+
+    let narrowed = json.replace(&exec_json, &exec_json.replace("\"cols\":4", "\"cols\":3"));
+    assert_ne!(narrowed, json);
+    let e = load(&narrowed).unwrap_err();
+    assert!(e.contains("exec") && e.contains("data holds 8 entries"), "{e}");
+}
+
 #[test]
 fn workload_spec_roundtrips() {
     let spec = WorkloadSpec::large(9).with_heterogeneity(Heterogeneity::High).with_ccr(0.1);
