@@ -652,9 +652,7 @@ fn cmd_run(p: &Parsed, out: &mut dyn Write) -> Result<(), Error> {
         writeln!(out, "utilization: {:.1}%", 100.0 * gantt.utilization())?;
     }
     if let Some(path) = p.get("trace") {
-        let mut series = vec![trace.best_vs_time_series().renamed("best")];
-        series.push(trace.current_cost_series().renamed("current"));
-        mshc_trace::write_csv("x", &series).write_file(path).map_err(|e| format!("{path}: {e}"))?;
+        trace.to_csv().write_file(path).map_err(|e| format!("{path}: {e}"))?;
         writeln!(out, "trace written to {path} ({} records)", trace.len())?;
     }
     Ok(())
@@ -1120,6 +1118,91 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The field `name` of a map value, for hand-editing a file.
+    fn field_mut<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
+        let serde::Value::Map(fields) = v else { panic!("{name}: not a map") };
+        &mut fields.iter_mut().find(|(k, _)| k == name).expect("field present").1
+    }
+
+    /// Element `i` of the list `v`, for hand-editing a file.
+    fn item_mut(v: &mut serde::Value, i: usize) -> &mut serde::Value {
+        let serde::Value::Seq(items) = v else { panic!("not a list") };
+        &mut items[i]
+    }
+
+    /// Hand-edited graphs (offsets that disagree with the edges, a
+    /// cycle, an out-of-range endpoint) are input errors, and every file
+    /// `generate` writes loads.
+    #[test]
+    fn invalid_graph_files_are_errors() {
+        let dir = std::env::temp_dir().join("mshc_cli_invalid_graph");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        for (tasks, connectivity) in [("1", "low"), ("4", "high"), ("30", "low"), ("100", "high")] {
+            let out = path("generated.json");
+            let args = ["generate", "--tasks", tasks, "--connectivity", connectivity];
+            dispatch(&argv(&[&args[..], &["--machines", "3", "--out", &out]].concat())).unwrap();
+            let json = std::fs::read_to_string(&out).unwrap();
+            let inst: HcInstance = serde_json::from_str(&json).unwrap();
+            assert_eq!(inst.task_count().to_string(), tasks);
+        }
+        // Four tasks, three edges.
+        let generated = path("wl.json");
+        let args = ["generate", "--tasks", "4", "--machines", "2", "--seed", "3"];
+        dispatch(&argv(&[&args[..], &["--out", &generated]].concat())).unwrap();
+        let file: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&generated).unwrap()).unwrap();
+        let edit = |change: &dyn Fn(&mut serde::Value)| {
+            let mut file = file.clone();
+            change(field_mut(&mut file, "graph"));
+            serde_json::to_string(&file).unwrap()
+        };
+        let edits = [
+            (
+                "offsets.json",
+                edit(&|g| {
+                    let serde::Value::Seq(offsets) = field_mut(g, "pred_offsets") else {
+                        panic!("pred_offsets: not a list")
+                    };
+                    offsets.reverse();
+                }),
+                "pred_offsets disagrees with the edges",
+            ),
+            (
+                // Edge 1 becomes edge 0 reversed.
+                "cycle.json",
+                edit(&|g| {
+                    let first = item_mut(field_mut(g, "edges"), 0).clone();
+                    let second = item_mut(field_mut(g, "edges"), 1);
+                    *field_mut(second, "src") = first.get_field("dst").unwrap().clone();
+                    *field_mut(second, "dst") = first.get_field("src").unwrap().clone();
+                }),
+                "directed cycle",
+            ),
+            (
+                "range.json",
+                edit(&|g| {
+                    *field_mut(item_mut(field_mut(g, "edges"), 0), "dst") = serde::Value::U64(7)
+                }),
+                "edges[0]: task index 7 out of range",
+            ),
+        ];
+        for (name, edited, why) in edits {
+            std::fs::write(path(name), edited).unwrap();
+            for algo in ["se", "heft"] {
+                let e = super::dispatch(
+                    &argv(&["run", "--algo", algo, "--instance", &path(name)]),
+                    &mut io::sink(),
+                )
+                .unwrap_err();
+                assert!(matches!(e, Error::Command(_)), "{name}, {algo}: {e}");
+                assert!(e.to_string().contains("invalid instance: graph: "), "{e}");
+                assert!(e.to_string().contains(why), "{name}: {e}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Standard output whose reader has gone: every write fails with a
     /// broken pipe.
     struct ClosedPipe;
@@ -1164,8 +1247,8 @@ mod tests {
         let trace = path("trace.csv");
         closed(&[&["run", "--algo", "se", "--trace", &trace][..], &small].concat());
         let trace = read("trace.csv");
-        assert!(trace.starts_with("x,best,current\n"), "{trace}");
-        assert_eq!(trace.lines().count(), 11, "a header, then five points of each series");
+        assert!(trace.starts_with("iteration,elapsed_s,evaluations,current,best\n"), "{trace}");
+        assert_eq!(trace.lines().count(), 6, "a header, then one row per iteration");
 
         let replan = path("replan.json");
         closed(&[&["replan", "--events", "1", "--out", &replan][..], &small].concat());
@@ -1915,7 +1998,7 @@ mod tests {
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&file).unwrap();
-        assert!(text.starts_with("x,best,current"));
+        assert!(text.starts_with("iteration,elapsed_s,evaluations,current,best\n"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

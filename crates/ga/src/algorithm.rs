@@ -38,9 +38,6 @@ const CROSSOVER_PROB: f64 = 0.6;
 const SCHED_MUTATION_PROB: f64 = 0.4;
 /// Probability that a child undergoes matching mutation (Wang et al.).
 const MATCH_MUTATION_PROB: f64 = 0.4;
-/// Best chromosomes copied unchanged into the next generation: Wang et
-/// al.'s elitism keeps the single best.
-const ELITES: usize = 1;
 
 /// The Wang et al. genetic-algorithm scheduler.
 #[derive(Debug, Clone)]
@@ -154,14 +151,13 @@ impl SearchStep for GaState<'_> {
         self.ledger.open_slice(max_iterations);
         while self.ledger.proceed(batch.evaluations()) {
             // ---- next generation ----
-            // Elitism: the best chromosomes are carried over unchanged.
-            let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
-            ranked.sort_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)));
-            ranked.truncate(ELITES);
+            // Elitism (Wang et al.): the single best chromosome, the
+            // first of equal costs, is carried over unchanged as child 0.
+            let elite = argmin(&self.costs);
             self.wheel.load(&self.costs);
             let (pop, wheel, rng) = (&self.pop, &self.wheel, &mut self.rng);
             let breed = |i: usize, child: &mut Solution| {
-                if let Some(&elite) = ranked.get(i) {
+                if i == 0 {
                     child.clone_from(&pop[elite]);
                     return elite;
                 }
@@ -335,7 +331,7 @@ mod tests {
             assert_eq!(r.evaluations, cfg.population as u64 + children, "{}", kind.label());
             assert_eq!(r.scan.scored, 0, "{}", kind.label());
             assert_eq!(r.scan.population_positions, children * k, "{}", kind.label());
-            assert!(r.scan.clones >= r.iterations * ELITES as u64, "{}", kind.label());
+            assert!(r.scan.clones >= r.iterations, "{}", kind.label());
             assert_eq!(r.scan.clone_positions, r.scan.clones * k, "{}", kind.label());
         }
     }

@@ -599,8 +599,10 @@ impl<'a> BatchEvaluator<'a> {
     /// operation per call lets a worker score published children while
     /// the caller breeds the next ones; once the last child is bred, the
     /// caller scores whatever is still unclaimed. With one thread, or
-    /// when no worker is free (inside a tournament cell, say), the caller
-    /// breeds everything and then scores everything.
+    /// when no worker is free (inside a tournament cell, say, where a
+    /// worker's operation engages only the other workers and those run
+    /// cells of their own), the caller breeds everything and then scores
+    /// everything.
     ///
     /// `breed` returns the child's donor, an index into `parents` (with
     /// `parent_costs` their scores). A child equal to its donor takes the

@@ -9,7 +9,7 @@
 
 use crate::error::GraphError;
 use crate::ids::{DataId, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One data item: a directed edge `src -> dst` in the application DAG.
 ///
@@ -32,7 +32,11 @@ pub struct DataEdge {
 /// direction), which keeps iteration over predecessors/successors
 /// allocation-free and cache-friendly — the schedule evaluator walks these
 /// lists on every makespan computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialized graph is rebuilt from `task_count` and `edges` through
+/// [`TaskGraphBuilder`], so a graph file gets the builder's checks too;
+/// its stored adjacency arrays must equal the rebuilt ones.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TaskGraph {
     task_count: u32,
     edges: Box<[DataEdge]>,
@@ -143,6 +147,60 @@ impl TaskGraph {
         }
         self.edges.iter().all(|e| position[e.src.index()] < position[e.dst.index()])
     }
+}
+
+impl Deserialize for TaskGraph {
+    /// Rebuilds the graph from `task_count` and `edges` (whose data ids
+    /// must be dense in edge order) through [`TaskGraphBuilder`], then
+    /// checks that the stored `pred_*`/`succ_*` arrays equal the rebuilt
+    /// ones.
+    fn deserialize(v: &Value) -> Result<TaskGraph, serde::Error> {
+        let task_count: u32 = field(v, "task_count")?;
+        let edges: Vec<DataEdge> = field(v, "edges")?;
+        // A valid file holds one offset per task plus one; checking that
+        // first bounds what the rebuild allocates by the file's size.
+        let pred_offsets: Box<[u32]> = field(v, "pred_offsets")?;
+        if pred_offsets.len() != task_count as usize + 1 {
+            return Err(serde::Error::custom(format!(
+                "pred_offsets holds {} entries, not task_count + 1 = {}",
+                pred_offsets.len(),
+                task_count as usize + 1
+            )));
+        }
+        let mut builder = TaskGraphBuilder::new(task_count as usize);
+        for (i, e) in edges.iter().enumerate() {
+            if e.id.index() != i {
+                return Err(serde::Error::custom(format!(
+                    "edges[{i}] has id {}; data ids are dense in edge order",
+                    e.id.index()
+                )));
+            }
+            builder
+                .add_edge(e.src.raw(), e.dst.raw())
+                .map_err(|err| serde::Error::custom(format!("edges[{i}]: {err}")))?;
+        }
+        let graph = builder.build().map_err(serde::Error::custom)?;
+        let stored = [
+            ("pred_offsets", pred_offsets),
+            ("pred_edges", field(v, "pred_edges")?),
+            ("succ_offsets", field(v, "succ_offsets")?),
+            ("succ_edges", field(v, "succ_edges")?),
+        ];
+        let rebuilt =
+            [&graph.pred_offsets, &graph.pred_edges, &graph.succ_offsets, &graph.succ_edges];
+        for ((name, stored), rebuilt) in stored.iter().zip(rebuilt) {
+            if stored != rebuilt {
+                return Err(serde::Error::custom(format!("{name} disagrees with the edges")));
+            }
+        }
+        Ok(graph)
+    }
+}
+
+/// Reads field `name` of the map `v`, naming the field in any error.
+fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
+    let value = v.get_field(name).ok_or_else(|| serde::Error::missing_field("TaskGraph", name))?;
+    T::deserialize(value).map_err(|e| serde::Error::custom(format!("{name}: {e}")))
 }
 
 /// Incremental builder for [`TaskGraph`].
@@ -399,19 +457,49 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let g = figure1_dag();
-        let json = serde_json_roundtrip(&g);
-        assert_eq!(g, json);
+        assert_eq!(TaskGraph::deserialize(&g.serialize()), Ok(g));
     }
 
-    fn serde_json_roundtrip(g: &TaskGraph) -> TaskGraph {
-        // serde_json is a dev-dependency of downstream crates only; here we
-        // go through the serde data model with a tiny in-memory format:
-        // bincode-like via serde_json would add a dep, so use serde's
-        // `serde_json`-free test path: round-trip through `serde::de::value`.
-        // Simplest robust approach: clone via Serialize -> Deserialize using
-        // the `serde_test`-style token stream is overkill; since TaskGraph
-        // derives both, structural equality of a clone suffices to exercise
-        // the derives at compile time.
-        g.clone()
+    /// `figure1_dag`'s serialized form with field `name` replaced.
+    fn edited(name: &str, value: Value) -> Value {
+        let Value::Map(mut fields) = figure1_dag().serialize() else { panic!("a graph is a map") };
+        fields.iter_mut().find(|(k, _)| k == name).expect("known field").1 = value;
+        Value::Map(fields)
+    }
+
+    fn edges(pairs: &[(u32, u32)]) -> Value {
+        let edges: Vec<DataEdge> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| DataEdge {
+                id: DataId::from_usize(i),
+                src: TaskId::new(s),
+                dst: TaskId::new(d),
+            })
+            .collect();
+        edges.serialize()
+    }
+
+    #[test]
+    fn deserialize_rejects_what_the_builder_rejects() {
+        let error = |v: Value| TaskGraph::deserialize(&v).unwrap_err().to_string();
+        let figure1 = [(0, 2), (0, 3), (1, 4), (2, 5), (3, 5), (4, 6)];
+        let cases = [
+            (edited("task_count", Value::U64(0)), "pred_offsets holds 8 entries"),
+            (edited("edges", edges(&[(0, 2), (0, 9)])), "edges[1]: task index 9 out of range"),
+            (edited("edges", edges(&[(0, 2), (2, 0)])), "directed cycle"),
+            (edited("edges", edges(&[(0, 2), (0, 2)])), "edges[1]: duplicate edge"),
+            (edited("edges", edges(&figure1[..5])), "pred_offsets disagrees with the edges"),
+            (edited("pred_edges", vec![0u32, 1, 2, 4, 3, 5].serialize()), "pred_edges disagrees"),
+            (edited("succ_edges", vec![1u32, 0, 2, 3, 4, 5].serialize()), "succ_edges disagrees"),
+        ];
+        for (v, why) in cases {
+            let e = error(v);
+            assert!(e.contains(why), "{e}");
+        }
+        let mut shuffled = figure1_dag().edges().to_vec();
+        shuffled.swap(0, 1);
+        let e = error(edited("edges", shuffled.serialize()));
+        assert!(e.contains("edges[0] has id 1"), "{e}");
     }
 }

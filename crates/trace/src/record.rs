@@ -89,6 +89,23 @@ impl Trace {
         let pts = self.records.iter().map(|r| (r.evaluations as f64, r.best_cost)).collect();
         crate::series::Series::from_points("best_cost", pts)
     }
+
+    /// One row per record, in order, with the columns
+    /// `iteration,elapsed_s,evaluations,current,best`.
+    pub fn to_csv(&self) -> crate::csv::CsvTable {
+        let mut table =
+            crate::csv::CsvTable::new(["iteration", "elapsed_s", "evaluations", "current", "best"]);
+        for r in &self.records {
+            table.push_row([
+                r.iteration.to_string(),
+                r.elapsed_secs.to_string(),
+                r.evaluations.to_string(),
+                r.current_cost.to_string(),
+                r.best_cost.to_string(),
+            ]);
+        }
+        table
+    }
 }
 
 #[cfg(test)]
@@ -128,5 +145,20 @@ mod tests {
         assert_eq!(t.current_cost_series().points(), &[(0.0, 10.0), (1.0, 8.0), (2.0, 9.0)]);
         assert_eq!(t.best_vs_time_series().points(), &[(0.0, 10.0), (0.5, 8.0), (1.0, 8.0)]);
         assert_eq!(t.best_vs_evals_series().points(), &[(0.0, 10.0), (10.0, 8.0), (20.0, 8.0)]);
+    }
+
+    #[test]
+    fn csv_has_one_row_per_record() {
+        let mut t = Trace::new();
+        t.push(rec(0, 10.0, 10.0, Some(5)));
+        t.push(rec(1, 8.5, 8.5, None));
+        t.push(rec(2, 9.0, 8.5, Some(2)));
+        assert_eq!(
+            t.to_csv().to_string_csv(),
+            "iteration,elapsed_s,evaluations,current,best\n\
+             0,0,0,10,10\n\
+             1,0.5,10,8.5,8.5\n\
+             2,1,20,9,8.5\n"
+        );
     }
 }
