@@ -14,6 +14,14 @@
 //! which is how [`crate::BatchEvaluator`] runs many evaluators over one
 //! instance concurrently.
 //!
+//! Each task of the pass is one step of the snapshot's scheduling
+//! kernel: `ready` starts at `0.0` and becomes
+//! `later(ready, finish[src] + cost)` over the task's incoming edges in
+//! predecessor-CSR order, then `start = later(ready, machine_avail[m])`
+//! and `finish = start + exec`. `later` is the kernel's one maximum, a
+//! compare-select that returns `f64::max`'s bits on every time the
+//! kernel folds.
+//!
 //! The pass folds an [`crate::ObjectiveState`] accumulator (running
 //! makespan / flowtime / per-machine busy) **in string order** as tasks
 //! complete, and [`Evaluator::objective_value`] scores that fold; a
@@ -294,7 +302,9 @@ impl<'a> Evaluator<'a> {
     /// Each task's machine is recorded in a task-indexed array as the
     /// walk places it, and producers' machines are read back from there:
     /// the string is a linear extension, so every producer has been
-    /// placed before any consumer reads it.
+    /// placed before any consumer reads it. The buffers are bound as
+    /// slices once, before the walk, so an edge reads its producer's
+    /// finish time, its producer's machine and one `Tr` slab entry.
     fn pass(&mut self, solution: &Solution) {
         let snap = self.snap.as_ref();
         debug_assert_eq!(solution.len(), snap.task_count(), "solution/instance mismatch");
@@ -303,28 +313,30 @@ impl<'a> Evaluator<'a> {
             snap.machine_count(),
             "solution/instance machine mismatch"
         );
-        self.machine_avail.fill(0.0);
-        self.state.reset(self.machine_avail.len());
+        let (start, finish) = (&mut self.start[..], &mut self.finish[..]);
+        let (machine, avail) = (&mut self.machine[..], &mut self.machine_avail[..]);
+        let transfer = snap.transfer_slab();
+        avail.fill(0.0);
+        self.state.reset(avail.len());
         self.evaluations += 1;
         crate::faults::eval_tick();
         for seg in solution.segments() {
-            let t = seg.task;
-            let m = seg.machine;
+            let (t, m) = (seg.task, seg.machine);
             let exec = snap.exec_time(m, t);
             let rows = snap.pair_rows(m);
-            let (start, finish) = snap.schedule_step(
+            let (s, f) = snap.schedule_step(
                 t,
                 m,
                 exec,
-                |e, src| snap.edge_transfer(e, rows[self.machine[src] as usize]),
-                &self.finish,
-                &self.machine_avail,
+                |_, src, d| transfer[rows[machine[src] as usize] + d],
+                finish,
+                avail,
             );
-            self.start[t.index()] = start;
-            self.finish[t.index()] = finish;
-            self.machine[t.index()] = m.raw();
-            self.machine_avail[m.index()] = finish;
-            self.state.fold(m, finish, exec);
+            start[t.index()] = s;
+            finish[t.index()] = f;
+            machine[t.index()] = m.raw();
+            avail[m.index()] = f;
+            self.state.fold(m, f, exec);
         }
     }
 }

@@ -35,9 +35,9 @@
 //! entries, replays with one contiguous `finish[src] + edge_cost[e]` read
 //! per predecessor edge, and writes the base costs back before it
 //! returns. The cache holds the exact `f64` the snapshot's pair-table
-//! lookup yields, and the replay's add/max sequence and order are those
-//! of [`EvalSnapshot`]'s single scheduling kernel, so the cache cannot
-//! change a score bit.
+//! lookup yields, and the replay's sequence of adds and `later`
+//! maxima, and its order, are those of [`EvalSnapshot`]'s single
+//! scheduling kernel, so the cache cannot change a score bit.
 //!
 //! **Cell lanes** ([`score_cells`]) serve SE's best-fit allocation
 //! scan, which tries every allowed machine at every valid position.
@@ -49,10 +49,10 @@
 //! with per-lane finish times, frontiers and accumulators laid out
 //! lane-minor, each lane inserting `t` just before its own position.
 //! `t`'s producers precede every cell and its consumers follow every
-//! cell, so each lane performs exactly the add/max sequence of its own
-//! candidate's replay — the lane shape of the one scheduling kernel —
-//! and every lane score is bit-identical to [`score_move`], finish-time
-//! sum included.
+//! cell, so each lane performs exactly the adds and `later` maxima of
+//! its own candidate's replay — the lane shape of the one scheduling
+//! kernel — and every lane score is bit-identical to [`score_move`],
+//! finish-time sum included.
 //!
 //! **Runs of identical schedules.** The kernel never inserts a task into
 //! an idle gap: a task starts at the later of its data-ready time and
@@ -78,7 +78,7 @@
 use crate::encoding::{Segment, Solution};
 use crate::objective::{Objective, ObjectiveState};
 use crate::runner::ScanStats;
-use crate::snapshot::{EvalSnapshot, LaneArrival};
+use crate::snapshot::{later, EvalSnapshot, LaneArrival};
 use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::TaskId;
 use std::borrow::Cow;
@@ -301,51 +301,73 @@ impl<'a> IncrementalEvaluator<'a> {
     /// edge's resolved transfer cost, and a checkpoint of the frontier
     /// state (machine-ready vector + objective accumulators) every
     /// `⌈√k⌉` positions. O(k + p) plus O(√k × l) checkpoint writes.
+    /// Like the full pass, the walk binds its finish, machine, frontier
+    /// and edge-cost buffers as slices once, before the loop.
     pub fn prime(&mut self, base: &Solution) {
-        let snap = self.snap.as_ref();
+        let IncrementalEvaluator {
+            snap,
+            stride,
+            base: primed,
+            base_finish,
+            base_machine,
+            edge_cost,
+            ckpt_avail,
+            ckpt_busy,
+            ckpt_max,
+            ckpt_sum,
+            end_state,
+            machine_avail,
+            state,
+            finish,
+            ..
+        } = self;
+        let snap = snap.as_ref();
         let k = snap.task_count();
         let l = snap.machine_count();
         debug_assert_eq!(base.len(), k, "solution/instance mismatch");
         debug_assert_eq!(base.machine_count(), l, "solution/instance machine mismatch");
-        match &mut self.base {
+        match primed {
             Some(b) => b.clone_from(base),
             none => *none = Some(base.clone()),
         }
-        self.ckpt_avail.clear();
-        self.ckpt_busy.clear();
-        self.ckpt_max.clear();
-        self.ckpt_sum.clear();
-        self.machine_avail.fill(0.0);
-        self.state.reset(l);
+        ckpt_avail.clear();
+        ckpt_busy.clear();
+        ckpt_max.clear();
+        ckpt_sum.clear();
+        let (finish, machine) = (&mut finish[..], &mut base_machine[..]);
+        let (avail, edge_cost) = (&mut machine_avail[..], &mut edge_cost[..]);
+        let transfer = snap.transfer_slab();
+        avail.fill(0.0);
+        state.reset(l);
         for (i, seg) in base.segments().iter().enumerate() {
-            if i % self.stride == 0 {
-                self.ckpt_avail.extend_from_slice(&self.machine_avail);
-                self.ckpt_busy.extend_from_slice(self.state.machine_busy());
-                self.ckpt_max.push(self.state.max_finish());
-                self.ckpt_sum.push(self.state.finish_sum());
+            if i % *stride == 0 {
+                ckpt_avail.extend_from_slice(avail);
+                ckpt_busy.extend_from_slice(state.machine_busy());
+                ckpt_max.push(state.max_finish());
+                ckpt_sum.push(state.finish_sum());
             }
             let (t, m) = (seg.task, seg.machine);
             let exec = snap.exec_time(m, t);
             let rows = snap.pair_rows(m);
-            let (_, finish) = snap.schedule_step(
+            let (_, f) = snap.schedule_step(
                 t,
                 m,
                 exec,
-                |e, src| {
-                    let cost = snap.edge_transfer(e, rows[self.base_machine[src] as usize]);
-                    self.edge_cost[e] = cost;
+                |e, src, d| {
+                    let cost = transfer[rows[machine[src] as usize] + d];
+                    edge_cost[e] = cost;
                     cost
                 },
-                &self.finish,
-                &self.machine_avail,
+                finish,
+                avail,
             );
-            self.finish[t.index()] = finish;
-            self.base_machine[t.index()] = m.raw();
-            self.machine_avail[m.index()] = finish;
-            self.state.fold(m, finish, exec);
+            finish[t.index()] = f;
+            machine[t.index()] = m.raw();
+            avail[m.index()] = f;
+            state.fold(m, f, exec);
         }
-        self.base_finish.copy_from_slice(&self.finish);
-        self.end_state.clone_from(&self.state);
+        base_finish.copy_from_slice(finish);
+        end_state.clone_from(state);
     }
 
     /// The primed base's own score under `obj` — a free accumulator read,
@@ -453,7 +475,7 @@ impl<'a> IncrementalEvaluator<'a> {
             let (u, mu) = (seg.task, seg.machine);
             let exec = snap.exec_time(mu, u);
             let (_, f) =
-                snap.schedule_step(u, mu, exec, |e, _| edge_cost[e], finish, machine_avail);
+                snap.schedule_step(u, mu, exec, |e, _, _| edge_cost[e], finish, machine_avail);
             finish[u.index()] = f;
             dirty.push(u.raw());
             machine_avail[mu.index()] = f;
@@ -509,8 +531,11 @@ impl<'a> IncrementalEvaluator<'a> {
     /// cell's position on replays through the kernel's lane step, with
     /// per-lane finish times, frontiers and accumulators laid out
     /// lane-minor. Just before `S'[positions[j]]`, lane `j` inserts `t`
-    /// through the scalar step's data-ready fold over its own machine
-    /// and its own frontier. This stays exact:
+    /// through the scalar step's data-ready fold over its own machine,
+    /// then finishes the step as the scalar step does: `f = later(ready,
+    /// avail) + exec` on its own frontier, and its running maximum
+    /// becomes `later(max, f)`, as does every lane's after each lane
+    /// step. This stays exact:
     ///
     /// * `t`'s producers precede the valid range, so every lane reads
     ///   their shared finish times;
@@ -596,7 +621,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 let (u, mu) = (seg.task, seg.machine);
                 let exec = snap.exec_time(mu, u);
                 let (_, f) =
-                    snap.schedule_step(u, mu, exec, |e, _| edge_cost[e], finish, machine_avail);
+                    snap.schedule_step(u, mu, exec, |e, _, _| edge_cost[e], finish, machine_avail);
                 finish[u.index()] = f;
                 dirty.push(u.raw());
                 machine_avail[mu.index()] = f;
@@ -618,6 +643,7 @@ impl<'a> IncrementalEvaluator<'a> {
         // there on, so `S'[p0..]` is the base from `from` on without `t`.
         let from = if p0 < old_pos { p0 } else { p0 + 1 };
         let t_row = t.index() * n..(t.index() + 1) * n;
+        let transfer = snap.transfer_slab();
         let mut next = 0;
         for i in p0..k {
             // Lanes whose cell sits at `i` insert `t` before `S'[i]`:
@@ -629,14 +655,14 @@ impl<'a> IncrementalEvaluator<'a> {
                 let exec = snap.exec_time(m, t);
                 let ready = snap.data_ready(
                     t,
-                    |e, src| snap.edge_transfer(e, rows[base_machine[src] as usize]),
+                    |_, src, d| transfer[rows[base_machine[src] as usize] + d],
                     finish,
                 );
                 let slot = m.index() * n + j;
-                let f = ready.max(avail[slot]) + exec;
+                let f = later(ready, avail[slot]) + exec;
                 lane_finish[t.index() * n + j] = f;
                 avail[slot] = f;
-                max[j] = max[j].max(f);
+                max[j] = later(max[j], f);
                 sum[j] += f;
                 busy[slot] += exec;
                 next += 1;
@@ -675,7 +701,7 @@ impl<'a> IncrementalEvaluator<'a> {
             for ((((f_u, a), b), (mx, sm)), &f) in lanes {
                 *f_u = f;
                 *a = f;
-                *mx = mx.max(f);
+                *mx = later(*mx, f);
                 *sm += f;
                 *b += exec;
             }

@@ -21,6 +21,7 @@
 //! CLI down into every scheduler.
 
 use crate::eval::ScheduleReport;
+use crate::snapshot::later;
 use mshc_platform::MachineId;
 use serde::{Deserialize, Serialize};
 
@@ -37,8 +38,9 @@ use serde::{Deserialize, Serialize};
 /// suffix replay of [`crate::IncrementalEvaluator`] and each of its
 /// cell lanes fold tasks in the same order over the same values, so
 /// [`Objective::finalize`] produces **bit-identical** scores on every
-/// route (max is order-independent for non-negative times; the sums fold
-/// identical values in identical order).
+/// route (the maximum is the kernel's one compare-select, order-free
+/// over its positive times; the sums fold identical values in identical
+/// order).
 #[derive(Debug, Default, PartialEq)]
 pub struct ObjectiveState {
     max_finish: f64,
@@ -90,10 +92,12 @@ impl ObjectiveState {
     }
 
     /// Folds one completed task: it finished at `finish` on `machine`,
-    /// occupying it for `exec` time units.
+    /// occupying it for `exec` time units. The running maximum becomes
+    /// the scheduling kernel's `later(max, finish)`, which equals
+    /// `max.max(finish)` bit for bit on the kernel's times.
     #[inline]
     pub fn fold(&mut self, machine: MachineId, finish: f64, exec: f64) {
-        self.max_finish = self.max_finish.max(finish);
+        self.max_finish = later(self.max_finish, finish);
         self.finish_sum += finish;
         self.machine_busy[machine.index()] += exec;
         self.tasks += 1;
@@ -110,7 +114,8 @@ impl ObjectiveState {
         self.machine_busy.extend_from_slice(machine_busy);
     }
 
-    /// Running maximum of folded finish times.
+    /// Running maximum of folded finish times, taken in fold order by
+    /// the kernel's compare-select `later` (`0.0` before any fold).
     #[inline]
     pub fn max_finish(&self) -> f64 {
         self.max_finish

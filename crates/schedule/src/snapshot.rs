@@ -27,12 +27,45 @@
 //! shared by any number of worker-thread evaluators — this is what
 //! [`crate::BatchEvaluator`] fans out over.
 //!
+//! Every maximum the scheduling kernel takes goes through `later`, one
+//! compare-select that returns `f64::max`'s bits on every time the
+//! kernel folds.
+//!
 //! [`Matrix`]: mshc_platform::Matrix
 //! [`DataEdge`]: mshc_taskgraph::DataEdge
 
 use mshc_platform::{pair_count, pair_index, HcInstance, MachineId};
 use mshc_taskgraph::{DataId, TaskId};
 use std::ops::Range;
+
+/// The later of the running maximum `acc` and the time `x`: the one
+/// maximum of the scheduling kernel, in one compare-select.
+///
+/// For a non-NaN `acc` this returns exactly the bits of `acc.max(x)`
+/// for every `x`, NaN included (both return `acc`), except on a tie of
+/// zeros of opposite sign, where IEEE maxNum may return either zero and
+/// this returns `acc`. `f64::max` pays for those cases: it compiles to a
+/// max instruction plus a NaN fix-up (`cmpunord`, `and`, `andn`, `or`).
+///
+/// The kernel never reaches either case. Every accumulator starts at
+/// `0.0` and only ever takes a value that compared greater, so it is
+/// never NaN. Every time it folds is `0.0` (an idle machine's frontier)
+/// or a sum of `finish + transfer` or `start + exec` terms, and
+/// [`HcSystem`] admits only finite `E > 0` and finite `Tr >= 0`, at
+/// construction and at deserialization. So each such sum is positive
+/// (or `+inf` on overflow), never NaN and never `-0.0`, and a zero tie
+/// is `+0.0` against `+0.0`. Fold operands keep `f64::max`'s order: the
+/// accumulator first, the new time second.
+///
+/// [`HcSystem`]: mshc_platform::HcSystem
+#[inline(always)]
+pub(crate) fn later(acc: f64, x: f64) -> f64 {
+    if x > acc {
+        x
+    } else {
+        acc
+    }
+}
 
 /// Dense, immutable copy of everything the evaluator reads per pass.
 ///
@@ -190,10 +223,17 @@ impl EvalSnapshot {
         &self.pair_row[to.index() * self.l..(to.index() + 1) * self.l]
     }
 
+    /// The `Tr` slab: data item `d` over the pair whose slab offset is
+    /// `row` (one of [`Self::pair_rows`]) costs `transfer_slab()[row + d]`.
+    #[inline]
+    pub(crate) fn transfer_slab(&self) -> &[f64] {
+        &self.transfer
+    }
+
     /// Transfer cost of the edge at predecessor-CSR position `e` over
     /// the pair whose slab offset is `row` (one of [`Self::pair_rows`]).
     #[inline]
-    pub(crate) fn edge_transfer(&self, e: usize, row: usize) -> f64 {
+    fn edge_transfer(&self, e: usize, row: usize) -> f64 {
         self.transfer[row + self.pred_data[e] as usize]
     }
 
@@ -236,53 +276,55 @@ impl EvalSnapshot {
     /// One step of the left-to-right scheduling kernel: the
     /// `(start, finish)` times of task `t` placed on machine `m` with
     /// execution time `exec`, given the predecessor finish times, the
-    /// machine-availability frontier, and `edge_cost(e, src)` — the
-    /// transfer cost of the incoming edge at predecessor-CSR position `e`
-    /// from producer `src` to `m`.
+    /// machine-availability frontier, and `edge_cost(e, src, d)` — the
+    /// transfer cost of the incoming edge at predecessor-CSR position `e`,
+    /// carrying data item `d` from producer `src` to `m`.
     ///
     /// Every evaluation tier — the scalar full pass, the incremental
     /// evaluator's priming walk, and its checkpoint-resumed suffix
     /// replay — goes through this single definition; they differ only in
-    /// where the edge cost comes from (a pair-table lookup, or tier 3's
-    /// per-edge cache of those same lookups). The one other shape of the
-    /// kernel is [`Self::lane_step`], which performs this same sequence
-    /// once per cell lane; a lane's insertion of the relocated task
-    /// calls [`Self::data_ready`] and finishes the step the same way.
-    /// The bit-identity guarantee across tiers rests on these float
-    /// operations happening in exactly this order; do not duplicate or
-    /// reorder them.
+    /// where the edge cost comes from (one read of the `Tr` slab, or tier
+    /// 3's per-edge cache of those same reads). The one other shape of
+    /// the kernel is [`Self::lane_step`], which performs this same
+    /// sequence once per cell lane; a lane's insertion of the relocated
+    /// task calls [`Self::data_ready`] and finishes the step the same
+    /// way. The bit-identity guarantee across tiers rests on these float
+    /// operations happening in exactly this order: `start =
+    /// later(ready, machine_avail[m])`, then `finish = start + exec`. Do
+    /// not duplicate or reorder them.
     #[inline]
     pub(crate) fn schedule_step(
         &self,
         t: TaskId,
         m: MachineId,
         exec: f64,
-        edge_cost: impl FnMut(usize, usize) -> f64,
+        edge_cost: impl FnMut(usize, usize, usize) -> f64,
         finish: &[f64],
         machine_avail: &[f64],
     ) -> (f64, f64) {
         let ready = self.data_ready(t, edge_cost, finish);
         // Machine-order constraint: the machine must be free.
-        let start = ready.max(machine_avail[m.index()]);
+        let start = later(ready, machine_avail[m.index()]);
         (start, start + exec)
     }
 
     /// The data-arrival constraint of [`Self::schedule_step`]: `ready`
-    /// starts at `0.0` and folds `ready.max(finish[src] + edge_cost(e,
-    /// src))` over `t`'s incoming edges in predecessor-CSR order.
+    /// starts at `0.0` and becomes `later(ready, finish[src] +
+    /// edge_cost(e, src, d))` edge by edge, walking `t`'s zipped
+    /// producer and data-item rows in predecessor-CSR order.
     #[inline]
     pub(crate) fn data_ready(
         &self,
         t: TaskId,
-        mut edge_cost: impl FnMut(usize, usize) -> f64,
+        mut edge_cost: impl FnMut(usize, usize, usize) -> f64,
         finish: &[f64],
     ) -> f64 {
         let edges = self.pred_edges(t);
+        let preds = self.pred_src[edges.clone()].iter().zip(&self.pred_data[edges.clone()]);
         let mut ready = 0.0f64;
-        for (e, &src) in edges.clone().zip(&self.pred_src[edges]) {
+        for (e, (&src, &d)) in edges.zip(preds) {
             let src = src as usize;
-            let arrival = finish[src] + edge_cost(e, src);
-            ready = ready.max(arrival);
+            ready = later(ready, finish[src] + edge_cost(e, src, d as usize));
         }
         ready
     }
@@ -300,8 +342,8 @@ impl EvalSnapshot {
     /// receives `t`'s finish time in lane `j`.
     ///
     /// Same op-order contract as [`Self::schedule_step`]: in every lane,
-    /// `ready` starts at `0.0` and folds `ready.max(finish + cost)` edge
-    /// by edge in CSR order, then `start = ready.max(avail)` and
+    /// `ready` starts at `0.0` and becomes `later(ready, finish + cost)`
+    /// edge by edge in CSR order, then `start = later(ready, avail)` and
     /// `finish = start + exec`. A [`LaneArrival::Shared`] sum is the very
     /// `finish + cost` the scalar step adds, so each lane reproduces the
     /// scalar step of its own candidate bit for bit. A lane that has not
@@ -325,30 +367,31 @@ impl EvalSnapshot {
         let (avail, ready) = (&avail[..n], &mut finish[..n]);
         ready.fill(0.0);
         let edges = self.pred_edges(t);
-        for (e, &src) in edges.clone().zip(&self.pred_src[edges]) {
+        let preds = self.pred_src[edges.clone()].iter().zip(&self.pred_data[edges.clone()]);
+        for (e, (&src, &d)) in edges.zip(preds) {
             match arrival(e, src as usize) {
                 LaneArrival::Shared(arrival) => {
                     for r in ready.iter_mut() {
-                        *r = r.max(arrival);
+                        *r = later(*r, arrival);
                     }
                 }
                 LaneArrival::Lanes(src_finish, cost) => {
                     for (r, &f) in ready.iter_mut().zip(&src_finish[..n]) {
-                        *r = r.max(f + cost);
+                        *r = later(*r, f + cost);
                     }
                 }
                 LaneArrival::Moved(src_finish) => {
                     // The pair table is symmetric: row `x` of `m`'s rows
                     // is the `(x, m)` transfer row.
-                    let rows = self.pair_rows(m);
+                    let (rows, d) = (self.pair_rows(m), d as usize);
                     for ((r, &f), &x) in ready.iter_mut().zip(&src_finish[..n]).zip(lanes) {
-                        *r = r.max(f + self.edge_transfer(e, rows[x.index()]));
+                        *r = later(*r, f + self.transfer[rows[x.index()] + d]);
                     }
                 }
             }
         }
         for (r, &a) in ready.iter_mut().zip(avail) {
-            *r = r.max(a) + exec;
+            *r = later(*r, a) + exec;
         }
     }
 }
@@ -376,6 +419,61 @@ mod tests {
     use super::*;
     use mshc_platform::{HcSystem, Matrix};
     use mshc_taskgraph::TaskGraphBuilder;
+    use proptest::prelude::*;
+
+    /// Signed zeros, the smallest and largest subnormals and normals,
+    /// the extremes, both infinities and NaNs of both signs.
+    const EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        1.0,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    /// Any `f64`: an edge case, a subnormal of either sign, or any bit
+    /// pattern (NaNs included).
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..EDGES.len()).prop_map(|i| EDGES[i]),
+            (1u64..1 << 52, any::<bool>())
+                .prop_map(|(mantissa, neg)| f64::from_bits(mantissa | u64::from(neg) << 63)),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `later` is `f64::max` bit for bit on every non-NaN
+        /// accumulator and every new value, NaN included, except on a
+        /// tie of zeros of opposite sign (where maxNum may return either
+        /// zero and `later` keeps the accumulator). `later`'s doc shows
+        /// the kernel never folds such a tie. The discrete-event
+        /// `replay` keeps `f64::max`, so its agreement checks against
+        /// the evaluators stay an independent oracle for this swap.
+        #[test]
+        fn later_is_f64_max_off_signed_zero_ties(acc in any_f64(), x in any_f64()) {
+            // A NaN accumulator is outside the contract: fold it to
+            // an infinity of its sign.
+            let acc = if acc.is_nan() { f64::INFINITY.copysign(acc) } else { acc };
+            let got = later(acc, x);
+            if acc == 0.0 && x == 0.0 {
+                prop_assert_eq!(got.to_bits(), acc.to_bits());
+            } else {
+                prop_assert_eq!(got.to_bits(), acc.max(x).to_bits(), "later({}, {})", acc, x);
+            }
+        }
+    }
 
     fn instance() -> HcInstance {
         instance_on(3)

@@ -10,6 +10,7 @@
 use crate::error::GraphError;
 use crate::ids::{DataId, TaskId};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::HashSet;
 
 /// One data item: a directed edge `src -> dst` in the application DAG.
 ///
@@ -216,7 +217,11 @@ fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
 #[derive(Debug, Clone)]
 pub struct TaskGraphBuilder {
     task_count: u32,
+    /// Edges in insertion order: edge `i` carries data item `d_i`.
     edges: Vec<(u32, u32)>,
+    /// The same edges as a set, so the duplicate check is O(1) and a
+    /// build is linear in the edge count.
+    edge_set: HashSet<(u32, u32)>,
 }
 
 impl TaskGraphBuilder {
@@ -225,6 +230,7 @@ impl TaskGraphBuilder {
         TaskGraphBuilder {
             task_count: u32::try_from(task_count).expect("too many tasks"),
             edges: Vec::new(),
+            edge_set: HashSet::new(),
         }
     }
 
@@ -254,7 +260,7 @@ impl TaskGraphBuilder {
         if src == dst {
             return Err(GraphError::SelfLoop(TaskId::new(src)));
         }
-        if self.edges.contains(&(src, dst)) {
+        if !self.edge_set.insert((src, dst)) {
             return Err(GraphError::DuplicateEdge(TaskId::new(src), TaskId::new(dst)));
         }
         self.edges.push((src, dst));
@@ -263,7 +269,7 @@ impl TaskGraphBuilder {
 
     /// Returns `true` if the edge `src -> dst` has already been added.
     pub fn has_edge(&self, src: u32, dst: u32) -> bool {
-        self.edges.contains(&(src, dst))
+        self.edge_set.contains(&(src, dst))
     }
 
     /// Validates acyclicity and freezes the graph.
@@ -411,6 +417,36 @@ mod tests {
         );
         assert!(b.has_edge(0, 1));
         assert!(!b.has_edge(1, 0));
+    }
+
+    /// The duplicate check holds however many edges came before: a
+    /// repeat of an early edge added after a few thousand others is
+    /// rejected, and the builder keeps its dense data ids.
+    #[test]
+    fn late_duplicates_are_rejected() {
+        let mut b = TaskGraphBuilder::new(100);
+        let mut added = 0usize;
+        for s in 0..100u32 {
+            for d in s + 1..100 {
+                if (s + d) % 3 != 0 {
+                    assert_eq!(b.add_edge(s, d), Ok(DataId::from_usize(added)));
+                    added += 1;
+                }
+            }
+        }
+        assert!(added > 3000, "{added} edges");
+        assert_eq!(
+            b.add_edge(0, 1),
+            Err(GraphError::DuplicateEdge(TaskId::new(0), TaskId::new(1)))
+        );
+        assert_eq!(
+            b.add_edge(97, 99),
+            Err(GraphError::DuplicateEdge(TaskId::new(97), TaskId::new(99)))
+        );
+        assert!(b.has_edge(0, 1) && !b.has_edge(1, 0) && !b.has_edge(0, 3));
+        assert_eq!(b.edge_count(), added);
+        assert_eq!(b.add_edge(0, 3), Ok(DataId::from_usize(added)));
+        assert_eq!(b.build().unwrap().data_count(), added + 1);
     }
 
     #[test]
