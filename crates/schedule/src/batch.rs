@@ -739,18 +739,17 @@ impl<'a> BatchEvaluator<'a> {
     /// at the later of its data-ready time and its machine's previous
     /// finish, so both candidates have the same finish times, busy times
     /// and latest finish, bit for bit. Only the string-order finish sum
-    /// can round differently. So when `obj`
-    /// [ignores the finish sum](Objective::ignores_finish_sum), the cells
-    /// of lane `m` fall into runs of identical scores: a run starts at
-    /// the first position and wherever the passed task runs on `m`. Each
-    /// run is replayed once, at its first cell other than the base's
-    /// own. The other cells of a run have the replayed cell's score and
-    /// come after it in grid order, so none of them can be the first
-    /// minimum, and the winner, its score bits and the evaluation count
-    /// are those of scoring every cell through
-    /// [`score_task_moves`](Self::score_task_moves) and folding. Under an
-    /// objective that reads the finish sum, every cell is a run of its
-    /// own.
+    /// can round differently. So when `obj` does not [read the finish
+    /// sum](Objective::reads), the cells of lane `m` fall into runs of
+    /// identical scores: a run starts at the first position and wherever
+    /// the passed task runs on `m`. Each run is replayed once, at its
+    /// first cell other than the base's own. The other cells of a run
+    /// have the replayed cell's score and come after it in grid order,
+    /// so none of them can be the first minimum, and the winner, its
+    /// score bits and the evaluation count are those of scoring every
+    /// cell through [`score_task_moves`](Self::score_task_moves) and
+    /// folding. Under an objective that reads the finish sum, every cell
+    /// is a run of its own.
     ///
     /// The replayed cells, in grid order, are lanes of
     /// [`IncrementalEvaluator::score_cells`], one lockstep pass per
@@ -781,7 +780,7 @@ impl<'a> BatchEvaluator<'a> {
             return None;
         }
         let lo = positions.start;
-        let runs = obj.ignores_finish_sum();
+        let runs = !obj.reads().finish_sum;
         // Lane `m` starts a run at `pos`: the first position, or the step
         // to `pos` passes a task on `m`. That task is `S'[pos - 1]`: base
         // position `pos - 1` before `t`'s own, `pos` from there on.

@@ -26,13 +26,16 @@
 //! makespan / flowtime / per-machine busy) **in string order** as tasks
 //! complete, and [`Evaluator::objective_value`] scores that fold; a
 //! report carries the same fold's makespan, flowtime and busy times.
+//! A scoring pass folds only what its objective
+//! [reads](crate::Objective::reads) (a makespan pass only the latest
+//! finish); a report's pass folds everything.
 //! [`crate::IncrementalEvaluator`] replays exactly the same fold from a
 //! checkpoint, which is what makes its move scores bit-identical to a
 //! full pass here.
 
 use crate::encoding::Solution;
 use crate::objective::{
-    objective_from_report, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
+    objective_from_report, specialize, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
 };
 use crate::snapshot::EvalSnapshot;
 use mshc_platform::HcInstance;
@@ -240,7 +243,7 @@ impl<'a> Evaluator<'a> {
     /// # Panics
     /// Debug-asserts that the solution matches the instance dimensions.
     pub fn makespan(&mut self, solution: &Solution) -> f64 {
-        self.pass(solution);
+        self.pass::<false, false>(solution);
         self.state.max_finish()
     }
 
@@ -250,9 +253,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// The score is finalized from the string-order fold, so it is
     /// bit-identical to what [`crate::IncrementalEvaluator`] computes for
-    /// the same solution via suffix replay.
+    /// the same solution via suffix replay. The pass folds only the
+    /// components `obj` [reads](Objective::reads).
     pub fn objective_value(&mut self, solution: &Solution, obj: &dyn Objective) -> f64 {
-        self.pass(solution);
+        specialize!(obj.reads(), |SUM, BUSY| self.pass::<SUM, BUSY>(solution));
         obj.finalize(&self.state)
     }
 
@@ -280,7 +284,7 @@ impl<'a> Evaluator<'a> {
     /// steady-state reporting performs no allocations. `out`'s previous
     /// contents are fully overwritten.
     pub fn report_into(&mut self, solution: &Solution, out: &mut ScheduleReport) {
-        self.pass(solution);
+        self.pass::<true, true>(solution);
         out.start.clear();
         out.start.extend_from_slice(&self.start);
         out.finish.clear();
@@ -297,7 +301,8 @@ impl<'a> Evaluator<'a> {
 
     /// The single left-to-right pass computing start/finish times into the
     /// scratch buffers and folding the objective accumulators in string
-    /// order.
+    /// order: the latest finish and the task count, plus the finish-time
+    /// sum if `SUM` and the busy times if `BUSY`.
     ///
     /// Each task's machine is recorded in a task-indexed array as the
     /// walk places it, and producers' machines are read back from there:
@@ -305,7 +310,7 @@ impl<'a> Evaluator<'a> {
     /// placed before any consumer reads it. The buffers are bound as
     /// slices once, before the walk, so an edge reads its producer's
     /// finish time, its producer's machine and one `Tr` slab entry.
-    fn pass(&mut self, solution: &Solution) {
+    fn pass<const SUM: bool, const BUSY: bool>(&mut self, solution: &Solution) {
         let snap = self.snap.as_ref();
         debug_assert_eq!(solution.len(), snap.task_count(), "solution/instance mismatch");
         debug_assert_eq!(
@@ -336,7 +341,7 @@ impl<'a> Evaluator<'a> {
             finish[t.index()] = f;
             machine[t.index()] = m.raw();
             avail[m.index()] = f;
-            self.state.fold(m, f, exec);
+            self.state.fold_reads::<SUM, BUSY>(m, f, exec);
         }
     }
 }

@@ -64,11 +64,19 @@
 //! produce the same finish times, busy times and latest finish, bit for
 //! bit. Only the string-order finish sum can round differently.
 //! [`crate::BatchEvaluator::best_relocation`] uses this to replay one
-//! cell per run of such candidates under an objective that ignores the
-//! finish sum ([`Objective::ignores_finish_sum`]). The fact holds for
-//! this kernel only: a kernel that filled idle gaps would make the
-//! schedule depend on the interleaving, and every cell would need its
-//! own replay.
+//! cell per run of such candidates under an objective that does not
+//! read the finish sum. The fact holds for this kernel only: a kernel
+//! that filled idle gaps would make the schedule depend on the
+//! interleaving, and every cell would need its own replay.
+//!
+//! **What a scoring folds.** [`Objective::reads`] declares which of the
+//! finish-time sum and the busy times an objective's score reads.
+//! [`score_move`] and [`score_cells`] fold only those, besides the
+//! latest finish and the task count, through one loop body compiled
+//! once per component set. Under makespan a lane carries three streams
+//! (finish times, frontiers, latest finish) instead of five, and its
+//! latest finish is its score. [`prime`] folds everything, so its
+//! checkpoints serve every objective.
 //!
 //! [`prime`]: IncrementalEvaluator::prime
 //! [`score_move`]: IncrementalEvaluator::score_move
@@ -76,7 +84,7 @@
 //! [`Evaluator::objective_value`]: crate::Evaluator::objective_value
 
 use crate::encoding::{Segment, Solution};
-use crate::objective::{Objective, ObjectiveState};
+use crate::objective::{specialize, Objective, ObjectiveState};
 use crate::runner::ScanStats;
 use crate::snapshot::{later, EvalSnapshot, LaneArrival};
 use mshc_platform::{HcInstance, MachineId};
@@ -195,11 +203,13 @@ struct LaneScratch {
     finish: Vec<f64>,
     /// `[machine][lane]`: machine frontiers.
     avail: Vec<f64>,
-    /// `[machine][lane]`: busy-time accumulators.
+    /// `[machine][lane]`: busy-time accumulators, folded only under an
+    /// objective that reads them.
     busy: Vec<f64>,
     /// `[lane]`: running finish-time maximum.
     max: Vec<f64>,
-    /// `[lane]`: running finish-time sum.
+    /// `[lane]`: running finish-time sum, folded only under an objective
+    /// that reads it.
     sum: Vec<f64>,
     /// `[lane]`: the task being stepped.
     step: Vec<f64>,
@@ -403,6 +413,18 @@ impl<'a> IncrementalEvaluator<'a> {
         new_m: MachineId,
         obj: &dyn Objective,
     ) -> f64 {
+        specialize!(obj.reads(), |SUM, BUSY| self.replay_move::<SUM, BUSY>(t, new_pos, new_m, obj))
+    }
+
+    /// [`score_move`](Self::score_move)'s replay, folding the finish-time
+    /// sum if `SUM` and the busy times if `BUSY`.
+    fn replay_move<const SUM: bool, const BUSY: bool>(
+        &mut self,
+        t: TaskId,
+        new_pos: usize,
+        new_m: MachineId,
+        obj: &dyn Objective,
+    ) -> f64 {
         let IncrementalEvaluator {
             snap,
             stride,
@@ -440,12 +462,17 @@ impl<'a> IncrementalEvaluator<'a> {
         // times without touching predecessor lists.
         let ci = first / *stride;
         machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
-        state.load(ckpt_max[ci], ckpt_sum[ci], ci * *stride, &ckpt_busy[ci * l..(ci + 1) * l]);
+        state.load_reads::<SUM, BUSY>(
+            ckpt_max[ci],
+            ckpt_sum[ci],
+            ci * *stride,
+            &ckpt_busy[ci * l..(ci + 1) * l],
+        );
         for seg in &base.segments()[ci * *stride..first] {
             let (u, mu) = (seg.task, seg.machine);
             let f = base_finish[u.index()];
             machine_avail[mu.index()] = f;
-            state.fold(mu, f, snap.exec_time(mu, u));
+            state.fold_reads::<SUM, BUSY>(mu, f, snap.exec_time(mu, u));
         }
 
         // A machine change re-prices exactly `t`'s incoming and outgoing
@@ -479,7 +506,7 @@ impl<'a> IncrementalEvaluator<'a> {
             finish[u.index()] = f;
             dirty.push(u.raw());
             machine_avail[mu.index()] = f;
-            state.fold(mu, f, exec);
+            state.fold_reads::<SUM, BUSY>(mu, f, exec);
         }
         let score = obj.finalize(state);
 
@@ -563,6 +590,23 @@ impl<'a> IncrementalEvaluator<'a> {
         obj: &dyn Objective,
         out: &mut [f64],
     ) {
+        specialize!(obj.reads(), |SUM, BUSY| {
+            self.replay_cells::<SUM, BUSY>(t, positions, machines, obj, out)
+        })
+    }
+
+    /// [`score_cells`](Self::score_cells)' lockstep pass. Every lane
+    /// carries its finish times, frontiers and latest finish, plus its
+    /// finish-time sum if `SUM` and its busy times if `BUSY`; under
+    /// makespan a lane's latest finish is its score.
+    fn replay_cells<const SUM: bool, const BUSY: bool>(
+        &mut self,
+        t: TaskId,
+        positions: &[usize],
+        machines: &[MachineId],
+        obj: &dyn Objective,
+        out: &mut [f64],
+    ) {
         let IncrementalEvaluator {
             snap,
             stride,
@@ -604,12 +648,17 @@ impl<'a> IncrementalEvaluator<'a> {
         let first = old_pos.min(p0);
         let ci = first / *stride;
         machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
-        state.load(ckpt_max[ci], ckpt_sum[ci], ci * *stride, &ckpt_busy[ci * l..(ci + 1) * l]);
+        state.load_reads::<SUM, BUSY>(
+            ckpt_max[ci],
+            ckpt_sum[ci],
+            ci * *stride,
+            &ckpt_busy[ci * l..(ci + 1) * l],
+        );
         for seg in &base.segments()[ci * *stride..first] {
             let (u, mu) = (seg.task, seg.machine);
             let f = base_finish[u.index()];
             machine_avail[mu.index()] = f;
-            state.fold(mu, f, snap.exec_time(mu, u));
+            state.fold_reads::<SUM, BUSY>(mu, f, snap.exec_time(mu, u));
         }
 
         // A first cell right of `t` shifts base positions (old_pos, p0]
@@ -625,7 +674,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 finish[u.index()] = f;
                 dirty.push(u.raw());
                 machine_avail[mu.index()] = f;
-                state.fold(mu, f, exec);
+                state.fold_reads::<SUM, BUSY>(mu, f, exec);
             }
         }
 
@@ -634,10 +683,14 @@ impl<'a> IncrementalEvaluator<'a> {
         let LaneScratch { finish: lane_finish, avail, busy, max, sum, step, column } = lanes;
         for x in 0..l {
             avail[x * n..(x + 1) * n].fill(machine_avail[x]);
-            busy[x * n..(x + 1) * n].fill(state.machine_busy()[x]);
+            if BUSY {
+                busy[x * n..(x + 1) * n].fill(state.machine_busy()[x]);
+            }
         }
         max[..n].fill(state.max_finish());
-        sum[..n].fill(state.finish_sum());
+        if SUM {
+            sum[..n].fill(state.finish_sum());
+        }
 
         // `S'[i]` is base position `i` before `t`'s own and `i + 1` from
         // there on, so `S'[p0..]` is the base from `from` on without `t`.
@@ -663,8 +716,12 @@ impl<'a> IncrementalEvaluator<'a> {
                 lane_finish[t.index() * n + j] = f;
                 avail[slot] = f;
                 max[j] = later(max[j], f);
-                sum[j] += f;
-                busy[slot] += exec;
+                if SUM {
+                    sum[j] += f;
+                }
+                if BUSY {
+                    busy[slot] += exec;
+                }
                 next += 1;
             }
             if i + 1 == k {
@@ -702,18 +759,24 @@ impl<'a> IncrementalEvaluator<'a> {
                 *f_u = f;
                 *a = f;
                 *mx = later(*mx, f);
-                *sm += f;
-                *b += exec;
+                if SUM {
+                    *sm += f;
+                }
+                if BUSY {
+                    *b += exec;
+                }
             }
         }
 
         // Every lane has folded all k tasks.
         let column = &mut column[..l];
         for (j, score) in out.iter_mut().enumerate() {
-            for (x, c) in column.iter_mut().enumerate() {
-                *c = busy[x * n + j];
+            if BUSY {
+                for (x, c) in column.iter_mut().enumerate() {
+                    *c = busy[x * n + j];
+                }
             }
-            state.load(max[j], sum[j], k, column);
+            state.load_reads::<SUM, BUSY>(max[j], sum[j], k, column);
             *score = obj.finalize(state);
         }
         for &u in dirty.iter() {

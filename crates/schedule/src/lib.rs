@@ -18,7 +18,11 @@
 //! every evaluator folds each finished task, in string order, into an
 //! [`ObjectiveState`], and [`Objective::finalize`] scores the fold.
 //! [`objective_from_report`] applies the same formulas to a
-//! [`ScheduleReport`].
+//! [`ScheduleReport`]. An objective declares which fold components its
+//! score [reads](Objective::reads), and every scoring kernel folds only
+//! those besides the latest finish and the task count (a makespan score
+//! folds neither the finish-time sum nor the busy times); reports and
+//! primes fold everything.
 //!
 //! On that base sits a **three-tier evaluation stack**; pick the lowest
 //! tier whose shape matches the work:
@@ -70,9 +74,9 @@
 //! machines. Sliding the relocated task past a task on another machine
 //! keeps every sequence, so the two candidates share every finish time,
 //! busy time and the latest finish, bit for bit; only the string-order
-//! finish sum can round differently. Under an objective that ignores
-//! that sum ([`Objective::ignores_finish_sum`]: makespan, load balance,
-//! a weighted blend without flowtime),
+//! finish sum can round differently. Under an objective that does not
+//! [read](Objective::reads) that sum (makespan, load balance, a weighted
+//! blend without flowtime),
 //! [`best_relocation`](BatchEvaluator::best_relocation) replays one cell
 //! per run of such candidates and charges every cell as an evaluation.
 //! An insertion-based kernel would break the fact, and every cell would
@@ -134,7 +138,7 @@ pub use incremental::{IncrementalEvaluator, MoveScore};
 pub use init::{perturb, random_solution};
 pub use lower_bound::{next_up, InstanceBound};
 pub use objective::{
-    objective_from_report, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
+    objective_from_report, FoldReads, Objective, ObjectiveKind, ObjectiveState, ObjectiveValues,
 };
 pub use replan::{
     Disturbance, DisturbanceKind, DisturbanceRecord, ReplanError, ReplanReport, Replanner,

@@ -41,6 +41,11 @@ use serde::{Deserialize, Serialize};
 /// route (the maximum is the kernel's one compare-select, order-free
 /// over its positive times; the sums fold identical values in identical
 /// order).
+///
+/// A scoring kernel folds the latest finish and the task count always,
+/// and the finish-time sum and the busy times only when the objective
+/// [reads](Objective::reads) them; a component it skips keeps whatever
+/// the state last held. Reports and primes fold everything.
 #[derive(Debug, Default, PartialEq)]
 pub struct ObjectiveState {
     max_finish: f64,
@@ -97,9 +102,26 @@ impl ObjectiveState {
     /// `max.max(finish)` bit for bit on the kernel's times.
     #[inline]
     pub fn fold(&mut self, machine: MachineId, finish: f64, exec: f64) {
+        self.fold_reads::<true, true>(machine, finish, exec);
+    }
+
+    /// [`fold`](Self::fold) of the components a kernel specialized by
+    /// [`specialize!`] folds: the latest finish and the task count, plus
+    /// the finish-time sum if `SUM` and the busy time if `BUSY`.
+    #[inline(always)]
+    pub(crate) fn fold_reads<const SUM: bool, const BUSY: bool>(
+        &mut self,
+        machine: MachineId,
+        finish: f64,
+        exec: f64,
+    ) {
         self.max_finish = later(self.max_finish, finish);
-        self.finish_sum += finish;
-        self.machine_busy[machine.index()] += exec;
+        if SUM {
+            self.finish_sum += finish;
+        }
+        if BUSY {
+            self.machine_busy[machine.index()] += exec;
+        }
         self.tasks += 1;
     }
 
@@ -107,11 +129,28 @@ impl ObjectiveState {
     /// busy vector) — how [`crate::IncrementalEvaluator`] resumes from
     /// the nearest checkpoint instead of refolding the whole prefix.
     pub fn load(&mut self, max_finish: f64, finish_sum: f64, tasks: usize, machine_busy: &[f64]) {
+        self.load_reads::<true, true>(max_finish, finish_sum, tasks, machine_busy);
+    }
+
+    /// [`load`](Self::load) of the components a specialized kernel
+    /// folds; the others keep their values.
+    #[inline(always)]
+    pub(crate) fn load_reads<const SUM: bool, const BUSY: bool>(
+        &mut self,
+        max_finish: f64,
+        finish_sum: f64,
+        tasks: usize,
+        machine_busy: &[f64],
+    ) {
         self.max_finish = max_finish;
-        self.finish_sum = finish_sum;
         self.tasks = tasks;
-        self.machine_busy.clear();
-        self.machine_busy.extend_from_slice(machine_busy);
+        if SUM {
+            self.finish_sum = finish_sum;
+        }
+        if BUSY {
+            self.machine_busy.clear();
+            self.machine_busy.extend_from_slice(machine_busy);
+        }
     }
 
     /// Running maximum of folded finish times, taken in fold order by
@@ -140,6 +179,21 @@ impl ObjectiveState {
     }
 }
 
+/// The fold components an [`Objective::finalize`] reads beyond the
+/// latest finish and the task count, which every kernel folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FoldReads {
+    /// The string-order finish-time sum.
+    pub finish_sum: bool,
+    /// The per-machine busy times.
+    pub machine_busy: bool,
+}
+
+impl FoldReads {
+    /// Both components: what an objective that declares nothing reads.
+    pub const ALL: FoldReads = FoldReads { finish_sum: true, machine_busy: true };
+}
+
 /// A scalar schedule-quality measure; **lower is better**.
 ///
 /// Implementations must be pure functions of the fold — they are
@@ -149,18 +203,59 @@ pub trait Objective: Sync {
     /// Scores a completed fold.
     fn finalize(&self, state: &ObjectiveState) -> f64;
 
-    /// Whether [`finalize`](Self::finalize) never reads the fold's
-    /// finish-time sum. Every other part of the fold (the latest
-    /// finish, the task count, each machine's busy time) depends only on
-    /// the task sequence each machine runs, never on how the string
-    /// interleaves machines, so two strings with the same per-machine
-    /// sequences score bit-identically under such an objective.
+    /// The fold components [`finalize`](Self::finalize) reads. Every
+    /// scoring kernel (the tier-1 pass behind
+    /// [`crate::Evaluator::objective_value`], tier 3's
+    /// [`score_move`](crate::IncrementalEvaluator::score_move) and
+    /// [`score_cells`](crate::IncrementalEvaluator::score_cells)) folds
+    /// only these, so `finalize` must not depend on a component left
+    /// out: it sees a stale value there.
+    ///
+    /// The latest finish, the task count and each machine's busy time
+    /// depend only on the task sequence each machine runs, never on how
+    /// the string interleaves machines. So two strings with the same
+    /// per-machine sequences score bit-identically under an objective
+    /// that does not read the finish-time sum, and
     /// [`crate::BatchEvaluator::best_relocation`] replays one candidate
-    /// per run of such strings. `false`, the default, is always safe.
-    fn ignores_finish_sum(&self) -> bool {
-        false
+    /// per run of such strings. [`FoldReads::ALL`], the default, is
+    /// always safe.
+    fn reads(&self) -> FoldReads {
+        FoldReads::ALL
     }
 }
+
+/// Evaluates `$body` with the consts `$sum` and `$busy` bound to the
+/// flags of the [`FoldReads`] `$reads`, in one of four arms: a kernel
+/// generic over both flags is compiled once per component set and
+/// chosen once per call.
+macro_rules! specialize {
+    ($reads:expr, |$sum:ident, $busy:ident| $body:expr) => {{
+        let reads: $crate::objective::FoldReads = $reads;
+        match (reads.finish_sum, reads.machine_busy) {
+            (false, false) => {
+                const $sum: bool = false;
+                const $busy: bool = false;
+                $body
+            }
+            (true, false) => {
+                const $sum: bool = true;
+                const $busy: bool = false;
+                $body
+            }
+            (false, true) => {
+                const $sum: bool = false;
+                const $busy: bool = true;
+                $body
+            }
+            (true, true) => {
+                const $sum: bool = true;
+                const $busy: bool = true;
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use specialize;
 
 /// The built-in objectives as plumbable configuration.
 ///
@@ -274,6 +369,13 @@ impl ObjectiveKind {
 
     /// The five formulas, over the fold's components: the latest finish,
     /// the finish-time sum, the task count and the busy time per machine.
+    ///
+    /// A weighted blend leaves out a term whose weight is zero, so it
+    /// never reads that term's component. On a finite fold the term
+    /// would be a zero, and the partial sum it would join is
+    /// nonnegative, so leaving it out keeps every bit. (Only when the
+    /// component has overflowed to `+inf` does it show: `0 × inf` made
+    /// the blend NaN, and now the blend scores its other terms.)
     fn score(&self, max_finish: f64, finish_sum: f64, tasks: usize, machine_busy: &[f64]) -> f64 {
         let mean_flowtime = || if tasks == 0 { 0.0 } else { finish_sum / tasks as f64 };
         let imbalance = || {
@@ -283,13 +385,22 @@ impl ObjectiveKind {
             let max = machine_busy.iter().copied().fold(0.0, f64::max);
             max - machine_busy.iter().sum::<f64>() / machine_busy.len() as f64
         };
+        fn term(weight: f64, component: impl FnOnce() -> f64) -> f64 {
+            if weight == 0.0 {
+                0.0
+            } else {
+                weight * component()
+            }
+        }
         match *self {
             ObjectiveKind::Makespan => max_finish,
             ObjectiveKind::TotalFlowtime => finish_sum,
             ObjectiveKind::MeanFlowtime => mean_flowtime(),
             ObjectiveKind::LoadBalance => imbalance(),
             ObjectiveKind::Weighted { makespan, flowtime, balance } => {
-                makespan * max_finish + flowtime * mean_flowtime() + balance * imbalance()
+                term(makespan, || max_finish)
+                    + term(flowtime, mean_flowtime)
+                    + term(balance, imbalance)
             }
         }
     }
@@ -325,14 +436,17 @@ impl Objective for ObjectiveKind {
         self.score(state.max_finish(), state.finish_sum(), state.tasks(), state.machine_busy())
     }
 
-    /// Makespan, load balance, and a weighted blend without a flowtime
-    /// term.
-    fn ignores_finish_sum(&self) -> bool {
-        match *self {
-            ObjectiveKind::Makespan | ObjectiveKind::LoadBalance => true,
-            ObjectiveKind::TotalFlowtime | ObjectiveKind::MeanFlowtime => false,
-            ObjectiveKind::Weighted { flowtime, .. } => flowtime == 0.0,
-        }
+    /// Makespan reads neither component, total and mean flowtime the
+    /// sum, load balance the busy times, and a weighted blend the
+    /// components of its nonzero weights.
+    fn reads(&self) -> FoldReads {
+        let (finish_sum, machine_busy) = match *self {
+            ObjectiveKind::Makespan => (false, false),
+            ObjectiveKind::TotalFlowtime | ObjectiveKind::MeanFlowtime => (true, false),
+            ObjectiveKind::LoadBalance => (false, true),
+            ObjectiveKind::Weighted { flowtime, balance, .. } => (flowtime != 0.0, balance != 0.0),
+        };
+        FoldReads { finish_sum, machine_busy }
     }
 }
 
@@ -379,10 +493,13 @@ mod tests {
         state
     }
 
-    fn kinds() -> [ObjectiveKind; 5] {
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+    /// Every built-in kind, plus blends that leave out the flowtime
+    /// term, the makespan and balance terms, and nothing.
+    fn kinds() -> [ObjectiveKind; 7] {
         let [a, b, c, d] = ObjectiveKind::BASIC;
-        [a, b, c, d, weighted]
+        let w =
+            |makespan, flowtime, balance| ObjectiveKind::Weighted { makespan, flowtime, balance };
+        [a, b, c, d, w(1.0, 0.0, 1.0), w(0.0, 1.0, 0.0), w(1.0, 0.5, 0.25)]
     }
 
     #[test]
@@ -402,7 +519,8 @@ mod tests {
         let state = hand_fold();
         assert_eq!((state.tasks(), state.max_finish(), state.finish_sum()), (3, 9.0, 20.0));
         assert_eq!(state.machine_busy(), &[9.0, 7.0]);
-        let want = [9.0, 20.0, 20.0 / 3.0, 1.0, 9.0 + 0.5 * (20.0 / 3.0) + 0.25 * 1.0];
+        let mean = 20.0 / 3.0;
+        let want = [9.0, 20.0, mean, 1.0, 9.0 + 1.0, mean, 9.0 + 0.5 * mean + 0.25 * 1.0];
         for (kind, want) in kinds().into_iter().zip(want) {
             assert_eq!(kind.finalize(&state), want, "{}", kind.label());
             assert_eq!(kind.finalize(&ObjectiveState::new(0)), 0.0, "{}: empty fold", kind.label());
@@ -415,16 +533,77 @@ mod tests {
     }
 
     #[test]
-    fn kinds_that_ignore_the_finish_sum_never_read_it() {
+    fn finalize_reads_exactly_the_declared_components() {
+        let reads = |finish_sum, machine_busy| FoldReads { finish_sum, machine_busy };
+        let declared = [
+            reads(false, false),
+            reads(true, false),
+            reads(true, false),
+            reads(false, true),
+            reads(false, true),
+            reads(true, false),
+            reads(true, true),
+        ];
+        assert_eq!(kinds().map(|kind| kind.reads()), declared);
         let state = hand_fold();
-        let mut other_sum = ObjectiveState::default();
-        other_sum.load(state.max_finish(), 1234.5, state.tasks(), state.machine_busy());
-        let no_flowtime = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 };
-        for kind in kinds().into_iter().chain([no_flowtime]) {
-            let same = kind.finalize(&state).to_bits() == kind.finalize(&other_sum).to_bits();
-            assert_eq!(kind.ignores_finish_sum(), same, "{}", kind.label());
+        let (max, sum, tasks) = (state.max_finish(), state.finish_sum(), state.tasks());
+        let busy = state.machine_busy().to_vec();
+        let fold = |sum: f64, busy: &[f64]| {
+            let mut other = ObjectiveState::default();
+            other.load(max, sum, tasks, busy);
+            other
+        };
+        for kind in kinds() {
+            let (label, reads) = (kind.label(), kind.reads());
+            let want = kind.finalize(&state).to_bits();
+            for v in [1234.5, f64::INFINITY, f64::NAN] {
+                let other_sum = kind.finalize(&fold(v, &busy)).to_bits();
+                let other_busy = kind.finalize(&fold(sum, &[v, v])).to_bits();
+                assert!(reads.finish_sum || other_sum == want, "{label}: sum {v}");
+                assert!(reads.machine_busy || other_busy == want, "{label}: busy {v}");
+            }
+            // A declared component is read: NaN there makes the score NaN.
+            assert_eq!(kind.finalize(&fold(f64::NAN, &busy)).is_nan(), reads.finish_sum, "{label}");
+            let nan_busy = kind.finalize(&fold(sum, &[f64::NAN; 2])).is_nan();
+            assert_eq!(nan_busy, reads.machine_busy, "{label}");
         }
-        assert!(no_flowtime.ignores_finish_sum());
+    }
+
+    #[test]
+    fn leaving_out_zero_weight_terms_keeps_every_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(25);
+        let weights = [0.0, 0.25, 1.0, 3.5];
+        for round in 0..4000 {
+            let machines = rng.gen_range(1..6usize);
+            let tasks = rng.gen_range(0..60usize);
+            // Idle machines, equal loads (whose mean can round above
+            // their maximum) and spread loads.
+            let level = rng.gen_range(0.0..1e4);
+            let busy: Vec<f64> = (0..machines)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => 0.0,
+                    1 => level,
+                    _ => rng.gen_range(0.0..1e4),
+                })
+                .collect();
+            let (max, sum) = if tasks == 0 {
+                (0.0, 0.0)
+            } else {
+                (rng.gen_range(1.0..1e4), rng.gen_range(1.0..1e6))
+            };
+            let mut state = ObjectiveState::default();
+            state.load(max, sum, tasks, &busy);
+            let [mk, ft, lb] = [(); 3].map(|_| weights[rng.gen_range(0..weights.len())]);
+            let kind = ObjectiveKind::Weighted { makespan: mk, flowtime: ft, balance: lb };
+            // The blend with every term, zero-weight ones included.
+            let mean = if tasks == 0 { 0.0 } else { sum / tasks as f64 };
+            let top = busy.iter().copied().fold(0.0, f64::max);
+            let imbalance = top - busy.iter().sum::<f64>() / machines as f64;
+            let every_term = mk * max + ft * mean + lb * imbalance;
+            let got = kind.finalize(&state);
+            assert_eq!(got.to_bits(), every_term.to_bits(), "round {round}: {}", kind.label());
+        }
     }
 
     #[test]

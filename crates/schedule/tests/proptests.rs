@@ -7,8 +7,8 @@ mod support;
 use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
     objective_from_report, random_solution, replay, replay_with, BatchEvaluator, Descent,
-    EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, ObjectiveKind,
-    ScheduleReport, Solution,
+    EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, Objective,
+    ObjectiveKind, ObjectiveState, ScheduleReport, Solution,
 };
 use mshc_taskgraph::gen::{erdos_dag, layered, LayeredConfig};
 use mshc_taskgraph::TaskId;
@@ -75,6 +75,24 @@ fn build_instance(k: usize, l: usize, p: f64, seed: u64, use_layered: bool) -> H
     let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(0.0..20.0));
     let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
     HcInstance::new(graph, sys).unwrap()
+}
+
+/// A custom objective under the default declaration: the busiest
+/// machine's busy time plus a thousandth of the finish-time sum.
+struct BusiestMachine;
+
+impl Objective for BusiestMachine {
+    fn finalize(&self, state: &ObjectiveState) -> f64 {
+        state.machine_busy().iter().copied().fold(0.0, f64::max) + 1e-3 * state.finish_sum()
+    }
+}
+
+/// `obj`'s score of a report's full fold: its latest finish, finish-time
+/// sum, task count and busy vector.
+fn report_fold_score(obj: &dyn Objective, report: &ScheduleReport) -> f64 {
+    let mut state = ObjectiveState::default();
+    state.load(report.makespan, report.total_flowtime, report.finish.len(), &report.machine_busy);
+    obj.finalize(&state)
 }
 
 fn instance_strategy() -> impl Strategy<Value = HcInstance> {
@@ -441,7 +459,8 @@ proptest! {
             .into_iter()
             .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap())
             .collect();
-        // Each kind with whether it ignores the finish-time sum.
+        // Each kind with whether its scan replays one cell per run, that
+        // is, whether it leaves the finish-time sum unread.
         let kinds = [
             (ObjectiveKind::Makespan, true),
             (ObjectiveKind::TotalFlowtime, false),
@@ -784,6 +803,81 @@ proptest! {
                         inc.base_score(&kind).to_bits(),
                         scalar.objective_value(&base, &kind).to_bits()
                     );
+                }
+            }
+        }
+    }
+
+    /// Every scoring route against the report, which always folds every
+    /// component. Under each built-in kind, blends that leave out the
+    /// flowtime term, the makespan and balance terms, and nothing, and a
+    /// custom objective under the default declaration: every
+    /// `score_cells` lane of a task's full relocation grid, every
+    /// `score_move` of the same cells, `base_score`, and
+    /// `Evaluator::objective_value` of each materialized candidate equal
+    /// the candidate's report score bit for bit (`objective_from_report`
+    /// for a kind, the report's fold for the custom objective). The
+    /// objectives interleave on one pair of evaluators, so a component
+    /// one kernel left unfolded cannot leak into the next scoring.
+    #[test]
+    fn every_scoring_route_equals_the_full_fold_report(
+        inst in instance_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = inst.graph();
+        let k = inst.task_count();
+        let base = random_solution(&inst, &mut rng);
+        let snap = EvalSnapshot::new(&inst);
+        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+        inc.prime(&base);
+        let mut scalar = Evaluator::new(&inst);
+        let w =
+            |makespan, flowtime, balance| ObjectiveKind::Weighted { makespan, flowtime, balance };
+        let [a, b, c, d] = ObjectiveKind::BASIC;
+        let kinds = [a, b, c, d, w(1.0, 0.0, 1.0), w(0.0, 1.0, 0.0), w(1.0, 0.5, 0.25)];
+        let mut objectives: Vec<(String, &dyn Objective)> =
+            kinds.iter().map(|kind| (kind.label(), kind as &dyn Objective)).collect();
+        objectives.push(("custom".to_string(), &BusiestMachine));
+        let oracle = |i: usize, report: &ScheduleReport| match kinds.get(i) {
+            Some(kind) => objective_from_report(kind, report),
+            None => report_fold_score(objectives[i].1, report),
+        };
+        let base_report = scalar.report(&base);
+        for (i, (label, obj)) in objectives.iter().enumerate() {
+            let want = oracle(i, &base_report).to_bits();
+            prop_assert_eq!(inc.base_score(*obj).to_bits(), want, "{}: base", label);
+        }
+        for _ in 0..2 {
+            let t = TaskId::new(rng.gen_range(0..k as u32));
+            let (lo, hi) = base.valid_range(g, t);
+            let l = inst.machine_count();
+            let cells: Vec<(usize, MachineId)> = (lo..=hi)
+                .flat_map(|pos| (0..l).map(move |m| (pos, MachineId::from_usize(m))))
+                .collect();
+            let positions: Vec<usize> = cells.iter().map(|c| c.0).collect();
+            let machines: Vec<MachineId> = cells.iter().map(|c| c.1).collect();
+            let reports: Vec<(Solution, ScheduleReport)> = cells
+                .iter()
+                .map(|&(pos, m)| {
+                    let mut cand = base.clone();
+                    cand.move_task(g, t, pos, m).unwrap();
+                    let report = scalar.report(&cand);
+                    (cand, report)
+                })
+                .collect();
+            for (i, (label, obj)) in objectives.iter().enumerate() {
+                let mut lanes = vec![f64::NAN; cells.len()];
+                inc.score_cells(t, &positions, &machines, *obj, &mut lanes);
+                for (j, &(pos, m)) in cells.iter().enumerate() {
+                    let (cand, report) = &reports[j];
+                    let want = oracle(i, report).to_bits();
+                    let cell = format!("{label}: {t} -> ({pos}, {m})");
+                    prop_assert_eq!(lanes[j].to_bits(), want, "{} lane", cell);
+                    let moved = inc.score_move(t, pos, m, *obj);
+                    prop_assert_eq!(moved.to_bits(), want, "{} score_move", cell);
+                    let pass = scalar.objective_value(cand, *obj);
+                    prop_assert_eq!(pass.to_bits(), want, "{} full pass", cell);
                 }
             }
         }

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use mshc_portfolio::{run_tournament, Leaderboard, TournamentSpec};
     pub use mshc_schedule::{
         replay, BatchEvaluator, CancelToken, CellFault, Disturbance, DisturbanceKind, EvalSnapshot,
-        Evaluator, FaultPlan, Gantt, IncrementalEvaluator, Objective, ObjectiveKind,
+        Evaluator, FaultPlan, FoldReads, Gantt, IncrementalEvaluator, Objective, ObjectiveKind,
         ObjectiveState, ReplanReport, Replanner, RunBudget, RunResult, Scheduler, SearchStep,
         Segment, Solution, StepVerdict, SteppableSearch, Termination,
     };

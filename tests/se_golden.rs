@@ -5,12 +5,17 @@
 //! same evaluations. These constants were captured from the
 //! bounded-argmin scan that preceded the machine-lane scan; any change
 //! to a scan that moves a solution, a score bit or an evaluation count
-//! fails here. `scored` counts replays, the scan's own cost: under
-//! makespan the scan replays one cell per run of identical schedules
-//! (cells whose positions differ only by tasks on other machines), so
-//! the two makespan rows replay 16,497 and 4,086 of the cells behind
-//! their 128,384 and 32,178 evaluations, while the rows whose objective
-//! reads the finish-time sum replay every cell.
+//! fails here. The mean-flowtime and load-balance rows were captured
+//! before the scoring kernels began folding only what their objective
+//! reads: the finish-time sum without the busy times, and the busy
+//! times without the sum. `scored` counts replays, the scan's own cost:
+//! under an objective that does not read the finish-time sum the scan
+//! replays one cell per run of identical schedules (cells whose
+//! positions differ only by tasks on other machines), so the two
+//! makespan rows replay 16,497 and 4,086 of the cells behind their
+//! 128,384 and 32,178 evaluations, and the load-balance row 60,159 of
+//! 477,410, while the rows whose objective reads the sum replay every
+//! cell.
 //!
 //! Every pinned objective value is also the evaluator's own score of
 //! the run's solution, the string-order fold SE ranks its candidates
@@ -64,6 +69,24 @@ fn se_trajectory_matches_the_pinned_run() {
             evaluations: 120_106,
             scored: 119_125,
             hash: 0xfc4f_1e06_66ea_f2e9,
+        },
+        Golden {
+            objective: ObjectiveKind::MeanFlowtime,
+            y_limit: None,
+            makespan_bits: 0x40a5_d9d5_43cf_88d8,
+            objective_bits: 0x4093_7e65_c878_3e65,
+            evaluations: 120_507,
+            scored: 119_524,
+            hash: 0x3345_6a8f_4abd_e237,
+        },
+        Golden {
+            objective: ObjectiveKind::LoadBalance,
+            y_limit: None,
+            makespan_bits: 0x40b5_10b0_5fb5_6a00,
+            objective_bits: 0x4043_4eef_31f7_d000,
+            evaluations: 477_410,
+            scored: 60_159,
+            hash: 0x9466_3494_5094_5a2c,
         },
         Golden {
             objective: weighted,

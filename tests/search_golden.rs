@@ -6,9 +6,11 @@
 //! neighborhood argmin). However those paths score, they must select the
 //! same candidates, charge the same evaluations and stop at the same
 //! iteration. These constants were captured before tier 3 lost its bound
-//! pruning and reconvergence splicing, and GA its lineage scoring; any
-//! change to a scoring path that moves a solution, a score bit or a
-//! count fails here.
+//! pruning and reconvergence splicing, and GA its lineage scoring, and
+//! the mean-flowtime and load-balance rows before the scoring kernels
+//! began folding only what their objective reads; any change to a
+//! scoring path that moves a solution, a score bit or a count fails
+//! here.
 
 use mshc::prelude::*;
 
@@ -70,6 +72,24 @@ fn searches_match_their_pinned_runs() {
         },
         Golden {
             algorithm: "ga",
+            objective: ObjectiveKind::MeanFlowtime,
+            makespan_bits: 0x40a7_2533_58e0_145f,
+            objective_bits: 0x4094_653a_faba_f51f,
+            evaluations: 2_050,
+            iterations: 40,
+            hash: 0x43a5_def4_bde8_8026,
+        },
+        Golden {
+            algorithm: "ga",
+            objective: ObjectiveKind::LoadBalance,
+            makespan_bits: 0x40b3_4b87_bca5_47ed,
+            objective_bits: 0x4062_b7ae_df01_0374,
+            evaluations: 2_050,
+            iterations: 40,
+            hash: 0xedd3_0424_b0b0_758c,
+        },
+        Golden {
+            algorithm: "ga",
             objective: weighted,
             makespan_bits: 0x40a6_cf97_84e4_3681,
             objective_bits: 0x40ac_bab5_6b8e_83e8,
@@ -97,6 +117,24 @@ fn searches_match_their_pinned_runs() {
         },
         Golden {
             algorithm: "sa",
+            objective: ObjectiveKind::MeanFlowtime,
+            makespan_bits: 0x40ad_811b_55da_217f,
+            objective_bits: 0x4099_b55b_2666_baec,
+            evaluations: 3_001,
+            iterations: 3_000,
+            hash: 0xc546_17c2_f653_a12a,
+        },
+        Golden {
+            algorithm: "sa",
+            objective: ObjectiveKind::LoadBalance,
+            makespan_bits: 0x40b3_a2f2_3db2_67dd,
+            objective_bits: 0x405b_8b7f_7ae3_d810,
+            evaluations: 3_001,
+            iterations: 3_000,
+            hash: 0xedd4_cc5b_b561_348a,
+        },
+        Golden {
+            algorithm: "sa",
             objective: weighted,
             makespan_bits: 0x40ac_dbdd_7707_6703,
             objective_bits: 0x40b2_54fb_c0a0_441b,
@@ -121,6 +159,24 @@ fn searches_match_their_pinned_runs() {
             evaluations: 3_601,
             iterations: 150,
             hash: 0xd55b_4416_d078_406e,
+        },
+        Golden {
+            algorithm: "tabu",
+            objective: ObjectiveKind::MeanFlowtime,
+            makespan_bits: 0x40a6_566f_b06b_e4a4,
+            objective_bits: 0x4094_4f13_dd05_082d,
+            evaluations: 3_601,
+            iterations: 150,
+            hash: 0xd55b_4416_d078_406e,
+        },
+        Golden {
+            algorithm: "tabu",
+            objective: ObjectiveKind::LoadBalance,
+            makespan_bits: 0x40b2_05e5_1464_b9a1,
+            objective_bits: 0x4046_fca5_0af6_4b40,
+            evaluations: 3_601,
+            iterations: 150,
+            hash: 0x72a8_2f32_8a0b_54c7,
         },
         Golden {
             algorithm: "tabu",
