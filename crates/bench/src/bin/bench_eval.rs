@@ -26,8 +26,9 @@
 //! same-process ratio, with the winners asserted identical. Under the
 //! probe's makespan objective the relocation argmin replays one cell per
 //! run of identical schedules, every one of them a lane of one lockstep
-//! pass over the string without the relocated task, while the other
-//! argmin replays every cell with its own `score_move`.
+//! pass over the string without the relocated task, and stops at the
+//! first group of cells that meets the makespan of that string, while
+//! the other argmin replays every cell with its own `score_move`.
 //!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
@@ -90,7 +91,8 @@ struct BenchReport {
     /// SE's allocation scan: evaluations (grid cells) per second over
     /// every task's full position × machine grid of a partly converged
     /// incumbent, one thread (`BatchEvaluator::best_relocation`, which
-    /// under makespan replays one cell per run of identical schedules).
+    /// under makespan replays one cell per run of identical schedules and
+    /// stops at the insertion floor).
     lane_scan_evals_per_sec: f64,
     /// That scan over the argmin that scores each cell with one
     /// `IncrementalEvaluator::score_move` (`BatchEvaluator::best_task_move`)
@@ -258,7 +260,8 @@ fn main() {
     // SE's allocation grids: every task of an incumbent after a few SE
     // iterations, each over its full valid range × all machines, scanned
     // on one thread through the relocation argmin (one lane per run
-    // start) and through the argmin that scores each cell with one
+    // start, up to the insertion floor) and through the argmin that
+    // scores each cell with one
     // `score_move`. Both must pick the same cell with the same score
     // bits.
     let (lane_eps, lane_speedup) = {
@@ -326,7 +329,7 @@ fn main() {
             };
             let (lane, lane_winners) = timed(&lane_scan, &mut batch);
             let (exact, exact_winners) = timed(&exact_scan, &mut batch);
-            assert_eq!(lane_winners, exact_winners, "run-start and per-cell scans must agree");
+            assert_eq!(lane_winners, exact_winners, "relocation and per-cell scans must agree");
             (lane, lane / exact)
         })
     };
@@ -542,7 +545,7 @@ fn main() {
         report.speedup_vs_scalar
     );
     println!(
-        "se allocation grids: run-start scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
+        "se allocation grids: relocation scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
          one thread)",
         lane_eps, lane_speedup
     );

@@ -294,10 +294,15 @@ impl SteppableSearch for SePendingBias {
 /// replays every cell. Either way the replayed cells are lanes of one
 /// lockstep replay of the string without `t`, each lane inserting `t`
 /// at its own position on its own machine, and every cell is charged as
-/// an evaluation. A walk of more lanes than one group (about 16,384
-/// task-replays) fans its groups out over the worker pool; smaller ones
-/// run inline. Ties break to the earliest candidate in `(position,
-/// machine)` grid order.
+/// an evaluation. Inserting `t` can only delay the other tasks, so under
+/// makespan (or a blend of makespan alone) no cell scores below the
+/// string without `t`: that walk runs inline, in groups that grow from
+/// four cells, with one lane replaying that string, and stops at the
+/// first group whose minimum meets it. Under the other objectives a
+/// walk of more lanes than one group (about 16,384 task-replays) fans
+/// its groups out over the worker pool; smaller ones run inline. Ties
+/// break to the earliest candidate in `(position, machine)` grid order,
+/// so every walk commits the winner of scoring the whole grid.
 ///
 /// Returns the evaluations the scan charges: one per candidate plus 2,
 /// one for the current-cost read and one for the priming pass, exactly
@@ -397,13 +402,18 @@ mod tests {
         // fan-out threshold (16,384 lane-replays), so their lane groups
         // really spread across the pool — and the whole run (solution,
         // makespan, evaluation count and every scan counter) must be
-        // bit-identical at 1, 2 and 8 worker threads. Under makespan a
-        // walk replays one cell per run of identical schedules, so it
+        // bit-identical at 1, 2 and 8 worker threads. Under load balance
+        // a walk replays one cell per run of identical schedules, so it
         // takes a couple of hundred tasks to cross the threshold; under
-        // total flowtime every cell is replayed.
-        for (tasks, objective, iterations) in
-            [(200, ObjectiveKind::Makespan, 2), (64, ObjectiveKind::TotalFlowtime, 15)]
-        {
+        // total flowtime every cell is replayed. Makespan walks have a
+        // floor and run inline, in groups that stop at the first one
+        // meeting it, whatever their length: the last leg holds the same
+        // run to the same bits without a fan-out.
+        for (tasks, objective, iterations) in [
+            (200, ObjectiveKind::LoadBalance, 2),
+            (64, ObjectiveKind::TotalFlowtime, 15),
+            (200, ObjectiveKind::Makespan, 2),
+        ] {
             let machines = 16;
             let mut rng = ChaCha8Rng::seed_from_u64(6);
             let cfg =
@@ -423,18 +433,19 @@ mod tests {
             };
             let baseline = run(1);
             // More than half the walks over the final solution's grids
-            // fan out. With every machine allowed, a makespan walk
-            // replays all lanes of its first position and, at each later
-            // position, the lane of the machine its step passes — less
-            // the base's own cell if that is one of them.
+            // hold a fan-out's worth of lanes. With every machine allowed,
+            // a load-balance walk replays all lanes of its first position
+            // and, at each later position, the lane of the machine its
+            // step passes — less the base's own cell if that is one of
+            // them.
             let g = inst.graph();
             let mut replays: Vec<usize> = g
                 .tasks()
                 .map(|t| {
                     let (lo, hi) = baseline.solution.valid_range(g, t);
                     let lanes = match objective {
-                        ObjectiveKind::Makespan => machines + (hi - lo) - 1,
-                        _ => (hi - lo + 1) * machines,
+                        ObjectiveKind::TotalFlowtime => (hi - lo + 1) * machines,
+                        _ => machines + (hi - lo) - 1,
                     };
                     lanes * tasks
                 })

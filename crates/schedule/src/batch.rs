@@ -39,9 +39,13 @@
 //! inserts a task into an idle gap, so sliding the relocated task past a
 //! task on another machine leaves every machine's task sequence, and so
 //! every finish time, unchanged. The scan replays one cell per run of
-//! such identical schedules. Tabu's sampled neighborhood goes through
-//! the mixed-task argmin, [`best_task_move`], one
-//! [`IncrementalEvaluator::score_move`] per candidate. Both argmins
+//! such identical schedules. Under an objective that [never falls on
+//! insertion](Objective::never_falls_on_insertion), such as makespan, no
+//! cell scores below the string without the task, which one more lane
+//! replays; the scan walks its cells in small groups and stops at the
+//! first group whose minimum meets that floor. Tabu's sampled
+//! neighborhood goes through the mixed-task argmin, [`best_task_move`],
+//! one [`IncrementalEvaluator::score_move`] per candidate. Both argmins
 //! charge one evaluation per candidate and return exactly the winner of
 //! scoring every candidate.
 //!
@@ -61,8 +65,8 @@
 //! candidate's score depends only on that candidate, so results are
 //! bit-identical at any thread count; a generation's scores likewise
 //! depend on each child alone, never on which thread scored it or when.
-//! [`best_relocation`] fans its lane groups out only when its walk
-//! holds more than one; [`score_task_moves`] (and so
+//! [`best_relocation`] fans its lane groups out only when its walk has
+//! no floor and holds more than one group; [`score_task_moves`] (and so
 //! [`best_task_move`]) splits its candidates on a chunk grid that is a
 //! pure function of the grid itself — its length and the instance's
 //! task count, never the thread count. Small grids run inline on the
@@ -124,26 +128,28 @@ const SCAN_CHUNK_REPLAYS: usize = 6144;
 /// replaying at most the `k` string positions. A walk's lanes are the
 /// cells it replays: every cell but the base's own when the objective
 /// reads the finish-time sum, one per run of identical cells otherwise.
-/// A walk of one group runs inline on the calling thread; a longer walk
-/// fans its groups out over the pool. The size also caps an arena's
-/// lane scratch at `k × ⌈LANE_FANOUT_REPLAYS / k⌉` finish slots (16,400
-/// at 100 tasks).
+/// A walk without a floor (flowtime, load balance, and blends that read
+/// them) runs inline when it fits one group and fans its groups out
+/// over the pool otherwise. A floor walk (makespan) never fans out: it
+/// runs inline in groups that grow from [`FLOOR_HEAD`] cells up to this
+/// size. In `mshc run --algo se` at 100 × 20 (seed 7), 91 % of walks
+/// stop after the first group's five lanes, and a walk replays 6.7 lanes
+/// on average against 31 run starts.
+/// The size also caps an arena's lane scratch at
+/// `k × ⌈LANE_FANOUT_REPLAYS / k⌉` finish slots (16,400 at 100 tasks).
 ///
-/// Derived from the measured layer costs on SE's real grids (2 vCPUs,
-/// 2.1 GHz Xeon, one thread). A makespan walk at 100 × 20 replays about
-/// 30 lanes, at about 1.0 µs a lane; a total-flowtime walk replays about
-/// 255, at about 0.6 µs a lane, since the lockstep's per-task work is
-/// shared by more lanes. A full group is therefore roughly 100–160 µs of
+/// Derived from layer costs measured on SE's real grids (2 vCPUs,
+/// 2.1 GHz Xeon, one thread) before the kernels folded only what their
+/// objective reads and before makespan walks stopped at the floor, so
+/// the costs below are stale; the verdict they led to now concerns only
+/// walks without a floor. A total-flowtime walk at 100 × 20 replayed
+/// about 255 lanes, at about 0.6 µs a lane, since the lockstep's
+/// per-task work is shared by more lanes, and spanned two or more groups
+/// in 67 of 100 walks. A full group was therefore roughly 100–160 µs of
 /// replay. Fanning a group out costs one pool dispatch (~6–12 µs to wake
 /// a parked worker) plus the joining worker's prime (~4–7 µs), 10–20 %
 /// of a group; that is what a fanned-out walk loses when no worker is
-/// free, in a tournament, whose cells already occupy the pool. A
-/// makespan walk replays the first position's machines plus at most one
-/// lane per later position and one after the base's own cell: at most
-/// 120 lanes at 100 × 20 (70 on the incumbent measured), so it never
-/// fills a group and runs inline. At 300 × 16 (55-lane groups) 12 of 300
-/// walks span two or more groups. A total-flowtime walk at 100 ×
-/// 20 spans two or more groups in 67 of 100 walks.
+/// free, in a tournament, whose cells already occupy the pool.
 ///
 /// What a second thread buys, measured on a 2-vCPU host in alternating
 /// `--threads 1` / `--threads 2` pairs of `mshc run --algo se` (medians
@@ -151,13 +157,17 @@ const SCAN_CHUNK_REPLAYS: usize = 6144;
 /// iterations) it took 0.383 to 0.260 s at seed 3, faster in 10 of 12
 /// pairs, and 0.253 to 0.168 s at seed 7, faster in 12 of 12. At 100 ×
 /// 20 (60 iterations, seed 7) the same objective read 0.120 against
-/// 0.116 s, faster in only 5 of 12 pairs, and makespan at 300 × 16 (30
-/// iterations, seed 7), whose walks rarely span two groups, read 0.075
-/// against 0.081 s, faster in 3 of 10: there the fan-out neither gains
-/// nor loses beyond noise. The groups are read from the base string
-/// alone, and every replayed score is exact, so neither the group size
-/// nor the thread count can move a result or a counter.
+/// 0.116 s, faster in only 5 of 12 pairs. The groups are read from the
+/// base string alone, and every replayed score is exact, so neither the
+/// group size nor the thread count can move a result or a counter.
 const LANE_FANOUT_REPLAYS: usize = 16_384;
+
+/// Cells in the first lane group of a floor walk
+/// ([`BatchEvaluator::best_relocation`] under an objective that
+/// [never falls on insertion](Objective::never_falls_on_insertion)),
+/// which also carries the floor lane. Each later group doubles, up to
+/// `⌈LANE_FANOUT_REPLAYS / k⌉` cells.
+const FLOOR_HEAD: usize = 4;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
 /// always structurally valid (a suspect arena is discarded by the guard
@@ -753,12 +763,33 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// The replayed cells, in grid order, are lanes of
     /// [`IncrementalEvaluator::score_cells`], one lockstep pass per
-    /// contiguous group of `⌈LANE_FANOUT_REPLAYS / k⌉` lanes. The cells
-    /// are read from the base string before anything is replayed, so the
-    /// groups are fixed before the walk starts. A walk of one group runs
-    /// inline on the calling thread, with no pool operation; a longer
-    /// walk fans its groups out over the pool. Neither choice can move
-    /// the winner or a counter.
+    /// contiguous group of lanes. The cells are read from the base string
+    /// before anything is replayed, so the groups are fixed before the
+    /// walk starts.
+    ///
+    /// When `obj` [never falls on insertion](Objective::never_falls_on_insertion)
+    /// (makespan, or a blend of makespan alone), the walk stops early. The
+    /// scheduling kernel steps with `later` and `+` over non-negative
+    /// costs, both monotone under round-to-nearest, so inserting `t` can
+    /// only delay the tasks of `S'`, and no cell scores below `S'`
+    /// itself. The first group holds the first four cells plus a floor
+    /// lane at position `k`, which replays `S'`; each later group
+    /// holds twice the cells of the one before, up to
+    /// `⌈LANE_FANOUT_REPLAYS / k⌉`. After each group the walk stops if
+    /// the first minimum so far equals the floor bit for bit. Every cell
+    /// it skips comes later in grid order and scores at least the floor
+    /// under `total_cmp`, so it can neither beat nor tie ahead of the
+    /// minimum, and the winner and its score bits are those of the full
+    /// walk. Skipped cells are still charged, so the evaluation count is
+    /// too; [`ScanStats::scored`] counts the lanes replayed, the floor
+    /// lane included. A walk that fits in the first group's cells has
+    /// nothing to skip and replays them without a floor lane. The walk
+    /// runs inline on the calling thread, with no pool operation.
+    ///
+    /// Under any other objective the groups hold `⌈LANE_FANOUT_REPLAYS /
+    /// k⌉` lanes each. A walk of one group runs inline on the calling
+    /// thread, with no pool operation; a longer walk fans its groups out
+    /// over the pool. Neither choice can move the winner or a counter.
     pub fn best_relocation(
         &mut self,
         base: &Solution,
@@ -802,6 +833,17 @@ impl<'a> BatchEvaluator<'a> {
                 self.cell_machines.push(m);
             }
         }
+        let k = self.snap.task_count();
+        let group = LANE_FANOUT_REPLAYS.div_ceil(k.max(1));
+        // The floor walk's first group: its first cells, then the floor
+        // lane (`S'` alone, at position `k`). A walk that fits in those
+        // cells has nothing to skip and runs without it.
+        let head = FLOOR_HEAD.min(group);
+        let floor_walk = obj.never_falls_on_insertion() && self.cell_pos.len() > head;
+        if floor_walk {
+            self.cell_pos.insert(head, k);
+            self.cell_machines.insert(head, old_m);
+        }
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
         self.scan_epoch += 1;
         let epoch = self.scan_epoch;
@@ -816,25 +858,46 @@ impl<'a> BatchEvaluator<'a> {
             Some(b) if b.score.total_cmp(&cell.score).is_le() => Some(b),
             _ => Some(cell),
         };
-        let group = LANE_FANOUT_REPLAYS.div_ceil(snap.task_count().max(1));
-        let score_group = |guard: &mut ArenaGuard<'_, 'a>, g: usize| {
-            let cells = g * group..((g + 1) * group).min(cell_pos.len());
-            let (pos, machine) = (&cell_pos[cells.clone()], &cell_machines[cells]);
-            let (inc, scores) = guard.lanes(pos.len());
-            inc.score_cells(t, pos, machine, obj, scores);
-            pos.iter()
-                .zip(machine)
-                .zip(scores.iter())
-                .map(|((&pos, &machine), &score)| Relocation { pos, machine, score })
-                .fold(None, first_min)
-        };
-        let groups = cell_pos.len().div_ceil(group);
-        let best = if groups > 1 {
-            let per_group: Vec<Option<Relocation>> =
-                (0..groups).into_par_iter().map_init(checkout, score_group).collect();
+        // Replays `lanes` of the lists in one lockstep pass and folds the
+        // first minimum of its cells into `best`; returns that and the
+        // last lane's score.
+        let score_lanes =
+            |guard: &mut ArenaGuard<'_, 'a>, lanes: Range<usize>, best: Option<Relocation>| {
+                let (pos, machine) = (&cell_pos[lanes.clone()], &cell_machines[lanes]);
+                let (inc, scores) = guard.lanes(pos.len());
+                inc.score_cells(t, pos, machine, obj, scores);
+                let best = pos
+                    .iter()
+                    .zip(machine)
+                    .zip(scores.iter())
+                    .filter(|((&pos, _), _)| pos < k)
+                    .map(|((&pos, &machine), &score)| Relocation { pos, machine, score })
+                    .fold(best, first_min);
+                (best, scores[scores.len() - 1])
+            };
+        let best = if floor_walk {
+            let mut guard = checkout();
+            let (mut best, floor) = score_lanes(&mut guard, 0..head + 1, None);
+            let (mut from, mut size) = (head + 1, head);
+            while from < cell_pos.len() && best.is_none_or(|b| b.score.to_bits() != floor.to_bits())
+            {
+                size = (2 * size).min(group);
+                let to = (from + size).min(cell_pos.len());
+                best = score_lanes(&mut guard, from..to, best).0;
+                from = to;
+            }
+            best
+        } else if cell_pos.len() > group {
+            let groups = cell_pos.len().div_ceil(group);
+            let per_group: Vec<Option<Relocation>> = (0..groups)
+                .into_par_iter()
+                .map_init(checkout, |guard, g| {
+                    score_lanes(guard, g * group..((g + 1) * group).min(cell_pos.len()), None).0
+                })
+                .collect();
             per_group.into_iter().flatten().fold(None, first_min)
         } else {
-            score_group(&mut checkout(), 0)
+            score_lanes(&mut checkout(), 0..cell_pos.len(), None).0
         };
         self.evaluations += len as u64;
         self.absorb_arena_scorings(before);
@@ -1537,6 +1600,50 @@ mod tests {
                 assert_eq!(scalar.makespan(&cand), score, "round {round}, move ({pos}, {m})");
             }
         }
+    }
+
+    #[test]
+    fn floor_walk_stops_at_the_first_group_that_meets_the_floor() {
+        // A chain 0 -> 1 of 100 + 100 on m0 sets the makespan; six
+        // independent unit tasks run beside it on m1..m3. Relocating
+        // task 7 to the head of m1, the grid's first cell, delays
+        // nothing on the chain: it scores 200, the makespan of the
+        // string without task 7. So the walk replays its first group of
+        // 4 cells and the floor lane, and skips the other 7 run starts,
+        // while the winner and the charged evaluations are those of the
+        // full grid.
+        let mut b = mshc_taskgraph::TaskGraphBuilder::new(8);
+        b.add_edge(0, 1).unwrap();
+        let g = b.build().unwrap();
+        let exec = Matrix::from_fn(4, 8, |m, t| match (m, t) {
+            (0, 0 | 1) => 100.0,
+            (_, 0 | 1) => 1000.0,
+            _ => 1.0,
+        });
+        let transfer = Matrix::from_fn(6, g.data_count(), |_, _| 5.0);
+        let sys = HcSystem::with_anonymous_machines(4, exec, transfer).unwrap();
+        let inst = HcInstance::new(g, sys).unwrap();
+        let order: Vec<TaskId> = [0, 2, 3, 1, 4, 5, 6, 7].map(TaskId::new).to_vec();
+        let on: Vec<MachineId> = [0, 0, 1, 2, 3, 1, 2, 3].map(MachineId::new).to_vec();
+        let base = Solution::from_order(inst.graph(), 4, &order, &on).unwrap();
+        let snap = EvalSnapshot::new(&inst);
+        let t = TaskId::new(7);
+        let machines: Vec<MachineId> = [1, 2, 3, 0].map(MachineId::new).to_vec();
+        let grid = relocation_grid(&base, t, 0..=7, &machines);
+        let obj = ObjectiveKind::Makespan;
+        let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &obj);
+        let want = first_min(&grid, &scores).expect("non-empty grid");
+        assert_eq!(want, (0, MachineId::new(1), 200f64.to_bits()), "the first cell wins");
+        let mut batch = BatchEvaluator::new(&snap);
+        let got = batch.best_relocation(&base, t, 0..=7, &machines, &obj).expect("a winner");
+        assert_eq!(cell(got), want);
+        assert_eq!(batch.evaluations(), grid.len() as u64);
+        assert_eq!(batch.scan_stats().scored, 4 + 1, "the first group and the floor lane");
+        // Without a floor, the walk replays each of its 11 run starts.
+        let mut batch = BatchEvaluator::new(&snap);
+        let obj = ObjectiveKind::LoadBalance;
+        batch.best_relocation(&base, t, 0..=7, &machines, &obj).expect("a winner");
+        assert_eq!(batch.scan_stats().scored, 11);
     }
 
     #[test]

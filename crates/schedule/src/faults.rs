@@ -67,8 +67,11 @@ pub struct FaultPlan {
     /// Panic when the process-wide tick reaches this value (1-based:
     /// `Some(1)` panics the very first tick). Every full pass and every
     /// move scoring (a replay, cell lanes included) ticks once, across
-    /// every evaluator tier; cells a relocation scan charges as
-    /// evaluations without replaying them do not. When the Nth tick lands
+    /// every evaluator tier; a relocation scan's floor lane is a lane and
+    /// ticks too. Cells a relocation scan charges as evaluations without
+    /// replaying them do not tick: the other cells of a run of identical
+    /// schedules, and every cell after a floor walk meets its floor.
+    /// When the Nth tick lands
     /// inside a batch chunk the panic poisons that worker's arena, which
     /// is the point.
     #[serde(default)]

@@ -54,6 +54,17 @@
 //! kernel — and every lane score is bit-identical to [`score_move`],
 //! finish-time sum included.
 //!
+//! **The floor lane.** A lane at position `k`, one past `S'`'s last
+//! task, never inserts `t`: it holds `t`'s finish at `-inf`, which
+//! `later` drops, so it replays `S'` itself as one more lane of the same
+//! pass. The kernel's steps are `later` and `+` over non-negative costs,
+//! both monotone, so inserting `t` can only delay `S'`'s tasks, and
+//! under an objective that [never falls on
+//! insertion](Objective::never_falls_on_insertion) (makespan) no cell
+//! scores below the floor lane.
+//! [`crate::BatchEvaluator::best_relocation`] stops its walk once a cell
+//! meets it.
+//!
 //! **Runs of identical schedules.** The kernel never inserts a task into
 //! an idle gap: a task starts at the later of its data-ready time and
 //! its machine's previous finish in string order. The string therefore
@@ -545,11 +556,18 @@ impl<'a> IncrementalEvaluator<'a> {
     /// `machines[j]`*, and `out[j]` receives its score, bit-identical to
     /// [`score_move`](Self::score_move)`(t, positions[j], machines[j],
     /// obj)` and so to a full pass over the materialized candidate.
-    /// Positions must be nondecreasing and inside `t`'s valid range;
-    /// cells may repeat.
+    /// Positions must be nondecreasing, each inside `t`'s valid range or
+    /// equal to `k`, the string's length; cells may repeat.
     ///
     /// Let `S'` be the base without `t`; cell `j` is `S'` with `t`
-    /// inserted just before `S'[positions[j]]`. The pass resumes from
+    /// inserted just before `S'[positions[j]]`. A lane at position `k` is
+    /// a *floor lane*: `S'` holds `k − 1` tasks, so it never inserts `t`,
+    /// and its machine is ignored. Its `t` finishes at `-inf`, which
+    /// drops every arrival from `t` exactly as `f64::max` would, so the
+    /// lane replays `S'` itself and `out[j]` receives `obj`'s score of
+    /// `S'`'s fold (`k − 1` tasks). Under an objective that
+    /// [never falls on insertion](Objective::never_falls_on_insertion),
+    /// no cell scores below it. The pass resumes from
     /// the checkpoint at or before the first disturbed position and
     /// fast-forwards from the stored finish times. When the first cell
     /// lies right of `t`'s own position, the left-shifted tasks between
@@ -575,9 +593,12 @@ impl<'a> IncrementalEvaluator<'a> {
     ///   runs in its candidate's string order, and objectives that read
     ///   the finish-time sum stay bit-identical too.
     ///
-    /// Every lane counts as one scoring (and one fault-plan tick). The
-    /// base stays primed, and the lane scratch is reused, so
-    /// steady-state calls allocate nothing.
+    /// A call of floor lanes alone starts the lanes at `t`'s own
+    /// position, since the tasks after it may consume `t`.
+    ///
+    /// Every lane, floor lanes included, counts as one scoring (and one
+    /// fault-plan tick). The base stays primed, and the lane scratch is
+    /// reused, so steady-state calls allocate nothing.
     ///
     /// # Panics
     /// As [`score_move`](Self::score_move), or if `machines` or `out`
@@ -634,7 +655,7 @@ impl<'a> IncrementalEvaluator<'a> {
         assert_eq!(machines.len(), n, "one machine per cell");
         assert_eq!(out.len(), n, "one score slot per cell");
         let (Some(&p0), Some(&last)) = (positions.first(), positions.last()) else { return };
-        assert!(last < k, "move position out of range");
+        assert!(last <= k, "move position out of range");
         debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "positions nondecreasing");
         debug_assert!(machines.iter().all(|m| m.index() < l), "machine out of range");
         *evaluations += n as u64;
@@ -642,9 +663,15 @@ impl<'a> IncrementalEvaluator<'a> {
             crate::faults::eval_tick();
         }
 
+        // Lanes `cells..n` are floor lanes. Floor lanes alone start the
+        // lanes at `t`'s own position: the scalar replay of left-shifted
+        // tasks below holds only left of a cell, where none consumes `t`.
+        let old_pos = base.position_of(t);
+        let cells = positions.partition_point(|&p| p < k);
+        let p0 = if cells == 0 { old_pos } else { p0 };
+
         // Resume from the nearest checkpoint at or before the first
         // disturbed position and fast-forward the unchanged prefix.
-        let old_pos = base.position_of(t);
         let first = old_pos.min(p0);
         let ci = first / *stride;
         machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
@@ -691,11 +718,14 @@ impl<'a> IncrementalEvaluator<'a> {
         if SUM {
             sum[..n].fill(state.finish_sum());
         }
+        // A floor lane's `t` finishes at `-inf`: `-inf + cost` is `-inf`,
+        // which `later` drops, so its consumers read no arrival from `t`.
+        let t_row = t.index() * n..(t.index() + 1) * n;
+        lane_finish[t_row.start + cells..t_row.end].fill(f64::NEG_INFINITY);
 
         // `S'[i]` is base position `i` before `t`'s own and `i + 1` from
         // there on, so `S'[p0..]` is the base from `from` on without `t`.
         let from = if p0 < old_pos { p0 } else { p0 + 1 };
-        let t_row = t.index() * n..(t.index() + 1) * n;
         let transfer = snap.transfer_slab();
         let mut next = 0;
         for i in p0..k {
@@ -738,7 +768,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 machines,
                 |e, src| {
                     if src == t.index() {
-                        debug_assert_eq!(next, n, "a consumer of {t} precedes a cell");
+                        debug_assert_eq!(next, cells, "a consumer of {t} precedes a cell");
                         LaneArrival::Moved(&lane_finish[t_row.clone()])
                     } else if base.position_of(TaskId::from_usize(src)) >= from {
                         LaneArrival::Lanes(&lane_finish[src * n..(src + 1) * n], edge_cost[e])
@@ -768,7 +798,8 @@ impl<'a> IncrementalEvaluator<'a> {
             }
         }
 
-        // Every lane has folded all k tasks.
+        // Every cell lane has folded all k tasks, every floor lane the
+        // k - 1 of `S'`.
         let column = &mut column[..l];
         for (j, score) in out.iter_mut().enumerate() {
             if BUSY {
@@ -776,7 +807,8 @@ impl<'a> IncrementalEvaluator<'a> {
                     *c = busy[x * n + j];
                 }
             }
-            state.load_reads::<SUM, BUSY>(max[j], sum[j], k, column);
+            let tasks = if j < cells { k } else { k - 1 };
+            state.load_reads::<SUM, BUSY>(max[j], sum[j], tasks, column);
             *score = obj.finalize(state);
         }
         for &u in dirty.iter() {

@@ -80,7 +80,13 @@
 //! [`best_relocation`](BatchEvaluator::best_relocation) replays one cell
 //! per run of such candidates and charges every cell as an evaluation.
 //! An insertion-based kernel would break the fact, and every cell would
-//! need its own replay.
+//! need its own replay. The kernel's steps are also monotone (`later`
+//! and `+` over non-negative costs), so inserting the task can only
+//! delay the others: under an objective that [never falls on
+//! insertion](Objective::never_falls_on_insertion) (makespan), no cell
+//! scores below the string without the task, which one more lane
+//! replays, and the scan stops at the first group of cells whose
+//! minimum meets that floor.
 //!
 //! ## The encoding
 //!

@@ -222,6 +222,22 @@ pub trait Objective: Sync {
     fn reads(&self) -> FoldReads {
         FoldReads::ALL
     }
+
+    /// Whether the score never falls when a task joins the schedule:
+    /// `finalize` never decreases (under `total_cmp`) when one more task
+    /// is folded and no folded finish time falls.
+    ///
+    /// The scheduling kernel steps with `later` and `+` over validated
+    /// non-negative costs, both monotone under round-to-nearest, so
+    /// inserting a task into a string can only delay the others. Under an
+    /// objective that declares this, no relocation of a task `t` scores
+    /// below the string without `t`, and
+    /// [`crate::BatchEvaluator::best_relocation`] stops its walk at the
+    /// first minimum that meets that floor. `false`, the default, is
+    /// always safe: it keeps the walk over every replayed cell.
+    fn never_falls_on_insertion(&self) -> bool {
+        false
+    }
 }
 
 /// Evaluates `$body` with the consts `$sum` and `$busy` bound to the
@@ -448,6 +464,24 @@ impl Objective for ObjectiveKind {
         };
         FoldReads { finish_sum, machine_busy }
     }
+
+    /// Makespan, and a weighted blend that reads the makespan alone at a
+    /// finite weight of at least 0: a nonnegative multiple of the latest
+    /// finish, which a joining task never lowers. (An infinite weight
+    /// would score an empty fold `inf × 0`, NaN.) The mean flowtime can
+    /// fall, since it divides by one more task, and so can the imbalance.
+    /// The total flowtime cannot, but the joining task adds its own
+    /// finish to the sum, so no cell would meet the floor and the walk
+    /// would only pay for the floor lane.
+    fn never_falls_on_insertion(&self) -> bool {
+        match *self {
+            ObjectiveKind::Makespan => true,
+            ObjectiveKind::Weighted { makespan, flowtime, balance } => {
+                flowtime == 0.0 && balance == 0.0 && makespan.is_finite() && makespan >= 0.0
+            }
+            _ => false,
+        }
+    }
 }
 
 /// The per-objective summary attached to a [`ScheduleReport`].
@@ -566,6 +600,43 @@ mod tests {
             assert_eq!(kind.finalize(&fold(f64::NAN, &busy)).is_nan(), reads.finish_sum, "{label}");
             let nan_busy = kind.finalize(&fold(sum, &[f64::NAN; 2])).is_nan();
             assert_eq!(nan_busy, reads.machine_busy, "{label}");
+        }
+    }
+
+    #[test]
+    fn declared_floors_never_fall_when_a_task_joins() {
+        use rand::{Rng, SeedableRng};
+        let w = |makespan| ObjectiveKind::Weighted { makespan, flowtime: 0.0, balance: 0.0 };
+        let floors = [true, false, false, false, false, false, false];
+        assert_eq!(kinds().map(|kind| kind.never_falls_on_insertion()), floors);
+        for (makespan, floor) in [(1.0, true), (0.0, true), (-1.0, false), (f64::INFINITY, false)] {
+            assert_eq!(w(makespan).never_falls_on_insertion(), floor, "{makespan}");
+        }
+        // A fold, and the same fold with every finish delayed by a
+        // nonnegative amount and one more task joined anywhere.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(26);
+        let declared = [ObjectiveKind::Makespan, w(1.0), w(0.0), w(2.5)];
+        for round in 0..2000 {
+            let tasks: Vec<(u32, f64, f64)> = (0..rng.gen_range(0..12))
+                .map(|_| (rng.gen_range(0..3), rng.gen_range(1.0..1e3), rng.gen_range(1.0..50.0)))
+                .collect();
+            let joined = rng.gen_range(0..=tasks.len());
+            let (mut without, mut with) = (ObjectiveState::new(3), ObjectiveState::new(3));
+            for (i, &(m, finish, exec)) in tasks.iter().enumerate() {
+                if i == joined {
+                    with.fold(MachineId::new(rng.gen_range(0..3)), rng.gen_range(1.0..1e3), 5.0);
+                }
+                without.fold(MachineId::new(m), finish, exec);
+                let delay = if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(0.0..10.0) };
+                with.fold(MachineId::new(m), finish + delay, exec);
+            }
+            if joined == tasks.len() {
+                with.fold(MachineId::new(0), rng.gen_range(1.0..1e3), 5.0);
+            }
+            for kind in &declared {
+                let (floor, cell) = (kind.finalize(&without), kind.finalize(&with));
+                assert!(floor.total_cmp(&cell).is_le(), "round {round}: {}", kind.label());
+            }
         }
     }
 

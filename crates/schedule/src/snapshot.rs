@@ -57,6 +57,16 @@ use std::ops::Range;
 /// is `+0.0` against `+0.0`. Fold operands keep `f64::max`'s order: the
 /// accumulator first, the new time second.
 ///
+/// One operand is `-inf` on purpose. A floor lane of
+/// [`IncrementalEvaluator::score_cells`] never inserts the relocated
+/// task, whose finish it holds at `-inf`, so each consumer folds
+/// `-inf + Tr`, which is `-inf` for every finite `Tr`. `-inf > acc` is
+/// false for every non-NaN `acc`, so `later` keeps the accumulator, as
+/// `f64::max` does (`-inf` is no zero and no NaN): the arrival drops out
+/// and the lane folds exactly the string without the task.
+///
+/// [`IncrementalEvaluator::score_cells`]: crate::IncrementalEvaluator::score_cells
+///
 /// [`HcSystem`]: mshc_platform::HcSystem
 #[inline(always)]
 pub(crate) fn later(acc: f64, x: f64) -> f64 {

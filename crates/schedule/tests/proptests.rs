@@ -15,7 +15,7 @@ use mshc_taskgraph::TaskId;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use support::{lane_runs, replayed_cells};
+use support::{floor_walk_lanes, lane_runs, replayed_cells};
 
 /// A random mixed-task move sample inside `base`'s valid ranges — the
 /// shape tabu's neighborhood argmin serves.
@@ -363,8 +363,9 @@ proptest! {
         // The relocation grid scan (SE's shape: positions × machines in
         // pos-major order, the base's own cell excluded) agrees with
         // exact scores plus a first-minimum fold, counts one evaluation
-        // per cell, and replays one cell per run of identical schedules
-        // under makespan, every cell under the flowtime objectives.
+        // per cell, and replays every cell under the flowtime objectives.
+        // Under makespan it replays one cell per run of identical
+        // schedules, up to the first group whose minimum meets the floor.
         let t = moves[0].0;
         let (lo, hi) = base.valid_range(g, t);
         let machines: Vec<MachineId> =
@@ -384,7 +385,11 @@ proptest! {
         let got = pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
         prop_assert_eq!(got.map(|r| (r.pos, r.machine, r.score.to_bits())), want, "grid scan");
         prop_assert_eq!(batch.evaluations(), grid.len() as u64);
-        let replayed = replayed_cells(&base, t, (lo, hi), &machines, kind_sel == 0);
+        let replayed = if kind_sel == 0 {
+            floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, &kind)
+        } else {
+            replayed_cells(&base, t, (lo, hi), &machines, false)
+        };
         prop_assert_eq!(batch.scan_stats().scored, replayed as u64);
     }
 
@@ -433,9 +438,11 @@ proptest! {
     /// SE's relocation argmin commits the first minimum of the exact
     /// scores over the full grid under every objective kind — the five
     /// built-ins and a weighted blend without flowtime — at 1, 2 and 8
-    /// threads, on a Y-limited machine ranking. It charges one evaluation per cell and replays exactly
-    /// the cells that start a run (every cell under the objectives that
-    /// read the finish-time sum).
+    /// threads, on a Y-limited machine ranking. It charges one evaluation
+    /// per cell and replays exactly the cells that start a run (every
+    /// cell under the objectives that read the finish-time sum), except
+    /// under makespan, where it stops at the first group whose minimum
+    /// meets the floor.
     #[test]
     fn relocation_scan_is_the_full_grid_first_minimum(
         inst in instance_strategy(),
@@ -476,7 +483,11 @@ proptest! {
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
                 .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
-            let replayed = replayed_cells(&base, t, (lo, hi), &machines, runs) as u64;
+            let replayed = if kind.is_makespan() {
+                floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, &kind)
+            } else {
+                replayed_cells(&base, t, (lo, hi), &machines, runs)
+            } as u64;
             for (pool, threads) in pools.iter().zip([1, 2, 8]) {
                 let mut batch = BatchEvaluator::new(&snap);
                 let got =
@@ -878,6 +889,106 @@ proptest! {
                     prop_assert_eq!(moved.to_bits(), want, "{} score_move", cell);
                     let pass = scalar.objective_value(cand, *obj);
                     prop_assert_eq!(pass.to_bits(), want, "{} full pass", cell);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Many small scans: ties between cells and with the floor are what
+    // the stop rule must get right.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The floor walk is exact. On float costs and on small-integer costs
+    /// (where cells tie, with each other and with the floor), with zero
+    /// transfers among them, on 1–8 machines and Y-limited machine
+    /// lists: a lone floor lane scores at most (`total_cmp`) every cell
+    /// of the grid, and `best_relocation` commits the first minimum of
+    /// the exact scores under makespan and `weighted:1,0,0` at 1, 2 and 8
+    /// threads, charging one evaluation per cell and replaying the lanes
+    /// of the walk up to the first group that meets the floor.
+    #[test]
+    fn floor_walk_is_the_full_grid_first_minimum(
+        k in 1usize..30,
+        l in 1usize..=8,
+        p in 0.0f64..0.9,
+        costs in 0usize..4,
+        inst_seed in any::<u64>(),
+        use_layered in prop::bool::ANY,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(inst_seed);
+        let graph = if use_layered {
+            let cfg =
+                LayeredConfig { tasks: k, mean_width: (k / 3).max(1), edge_prob: p, skip_prob: 0.0 };
+            layered(&cfg, &mut rng).unwrap()
+        } else {
+            erdos_dag(k, p, &mut rng).unwrap()
+        };
+        // Float or small-integer execution times, and float,
+        // small-integer or zero transfers.
+        let integer = costs % 2 == 1;
+        let exec = Matrix::from_fn(l, k, |_, _| {
+            if integer { rng.gen_range(1..=4) as f64 } else { rng.gen_range(1.0..50.0) }
+        });
+        let transfer = Matrix::from_fn(l * (l - 1) / 2, graph.data_count(), |_, _| match costs {
+            0 => rng.gen_range(0.0..20.0),
+            1 => rng.gen_range(0..=3) as f64,
+            _ => 0.0,
+        });
+        let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
+        let inst = HcInstance::new(graph, sys).unwrap();
+        let g = inst.graph();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let base = random_solution(&inst, &mut rng);
+        let snap = EvalSnapshot::new(&inst);
+        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+        inc.prime(&base);
+        let pools: Vec<rayon::ThreadPool> = [1usize, 2, 8]
+            .into_iter()
+            .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap())
+            .collect();
+        let kinds = [
+            ObjectiveKind::Makespan,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 },
+        ];
+        for _ in 0..4 {
+            let t = TaskId::new(rng.gen_range(0..k as u32));
+            let (lo, hi) = base.valid_range(g, t);
+            let mut machines = inst.system().machine_ranking(t);
+            machines.truncate(rng.gen_range(1..=l));
+            let own = (t, base.position_of(t), base.machine_of(t));
+            let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+                .flat_map(|p| machines.iter().map(move |&m| (t, p, m)))
+                .filter(|&cell| cell != own)
+                .collect();
+            for kind in kinds {
+                prop_assert!(kind.never_falls_on_insertion());
+                let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &kind);
+                let mut floor = [f64::NAN];
+                inc.score_cells(t, &[k], &[MachineId::new(0)], &kind, &mut floor);
+                for (&(_, pos, m), score) in grid.iter().zip(&scores) {
+                    prop_assert!(
+                        floor[0].total_cmp(score).is_le(),
+                        "{}: floor {} above cell ({}, {}) at {}", kind.label(), floor[0], pos, m, score
+                    );
+                }
+                let want = scores
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+                    .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
+                let lanes = floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, &kind) as u64;
+                for (pool, threads) in pools.iter().zip([1, 2, 8]) {
+                    let mut batch = BatchEvaluator::new(&snap);
+                    let got =
+                        pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
+                    let got = got.map(|r| (r.pos, r.machine, r.score.to_bits()));
+                    let label = format!("{}, {threads} threads", kind.label());
+                    prop_assert_eq!(got, want, "{}", label);
+                    prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
+                    prop_assert_eq!(batch.scan_stats().scored, lanes, "{}", label);
                 }
             }
         }

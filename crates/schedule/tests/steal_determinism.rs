@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use std::time::Duration;
-use support::replayed_cells;
+use support::{floor_walk_lanes, replayed_cells};
 
 /// Deterministic per-item delay in 0..23µs — enough to scramble chunk
 /// completion order without slowing the suite down.
@@ -225,24 +225,26 @@ proptest! {
 
     /// SE's relocation scan replays its cells as lanes, in groups of
     /// `⌈16,384 / k⌉` lanes, and fans the groups of a longer walk out
-    /// over the stealing executor; every walk here replays at least
-    /// 16,384 lane-replays (lanes × `k`), and a walk that replays every
-    /// cell spans at least two groups. Under makespan a walk replays one
-    /// cell per run of identical schedules, so the makespan leg takes
-    /// four times the tasks to get there. The winner
-    /// (cell and score bits), the evaluation count and the scan counters
-    /// match the 1-thread scan at 2 and 8 threads, the winner is the
-    /// first minimum of the exact scores, and the scan replays exactly
-    /// the cells that start a run (every cell under the objectives that
-    /// read the finish-time sum).
+    /// over the stealing executor; every walk here holds at least 16,384
+    /// lane-replays (lanes × `k`), and a walk that replays every cell
+    /// spans at least two groups. Under load balance and makespan a walk
+    /// holds one cell per run of identical schedules, so those legs take
+    /// four times the tasks to get there. The makespan walk has a floor:
+    /// it runs inline, in groups that grow from 4 cells, and stops at the
+    /// first group that meets it. The winner (cell and score bits), the
+    /// evaluation count and the scan counters match the 1-thread scan at
+    /// 2 and 8 threads, the winner is the first minimum of the exact
+    /// scores, and the scan replays exactly the cells that start a run
+    /// (every cell under the objectives that read the finish-time sum),
+    /// or under makespan the lanes of its walk up to the floor.
     #[test]
     fn lane_relocation_scan_is_thread_invariant_under_stealing(
         tasks in 64usize..96,
         machines in 10usize..14,
         seed in any::<u64>(),
-        kind_sel in 0usize..3,
+        kind_sel in 0usize..4,
     ) {
-        let runs = kind_sel == 0;
+        let runs = kind_sel == 0 || kind_sel == 3;
         let tasks = if runs { 4 * tasks } else { tasks };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let inst = wide_instance(tasks, machines, &mut rng);
@@ -264,9 +266,10 @@ proptest! {
         let groups = replayed.div_ceil(16_384usize.div_ceil(tasks));
         prop_assert!(runs || groups >= 2, "{} lanes make {} lane group(s)", replayed, groups);
         let obj = [
-            ObjectiveKind::Makespan,
+            ObjectiveKind::LoadBalance,
             ObjectiveKind::TotalFlowtime,
             ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 },
+            ObjectiveKind::Makespan,
         ][kind_sel];
         let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -297,6 +300,11 @@ proptest! {
             .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
         prop_assert_eq!(baseline.0, want, "first minimum of the exact scores");
         prop_assert_eq!(baseline.1, grid.len() as u64);
+        let replayed = if obj.is_makespan() {
+            floor_walk_lanes(&snap, &base, t, (lo, hi), &lanes, &obj)
+        } else {
+            replayed
+        };
         prop_assert_eq!(baseline.2.scored, replayed as u64);
     }
 

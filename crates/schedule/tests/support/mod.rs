@@ -1,8 +1,8 @@
-//! The runs of identical schedules in SE's relocation grid, computed
-//! from the base string alone, independently of `BatchEvaluator`.
+//! The cells SE's relocation scan replays, computed from the base string
+//! and exact scores, independently of how `BatchEvaluator` walks them.
 
 use mshc_platform::MachineId;
-use mshc_schedule::Solution;
+use mshc_schedule::{BatchEvaluator, EvalSnapshot, IncrementalEvaluator, Objective, Solution};
 use mshc_taskgraph::TaskId;
 
 /// Lane `m` of `t`'s relocation grid over positions `lo..=hi` on
@@ -28,10 +28,32 @@ pub fn lane_runs(
     runs
 }
 
-/// The cells `best_relocation` replays over `t`'s grid: one per run
-/// that holds a cell other than the base's own when `runs` (the
-/// objective ignores the finish-time sum), every cell but the base's
-/// own otherwise.
+/// The cells `best_relocation` replays over `t`'s grid without a floor,
+/// in grid order (position by position, machines in the given order):
+/// the first cell other than the base's own of every run when `runs`
+/// (the objective ignores the finish-time sum), every cell but the
+/// base's own otherwise.
+pub fn replayed_list(
+    base: &Solution,
+    t: TaskId,
+    range: (usize, usize),
+    machines: &[MachineId],
+    runs: bool,
+) -> Vec<(usize, MachineId)> {
+    let own = (base.position_of(t), base.machine_of(t));
+    let mut cells: Vec<(usize, usize)> = Vec::new();
+    for (i, &m) in machines.iter().enumerate() {
+        for run in lane_runs(base, t, range, m) {
+            let others = run.into_iter().filter(|&pos| (pos, m) != own);
+            let take = if runs { 1 } else { usize::MAX };
+            cells.extend(others.take(take).map(|pos| (pos, i)));
+        }
+    }
+    cells.sort_unstable();
+    cells.into_iter().map(|(pos, i)| (pos, machines[i])).collect()
+}
+
+/// How many cells `best_relocation` replays without a floor.
 pub fn replayed_cells(
     base: &Solution,
     t: TaskId,
@@ -39,19 +61,46 @@ pub fn replayed_cells(
     machines: &[MachineId],
     runs: bool,
 ) -> usize {
-    let own = (base.position_of(t), base.machine_of(t));
-    machines
-        .iter()
-        .map(|&m| {
-            let cells = lane_runs(base, t, range, m).into_iter().map(|run| {
-                let others = run.iter().filter(|&&pos| (pos, m) != own).count();
-                if runs {
-                    others.min(1)
-                } else {
-                    others
-                }
-            });
-            cells.sum::<usize>()
-        })
-        .sum()
+    replayed_list(base, t, range, machines, runs).len()
+}
+
+/// The lanes `best_relocation` replays under `obj`, an objective that
+/// never falls on insertion and ignores the finish-time sum: the
+/// run-start cells in grid order, scored exactly one by one, walked in
+/// groups of 4 cells plus the floor lane, then 8, 16, … cells, each at
+/// most `⌈16,384 / k⌉`, until the first minimum so far equals the floor
+/// bit for bit. The floor is a lone floor lane's score. A walk of at
+/// most 4 cells runs without a floor lane.
+pub fn floor_walk_lanes(
+    snap: &EvalSnapshot,
+    base: &Solution,
+    t: TaskId,
+    range: (usize, usize),
+    machines: &[MachineId],
+    obj: &dyn Objective,
+) -> usize {
+    let cells = replayed_list(base, t, range, machines, true);
+    let k = base.len();
+    let group = 16_384usize.div_ceil(k);
+    let head = group.min(4);
+    if cells.len() <= head {
+        return cells.len();
+    }
+    let moves: Vec<(TaskId, usize, MachineId)> =
+        cells.iter().map(|&(pos, m)| (t, pos, m)).collect();
+    let scores = BatchEvaluator::new(snap).score_task_moves(base, &moves, obj);
+    let mut inc = IncrementalEvaluator::with_snapshot(snap);
+    inc.prime(base);
+    let mut floor = [f64::NAN];
+    inc.score_cells(t, &[k], &[base.machine_of(t)], obj, &mut floor);
+    let first_min = |s: &[f64]| s.iter().copied().min_by(f64::total_cmp).expect("a cell");
+    let mut best = first_min(&scores[..head]);
+    let (mut lo, mut size) = (head, head);
+    while lo < scores.len() && best.to_bits() != floor[0].to_bits() {
+        size = (2 * size).min(group);
+        let hi = (lo + size).min(scores.len());
+        best = [best, first_min(&scores[lo..hi])].into_iter().min_by(f64::total_cmp).unwrap();
+        lo = hi;
+    }
+    lo + 1
 }
