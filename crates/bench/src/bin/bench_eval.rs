@@ -23,12 +23,17 @@
 //! scanned single-threaded through SE's relocation argmin
 //! (`lane_scan_evals_per_sec`) and through the argmin that scores each
 //! cell with one `score_move`; `lane_speedup_vs_exact` is their
-//! same-process ratio, with the winners asserted identical. Under the
-//! probe's makespan objective the relocation argmin replays one cell per
-//! run of identical schedules, every one of them a lane of one lockstep
-//! pass over the string without the relocated task, and stops at the
-//! first group of cells that meets the makespan of that string, while
-//! the other argmin replays every cell with its own `score_move`.
+//! same-process ratio, the median of five timed repeats, with the
+//! winners asserted identical. Under the probe's makespan objective the
+//! relocation argmin replays one cell per run of identical schedules,
+//! every one of them a lane of one lockstep pass over the string without
+//! the relocated task, and stops at the first group of cells that meets
+//! the makespan of that string, while the other argmin replays every
+//! cell with its own `score_move`. The probe scans one incumbent without
+//! committing a winner, so each scan resumes the prime its predecessor
+//! advanced to that winner. `resumed_prime_speedup` times the primes
+//! themselves: scratch primes over resumed primes of the consecutive
+//! strings an SE allocation chain commits.
 //!
 //! An executor-level series rides along since the persistent pool
 //! landed: `thread_scaling_evals_per_sec` (batch throughput at 1/2/4/8
@@ -65,7 +70,11 @@ use std::time::Instant;
 
 /// `BENCH_eval.json` schema version — bumped whenever series are added
 /// or removed, so downstream tooling can gate on it.
-const SCHEMA_VERSION: u32 = 5;
+const SCHEMA_VERSION: u32 = 6;
+
+/// Timed repeats of each same-process ratio probe; each probe reports the
+/// median repeat, which a single slow spell of a shared host cannot move.
+const REPEATS: usize = 5;
 
 /// The JSON payload CI archives.
 #[derive(Debug, Serialize)]
@@ -97,8 +106,14 @@ struct BenchReport {
     /// That scan over the argmin that scores each cell with one
     /// `IncrementalEvaluator::score_move` (`BatchEvaluator::best_task_move`)
     /// on the same grids, one thread — a same-process, hardware-stable
-    /// ratio.
+    /// ratio. Both series are the median of [`REPEATS`] timed repeats.
     lane_speedup_vs_exact: f64,
+    /// Priming a string from scratch over priming it on an evaluator
+    /// last primed on the string before it, over the consecutive
+    /// strings of an SE allocation chain on the paper-scale preset, one
+    /// thread, median of [`REPEATS`]: what resuming at the first changed
+    /// position saves.
+    resumed_prime_speedup: f64,
     batch_1thread_evals_per_sec: f64,
     batch_evals_per_sec: f64,
     /// batch ×N over scalar — the headline number (≥ 2x expected with
@@ -157,6 +172,12 @@ struct BenchReport {
 struct ThreadScalingPoint {
     threads: usize,
     evals_per_sec: f64,
+}
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 fn main() {
@@ -321,17 +342,70 @@ fn main() {
             let timed = |scan: &dyn Fn(&mut BatchEvaluator<'_>) -> Winners,
                          batch: &mut BatchEvaluator<'_>| {
                 let winners = scan(batch); // warm the arena
-                let start = Instant::now();
-                for _ in 0..reps {
-                    black_box(scan(batch));
-                }
-                ((reps * cells) as f64 / start.elapsed().as_secs_f64(), winners)
+                let rates = (0..REPEATS).map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..reps {
+                        black_box(scan(batch));
+                    }
+                    (reps * cells) as f64 / start.elapsed().as_secs_f64()
+                });
+                (median(rates.collect()), winners)
             };
             let (lane, lane_winners) = timed(&lane_scan, &mut batch);
             let (exact, exact_winners) = timed(&exact_scan, &mut batch);
             assert_eq!(lane_winners, exact_winners, "relocation and per-cell scans must agree");
             (lane, lane / exact)
         })
+    };
+
+    // Resumed primes: the strings an SE allocation chain commits, one
+    // relocation apart, primed in order on one evaluator against the
+    // same strings primed from scratch. A scratch prime runs on an
+    // evaluator last primed on the string with its first task on
+    // another machine, so its walk starts at position 0 without the
+    // allocations of a new evaluator.
+    let resumed_prime_speedup = {
+        let mut sol = mshc_core::SeScheduler::with_seed(2001)
+            .run(&inst, &RunBudget::iterations(4), None)
+            .solution;
+        let machines: Vec<MachineId> =
+            (0..inst.machine_count()).map(MachineId::from_usize).collect();
+        let mut chain = vec![sol.clone()];
+        let mut batch = BatchEvaluator::new(&snapshot);
+        for t in g.tasks().chain(g.tasks()) {
+            let (lo, hi) = sol.valid_range(g, t);
+            if let Some(best) = batch.best_relocation(&sol, t, lo..=hi, &machines, &obj) {
+                sol.move_task(g, t, best.pos, best.machine).expect("a grid cell");
+                chain.push(sol.clone());
+            }
+        }
+        let decoys: Vec<Solution> = chain
+            .iter()
+            .map(|s| {
+                let mut decoy = s.clone();
+                let first = s.segment_at(0);
+                let other = MachineId::from_usize((first.machine.index() + 1) % machines.len());
+                decoy.reassign(first.task, other).expect("a machine");
+                decoy
+            })
+            .collect();
+        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
+        let mut timed_prime = |s: &Solution| {
+            let start = Instant::now();
+            inc.prime(black_box(s));
+            start.elapsed().as_secs_f64()
+        };
+        let ratios = (0..REPEATS).map(|_| {
+            let (mut scratch, mut resumed) = (0.0, 0.0);
+            for (i, s) in chain.iter().enumerate().skip(1) {
+                timed_prime(&chain[i - 1]);
+                resumed += timed_prime(s);
+                timed_prime(&decoys[i]);
+                scratch += timed_prime(s);
+            }
+            scratch / resumed
+        });
+        median(ratios.collect())
     };
 
     // The scaling curve at the canonical pool sizes; `batch ×1` and
@@ -514,6 +588,7 @@ fn main() {
         incremental_speedup_vs_full: incremental_eps / scalar_eps,
         lane_scan_evals_per_sec: lane_eps,
         lane_speedup_vs_exact: lane_speedup,
+        resumed_prime_speedup,
         batch_1thread_evals_per_sec: batch1_eps,
         batch_evals_per_sec: batchn_eps,
         speedup_vs_scalar: batchn_eps / scalar_eps,
@@ -546,8 +621,8 @@ fn main() {
     );
     println!(
         "se allocation grids: relocation scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
-         one thread)",
-        lane_eps, lane_speedup
+         one thread) | resumed primes {:.2}x faster than scratch primes",
+        lane_eps, lane_speedup, resumed_prime_speedup
     );
     println!(
         "ga: {:.0} evals/s, {:.1}% of string positions served by clones",

@@ -402,28 +402,18 @@ fn workload_spec(p: &Parsed) -> Result<WorkloadSpec, String> {
         "high" => Heterogeneity::High,
         other => return Err(format!("--heterogeneity: unknown class {other:?}")),
     };
-    // The generator asserts on degenerate parameters; reject them here
-    // with the flag's name instead of panicking.
-    let tasks = p.get_parse("tasks", 50usize)?;
-    if tasks == 0 {
-        return Err("--tasks: must be at least 1".to_string());
-    }
-    let machines = p.get_parse("machines", 8usize)?;
-    if machines == 0 {
-        return Err("--machines: must be at least 1".to_string());
-    }
-    let ccr = p.get_parse("ccr", 0.5f64)?;
-    if !ccr.is_finite() || ccr < 0.0 {
-        return Err(format!("--ccr: must be finite and at least 0, got {ccr}"));
-    }
-    Ok(WorkloadSpec {
-        tasks,
-        machines,
+    let spec = WorkloadSpec {
+        tasks: p.get_parse("tasks", 50usize)?,
+        machines: p.get_parse("machines", 8usize)?,
         connectivity,
         heterogeneity,
-        ccr,
+        ccr: p.get_parse("ccr", 0.5f64)?,
         seed: p.get_parse("seed", 2001u64)?,
-    })
+    };
+    // The generator panics on degenerate parameters; reject them here
+    // with the flag's name instead. Each field is its flag.
+    spec.validate().map_err(|e| format!("--{e}"))?;
+    Ok(spec)
 }
 
 /// Errors when one of `flags` sits next to `source`, which fixes what
@@ -1687,6 +1677,7 @@ mod tests {
                 ("--ccr", "-0.5", "--ccr: must be finite and at least 0"),
                 ("--ccr", "NaN", "--ccr: must be finite and at least 0"),
                 ("--ccr", "inf", "--ccr: must be finite and at least 0"),
+                ("--ccr", "1e308", "--ccr: 1e308 overflows the largest transfer time"),
             ] {
                 let mut args = vec![cmd, flag, value];
                 args.extend(extra);
@@ -1694,6 +1685,37 @@ mod tests {
                 assert!(e.contains(want), "{cmd} {flag} {value}: {e}");
             }
         }
+    }
+
+    #[test]
+    fn degenerate_spec_scenarios_are_errors_not_panics() {
+        // Each scenario would panic in its generator in every cell; the
+        // spec is rejected up front, naming the scenario's field.
+        use mshc_workloads::{Connectivity, DagShape, Heterogeneity, Scenario};
+        let dir = std::env::temp_dir().join("mshc_cli_degenerate_spec");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("spec.json");
+        let lay = Scenario::layered(12, 3, Connectivity::Medium, Heterogeneity::Medium, 0.5);
+        let kernel = |shape, a, b| Scenario::kernel(shape, a, b, 3, Heterogeneity::High, 1.0);
+        for (bad, want) in [
+            (Scenario { shape_a: 0, ..lay }, "scenarios[1].tasks: must be at least 1"),
+            (Scenario { machines: 0, ..lay }, "scenarios[1].machines: must be at least 1"),
+            (Scenario { ccr: -1.0, ..lay }, "scenarios[1].ccr: must be finite and at least 0"),
+            (kernel(DagShape::ForkJoin, 0, 2), "scenarios[1].shape_a: a fork-join needs"),
+            (kernel(DagShape::Gaussian, 1, 0), "scenarios[1].shape_a: Gaussian elimination"),
+            (kernel(DagShape::Fft, 0, 0), "scenarios[1].shape_a: an FFT needs"),
+            (Scenario { ccr: 1e308, ..lay }, "scenarios[1].ccr: 1e308 overflows"),
+        ] {
+            let spec = TournamentSpec {
+                seeds: vec![4],
+                iterations: 3,
+                ..TournamentSpec::new("custom", vec![lay, bad])
+            };
+            std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
+            let e = dispatch(&argv(&["tournament", "--spec", path.to_str().unwrap()])).unwrap_err();
+            assert!(e.contains(want), "{}: {e}", bad.tag());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

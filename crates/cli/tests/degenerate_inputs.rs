@@ -1,0 +1,44 @@
+//! Degenerate workload parameters end `mshc` with exit code 2 and a
+//! message naming the field, never with a panic.
+
+use mshc_portfolio::TournamentSpec;
+use mshc_workloads::{DagShape, Heterogeneity, Scenario};
+use std::process::Command;
+
+/// Runs `mshc` with `args`; returns its exit code and stderr.
+fn mshc(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mshc")).args(args).output().expect("mshc starts");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn an_overflowing_ccr_exits_2_naming_the_flag() {
+    for cmd in [&["generate"][..], &["run", "--algo", "heft", "--iters", "1"]] {
+        let args = [cmd, &["--tasks", "8", "--machines", "2", "--ccr", "1e308"]].concat();
+        let (code, stderr) = mshc(&args);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains("--ccr: 1e308 overflows"), "{stderr}");
+    }
+}
+
+#[test]
+fn a_degenerate_spec_scenario_exits_2_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("mshc_degenerate_spec_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spec.json");
+    let scenario = Scenario::kernel(DagShape::ForkJoin, 0, 2, 3, Heterogeneity::High, 1.0);
+    let spec = TournamentSpec {
+        algorithms: vec!["heft".into()],
+        seeds: vec![1],
+        iterations: 3,
+        ..TournamentSpec::new("bad", vec![scenario])
+    };
+    let spec = serde_json::to_string(&spec).unwrap();
+    std::fs::write(&path, spec).unwrap();
+    let (code, stderr) = mshc(&["tournament", "--spec", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("scenarios[0].shape_a: a fork-join needs"), "{stderr}");
+}

@@ -284,7 +284,10 @@ impl SteppableSearch for SePendingBias {
 /// allowed machine), which stays put.
 ///
 /// The grid is handed to [`BatchEvaluator::best_relocation`], which
-/// primes the base once per worker and never mutates the solution. The
+/// never mutates the solution. Its arena primes the base by resuming
+/// from the string the previous relocation left there, and an inline
+/// walk advances that prime to the winner this function commits, so the
+/// next relocation's prime finds its string unchanged. The
 /// scheduling kernel never inserts a task into an idle gap, so sliding
 /// `t` past a task on another machine changes no machine's task
 /// sequence and no finish time. Under makespan, load balance or a

@@ -146,7 +146,8 @@ const SA_COOLING: f64 = 0.999;
 ///
 /// Proposals are scored through an [`IncrementalEvaluator`] primed on
 /// the current solution: a rejected proposal costs only a suffix replay
-/// (and no mutate/undo), an accepted one re-primes the evaluator. The
+/// (and no mutate/undo), an accepted one re-primes the evaluator, which
+/// walks only from the first position the accepted move changed. The
 /// trajectory is bit-identical to the historic full-evaluation loop for
 /// the makespan objective.
 #[derive(Debug, Clone)]

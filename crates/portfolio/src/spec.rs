@@ -116,7 +116,8 @@ impl TournamentSpec {
     }
 
     /// Checks the spec is runnable: non-empty axes, a bounded budget,
-    /// known algorithm names and parseable objectives.
+    /// known algorithm names, parseable objectives and scenarios their
+    /// generators accept ([`Scenario::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.algorithms.is_empty() {
             return Err("spec has no algorithms".into());
@@ -151,6 +152,11 @@ impl TournamentSpec {
         }
         for o in &self.objectives {
             o.parse::<ObjectiveKind>().map_err(|e| format!("objective {o:?}: {e}"))?;
+        }
+        // A scenario its generator would panic on fails every cell it
+        // holds; name its field instead.
+        for (i, scenario) in self.scenarios.iter().enumerate() {
+            scenario.validate().map_err(|e| format!("scenarios[{i}].{e}"))?;
         }
         // Duplicates would make distinct races collide on one
         // (scenario, seed, objective) leaderboard key — and a duplicated

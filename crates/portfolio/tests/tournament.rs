@@ -130,23 +130,44 @@ fn spec_file_with_retired_cost_knobs_yields_the_same_leaderboard() {
 
 #[test]
 fn panicking_cells_are_reported_not_fatal() {
-    // machines = 0 makes workload generation panic; the race's cells
-    // must all carry the error while the healthy scenario completes.
+    // machines = 0 would make workload generation panic in every cell of
+    // its race; the spec is rejected up front, naming the field.
     let broken = Scenario::layered(10, 0, Connectivity::Medium, Heterogeneity::Medium, 0.5);
-    let healthy = tiny_suite()[0];
-    let spec = TournamentSpec {
-        algorithms: vec!["se".into(), "heft".into(), "sa".into()],
+    let (panicking, healthy) = (tiny_suite()[1], tiny_suite()[0]);
+    let algorithms: Vec<String> = vec!["se".into(), "heft".into(), "sa".into()];
+    let spec = |scenarios| TournamentSpec {
+        algorithms: algorithms.clone(),
         seeds: vec![3],
         iterations: 5,
-        ..TournamentSpec::new("mixed", vec![broken, healthy])
+        cell_retries: 0,
+        ..TournamentSpec::new("mixed", scenarios)
     };
-    let run = run_tournament(&spec).unwrap();
+    let e = run_tournament(&spec(vec![broken, healthy])).unwrap_err();
+    assert!(e.contains("scenarios[0].machines: must be at least 1"), "{e}");
+    // A cell that panics while it runs is reported, not fatal: with no
+    // retries, an injected panic in every cell of one race fails that
+    // race's cells while the healthy race completes.
+    let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = mshc_schedule::FaultPlan {
+        cell_panics: algorithms
+            .iter()
+            .map(|a| mshc_schedule::CellFault {
+                algorithm: a.clone(),
+                scenario: panicking.tag(),
+                seed: 3,
+            })
+            .collect(),
+        ..mshc_schedule::FaultPlan::default()
+    };
+    mshc_schedule::faults::arm(&plan);
+    let run = run_tournament(&spec(vec![panicking, healthy])).unwrap();
+    mshc_schedule::faults::disarm();
     let (board, timing) = aggregate(&run);
     assert_eq!(board.cells, 6);
-    assert_eq!(board.failures, 3, "every cell of the broken race fails");
+    assert_eq!(board.failures, 3, "every cell of the panicking race fails");
     for cell in board.results.iter().filter(|c| !c.ok) {
-        assert_eq!(cell.scenario, broken.tag());
-        assert!(cell.error.contains("machine"), "panic message surfaced: {}", cell.error);
+        assert_eq!(cell.scenario, panicking.tag());
+        assert!(cell.error.contains("fault injection"), "panic message surfaced: {}", cell.error);
         assert_eq!(cell.evaluations, 0);
     }
     for cell in board.results.iter().filter(|c| c.ok) {

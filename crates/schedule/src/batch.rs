@@ -18,10 +18,13 @@
 //! [`best_task_move`], [`best_relocation`]) route through the per-thread
 //! incremental evaluators: workers prime their evaluator on the shared
 //! base and score candidates by exact suffix replay — no per-candidate
-//! `Solution` mutation at all. Because a worker's slot survives across
-//! chunks, the prime is stamped with a per-scan epoch and **reused** by
-//! every later chunk the same worker claims within the scan (the base
-//! is scan-constant).
+//! `Solution` mutation at all. A worker's arena survives across chunks
+//! and scans with its prime, and [`IncrementalEvaluator::prime`] walks
+//! only from the first position where the base differs from the string
+//! primed last: every later chunk of a scan pays a compare, and a scan
+//! of the string a search just moved walks only from the move on. An
+//! inline relocation walk goes further and advances its arena's prime
+//! to its winner (see [`best_relocation`]).
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -198,6 +201,25 @@ pub struct Relocation {
     pub score: f64,
 }
 
+/// The cells a relocation scan replays, in grid order: their positions
+/// and machines, as [`IncrementalEvaluator::score_cells`] takes them.
+#[derive(Debug, Default)]
+struct CellList {
+    pos: Vec<usize>,
+    machines: Vec<MachineId>,
+}
+
+impl CellList {
+    /// Lists up to `n` more cells of `cells`; returns the list's length.
+    fn extend(&mut self, cells: impl Iterator<Item = (usize, MachineId)>, n: usize) -> usize {
+        for (pos, m) in cells.take(n) {
+            self.pos.push(pos);
+            self.machines.push(m);
+        }
+        self.pos.len()
+    }
+}
+
 /// How a population candidate descends from the parent pool — the
 /// routing metadata [`BatchEvaluator::score_population`] consumes. Every
 /// variant scores bit-identically to a full evaluation of the child, so
@@ -233,10 +255,6 @@ struct Arena<'a> {
     inc: IncrementalEvaluator<'a>,
     /// One score slot per cell lane of a relocation scan.
     lane_scores: Vec<f64>,
-    /// Scan epoch `inc` was last primed for (0 = never). Within one scan
-    /// the prime inputs are constant, so a matching stamp lets a worker
-    /// reuse its prime across every chunk it claims in that scan.
-    primed_epoch: u64,
 }
 
 impl<'a> Arena<'a> {
@@ -245,7 +263,6 @@ impl<'a> Arena<'a> {
             eval: Evaluator::with_snapshot(snap),
             inc: IncrementalEvaluator::with_snapshot(snap),
             lane_scores: Vec::new(),
-            primed_epoch: 0,
         }
     }
 }
@@ -301,22 +318,19 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
     }
 
     /// Checks out an arena with its incremental evaluator primed on
-    /// `base`, for move scoring. The prime is stamped with the scan
-    /// `epoch`: the first chunk a thread claims pays the O(k + p) prime,
-    /// every later chunk of the same scan finds the stamp current and
-    /// reuses it as-is (the base is scan-constant).
+    /// `base`, for move scoring. The arena keeps its prime between
+    /// checkouts, and [`IncrementalEvaluator::prime`] walks only from the
+    /// first position where `base` differs from it: every later chunk a
+    /// thread claims in one scan finds the same string and pays a
+    /// compare, and a scan over the string the last one committed walks
+    /// only from the move's first position on.
     fn checkout_primed(
         pool: &'p ArenaPool<'a>,
         snap: &'a EvalSnapshot,
         base: &Solution,
-        epoch: u64,
     ) -> ArenaGuard<'p, 'a> {
         let mut guard = ArenaGuard::checkout(pool, snap);
-        let arena = guard.arena.as_mut().expect("arena present until drop");
-        if arena.primed_epoch != epoch {
-            arena.inc.prime(base);
-            arena.primed_epoch = epoch;
-        }
+        guard.inc().prime(base);
         guard
     }
 
@@ -451,17 +465,11 @@ impl Drop for CloseOnDrop<'_> {
 pub struct BatchEvaluator<'a> {
     snap: &'a EvalSnapshot,
     arenas: ArenaPool<'a>,
-    /// Monotone per-scan counter stamping arena primes (see
-    /// [`ArenaGuard::checkout_primed`]); bumped by every scoring entry
-    /// point so a stale prime can never leak across scans.
-    scan_epoch: u64,
     evaluations: u64,
     /// Aggregated scoring and population counters across all calls.
     scan: ScanStats,
-    /// Positions and machines of the cells a relocation scan replays,
-    /// reused across scans.
-    cell_pos: Vec<usize>,
-    cell_machines: Vec<MachineId>,
+    /// The cells a relocation scan replays, reused across scans.
+    cells: CellList,
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -470,11 +478,9 @@ impl<'a> BatchEvaluator<'a> {
         BatchEvaluator {
             snap,
             arenas: ArenaPool::new(),
-            scan_epoch: 0,
             evaluations: 0,
             scan: ScanStats::default(),
-            cell_pos: Vec::new(),
-            cell_machines: Vec::new(),
+            cells: CellList::default(),
         }
     }
 
@@ -693,8 +699,9 @@ impl<'a> BatchEvaluator<'a> {
     /// Scores the candidate set "`base` with one task moved" where each
     /// entry `(t, position, machine)` may move a *different* task — the
     /// sampled-neighborhood shape (tabu search): `out[i]` is the exact
-    /// score of `moves[i]`, by suffix replay against the base primed once
-    /// per worker, never touching a `Solution`.
+    /// score of `moves[i]`, by suffix replay against the base each
+    /// worker's arena primes (resuming from the string it primed last),
+    /// never touching a `Solution`.
     ///
     /// The candidates split into chunks of about `SCAN_CHUNK_REPLAYS`
     /// task-replays; a set below one chunk is scored inline on the
@@ -706,8 +713,6 @@ impl<'a> BatchEvaluator<'a> {
         obj: &dyn Objective,
     ) -> Vec<f64> {
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        self.scan_epoch += 1;
-        let epoch = self.scan_epoch;
         let chunks = self.scan_chunks(moves.len());
         let snap = self.snap;
         let pool = &self.arenas;
@@ -715,7 +720,7 @@ impl<'a> BatchEvaluator<'a> {
         let per_chunk: Vec<Vec<f64>> = chunks
             .par_iter()
             .map_init(
-                || ArenaGuard::checkout_primed(pool, snap, base, epoch),
+                || ArenaGuard::checkout_primed(pool, snap, base),
                 |guard, range| {
                     let inc = guard.inc();
                     moves[range.clone()]
@@ -764,8 +769,9 @@ impl<'a> BatchEvaluator<'a> {
     /// The replayed cells, in grid order, are lanes of
     /// [`IncrementalEvaluator::score_cells`], one lockstep pass per
     /// contiguous group of lanes. The cells are read from the base string
-    /// before anything is replayed, so the groups are fixed before the
-    /// walk starts.
+    /// alone, never from a score, so the groups are fixed before the walk
+    /// starts; the floor walk below lists them one group at a time, as it
+    /// reaches them.
     ///
     /// When `obj` [never falls on insertion](Objective::never_falls_on_insertion)
     /// (makespan, or a blend of makespan alone), the walk stops early. The
@@ -790,6 +796,22 @@ impl<'a> BatchEvaluator<'a> {
     /// k⌉` lanes each. A walk of one group runs inline on the calling
     /// thread, with no pool operation; a longer walk fans its groups out
     /// over the pool. Neither choice can move the winner or a counter.
+    ///
+    /// A walk that runs inline ends by advancing its arena's prime to the
+    /// winning cell, when the last pass of the walk replayed it and that
+    /// pass's first cell lies at or before `t`'s own position. SE commits
+    /// the winner next, so its next relocation primes on the very string
+    /// the arena holds, and that prime is a compare. The advance replays
+    /// nothing: the moved string agrees with `base` up to the first
+    /// position the move disturbs, and the winner's lane holds the finish
+    /// time of every task from there on, each computed by exactly the
+    /// operations a walk of the moved string performs. So folding those
+    /// finish times in the moved string's order rebuilds its checkpoints
+    /// and end state, and re-pricing `t`'s edges, the only ones whose
+    /// machine pair changes, rebuilds its edge costs: the state equals a
+    /// prime of the moved string bit for bit. Any other walk leaves the
+    /// prime on `base`, and the next prime resumes from the first
+    /// difference. Primes are uncounted either way.
     pub fn best_relocation(
         &mut self,
         base: &Solution,
@@ -825,83 +847,104 @@ impl<'a> BatchEvaluator<'a> {
             !own(pos, m)
                 && (!runs || run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
         };
-        self.cell_pos.clear();
-        self.cell_machines.clear();
-        for pos in positions {
-            for &m in machines.iter().filter(|&&m| replayed(pos, m)) {
-                self.cell_pos.push(pos);
-                self.cell_machines.push(m);
-            }
-        }
+        // The replayed cells in grid order, listed as the walk reaches
+        // them.
+        let mut cells = positions
+            .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
+            .filter(move |&(pos, m)| replayed(pos, m));
         let k = self.snap.task_count();
         let group = LANE_FANOUT_REPLAYS.div_ceil(k.max(1));
         // The floor walk's first group: its first cells, then the floor
         // lane (`S'` alone, at position `k`). A walk that fits in those
         // cells has nothing to skip and runs without it.
         let head = FLOOR_HEAD.min(group);
-        let floor_walk = obj.never_falls_on_insertion() && self.cell_pos.len() > head;
+        let list = &mut self.cells;
+        list.pos.clear();
+        list.machines.clear();
+        let listed = list.extend(&mut cells, head + 1);
+        let floor_walk = obj.never_falls_on_insertion() && listed > head;
         if floor_walk {
-            self.cell_pos.insert(head, k);
-            self.cell_machines.insert(head, old_m);
+            list.pos.insert(head, k);
+            list.machines.insert(head, old_m);
+        } else {
+            list.extend(&mut cells, usize::MAX);
         }
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        self.scan_epoch += 1;
-        let epoch = self.scan_epoch;
-        let snap = self.snap;
-        let pool = &self.arenas;
-        let (cell_pos, cell_machines) = (&self.cell_pos[..], &self.cell_machines[..]);
         let before = self.arena_scorings();
-        let checkout = || ArenaGuard::checkout_primed(pool, snap, base, epoch);
+        let (snap, pool, list) = (self.snap, &self.arenas, &mut self.cells);
+        let checkout = || ArenaGuard::checkout_primed(pool, snap, base);
         // Strict improvement under total_cmp keeps the earliest cell on
-        // ties, within a group and across groups alike.
-        let first_min = |best: Option<Relocation>, cell: Relocation| match best {
-            Some(b) if b.score.total_cmp(&cell.score).is_le() => Some(b),
+        // ties, within a group and across groups alike. A winner carries
+        // its index in the list.
+        let first_min = |best: Option<(usize, Relocation)>, cell: (usize, Relocation)| match best {
+            Some(b) if b.1.score.total_cmp(&cell.1.score).is_le() => Some(b),
             _ => Some(cell),
         };
-        // Replays `lanes` of the lists in one lockstep pass and folds the
+        // Replays `lanes` of the list in one lockstep pass and folds the
         // first minimum of its cells into `best`; returns that and the
         // last lane's score.
-        let score_lanes =
-            |guard: &mut ArenaGuard<'_, 'a>, lanes: Range<usize>, best: Option<Relocation>| {
-                let (pos, machine) = (&cell_pos[lanes.clone()], &cell_machines[lanes]);
-                let (inc, scores) = guard.lanes(pos.len());
-                inc.score_cells(t, pos, machine, obj, scores);
-                let best = pos
-                    .iter()
-                    .zip(machine)
-                    .zip(scores.iter())
-                    .filter(|((&pos, _), _)| pos < k)
-                    .map(|((&pos, &machine), &score)| Relocation { pos, machine, score })
-                    .fold(best, first_min);
-                (best, scores[scores.len() - 1])
-            };
-        let best = if floor_walk {
-            let mut guard = checkout();
-            let (mut best, floor) = score_lanes(&mut guard, 0..head + 1, None);
-            let (mut from, mut size) = (head + 1, head);
-            while from < cell_pos.len() && best.is_none_or(|b| b.score.to_bits() != floor.to_bits())
-            {
-                size = (2 * size).min(group);
-                let to = (from + size).min(cell_pos.len());
-                best = score_lanes(&mut guard, from..to, best).0;
-                from = to;
+        let score_lanes = |guard: &mut ArenaGuard<'_, 'a>,
+                           list: &CellList,
+                           lanes: Range<usize>,
+                           best: Option<(usize, Relocation)>| {
+            let (pos, machine) = (&list.pos[lanes.clone()], &list.machines[lanes.clone()]);
+            let (inc, scores) = guard.lanes(pos.len());
+            inc.score_cells(t, pos, machine, obj, scores);
+            let best = lanes
+                .zip(pos.iter().zip(machine))
+                .zip(scores.iter())
+                .filter(|((_, (&pos, _)), _)| pos < k)
+                .map(|((i, (&pos, &machine)), &score)| (i, Relocation { pos, machine, score }))
+                .fold(best, first_min);
+            (best, scores[scores.len() - 1])
+        };
+        // An inline walk ends by advancing the arena's prime to the
+        // winner when the last pass replayed it: the caller commits that
+        // move, and its next scan primes on the string it leaves.
+        let advance = |guard: &mut ArenaGuard<'_, 'a>,
+                       best: Option<(usize, Relocation)>,
+                       pass: Range<usize>| {
+            if let Some((i, _)) = best.filter(|&(i, _)| pass.contains(&i)) {
+                guard.inc().advance(i - pass.start);
             }
             best
-        } else if cell_pos.len() > group {
-            let groups = cell_pos.len().div_ceil(group);
-            let per_group: Vec<Option<Relocation>> = (0..groups)
+        };
+        let best = if floor_walk {
+            let mut guard = checkout();
+            let mut pass = 0..head + 1;
+            let (mut best, floor) = score_lanes(&mut guard, list, pass.clone(), None);
+            let mut size = head;
+            while best.is_none_or(|(_, b)| b.score.to_bits() != floor.to_bits()) {
+                size = (2 * size).min(group);
+                let to = pass.end + size;
+                let to = list.extend(&mut cells, to.saturating_sub(list.pos.len())).min(to);
+                if to == pass.end {
+                    break;
+                }
+                pass = pass.end..to;
+                best = score_lanes(&mut guard, list, pass.clone(), best).0;
+            }
+            advance(&mut guard, best, pass)
+        } else if list.pos.len() > group {
+            let list = &*list;
+            let groups = list.pos.len().div_ceil(group);
+            let per_group: Vec<Option<(usize, Relocation)>> = (0..groups)
                 .into_par_iter()
                 .map_init(checkout, |guard, g| {
-                    score_lanes(guard, g * group..((g + 1) * group).min(cell_pos.len()), None).0
+                    let lanes = g * group..((g + 1) * group).min(list.pos.len());
+                    score_lanes(guard, list, lanes, None).0
                 })
                 .collect();
             per_group.into_iter().flatten().fold(None, first_min)
         } else {
-            score_lanes(&mut checkout(), 0..cell_pos.len(), None).0
+            let pass = 0..list.pos.len();
+            let mut guard = checkout();
+            let best = score_lanes(&mut guard, list, pass.clone(), None).0;
+            advance(&mut guard, best, pass)
         };
         self.evaluations += len as u64;
         self.absorb_arena_scorings(before);
-        best
+        best.map(|(_, cell)| cell)
     }
 
     /// Argmin over a mixed-task move sample (tabu's shape).

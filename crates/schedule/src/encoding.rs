@@ -254,6 +254,14 @@ impl Solution {
         if new_pos < range.0 || new_pos > range.1 {
             return Err(ScheduleError::OutOfValidRange { task: t, position: new_pos, range });
         }
+        self.relocate(t, new_pos, new_machine);
+        Ok(())
+    }
+
+    /// [`move_task`](Self::move_task) without its checks: the caller
+    /// guarantees that `new_pos` lies in `t`'s valid range and
+    /// `new_machine` in the machine range.
+    pub(crate) fn relocate(&mut self, t: TaskId, new_pos: usize, new_machine: MachineId) {
         let old_pos = self.position_of(t);
         let seg = Segment { task: t, machine: new_machine };
         self.segments.remove(old_pos);
@@ -263,7 +271,6 @@ impl Solution {
         for i in lo..=hi {
             self.position[self.segments[i].task.index()] = i as u32;
         }
-        Ok(())
     }
 
     /// Changes only the machine of `t`, keeping the order.

@@ -28,6 +28,22 @@
 //! base, so scoring performs no `Solution` clones or `move_task` calls
 //! at all.
 //!
+//! **Primes carry forward.** A search primes strings that differ from
+//! the one it primed last by a move or two: SE's allocation relocates
+//! its selected tasks one after another, SA re-primes after each
+//! accepted move, tabu after each applied one. So [`prime`] compares
+//! the new string with the stored one and resumes like a scoring does:
+//! it keeps the checkpoints at or before the first difference,
+//! fast-forwards to it from the stored finish times and walks only the
+//! rest. An identical string is a compare. The crate-internal `advance`
+//! goes one step further for SE: after a [`score_cells`] pass, the lane
+//! of the cell SE is about to commit already holds the finish time of
+//! every task the move disturbs, so the prime advances to that cell by
+//! folding them, with no replay, and the next scan's prime finds its
+//! string unchanged. Either way the stored state equals a walk of the
+//! whole string bit for bit, so no score depends on what was primed
+//! before.
+//!
 //! The priming walk caches every edge's **resolved transfer cost** under
 //! the base assignment, in predecessor-CSR order, as it reads it. A
 //! single-task move changes the machine pair of only the moved task's
@@ -168,8 +184,6 @@ pub struct IncrementalEvaluator<'a> {
     /// Owned when built straight from an instance; borrowed when many
     /// evaluators share one snapshot (the batch path).
     snap: Cow<'a, EvalSnapshot>,
-    /// Checkpoint stride, [`auto_stride`] of the task count.
-    stride: usize,
     /// Owned copy of the primed base (`clone_from`-reused across primes).
     base: Option<Solution>,
     /// Pristine per-task finish times of the base walk.
@@ -182,12 +196,8 @@ pub struct IncrementalEvaluator<'a> {
     /// the base values back before returning, so between calls this
     /// always holds the base's costs.
     edge_cost: Vec<f64>,
-    // Checkpoints: entry `j` captures the frontier state *before*
-    // processing string position `j * stride`.
-    ckpt_avail: Vec<f64>,
-    ckpt_busy: Vec<f64>,
-    ckpt_max: Vec<f64>,
-    ckpt_sum: Vec<f64>,
+    /// The base walk's checkpoints.
+    ckpts: Checkpoints,
     /// Accumulators after the full base walk (serves [`Self::base_score`]).
     end_state: ObjectiveState,
     // Replay scratch.
@@ -202,6 +212,89 @@ pub struct IncrementalEvaluator<'a> {
     evaluations: u64,
     /// Scratch of [`Self::score_cells`]'s cell lanes.
     lanes: LaneScratch,
+}
+
+/// The checkpoints of a base walk: entry `j` captures the frontier state
+/// (machine-ready vector plus objective accumulators) *before* string
+/// position `j * stride`. Entry 0, the empty fold, exists from
+/// construction on.
+#[derive(Debug)]
+struct Checkpoints {
+    /// [`auto_stride`] of the task count.
+    stride: usize,
+    /// `[entry][machine]`: machine frontiers.
+    avail: Vec<f64>,
+    /// `[entry][machine]`: busy times.
+    busy: Vec<f64>,
+    /// `[entry]`: latest finish.
+    max: Vec<f64>,
+    /// `[entry]`: finish-time sum.
+    sum: Vec<f64>,
+}
+
+impl Checkpoints {
+    fn new(tasks: usize, machines: usize) -> Checkpoints {
+        Checkpoints {
+            stride: auto_stride(tasks),
+            avail: vec![0.0; machines],
+            busy: vec![0.0; machines],
+            max: vec![0.0],
+            sum: vec![0.0],
+        }
+    }
+
+    /// Drops every entry after string position `from`.
+    fn truncate(&mut self, from: usize, machines: usize) {
+        let entries = from / self.stride + 1;
+        self.avail.truncate(entries * machines);
+        self.busy.truncate(entries * machines);
+        self.max.truncate(entries);
+        self.sum.truncate(entries);
+    }
+
+    /// Stores the state before position `i` of a walk that visits every
+    /// position from the last stored entry on, if `i` is the position of
+    /// the next entry.
+    #[inline]
+    fn record(&mut self, i: usize, avail: &[f64], state: &ObjectiveState) {
+        if i == self.max.len() * self.stride {
+            self.avail.extend_from_slice(avail);
+            self.busy.extend_from_slice(state.machine_busy());
+            self.max.push(state.max_finish());
+            self.sum.push(state.finish_sum());
+        }
+    }
+
+    /// Loads the entry at or before string position `from` of `base`'s
+    /// walk into `avail` and `state` (the components `SUM` and `BUSY`
+    /// select), then fast-forwards both to `from`: the positions between
+    /// keep the base's timing, so they fold from the stored finish times
+    /// without touching predecessor lists.
+    fn resume<const SUM: bool, const BUSY: bool>(
+        &self,
+        snap: &EvalSnapshot,
+        base: &Solution,
+        base_finish: &[f64],
+        from: usize,
+        avail: &mut [f64],
+        state: &mut ObjectiveState,
+    ) {
+        let l = avail.len();
+        let ci = from / self.stride;
+        avail.copy_from_slice(&self.avail[ci * l..(ci + 1) * l]);
+        state.load_reads::<SUM, BUSY>(
+            self.max[ci],
+            self.sum[ci],
+            ci * self.stride,
+            &self.busy[ci * l..(ci + 1) * l],
+        );
+        for seg in &base.segments()[ci * self.stride..from] {
+            let (u, mu) = (seg.task, seg.machine);
+            let f = base_finish[u.index()];
+            avail[mu.index()] = f;
+            state.fold_reads::<SUM, BUSY>(mu, f, snap.exec_time(mu, u));
+        }
+    }
 }
 
 /// Per-lane replay state of [`IncrementalEvaluator::score_cells`],
@@ -226,6 +319,16 @@ struct LaneScratch {
     step: Vec<f64>,
     /// `[machine]`: one lane's busy vector, gathered for finalize.
     column: Vec<f64>,
+    /// The relocated task of the last pass, while that pass's lanes
+    /// still hold the primed base with the task moved to each cell:
+    /// `None` once the base changes, and after a pass that replayed
+    /// left-shifted tasks scalar, whose finish times no lane holds.
+    moved: Option<TaskId>,
+    /// Lane count of that pass, the row width of `finish`.
+    width: usize,
+    /// `(position, machine)` of each cell lane of that pass, floor lanes
+    /// excluded.
+    cells: Vec<(usize, MachineId)>,
 }
 
 impl LaneScratch {
@@ -267,16 +370,12 @@ impl<'a> IncrementalEvaluator<'a> {
         let l = snap.machine_count();
         let edges = snap.edge_count();
         IncrementalEvaluator {
-            stride: auto_stride(k),
             snap,
             base: None,
             base_finish: vec![0.0; k],
             base_machine: vec![0; k],
             edge_cost: vec![0.0; edges],
-            ckpt_avail: Vec::new(),
-            ckpt_busy: Vec::new(),
-            ckpt_max: Vec::new(),
-            ckpt_sum: Vec::new(),
+            ckpts: Checkpoints::new(k, l),
             end_state: ObjectiveState::new(l),
             machine_avail: vec![0.0; l],
             state: ObjectiveState::new(l),
@@ -318,24 +417,51 @@ impl<'a> IncrementalEvaluator<'a> {
         let _ = floor;
     }
 
-    /// Walks `base` once, storing its finish times and machines, every
-    /// edge's resolved transfer cost, and a checkpoint of the frontier
+    /// Primes the evaluator on `base`: its finish times and machines,
+    /// every edge's resolved transfer cost, a checkpoint of the frontier
     /// state (machine-ready vector + objective accumulators) every
-    /// `⌈√k⌉` positions. O(k + p) plus O(√k × l) checkpoint writes.
+    /// `⌈√k⌉` positions, and the fold of the whole string.
+    ///
+    /// The walk starts at the first position where `base` differs from
+    /// the string primed last. Everything before it depends on that
+    /// prefix alone: its finish times, machines and checkpoints, and
+    /// the cost of every edge into one of its tasks. So the walk keeps
+    /// every checkpoint at or before that position, loads the last of
+    /// them, fast-forwards to the difference by folding the stored
+    /// finish times, and replays only the rest, re-pricing each edge as
+    /// its consumer steps. The result equals a walk of the whole string
+    /// bit for bit. An identical string costs one compare, a first prime
+    /// or an unrelated string one O(k + p) walk. Primes are uncounted.
     /// Like the full pass, the walk binds its finish, machine, frontier
     /// and edge-cost buffers as slices once, before the loop.
     pub fn prime(&mut self, base: &Solution) {
+        debug_assert_eq!(base.len(), self.snap.task_count(), "solution/instance mismatch");
+        debug_assert_eq!(
+            base.machine_count(),
+            self.snap.machine_count(),
+            "solution/instance machine mismatch"
+        );
+        let from = match &mut self.base {
+            Some(primed) => {
+                let diff = primed.segments().iter().zip(base.segments()).position(|(a, b)| a != b);
+                let Some(from) = diff else { return };
+                primed.clone_from(base);
+                from
+            }
+            none => {
+                *none = Some(base.clone());
+                0
+            }
+        };
+        self.lanes.moved = None;
+        self.resume(from);
         let IncrementalEvaluator {
             snap,
-            stride,
-            base: primed,
+            base,
             base_finish,
             base_machine,
             edge_cost,
-            ckpt_avail,
-            ckpt_busy,
-            ckpt_max,
-            ckpt_sum,
+            ckpts,
             end_state,
             machine_avail,
             state,
@@ -343,30 +469,12 @@ impl<'a> IncrementalEvaluator<'a> {
             ..
         } = self;
         let snap = snap.as_ref();
-        let k = snap.task_count();
-        let l = snap.machine_count();
-        debug_assert_eq!(base.len(), k, "solution/instance mismatch");
-        debug_assert_eq!(base.machine_count(), l, "solution/instance machine mismatch");
-        match primed {
-            Some(b) => b.clone_from(base),
-            none => *none = Some(base.clone()),
-        }
-        ckpt_avail.clear();
-        ckpt_busy.clear();
-        ckpt_max.clear();
-        ckpt_sum.clear();
+        let base = base.as_ref().expect("stored above");
         let (finish, machine) = (&mut finish[..], &mut base_machine[..]);
         let (avail, edge_cost) = (&mut machine_avail[..], &mut edge_cost[..]);
         let transfer = snap.transfer_slab();
-        avail.fill(0.0);
-        state.reset(l);
-        for (i, seg) in base.segments().iter().enumerate() {
-            if i % *stride == 0 {
-                ckpt_avail.extend_from_slice(avail);
-                ckpt_busy.extend_from_slice(state.machine_busy());
-                ckpt_max.push(state.max_finish());
-                ckpt_sum.push(state.finish_sum());
-            }
+        for (i, seg) in base.segments().iter().enumerate().skip(from) {
+            ckpts.record(i, avail, state);
             let (t, m) = (seg.task, seg.machine);
             let exec = snap.exec_time(m, t);
             let rows = snap.pair_rows(m);
@@ -383,12 +491,82 @@ impl<'a> IncrementalEvaluator<'a> {
                 avail,
             );
             finish[t.index()] = f;
+            base_finish[t.index()] = f;
             machine[t.index()] = m.raw();
             avail[m.index()] = f;
             state.fold(m, f, exec);
         }
-        base_finish.copy_from_slice(finish);
         end_state.clone_from(state);
+    }
+
+    /// Drops the checkpoints after string position `from` and resumes
+    /// the scratch frontier and fold there, every component folded. The
+    /// stored base must agree with the string primed before on every
+    /// position below `from`.
+    fn resume(&mut self, from: usize) {
+        let IncrementalEvaluator { snap, base, base_finish, ckpts, machine_avail, state, .. } =
+            self;
+        let base = base.as_ref().expect("prime() the evaluator first");
+        ckpts.truncate(from, snap.machine_count());
+        ckpts.resume::<true, true>(snap, base, base_finish, from, machine_avail, state);
+    }
+
+    /// Advances the prime to cell lane `lane` of the last
+    /// [`score_cells`](Self::score_cells) pass: afterwards the evaluator
+    /// is primed on the base with that pass's task moved to the lane's
+    /// cell, bit for bit as [`prime`](Self::prime) of that string would
+    /// leave it. Returns `false`, and changes nothing, when there is no
+    /// such lane: the base changed since the pass, the pass replayed
+    /// left-shifted tasks scalar (its first cell lies right of the
+    /// task's own position), or `lane` is not a cell lane of it.
+    ///
+    /// No task is replayed. The moved string agrees with the base before
+    /// the first position the move disturbs, which no cell of the pass
+    /// precedes, and the lane holds the finish time of every task from
+    /// there on, each exactly as a replay of its candidate computes it.
+    /// So the advance resumes like a prime, folds the lane's finish
+    /// times in the moved string's order, and re-prices the moved task's
+    /// edges, the only ones whose machine pair changes.
+    pub(crate) fn advance(&mut self, lane: usize) -> bool {
+        let LaneScratch { moved, cells, .. } = &mut self.lanes;
+        let (Some(t), Some(&(pos, m))) = (*moved, cells.get(lane)) else { return false };
+        *moved = None;
+        let primed = self.base.as_mut().expect("a pass ran on a primed base");
+        let (old_pos, old_m) = (primed.position_of(t), primed.machine_of(t));
+        primed.relocate(t, pos, m);
+        let from = old_pos.min(pos);
+        self.resume(from);
+        let IncrementalEvaluator {
+            snap,
+            base,
+            base_finish,
+            base_machine,
+            edge_cost,
+            ckpts,
+            end_state,
+            machine_avail,
+            state,
+            finish,
+            lanes,
+            ..
+        } = self;
+        let base = base.as_ref().expect("primed");
+        let n = lanes.width;
+        for (i, seg) in base.segments().iter().enumerate().skip(from) {
+            ckpts.record(i, machine_avail, state);
+            let (u, mu) = (seg.task, seg.machine);
+            let f = lanes.finish[u.index() * n + lane];
+            finish[u.index()] = f;
+            base_finish[u.index()] = f;
+            machine_avail[mu.index()] = f;
+            state.fold(mu, f, snap.exec_time(mu, u));
+        }
+        if m != old_m {
+            base_machine[t.index()] = m.raw();
+            snap.resolve_task_edges(t, m, base_machine, edge_cost);
+        }
+        end_state.clone_from(state);
+        true
     }
 
     /// The primed base's own score under `obj` — a free accumulator read,
@@ -438,15 +616,11 @@ impl<'a> IncrementalEvaluator<'a> {
     ) -> f64 {
         let IncrementalEvaluator {
             snap,
-            stride,
             base,
             base_finish,
             base_machine,
             edge_cost,
-            ckpt_avail,
-            ckpt_busy,
-            ckpt_max,
-            ckpt_sum,
+            ckpts,
             machine_avail,
             state,
             finish,
@@ -457,9 +631,8 @@ impl<'a> IncrementalEvaluator<'a> {
         let snap = snap.as_ref();
         let base = base.as_ref().expect("prime() the evaluator first");
         let k = base.len();
-        let l = snap.machine_count();
         assert!(new_pos < k, "move position out of range");
-        debug_assert!(new_m.index() < l, "machine out of range");
+        debug_assert!(new_m.index() < snap.machine_count(), "machine out of range");
 
         let old_pos = base.position_of(t);
         let old_m = base.machine_of(t);
@@ -468,23 +641,8 @@ impl<'a> IncrementalEvaluator<'a> {
         crate::faults::eval_tick();
 
         // Resume from the nearest checkpoint at or before `first` and
-        // fast-forward the unchanged positions [ci·stride, first): their
-        // timing is the base's, so the frontier folds from stored finish
-        // times without touching predecessor lists.
-        let ci = first / *stride;
-        machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
-        state.load_reads::<SUM, BUSY>(
-            ckpt_max[ci],
-            ckpt_sum[ci],
-            ci * *stride,
-            &ckpt_busy[ci * l..(ci + 1) * l],
-        );
-        for seg in &base.segments()[ci * *stride..first] {
-            let (u, mu) = (seg.task, seg.machine);
-            let f = base_finish[u.index()];
-            machine_avail[mu.index()] = f;
-            state.fold_reads::<SUM, BUSY>(mu, f, snap.exec_time(mu, u));
-        }
+        // fast-forward the unchanged prefix.
+        ckpts.resume::<SUM, BUSY>(snap, base, base_finish, first, machine_avail, state);
 
         // A machine change re-prices exactly `t`'s incoming and outgoing
         // edges; every other edge keeps both endpoints' base machines,
@@ -630,15 +788,11 @@ impl<'a> IncrementalEvaluator<'a> {
     ) {
         let IncrementalEvaluator {
             snap,
-            stride,
             base,
             base_finish,
             base_machine,
             edge_cost,
-            ckpt_avail,
-            ckpt_busy,
-            ckpt_max,
-            ckpt_sum,
+            ckpts,
             machine_avail,
             state,
             finish,
@@ -654,6 +808,7 @@ impl<'a> IncrementalEvaluator<'a> {
         let n = positions.len();
         assert_eq!(machines.len(), n, "one machine per cell");
         assert_eq!(out.len(), n, "one score slot per cell");
+        lanes.moved = None;
         let (Some(&p0), Some(&last)) = (positions.first(), positions.last()) else { return };
         assert!(last <= k, "move position out of range");
         debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "positions nondecreasing");
@@ -673,20 +828,7 @@ impl<'a> IncrementalEvaluator<'a> {
         // Resume from the nearest checkpoint at or before the first
         // disturbed position and fast-forward the unchanged prefix.
         let first = old_pos.min(p0);
-        let ci = first / *stride;
-        machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
-        state.load_reads::<SUM, BUSY>(
-            ckpt_max[ci],
-            ckpt_sum[ci],
-            ci * *stride,
-            &ckpt_busy[ci * l..(ci + 1) * l],
-        );
-        for seg in &base.segments()[ci * *stride..first] {
-            let (u, mu) = (seg.task, seg.machine);
-            let f = base_finish[u.index()];
-            machine_avail[mu.index()] = f;
-            state.fold_reads::<SUM, BUSY>(mu, f, snap.exec_time(mu, u));
-        }
+        ckpts.resume::<SUM, BUSY>(snap, base, base_finish, first, machine_avail, state);
 
         // A first cell right of `t` shifts base positions (old_pos, p0]
         // one to the left. None of them consumes `t` (every cell lands
@@ -707,7 +849,18 @@ impl<'a> IncrementalEvaluator<'a> {
 
         // Every lane starts from the shared frontier and fold.
         lanes.reserve(k, l, n);
-        let LaneScratch { finish: lane_finish, avail, busy, max, sum, step, column } = lanes;
+        let LaneScratch {
+            finish: lane_finish,
+            avail,
+            busy,
+            max,
+            sum,
+            step,
+            column,
+            moved,
+            width,
+            cells: cell_list,
+        } = lanes;
         for x in 0..l {
             avail[x * n..(x + 1) * n].fill(machine_avail[x]);
             if BUSY {
@@ -815,6 +968,13 @@ impl<'a> IncrementalEvaluator<'a> {
             finish[u as usize] = base_finish[u as usize];
         }
         dirty.clear();
+
+        // The cell lanes stay behind for `advance`, unless left-shifted
+        // tasks replayed scalar, outside every lane.
+        *moved = (p0 <= old_pos).then_some(t);
+        *width = n;
+        cell_list.clear();
+        cell_list.extend(positions[..cells].iter().copied().zip(machines[..cells].iter().copied()));
     }
 }
 
@@ -1103,5 +1263,167 @@ mod tests {
             inc.score_move(TaskId::new(0), 0, MachineId::new(1), &ObjectiveKind::Makespan),
             3.0
         );
+    }
+
+    /// The bits of a float buffer, so that comparisons tell `-0.0` from
+    /// `0.0` and NaN from NaN.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that `inc` holds exactly the prime `fresh` holds: base,
+    /// finish times (stored and working), machines, edge costs,
+    /// checkpoints and end state, bit for bit.
+    fn assert_primed_alike(inc: &IncrementalEvaluator, fresh: &IncrementalEvaluator, label: &str) {
+        assert_eq!(inc.base, fresh.base, "{label}: base");
+        assert_eq!(bits(&inc.base_finish), bits(&fresh.base_finish), "{label}: finish times");
+        assert_eq!(bits(&inc.finish), bits(&fresh.finish), "{label}: working finish times");
+        assert_eq!(inc.base_machine, fresh.base_machine, "{label}: machines");
+        assert_eq!(bits(&inc.edge_cost), bits(&fresh.edge_cost), "{label}: edge costs");
+        let (a, b) = (&inc.ckpts, &fresh.ckpts);
+        assert_eq!(bits(&a.avail), bits(&b.avail), "{label}: checkpoint frontiers");
+        assert_eq!(bits(&a.busy), bits(&b.busy), "{label}: checkpoint busy times");
+        assert_eq!(bits(&a.max), bits(&b.max), "{label}: checkpoint maxima");
+        assert_eq!(bits(&a.sum), bits(&b.sum), "{label}: checkpoint sums");
+        let (a, b) = (&inc.end_state, &fresh.end_state);
+        assert_eq!(a.max_finish().to_bits(), b.max_finish().to_bits(), "{label}: end max");
+        assert_eq!(a.finish_sum().to_bits(), b.finish_sum().to_bits(), "{label}: end sum");
+        assert_eq!(a.tasks(), b.tasks(), "{label}: end task count");
+        assert_eq!(bits(a.machine_busy()), bits(b.machine_busy()), "{label}: end busy times");
+    }
+
+    fn fresh_prime<'s>(snap: &'s EvalSnapshot, sol: &Solution) -> IncrementalEvaluator<'s> {
+        let mut fresh = IncrementalEvaluator::with_snapshot(snap);
+        fresh.prime(sol);
+        fresh
+    }
+
+    #[test]
+    fn chained_primes_equal_a_fresh_prime() {
+        // One evaluator follows a random chain of strings: one-task
+        // moves, machine-only changes, identical re-primes and full
+        // reshuffles, with scorings in between that dirty and restore
+        // its scratch. After every prime it holds a fresh prime's state.
+        for (tasks, machines, seed) in [(12, 3, 40), (30, 4, 41), (100, 20, 42)] {
+            let inst = random_instance(tasks, machines, seed);
+            let g = inst.graph();
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut sol = random_solution(&inst, &mut rng);
+            let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+            for step in 0..120 {
+                let t = TaskId::new(rng.gen_range(0..tasks as u32));
+                let m = MachineId::new(rng.gen_range(0..machines as u32));
+                match step % 6 {
+                    0 if step % 24 == 0 => sol = random_solution(&inst, &mut rng),
+                    1 => sol.reassign(t, m).unwrap(),
+                    2 => {}
+                    _ => {
+                        let (lo, hi) = sol.valid_range(g, t);
+                        sol.move_task(g, t, rng.gen_range(lo..=hi), m).unwrap();
+                    }
+                }
+                inc.prime(&sol);
+                assert_primed_alike(
+                    &inc,
+                    &fresh_prime(&snap, &sol),
+                    &format!("{tasks} tasks, step {step}"),
+                );
+                let (lo, hi) = sol.valid_range(g, t);
+                let obj = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
+                inc.score_move(t, rng.gen_range(lo..=hi), m, &obj);
+            }
+            assert_eq!(inc.evaluations(), 120, "primes are uncounted");
+        }
+    }
+
+    /// The cells of `t`'s whole relocation grid on `base`, every machine,
+    /// the base's own cell excluded, followed by one floor lane.
+    fn relocation_cells(
+        inst: &HcInstance,
+        base: &Solution,
+        t: TaskId,
+    ) -> (Vec<usize>, Vec<MachineId>) {
+        let (lo, hi) = base.valid_range(inst.graph(), t);
+        let own = (base.position_of(t), base.machine_of(t));
+        let (mut pos, mut machines): (Vec<usize>, Vec<MachineId>) = (lo..=hi)
+            .flat_map(|p| inst.system().machine_ids().map(move |m| (p, m)))
+            .filter(|&cell| cell != own)
+            .unzip();
+        pos.push(inst.task_count());
+        machines.push(MachineId::new(0));
+        (pos, machines)
+    }
+
+    #[test]
+    fn advancing_to_a_lane_equals_a_fresh_prime_of_the_moved_string() {
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+        let makespan_only = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 };
+        for (tasks, machines, seed) in [(12, 3, 50), (40, 5, 51)] {
+            let inst = random_instance(tasks, machines, seed);
+            let g = inst.graph();
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = random_solution(&inst, &mut rng);
+            let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+            let kinds = ObjectiveKind::BASIC.into_iter().chain([weighted, makespan_only]);
+            for (round, kind) in kinds.enumerate() {
+                let t = TaskId::new(rng.gen_range(0..tasks as u32));
+                let (pos, on) = relocation_cells(&inst, &base, t);
+                let mut scores = vec![0.0; pos.len()];
+                for lane in 0..pos.len() {
+                    inc.prime(&base);
+                    inc.score_cells(t, &pos, &on, &kind, &mut scores);
+                    let label = format!("{}, round {round}, lane {lane}", kind.label());
+                    if pos[lane] == tasks {
+                        assert!(!inc.advance(lane), "{label}: a floor lane has no cell");
+                        assert_primed_alike(&inc, &fresh_prime(&snap, &base), &label);
+                        continue;
+                    }
+                    assert!(inc.advance(lane), "{label}");
+                    let mut moved = base.clone();
+                    moved.move_task(g, t, pos[lane], on[lane]).unwrap();
+                    assert_primed_alike(&inc, &fresh_prime(&snap, &moved), &label);
+                    assert_eq!(inc.base_score(&kind).to_bits(), scores[lane].to_bits(), "{label}");
+                    assert!(!inc.advance(lane), "{label}: one advance per pass");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pass_right_of_the_task_does_not_advance() {
+        // Cells right of `t`'s own position shift the tasks between
+        // left, and the pass replays those scalar, outside every lane:
+        // no lane holds their finish times, so nothing advances.
+        let inst = random_instance(30, 4, 60);
+        let g = inst.graph();
+        let snap = EvalSnapshot::new(&inst);
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let base = random_solution(&inst, &mut rng);
+        let t = g
+            .tasks()
+            .find(|&t| base.valid_range(g, t).1 > base.position_of(t))
+            .expect("some task can move right");
+        let right = base.position_of(t) + 1..=base.valid_range(g, t).1;
+        let (pos, on): (Vec<usize>, Vec<MachineId>) =
+            right.flat_map(|p| (0..4).map(move |m| (p, MachineId::new(m)))).unzip();
+        let mut scores = vec![0.0; pos.len()];
+        let mut inc = fresh_prime(&snap, &base);
+        inc.score_cells(t, &pos, &on, &ObjectiveKind::Makespan, &mut scores);
+        for lane in 0..pos.len() {
+            assert!(!inc.advance(lane), "lane {lane}");
+        }
+        assert_primed_alike(&inc, &fresh_prime(&snap, &base), "after the refused advances");
+        // The same cells behind one at `t`'s own position do advance.
+        let own = (base.position_of(t), MachineId::new((base.machine_of(t).raw() + 1) % 4));
+        let (pos, on): (Vec<usize>, Vec<MachineId>) =
+            std::iter::once(own).chain(pos.into_iter().zip(on)).unzip();
+        let mut scores = vec![0.0; pos.len()];
+        inc.score_cells(t, &pos, &on, &ObjectiveKind::Makespan, &mut scores);
+        assert!(inc.advance(pos.len() - 1));
+        let mut moved = base.clone();
+        moved.move_task(g, t, pos[pos.len() - 1], on[pos.len() - 1]).unwrap();
+        assert_primed_alike(&inc, &fresh_prime(&snap, &moved), "advanced past the shifted tasks");
     }
 }

@@ -8,7 +8,7 @@ use mshc_platform::{HcInstance, HcSystem, MachineId, Matrix};
 use mshc_schedule::{
     objective_from_report, random_solution, replay, replay_with, BatchEvaluator, Descent,
     EvalSnapshot, Evaluator, Gantt, IncrementalEvaluator, MoveScore, NetworkModel, Objective,
-    ObjectiveKind, ObjectiveState, ScheduleReport, Solution,
+    ObjectiveKind, ObjectiveState, Relocation, ScheduleReport, Solution,
 };
 use mshc_taskgraph::gen::{erdos_dag, layered, LayeredConfig};
 use mshc_taskgraph::TaskId;
@@ -989,6 +989,73 @@ proptest! {
                     prop_assert_eq!(got, want, "{}", label);
                     prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
                     prop_assert_eq!(batch.scan_stats().scored, lanes, "{}", label);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A long-lived evaluator is a fresh one. SE's allocation shape: a
+    /// chain of relocation scans, each followed by committing its
+    /// winner, scored on one `BatchEvaluator` whose arenas keep (and
+    /// advance) their primes from scan to scan, equals the same chain
+    /// scored on a fresh evaluator per step: winners, score bits,
+    /// evaluations and replayed lanes, under the five objectives and
+    /// `weighted:1,0,0`, at 1, 2 and 8 threads, on Y-limited machine
+    /// lists.
+    #[test]
+    fn relocation_chains_match_a_fresh_evaluator_per_step(
+        inst in instance_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let g = inst.graph();
+        let (k, l) = (inst.task_count(), inst.machine_count());
+        let snap = EvalSnapshot::new(&inst);
+        let kinds = [
+            ObjectiveKind::Makespan,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::MeanFlowtime,
+            ObjectiveKind::LoadBalance,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 },
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 },
+        ];
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for kind in kinds {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut sol = random_solution(&inst, &mut rng);
+                let mut long = BatchEvaluator::new(&snap);
+                for step in 0..16 {
+                    let t = TaskId::new(rng.gen_range(0..k as u32));
+                    let (lo, hi) = sol.valid_range(g, t);
+                    let mut machines = inst.system().machine_ranking(t);
+                    machines.truncate(rng.gen_range(1..=l));
+                    let mut fresh = BatchEvaluator::new(&snap);
+                    let (evals, scored) = (long.evaluations(), long.scan_stats().scored);
+                    let (got, want) = pool.install(|| {
+                        (
+                            long.best_relocation(&sol, t, lo..=hi, &machines, &kind),
+                            fresh.best_relocation(&sol, t, lo..=hi, &machines, &kind),
+                        )
+                    });
+                    let label = format!("{}, {threads} threads, step {step}", kind.label());
+                    let cell = |r: Option<Relocation>| {
+                        r.map(|r| (r.pos, r.machine, r.score.to_bits()))
+                    };
+                    prop_assert_eq!(cell(got), cell(want), "{}", label);
+                    prop_assert_eq!(long.evaluations() - evals, fresh.evaluations(), "{}", label);
+                    prop_assert_eq!(
+                        long.scan_stats().scored - scored,
+                        fresh.scan_stats().scored,
+                        "{}",
+                        label
+                    );
+                    if let Some(r) = got {
+                        sol.move_task(g, t, r.pos, r.machine).unwrap();
+                    }
                 }
             }
         }

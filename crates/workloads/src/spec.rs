@@ -71,6 +71,30 @@ impl Heterogeneity {
     }
 }
 
+/// Upper bound of the base execution times the generators draw, `U(50,
+/// 150)`.
+pub(crate) const BASE_CEILING: f64 = 150.0;
+/// Upper bound of the jitter a transfer time draws, `U(0.8, 1.2)`.
+pub(crate) const JITTER_CEILING: f64 = 1.2;
+
+/// Checks the platform parameters every generator reads: at least one
+/// machine and a finite CCR of at least 0 whose `ceiling`, the largest
+/// transfer time the generator can draw, is finite. The ceiling is the
+/// generator's own product over [`BASE_CEILING`] and [`JITTER_CEILING`]:
+/// rounding is monotone, so no drawn transfer exceeds it.
+pub(crate) fn check_platform(machines: usize, ccr: f64, ceiling: f64) -> Result<(), String> {
+    if machines == 0 {
+        return Err("machines: must be at least 1".into());
+    }
+    if !ccr.is_finite() || ccr < 0.0 {
+        return Err(format!("ccr: must be finite and at least 0, got {ccr}"));
+    }
+    if !ceiling.is_finite() {
+        return Err(format!("ccr: {ccr:e} overflows the largest transfer time to infinity"));
+    }
+    Ok(())
+}
+
 /// A fully specified random workload: one point of the paper's taxonomy
 /// plus a seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,11 +170,25 @@ impl WorkloadSpec {
         )
     }
 
+    /// Checks the parameters [`generate`](Self::generate) needs: at least
+    /// one task and one machine, and a finite CCR of at least 0 that
+    /// keeps every transfer time it scales finite. An error names the
+    /// field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.tasks == 0 {
+            return Err("tasks: must be at least 1".into());
+        }
+        // The transfer of a data item is `ccr · mean_exec · jitter`, in
+        // that order, with `mean_exec = base · mean_factor`.
+        let mean_factor = (1.0 + self.heterogeneity.factor_range()) / 2.0;
+        let ceiling = self.ccr * (BASE_CEILING * mean_factor) * JITTER_CEILING;
+        check_platform(self.machines, self.ccr, ceiling)
+    }
+
     /// Deterministically expands the spec into a full instance.
     ///
     /// # Panics
-    /// Panics on degenerate parameters (0 tasks/machines, non-positive or
-    /// non-finite CCR target below 0).
+    /// Panics on a spec [`validate`](Self::validate) rejects.
     pub fn generate(&self) -> HcInstance {
         assert!(self.tasks >= 1, "need at least one task");
         assert!(self.machines >= 1, "need at least one machine");
@@ -168,7 +206,7 @@ impl WorkloadSpec {
 
         // --- execution times (range-based heterogeneity) ---
         let hi = self.heterogeneity.factor_range();
-        let base: Vec<f64> = (0..self.tasks).map(|_| rng.gen_range(50.0..150.0)).collect();
+        let base: Vec<f64> = (0..self.tasks).map(|_| rng.gen_range(50.0..BASE_CEILING)).collect();
         let exec =
             Matrix::from_fn(self.machines, self.tasks, |_, t| base[t] * rng.gen_range(1.0..=hi));
 
@@ -179,7 +217,7 @@ impl WorkloadSpec {
         let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, d| {
             let producer = graph.edges()[d].src;
             let mean_exec = base[producer.index()] * mean_factor;
-            self.ccr * mean_exec * rng.gen_range(0.8..1.2)
+            self.ccr * mean_exec * rng.gen_range(0.8..JITTER_CEILING)
         });
 
         let sys = HcSystem::with_anonymous_machines(self.machines, exec, transfer)
@@ -279,6 +317,33 @@ mod tests {
         let tag = WorkloadSpec::large(42).with_connectivity(Connectivity::High).with_ccr(0.1).tag();
         assert_eq!(tag, "k100_l20_chigh_hmedium_ccr0.1_s42");
         assert!(!tag.contains(' ') && !tag.contains('/'));
+    }
+
+    #[test]
+    fn validate_names_each_degenerate_field() {
+        let spec = WorkloadSpec::small(0);
+        assert_eq!(spec.validate(), Ok(()));
+        for (bad, want) in [
+            (WorkloadSpec { tasks: 0, ..spec }, "tasks: must be at least 1"),
+            (WorkloadSpec { machines: 0, ..spec }, "machines: must be at least 1"),
+            (spec.with_ccr(-1.0), "ccr: must be finite and at least 0, got -1"),
+            (spec.with_ccr(f64::NAN), "ccr: must be finite and at least 0, got NaN"),
+            (spec.with_ccr(f64::INFINITY), "ccr: must be finite and at least 0, got inf"),
+            (spec.with_ccr(1e308), "ccr: 1e308 overflows the largest transfer time"),
+        ] {
+            let e = bad.validate().unwrap_err();
+            assert!(e.starts_with(want), "{e}");
+        }
+        // The largest CCR that validates generates finite transfers under
+        // every heterogeneity class.
+        for h in [Heterogeneity::Low, Heterogeneity::Medium, Heterogeneity::High] {
+            let spec = spec.with_heterogeneity(h);
+            let ceiling = f64::MAX / (BASE_CEILING * (1.0 + h.factor_range()) / 2.0);
+            let ccr = (ceiling / JITTER_CEILING) * 0.999_999;
+            assert_eq!(spec.with_ccr(ccr).validate(), Ok(()), "{h:?}");
+            spec.with_ccr(ccr).generate();
+            assert!(spec.with_ccr(ccr * 1.001).validate().is_err(), "{h:?}");
+        }
     }
 
     #[test]

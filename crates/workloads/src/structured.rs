@@ -8,12 +8,26 @@
 //! range-based platform model as [`crate::WorkloadSpec`], and are used by
 //! the examples.
 
-use crate::spec::Heterogeneity;
+use crate::spec::{check_platform, Heterogeneity, BASE_CEILING, JITTER_CEILING};
 use mshc_platform::{HcInstance, HcSystem, Matrix};
 use mshc_taskgraph::gen;
 use mshc_taskgraph::TaskGraph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Checks the platform parameters [`with_platform`] needs: at least one
+/// machine, and a finite CCR of at least 0 that keeps every transfer
+/// time it scales finite. An error names the field.
+pub(crate) fn validate_platform(
+    machines: usize,
+    heterogeneity: Heterogeneity,
+    ccr: f64,
+) -> Result<(), String> {
+    // The transfer of a data item is `ccr · base · mean_factor · jitter`,
+    // in that order.
+    let mean_factor = (1.0 + heterogeneity.factor_range()) / 2.0;
+    check_platform(machines, ccr, ccr * BASE_CEILING * mean_factor * JITTER_CEILING)
+}
 
 /// Attaches a random platform (range-based heterogeneity, CCR-targeted
 /// transfers) to an arbitrary task graph.
@@ -29,13 +43,13 @@ pub fn with_platform(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let k = graph.task_count();
     let hi = heterogeneity.factor_range();
-    let base: Vec<f64> = (0..k).map(|_| rng.gen_range(50.0..150.0)).collect();
+    let base: Vec<f64> = (0..k).map(|_| rng.gen_range(50.0..BASE_CEILING)).collect();
     let exec = Matrix::from_fn(machines, k, |_, t| base[t] * rng.gen_range(1.0..=hi));
     let mean_factor = (1.0 + hi) / 2.0;
     let pairs = machines * (machines - 1) / 2;
     let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, d| {
         let producer = graph.edges()[d].src;
-        ccr * base[producer.index()] * mean_factor * rng.gen_range(0.8..1.2)
+        ccr * base[producer.index()] * mean_factor * rng.gen_range(0.8..JITTER_CEILING)
     });
     let sys = HcSystem::with_anonymous_machines(machines, exec, transfer)
         .expect("generated matrices valid");

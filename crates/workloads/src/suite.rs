@@ -130,24 +130,56 @@ impl Scenario {
         format!("{shape}_l{}_h{}_ccr{}", self.machines, self.heterogeneity.name(), self.ccr)
     }
 
+    /// Checks the parameters [`generate`](Self::generate) needs: the
+    /// shape parameters its DAG generator asserts on, at least one
+    /// machine, and a finite CCR of at least 0 that keeps every transfer
+    /// time finite. An error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        let (a, b) = (self.shape_a, self.shape_b);
+        // A two-parameter shape names `shape_b` when only it is at fault.
+        let grid = if a == 0 { "shape_a" } else { "shape_b" };
+        let (field, shape) = match self.shape {
+            DagShape::Layered => return self.layered_spec(0).validate(),
+            // `2^a (a + 1)` tasks must fit the 32-bit task ids.
+            DagShape::Fft if !(1..=27).contains(&a) => {
+                ("shape_a", format!("an FFT needs 1 to 27 ranks (2^shape_a points), got {a}"))
+            }
+            DagShape::Gaussian if a < 2 => (
+                "shape_a",
+                format!("Gaussian elimination needs a matrix of at least 2 x 2, got {a}"),
+            ),
+            DagShape::Stencil if a == 0 || b == 0 => {
+                (grid, format!("a stencil needs at least 1 x 1 cells, got {a} x {b}"))
+            }
+            DagShape::ForkJoin if a == 0 || b == 0 => {
+                (grid, format!("a fork-join needs at least 1 branch of 1 stage, got {a} of {b}"))
+            }
+            _ => return structured::validate_platform(self.machines, self.heterogeneity, self.ccr),
+        };
+        Err(format!("{field}: {shape}"))
+    }
+
+    /// The layered workload of this scenario for one seed.
+    fn layered_spec(&self, seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            tasks: self.shape_a,
+            machines: self.machines,
+            connectivity: self.connectivity,
+            heterogeneity: self.heterogeneity,
+            ccr: self.ccr,
+            seed,
+        }
+    }
+
     /// Deterministically expands the scenario for one replicate seed:
     /// same scenario + same seed → bit-identical instance, everywhere.
     ///
     /// # Panics
-    /// Panics on degenerate parameters (zero tasks/machines/grid dims,
-    /// negative or non-finite CCR) — the tournament engine catches and
-    /// reports these per cell instead of aborting a whole run.
+    /// On a scenario [`validate`](Self::validate) rejects. A tournament
+    /// spec validates its scenarios before any cell runs.
     pub fn generate(&self, seed: u64) -> HcInstance {
         match self.shape {
-            DagShape::Layered => WorkloadSpec {
-                tasks: self.shape_a,
-                machines: self.machines,
-                connectivity: self.connectivity,
-                heterogeneity: self.heterogeneity,
-                ccr: self.ccr,
-                seed,
-            }
-            .generate(),
+            DagShape::Layered => self.layered_spec(seed).generate(),
             DagShape::Fft => structured::fft(
                 self.shape_a as u32,
                 self.machines,
@@ -300,6 +332,33 @@ mod tests {
             let back: Scenario = serde_json::from_str(&json).unwrap();
             assert_eq!(back, s);
             assert_eq!(back.tag(), s.tag());
+        }
+    }
+
+    #[test]
+    fn validate_names_each_degenerate_field() {
+        for s in tiny_suite().into_iter().chain(small_suite()).chain(suite()) {
+            assert_eq!(s.validate(), Ok(()), "{}", s.tag());
+        }
+        let lay = Scenario::layered(20, 4, Connectivity::Medium, Heterogeneity::Medium, 0.5);
+        let kernel = |shape, a, b| Scenario::kernel(shape, a, b, 4, Heterogeneity::High, 1.0);
+        for (bad, want) in [
+            (Scenario { shape_a: 0, ..lay }, "tasks: must be at least 1"),
+            (Scenario { machines: 0, ..lay }, "machines: must be at least 1"),
+            (Scenario { ccr: -1.0, ..lay }, "ccr: must be finite and at least 0"),
+            (Scenario { ccr: 1e308, ..lay }, "ccr: 1e308 overflows"),
+            (kernel(DagShape::Fft, 0, 0), "shape_a: an FFT needs 1 to 27 ranks"),
+            (kernel(DagShape::Fft, 64, 0), "shape_a: an FFT needs 1 to 27 ranks"),
+            (kernel(DagShape::Gaussian, 1, 0), "shape_a: Gaussian elimination needs"),
+            (kernel(DagShape::Stencil, 3, 0), "shape_b: a stencil needs at least 1 x 1"),
+            (kernel(DagShape::ForkJoin, 2, 0), "shape_b: a fork-join needs at least 1 branch"),
+            (kernel(DagShape::ForkJoin, 0, 2), "shape_a: a fork-join needs at least 1 branch"),
+            (Scenario { machines: 0, ..kernel(DagShape::Fft, 2, 0) }, "machines: must be"),
+            (Scenario { ccr: f64::NAN, ..kernel(DagShape::ForkJoin, 2, 2) }, "ccr: must be"),
+            (Scenario { ccr: 1e308, ..kernel(DagShape::Gaussian, 3, 0) }, "ccr: 1e308 overflows"),
+        ] {
+            let e = bad.validate().unwrap_err();
+            assert!(e.starts_with(want), "{}: {e}", bad.tag());
         }
     }
 
