@@ -125,9 +125,9 @@ fn bench_incremental_moves(c: &mut Criterion) {
 
 /// SE's relocation scan through `best_relocation` on the resident pool,
 /// at one and four workers: the widest task's full position × machine
-/// grid and its first two positions. Under makespan both walks run
-/// inline on the calling thread and stop at the insertion floor, so the
-/// worker count should not move them.
+/// grid and its first two positions. Every walk runs inline on the
+/// calling thread, and under makespan stops at the insertion floor, so
+/// the worker count should not move them.
 fn bench_relocation_scan(c: &mut Criterion) {
     let spec = WorkloadSpec { tasks: 100, machines: 20, ..WorkloadSpec::large(2001) };
     let inst = spec.generate();

@@ -26,10 +26,12 @@
 //! same-process ratio, the median of five timed repeats, with the
 //! winners asserted identical. Under the probe's makespan objective the
 //! relocation argmin replays one cell per run of identical schedules,
-//! every one of them a lane of one lockstep pass over the string without
-//! the relocated task, and stops at the first group of cells that meets
-//! the makespan of that string, while the other argmin replays every
-//! cell with its own `score_move`. The probe scans one incumbent without
+//! every one of them a lane of a lockstep pass over the string without
+//! the relocated task, and stops at the first pass that meets the
+//! makespan of that string, while the other argmin replays every cell
+//! with its own `score_move`. `flowtime_lane_speedup_vs_exact` is the
+//! same ratio under total flowtime, where the relocation argmin refolds
+//! the finish-time sum of every cell of a run from the one it replays. The probe scans one incumbent without
 //! committing a winner, so each scan resumes the prime its predecessor
 //! advanced to that winner. `resumed_prime_speedup` times the primes
 //! themselves: scratch primes over resumed primes of the consecutive
@@ -70,7 +72,7 @@ use std::time::Instant;
 
 /// `BENCH_eval.json` schema version — bumped whenever series are added
 /// or removed, so downstream tooling can gate on it.
-const SCHEMA_VERSION: u32 = 6;
+const SCHEMA_VERSION: u32 = 7;
 
 /// Timed repeats of each same-process ratio probe; each probe reports the
 /// median repeat, which a single slow spell of a shared host cannot move.
@@ -108,6 +110,10 @@ struct BenchReport {
     /// on the same grids, one thread — a same-process, hardware-stable
     /// ratio. Both series are the median of [`REPEATS`] timed repeats.
     lane_speedup_vs_exact: f64,
+    /// The same ratio under total flowtime, on the same grids: the
+    /// relocation argmin replays one cell per run and refolds the
+    /// finish-time sums of the others, median of [`REPEATS`].
+    flowtime_lane_speedup_vs_exact: f64,
     /// Priming a string from scratch over priming it on an evaluator
     /// last primed on the string before it, over the consecutive
     /// strings of an SE allocation chain on the paper-scale preset, one
@@ -281,39 +287,38 @@ fn main() {
     // SE's allocation grids: every task of an incumbent after a few SE
     // iterations, each over its full valid range × all machines, scanned
     // on one thread through the relocation argmin (one lane per run
-    // start, up to the insertion floor) and through the argmin that
-    // scores each cell with one
-    // `score_move`. Both must pick the same cell with the same score
-    // bits.
-    let (lane_eps, lane_speedup) = {
-        let incumbent = mshc_core::SeScheduler::with_seed(2001)
-            .run(&inst, &RunBudget::iterations(4), None)
-            .solution;
-        let machines: Vec<MachineId> =
-            (0..inst.machine_count()).map(MachineId::from_usize).collect();
-        let ranges: Vec<(TaskId, RangeInclusive<usize>)> = g
-            .tasks()
-            .map(|t| {
-                let (lo, hi) = incumbent.valid_range(g, t);
-                (t, lo..=hi)
-            })
-            .collect();
-        let grids: Vec<Vec<(TaskId, usize, MachineId)>> = ranges
-            .iter()
-            .map(|(t, positions)| {
-                let own = (incumbent.position_of(*t), incumbent.machine_of(*t));
-                positions
-                    .clone()
-                    .flat_map(|pos| machines.iter().map(move |&m| (*t, pos, m)))
-                    .filter(|&(_, pos, m)| (pos, m) != own)
-                    .collect()
-            })
-            .collect();
-        let cells: usize = grids.iter().map(Vec::len).sum();
-        // The winning cell and its score bits, per task.
-        type Winners = Vec<(usize, MachineId, u64)>;
-        let reps = (rounds / 2).max(2);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    // start, up to the insertion floor under makespan, the other cells
+    // of each run refolded under total flowtime) and through the argmin
+    // that scores each cell with one `score_move`. Both must pick the
+    // same cell with the same score bits.
+    let incumbent = mshc_core::SeScheduler::with_seed(2001)
+        .run(&inst, &RunBudget::iterations(4), None)
+        .solution;
+    let machines: Vec<MachineId> = (0..inst.machine_count()).map(MachineId::from_usize).collect();
+    let ranges: Vec<(TaskId, RangeInclusive<usize>)> = g
+        .tasks()
+        .map(|t| {
+            let (lo, hi) = incumbent.valid_range(g, t);
+            (t, lo..=hi)
+        })
+        .collect();
+    let grids: Vec<Vec<(TaskId, usize, MachineId)>> = ranges
+        .iter()
+        .map(|(t, positions)| {
+            let own = (incumbent.position_of(*t), incumbent.machine_of(*t));
+            positions
+                .clone()
+                .flat_map(|pos| machines.iter().map(move |&m| (*t, pos, m)))
+                .filter(|&(_, pos, m)| (pos, m) != own)
+                .collect()
+        })
+        .collect();
+    let cells: usize = grids.iter().map(Vec::len).sum();
+    // The winning cell and its score bits, per task.
+    type Winners = Vec<(usize, MachineId, u64)>;
+    let reps = (rounds / 2).max(2);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    let lane_probe = |obj: &ObjectiveKind| {
         pool.install(|| {
             let mut batch = BatchEvaluator::new(&snapshot);
             let lane_scan = |batch: &mut BatchEvaluator<'_>| -> Winners {
@@ -321,7 +326,7 @@ fn main() {
                     .iter()
                     .map(|(t, positions)| {
                         let best = batch
-                            .best_relocation(&incumbent, *t, positions.clone(), &machines, &obj)
+                            .best_relocation(&incumbent, *t, positions.clone(), &machines, obj)
                             .expect("non-empty grid");
                         (best.pos, best.machine, best.score.to_bits())
                     })
@@ -332,7 +337,7 @@ fn main() {
                     .iter()
                     .map(|cells| {
                         let best = batch
-                            .best_task_move(&incumbent, cells, None, 0.0, &obj)
+                            .best_task_move(&incumbent, cells, None, 0.0, obj)
                             .expect("non-empty grid");
                         let (_, pos, m) = cells[best.index];
                         (pos, m, best.score.to_bits())
@@ -357,6 +362,8 @@ fn main() {
             (lane, lane / exact)
         })
     };
+    let (lane_eps, lane_speedup) = lane_probe(&obj);
+    let (_, flowtime_lane_speedup) = lane_probe(&ObjectiveKind::TotalFlowtime);
 
     // Resumed primes: the strings an SE allocation chain commits, one
     // relocation apart, primed in order on one evaluator against the
@@ -588,6 +595,7 @@ fn main() {
         incremental_speedup_vs_full: incremental_eps / scalar_eps,
         lane_scan_evals_per_sec: lane_eps,
         lane_speedup_vs_exact: lane_speedup,
+        flowtime_lane_speedup_vs_exact: flowtime_lane_speedup,
         resumed_prime_speedup,
         batch_1thread_evals_per_sec: batch1_eps,
         batch_evals_per_sec: batchn_eps,
@@ -621,8 +629,9 @@ fn main() {
     );
     println!(
         "se allocation grids: relocation scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
-         one thread) | resumed primes {:.2}x faster than scratch primes",
-        lane_eps, lane_speedup, resumed_prime_speedup
+         one thread; {:.2}x under total flowtime) | resumed primes {:.2}x faster than scratch \
+         primes",
+        lane_eps, lane_speedup, flowtime_lane_speedup, resumed_prime_speedup
     );
     println!(
         "ga: {:.0} evals/s, {:.1}% of string positions served by clones",

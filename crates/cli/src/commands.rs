@@ -111,13 +111,15 @@ global options:
              sit next to it.
   --faults FILE
              arm a declarative fault-injection plan (JSON) for this
-             invocation: {\"panic_at_evaluations\": N} poisons the Nth
-             full pass or move replay, \"cell_panics\" panics named
-             tournament cells (each entry {algorithm, scenario, seed}
-             must name a cell of the tournament, fires once and is
-             consumed; every other command rejects a plan with cell
-             panics), \"dropouts\" carries disturbance events for
-             replan. Injected cell panics are
+             invocation: {\"panic_at_evaluations\": N} (N >= 1) poisons
+             the Nth full pass or move replay, \"cell_panics\" panics
+             named tournament cells (each entry {algorithm, scenario,
+             seed} must name a cell of the tournament, fires once and
+             is consumed), \"dropouts\" carries disturbance events for
+             replan. Only tournament cells catch a panic, so every
+             other command rejects a plan with panic_at_evaluations or
+             cell_panics, and every command but replan rejects one with
+             dropouts. Injected panics are
              caught by the tournament harness: cells retry up to the
              spec's cell_retries budget (same seed, deterministic),
              then surface as failed cells; retried cells are flagged
@@ -269,17 +271,8 @@ fn run_command(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
                 std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
             let plan = FaultPlan::from_json(&text)
                 .map_err(|e| format!("--faults {path}: invalid fault plan: {e}"))?;
-            // Only a tournament runs cells; a cell fault anywhere else
-            // could never fire.
-            if let (Some(fault), Some(command)) = (plan.cell_panics.first(), command) {
-                if command != "tournament" {
-                    return Err(format!(
-                        "--faults {path}: cell_panics entry {} names a tournament cell, but \
-                         {command} runs no cells",
-                        cell_name(fault)
-                    )
-                    .into());
-                }
+            if let Some(command) = command {
+                check_fault_plan(&plan, command).map_err(|e| format!("--faults {path}: {e}"))?;
             }
             mshc_schedule::faults::quiet_injected_panics();
             mshc_schedule::faults::arm(&plan);
@@ -326,6 +319,37 @@ fn run_command(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
         writeln!(out, "metrics written to {path}")?;
     }
     Ok(out.flush()?)
+}
+
+/// Rejects a fault plan holding a fault that `command` could never fire,
+/// or fire only by aborting. Only a tournament runs cells, and only its
+/// cells catch a panic, so cell faults and evaluation faults need one;
+/// dropouts disturb a replan.
+fn check_fault_plan(plan: &FaultPlan, command: &str) -> Result<(), String> {
+    if let Some(fault) = plan.cell_panics.first().filter(|_| command != "tournament") {
+        return Err(format!(
+            "cell_panics entry {} names a tournament cell, but {command} runs no cells",
+            cell_name(fault)
+        ));
+    }
+    match plan.panic_at_evaluations {
+        Some(0) => {
+            return Err("panic_at_evaluations: 0 never fires (the count is 1-based; omit the \
+                        field for no fault)"
+                .into())
+        }
+        Some(_) if command != "tournament" => {
+            return Err(format!(
+                "panic_at_evaluations panics an evaluation, and only tournament cells catch \
+                 it: {command} would abort"
+            ))
+        }
+        _ => {}
+    }
+    if !plan.dropouts.is_empty() && command != "replan" {
+        return Err(format!("dropouts disturb a replan, but {command} replans nothing"));
+    }
+    Ok(())
 }
 
 /// A cell fault as `{algorithm "se", scenario "…", seed 7}`, for errors.

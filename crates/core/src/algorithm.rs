@@ -284,28 +284,26 @@ impl SteppableSearch for SePendingBias {
 /// allowed machine), which stays put.
 ///
 /// The grid is handed to [`BatchEvaluator::best_relocation`], which
-/// never mutates the solution. Its arena primes the base by resuming
-/// from the string the previous relocation left there, and an inline
-/// walk advances that prime to the winner this function commits, so the
-/// next relocation's prime finds its string unchanged. The
-/// scheduling kernel never inserts a task into an idle gap, so sliding
-/// `t` past a task on another machine changes no machine's task
-/// sequence and no finish time. Under makespan, load balance or a
-/// weighted blend without flowtime, the candidates of one machine that
-/// differ only by such steps therefore score bit-identically, and the
-/// scan replays one per run of them; under the flowtime objectives it
-/// replays every cell. Either way the replayed cells are lanes of one
-/// lockstep replay of the string without `t`, each lane inserting `t`
-/// at its own position on its own machine, and every cell is charged as
-/// an evaluation. Inserting `t` can only delay the other tasks, so under
-/// makespan (or a blend of makespan alone) no cell scores below the
-/// string without `t`: that walk runs inline, in groups that grow from
-/// four cells, with one lane replaying that string, and stops at the
-/// first group whose minimum meets it. Under the other objectives a
-/// walk of more lanes than one group (about 16,384 task-replays) fans
-/// its groups out over the worker pool; smaller ones run inline. Ties
-/// break to the earliest candidate in `(position, machine)` grid order,
-/// so every walk commits the winner of scoring the whole grid.
+/// never mutates the solution and runs inline on the calling thread. Its
+/// arena primes the base by resuming from the string the previous
+/// relocation left there, and the walk advances that prime to the
+/// winner this function commits, so the next relocation's prime finds
+/// its string unchanged. The scheduling kernel never inserts a task into
+/// an idle gap, so sliding `t` past a task on another machine changes no
+/// machine's task sequence and no finish time. The candidates of one
+/// machine that differ only by such steps therefore share every finish
+/// time, and the scan replays one per run of them, as lanes of lockstep
+/// replays of the string without `t`, each lane inserting `t` at its own
+/// position on its own machine. Only their string-order finish-time sums
+/// can differ: under the flowtime objectives (and blends with flowtime)
+/// the scan re-adds each other cell's sum from its run's lane. Every
+/// cell is charged as an evaluation. Inserting `t` can only delay the
+/// other tasks, so under makespan (or a blend of makespan alone) no
+/// cell scores below the string without `t`: that walk starts with four
+/// cells and one lane replaying that string, doubles each pass, and
+/// stops at the first pass whose minimum meets it. Ties break to the
+/// earliest candidate in `(position, machine)` grid order, so every walk
+/// commits the winner of scoring the whole grid.
 ///
 /// Returns the evaluations the scan charges: one per candidate plus 2,
 /// one for the current-cost read and one for the priming pass, exactly
@@ -399,22 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn fanned_out_allocation_is_thread_count_invariant() {
-        // The determinism guard for the fanned-out allocation scan: on a
-        // sparse DAG over many machines most allocation walks reach the
-        // fan-out threshold (16,384 lane-replays), so their lane groups
-        // really spread across the pool — and the whole run (solution,
-        // makespan, evaluation count and every scan counter) must be
-        // bit-identical at 1, 2 and 8 worker threads. Under load balance
-        // a walk replays one cell per run of identical schedules, so it
-        // takes a couple of hundred tasks to cross the threshold; under
-        // total flowtime every cell is replayed. Makespan walks have a
-        // floor and run inline, in groups that stop at the first one
-        // meeting it, whatever their length: the last leg holds the same
-        // run to the same bits without a fan-out.
+    fn multi_pass_allocation_is_thread_count_invariant() {
+        // The determinism guard for long allocation walks: on a sparse
+        // DAG over many machines most walks hold more lanes than one
+        // pass of `⌈16,384 / k⌉`, so they replay pass after pass on one
+        // arena, and the whole run (solution, makespan, evaluation count
+        // and every scan counter) must be bit-identical at 1, 2 and 8
+        // worker threads. A walk replays one cell per run of identical
+        // schedules, so it takes a couple of hundred tasks to span two
+        // passes; under total flowtime each pass also refolds the other
+        // cells of its runs. Makespan walks have a floor and stop at the
+        // first pass that meets it, whatever their length.
         for (tasks, objective, iterations) in [
             (200, ObjectiveKind::LoadBalance, 2),
-            (64, ObjectiveKind::TotalFlowtime, 15),
+            (200, ObjectiveKind::TotalFlowtime, 2),
             (200, ObjectiveKind::Makespan, 2),
         ] {
             let machines = 16;
@@ -436,27 +432,24 @@ mod tests {
             };
             let baseline = run(1);
             // More than half the walks over the final solution's grids
-            // hold a fan-out's worth of lanes. With every machine allowed,
-            // a load-balance walk replays all lanes of its first position
+            // start more runs than one pass holds. With every machine
+            // allowed, a walk replays all lanes of its first position
             // and, at each later position, the lane of the machine its
             // step passes — less the base's own cell if that is one of
             // them.
             let g = inst.graph();
-            let mut replays: Vec<usize> = g
+            let mut lanes: Vec<usize> = g
                 .tasks()
                 .map(|t| {
                     let (lo, hi) = baseline.solution.valid_range(g, t);
-                    let lanes = match objective {
-                        ObjectiveKind::TotalFlowtime => (hi - lo + 1) * machines,
-                        _ => machines + (hi - lo) - 1,
-                    };
-                    lanes * tasks
+                    machines + (hi - lo) - 1
                 })
                 .collect();
-            replays.sort_unstable();
-            let median = replays[tasks / 2];
+            lanes.sort_unstable();
+            let median = lanes[tasks / 2];
             let label = objective.label();
-            assert!(median >= 16_384, "{label}: median walk of {median} lane-replays");
+            let pass = 16_384usize.div_ceil(tasks);
+            assert!(median > pass, "{label}: median walk of {median} lanes, passes of {pass}");
             assert!(baseline.scan.scored > 0, "the scans must score");
             for threads in [2usize, 8] {
                 let r = run(threads);

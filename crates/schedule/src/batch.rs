@@ -22,9 +22,9 @@
 //! and scans with its prime, and [`IncrementalEvaluator::prime`] walks
 //! only from the first position where the base differs from the string
 //! primed last: every later chunk of a scan pays a compare, and a scan
-//! of the string a search just moved walks only from the move on. An
-//! inline relocation walk goes further and advances its arena's prime
-//! to its winner (see [`best_relocation`]).
+//! of the string a search just moved walks only from the move on. A
+//! relocation walk goes further and advances its arena's prime to its
+//! winner (see [`best_relocation`]).
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -32,25 +32,27 @@
 //! cell can never cascade `"arena pool poisoned"` panics into healthy
 //! scans that share the evaluator.
 //!
-//! SE's allocation scan has its own argmin, [`best_relocation`]. Every
-//! cell of its grid is the base without the relocated task with that
-//! task inserted at one position on one machine, so the cells it
-//! replays are lanes of one lockstep pass
+//! SE's allocation scan has its own argmin, [`best_relocation`], which
+//! runs inline on the calling thread. Every cell of its grid is the base
+//! without the relocated task with that task inserted at one position on
+//! one machine, so the cells it replays are lanes of lockstep passes
 //! ([`IncrementalEvaluator::score_cells`]), each lane inserting the task
-//! at its own position. Under an objective that ignores the finish-time
-//! sum, most cells need no replay at all. The scheduling kernel never
-//! inserts a task into an idle gap, so sliding the relocated task past a
-//! task on another machine leaves every machine's task sequence, and so
-//! every finish time, unchanged. The scan replays one cell per run of
-//! such identical schedules. Under an objective that [never falls on
-//! insertion](Objective::never_falls_on_insertion), such as makespan, no
-//! cell scores below the string without the task, which one more lane
-//! replays; the scan walks its cells in small groups and stops at the
-//! first group whose minimum meets that floor. Tabu's sampled
-//! neighborhood goes through the mixed-task argmin, [`best_task_move`],
-//! one [`IncrementalEvaluator::score_move`] per candidate. Both argmins
-//! charge one evaluation per candidate and return exactly the winner of
-//! scoring every candidate.
+//! at its own position. Most cells need no replay at all. The scheduling
+//! kernel never inserts a task into an idle gap, so sliding the
+//! relocated task past a task on another machine leaves every machine's
+//! task sequence, and so every finish time, unchanged. The scan replays
+//! one cell per run of such identical schedules; under an objective
+//! that reads the finish-time sum, the only component that can round
+//! differently, it re-adds each other cell's sum from the replayed
+//! lane's finish times in that cell's string order. Under an objective
+//! that [never falls on insertion](Objective::never_falls_on_insertion),
+//! such as makespan, no cell scores below the string without the task,
+//! which one more lane replays; the scan walks its cells in small passes
+//! and stops at the first pass whose minimum meets that floor. Tabu's
+//! sampled neighborhood goes through the mixed-task argmin,
+//! [`best_task_move`], one [`IncrementalEvaluator::score_move`] per
+//! candidate. Both argmins charge one evaluation per candidate and
+//! return exactly the winner of scoring every candidate.
 //!
 //! GA generations go through [`breed_population`], one overlapped pass
 //! per generation: the calling thread breeds the children in order and
@@ -68,16 +70,15 @@
 //! candidate's score depends only on that candidate, so results are
 //! bit-identical at any thread count; a generation's scores likewise
 //! depend on each child alone, never on which thread scored it or when.
-//! [`best_relocation`] fans its lane groups out only when its walk has
-//! no floor and holds more than one group; [`score_task_moves`] (and so
-//! [`best_task_move`]) splits its candidates on a chunk grid that is a
-//! pure function of the grid itself — its length and the instance's
-//! task count, never the thread count. Small grids run inline on the
-//! calling thread. Every [`ScanStats`] counter reads the same at any
-//! thread count. Per-worker primes are deliberately *not* counted into
-//! [`evaluations`](BatchEvaluator::evaluations): how many workers join
-//! a scan varies with the thread count, and the evaluation axis must
-//! not.
+//! [`best_relocation`] makes no pool operation; [`score_task_moves`]
+//! (and so [`best_task_move`]) splits its candidates on a chunk grid
+//! that is a pure function of the grid itself — its length and the
+//! instance's task count, never the thread count. Small grids run
+//! inline on the calling thread. Every [`ScanStats`] counter reads the
+//! same at any thread count. Per-worker primes are deliberately *not*
+//! counted into [`evaluations`](BatchEvaluator::evaluations): how many
+//! workers join a scan varies with the thread count, and the evaluation
+//! axis must not.
 //!
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
 //! [`best_relocation`]: BatchEvaluator::best_relocation
@@ -102,8 +103,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// sampled neighborhood) is sized to, in task-replays: a chunk
 /// holds `⌈SCAN_CHUNK_REPLAYS / k⌉` candidates of a `k`-task instance
 /// (62 at the paper's 100 tasks, 205 at 30, 308 at 20). SE's
-/// allocation scan runs on cell lanes instead (see
-/// `LANE_FANOUT_REPLAYS`).
+/// allocation scan runs inline on cell lanes instead (see
+/// `LANE_PASS_REPLAYS`).
 ///
 /// Derived from the traced per-layer costs on `se-100x20` (2 vCPUs): a
 /// tier-3 scoring replays about 10 ns per task (~1.0 µs per candidate
@@ -124,52 +125,27 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// and the grid length alone, never on the thread count.
 const SCAN_CHUNK_REPLAYS: usize = 6144;
 
-/// Lane-replays one lane group of [`BatchEvaluator::best_relocation`]
-/// is sized to. A group holds `⌈LANE_FANOUT_REPLAYS / k⌉` cell lanes of
-/// a `k`-task instance (164 at 100 tasks, 55 at 300, 547 at 30), so a
-/// group is about `LANE_FANOUT_REPLAYS` lane-replays of work, a lane
-/// replaying at most the `k` string positions. A walk's lanes are the
-/// cells it replays: every cell but the base's own when the objective
-/// reads the finish-time sum, one per run of identical cells otherwise.
-/// A walk without a floor (flowtime, load balance, and blends that read
-/// them) runs inline when it fits one group and fans its groups out
-/// over the pool otherwise. A floor walk (makespan) never fans out: it
-/// runs inline in groups that grow from [`FLOOR_HEAD`] cells up to this
-/// size. In `mshc run --algo se` at 100 × 20 (seed 7), 91 % of walks
-/// stop after the first group's five lanes, and a walk replays 6.7 lanes
-/// on average against 31 run starts.
-/// The size also caps an arena's lane scratch at
-/// `k × ⌈LANE_FANOUT_REPLAYS / k⌉` finish slots (16,400 at 100 tasks).
-///
-/// Derived from layer costs measured on SE's real grids (2 vCPUs,
-/// 2.1 GHz Xeon, one thread) before the kernels folded only what their
-/// objective reads and before makespan walks stopped at the floor, so
-/// the costs below are stale; the verdict they led to now concerns only
-/// walks without a floor. A total-flowtime walk at 100 × 20 replayed
-/// about 255 lanes, at about 0.6 µs a lane, since the lockstep's
-/// per-task work is shared by more lanes, and spanned two or more groups
-/// in 67 of 100 walks. A full group was therefore roughly 100–160 µs of
-/// replay. Fanning a group out costs one pool dispatch (~6–12 µs to wake
-/// a parked worker) plus the joining worker's prime (~4–7 µs), 10–20 %
-/// of a group; that is what a fanned-out walk loses when no worker is
-/// free, in a tournament, whose cells already occupy the pool.
-///
-/// What a second thread buys, measured on a 2-vCPU host in alternating
-/// `--threads 1` / `--threads 2` pairs of `mshc run --algo se` (medians
-/// of the printed wall time): under total flowtime at 300 × 16 (10
-/// iterations) it took 0.383 to 0.260 s at seed 3, faster in 10 of 12
-/// pairs, and 0.253 to 0.168 s at seed 7, faster in 12 of 12. At 100 ×
-/// 20 (60 iterations, seed 7) the same objective read 0.120 against
-/// 0.116 s, faster in only 5 of 12 pairs. The groups are read from the
-/// base string alone, and every replayed score is exact, so neither the
-/// group size nor the thread count can move a result or a counter.
-const LANE_FANOUT_REPLAYS: usize = 16_384;
+/// Lane-replays one pass of [`BatchEvaluator::best_relocation`] is
+/// sized to. A pass replays at most `⌈LANE_PASS_REPLAYS / k⌉` cell lanes
+/// of a `k`-task instance (164 at 100 tasks, 55 at 300, 547 at 30), a
+/// lane replaying at most the `k` string positions, so an arena's lane
+/// scratch holds at most `k × ⌈LANE_PASS_REPLAYS / k⌉` finish slots
+/// (16,400 at 100 tasks). A walk replays one lane per run of identical
+/// cells and runs inline on the calling thread, pass after pass. A floor
+/// walk (makespan) starts with [`FLOOR_HEAD`] cells and doubles each
+/// pass up to this size; in `mshc run --algo se` at 100 × 20 (seed 7),
+/// 91 % of its walks stop after the first pass's five lanes. Every
+/// other walk replays passes of this size: under total flowtime at
+/// 300 × 16, a walk spans passes of 55 lanes. The passes are read from
+/// the base string alone, and every replayed score is exact, so the
+/// size cannot move a result or a counter.
+const LANE_PASS_REPLAYS: usize = 16_384;
 
-/// Cells in the first lane group of a floor walk
+/// Cells in the first pass of a floor walk
 /// ([`BatchEvaluator::best_relocation`] under an objective that
 /// [never falls on insertion](Objective::never_falls_on_insertion)),
-/// which also carries the floor lane. Each later group doubles, up to
-/// `⌈LANE_FANOUT_REPLAYS / k⌉` cells.
+/// which also carries the floor lane. Each later pass doubles, up to
+/// `⌈LANE_PASS_REPLAYS / k⌉` cells.
 const FLOOR_HEAD: usize = 4;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
@@ -754,64 +730,64 @@ impl<'a> BatchEvaluator<'a> {
     /// at the later of its data-ready time and its machine's previous
     /// finish, so both candidates have the same finish times, busy times
     /// and latest finish, bit for bit. Only the string-order finish sum
-    /// can round differently. So when `obj` does not [read the finish
-    /// sum](Objective::reads), the cells of lane `m` fall into runs of
-    /// identical scores: a run starts at the first position and wherever
-    /// the passed task runs on `m`. Each run is replayed once, at its
-    /// first cell other than the base's own. The other cells of a run
-    /// have the replayed cell's score and come after it in grid order,
-    /// so none of them can be the first minimum, and the winner, its
-    /// score bits and the evaluation count are those of scoring every
-    /// cell through [`score_task_moves`](Self::score_task_moves) and
-    /// folding. Under an objective that reads the finish sum, every cell
-    /// is a run of its own.
+    /// can round differently. So the cells of lane `m` fall into runs: a
+    /// run starts at the first position and wherever the passed task
+    /// runs on `m`. Each run is replayed once, at its first cell other
+    /// than the base's own. When `obj` does not [read the finish
+    /// sum](Objective::reads), the run's other cells have the replayed
+    /// cell's score and come after it in grid order, so none of them can
+    /// be the first minimum. When it does, the crate-internal
+    /// `IncrementalEvaluator::refold` scores each other cell of the run
+    /// from the replayed lane: it re-adds the cell's sum from the lane's
+    /// finish times in the cell's own string order, the very adds its own
+    /// replay would fold. A refolded cell comes after later runs'
+    /// replayed cells in grid order, so score ties break on position,
+    /// then on the order of `machines`. Either way the winner, its score
+    /// bits and the evaluation count are those of scoring every cell
+    /// through [`score_task_moves`](Self::score_task_moves) and folding.
     ///
     /// The replayed cells, in grid order, are lanes of
-    /// [`IncrementalEvaluator::score_cells`], one lockstep pass per
-    /// contiguous group of lanes. The cells are read from the base string
-    /// alone, never from a score, so the groups are fixed before the walk
-    /// starts; the floor walk below lists them one group at a time, as it
-    /// reaches them.
+    /// [`IncrementalEvaluator::score_cells`], one lockstep pass after
+    /// another on the calling thread, with no pool operation. The walk
+    /// lists them from the base string alone, never from a score, one
+    /// pass at a time as it reaches them; a pass holds at most
+    /// `⌈LANE_PASS_REPLAYS / k⌉` lanes.
     ///
     /// When `obj` [never falls on insertion](Objective::never_falls_on_insertion)
-    /// (makespan, or a blend of makespan alone), the walk stops early. The
-    /// scheduling kernel steps with `later` and `+` over non-negative
-    /// costs, both monotone under round-to-nearest, so inserting `t` can
-    /// only delay the tasks of `S'`, and no cell scores below `S'`
-    /// itself. The first group holds the first four cells plus a floor
-    /// lane at position `k`, which replays `S'`; each later group
-    /// holds twice the cells of the one before, up to
-    /// `⌈LANE_FANOUT_REPLAYS / k⌉`. After each group the walk stops if
-    /// the first minimum so far equals the floor bit for bit. Every cell
-    /// it skips comes later in grid order and scores at least the floor
+    /// and does not read the finish sum (makespan, or a blend of makespan
+    /// alone), the walk stops early. The scheduling kernel steps with
+    /// `later` and `+` over non-negative costs, both monotone under
+    /// round-to-nearest, so inserting `t` can only delay the tasks of
+    /// `S'`, and no cell scores below `S'` itself. The first pass holds
+    /// the first four cells plus a floor lane at position `k`, which
+    /// replays `S'`; each later pass holds twice the cells of the one
+    /// before, up to the cap. After each pass the walk stops if the
+    /// first minimum so far equals the floor bit for bit. Every cell it
+    /// skips comes later in grid order and scores at least the floor
     /// under `total_cmp`, so it can neither beat nor tie ahead of the
     /// minimum, and the winner and its score bits are those of the full
     /// walk. Skipped cells are still charged, so the evaluation count is
     /// too; [`ScanStats::scored`] counts the lanes replayed, the floor
-    /// lane included. A walk that fits in the first group's cells has
-    /// nothing to skip and replays them without a floor lane. The walk
-    /// runs inline on the calling thread, with no pool operation.
+    /// lane included. A walk that fits in the first pass's cells has
+    /// nothing to skip and replays them without a floor lane. Every other
+    /// walk replays every run.
     ///
-    /// Under any other objective the groups hold `⌈LANE_FANOUT_REPLAYS /
-    /// k⌉` lanes each. A walk of one group runs inline on the calling
-    /// thread, with no pool operation; a longer walk fans its groups out
-    /// over the pool. Neither choice can move the winner or a counter.
-    ///
-    /// A walk that runs inline ends by advancing its arena's prime to the
-    /// winning cell, when the last pass of the walk replayed it and that
-    /// pass's first cell lies at or before `t`'s own position. SE commits
-    /// the winner next, so its next relocation primes on the very string
+    /// A walk ends by advancing its arena's prime to the winning cell,
+    /// when the last pass replayed the winner's run and that pass's
+    /// first cell lies at or before `t`'s own position. SE commits the
+    /// winner next, so its next relocation primes on the very string
     /// the arena holds, and that prime is a compare. The advance replays
     /// nothing: the moved string agrees with `base` up to the first
-    /// position the move disturbs, and the winner's lane holds the finish
-    /// time of every task from there on, each computed by exactly the
-    /// operations a walk of the moved string performs. So folding those
-    /// finish times in the moved string's order rebuilds its checkpoints
-    /// and end state, and re-pricing `t`'s edges, the only ones whose
-    /// machine pair changes, rebuilds its edge costs: the state equals a
-    /// prime of the moved string bit for bit. Any other walk leaves the
-    /// prime on `base`, and the next prime resumes from the first
-    /// difference. Primes are uncounted either way.
+    /// position the move disturbs, and the lane that replayed the
+    /// winner's run holds the finish time of every task from there on,
+    /// each computed by exactly the operations a walk of the moved
+    /// string performs. So folding those finish times in the moved
+    /// string's order rebuilds its checkpoints and end state, and
+    /// re-pricing `t`'s edges, the only ones whose machine pair changes,
+    /// rebuilds its edge costs: the state equals a prime of the moved
+    /// string bit for bit. Any other walk leaves the prime on `base`,
+    /// and the next prime resumes from the first difference. Primes are
+    /// uncounted either way.
     pub fn best_relocation(
         &mut self,
         base: &Solution,
@@ -832,20 +808,16 @@ impl<'a> BatchEvaluator<'a> {
         if len == 0 {
             return None;
         }
-        let lo = positions.start;
-        let runs = !obj.reads().finish_sum;
+        let (lo, end) = (positions.start, positions.end);
         // Lane `m` starts a run at `pos`: the first position, or the step
         // to `pos` passes a task on `m`. That task is `S'[pos - 1]`: base
         // position `pos - 1` before `t`'s own, `pos` from there on.
         let run_start = move |pos: usize, m: MachineId| {
             pos == lo || base.segment_at(if pos - 1 < old_pos { pos - 1 } else { pos }).machine == m
         };
-        // A run is replayed at its first cell other than the base's own;
-        // under an objective that reads the finish sum every cell is a
-        // run of its own.
+        // A run is replayed at its first cell other than the base's own.
         let replayed = move |pos: usize, m: MachineId| {
-            !own(pos, m)
-                && (!runs || run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
+            !own(pos, m) && (run_start(pos, m) || (own(pos - 1, m) && run_start(pos - 1, m)))
         };
         // The replayed cells in grid order, listed as the walk reaches
         // them.
@@ -853,95 +825,100 @@ impl<'a> BatchEvaluator<'a> {
             .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
             .filter(move |&(pos, m)| replayed(pos, m));
         let k = self.snap.task_count();
-        let group = LANE_FANOUT_REPLAYS.div_ceil(k.max(1));
-        // The floor walk's first group: its first cells, then the floor
+        let cap = LANE_PASS_REPLAYS.div_ceil(k.max(1));
+        let refold = obj.reads().finish_sum;
+        // The floor walk's first pass: its first cells, then the floor
         // lane (`S'` alone, at position `k`). A walk that fits in those
         // cells has nothing to skip and runs without it.
-        let head = FLOOR_HEAD.min(group);
+        let head = FLOOR_HEAD.min(cap);
         let list = &mut self.cells;
         list.pos.clear();
         list.machines.clear();
         let listed = list.extend(&mut cells, head + 1);
-        let floor_walk = obj.never_falls_on_insertion() && listed > head;
-        if floor_walk {
+        let floor_walk = obj.never_falls_on_insertion() && !refold && listed > head;
+        let (mut pass, mut size) = if floor_walk {
             list.pos.insert(head, k);
             list.machines.insert(head, old_m);
+            (0..head + 1, head)
         } else {
-            list.extend(&mut cells, usize::MAX);
-        }
+            (0..list.extend(&mut cells, cap.saturating_sub(listed)).min(cap), cap)
+        };
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
         let before = self.arena_scorings();
-        let (snap, pool, list) = (self.snap, &self.arenas, &mut self.cells);
-        let checkout = || ArenaGuard::checkout_primed(pool, snap, base);
-        // Strict improvement under total_cmp keeps the earliest cell on
-        // ties, within a group and across groups alike. A winner carries
-        // its index in the list.
+        let list = &mut self.cells;
+        let mut guard = ArenaGuard::checkout_primed(&self.arenas, self.snap, base);
+        // The first minimum in grid order: strictly lower under
+        // total_cmp, or tied and at an earlier position, or at the same
+        // position on a machine earlier in `machines`. Lanes arrive in
+        // grid order, refolded cells after later lanes, so ties compare
+        // grid order; the machine order is looked up on same-position
+        // ties only. A winner carries the list index of its run's lane.
+        let rank = |m: MachineId| machines.iter().position(|&x| x == m);
+        let keeps = |b: Relocation, c: Relocation| {
+            let order = b.score.total_cmp(&c.score);
+            order.is_lt()
+                || order.is_eq()
+                    && (b.pos < c.pos || b.pos == c.pos && rank(b.machine) <= rank(c.machine))
+        };
         let first_min = |best: Option<(usize, Relocation)>, cell: (usize, Relocation)| match best {
-            Some(b) if b.1.score.total_cmp(&cell.1.score).is_le() => Some(b),
+            Some((_, b)) if keeps(b, cell.1) => best,
             _ => Some(cell),
         };
-        // Replays `lanes` of the list in one lockstep pass and folds the
-        // first minimum of its cells into `best`; returns that and the
-        // last lane's score.
-        let score_lanes = |guard: &mut ArenaGuard<'_, 'a>,
-                           list: &CellList,
-                           lanes: Range<usize>,
-                           best: Option<(usize, Relocation)>| {
-            let (pos, machine) = (&list.pos[lanes.clone()], &list.machines[lanes.clone()]);
+        // Replays the lanes of `pass` in one lockstep pass, folds the
+        // first minimum of their cells into `best` (with every other cell
+        // of their runs, refolded, when `obj` reads the finish sum), and
+        // returns the last lane's score.
+        let score_pass = |guard: &mut ArenaGuard<'_, 'a>,
+                          list: &CellList,
+                          pass: Range<usize>,
+                          best: &mut Option<(usize, Relocation)>| {
+            let (pos, on) = (&list.pos[pass.clone()], &list.machines[pass.clone()]);
             let (inc, scores) = guard.lanes(pos.len());
-            inc.score_cells(t, pos, machine, obj, scores);
-            let best = lanes
-                .zip(pos.iter().zip(machine))
+            inc.score_cells(t, pos, on, obj, scores);
+            *best = pass
+                .clone()
+                .zip(pos.iter().zip(on))
                 .zip(scores.iter())
                 .filter(|((_, (&pos, _)), _)| pos < k)
                 .map(|((i, (&pos, &machine)), &score)| (i, Relocation { pos, machine, score }))
-                .fold(best, first_min);
-            (best, scores[scores.len() - 1])
-        };
-        // An inline walk ends by advancing the arena's prime to the
-        // winner when the last pass replayed it: the caller commits that
-        // move, and its next scan primes on the string it leaves.
-        let advance = |guard: &mut ArenaGuard<'_, 'a>,
-                       best: Option<(usize, Relocation)>,
-                       pass: Range<usize>| {
-            if let Some((i, _)) = best.filter(|&(i, _)| pass.contains(&i)) {
-                guard.inc().advance(i - pass.start);
-            }
-            best
-        };
-        let best = if floor_walk {
-            let mut guard = checkout();
-            let mut pass = 0..head + 1;
-            let (mut best, floor) = score_lanes(&mut guard, list, pass.clone(), None);
-            let mut size = head;
-            while best.is_none_or(|(_, b)| b.score.to_bits() != floor.to_bits()) {
-                size = (2 * size).min(group);
-                let to = pass.end + size;
-                let to = list.extend(&mut cells, to.saturating_sub(list.pos.len())).min(to);
-                if to == pass.end {
-                    break;
+                .fold(*best, first_min);
+            let last = scores[scores.len() - 1];
+            if refold {
+                for (lane, (&at, &m)) in pos.iter().zip(on).enumerate() {
+                    let run = (at + 1..end).take_while(|&q| !run_start(q, m)).last();
+                    if let Some(to) = run {
+                        inc.refold(lane, to, obj, |q, score| {
+                            if !own(q, m) {
+                                let cell = Relocation { pos: q, machine: m, score };
+                                *best = first_min(*best, (pass.start + lane, cell));
+                            }
+                        });
+                    }
                 }
-                pass = pass.end..to;
-                best = score_lanes(&mut guard, list, pass.clone(), best).0;
             }
-            advance(&mut guard, best, pass)
-        } else if list.pos.len() > group {
-            let list = &*list;
-            let groups = list.pos.len().div_ceil(group);
-            let per_group: Vec<Option<(usize, Relocation)>> = (0..groups)
-                .into_par_iter()
-                .map_init(checkout, |guard, g| {
-                    let lanes = g * group..((g + 1) * group).min(list.pos.len());
-                    score_lanes(guard, list, lanes, None).0
-                })
-                .collect();
-            per_group.into_iter().flatten().fold(None, first_min)
-        } else {
-            let pass = 0..list.pos.len();
-            let mut guard = checkout();
-            let best = score_lanes(&mut guard, list, pass.clone(), None).0;
-            advance(&mut guard, best, pass)
+            last
         };
+        let mut best = None;
+        let floor = score_pass(&mut guard, list, pass.clone(), &mut best);
+        loop {
+            if floor_walk && best.is_some_and(|(_, b)| b.score.to_bits() == floor.to_bits()) {
+                break;
+            }
+            size = (2 * size).min(cap);
+            let to = pass.end + size;
+            let to = list.extend(&mut cells, to.saturating_sub(list.pos.len())).min(to);
+            if to == pass.end {
+                break;
+            }
+            pass = pass.end..to;
+            score_pass(&mut guard, list, pass.clone(), &mut best);
+        }
+        // The caller commits the winner, and its next scan primes on the
+        // string it leaves.
+        if let Some((i, cell)) = best.filter(|&(i, _)| pass.contains(&i)) {
+            guard.inc().advance(i - pass.start, cell.pos);
+        }
+        drop(guard);
         self.evaluations += len as u64;
         self.absorb_arena_scorings(before);
         best.map(|(_, cell)| cell)

@@ -65,15 +65,15 @@ pub struct FaultPlan {
     #[serde(default)]
     pub seed: u64,
     /// Panic when the process-wide tick reaches this value (1-based:
-    /// `Some(1)` panics the very first tick). Every full pass and every
-    /// move scoring (a replay, cell lanes included) ticks once, across
-    /// every evaluator tier; a relocation scan's floor lane is a lane and
-    /// ticks too. Cells a relocation scan charges as evaluations without
-    /// replaying them do not tick: the other cells of a run of identical
-    /// schedules, and every cell after a floor walk meets its floor.
-    /// When the Nth tick lands
-    /// inside a batch chunk the panic poisons that worker's arena, which
-    /// is the point.
+    /// `Some(1)` panics the very first tick, and `Some(0)` never fires,
+    /// so the CLI rejects it). Every full pass and every move scoring (a
+    /// replay, cell lanes included) ticks once, across every evaluator
+    /// tier; a relocation scan's floor lane is a lane and ticks too.
+    /// Cells a relocation scan charges as evaluations without replaying
+    /// them do not tick: the other cells of a run of identical
+    /// schedules, refolded ones included, and every cell after a floor
+    /// walk meets its floor. When the Nth tick lands inside a batch chunk
+    /// the panic poisons that worker's arena, which is the point.
     #[serde(default)]
     pub panic_at_evaluations: Option<u64>,
     /// Cells to panic on their first attempt (consumed on use).

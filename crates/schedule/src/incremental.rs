@@ -37,12 +37,12 @@
 //! fast-forwards to it from the stored finish times and walks only the
 //! rest. An identical string is a compare. The crate-internal `advance`
 //! goes one step further for SE: after a [`score_cells`] pass, the lane
-//! of the cell SE is about to commit already holds the finish time of
-//! every task the move disturbs, so the prime advances to that cell by
-//! folding them, with no replay, and the next scan's prime finds its
-//! string unchanged. Either way the stored state equals a walk of the
-//! whole string bit for bit, so no score depends on what was primed
-//! before.
+//! that replayed the run of the cell SE is about to commit already holds
+//! the finish time of every task the move disturbs, so the prime
+//! advances to that cell by folding them, with no replay, and the next
+//! scan's prime finds its string unchanged. Either way the stored state
+//! equals a walk of the whole string bit for bit, so no score depends on
+//! what was primed before.
 //!
 //! The priming walk caches every edge's **resolved transfer cost** under
 //! the base assignment, in predecessor-CSR order, as it reads it. A
@@ -91,10 +91,14 @@
 //! produce the same finish times, busy times and latest finish, bit for
 //! bit. Only the string-order finish sum can round differently.
 //! [`crate::BatchEvaluator::best_relocation`] uses this to replay one
-//! cell per run of such candidates under an objective that does not
-//! read the finish sum. The fact holds for this kernel only: a kernel
-//! that filled idle gaps would make the schedule depend on the
-//! interleaving, and every cell would need its own replay.
+//! cell per run of such candidates. Under an objective that reads the
+//! finish sum, the crate-internal `refold` then scores each other cell
+//! of a run from the lane that replayed it: it re-adds the cell's sum
+//! from the lane's finish times in the cell's own string order, add for
+//! add what the cell's replay would fold, and finalizes it with the
+//! lane's latest finish and busy times. The fact holds for this kernel
+//! only: a kernel that filled idle gaps would make the schedule depend
+//! on the interleaving, and every cell would need its own replay.
 //!
 //! **What a scoring folds.** [`Objective::reads`] declares which of the
 //! finish-time sum and the busy times an objective's score reads.
@@ -117,6 +121,12 @@ use crate::snapshot::{later, EvalSnapshot, LaneArrival};
 use mshc_platform::{HcInstance, MachineId};
 use mshc_taskgraph::TaskId;
 use std::borrow::Cow;
+
+/// Cells whose finish-time sums one pass of
+/// `IncrementalEvaluator::refold` re-adds side by side, each in a
+/// register: every add of a cell depends on its last, so eight cells
+/// keep the adder busy where one would wait on it.
+const REFOLD_BLOCK: usize = 8;
 
 /// The checkpoint stride for a `k`-task string: `⌈√k⌉`.
 fn auto_stride(tasks: usize) -> usize {
@@ -319,16 +329,30 @@ struct LaneScratch {
     step: Vec<f64>,
     /// `[machine]`: one lane's busy vector, gathered for finalize.
     column: Vec<f64>,
-    /// The relocated task of the last pass, while that pass's lanes
-    /// still hold the primed base with the task moved to each cell:
-    /// `None` once the base changes, and after a pass that replayed
-    /// left-shifted tasks scalar, whose finish times no lane holds.
-    moved: Option<TaskId>,
+    /// The last pass, while its lanes still hold the primed base with
+    /// its task moved to each cell: `None` once the base changes.
+    pass: Option<LanePass>,
     /// Lane count of that pass, the row width of `finish`.
     width: usize,
     /// `(position, machine)` of each cell lane of that pass, floor lanes
     /// excluded.
     cells: Vec<(usize, MachineId)>,
+}
+
+/// What `advance` and `refold` read of the last
+/// [`score_cells`](IncrementalEvaluator::score_cells) pass besides its
+/// lanes.
+#[derive(Debug, Clone, Copy)]
+struct LanePass {
+    /// The relocated task.
+    task: TaskId,
+    /// The first position of `S'` (the base without the task) that the
+    /// lanes replayed. Right of the task's own position, the tasks
+    /// between replayed scalar, and no lane holds their finish times.
+    first: usize,
+    /// The finish-time sum every lane started from, the fold of `S'`
+    /// before `first`; `None` when the pass did not fold the sum.
+    start_sum: Option<f64>,
 }
 
 impl LaneScratch {
@@ -453,7 +477,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 0
             }
         };
-        self.lanes.moved = None;
+        self.lanes.pass = None;
         self.resume(from);
         let IncrementalEvaluator {
             snap,
@@ -511,11 +535,14 @@ impl<'a> IncrementalEvaluator<'a> {
         ckpts.resume::<true, true>(snap, base, base_finish, from, machine_avail, state);
     }
 
-    /// Advances the prime to cell lane `lane` of the last
-    /// [`score_cells`](Self::score_cells) pass: afterwards the evaluator
-    /// is primed on the base with that pass's task moved to the lane's
-    /// cell, bit for bit as [`prime`](Self::prime) of that string would
-    /// leave it. Returns `false`, and changes nothing, when there is no
+    /// Advances the prime to the cell at position `pos` of cell lane
+    /// `lane`'s run in the last [`score_cells`](Self::score_cells) pass:
+    /// afterwards the evaluator is primed on the base with that pass's
+    /// task moved to `pos` on the lane's machine, bit for bit as
+    /// [`prime`](Self::prime) of that string would leave it. `pos` is
+    /// the lane's own position or a later one of its run, the cells
+    /// whose positions differ from the lane's only by tasks on other
+    /// machines. Returns `false`, and changes nothing, when there is no
     /// such lane: the base changed since the pass, the pass replayed
     /// left-shifted tasks scalar (its first cell lies right of the
     /// task's own position), or `lane` is not a cell lane of it.
@@ -523,16 +550,24 @@ impl<'a> IncrementalEvaluator<'a> {
     /// No task is replayed. The moved string agrees with the base before
     /// the first position the move disturbs, which no cell of the pass
     /// precedes, and the lane holds the finish time of every task from
-    /// there on, each exactly as a replay of its candidate computes it.
-    /// So the advance resumes like a prime, folds the lane's finish
-    /// times in the moved string's order, and re-prices the moved task's
-    /// edges, the only ones whose machine pair changes.
-    pub(crate) fn advance(&mut self, lane: usize) -> bool {
-        let LaneScratch { moved, cells, .. } = &mut self.lanes;
-        let (Some(t), Some(&(pos, m))) = (*moved, cells.get(lane)) else { return false };
-        *moved = None;
+    /// there on, each exactly as a replay of its candidate computes it;
+    /// every cell of the run has those same finish times. So the advance
+    /// resumes like a prime, folds the lane's finish times in the moved
+    /// string's order, and re-prices the moved task's edges, the only
+    /// ones whose machine pair changes.
+    pub(crate) fn advance(&mut self, lane: usize, pos: usize) -> bool {
+        let LaneScratch { pass, cells, .. } = &mut self.lanes;
+        let (Some(LanePass { task: t, first, .. }), Some(&(at, m))) = (*pass, cells.get(lane))
+        else {
+            return false;
+        };
         let primed = self.base.as_mut().expect("a pass ran on a primed base");
         let (old_pos, old_m) = (primed.position_of(t), primed.machine_of(t));
+        if first > old_pos {
+            return false;
+        }
+        debug_assert!(at <= pos, "{pos} precedes lane {lane}'s cell at {at}");
+        *pass = None;
         primed.relocate(t, pos, m);
         let from = old_pos.min(pos);
         self.resume(from);
@@ -567,6 +602,83 @@ impl<'a> IncrementalEvaluator<'a> {
         }
         end_state.clone_from(state);
         true
+    }
+
+    /// Scores the cells of cell lane `lane`'s run right of the lane's own
+    /// cell, in the last [`score_cells`](Self::score_cells) pass, under
+    /// an objective that reads the finish-time sum: `score(pos, s)`
+    /// receives each cell's position, from the lane's own plus one up to
+    /// `to`, and its score `s`, bit-identical to
+    /// [`score_move`](Self::score_move) of that cell. Every position up
+    /// to `to` must belong to the lane's run, that is, each step from
+    /// the lane's own position passes a task on another machine. The
+    /// cells are not replayed and count no scoring.
+    ///
+    /// The cells of a run share every finish time, busy time and the
+    /// latest finish with the lane bit for bit; only the string-order
+    /// finish-time sum can round differently. So each cell's sum is
+    /// re-added from the lane's finish times in that cell's own string
+    /// order, add for add what its own replay folds: from the sum the
+    /// lanes started from, the tasks of `S'` up to the cell, `t`, then
+    /// the rest of `S'`. The cells' adds run side by side, one sum per
+    /// cell, each finalized with the lane's latest finish and busy times.
+    ///
+    /// # Panics
+    /// If the base changed since the pass, the pass did not fold the
+    /// finish-time sum, or `lane` is not a cell lane of it.
+    pub(crate) fn refold(
+        &mut self,
+        lane: usize,
+        to: usize,
+        obj: &dyn Objective,
+        mut score: impl FnMut(usize, f64),
+    ) {
+        let IncrementalEvaluator { snap, base, state, lanes, .. } = self;
+        let base = base.as_ref().expect("a pass ran on a primed base");
+        let LaneScratch { finish, busy, max, column, pass, width, cells, .. } = lanes;
+        let pass = pass.expect("a pass over the primed base");
+        let start_sum = pass.start_sum.expect("a pass that folded the finish-time sum");
+        let (t, n, k) = (pass.task, *width, base.len());
+        let at = cells[lane].0;
+        debug_assert!(at < to && to < k, "cells {at} < .. <= {to} of {k}");
+        if obj.reads().machine_busy {
+            let column = &mut column[..snap.machine_count()];
+            for (x, c) in column.iter_mut().enumerate() {
+                *c = busy[x * n + lane];
+            }
+            state.load_reads::<false, true>(max[lane], 0.0, k, column);
+        }
+        let lane_finish = |u: TaskId| finish[u.index() * n + lane];
+        let (t_finish, old_pos) = (lane_finish(t), base.position_of(t));
+        // `S'[i]`'s finish time in the lane; `S'` holds k - 1 tasks.
+        let finish_at = |i: usize| lane_finish(base.segment_at(i + usize::from(i >= old_pos)).task);
+        // The fold of `S'` before the next cell, `at + 1`.
+        let mut prefix = (pass.first..=at).fold(start_sum, |sum, i| sum + finish_at(i));
+        let mut from = at + 1;
+        while from <= to {
+            // A block of cells: each sum adds the prefix before its cell,
+            // `t`, and `S'` up to the block's end, then all of them add
+            // the rest of `S'` side by side.
+            let block = from..(from + REFOLD_BLOCK).min(to + 1);
+            let mut sums = [0.0; REFOLD_BLOCK];
+            for (sum, q) in sums.iter_mut().zip(block.clone()) {
+                *sum = (q..block.end.min(k - 1)).fold(prefix + t_finish, |s, i| s + finish_at(i));
+                if q < k - 1 {
+                    prefix += finish_at(q);
+                }
+            }
+            for i in block.end..k - 1 {
+                let f = finish_at(i);
+                for sum in &mut sums {
+                    *sum += f;
+                }
+            }
+            for (q, &sum) in block.clone().zip(&sums) {
+                state.load_reads::<true, false>(max[lane], sum, k, &[]);
+                score(q, obj.finalize(state));
+            }
+            from = block.end;
+        }
     }
 
     /// The primed base's own score under `obj` — a free accumulator read,
@@ -808,7 +920,7 @@ impl<'a> IncrementalEvaluator<'a> {
         let n = positions.len();
         assert_eq!(machines.len(), n, "one machine per cell");
         assert_eq!(out.len(), n, "one score slot per cell");
-        lanes.moved = None;
+        lanes.pass = None;
         let (Some(&p0), Some(&last)) = (positions.first(), positions.last()) else { return };
         assert!(last <= k, "move position out of range");
         debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]), "positions nondecreasing");
@@ -857,7 +969,7 @@ impl<'a> IncrementalEvaluator<'a> {
             sum,
             step,
             column,
-            moved,
+            pass,
             width,
             cells: cell_list,
         } = lanes;
@@ -868,8 +980,9 @@ impl<'a> IncrementalEvaluator<'a> {
             }
         }
         max[..n].fill(state.max_finish());
-        if SUM {
-            sum[..n].fill(state.finish_sum());
+        let start_sum = SUM.then(|| state.finish_sum());
+        if let Some(start_sum) = start_sum {
+            sum[..n].fill(start_sum);
         }
         // A floor lane's `t` finishes at `-inf`: `-inf + cost` is `-inf`,
         // which `later` drops, so its consumers read no arrival from `t`.
@@ -969,9 +1082,8 @@ impl<'a> IncrementalEvaluator<'a> {
         }
         dirty.clear();
 
-        // The cell lanes stay behind for `advance`, unless left-shifted
-        // tasks replayed scalar, outside every lane.
-        *moved = (p0 <= old_pos).then_some(t);
+        // The cell lanes stay behind for `advance` and `refold`.
+        *pass = Some(LanePass { task: t, first: p0, start_sum });
         *width = n;
         cell_list.clear();
         cell_list.extend(positions[..cells].iter().copied().zip(machines[..cells].iter().copied()));
@@ -1355,8 +1467,20 @@ mod tests {
         (pos, machines)
     }
 
+    /// The last position of the run of cells on `m` through position
+    /// `at` of `t`'s grid on `base`, up to `hi`: each step from `at` on
+    /// passes a task of `S'` (the base without `t`) on another machine.
+    fn run_end(base: &Solution, t: TaskId, at: usize, hi: usize, m: MachineId) -> usize {
+        let old_pos = base.position_of(t);
+        let passes_m =
+            |q: usize| base.segment_at(if q - 1 < old_pos { q - 1 } else { q }).machine == m;
+        (at + 1..=hi).take_while(|&q| !passes_m(q)).last().unwrap_or(at)
+    }
+
     #[test]
     fn advancing_to_a_lane_equals_a_fresh_prime_of_the_moved_string() {
+        // Every cell lane of whole grids advances to every cell of its
+        // run: each advance equals a fresh prime of the moved string.
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
         let makespan_only = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 };
         for (tasks, machines, seed) in [(12, 3, 50), (40, 5, 51)] {
@@ -1369,26 +1493,107 @@ mod tests {
             let kinds = ObjectiveKind::BASIC.into_iter().chain([weighted, makespan_only]);
             for (round, kind) in kinds.enumerate() {
                 let t = TaskId::new(rng.gen_range(0..tasks as u32));
+                let hi = base.valid_range(g, t).1;
                 let (pos, on) = relocation_cells(&inst, &base, t);
                 let mut scores = vec![0.0; pos.len()];
                 for lane in 0..pos.len() {
-                    inc.prime(&base);
-                    inc.score_cells(t, &pos, &on, &kind, &mut scores);
                     let label = format!("{}, round {round}, lane {lane}", kind.label());
                     if pos[lane] == tasks {
-                        assert!(!inc.advance(lane), "{label}: a floor lane has no cell");
+                        inc.prime(&base);
+                        inc.score_cells(t, &pos, &on, &kind, &mut scores);
+                        assert!(!inc.advance(lane, tasks), "{label}: a floor lane has no cell");
                         assert_primed_alike(&inc, &fresh_prime(&snap, &base), &label);
                         continue;
                     }
-                    assert!(inc.advance(lane), "{label}");
-                    let mut moved = base.clone();
-                    moved.move_task(g, t, pos[lane], on[lane]).unwrap();
-                    assert_primed_alike(&inc, &fresh_prime(&snap, &moved), &label);
-                    assert_eq!(inc.base_score(&kind).to_bits(), scores[lane].to_bits(), "{label}");
-                    assert!(!inc.advance(lane), "{label}: one advance per pass");
+                    for at in pos[lane]..=run_end(&base, t, pos[lane], hi, on[lane]) {
+                        inc.prime(&base);
+                        inc.score_cells(t, &pos, &on, &kind, &mut scores);
+                        let label = format!("{label}, cell {at}");
+                        assert!(inc.advance(lane, at), "{label}");
+                        let mut moved = base.clone();
+                        moved.move_task(g, t, at, on[lane]).unwrap();
+                        assert_primed_alike(&inc, &fresh_prime(&snap, &moved), &label);
+                        if at == pos[lane] {
+                            let score = inc.base_score(&kind).to_bits();
+                            assert_eq!(score, scores[lane].to_bits(), "{label}");
+                        }
+                        assert!(!inc.advance(lane, at), "{label}: one advance per pass");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn refolded_cells_equal_score_move_bit_for_bit() {
+        // A pass over the run starts of `t`'s grid from its first
+        // position on, left of, at or right of `t`'s own position; every
+        // other cell of every run, refolded from its lane, scores exactly
+        // what `score_move` scores, under every objective that reads the
+        // finish-time sum, a custom one with the default declaration
+        // among them. Some runs pass through the base's own cell, and a
+        // sink's runs end at the last position. Refolds count no scoring
+        // and leave the pass in place.
+        struct BusiestMachine;
+        impl Objective for BusiestMachine {
+            fn finalize(&self, state: &ObjectiveState) -> f64 {
+                let busiest = state.machine_busy().iter().copied().fold(0.0, f64::max);
+                busiest + 1e-3 * state.finish_sum()
+            }
+        }
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
+        let objectives: [&dyn Objective; 4] = [
+            &ObjectiveKind::TotalFlowtime,
+            &ObjectiveKind::MeanFlowtime,
+            &weighted,
+            &BusiestMachine,
+        ];
+        let (mut refolded, mut through_own, mut at_the_end) = (0usize, 0usize, 0usize);
+        for (tasks, machines, seed) in [(12, 3, 70), (40, 5, 71), (100, 20, 72), (60, 2, 73)] {
+            let inst = random_instance(tasks, machines, seed);
+            let g = inst.graph();
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = random_solution(&inst, &mut rng);
+            let mut inc = fresh_prime(&snap, &base);
+            let mut oracle = fresh_prime(&snap, &base);
+            for t in g.tasks() {
+                let (lo, hi) = base.valid_range(g, t);
+                let own = (base.position_of(t), base.machine_of(t));
+                for first in [lo, own.0, own.0 + 1].into_iter().filter(|&p| p <= hi) {
+                    // The run starts from `first` on, every machine.
+                    let (pos, on): (Vec<usize>, Vec<MachineId>) = (first..=hi)
+                        .flat_map(|p| inst.system().machine_ids().map(move |m| (p, m)))
+                        .filter(|&(p, m)| p == first || run_end(&base, t, p - 1, p, m) < p)
+                        .unzip();
+                    for obj in objectives {
+                        let mut scores = vec![f64::NAN; pos.len()];
+                        inc.score_cells(t, &pos, &on, obj, &mut scores);
+                        let scorings = inc.evaluations();
+                        for lane in 0..pos.len() {
+                            let (at, m) = (pos[lane], on[lane]);
+                            let to = run_end(&base, t, at, hi, m);
+                            if to == at {
+                                continue;
+                            }
+                            let mut cells = at + 1..=to;
+                            inc.refold(lane, to, obj, |q, score| {
+                                assert_eq!(Some(q), cells.next(), "cells in order");
+                                let want = oracle.score_move(t, q, m, obj);
+                                assert_eq!(score.to_bits(), want.to_bits(), "{t} -> ({q}, {m})");
+                                refolded += 1;
+                                through_own += usize::from((q, m) == own);
+                                at_the_end += usize::from(q == tasks - 1);
+                            });
+                            assert_eq!(cells.next(), None, "every cell of the run");
+                        }
+                        assert_eq!(inc.evaluations(), scorings, "refolds count no scoring");
+                    }
+                }
+            }
+        }
+        assert!(refolded > 100_000, "{refolded} cells refolded");
+        assert!(through_own > 0 && at_the_end > 0, "{through_own} own, {at_the_end} last");
     }
 
     #[test]
@@ -1411,8 +1616,8 @@ mod tests {
         let mut scores = vec![0.0; pos.len()];
         let mut inc = fresh_prime(&snap, &base);
         inc.score_cells(t, &pos, &on, &ObjectiveKind::Makespan, &mut scores);
-        for lane in 0..pos.len() {
-            assert!(!inc.advance(lane), "lane {lane}");
+        for (lane, &at) in pos.iter().enumerate() {
+            assert!(!inc.advance(lane, at), "lane {lane}");
         }
         assert_primed_alike(&inc, &fresh_prime(&snap, &base), "after the refused advances");
         // The same cells behind one at `t`'s own position do advance.
@@ -1421,7 +1626,7 @@ mod tests {
             std::iter::once(own).chain(pos.into_iter().zip(on)).unzip();
         let mut scores = vec![0.0; pos.len()];
         inc.score_cells(t, &pos, &on, &ObjectiveKind::Makespan, &mut scores);
-        assert!(inc.advance(pos.len() - 1));
+        assert!(inc.advance(pos.len() - 1, pos[pos.len() - 1]));
         let mut moved = base.clone();
         moved.move_task(g, t, pos[pos.len() - 1], on[pos.len() - 1]).unwrap();
         assert_primed_alike(&inc, &fresh_prime(&snap, &moved), "advanced past the shifted tasks");

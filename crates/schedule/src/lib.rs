@@ -74,19 +74,22 @@
 //! machines. Sliding the relocated task past a task on another machine
 //! keeps every sequence, so the two candidates share every finish time,
 //! busy time and the latest finish, bit for bit; only the string-order
-//! finish sum can round differently. Under an objective that does not
-//! [read](Objective::reads) that sum (makespan, load balance, a weighted
-//! blend without flowtime),
+//! finish sum can round differently.
 //! [`best_relocation`](BatchEvaluator::best_relocation) replays one cell
-//! per run of such candidates and charges every cell as an evaluation.
-//! An insertion-based kernel would break the fact, and every cell would
-//! need its own replay. The kernel's steps are also monotone (`later`
-//! and `+` over non-negative costs), so inserting the task can only
-//! delay the others: under an objective that [never falls on
+//! per run of such candidates, inline on the calling thread, and charges
+//! every cell as an evaluation. Under an objective that
+//! [reads](Objective::reads) that sum (the flowtime objectives, a
+//! weighted blend with flowtime), it re-adds each other cell's sum from
+//! the replayed lane's finish times in that cell's own string order, the
+//! very adds the cell's own replay would fold. An insertion-based kernel
+//! would break the fact, and every cell would need its own replay. The
+//! kernel's steps are also monotone (`later` and `+` over non-negative
+//! costs), so inserting the task can only delay the others: under an
+//! objective that [never falls on
 //! insertion](Objective::never_falls_on_insertion) (makespan), no cell
 //! scores below the string without the task, which one more lane
-//! replays, and the scan stops at the first group of cells whose
-//! minimum meets that floor.
+//! replays, and the scan stops at the first pass whose minimum meets
+//! that floor.
 //!
 //! ## The encoding
 //!

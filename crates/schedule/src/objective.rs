@@ -214,11 +214,11 @@ pub trait Objective: Sync {
     /// The latest finish, the task count and each machine's busy time
     /// depend only on the task sequence each machine runs, never on how
     /// the string interleaves machines. So two strings with the same
-    /// per-machine sequences score bit-identically under an objective
-    /// that does not read the finish-time sum, and
+    /// per-machine sequences differ at most in the finish-time sum, and
     /// [`crate::BatchEvaluator::best_relocation`] replays one candidate
-    /// per run of such strings. [`FoldReads::ALL`], the default, is
-    /// always safe.
+    /// per run of such strings. Only under an objective that reads the
+    /// sum does it re-add each other candidate's sum from the replayed
+    /// finish times. [`FoldReads::ALL`], the default, is always safe.
     fn reads(&self) -> FoldReads {
         FoldReads::ALL
     }
@@ -231,7 +231,8 @@ pub trait Objective: Sync {
     /// non-negative costs, both monotone under round-to-nearest, so
     /// inserting a task into a string can only delay the others. Under an
     /// objective that declares this, no relocation of a task `t` scores
-    /// below the string without `t`, and
+    /// below the string without `t`, and, unless the objective
+    /// [reads](Self::reads) the finish-time sum,
     /// [`crate::BatchEvaluator::best_relocation`] stops its walk at the
     /// first minimum that meets that floor. `false`, the default, is
     /// always safe: it keeps the walk over every replayed cell.

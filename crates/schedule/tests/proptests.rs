@@ -363,9 +363,9 @@ proptest! {
         // The relocation grid scan (SE's shape: positions × machines in
         // pos-major order, the base's own cell excluded) agrees with
         // exact scores plus a first-minimum fold, counts one evaluation
-        // per cell, and replays every cell under the flowtime objectives.
-        // Under makespan it replays one cell per run of identical
-        // schedules, up to the first group whose minimum meets the floor.
+        // per cell, and replays one cell per run of identical schedules;
+        // under makespan, up to the first pass whose minimum meets the
+        // floor.
         let t = moves[0].0;
         let (lo, hi) = base.valid_range(g, t);
         let machines: Vec<MachineId> =
@@ -388,7 +388,7 @@ proptest! {
         let replayed = if kind_sel == 0 {
             floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, &kind)
         } else {
-            replayed_cells(&base, t, (lo, hi), &machines, false)
+            replayed_cells(&base, t, (lo, hi), &machines)
         };
         prop_assert_eq!(batch.scan_stats().scored, replayed as u64);
     }
@@ -437,12 +437,12 @@ proptest! {
 
     /// SE's relocation argmin commits the first minimum of the exact
     /// scores over the full grid under every objective kind — the five
-    /// built-ins and a weighted blend without flowtime — at 1, 2 and 8
-    /// threads, on a Y-limited machine ranking. It charges one evaluation
-    /// per cell and replays exactly the cells that start a run (every
-    /// cell under the objectives that read the finish-time sum), except
-    /// under makespan, where it stops at the first group whose minimum
-    /// meets the floor.
+    /// built-ins, a weighted blend without flowtime, and a custom
+    /// objective under the default declaration — at 1, 2 and 8 threads,
+    /// on a Y-limited machine ranking. It charges one evaluation per cell
+    /// and replays exactly the cells that start a run, except under
+    /// makespan, where it stops at the first pass whose minimum meets the
+    /// floor.
     #[test]
     fn relocation_scan_is_the_full_grid_first_minimum(
         inst in instance_strategy(),
@@ -466,34 +466,35 @@ proptest! {
             .into_iter()
             .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap())
             .collect();
-        // Each kind with whether its scan replays one cell per run, that
-        // is, whether it leaves the finish-time sum unread.
         let kinds = [
-            (ObjectiveKind::Makespan, true),
-            (ObjectiveKind::TotalFlowtime, false),
-            (ObjectiveKind::MeanFlowtime, false),
-            (ObjectiveKind::LoadBalance, true),
-            (ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 }, false),
-            (ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 }, true),
+            ObjectiveKind::Makespan,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::MeanFlowtime,
+            ObjectiveKind::LoadBalance,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 },
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 1.0 },
         ];
-        for (kind, runs) in kinds {
-            let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, &kind);
+        let mut objectives: Vec<(String, &dyn Objective)> =
+            kinds.iter().map(|kind| (kind.label(), kind as &dyn Objective)).collect();
+        objectives.push(("custom".to_string(), &BusiestMachine));
+        for (label, obj) in objectives {
+            let scores = BatchEvaluator::new(&snap).score_task_moves(&base, &grid, obj);
             let want = scores
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
                 .map(|(i, &s)| (grid[i].1, grid[i].2, s.to_bits()));
-            let replayed = if kind.is_makespan() {
-                floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, &kind)
+            let replayed = if obj.never_falls_on_insertion() {
+                floor_walk_lanes(&snap, &base, t, (lo, hi), &machines, obj)
             } else {
-                replayed_cells(&base, t, (lo, hi), &machines, runs)
+                replayed_cells(&base, t, (lo, hi), &machines)
             } as u64;
             for (pool, threads) in pools.iter().zip([1, 2, 8]) {
                 let mut batch = BatchEvaluator::new(&snap);
                 let got =
-                    pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, &kind));
+                    pool.install(|| batch.best_relocation(&base, t, lo..=hi, &machines, obj));
                 let got = got.map(|r| (r.pos, r.machine, r.score.to_bits()));
-                let label = format!("{}, {threads} threads", kind.label());
+                let label = format!("{label}, {threads} threads");
                 prop_assert_eq!(got, want, "{}", label);
                 prop_assert_eq!(batch.evaluations(), grid.len() as u64, "{}", label);
                 prop_assert_eq!(batch.scan_stats().scored, replayed, "{}", label);

@@ -30,23 +30,19 @@ pub fn lane_runs(
 
 /// The cells `best_relocation` replays over `t`'s grid without a floor,
 /// in grid order (position by position, machines in the given order):
-/// the first cell other than the base's own of every run when `runs`
-/// (the objective ignores the finish-time sum), every cell but the
-/// base's own otherwise.
+/// the first cell other than the base's own of every run.
 pub fn replayed_list(
     base: &Solution,
     t: TaskId,
     range: (usize, usize),
     machines: &[MachineId],
-    runs: bool,
 ) -> Vec<(usize, MachineId)> {
     let own = (base.position_of(t), base.machine_of(t));
     let mut cells: Vec<(usize, usize)> = Vec::new();
     for (i, &m) in machines.iter().enumerate() {
         for run in lane_runs(base, t, range, m) {
-            let others = run.into_iter().filter(|&pos| (pos, m) != own);
-            let take = if runs { 1 } else { usize::MAX };
-            cells.extend(others.take(take).map(|pos| (pos, i)));
+            let first = run.into_iter().find(|&pos| (pos, m) != own);
+            cells.extend(first.map(|pos| (pos, i)));
         }
     }
     cells.sort_unstable();
@@ -59,15 +55,14 @@ pub fn replayed_cells(
     t: TaskId,
     range: (usize, usize),
     machines: &[MachineId],
-    runs: bool,
 ) -> usize {
-    replayed_list(base, t, range, machines, runs).len()
+    replayed_list(base, t, range, machines).len()
 }
 
 /// The lanes `best_relocation` replays under `obj`, an objective that
 /// never falls on insertion and ignores the finish-time sum: the
 /// run-start cells in grid order, scored exactly one by one, walked in
-/// groups of 4 cells plus the floor lane, then 8, 16, … cells, each at
+/// passes of 4 cells plus the floor lane, then 8, 16, … cells, each at
 /// most `⌈16,384 / k⌉`, until the first minimum so far equals the floor
 /// bit for bit. The floor is a lone floor lane's score. A walk of at
 /// most 4 cells runs without a floor lane.
@@ -79,10 +74,10 @@ pub fn floor_walk_lanes(
     machines: &[MachineId],
     obj: &dyn Objective,
 ) -> usize {
-    let cells = replayed_list(base, t, range, machines, true);
+    let cells = replayed_list(base, t, range, machines);
     let k = base.len();
-    let group = 16_384usize.div_ceil(k);
-    let head = group.min(4);
+    let cap = 16_384usize.div_ceil(k);
+    let head = cap.min(4);
     if cells.len() <= head {
         return cells.len();
     }
@@ -97,7 +92,7 @@ pub fn floor_walk_lanes(
     let mut best = first_min(&scores[..head]);
     let (mut lo, mut size) = (head, head);
     while lo < scores.len() && best.to_bits() != floor[0].to_bits() {
-        size = (2 * size).min(group);
+        size = (2 * size).min(cap);
         let hi = (lo + size).min(scores.len());
         best = [best, first_min(&scores[lo..hi])].into_iter().min_by(f64::total_cmp).unwrap();
         lo = hi;
