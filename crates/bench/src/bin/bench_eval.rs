@@ -154,7 +154,7 @@ struct BenchReport {
     /// latency a dropout costs the serve path.
     replan_us_per_disturbance: f64,
     /// Fraction of tournament cells that completed only after bounded
-    /// same-seed retries when a seeded fault plan panics a subset of
+    /// same-seed retries when a fault plan panics a subset of
     /// cells — the chaos-harness health series (expected: exactly the
     /// injected fraction; more means real panics, fewer means faults
     /// stopped firing).
@@ -511,7 +511,7 @@ fn main() {
         start.elapsed().as_secs_f64() * 1e6 / applied as f64
     };
 
-    // Chaos probe: the tiny tournament under a seeded fault plan that
+    // Chaos probe: the tiny tournament under a fault plan that
     // panics two named cells. Both must come back degraded (retried,
     // not dropped), nothing else may be touched.
     let degraded_cell_fraction = {

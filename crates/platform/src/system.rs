@@ -33,6 +33,19 @@ impl Deserialize for HcSystem {
     }
 }
 
+/// The row, column and value of `m`'s first entry in row-major order
+/// that is not `ok`. Blocks of entries are checked with no exit inside a
+/// block, which the compiler vectorizes when `ok` is branch-free; only
+/// the first failing block is searched entry by entry.
+fn first_offending(m: &Matrix, ok: impl Fn(f64) -> bool) -> Option<(usize, usize, f64)> {
+    const BLOCK: usize = 16;
+    let data = m.as_slice();
+    let block = data.chunks(BLOCK).position(|b| !b.iter().fold(true, |all, &v| all & ok(v)))?;
+    let start = block * BLOCK;
+    let i = start + data[start..].iter().position(|&v| !ok(v)).expect("the block fails");
+    Some((i / m.cols(), i % m.cols(), data[i]))
+}
+
 impl HcSystem {
     /// Builds and validates a system.
     ///
@@ -61,38 +74,21 @@ impl HcSystem {
                 actual: transfer.shape(),
             });
         }
-        for r in 0..exec.rows() {
-            for c in 0..exec.cols() {
-                let v = exec.get(r, c);
-                if !v.is_finite() {
-                    return Err(PlatformError::InvalidCost {
-                        matrix: "E",
-                        row: r,
-                        col: c,
-                        value: v,
-                    });
-                }
-                if v <= 0.0 {
-                    return Err(PlatformError::NonPositiveExecution {
-                        machine: r,
-                        task: c,
-                        value: v,
-                    });
-                }
-            }
+        // One scan per matrix finds the first offending entry in row-major
+        // order; a non-finite `E` entry is an invalid cost even if negative.
+        // For `v >= 0`, `v <= f64::MAX` is `v.is_finite()` in one compare
+        // (`is_finite` lowers to integer bit tests that do not vectorize).
+        if let Some((row, col, value)) = first_offending(&exec, |v| (v > 0.0) & (v <= f64::MAX)) {
+            return Err(if value.is_finite() {
+                PlatformError::NonPositiveExecution { machine: row, task: col, value }
+            } else {
+                PlatformError::InvalidCost { matrix: "E", row, col, value }
+            });
         }
-        for r in 0..transfer.rows() {
-            for c in 0..transfer.cols() {
-                let v = transfer.get(r, c);
-                if !v.is_finite() || v < 0.0 {
-                    return Err(PlatformError::InvalidCost {
-                        matrix: "Tr",
-                        row: r,
-                        col: c,
-                        value: v,
-                    });
-                }
-            }
+        if let Some((row, col, value)) =
+            first_offending(&transfer, |v| (0.0..=f64::MAX).contains(&v))
+        {
+            return Err(PlatformError::InvalidCost { matrix: "Tr", row, col, value });
         }
         Ok(HcSystem { machines, exec, transfer })
     }
@@ -280,25 +276,140 @@ mod tests {
         assert!(matches!(r.unwrap_err(), PlatformError::TransferShape { .. }));
     }
 
-    #[test]
-    fn rejects_nonpositive_exec() {
-        let exec = Matrix::from_rows(&[vec![1.0, 0.0]]);
-        let r = HcSystem::with_anonymous_machines(1, exec, Matrix::filled(0, 0, 0.0));
-        assert!(matches!(
-            r.unwrap_err(),
-            PlatformError::NonPositiveExecution { machine: 0, task: 1, .. }
-        ));
+    /// The variant, matrix, row, column and value bits of a cost error.
+    fn offending(e: PlatformError) -> (&'static str, usize, usize, u64) {
+        match e {
+            PlatformError::InvalidCost { matrix, row, col, value } => {
+                (matrix, row, col, value.to_bits())
+            }
+            PlatformError::NonPositiveExecution { machine, task, value } => {
+                ("E <= 0", machine, task, value.to_bits())
+            }
+            other => panic!("not a cost error: {other:?}"),
+        }
     }
 
     #[test]
-    fn rejects_nan_costs() {
-        let exec = Matrix::from_rows(&[vec![1.0], vec![f64::NAN]]);
-        let r = HcSystem::with_anonymous_machines(2, exec, Matrix::filled(1, 0, 0.0));
-        assert!(matches!(r.unwrap_err(), PlatformError::InvalidCost { matrix: "E", .. }));
+    fn rejects_the_first_offending_entry_in_row_major_order() {
+        // Each case carries several bad entries; the expected errors were
+        // captured from an element-by-element loop over `E`, then `Tr`.
+        const N: f64 = f64::NAN;
+        const I: f64 = f64::INFINITY;
+        let e_ok = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, 10.0, 11.0, 12.0]];
+        let tr_ok = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]];
+        type Case = ([[f64; 4]; 3], [[f64; 3]; 3], (&'static str, usize, usize, u64));
+        let cases: [Case; 12] = [
+            (
+                [[1.0, 2.0, 3.0, 4.0], [5.0, N, -I, 0.0], [-1.0, I, 6.0, 7.0]],
+                tr_ok,
+                ("E", 1, 1, 0x7ff8_0000_0000_0000),
+            ),
+            (
+                [[1.0, 2.0, 3.0, I], [N, 0.0, -1.0, 4.0], [5.0, 6.0, -I, 7.0]],
+                tr_ok,
+                ("E", 0, 3, 0x7ff0_0000_0000_0000),
+            ),
+            (
+                [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, -I, 0.0, N]],
+                tr_ok,
+                ("E", 2, 1, 0xfff0_0000_0000_0000),
+            ),
+            (
+                [[1.0, 0.0, N, -I], [-1.0, 2.0, I, 3.0], [4.0, 5.0, 6.0, 7.0]],
+                tr_ok,
+                ("E <= 0", 0, 1, 0),
+            ),
+            (
+                [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, -2.5], [0.0, N, I, -1.0]],
+                tr_ok,
+                ("E <= 0", 1, 3, 0xc004_0000_0000_0000),
+            ),
+            (
+                [[1.0, 2.0, -0.0, 4.0], [N, 0.0, -1.0, I], [5.0, 6.0, 7.0, 8.0]],
+                tr_ok,
+                ("E <= 0", 0, 2, 0x8000_0000_0000_0000),
+            ),
+            // Zero and negative-zero transfers are valid.
+            (
+                e_ok,
+                [[0.0, 0.0, 1.0], [-0.0, N, -1.0], [I, -I, 2.0]],
+                ("Tr", 1, 1, 0x7ff8_0000_0000_0000),
+            ),
+            (
+                e_ok,
+                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, -1e-300, N]],
+                ("Tr", 2, 1, 0x81a5_6e1f_c2f8_f359),
+            ),
+            (
+                e_ok,
+                [[I, N, -1.0], [-I, 0.0, 1.0], [2.0, 3.0, 4.0]],
+                ("Tr", 0, 0, 0x7ff0_0000_0000_0000),
+            ),
+            (
+                e_ok,
+                [[1.0, 2.0, 3.0], [4.0, 5.0, -I], [N, -1.0, I]],
+                ("Tr", 1, 2, 0xfff0_0000_0000_0000),
+            ),
+            // Bad entries in both matrices: `E` is checked first.
+            (
+                [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, 10.0, 11.0, -1.0]],
+                [[N, -1.0, I], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+                ("E <= 0", 2, 3, 0xbff0_0000_0000_0000),
+            ),
+            (
+                e_ok,
+                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, N]],
+                ("Tr", 2, 2, 0x7ff8_0000_0000_0000),
+            ),
+        ];
+        for (i, (exec, transfer, want)) in cases.into_iter().enumerate() {
+            let exec = Matrix::from_rows(&exec.map(Vec::from));
+            let transfer = Matrix::from_rows(&transfer.map(Vec::from));
+            let r = HcSystem::with_anonymous_machines(3, exec, transfer);
+            assert_eq!(offending(r.unwrap_err()), want, "case {i}");
+        }
+        // An `E` row with no task columns, or a `Tr` with no data items,
+        // has nothing to reject; the extremes of the valid ranges pass.
+        assert!(HcSystem::with_anonymous_machines(
+            3,
+            Matrix::filled(3, 0, 0.0),
+            Matrix::filled(3, 0, 0.0)
+        )
+        .is_ok());
+        let tiny = f64::from_bits(1);
+        let exec = Matrix::from_rows(&[vec![f64::MAX, tiny], vec![tiny, f64::MAX]]);
+        let transfer = Matrix::from_rows(&[vec![f64::MAX, -0.0, 0.0, tiny]]);
+        assert!(HcSystem::with_anonymous_machines(2, exec, transfer).is_ok());
+    }
 
-        let exec = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
-        let tr = Matrix::from_rows(&[vec![-1.0]]);
-        let r = HcSystem::with_anonymous_machines(2, exec, tr);
-        assert!(matches!(r.unwrap_err(), PlatformError::InvalidCost { matrix: "Tr", .. }));
+    #[test]
+    fn rejects_the_first_offending_entry_at_every_position() {
+        // 37 tasks and 23 data items on 3 machines: neither matrix is a
+        // whole number of the scan's blocks. Each planted entry has a
+        // later bad entry of another kind behind it.
+        let (l, k, p) = (3, 37, 23);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -2.5] {
+            for i in 0..l * k {
+                let mut exec = Matrix::filled(l, k, 1.0);
+                exec.set(i / k, i % k, bad);
+                if i + 9 < l * k {
+                    exec.set((i + 9) / k, (i + 9) % k, if bad.is_nan() { -1.0 } else { f64::NAN });
+                }
+                let r = HcSystem::with_anonymous_machines(l, exec, Matrix::filled(l, p, f64::NAN));
+                let kind = if bad.is_finite() { "E <= 0" } else { "E" };
+                assert_eq!(offending(r.unwrap_err()), (kind, i / k, i % k, bad.to_bits()), "{i}");
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-300, -2.5] {
+            for i in 0..l * p {
+                let mut transfer = Matrix::filled(l, p, 0.0);
+                transfer.set(i / p, i % p, bad);
+                if i + 9 < l * p {
+                    transfer.set((i + 9) / p, (i + 9) % p, -1.0);
+                }
+                let r = HcSystem::with_anonymous_machines(l, Matrix::filled(l, k, 1.0), transfer);
+                assert_eq!(offending(r.unwrap_err()), ("Tr", i / p, i % p, bad.to_bits()), "{i}");
+            }
+        }
     }
 }

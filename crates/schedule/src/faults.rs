@@ -1,7 +1,7 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! A [`FaultPlan`] is a declarative, seeded description of the faults to
-//! inject into a run: panic at the Nth counted evaluation (which, when
+//! A [`FaultPlan`] is a declarative description of the faults to inject
+//! into a run: panic at the Nth counted evaluation (which, when
 //! the Nth evaluation lands inside a parallel batch chunk, doubles as
 //! poisoned-arena injection), panic specific tournament cells on their
 //! first attempt, and machine-dropout disturbances for `mshc replan`.
@@ -9,10 +9,9 @@
 //!
 //! ```json
 //! {
-//!   "seed": 42,
 //!   "panic_at_evaluations": 1000,
 //!   "cell_panics": [
-//!     { "algorithm": "se", "scenario": "t16-m4-dense-hihet-cc10", "seed": 7 }
+//!     { "algorithm": "se", "scenario": "lay12_cmedium_l3_hmedium_ccr0.5", "seed": 7 }
 //!   ],
 //!   "dropouts": [
 //!     { "kind": "MachineFailure", "time": 12.5, "machine": 1, "factor": 1.0 }
@@ -57,13 +56,11 @@ pub struct CellFault {
     pub seed: u64,
 }
 
-/// A declarative, seeded fault-injection plan (see the module docs for
-/// the JSON schema).
+/// A declarative fault-injection plan (see the module docs for the JSON
+/// schema). Keys it does not name, such as the `"seed"` older plans
+/// carry, are ignored.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Seed for deriving randomized injections (dropout traces).
-    #[serde(default)]
-    pub seed: u64,
     /// Panic when the process-wide tick reaches this value (1-based:
     /// `Some(1)` panics the very first tick, and `Some(0)` never fires,
     /// so the CLI rejects it). Every full pass and every move scoring (a
@@ -211,7 +208,6 @@ mod tests {
     #[test]
     fn plan_round_trips_and_defaults() {
         let plan = FaultPlan {
-            seed: 42,
             panic_at_evaluations: Some(10),
             cell_panics: vec![CellFault {
                 algorithm: "se".into(),
@@ -231,6 +227,21 @@ mod tests {
         let empty = FaultPlan::from_json("{}").expect("empty plan");
         assert_eq!(empty, FaultPlan::default());
         assert!(empty.panic_at_evaluations.is_none());
+    }
+
+    #[test]
+    fn a_seed_key_loads_and_the_plan_fires_the_same_faults() {
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let body = r#""panic_at_evaluations": 2,
+            "cell_panics": [{"algorithm": "se", "scenario": "tiny", "seed": 7}]"#;
+        let seeded = FaultPlan::from_json(&format!(r#"{{"seed": 42, {body}}}"#)).expect("loads");
+        assert_eq!(seeded, FaultPlan::from_json(&format!("{{{body}}}")).expect("loads"));
+        arm(&seeded);
+        assert!(take_cell_fault("se", "tiny", 7), "the cell fault fires");
+        eval_tick();
+        let err = std::panic::catch_unwind(eval_tick).expect_err("second tick panics");
+        assert!(is_injected_panic(&*err));
+        disarm();
     }
 
     #[test]

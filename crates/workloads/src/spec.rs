@@ -95,6 +95,14 @@ pub(crate) fn check_platform(machines: usize, ccr: f64, ceiling: f64) -> Result<
     Ok(())
 }
 
+/// The `Tr` matrix of `machines` machines: the entry of a machine pair
+/// and data item `d` is `scale[d]` times a `U(0.8, 1.2)` jitter, drawn in
+/// row-major order.
+pub(crate) fn jittered_transfers(machines: usize, scale: &[f64], rng: &mut ChaCha8Rng) -> Matrix {
+    let pairs = machines * (machines - 1) / 2;
+    Matrix::from_fn(pairs, scale.len(), |_, d| scale[d] * rng.gen_range(0.8..JITTER_CEILING))
+}
+
 /// A fully specified random workload: one point of the paper's taxonomy
 /// plus a seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -211,14 +219,12 @@ impl WorkloadSpec {
             Matrix::from_fn(self.machines, self.tasks, |_, t| base[t] * rng.gen_range(1.0..=hi));
 
         // --- transfer times targeting the CCR ---
-        // mean_exec(t) = base[t] * E[u] = base[t] * (1 + hi) / 2.
+        // mean_exec(t) = base[t] * E[u] = base[t] * (1 + hi) / 2, and a data
+        // item scales as ccr * mean_exec(producer).
         let mean_factor = (1.0 + hi) / 2.0;
-        let pairs = self.machines * (self.machines - 1) / 2;
-        let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, d| {
-            let producer = graph.edges()[d].src;
-            let mean_exec = base[producer.index()] * mean_factor;
-            self.ccr * mean_exec * rng.gen_range(0.8..JITTER_CEILING)
-        });
+        let scale: Vec<f64> =
+            graph.edges().iter().map(|e| self.ccr * (base[e.src.index()] * mean_factor)).collect();
+        let transfer = jittered_transfers(self.machines, &scale, &mut rng);
 
         let sys = HcSystem::with_anonymous_machines(self.machines, exec, transfer)
             .expect("generated matrices are valid by construction");

@@ -8,7 +8,9 @@
 //! range-based platform model as [`crate::WorkloadSpec`], and are used by
 //! the examples.
 
-use crate::spec::{check_platform, Heterogeneity, BASE_CEILING, JITTER_CEILING};
+use crate::spec::{
+    check_platform, jittered_transfers, Heterogeneity, BASE_CEILING, JITTER_CEILING,
+};
 use mshc_platform::{HcInstance, HcSystem, Matrix};
 use mshc_taskgraph::gen;
 use mshc_taskgraph::TaskGraph;
@@ -46,11 +48,9 @@ pub fn with_platform(
     let base: Vec<f64> = (0..k).map(|_| rng.gen_range(50.0..BASE_CEILING)).collect();
     let exec = Matrix::from_fn(machines, k, |_, t| base[t] * rng.gen_range(1.0..=hi));
     let mean_factor = (1.0 + hi) / 2.0;
-    let pairs = machines * (machines - 1) / 2;
-    let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, d| {
-        let producer = graph.edges()[d].src;
-        ccr * base[producer.index()] * mean_factor * rng.gen_range(0.8..JITTER_CEILING)
-    });
+    let scale: Vec<f64> =
+        graph.edges().iter().map(|e| ccr * base[e.src.index()] * mean_factor).collect();
+    let transfer = jittered_transfers(machines, &scale, &mut rng);
     let sys = HcSystem::with_anonymous_machines(machines, exec, transfer)
         .expect("generated matrices valid");
     HcInstance::new(graph, sys).expect("dimensions agree")
