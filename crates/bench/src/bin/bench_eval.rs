@@ -31,9 +31,12 @@
 //! makespan of that string, while the other argmin replays every cell
 //! with its own `score_move`. `flowtime_lane_speedup_vs_exact` is the
 //! same ratio under total flowtime, where the relocation argmin refolds
-//! the finish-time sum of every cell of a run from the one it replays. The probe scans one incumbent without
-//! committing a winner, so each scan resumes the prime its predecessor
-//! advanced to that winner. `resumed_prime_speedup` times the primes
+//! the finish-time sum of every cell of a run from the one it replays.
+//! The probe scans one incumbent without committing a winner, so each
+//! scan resumes the prime its predecessor advanced to that winner.
+//! `floor_pass_speedup_vs_exact` times the makespan walk's first pass
+//! alone, four cells and the floor lane in one five-lane call, against
+//! one `score_move` per cell. `resumed_prime_speedup` times the primes
 //! themselves: scratch primes over resumed primes of the consecutive
 //! strings an SE allocation chain commits.
 //!
@@ -72,11 +75,16 @@ use std::time::Instant;
 
 /// `BENCH_eval.json` schema version — bumped whenever series are added
 /// or removed, so downstream tooling can gate on it.
-const SCHEMA_VERSION: u32 = 7;
+const SCHEMA_VERSION: u32 = 8;
 
 /// Timed repeats of each same-process ratio probe; each probe reports the
 /// median repeat, which a single slow spell of a shared host cannot move.
 const REPEATS: usize = 5;
+
+/// Cells in the first pass of a floor walk
+/// (`BatchEvaluator::best_relocation` under makespan), which also
+/// replays the floor lane: the pass `floor_pass_speedup_vs_exact` times.
+const FIRST_PASS_CELLS: usize = 4;
 
 /// The JSON payload CI archives.
 #[derive(Debug, Serialize)]
@@ -114,6 +122,13 @@ struct BenchReport {
     /// relocation argmin replays one cell per run and refolds the
     /// finish-time sums of the others, median of [`REPEATS`].
     flowtime_lane_speedup_vs_exact: f64,
+    /// A floor walk's first pass, its first four cells plus the floor
+    /// lane in one five-lane `IncrementalEvaluator::score_cells` call,
+    /// over the four `score_move` calls of the same cells, for every
+    /// task of the same incumbent, one thread, median of [`REPEATS`]:
+    /// what the lane kernel compiled at that fixed width gains over
+    /// scalar replays.
+    floor_pass_speedup_vs_exact: f64,
     /// Priming a string from scratch over priming it on an evaluator
     /// last primed on the string before it, over the consecutive
     /// strings of an SE allocation chain on the paper-scale preset, one
@@ -365,6 +380,58 @@ fn main() {
     let (lane_eps, lane_speedup) = lane_probe(&obj);
     let (_, flowtime_lane_speedup) = lane_probe(&ObjectiveKind::TotalFlowtime);
 
+    // The floor walk's first pass alone: for every task of the incumbent,
+    // its first grid cells plus the floor lane in one `score_cells` call
+    // (at 20 machines every machine starts a run at the first position,
+    // so these are the walk's own first-pass cells), against one
+    // `score_move` per cell. Both replay on one evaluator primed on the
+    // incumbent.
+    let floor_pass_speedup = {
+        let k = inst.task_count();
+        let passes: Vec<(TaskId, Vec<usize>, Vec<MachineId>)> = grids
+            .iter()
+            .filter(|cells| cells.len() > FIRST_PASS_CELLS)
+            .map(|cells| {
+                let head = &cells[..FIRST_PASS_CELLS];
+                let pos = head.iter().map(|&(_, pos, _)| pos).chain([k]).collect();
+                let on = head.iter().map(|&(_, _, m)| m).chain([machines[0]]).collect();
+                (head[0].0, pos, on)
+            })
+            .collect();
+        let mut inc = IncrementalEvaluator::with_snapshot(&snapshot);
+        inc.prime(&incumbent);
+        let mut scores = [0.0; FIRST_PASS_CELLS + 1];
+        for (t, pos, on) in &passes {
+            inc.score_cells(*t, pos, on, &obj, &mut scores);
+            for ((&p, &m), score) in pos.iter().zip(on).zip(&scores[..FIRST_PASS_CELLS]) {
+                let exact = inc.score_move(*t, p, m, &obj);
+                assert_eq!(score.to_bits(), exact.to_bits(), "lane and score_move disagree");
+            }
+        }
+        // The two series alternate sweep by sweep (about a millisecond
+        // each at 100 tasks), so a slow spell of the host hits both.
+        let ratios = (0..REPEATS).map(|_| {
+            let (mut lanes, mut exact) = (0.0, 0.0);
+            for _ in 0..50 * reps {
+                let start = Instant::now();
+                for (t, pos, on) in &passes {
+                    inc.score_cells(*t, pos, on, &obj, &mut scores);
+                    black_box(&scores);
+                }
+                lanes += start.elapsed().as_secs_f64();
+                let start = Instant::now();
+                for (t, pos, on) in &passes {
+                    for (&p, &m) in pos.iter().zip(on).take(FIRST_PASS_CELLS) {
+                        black_box(inc.score_move(*t, p, m, &obj));
+                    }
+                }
+                exact += start.elapsed().as_secs_f64();
+            }
+            exact / lanes
+        });
+        median(ratios.collect())
+    };
+
     // Resumed primes: the strings an SE allocation chain commits, one
     // relocation apart, primed in order on one evaluator against the
     // same strings primed from scratch. A scratch prime runs on an
@@ -596,6 +663,7 @@ fn main() {
         lane_scan_evals_per_sec: lane_eps,
         lane_speedup_vs_exact: lane_speedup,
         flowtime_lane_speedup_vs_exact: flowtime_lane_speedup,
+        floor_pass_speedup_vs_exact: floor_pass_speedup,
         resumed_prime_speedup,
         batch_1thread_evals_per_sec: batch1_eps,
         batch_evals_per_sec: batchn_eps,
@@ -629,9 +697,9 @@ fn main() {
     );
     println!(
         "se allocation grids: relocation scan {:.0} evals/s ({:.2}x vs one score_move per cell, \
-         one thread; {:.2}x under total flowtime) | resumed primes {:.2}x faster than scratch \
-         primes",
-        lane_eps, lane_speedup, flowtime_lane_speedup, resumed_prime_speedup
+         one thread; {:.2}x under total flowtime) | first floor-walk pass {:.2}x faster than its \
+         cells' score_moves | resumed primes {:.2}x faster than scratch primes",
+        lane_eps, lane_speedup, flowtime_lane_speedup, floor_pass_speedup, resumed_prime_speedup
     );
     println!(
         "ga: {:.0} evals/s, {:.1}% of string positions served by clones",

@@ -19,6 +19,7 @@ use mshc_trace::Trace;
 use mshc_workloads::{
     named_suite, Connectivity, DisturbanceTrace, DisturbanceTraceSpec, Heterogeneity, WorkloadSpec,
 };
+use serde::Deserialize;
 use std::fmt;
 use std::io::{self, Write};
 use std::time::Duration;
@@ -744,7 +745,7 @@ fn tournament_spec(p: &Parsed) -> Result<TournamentSpec, String> {
                 }
             }
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            serde_json::from_str::<TournamentSpec>(&text)
+            TournamentSpec::from_json(&text)
                 .map_err(|e| format!("{path}: invalid tournament spec: {e}"))?
         }
         None => {
@@ -909,11 +910,15 @@ fn disturbances(
         reject_beside(p, "--disturb", EVENT_FLAGS, "the file fixes the disturbances")?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         // Accept either a full trace ({seed, events: [...]}) or a bare
-        // event array.
-        return serde_json::from_str::<DisturbanceTrace>(&text)
-            .map(|t| t.events)
-            .or_else(|_| serde_json::from_str::<Vec<Disturbance>>(&text))
-            .map_err(|e| format!("{path}: invalid disturbance trace: {e}"));
+        // event array, told apart by the document's shape so that the
+        // error is the one of the form the file has.
+        let invalid = |e: serde_json::Error| format!("{path}: invalid disturbance trace: {e}");
+        let file: serde::Value = serde_json::from_str(&text).map_err(invalid)?;
+        let events = match file.as_seq() {
+            Some(_) => Vec::<Disturbance>::deserialize(&file),
+            None => DisturbanceTrace::deserialize(&file).map(|t| t.events),
+        };
+        return events.map_err(|e| invalid(e.into()));
     }
     if let Some(plan) = faults.filter(|plan| !plan.dropouts.is_empty()) {
         reject_beside(p, "--faults", EVENT_FLAGS, "the plan's dropouts fix the disturbances")?;

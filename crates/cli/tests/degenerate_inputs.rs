@@ -1,5 +1,5 @@
-//! Degenerate workload parameters end `mshc` with exit code 2 and a
-//! message naming the field, never with a panic.
+//! Degenerate workload parameters and input files end `mshc` with exit
+//! code 2 and a message naming the field, never with a panic.
 
 use mshc_portfolio::TournamentSpec;
 use mshc_workloads::{DagShape, Heterogeneity, Scenario};
@@ -84,6 +84,56 @@ fn a_fault_plan_its_command_cannot_fire_exits_2_naming_the_field() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(&format!("--faults {path}: {field}")), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_misspelled_key_in_an_input_file_exits_2_naming_it() {
+    let dir = std::env::temp_dir().join(format!("mshc_misspelled_keys_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str, json: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, json).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let plan = file("plan.json", r#"{"panic_at_evalutions": 5}"#);
+    let spec = TournamentSpec {
+        algorithms: vec!["heft".into()],
+        seeds: vec![1],
+        iterations: 3,
+        ..TournamentSpec::new("typo", mshc_workloads::tiny_suite())
+    };
+    let spec = serde_json::to_string(&spec).unwrap();
+    // A defaulted key falls back to its default when it is missing, so a
+    // misspelled one would go unseen; a scenario key likewise.
+    let retries = file("retries.json", &spec.replacen("\"cell_retries\"", "\"cell_retires\"", 1));
+    let ccr = file("ccr.json", &spec.replacen("\"ccr\"", "\"cr\"", 1));
+    // A dropout's key, in a trace file and in a bare event array.
+    let event = r#"{"kind": "MachineFailure", "time": 5.0, "machin": 1}"#;
+    let trace = file("trace.json", &format!(r#"{{"seed": 1, "events": [{event}]}}"#));
+    let events = file("events.json", &format!("[{event}]"));
+    let seed = file("seed.json", r#"{"sede": 1, "events": []}"#);
+    let replan = ["replan", "--algo", "sa", "--tasks", "10", "--machines", "3", "--iters", "3"];
+    let tournament = ["tournament", "--suite", "tiny", "--seeds", "1", "--iters", "3"];
+    let cases: Vec<(Vec<&str>, String, &str)> = vec![
+        (
+            [&tournament[..], &["--faults", &plan]].concat(),
+            format!("--faults {plan}"),
+            "panic_at_evalutions",
+        ),
+        (vec!["tournament", "--spec", &retries], retries.clone(), "cell_retires"),
+        (vec!["tournament", "--spec", &ccr], ccr.clone(), "cr"),
+        ([&replan[..], &["--disturb", &trace]].concat(), trace.clone(), "machin"),
+        ([&replan[..], &["--disturb", &events]].concat(), events.clone(), "machin"),
+        ([&replan[..], &["--disturb", &seed]].concat(), seed.clone(), "sede"),
+    ];
+    for (args, path, key) in cases {
+        let (code, stderr) = mshc(&args);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&path), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown field `{key}`")), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -37,8 +37,11 @@ pub const ALGORITHMS: [&str; 13] = [
 ///
 /// Serializable as JSON (`mshc tournament --spec FILE`); objectives are
 /// stored as their CLI spellings so the spec format stays stable and
-/// human-editable.
+/// human-editable. A key the spec or a scenario does not name is an
+/// error. Load spec files with [`from_json`](Self::from_json), which
+/// also takes files that still carry the retired cost knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TournamentSpec {
     /// Display name of the scenario grid (e.g. `tiny`, `small`, `full`,
     /// or `custom`). Informational only.
@@ -95,7 +98,24 @@ fn default_cell_retries() -> u64 {
     1
 }
 
+/// Cost knobs spec files set before they were deleted (bound pruning and
+/// GA lineage scoring); such a file still loads, and they are dropped.
+const RETIRED_KEYS: [&str; 2] = ["prune", "ga_full_eval"];
+
 impl TournamentSpec {
+    /// Parses a spec file. A key the spec or a scenario does not name is
+    /// an error naming the key, so a misspelled defaulted key, such as
+    /// `cell_retries`, cannot fall back to its default unseen. Spec files
+    /// written while the spec carried the retired `prune` and
+    /// `ga_full_eval` knobs still load: the keys are dropped.
+    pub fn from_json(s: &str) -> Result<TournamentSpec, serde_json::Error> {
+        let mut file: serde::Value = serde_json::from_str(s)?;
+        if let serde::Value::Map(entries) = &mut file {
+            entries.retain(|(key, _)| !RETIRED_KEYS.contains(&key.as_str()));
+        }
+        Ok(TournamentSpec::deserialize(&file)?)
+    }
+
     /// A spec over `scenarios` with the default algorithm suite, one
     /// replicate seed stream, the makespan objective and a small
     /// iteration budget.

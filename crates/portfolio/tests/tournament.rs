@@ -115,17 +115,33 @@ fn leaderboard_json_is_bit_identical_across_thread_counts_and_repeats() {
 #[test]
 fn spec_file_with_retired_cost_knobs_yields_the_same_leaderboard() {
     // A spec written while `prune` and `ga_full_eval` existed, with both
-    // escape hatches set, still loads (the keys are ignored) and races
+    // escape hatches set, still loads (the keys are dropped) and races
     // to the same leaderboard bytes as the spec without them.
     let spec = tiny_spec();
     let json = serde_json::to_string(&spec).unwrap();
     let old = json.replacen('{', "{\"prune\":false,\"ga_full_eval\":true,", 1);
-    let loaded: TournamentSpec = serde_json::from_str(&old).unwrap();
+    let loaded = TournamentSpec::from_json(&old).unwrap();
     assert_eq!(loaded, spec);
     let board = |spec: &TournamentSpec| {
         serde_json::to_string(&aggregate(&run_tournament(spec).unwrap()).0).unwrap()
     };
     assert_eq!(board(&loaded), board(&spec));
+}
+
+#[test]
+fn a_spec_file_with_an_unknown_key_is_an_error_naming_it() {
+    // A misspelled top-level or scenario key is named, not dropped; only
+    // the retired knobs are dropped, and only at the top level.
+    let json = serde_json::to_string(&tiny_spec()).unwrap();
+    let cases = [
+        json.replacen("\"cell_retries\"", "\"cell_retires\"", 1),
+        json.replacen("\"ccr\"", "\"cr\"", 1),
+        json.replacen("\"ccr\"", "\"prune\":true,\"ccr\"", 1),
+    ];
+    for (typo, key) in cases.iter().zip(["cell_retires", "cr", "prune"]) {
+        let err = TournamentSpec::from_json(typo).unwrap_err().to_string();
+        assert!(err.contains(&format!("unknown field `{key}`")), "{typo}: {err}");
+    }
 }
 
 #[test]

@@ -138,7 +138,12 @@ const SCAN_CHUNK_REPLAYS: usize = 6144;
 /// other walk replays passes of this size: under total flowtime at
 /// 300 × 16, a walk spans passes of 55 lanes. The passes are read from
 /// the base string alone, and every replayed score is exact, so the
-/// size cannot move a result or a counter.
+/// size cannot move a result, only the replay count: a floor walk's
+/// passes stop doubling at this size, and it stops after the first pass
+/// that meets the floor, so a change here can move the `scored`
+/// constants `se_golden` pins. Passes of this size have a width known
+/// only at run time; only a floor walk's first three pass widths are
+/// compiled as fixed-width lane kernels (see [`FLOOR_HEAD`]).
 const LANE_PASS_REPLAYS: usize = 16_384;
 
 /// Cells in the first pass of a floor walk
@@ -146,7 +151,17 @@ const LANE_PASS_REPLAYS: usize = 16_384;
 /// [never falls on insertion](Objective::never_falls_on_insertion)),
 /// which also carries the floor lane. Each later pass doubles, up to
 /// `⌈LANE_PASS_REPLAYS / k⌉` cells.
-const FLOOR_HEAD: usize = 4;
+///
+/// [`IncrementalEvaluator::score_cells`] compiles its pass at the first
+/// three widths of such a walk, `FLOOR_HEAD + 1`, `2 · FLOOR_HEAD` and
+/// `4 · FLOOR_HEAD` lanes (5, 8 and 16), as fixed-width instances of the
+/// one lane kernel, under the fold a floor walk runs (no finish-time
+/// sum, no busy times). The first pass is most of SE's cost under
+/// makespan, and a width the compiler knows drops every per-lane loop's
+/// remainder and trip-count checks. The widths are derived from this
+/// constant, so they follow it; a change to it moves the `scored`
+/// constants `se_golden` pins.
+pub(crate) const FLOOR_HEAD: usize = 4;
 
 /// Locks a pool mutex, recovering the data on poison. Arena state is
 /// always structurally valid (a suspect arena is discarded by the guard
@@ -844,7 +859,6 @@ impl<'a> BatchEvaluator<'a> {
             (0..list.extend(&mut cells, cap.saturating_sub(listed)).min(cap), cap)
         };
         let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        let before = self.arena_scorings();
         let list = &mut self.cells;
         let mut guard = ArenaGuard::checkout_primed(&self.arenas, self.snap, base);
         // The first minimum in grid order: strictly lower under
@@ -864,17 +878,19 @@ impl<'a> BatchEvaluator<'a> {
             Some((_, b)) if keeps(b, cell.1) => best,
             _ => Some(cell),
         };
-        // Replays the lanes of `pass` in one lockstep pass, folds the
-        // first minimum of their cells into `best` (with every other cell
-        // of their runs, refolded, when `obj` reads the finish sum), and
-        // returns the last lane's score.
-        let score_pass = |guard: &mut ArenaGuard<'_, 'a>,
-                          list: &CellList,
-                          pass: Range<usize>,
-                          best: &mut Option<(usize, Relocation)>| {
+        // Replays the lanes of `pass` in one lockstep pass, counts them,
+        // folds the first minimum of their cells into `best` (with every
+        // other cell of their runs, refolded, when `obj` reads the finish
+        // sum), and returns the last lane's score.
+        let mut scored = 0;
+        let mut score_pass = |guard: &mut ArenaGuard<'_, 'a>,
+                              list: &CellList,
+                              pass: Range<usize>,
+                              best: &mut Option<(usize, Relocation)>| {
             let (pos, on) = (&list.pos[pass.clone()], &list.machines[pass.clone()]);
             let (inc, scores) = guard.lanes(pos.len());
             inc.score_cells(t, pos, on, obj, scores);
+            scored += pos.len() as u64;
             *best = pass
                 .clone()
                 .zip(pos.iter().zip(on))
@@ -920,7 +936,7 @@ impl<'a> BatchEvaluator<'a> {
         }
         drop(guard);
         self.evaluations += len as u64;
-        self.absorb_arena_scorings(before);
+        self.scan.merge(ScanStats { scored, ..ScanStats::default() });
         best.map(|(_, cell)| cell)
     }
 
@@ -1664,6 +1680,52 @@ mod tests {
         let obj = ObjectiveKind::LoadBalance;
         batch.best_relocation(&base, t, 0..=7, &machines, &obj).expect("a winner");
         assert_eq!(batch.scan_stats().scored, 11);
+    }
+
+    #[test]
+    fn a_walk_counts_the_lanes_its_arena_scored() {
+        // `scored` adds the widths of the passes a walk replays; the
+        // arena's own scoring count, which `score_task_moves` still reads,
+        // moves by exactly as much. Every task's grid, on all machines and
+        // on Y-limited rankings, under floor walks, refolding walks and
+        // walks of every run, at the pass widths compiled fixed and not.
+        let makespan_only = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 };
+        let objectives = [
+            ObjectiveKind::Makespan,
+            makespan_only,
+            ObjectiveKind::TotalFlowtime,
+            ObjectiveKind::LoadBalance,
+            ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 },
+        ];
+        let mut walks = 0;
+        for (tasks, machines, seed) in [(12, 3, 90), (40, 5, 91), (100, 20, 92)] {
+            let inst = random_instance(tasks, machines, seed);
+            let g = inst.graph();
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = random_solution(&inst, &mut rng);
+            let mut batch = BatchEvaluator::new(&snap);
+            for t in g.tasks() {
+                let (lo, hi) = base.valid_range(g, t);
+                let mut ranking = inst.system().machine_ranking(t);
+                ranking.truncate(rng.gen_range(1..=machines));
+                let all: Vec<MachineId> = (0..machines).map(MachineId::from_usize).collect();
+                for (obj, machines) in
+                    objectives.iter().flat_map(|obj| [(obj, &all), (obj, &ranking)])
+                {
+                    let (scored, arena) = (batch.scan_stats().scored, batch.arena_scorings());
+                    batch.best_relocation(&base, t, lo..=hi, machines, obj);
+                    let label = format!("{} on {t}, {} machines", obj.label(), machines.len());
+                    assert_eq!(
+                        batch.scan_stats().scored - scored,
+                        batch.arena_scorings() - arena,
+                        "{label}"
+                    );
+                    walks += 1;
+                }
+            }
+        }
+        assert_eq!(walks, 10 * (12 + 40 + 100));
     }
 
     #[test]

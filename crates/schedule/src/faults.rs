@@ -47,6 +47,7 @@ pub const FAULT_PANIC_PREFIX: &str = "fault injection:";
 /// engine's deterministic same-seed retry succeeds and the cell lands
 /// in the leaderboard marked `degraded` instead of being dropped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CellFault {
     /// The contestant's stable identifier (e.g. `"se"`, `"ga"`).
     pub algorithm: String,
@@ -57,9 +58,11 @@ pub struct CellFault {
 }
 
 /// A declarative fault-injection plan (see the module docs for the JSON
-/// schema). Keys it does not name, such as the `"seed"` older plans
-/// carry, are ignored.
+/// schema). A key the plan, a cell fault or a dropout does not name is
+/// an error, except the top-level `"seed"` older plans carry, which
+/// [`FaultPlan::from_json`] drops.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Panic when the process-wide tick reaches this value (1-based:
     /// `Some(1)` panics the very first tick, and `Some(0)` never fires,
@@ -83,9 +86,17 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses a plan from its JSON wire format.
+    /// Parses a plan from its JSON wire format. A key no part of the
+    /// plan names is an error naming the key, so a misspelled field
+    /// cannot silently disarm its fault. Plans written while a plan
+    /// carried a `"seed"` still load: nothing ever read it, so the key
+    /// is dropped.
     pub fn from_json(s: &str) -> Result<FaultPlan, serde_json::Error> {
-        serde_json::from_str(s)
+        let mut plan: serde::Value = serde_json::from_str(s)?;
+        if let serde::Value::Map(entries) = &mut plan {
+            entries.retain(|(key, _)| key != "seed");
+        }
+        Ok(FaultPlan::deserialize(&plan)?)
     }
 
     /// Serializes a plan to its JSON wire format.
@@ -242,6 +253,24 @@ mod tests {
         let err = std::panic::catch_unwind(eval_tick).expect_err("second tick panics");
         assert!(is_injected_panic(&*err));
         disarm();
+    }
+
+    #[test]
+    fn an_unknown_key_is_an_error_naming_it() {
+        let cases = [
+            (r#"{"panic_at_evalutions": 5}"#, "panic_at_evalutions"),
+            (r#"{"cell_panics": [{"algorithm": "se", "scenario": "x", "sede": 1}]}"#, "sede"),
+            (r#"{"dropouts": [{"kind": "MachineFailure", "time": 1.0, "machin": 1}]}"#, "machin"),
+            // Only the top-level legacy key is dropped.
+            (
+                r#"{"cell_panics": [{"algorithm": "se", "scenario": "x", "seed": 1, "seed ": 2}]}"#,
+                "seed ",
+            ),
+        ];
+        for (json, key) in cases {
+            let err = FaultPlan::from_json(json).expect_err(json).to_string();
+            assert!(err.contains(&format!("unknown field `{key}`")), "{json}: {err}");
+        }
     }
 
     #[test]

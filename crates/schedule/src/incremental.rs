@@ -114,6 +114,7 @@
 //! [`score_cells`]: IncrementalEvaluator::score_cells
 //! [`Evaluator::objective_value`]: crate::Evaluator::objective_value
 
+use crate::batch::FLOOR_HEAD;
 use crate::encoding::{Segment, Solution};
 use crate::objective::{specialize, Objective, ObjectiveState};
 use crate::runner::ScanStats;
@@ -127,6 +128,22 @@ use std::borrow::Cow;
 /// register: every add of a cell depends on its last, so eight cells
 /// keep the adder busy where one would wait on it.
 const REFOLD_BLOCK: usize = 8;
+
+/// Lane count of a floor walk's first pass
+/// ([`crate::BatchEvaluator::best_relocation`] under makespan): its
+/// [`FLOOR_HEAD`] cells and the floor lane. Most walks stop after it: in
+/// `mshc run --algo se` at 100 × 20 (seed 7, 200 iterations) three in
+/// four [`IncrementalEvaluator::score_cells`] calls have this width, and
+/// 93 % have it or one of the next two pass widths, so those three are
+/// compiled as fixed-width instances of the pass.
+const HEAD_PASS_LANES: usize = FLOOR_HEAD + 1;
+
+/// Lane count of a floor walk's second pass: twice the first pass's
+/// cells, no floor lane.
+const SECOND_PASS_LANES: usize = 2 * FLOOR_HEAD;
+
+/// Lane count of a floor walk's third pass.
+const THIRD_PASS_LANES: usize = 4 * FLOOR_HEAD;
 
 /// The checkpoint stride for a `k`-task string: `⌈√k⌉`.
 fn auto_stride(tasks: usize) -> usize {
@@ -870,6 +887,19 @@ impl<'a> IncrementalEvaluator<'a> {
     /// fault-plan tick). The base stays primed, and the lane scratch is
     /// reused, so steady-state calls allocate nothing.
     ///
+    /// The pass is one source compiled per fold (see
+    /// [`Objective::reads`]) and, under the fold a floor walk runs (no
+    /// finish-time sum, no busy times: makespan), also per lane width of
+    /// a floor walk's first three passes: `FLOOR_HEAD + 1`, `2 ·
+    /// FLOOR_HEAD` and `4 · FLOOR_HEAD` lanes (5, 8 and 16), where
+    /// `FLOOR_HEAD` is the cell count of a floor walk's first pass. At
+    /// those widths every per-lane loop has a fixed trip count. The
+    /// loops are element-wise, so the width changes how they are laid
+    /// out, never an operation or its order: every width scores the same
+    /// bits. In `mshc run --algo se` at 100 × 20, three in four calls
+    /// are the five-lane first pass. Every other width and fold runs the
+    /// instance that reads the width off `positions`.
+    ///
     /// # Panics
     /// As [`score_move`](Self::score_move), or if `machines` or `out`
     /// does not hold one entry per cell.
@@ -881,16 +911,33 @@ impl<'a> IncrementalEvaluator<'a> {
         obj: &dyn Objective,
         out: &mut [f64],
     ) {
-        specialize!(obj.reads(), |SUM, BUSY| {
-            self.replay_cells::<SUM, BUSY>(t, positions, machines, obj, out)
+        let reads = obj.reads();
+        if !reads.finish_sum && !reads.machine_busy {
+            return match positions.len() {
+                HEAD_PASS_LANES => self.replay_cells::<false, false, HEAD_PASS_LANES>(
+                    t, positions, machines, obj, out,
+                ),
+                SECOND_PASS_LANES => self.replay_cells::<false, false, SECOND_PASS_LANES>(
+                    t, positions, machines, obj, out,
+                ),
+                THIRD_PASS_LANES => self.replay_cells::<false, false, THIRD_PASS_LANES>(
+                    t, positions, machines, obj, out,
+                ),
+                _ => self.replay_cells::<false, false, 0>(t, positions, machines, obj, out),
+            };
+        }
+        specialize!(reads, |SUM, BUSY| {
+            self.replay_cells::<SUM, BUSY, 0>(t, positions, machines, obj, out)
         })
     }
 
     /// [`score_cells`](Self::score_cells)' lockstep pass. Every lane
     /// carries its finish times, frontiers and latest finish, plus its
     /// finish-time sum if `SUM` and its busy times if `BUSY`; under
-    /// makespan a lane's latest finish is its score.
-    fn replay_cells<const SUM: bool, const BUSY: bool>(
+    /// makespan a lane's latest finish is its score. `W` is the lane
+    /// count when it is fixed at compile time, `0` for the length of
+    /// `positions`.
+    fn replay_cells<const SUM: bool, const BUSY: bool, const W: usize>(
         &mut self,
         t: TaskId,
         positions: &[usize],
@@ -917,7 +964,13 @@ impl<'a> IncrementalEvaluator<'a> {
         let base = base.as_ref().expect("prime() the evaluator first");
         let k = base.len();
         let l = snap.machine_count();
-        let n = positions.len();
+        debug_assert!(
+            W == 0 || W == positions.len(),
+            "{} cells in a {W}-lane pass",
+            positions.len()
+        );
+        let n = if W == 0 { positions.len() } else { W };
+        let positions = &positions[..n];
         assert_eq!(machines.len(), n, "one machine per cell");
         assert_eq!(out.len(), n, "one score slot per cell");
         lanes.pass = None;
@@ -1027,7 +1080,7 @@ impl<'a> IncrementalEvaluator<'a> {
             let (u, mu) = (seg.task, seg.machine);
             let exec = snap.exec_time(mu, u);
             let row = mu.index() * n..(mu.index() + 1) * n;
-            snap.lane_step(
+            snap.lane_step::<W>(
                 u,
                 mu,
                 exec,
@@ -1049,7 +1102,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 .iter_mut()
                 .zip(&mut avail[row.clone()])
                 .zip(&mut busy[row])
-                .zip(max.iter_mut().zip(sum.iter_mut()))
+                .zip(max[..n].iter_mut().zip(&mut sum[..n]))
                 .zip(&step[..n]);
             for ((((f_u, a), b), (mx, sm)), &f) in lanes {
                 *f_u = f;
@@ -1102,12 +1155,24 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn random_instance(tasks: usize, machines: usize, seed: u64) -> HcInstance {
+        random_instance_with(tasks, machines, seed, 1.0..30.0)
+    }
+
+    /// A random layered instance whose transfer costs are drawn from
+    /// `transfers` (execution times from `10..100`).
+    fn random_instance_with(
+        tasks: usize,
+        machines: usize,
+        seed: u64,
+        transfers: std::ops::Range<f64>,
+    ) -> HcInstance {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let cfg = LayeredConfig { tasks, mean_width: 4, edge_prob: 0.5, skip_prob: 0.05 };
         let graph = layered(&cfg, &mut rng).unwrap();
         let exec = Matrix::from_fn(machines, tasks, |_, _| rng.gen_range(10.0..100.0));
         let pairs = machines * (machines - 1) / 2;
-        let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(1.0..30.0));
+        let transfer =
+            Matrix::from_fn(pairs, graph.data_count(), |_, _| rng.gen_range(transfers.clone()));
         let sys = HcSystem::with_anonymous_machines(machines, exec, transfer).unwrap();
         HcInstance::new(graph, sys).unwrap()
     }
@@ -1534,13 +1599,6 @@ mod tests {
         // among them. Some runs pass through the base's own cell, and a
         // sink's runs end at the last position. Refolds count no scoring
         // and leave the pass in place.
-        struct BusiestMachine;
-        impl Objective for BusiestMachine {
-            fn finalize(&self, state: &ObjectiveState) -> f64 {
-                let busiest = state.machine_busy().iter().copied().fold(0.0, f64::max);
-                busiest + 1e-3 * state.finish_sum()
-            }
-        }
         let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.5, balance: 0.25 };
         let objectives: [&dyn Objective; 4] = [
             &ObjectiveKind::TotalFlowtime,
@@ -1594,6 +1652,169 @@ mod tests {
         }
         assert!(refolded > 100_000, "{refolded} cells refolded");
         assert!(through_own > 0 && at_the_end > 0, "{through_own} own, {at_the_end} last");
+    }
+
+    /// The busiest machine's busy time plus a little of the finish-time
+    /// sum, under the default declaration (every component read).
+    struct BusiestMachine;
+
+    impl Objective for BusiestMachine {
+        fn finalize(&self, state: &ObjectiveState) -> f64 {
+            state.machine_busy().iter().copied().fold(0.0, f64::max) + 1e-3 * state.finish_sum()
+        }
+    }
+
+    /// `inst` without task `t`, with `base`'s string and machines for the
+    /// other tasks: an instance of its own, whose scores are those of the
+    /// string without `t` (`S'`). Every other task and edge keeps its
+    /// costs; edges into and out of `t` are gone.
+    fn without_task(inst: &HcInstance, base: &Solution, t: TaskId) -> (HcInstance, Solution) {
+        let (g, sys) = (inst.graph(), inst.system());
+        let renumber = |u: TaskId| u.raw() - u32::from(u > t);
+        let mut b = mshc_taskgraph::TaskGraphBuilder::new(g.task_count() - 1);
+        let mut kept = Vec::new();
+        for e in g.edges().iter().filter(|e| e.src != t && e.dst != t) {
+            b.add_edge(renumber(e.src), renumber(e.dst)).unwrap();
+            kept.push(e.id);
+        }
+        let graph = b.build().unwrap();
+        let l = sys.machine_count();
+        let exec = Matrix::from_fn(l, g.task_count() - 1, |m, u| {
+            let u = TaskId::from_usize(u + usize::from(u >= t.index()));
+            sys.exec_time(MachineId::from_usize(m), u)
+        });
+        let transfer = sys.transfer_matrix();
+        let transfer = Matrix::from_fn(transfer.rows(), kept.len(), |pair, d| {
+            transfer.get(pair, kept[d].index())
+        });
+        let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
+        let reduced = HcInstance::new(graph, sys).unwrap();
+        let rest = base.segments().iter().filter(|s| s.task != t);
+        let rest =
+            rest.map(|s| Segment { task: TaskId::new(renumber(s.task)), machine: s.machine });
+        let sol = Solution::new(reduced.graph(), l, rest.collect()).unwrap();
+        (reduced, sol)
+    }
+
+    #[test]
+    fn every_lane_width_scores_what_score_move_and_the_string_without_the_task_score() {
+        // Passes of 4, 5, 7, 8, 9, 16 and 17 lanes, with and without a
+        // floor lane, under makespan and `weighted:1,0,0` (whose fold
+        // runs the fixed-width instances at 5, 8 and 16 lanes) and under
+        // folds that read the finish-time sum, the busy times or both:
+        // every cell lane scores what `score_move` scores, and the floor
+        // lane what a full pass over the string without the task scores,
+        // on an instance built without it. Transfers that dwarf the
+        // execution times make every arrival bind, so a floor lane that
+        // let any arrival from the task through would show.
+        let makespan_only = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 };
+        let objectives: [&dyn Objective; 5] = [
+            &ObjectiveKind::Makespan,
+            &ObjectiveKind::TotalFlowtime,
+            &ObjectiveKind::LoadBalance,
+            &makespan_only,
+            &BusiestMachine,
+        ];
+        let mut passes = [0usize; 18];
+        let configs =
+            [(30, 4, 80, 1, 1.0..30.0), (30, 4, 82, 1, 200.0..2000.0), (100, 20, 81, 7, 1.0..30.0)];
+        for (tasks, machines, seed, every, transfers) in configs {
+            let inst = random_instance_with(tasks, machines, seed, transfers);
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = random_solution(&inst, &mut rng);
+            let mut inc = fresh_prime(&snap, &base);
+            let mut oracle = fresh_prime(&snap, &base);
+            for t in inst.graph().tasks().step_by(every) {
+                let (reduced, rest) = without_task(&inst, &base, t);
+                let mut scalar = Evaluator::new(&reduced);
+                let (grid, on) = relocation_cells(&inst, &base, t);
+                let cells = grid.len() - 1;
+                for width in [4, 5, 7, 8, 9, 16, 17] {
+                    for floor in [false, true] {
+                        let take = width - usize::from(floor);
+                        if take > cells {
+                            continue;
+                        }
+                        // Cells spread over the grid, the first at its
+                        // first position; the grid is position-major.
+                        let picks = (0..take).map(|i| i * cells / take);
+                        let mut pos: Vec<usize> = picks.clone().map(|i| grid[i]).collect();
+                        let mut lane_on: Vec<MachineId> = picks.map(|i| on[i]).collect();
+                        if floor {
+                            pos.push(tasks);
+                            lane_on.push(on[0]);
+                        }
+                        passes[width] += 1;
+                        for obj in objectives {
+                            let mut scores = vec![f64::NAN; width];
+                            inc.score_cells(t, &pos, &lane_on, obj, &mut scores);
+                            for j in 0..take {
+                                let want = oracle.score_move(t, pos[j], lane_on[j], obj);
+                                let label =
+                                    format!("{width} lanes, {t} -> ({}, {})", pos[j], lane_on[j]);
+                                assert_eq!(scores[j].to_bits(), want.to_bits(), "{label}");
+                            }
+                            if floor {
+                                let want = scalar.objective_value(&rest, obj);
+                                let label = format!("{width} lanes, {t}'s floor lane");
+                                assert_eq!(scores[take].to_bits(), want.to_bits(), "{label}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for width in [4, 5, 7, 8, 9, 16, 17] {
+            assert!(passes[width] >= 10, "{} passes of {width} lanes", passes[width]);
+        }
+    }
+
+    #[test]
+    fn advancing_after_a_fixed_width_pass_equals_a_fresh_prime() {
+        // Under the fold a floor walk runs, passes of 5, 8 and 16 lanes
+        // run the fixed-width instances; advancing any cell lane of such a
+        // pass leaves every buffer as a fresh prime of the moved string.
+        let makespan_only = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.0, balance: 0.0 };
+        let kinds = [ObjectiveKind::Makespan, makespan_only];
+        for (tasks, machines, seed) in [(30, 4, 82), (60, 8, 83)] {
+            let inst = random_instance(tasks, machines, seed);
+            let g = inst.graph();
+            let snap = EvalSnapshot::new(&inst);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let base = random_solution(&inst, &mut rng);
+            let mut inc = IncrementalEvaluator::with_snapshot(&snap);
+            let mut advanced = 0;
+            for t in g.tasks() {
+                let (grid, on) = relocation_cells(&inst, &base, t);
+                let cells = grid.len() - 1;
+                for (width, floor) in [(5, true), (8, false), (16, false)] {
+                    let take = width - usize::from(floor);
+                    if take > cells {
+                        continue;
+                    }
+                    let mut pos = grid[..take].to_vec();
+                    let mut lane_on = on[..take].to_vec();
+                    if floor {
+                        pos.push(tasks);
+                        lane_on.push(on[0]);
+                    }
+                    let kind = &kinds[t.index() % 2];
+                    for lane in 0..take {
+                        inc.prime(&base);
+                        let mut scores = vec![f64::NAN; width];
+                        inc.score_cells(t, &pos, &lane_on, kind, &mut scores);
+                        let label = format!("{width} lanes, {t} -> ({}, {})", pos[lane], on[lane]);
+                        assert!(inc.advance(lane, pos[lane]), "{label}");
+                        let mut moved = base.clone();
+                        moved.move_task(g, t, pos[lane], lane_on[lane]).unwrap();
+                        assert_primed_alike(&inc, &fresh_prime(&snap, &moved), &label);
+                        advanced += 1;
+                    }
+                }
+            }
+            assert!(advanced > 100, "{advanced} advances");
+        }
     }
 
     #[test]

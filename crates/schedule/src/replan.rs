@@ -101,6 +101,7 @@ fn default_factor() -> f64 {
 /// shim; `machine` always names an **original** machine id, even for
 /// disturbances applied after earlier failures shrank the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Disturbance {
     /// What happened.
     pub kind: DisturbanceKind,

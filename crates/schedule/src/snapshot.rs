@@ -361,9 +361,19 @@ impl EvalSnapshot {
     /// other such lane, so all of them hold the values of the string
     /// without it. The per-lane loops run over contiguous rows, which
     /// the compiler vectorizes.
+    ///
+    /// `W` is the lane count when it is known at compile time, and `0`
+    /// for "the length of `lanes`". Every per-lane loop is element-wise,
+    /// with no reduction across lanes, so `W` changes only how the
+    /// compiler lays the loops out (a fixed trip count: no remainder
+    /// loop, no trip-count checks), never an operation or its order.
+    /// [`IncrementalEvaluator::score_cells`] compiles the widths of a
+    /// floor walk's passes this way.
+    ///
+    /// [`IncrementalEvaluator::score_cells`]: crate::IncrementalEvaluator::score_cells
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn lane_step<'a>(
+    pub(crate) fn lane_step<'a, const W: usize>(
         &self,
         t: TaskId,
         m: MachineId,
@@ -373,8 +383,9 @@ impl EvalSnapshot {
         avail: &[f64],
         finish: &mut [f64],
     ) {
-        let n = lanes.len();
-        let (avail, ready) = (&avail[..n], &mut finish[..n]);
+        debug_assert!(W == 0 || W == lanes.len(), "{} lanes in a {W}-lane step", lanes.len());
+        let n = if W == 0 { lanes.len() } else { W };
+        let (lanes, avail, ready) = (&lanes[..n], &avail[..n], &mut finish[..n]);
         ready.fill(0.0);
         let edges = self.pred_edges(t);
         let preds = self.pred_src[edges.clone()].iter().zip(&self.pred_data[edges.clone()]);

@@ -73,6 +73,7 @@ impl DisturbanceTraceSpec {
 
 /// A seeded, reproducible sequence of disturbances.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DisturbanceTrace {
     /// The seed the events were drawn from.
     pub seed: u64,

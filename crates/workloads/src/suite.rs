@@ -54,6 +54,7 @@ impl DagShape {
 /// Kept flat (unit-variant shape enum + two generic shape parameters)
 /// so it serializes with the vendored serde derive and stays `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// DAG family.
     pub shape: DagShape,
